@@ -14,18 +14,11 @@ Every FFT-accelerated routine here has a brute-force twin
 (:func:`cross_ambiguity_oracle`) computed as a dense matrix product against
 the explicit Doppler kernel exp(i 2 pi nu t_n).  The twins share nothing
 past the product array, so agreement is a real cross-check.
-
-The Doppler dimension can be processed in thread chunks; set the
-MIMO_AMBIG_THREADS environment variable (0 = all cores).  Each lag row is
-transformed independently, so the result is bit-identical regardless of
-the thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,42 +131,6 @@ class AmbiguitySurface:
         return float(np.max(np.abs(self.values)))
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("MIMO_AMBIG_THREADS", "1").strip() or "1"
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise InvalidParameterError(
-                f"MIMO_AMBIG_THREADS must be an integer, got {raw!r}"
-            ) from exc
-    if threads < 0:
-        raise InvalidParameterError(f"thread count must be >= 0, got {threads}")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return threads
-
-
-def _chunked_row_ifft(P: np.ndarray, n_out: int, threads: int) -> np.ndarray:
-    if threads <= 1 or P.shape[0] < 2 * threads:
-        return np.fft.ifft(P, n=n_out, axis=1)
-    out = np.empty((P.shape[0], n_out), dtype=np.complex128)
-    bounds = np.linspace(0, P.shape[0], threads + 1).astype(int)
-
-    def work(lo: int, hi: int) -> None:
-        out[lo:hi] = np.fft.ifft(P[lo:hi], n=n_out, axis=1)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(work, lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for fut in futures:
-            fut.result()
-    return out
-
-
 def _lag_products(
     u: SampledSignal, v: SampledSignal, cyclic: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -205,6 +162,8 @@ def _doppler_axis(n_doppler: int, dt: float) -> np.ndarray:
 
 
 def _check_doppler_count(n_doppler: int | None, n: int, cyclic: bool) -> int:
+    if n < 2:
+        raise InvalidParameterError(f"a surface needs at least 2 samples, got {n}")
     if n_doppler is None:
         n_doppler = n if cyclic else 4 * n
     if n_doppler < n or n_doppler % 2:
@@ -219,7 +178,6 @@ def cross_ambiguity(
     v: SampledSignal | None = None,
     n_doppler: int | None = None,
     cyclic: bool = False,
-    threads: int | None = None,
 ) -> AmbiguitySurface:
     """Cross-ambiguity surface of u against v (v = u gives the auto surface).
 
@@ -231,15 +189,13 @@ def cross_ambiguity(
         u, v: signals on a common grid.
         n_doppler: Doppler bins; defaults to 4n (linear) or n (cyclic).
         cyclic: use mod-n lag products on lags -n/2 .. n/2-1.
-        threads: Doppler FFT chunking; None reads MIMO_AMBIG_THREADS.
     """
     if v is None:
         v = u
     u.require_compatible(v)
     n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
-    threads = _resolve_threads(threads)
     P, lags = _lag_products(u, v, cyclic)
-    X = np.fft.fftshift(_chunked_row_ifft(P, n_doppler, threads), axes=1)
+    X = np.fft.fftshift(np.fft.ifft(P, n=n_doppler, axis=1), axes=1)
     nu_axis = _doppler_axis(n_doppler, u.dt)
     X *= n_doppler * u.dt
     X *= np.exp(1j * 2.0 * math.pi * nu_axis * u.t0)[None, :]
@@ -313,6 +269,10 @@ def wigner(
         v = u
     u.require_compatible(v)
     n = u.n
+    if n < 2:
+        raise InvalidParameterError(
+            f"a Wigner distribution needs at least 2 samples, got {n}"
+        )
     if n_freq is None:
         n_freq = 2 * n
     if n_freq < n or n_freq % 2:
@@ -404,7 +364,6 @@ class CorrelationMatrix:
 def correlation_matrix(
     waveforms: list[SampledSignal],
     n_doppler: int | None = None,
-    threads: int | None = None,
 ) -> CorrelationMatrix:
     """Compute every pairwise cross-ambiguity surface of the set."""
     if len(waveforms) < 1:
@@ -413,7 +372,7 @@ def correlation_matrix(
     for w in waveforms[1:]:
         first.require_compatible(w)
     m = len(waveforms)
-    ref = cross_ambiguity(first, first, n_doppler=n_doppler, threads=threads)
+    ref = cross_ambiguity(first, first, n_doppler=n_doppler)
     entries = np.empty((m, m, ref.n_lag, ref.n_doppler), dtype=np.complex128)
     entries[0, 0] = ref.values
     for i in range(m):
@@ -421,7 +380,7 @@ def correlation_matrix(
             if i == 0 and j == 0:
                 continue
             entries[i, j] = cross_ambiguity(
-                waveforms[i], waveforms[j], n_doppler=n_doppler, threads=threads
+                waveforms[i], waveforms[j], n_doppler=n_doppler
             ).values
     return CorrelationMatrix(entries, ref.tau_axis, ref.nu_axis, ref.kind, ref.dt, ref.t0)
 

@@ -36,7 +36,7 @@ from .ambiguity import (
     spatial_integral,
     wigner,
 )
-from .errors import MimoafError
+from .errors import InvalidParameterError, MimoafError
 from .properties import (
     CheckReport,
     check_mimo_energy,
@@ -413,6 +413,9 @@ def cmd_mimo(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None and not args.tol >= 0:
+        # a tolerance no error can meet would report every check as failed
+        raise InvalidParameterError(f"--tol must be >= 0, got {args.tol}")
     names = list(_SUITE_FUNCS) if args.suite == "all" else [args.suite]
     reports: list[CheckReport] = []
     for name in names:

@@ -336,8 +336,8 @@ def dilate(v: SampledSignal, b: float, taps: int = 16, beta: float = 8.0) -> Sam
         AliasingError: if b > 1 and spectral energy above Nyquist/b
             exceeds a 1e-9 fraction.
     """
-    if b <= 0:
-        raise InvalidParameterError(f"b must be positive, got {b}")
+    if not (b > 0 and math.isfinite(b)):
+        raise InvalidParameterError(f"b must be positive and finite, got {b}")
     if taps < 4 or taps % 2:
         raise InvalidParameterError("taps must be an even integer >= 4")
     if b > 1.0 and not _band_occupancy_ok(v, 1.0 / b):

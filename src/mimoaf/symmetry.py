@@ -10,7 +10,8 @@ act on an ambiguity surface by coordinate remap, and on the underlying
 signals by Fourier transform, chirp multiplication, and time dilation.
 Each verify routine computes one identity along both routes (surface
 remap vs transformed signals) and reports the relative Frobenius
-distance.
+distance.  The MIMO lifts reuse the scalar routines on the beamformed
+signal pair, whose cross-ambiguity is the spatial slice.
 
 Grid notes baked into the checks:
 
@@ -30,7 +31,7 @@ Grid notes baked into the checks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.typing as npt
@@ -74,6 +75,10 @@ class Sl2Element:
     tag: str | None = None
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(x) for x in (self.a, self.b, self.c, self.d)):
+            raise InvalidParameterError(
+                f"entries must be finite, got {(self.a, self.b, self.c, self.d)}"
+            )
         det = self.a * self.d - self.b * self.c
         if abs(det - 1.0) > 1e-12:
             raise InvalidParameterError(f"determinant {det} is not 1")
@@ -220,19 +225,6 @@ def verify_fourier_rotation(
     return _dual_path_report("sym-J", path_a.values, path_b, mask, tol, {})
 
 
-def _mirror_target(
-    suv: AmbiguitySurface, svu: AmbiguitySurface
-) -> tuple[np.ndarray, np.ndarray]:
-    """conj(chi(v,u)) e^{-i 2 pi nu tau} and the index map giving
-    chi(u,v)(-tau, -nu) on the same axes (edge Doppler bin excluded)."""
-    phase = np.exp(-1j * 2.0 * math.pi * np.outer(svu.tau_axis, svu.nu_axis))
-    target = np.conj(svu.values) * phase
-    flipped = np.zeros_like(suv.values)
-    # lag axis is symmetric; Doppler bin 0 (-Nyquist edge) has no partner
-    flipped[:, 1:] = suv.values[::-1, 1:][:, ::-1]
-    return target, flipped
-
-
 def verify_mirror(
     u: SampledSignal,
     v: SampledSignal | None = None,
@@ -250,7 +242,11 @@ def verify_mirror(
     u.require_compatible(v)
     suv = cross_ambiguity(u, v, n_doppler=n_doppler)
     svu = cross_ambiguity(v, u, n_doppler=n_doppler)
-    target, flipped = _mirror_target(suv, svu)
+    phase = np.exp(-1j * 2.0 * math.pi * np.outer(svu.tau_axis, svu.nu_axis))
+    target = np.conj(svu.values) * phase
+    flipped = np.zeros_like(suv.values)
+    # lag axis is symmetric; Doppler bin 0 (-Nyquist edge) has no partner
+    flipped[:, 1:] = suv.values[::-1, 1:][:, ::-1]
     edge = np.zeros(suv.values.shape, dtype=bool)
     edge[:, 1:] = True
     rel_direct, _ = _masked_frobenius(flipped, target, edge)
@@ -277,7 +273,10 @@ def _shear_resample(s: AmbiguitySurface, rate: float) -> tuple[np.ndarray, bool]
     n_d = s.n_doppler
     shift_per_lag = rate * s.dt / s.d_nu  # Doppler bins per lag step
     lags = np.round(s.tau_axis / s.dt).astype(np.int64)
-    aligned = abs(shift_per_lag - round(shift_per_lag)) <= _SNAP
+    # every row's shift must be whole, not just the per-lag step: a step
+    # within the snap of an integer can still drift by n times the snap
+    shifts = lags * shift_per_lag
+    aligned = bool(np.all(np.abs(shifts - np.round(shifts)) <= _SNAP))
     if aligned:
         out = np.empty_like(s.values)
         for row, lag in enumerate(lags):
@@ -370,28 +369,12 @@ def verify_dilation(
     )
 
 
-def _pair_surfaces(
-    waveforms: list[SampledSignal], n_doppler: int | None, cyclic: bool
-) -> list[list[AmbiguitySurface]]:
-    return [
-        [cross_ambiguity(wi, wj, n_doppler=n_doppler, cyclic=cyclic) for wj in waveforms]
-        for wi in waveforms
-    ]
-
-
-def _combine_slice(
-    pairs: list[list[AmbiguitySurface]],
-    cfg: SteeringConfig,
-    fs: float,
-    fs_prime: float,
-) -> AmbiguitySurface:
-    ref = pairs[0][0]
-    vals = np.zeros_like(ref.values)
-    w = 2.0 * math.pi * cfg.gamma
-    for mi in range(cfg.n_elements):
-        for mj in range(cfg.n_elements):
-            vals += pairs[mi][mj].values * np.exp(1j * w * (fs * mi - fs_prime * mj))
-    return AmbiguitySurface(vals, ref.tau_axis, ref.nu_axis, ref.kind, ref.dt, ref.t0)
+def _beam(waveforms: list[SampledSignal], cfg: SteeringConfig, f: float) -> SampledSignal:
+    """The beamformed signal sum_m exp(i 2 pi gamma f m) u_m."""
+    phases = np.exp(1j * 2.0 * math.pi * cfg.gamma * f * np.arange(cfg.n_elements))
+    return waveforms[0].replace_samples(
+        sum(p * w.samples for p, w in zip(phases, waveforms))
+    )
 
 
 def verify_mimo_symmetry(
@@ -405,12 +388,13 @@ def verify_mimo_symmetry(
 ) -> CheckReport:
     """Generator identities lifted to spatial slices at fixed (fs, fs').
 
-    The steering phases are constant in (tau, nu), so each scalar identity
-    transfers linearly to the slice: path A rebuilds the slice from
-    generator-transformed waveforms, path B applies the surface-domain
-    action to the original slice.  The mirror case swaps (fs, fs') and
-    conjugates instead of transforming waveforms.  Dispatches on the tag
-    of g as built by the generator constructors.
+    chi is linear in its first signal and conjugate-linear in its second,
+    so the slice sum_{m,m'} chi(u_m, u_m') exp(i 2 pi gamma (fs m - fs' m'))
+    is the cross-ambiguity chi(U, V) of the beamformed pair U, V.  The
+    scalar verifier for the tag of g therefore runs on (U, V) unchanged;
+    the mirror case compares chi(U, V) against the independently computed
+    swapped slice chi(V, U).  tol=None keeps the scalar default.  The
+    report is named "sym-mimo" and info["kind"] holds the tag.
     """
     if g.tag is None:
         raise InvalidParameterError("pass a tagged generator (rotation/shear/scaling/mirror)")
@@ -418,86 +402,17 @@ def verify_mimo_symmetry(
         raise GridMismatchError(
             f"{len(waveforms)} waveforms for an array of {cfg.n_elements} elements"
         )
-    first = waveforms[0]
     for w in waveforms[1:]:
-        first.require_compatible(w)
-    base_tol = {"J": 1e-5, "-I": 1e-9, "t": 1e-4, "m": 1e-4}[g.tag]
-    if tol is None:
-        tol = base_tol
-
+        waveforms[0].require_compatible(w)
+    u, v = _beam(waveforms, cfg, fs), _beam(waveforms, cfg, fs_prime)
+    kw = {} if tol is None else {"tol": tol}
     if g.tag == "J":
-        n = first.n
-        if abs(n * first.dt * first.dt - 1.0) > 1e-9:
-            raise GridMismatchError(
-                f"rotation check needs n*dt^2 = 1; got n={n}, dt={first.dt}"
-            )
-        pairs = _pair_surfaces(waveforms, n, cyclic=True)
-        s = _combine_slice(pairs, cfg, fs, fs_prime)
-        pulled = act_on_surface(s, Sl2Element.rotation().inverse())
-        hat_pairs = _pair_surfaces([fourier(w) for w in waveforms], n, cyclic=True)
-        s_hat = _combine_slice(hat_pairs, cfg, fs, fs_prime)
-        phase = np.exp(1j * 2.0 * math.pi * np.outer(s.tau_axis, s.nu_axis))
-        return _dual_path_report(
-            "sym-mimo", pulled.values, s_hat.values * phase,
-            pulled.meta["valid_mask"], tol, {"kind": "J"},
-        )
-
-    if g.tag == "-I":
-        pairs = _pair_surfaces(waveforms, n_doppler, cyclic=False)
-        s = _combine_slice(pairs, cfg, fs, fs_prime)
-        swapped = _combine_slice(pairs, cfg, fs_prime, fs)
-        target, _ = _mirror_target(s, swapped)
-        remap = act_on_surface(s, Sl2Element.rotation().compose(Sl2Element.rotation()))
-        edge = np.zeros(s.values.shape, dtype=bool)
-        edge[:, 1:] = True
-        mask = remap.meta["valid_mask"] & edge
-        return _dual_path_report(
-            "sym-mimo", remap.values, target, mask, tol, {"kind": "-I", "swap": True}
-        )
-
-    if g.tag == "t":
-        rate = -g.c  # g = t(-rate) shears onto the +rate chirp
-        pairs = _pair_surfaces(
-            [chirp_multiply(w, rate) for w in waveforms], n_doppler, cyclic=False
-        )
-        path_a = _combine_slice(pairs, cfg, fs, fs_prime)
-        orig = _pair_surfaces(waveforms, n_doppler, cyclic=False)
-        s = _combine_slice(orig, cfg, fs, fs_prime)
-        path_b, aligned = _shear_resample(s, rate)
-        return _dual_path_report(
-            "sym-mimo", path_a.values, path_b, None, tol,
-            {"kind": "t", "rate": rate, "aligned": aligned},
-        )
-
-    # g.tag == "m"
-    b = g.a
-    if n_doppler is None:
-        n_doppler = 4 * first.n
-    pairs = _pair_surfaces(
-        [dilate(w, b) for w in waveforms], n_doppler, cyclic=False
-    )
-    path_a = _combine_slice(pairs, cfg, fs, fs_prime)
-    b_int = round(b)
-    if abs(b - b_int) <= _SNAP and b_int >= 1:
-        parent_pairs = _pair_surfaces(waveforms, b_int * n_doppler, cyclic=False)
-        parent = _combine_slice(parent_pairs, cfg, fs, fs_prime)
-        n = first.n
-        lags = np.arange(-(n - 1), n)
-        path_b = np.zeros((lags.size, n_doppler), dtype=np.complex128)
-        mask = np.zeros(path_b.shape, dtype=bool)
-        rows = np.abs(lags) * b_int <= n - 1
-        src_rows = (n - 1) + lags[rows] * b_int
-        col0 = (b_int * n_doppler) // 2 - n_doppler // 2
-        path_b[rows] = parent.values[src_rows, col0 : col0 + n_doppler] / b
-        mask[rows] = True
-        route = "exact-parent"
+        rep = verify_fourier_rotation(u, v, **kw)
+    elif g.tag == "-I":
+        rep = verify_mirror(u, v, n_doppler, **kw)
+    elif g.tag == "t":
+        # g = t(-rate) shears onto the +rate chirp
+        rep = verify_lfm_shear(u, v, rate=-g.c, n_doppler=n_doppler, **kw)
     else:
-        orig = _pair_surfaces(waveforms, n_doppler, cyclic=False)
-        s = _combine_slice(orig, cfg, fs, fs_prime)
-        pulled = act_on_surface(s, Sl2Element.scaling(b))
-        path_b = pulled.values / b
-        mask = pulled.meta["valid_mask"]
-        route = "bilinear"
-    return _dual_path_report(
-        "sym-mimo", path_a.values, path_b, mask, tol, {"kind": "m", "b": b, "route": route}
-    )
+        rep = verify_dilation(u, v, b=g.a, n_doppler=n_doppler, **kw)
+    return replace(rep, name="sym-mimo", info={"kind": g.tag, **rep.info})

@@ -29,7 +29,7 @@ from mimoaf import (
     spatial_integral,
     wigner,
 )
-from mimoaf.signals import HeisenbergPoint
+from mimoaf.signals import HeisenbergPoint, SampledSignal
 
 from conftest import DT, DT_G, family_waveforms, frob_rel, mixture_basis, random_mixture
 
@@ -83,6 +83,11 @@ def test_doppler_count_validation():
         cross_ambiguity(u, n_doppler=u.n - 2)
     with pytest.raises(InvalidParameterError):
         cross_ambiguity(u, n_doppler=u.n + 1)
+    # one sample gives a single lag row, which has no lag step
+    one = SampledSignal(np.array([1.0 + 0j]), 0.5, 0.0)
+    for build in (cross_ambiguity, cross_ambiguity_oracle, wigner):
+        with pytest.raises(InvalidParameterError):
+            build(one)
 
 
 def test_cross_ambiguity_grid_mismatch():
@@ -240,6 +245,26 @@ def test_mimo_slice_rejects_out_of_range_fs(subcarriers2):
         mimo_ambiguity(corr, cfg, 0.0, -0.2)
 
 
+def test_mimo_slice_is_cross_ambiguity_of_beams(gauss256):
+    # chi is linear in u and conjugate-linear in v, so the slice
+    # sum_{m,p} a_m conj(b_p) chi(u_m, u_p) equals chi(sum a_m u_m, sum b_p u_p)
+    rng = np.random.default_rng(11)
+    basis = mixture_basis(gauss256)
+    ws = [random_mixture(basis, rng) for _ in range(3)]
+    cfg = SteeringConfig(3, 1.0, 16)
+    fs, fsp = 0.137, 0.613  # off the fs grid, fs != fs'
+    a = np.exp(1j * 2 * np.pi * cfg.gamma * fs * np.arange(3))
+    b = np.exp(1j * 2 * np.pi * cfg.gamma * fsp * np.arange(3))
+
+    def beam(c):
+        return ws[0].replace_samples(sum(ci * w.samples for ci, w in zip(c, ws)))
+
+    slice_ = mimo_ambiguity(correlation_matrix(ws), cfg, fs, fsp).values
+    assert frob_rel(slice_, cross_ambiguity(beam(a), beam(b)).values) <= 1e-12
+    # conjugating b inside the second beam drops the conjugate from the slice
+    assert frob_rel(slice_, cross_ambiguity(beam(a), beam(np.conj(b))).values) >= 0.1
+
+
 def test_steering_linearity(subcarriers2):
     c = 0.6 - 1.1j
     scaled = [
@@ -333,21 +358,6 @@ def test_mimo_energy_quadrature_matches_slice_by_slice(subcarriers2):
             acc += mimo_ambiguity(corr, cfg, fa, fb).energy()
     acc /= cfg.n_spatial ** 2
     assert abs(total - acc) <= 1e-12 * abs(acc)
-
-
-# -------------------------------------------------------------- concurrency
-
-def test_threaded_rows_bit_identical(monkeypatch, gauss256):
-    v = chirp_multiply(gauss256, 2.0)
-    seq = cross_ambiguity(gauss256, v, threads=1)
-    par = cross_ambiguity(gauss256, v, threads=4)
-    assert np.array_equal(seq.values, par.values)
-    monkeypatch.setenv("MIMO_AMBIG_THREADS", "3")
-    env = cross_ambiguity(gauss256, v)
-    assert np.array_equal(seq.values, env.values)
-    seq_c = cross_ambiguity(gauss256, v, cyclic=True, threads=1)
-    par_c = cross_ambiguity(gauss256, v, cyclic=True, threads=4)
-    assert np.array_equal(seq_c.values, par_c.values)
 
 
 # --------------------------------------------- randomized surface invariants

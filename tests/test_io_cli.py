@@ -7,12 +7,14 @@ import pytest
 
 from mimoaf import (
     FileFormatError,
+    SampledSignal,
     canonical_gaussian,
     check_norm_identity,
     cross_ambiguity,
     gen_rect,
     inner_product,
 )
+from mimoaf import cli
 from mimoaf.io_formats import (
     read_signal,
     read_surface,
@@ -263,6 +265,24 @@ def test_verify_strict_tolerance_fails(tmp_path):
     res = run_cli("verify", "--suite", "norm", "--tol", "1e-20")
     assert res.returncode == 1
     assert any(" fail " in ln for ln in res.stdout.splitlines())
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_verify_bad_tolerance_exits_2(tol, capsys):
+    # exit 1 would read as "an identity failed"
+    assert cli.main(["verify", "--suite", "norm", "--tol", tol]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:")
+
+
+def test_one_sample_signal_exits_2(tmp_path, capsys):
+    one = tmp_path / "one.sig"
+    write_signal(one, SampledSignal(np.array([1.0 + 0j]), 0.5, 0.0))
+    for argv in (["af", "--u", one], ["af", "--u", one, "--wigner"],
+                 ["mimo", "--inputs", one, one]):
+        assert cli.main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_verify_unknown_suite_exits_2():

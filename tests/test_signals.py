@@ -220,6 +220,13 @@ def test_dilate_offgrid_factor_energy():
     assert math.isclose(out.energy(), 1 / 1.25, rel_tol=1e-4)
 
 
+def test_dilate_rejects_bad_factor():
+    u = canonical_gaussian()
+    for b in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            dilate(u, b)
+
+
 def test_dilate_compression_checks_bandwidth():
     # rect-envelope spectra decay too slowly to compress without aliasing
     with pytest.raises(AliasingError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mimoaf import (
@@ -61,6 +61,15 @@ def test_determinant_enforced():
         Sl2Element(1.0, 0.0, 0.0, 2.0)
     with pytest.raises(InvalidParameterError):
         Sl2Element.scaling(-1.0)
+    # NaN slips past both "b <= 0" and "abs(det - 1) > tol"; inf gives det NaN
+    for make in (
+        lambda: Sl2Element.shear(math.nan),
+        lambda: Sl2Element.scaling(math.nan),
+        lambda: Sl2Element.scaling(math.inf),
+        lambda: Sl2Element(1.0, math.inf, 0.0, 1.0),
+    ):
+        with pytest.raises(InvalidParameterError):
+            make()
 
 
 def test_compose_inverse_apply():
@@ -363,6 +372,7 @@ def test_mimo_requires_tagged_generator(wide_gauss):
 
 @settings(max_examples=10, deadline=None)
 @given(st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
+@example(1e-9)  # per-lag step within the snap of 0, last row 6e-8 bins off
 def test_shear_rate_sweep(rate):
     u = gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0)
     rep = verify_lfm_shear(u, rate=rate)
