@@ -13,7 +13,6 @@ from pathlib import Path
 from mimoaf import (
     CANONICAL_SIGMA,
     SteeringConfig,
-    correlation_matrix,
     cross_ambiguity,
     gen_gaussian,
     gen_lfm,
@@ -47,10 +46,9 @@ def main() -> None:
         print(f"{name}: af {s.values.shape}, wigner {w.values.shape}")
 
     subs = list(gen_subcarrier_set(2, 1.0, 1 / 128))
-    corr = correlation_matrix(subs, n_doppler=512)
     cfg = SteeringConfig(2, 1.0, 64)
     for fs, fsp in [(0.0, 0.0), (0.25, 0.75)]:
-        s = mimo_ambiguity(corr, cfg, fs, fsp)
+        s = mimo_ambiguity(subs, cfg, fs, fsp, n_doppler=512)
         stem = f"mimo_fs{fs:g}_fsp{fsp:g}".replace(".", "p")
         write_surface(out / f"{stem}.sur", s)
         write_ppm(out / f"{stem}.ppm", s.values, db_floor=args.db_floor)

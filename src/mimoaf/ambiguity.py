@@ -55,6 +55,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _axis_index(axis: np.ndarray, x: float, quantity: str, axis_name: str) -> int:
+    """Index of x on a uniform ascending axis, within 1e-6 of a step."""
+    pos = (x - axis[0]) / float(axis[1] - axis[0])
+    idx = round(pos) if math.isfinite(pos) else -1
+    if abs(pos - idx) > 1e-6 or not (0 <= idx < axis.size):
+        raise GridAlignmentError(f"{quantity} {x} is not on the {axis_name} axis")
+    return idx
+
+
 @dataclass(frozen=True, eq=False)
 class AmbiguitySurface:
     """Sampled surface over the delay-Doppler plane.
@@ -107,18 +116,10 @@ class AmbiguitySurface:
         return float(self.nu_axis[1] - self.nu_axis[0])
 
     def lag_index(self, tau: float) -> int:
-        pos = (tau - self.tau_axis[0]) / self.d_tau
-        idx = round(pos)
-        if abs(pos - idx) > 1e-6 or not (0 <= idx < self.n_lag):
-            raise GridAlignmentError(f"delay {tau} is not on the lag axis")
-        return idx
+        return _axis_index(self.tau_axis, tau, "delay", "lag")
 
     def doppler_index(self, nu: float) -> int:
-        pos = (nu - self.nu_axis[0]) / self.d_nu
-        idx = round(pos)
-        if abs(pos - idx) > 1e-6 or not (0 <= idx < self.n_doppler):
-            raise GridAlignmentError(f"Doppler {nu} is not on the Doppler axis")
-        return idx
+        return _axis_index(self.nu_axis, nu, "Doppler", "Doppler")
 
     def value_at(self, tau: float, nu: float) -> complex:
         return complex(self.values[self.lag_index(tau), self.doppler_index(nu)])
@@ -453,42 +454,98 @@ def _require_matching(corr: CorrelationMatrix, cfg: SteeringConfig) -> None:
         )
 
 
+def _require_array(waveforms: list[SampledSignal], cfg: SteeringConfig) -> None:
+    """One waveform per array element, all on one grid."""
+    if len(waveforms) != cfg.n_elements:
+        raise GridMismatchError(
+            f"{len(waveforms)} waveforms for an array of {cfg.n_elements} elements"
+        )
+    for w in waveforms[1:]:
+        waveforms[0].require_compatible(w)
+
+
+def _combine(waveforms: list[SampledSignal], weights: np.ndarray) -> SampledSignal:
+    """The weighted sum sum_m weights[m] u_m on the shared grid."""
+    return waveforms[0].replace_samples(
+        sum(c * w.samples for c, w in zip(weights, waveforms))
+    )
+
+
+def _beam(waveforms: list[SampledSignal], cfg: SteeringConfig, fs: float) -> SampledSignal:
+    """The beamformed signal sum_m exp(i 2 pi gamma fs m) u_m."""
+    return _combine(waveforms, cfg.steering_phases(fs))
+
+
 def mimo_ambiguity(
-    corr: CorrelationMatrix, cfg: SteeringConfig, fs: float, fs_prime: float
+    waveforms: list[SampledSignal],
+    cfg: SteeringConfig,
+    fs: float,
+    fs_prime: float,
+    n_doppler: int | None = None,
 ) -> AmbiguitySurface:
-    """Spatial slice sum_{m,m'} chi_{m,m'}(tau, nu) exp(i 2 pi gamma (fs m - fs' m'))."""
-    _require_matching(corr, cfg)
-    a = cfg.steering_phases(fs)
-    b = cfg.steering_phases(fs_prime)
-    vals = np.einsum("m,p,mpij->ij", a, np.conj(b), corr.entries, optimize=True)
-    return AmbiguitySurface(
-        vals, corr.tau_axis, corr.nu_axis, corr.kind, corr.dt, corr.t0
+    """Spatial slice sum_{m,m'} chi_{m,m'}(tau, nu) exp(i 2 pi gamma (fs m - fs' m')).
+
+    chi is linear in its first signal and conjugate-linear in its second,
+    so the slice is the single surface chi(U, V) of the beamformed pair
+    U = sum_m exp(i 2 pi gamma fs m) u_m and V (same at fs'); see San
+    Antonio, Fuhrmann & Robey, "MIMO Radar Ambiguity Functions", IEEE
+    JSTSP 1(1), 2007.
+    """
+    _require_array(waveforms, cfg)
+    return cross_ambiguity(
+        _beam(waveforms, cfg, fs), _beam(waveforms, cfg, fs_prime), n_doppler=n_doppler
     )
 
 
 def mimo_slice_spatial(
-    corr: CorrelationMatrix, cfg: SteeringConfig, tau: float, nu: float
+    waveforms: list[SampledSignal],
+    cfg: SteeringConfig,
+    tau: float,
+    nu: float,
+    n_doppler: int | None = None,
 ) -> npt.NDArray[np.complex128]:
     """All K x K spatial slices at one delay-Doppler point: V = Z X Z^H with
-    Z the phase matrix and X the entry matrix at (tau, nu)."""
-    _require_matching(corr, cfg)
-    ref = corr.chi(0, 0)
-    k = ref.lag_index(tau)
-    l = ref.doppler_index(nu)
-    X = corr.entries[:, :, k, l]
+    Z the phase matrix and X[m, p] = chi(u_m, u_p)(tau, nu).
+
+    tau and nu must land on the lag and Doppler axes of the surfaces
+    cross_ambiguity would build with n_doppler bins; X is then summed
+    directly at that grid point, dt sum_n u_m[n] conj(u_p[n+k]) exp(i 2 pi nu t_n),
+    in O(M^2 n) with no FFT.
+    """
+    _require_array(waveforms, cfg)
+    first = waveforms[0]
+    n = first.n
+    n_doppler = _check_doppler_count(n_doppler, n, cyclic=False)
+    lags = np.arange(-(n - 1), n)
+    nu_axis = _doppler_axis(n_doppler, first.dt)
+    k = int(lags[_axis_index(lags * first.dt, tau, "delay", "lag")])
+    nu = float(nu_axis[_axis_index(nu_axis, nu, "Doppler", "Doppler")])
+    U = np.stack([w.samples for w in waveforms])
+    phase = np.exp(1j * 2.0 * math.pi * nu * first.times)
+    if k >= 0:
+        X = (U[:, : n - k] * phase[: n - k]) @ U[:, k:].conj().T
+    else:
+        X = (U[:, -k:] * phase[-k:]) @ U[:, : n + k].conj().T
+    X *= first.dt
     Z = cfg.phase_matrix()
     return Z @ X @ Z.conj().T
 
 
-def spatial_integral(corr: CorrelationMatrix, cfg: SteeringConfig) -> AmbiguitySurface:
+def spatial_integral(
+    waveforms: list[SampledSignal],
+    cfg: SteeringConfig,
+    n_doppler: int | None = None,
+) -> AmbiguitySurface:
     """Integral of the co-steered slice over fs in [0, 1), which collapses to
-    the trace sum_m chi_{m,m} for whole-wavelength spacings.
+    the trace sum_m chi(u_m, u_m) for whole-wavelength spacings.
 
-    Both routes are evaluated: the K-point Riemann sum (as steering-phase
-    weights) and the trace.  A disagreement beyond 1e-9 of the trace peak
-    raises InvariantViolationError.
+    Both routes are evaluated: the trace, from the M self surfaces, and the
+    K-point Riemann sum sum_{m,p} W_mp chi(u_m, u_p) with steering-phase
+    weights W.  W is Hermitian positive definite, W = L L^H, so the Riemann
+    sum is sum_k chi(w_k, w_k) over the M beams w_k = sum_m L[m, k] u_m.  A
+    disagreement beyond 1e-9 of the trace peak raises InvariantViolationError.
     """
-    _require_matching(corr, cfg)
+    _require_array(waveforms, cfg)
     cfg.require_integer_gamma()
     m_idx = np.arange(cfg.n_elements)
     # (1/K) sum_a exp(i 2 pi gamma (m - p) a / K): the Riemann sum over fs
@@ -502,17 +559,19 @@ def spatial_integral(corr: CorrelationMatrix, cfg: SteeringConfig) -> AmbiguityS
         ),
         axis=0,
     )
-    quad = np.einsum("mp,mpij->ij", weights, corr.entries, optimize=True)
-    trace = np.einsum("mmij->ij", corr.entries)
+    L = np.linalg.cholesky(weights)
+    trace = quad = 0.0
+    for m, w in enumerate(waveforms):
+        s = cross_ambiguity(w, n_doppler=n_doppler)
+        trace = trace + s.values
+        quad = quad + cross_ambiguity(_combine(waveforms, L[:, m]), n_doppler=n_doppler).values
     scale = max(float(np.max(np.abs(trace))), 1e-300)
     gap = float(np.max(np.abs(quad - trace)))
     if gap > 1e-9 * scale:
         raise InvariantViolationError(
             f"spatial quadrature and trace disagree: {gap:.3e} vs peak {scale:.3e}"
         )
-    return AmbiguitySurface(
-        trace, corr.tau_axis, corr.nu_axis, corr.kind, corr.dt, corr.t0
-    )
+    return AmbiguitySurface(trace, s.tau_axis, s.nu_axis, s.kind, s.dt, s.t0)
 
 
 def mimo_energy_quadrature(corr: CorrelationMatrix, cfg: SteeringConfig) -> float:

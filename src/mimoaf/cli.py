@@ -29,7 +29,6 @@ import numpy as np
 from . import io_formats
 from .ambiguity import (
     SteeringConfig,
-    correlation_matrix,
     cross_ambiguity,
     mimo_ambiguity,
     mimo_slice_spatial,
@@ -391,17 +390,16 @@ def cmd_af(args) -> int:
 def cmd_mimo(args) -> int:
     waves = [io_formats.read_signal(p) for p in args.inputs]
     cfg = SteeringConfig(len(waves), args.gamma, args.K)
-    corr = correlation_matrix(waves, n_doppler=args.n_doppler)
     if args.slice_spatial:
-        grid = mimo_slice_spatial(corr, cfg, args.tau, args.nu)
+        grid = mimo_slice_spatial(waves, cfg, args.tau, args.nu, args.n_doppler)
         step = 1.0 / cfg.n_spatial
         _export_surface(args, grid, 0.0, step, 0.0, step)
         print(f"spatial-slice K={cfg.n_spatial} tau={args.tau:.12g} nu={args.nu:.12g}")
         return 0
     if args.spatial_integral:
-        s = spatial_integral(corr, cfg)
+        s = spatial_integral(waves, cfg, args.n_doppler)
     else:
-        s = mimo_ambiguity(corr, cfg, args.fs, args.fsp)
+        s = mimo_ambiguity(waves, cfg, args.fs, args.fsp, args.n_doppler)
     _export_surface(
         args, s.values, float(s.tau_axis[0]), s.d_tau, float(s.nu_axis[0]), s.d_nu, s
     )

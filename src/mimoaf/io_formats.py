@@ -119,14 +119,15 @@ def write_surface(
         s = values
         values, tau0, dtau = s.values, float(s.tau_axis[0]), s.d_tau
         nu0, dnu = float(s.nu_axis[0]), s.d_nu
-    arr = np.asarray(values, dtype=np.complex128)
+    arr = np.asarray(values)
     if arr.ndim != 2:
         raise FileFormatError("surface values must be 2-D")
-    blob = bytearray(_SUR1_MAGIC)
-    blob += struct.pack("<II", arr.shape[0], arr.shape[1])
-    blob += struct.pack("<dddd", tau0, dtau, nu0, dnu)
-    blob += np.ascontiguousarray(arr).astype("<c16").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    header = _SUR1_MAGIC + struct.pack("<IIdddd", *arr.shape, tau0, dtau, nu0, dnu)
+    # copies only when the input is strided or not little-endian complex128
+    body = np.ascontiguousarray(arr, dtype="<c16")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(body.data)
 
 
 def read_surface(path: str | Path) -> AmbiguitySurface:

@@ -236,24 +236,14 @@ def mimo_inner_product(
     fs_prime: float,
     n_doppler: int | None = None,
     tol: float = 1e-6,
-    corr_u: CorrelationMatrix | None = None,
-    corr_v: CorrelationMatrix | None = None,
 ) -> CheckReport:
     """Moyal pairing of two spatial slices at fixed (fs, fs') against the
     quadruple sum of waveform inner products with steering phases."""
     if len(us) != len(vs):
         raise GridMismatchError(f"waveform counts differ: {len(us)} vs {len(vs)}")
-    if len(us) != cfg.n_elements:
-        raise GridMismatchError(
-            f"{len(us)} waveforms for an array of {cfg.n_elements} elements"
-        )
     us[0].require_compatible(vs[0])
-    if corr_u is None:
-        corr_u = correlation_matrix(us, n_doppler=n_doppler)
-    if corr_v is None:
-        corr_v = correlation_matrix(vs, n_doppler=n_doppler)
-    A = mimo_ambiguity(corr_u, cfg, fs, fs_prime)
-    B = mimo_ambiguity(corr_v, cfg, fs, fs_prime)
+    A = mimo_ambiguity(us, cfg, fs, fs_prime, n_doppler)
+    B = mimo_ambiguity(vs, cfg, fs, fs_prime, n_doppler)
     lhs = surface_quadrature_inner(A, B)
 
     m = cfg.n_elements
@@ -368,8 +358,7 @@ def trace_psd_check(
     m = len(waveforms)
     if cfg is None:
         cfg = SteeringConfig(m, 1.0, max(8, m + 1))
-    corr = correlation_matrix(waveforms, n_doppler=n_doppler)
-    trace_surface = spatial_integral(corr, cfg)
+    trace_surface = spatial_integral(waveforms, cfg, n_doppler)
 
     def shifted_inner(pj: HeisenbergPoint, pi: HeisenbergPoint) -> complex:
         total = 0.0 + 0.0j
@@ -489,8 +478,7 @@ def trace_reduction_check(
             pair_status[(i, j)] = ok
             reduced = reduced and ok
     if reduced:
-        corr = correlation_matrix(waveforms, n_doppler=n_doppler)
-        trace = spatial_integral(corr, cfg)
+        trace = spatial_integral(waveforms, cfg, n_doppler)
         base = cross_ambiguity(waveforms[0], waveforms[0], n_doppler=n_doppler)
         target = m * base.values
         peak = max(float(np.max(np.abs(target))), _TINY)

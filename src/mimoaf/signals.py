@@ -146,6 +146,13 @@ def inner_product(u: SampledSignal, v: SampledSignal) -> complex:
     return complex(u.dt * np.sum(u.samples * np.conj(v.samples)))
 
 
+def _require_positive(**params: float) -> None:
+    """Reject any parameter that is not a positive finite number."""
+    for name, x in params.items():
+        if not (x > 0 and math.isfinite(x)):
+            raise InvalidParameterError(f"{name} must be positive and finite, got {x}")
+
+
 def _even_window(n_pulse: int, pad_factor: float) -> int:
     if pad_factor < 2.0:
         raise InvalidParameterError(f"pad_factor must be >= 2, got {pad_factor}")
@@ -170,8 +177,7 @@ def gen_rect(T: float, dt: float, pad_factor: float = 2.0) -> SampledSignal:
         dt: sample spacing.
         pad_factor: window length as a multiple of the pulse length, >= 2.
     """
-    if dt <= 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
+    _require_positive(T=T, dt=dt, pad_factor=pad_factor)
     if T < dt:
         raise InvalidParameterError(f"T must be at least dt, got T={T}, dt={dt}")
     n_pulse = round(T / dt)
@@ -193,8 +199,7 @@ def gen_gaussian(sigma: float, dt: float, half_width: float) -> SampledSignal:
     discrete energy approaches 1 as the window grows; half_width around
     6.5 sigma or more puts the defect below 1e-9.
     """
-    if sigma <= 0 or dt <= 0 or half_width <= 0:
-        raise InvalidParameterError("sigma, dt, half_width must all be positive")
+    _require_positive(sigma=sigma, dt=dt, half_width=half_width)
     if half_width < 4.0 * sigma:
         raise TruncationRiskError(
             f"half_width {half_width} is below 4*sigma = {4 * sigma}; "
@@ -224,6 +229,9 @@ def gen_lfm(T: float, rate: float, dt: float, pad_factor: float = 2.0) -> Sample
     Raises:
         AliasingError: if |rate| * T exceeds the Nyquist band 1/(2 dt).
     """
+    _require_positive(T=T, dt=dt, pad_factor=pad_factor)
+    if not math.isfinite(rate):
+        raise InvalidParameterError(f"rate must be finite, got {rate}")
     if abs(rate) * T > 1.0 / (2.0 * dt):
         raise AliasingError(
             f"chirp sweep |rate|*T = {abs(rate) * T} exceeds Nyquist {1.0 / (2 * dt)}"
@@ -245,6 +253,7 @@ def gen_subcarrier_set(M: int, T: float, dt: float, pad_factor: float = 2.0) -> 
     """
     if M < 1:
         raise InvalidParameterError(f"M must be >= 1, got {M}")
+    _require_positive(T=T, dt=dt, pad_factor=pad_factor)
     if M / T > 1.0 / (2.0 * dt):
         raise AliasingError(
             f"subcarrier spacing M/T = {M / T} exceeds Nyquist {1.0 / (2 * dt)}"

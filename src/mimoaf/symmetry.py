@@ -39,6 +39,8 @@ import numpy.typing as npt
 from .ambiguity import (
     AmbiguitySurface,
     SteeringConfig,
+    _beam,
+    _require_array,
     cross_ambiguity,
 )
 from .errors import GridMismatchError, InvalidParameterError
@@ -369,14 +371,6 @@ def verify_dilation(
     )
 
 
-def _beam(waveforms: list[SampledSignal], cfg: SteeringConfig, f: float) -> SampledSignal:
-    """The beamformed signal sum_m exp(i 2 pi gamma f m) u_m."""
-    phases = np.exp(1j * 2.0 * math.pi * cfg.gamma * f * np.arange(cfg.n_elements))
-    return waveforms[0].replace_samples(
-        sum(p * w.samples for p, w in zip(phases, waveforms))
-    )
-
-
 def verify_mimo_symmetry(
     waveforms: list[SampledSignal],
     cfg: SteeringConfig,
@@ -398,12 +392,7 @@ def verify_mimo_symmetry(
     """
     if g.tag is None:
         raise InvalidParameterError("pass a tagged generator (rotation/shear/scaling/mirror)")
-    if len(waveforms) != cfg.n_elements:
-        raise GridMismatchError(
-            f"{len(waveforms)} waveforms for an array of {cfg.n_elements} elements"
-        )
-    for w in waveforms[1:]:
-        waveforms[0].require_compatible(w)
+    _require_array(waveforms, cfg)
     u, v = _beam(waveforms, cfg, fs), _beam(waveforms, cfg, fs_prime)
     kw = {} if tol is None else {"tol": tol}
     if g.tag == "J":

@@ -212,24 +212,22 @@ def test_steering_config_validation():
 
 
 def test_mimo_slice_orthonormal_origin(subcarriers2):
-    corr = correlation_matrix(subcarriers2)
     cfg = SteeringConfig(2, 1.0, 64)
-    s = mimo_ambiguity(corr, cfg, 0.0, 0.0)
+    s = mimo_ambiguity(subcarriers2, cfg, 0.0, 0.0)
     assert abs(s.value_at(0.0, 0.0) - 2.0) <= 1e-9
 
 
 def test_mimo_slice_m1_reduces_to_self_af(gauss256):
     corr = correlation_matrix([gauss256])
     cfg = SteeringConfig(1, 1.0, 8)
-    s = mimo_ambiguity(corr, cfg, 0.37, 0.91)
+    s = mimo_ambiguity([gauss256], cfg, 0.37, 0.91)
     assert np.array_equal(s.values, corr.chi(0, 0).values)
 
 
 def test_mimo_slice_identical_waveforms_factorize(gauss256):
     M, gamma, fs, fsp = 3, 1.0, 0.3, 0.45
-    corr = correlation_matrix([gauss256] * M)
     cfg = SteeringConfig(M, gamma, 16)
-    s = mimo_ambiguity(corr, cfg, fs, fsp)
+    s = mimo_ambiguity([gauss256] * M, cfg, fs, fsp)
     d_fs = np.sum(np.exp(1j * 2 * np.pi * gamma * fs * np.arange(M)))
     d_fsp = np.sum(np.exp(1j * 2 * np.pi * gamma * fsp * np.arange(M)))
     base = cross_ambiguity(gauss256)
@@ -237,32 +235,57 @@ def test_mimo_slice_identical_waveforms_factorize(gauss256):
 
 
 def test_mimo_slice_rejects_out_of_range_fs(subcarriers2):
-    corr = correlation_matrix(subcarriers2)
     cfg = SteeringConfig(2, 1.0, 8)
     with pytest.raises(InvalidParameterError):
-        mimo_ambiguity(corr, cfg, 1.5, 0.0)
+        mimo_ambiguity(subcarriers2, cfg, 1.5, 0.0)
     with pytest.raises(InvalidParameterError):
-        mimo_ambiguity(corr, cfg, 0.0, -0.2)
+        mimo_ambiguity(subcarriers2, cfg, 0.0, -0.2)
 
 
-def test_mimo_slice_is_cross_ambiguity_of_beams(gauss256):
+@pytest.fixture(scope="module")
+def mixed4():
+    """M = 4 non-orthogonal unit-norm mixtures and their correlation tensor,
+    the independent M^2-surface reference for the beam and direct-sum routes."""
+    rng = np.random.default_rng(11)
+    basis = mixture_basis(gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0))
+    ws = [random_mixture(basis, rng) for _ in range(4)]
+    return ws, correlation_matrix(ws, n_doppler=512)
+
+
+def test_mimo_slice_is_cross_ambiguity_of_beams(mixed4):
     # chi is linear in u and conjugate-linear in v, so the slice
     # sum_{m,p} a_m conj(b_p) chi(u_m, u_p) equals chi(sum a_m u_m, sum b_p u_p)
-    rng = np.random.default_rng(11)
-    basis = mixture_basis(gauss256)
-    ws = [random_mixture(basis, rng) for _ in range(3)]
-    cfg = SteeringConfig(3, 1.0, 16)
+    ws, corr = mixed4
+    cfg = SteeringConfig(4, 1.0, 16)
     fs, fsp = 0.137, 0.613  # off the fs grid, fs != fs'
-    a = np.exp(1j * 2 * np.pi * cfg.gamma * fs * np.arange(3))
-    b = np.exp(1j * 2 * np.pi * cfg.gamma * fsp * np.arange(3))
+    a = np.exp(1j * 2 * np.pi * cfg.gamma * fs * np.arange(4))
+    b = np.exp(1j * 2 * np.pi * cfg.gamma * fsp * np.arange(4))
+    slice_ = mimo_ambiguity(ws, cfg, fs, fsp, n_doppler=512).values
+    expect = np.einsum("m,p,mpij->ij", a, np.conj(b), corr.entries)
+    assert frob_rel(slice_, expect) <= 1e-12
+    # dropping the conjugate on the second steering vector breaks it
+    wrong = np.einsum("m,p,mpij->ij", a, b, corr.entries)
+    assert frob_rel(slice_, wrong) >= 0.1
 
-    def beam(c):
-        return ws[0].replace_samples(sum(ci * w.samples for ci, w in zip(c, ws)))
 
-    slice_ = mimo_ambiguity(correlation_matrix(ws), cfg, fs, fsp).values
-    assert frob_rel(slice_, cross_ambiguity(beam(a), beam(b)).values) <= 1e-12
-    # conjugating b inside the second beam drops the conjugate from the slice
-    assert frob_rel(slice_, cross_ambiguity(beam(a), beam(np.conj(b))).values) >= 0.1
+def test_spatial_grid_matches_tensor_entries(mixed4):
+    ws, corr = mixed4
+    cfg = SteeringConfig(4, 1.0, 16)
+    Z = np.exp(1j * 2 * np.pi * cfg.gamma * np.outer(cfg.fs_grid, np.arange(4)))
+    ref = corr.chi(0, 0)
+    dt = ws[0].dt
+    # points where |chi| is not rounding noise, plus both edge lags
+    for k, l in [(0, 0), (5, 3), (-7, -4), (16, -8), (ws[0].n - 1, 255), (-(ws[0].n - 1), -256)]:
+        tau, nu = k * dt, ref.nu_axis[256 + l]
+        X = corr.entries[:, :, ref.lag_index(tau), ref.doppler_index(nu)]
+        V = mimo_slice_spatial(ws, cfg, tau, nu, n_doppler=512)
+        assert frob_rel(V, Z @ X @ Z.conj().T) <= 1e-12, (k, l)
+
+
+def test_spatial_integral_matches_tensor_trace(mixed4):
+    ws, corr = mixed4
+    out = spatial_integral(ws, SteeringConfig(4, 1.0, 16), n_doppler=512)
+    assert frob_rel(out.values, corr.trace_surface().values) <= 1e-12
 
 
 def test_steering_linearity(subcarriers2):
@@ -273,7 +296,7 @@ def test_steering_linearity(subcarriers2):
     ]
     cfg = SteeringConfig(2, 1.0, 8)
     base = correlation_matrix(subcarriers2)
-    got = mimo_ambiguity(correlation_matrix(scaled), cfg, 0.3, 0.7)
+    got = mimo_ambiguity(scaled, cfg, 0.3, 0.7)
     w = np.array([[c * np.conj(c), c], [np.conj(c), 1.0]])
     a = cfg.steering_phases(0.3)
     b = cfg.steering_phases(0.7)
@@ -285,9 +308,8 @@ def test_steering_linearity(subcarriers2):
 
 
 def test_spatial_grid_diagonal_is_m(subcarriers2):
-    corr = correlation_matrix(subcarriers2)
     cfg = SteeringConfig(2, 1.0, 16)
-    V = mimo_slice_spatial(corr, cfg, 0.0, 0.0)
+    V = mimo_slice_spatial(subcarriers2, cfg, 0.0, 0.0)
     assert V.shape == (16, 16)
     assert np.max(np.abs(np.diag(V) - 2.0)) <= 1e-9
 
@@ -296,7 +318,7 @@ def test_spatial_grid_m1_constant(gauss256):
     corr = correlation_matrix([gauss256])
     cfg = SteeringConfig(1, 1.0, 8)
     tau, nu = 4 * gauss256.dt, 0.0
-    V = mimo_slice_spatial(corr, cfg, tau, nu)
+    V = mimo_slice_spatial([gauss256], cfg, tau, nu)
     expect = corr.chi(0, 0).value_at(tau, nu)
     assert np.max(np.abs(V - expect)) <= 1e-12
 
@@ -309,9 +331,9 @@ def test_spatial_grid_conjugation_reverses(subcarriers2):
     ]
     cfg = SteeringConfig(2, 1.0, 8)
     tau, nu = 4 * waves[0].dt, 0.25
-    V = mimo_slice_spatial(correlation_matrix(waves), cfg, tau, nu)
+    V = mimo_slice_spatial(waves, cfg, tau, nu)
     conj_waves = [w.replace_samples(np.conj(w.samples)) for w in waves]
-    Vc = mimo_slice_spatial(correlation_matrix(conj_waves), cfg, tau, -nu)
+    Vc = mimo_slice_spatial(conj_waves, cfg, tau, -nu)
     idx = (-np.arange(8)) % 8
     assert np.max(np.abs(Vc - np.conj(V[np.ix_(idx, idx)]))) <= 1e-9
 
@@ -319,21 +341,19 @@ def test_spatial_grid_conjugation_reverses(subcarriers2):
 def test_spatial_integral_m1_equals_self_af(gauss256):
     corr = correlation_matrix([gauss256])
     cfg = SteeringConfig(1, 1.0, 8)
-    out = spatial_integral(corr, cfg)
+    out = spatial_integral([gauss256], cfg)
     assert np.allclose(out.values, corr.chi(0, 0).values, atol=1e-12)
 
 
 def test_spatial_integral_orthonormal_origin(subcarriers2):
-    corr = correlation_matrix(subcarriers2)
     cfg = SteeringConfig(2, 1.0, 64)
-    out = spatial_integral(corr, cfg)
+    out = spatial_integral(subcarriers2, cfg)
     assert abs(out.value_at(0.0, 0.0) - 2.0) <= 1e-9
 
 
 def test_spatial_integral_requires_integer_gamma(subcarriers2):
-    corr = correlation_matrix(subcarriers2)
     with pytest.raises(InvalidParameterError):
-        spatial_integral(corr, SteeringConfig(2, 0.5, 8))
+        spatial_integral(subcarriers2, SteeringConfig(2, 0.5, 8))
 
 
 def test_spatial_integral_paths_agree_random_m3():
@@ -342,7 +362,7 @@ def test_spatial_integral_paths_agree_random_m3():
     mixed = [random_mixture(mixture_basis(w), rng) for w in waves]
     corr = correlation_matrix(mixed, n_doppler=512)
     cfg = SteeringConfig(3, 1.0, 16)
-    out = spatial_integral(corr, cfg)  # raises if quadrature/trace disagree
+    out = spatial_integral(mixed, cfg, n_doppler=512)  # raises if quadrature/trace disagree
     assert frob_rel(out.values, corr.trace_surface().values) <= 1e-9
 
 
@@ -355,7 +375,7 @@ def test_mimo_energy_quadrature_matches_slice_by_slice(subcarriers2):
     acc = 0.0
     for fa in cfg.fs_grid:
         for fb in cfg.fs_grid:
-            acc += mimo_ambiguity(corr, cfg, fa, fb).energy()
+            acc += mimo_ambiguity(mixed, cfg, fa, fb, n_doppler=512).energy()
     acc /= cfg.n_spatial ** 2
     assert abs(total - acc) <= 1e-12 * abs(acc)
 

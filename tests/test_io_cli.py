@@ -1,6 +1,8 @@
 import math
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from mimoaf import (
     SampledSignal,
     canonical_gaussian,
     check_norm_identity,
+    correlation_matrix,
     cross_ambiguity,
     gen_rect,
+    gen_subcarrier_set,
     inner_product,
 )
 from mimoaf import cli
@@ -65,6 +69,25 @@ def test_surface_roundtrip(tmp_path):
     assert np.array_equal(back.values, s.values)
     assert np.allclose(back.tau_axis, s.tau_axis, atol=1e-15)
     assert np.allclose(back.nu_axis, s.nu_axis, atol=1e-15)
+
+
+def _sur1_bytes(values, tau0, dtau, nu0, dnu):
+    """SUR1 built from the documented layout: header, then (re, im) f64 pairs."""
+    head = b"SUR1" + struct.pack("<II", *values.shape) + struct.pack("<dddd", tau0, dtau, nu0, dnu)
+    return head + np.stack([values.real, values.imag], axis=-1).astype("<f8").tobytes()
+
+
+def test_surface_bytes_match_layout(tmp_path):
+    corr = correlation_matrix(gen_subcarrier_set(2, 1.0, 1 / 64), n_doppler=256)
+    s = corr.delay_doppler(0, 1)
+    axes = (float(s.tau_axis[0]), s.d_tau, float(s.nu_axis[0]), s.d_nu)
+    write_surface(tmp_path / "s.sur", s)
+    assert (tmp_path / "s.sur").read_bytes() == _sur1_bytes(s.values, *axes)
+    flipped = corr.entries[0, 1][::-1, :]  # the non-contiguous view behind delay_doppler
+    views = {"flipped": flipped, "strided": flipped[::2, 1::3], "real": np.abs(flipped)}
+    for name, view in views.items():
+        write_surface(tmp_path / f"{name}.sur", view, *axes)
+        assert (tmp_path / f"{name}.sur").read_bytes() == _sur1_bytes(view, *axes), name
 
 
 def test_surface_csv_roundtrip(tmp_path):
@@ -251,6 +274,33 @@ def test_mimo_fs_out_of_range_exits_2(subcarrier_files):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("extra", [
+    ["--tau", "0.01"],        # half a lag step off the axis
+    ["--nu", "0.0625"],       # half a Doppler bin off the axis at 1024 bins
+    ["--tau", "nan"],
+    ["--nu", "inf"],
+    ["--n-doppler", "3"],
+    None,  # second input on a coarser grid
+])
+def test_mimo_slice_spatial_bad_point_exits_2(extra, subcarrier_files, tmp_path, capsys):
+    inputs = list(subcarrier_files)
+    if extra is None:
+        inputs[1] = tmp_path / "coarse.sig"
+        write_signal(inputs[1], gen_rect(1.0, 1 / 64))
+        extra = []
+    argv = ["mimo", "--inputs", *inputs, "--slice-spatial", *extra]
+    assert cli.main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_sym_mimo_rejects_bad_steering(capsys):
+    # the suites steer through SteeringConfig.steering_phases, like `mimo`
+    for extra in (["--fs", "1.5"], ["--fsp", "nan"]):
+        assert cli.main(["verify", "--suite", "sym-mimo", *extra]) == 2, extra
+        assert capsys.readouterr().err.startswith("error:"), extra
+
+
 # ------------------------------------------------------------- cli: verify
 
 def test_verify_norm_passes(tmp_path):
@@ -283,6 +333,29 @@ def test_one_sample_signal_exits_2(tmp_path, capsys):
                  ["mimo", "--inputs", one, one]):
         assert cli.main([str(a) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+_BAD_NUMBERS = ["nan", "inf", "-1", "0"]
+_GEN_PARAMS = [
+    (family, flag) for family in ("rect", "lfm", "subcarriers") for flag in ("--dt", "--T", "--pad")
+] + [("gaussian", flag) for flag in ("--dt", "--sigma", "--half-width")]
+
+
+@pytest.mark.parametrize("family,flag", _GEN_PARAMS)
+@pytest.mark.parametrize("value", _BAD_NUMBERS)
+def test_gen_bad_parameter_exits_2(family, flag, value, tmp_path, capsys):
+    out = tmp_path / "x.sig"
+    assert cli.main(["gen", "--family", family, flag, value, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_lfm_bad_rate_exits_2(value, tmp_path, capsys):
+    assert cli.main(["gen", "--family", "lfm", "--rate", value,
+                     "-o", str(tmp_path / "x.sig")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_verify_unknown_suite_exits_2():
@@ -348,3 +421,24 @@ def test_config_unknown_key_exits_2(tmp_path):
     cfg.write_text("family=rect\nwavelength=3\n")
     res = run_cli("gen", "--config", cfg, "-o", tmp_path / "x.sig")
     assert res.returncode == 2
+
+
+# ------------------------------------------------------------------ scripts
+
+def test_render_af_gallery_script(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "render_af_gallery.py"
+    res = subprocess.run(
+        [sys.executable, str(script), "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    stems = [f"{f}_af" for f in ("rect", "gaussian", "lfm")]
+    stems += ["mimo_fs0_fsp0", "mimo_fs0p25_fsp0p75"]
+    for stem in stems:
+        assert read_surface(tmp_path / f"{stem}.sur").values.size > 0, stem
+        assert (tmp_path / f"{stem}.ppm").read_bytes().startswith(b"P5\n"), stem
+    for f in ("rect", "gaussian", "lfm"):
+        assert (tmp_path / f"{f}_wigner.ppm").read_bytes().startswith(b"P5\n"), f
+    # co-steered slice of an orthonormal pair: M at the origin
+    beam = read_surface(tmp_path / "mimo_fs0_fsp0.sur")
+    assert abs(beam.value_at(0.0, 0.0) - 2.0) <= 1e-9
