@@ -186,6 +186,18 @@ def cross_ambiguity(
     index, then picks up the window phase exp(i 2 pi nu t0) so the result
     matches the absolute-time definition.
 
+    The centred Doppler axis comes from the FFT input, not from an
+    fftshift of its output: n_doppler is even, so shifting the output by
+    n_doppler/2 bins is the same as multiplying input sample m by (-1)^m.
+    The sign flip is exact and writes into the lag products this call
+    owns, so the surface is the only full-size array left once they are
+    dropped; the scale n_doppler*dt and the window phase then go on in one
+    in-place pass.  This matches ifft-then-fftshift bit for bit only where
+    pocketfft rounds the flipped input the same way (power-of-two lengths)
+    and n_doppler*dt is a power of two, and even there a cell that is
+    exactly zero may flip the sign of its zero; elsewhere the two differ
+    at rounding level.
+
     Args:
         u, v: signals on a common grid.
         n_doppler: Doppler bins; defaults to 4n (linear) or n (cyclic).
@@ -196,10 +208,11 @@ def cross_ambiguity(
     u.require_compatible(v)
     n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
     P, lags = _lag_products(u, v, cyclic)
-    X = np.fft.fftshift(np.fft.ifft(P, n=n_doppler, axis=1), axes=1)
+    np.negative(P[:, 1::2], out=P[:, 1::2])
+    X = np.fft.ifft(P, n=n_doppler, axis=1)
+    del P
     nu_axis = _doppler_axis(n_doppler, u.dt)
-    X *= n_doppler * u.dt
-    X *= np.exp(1j * 2.0 * math.pi * nu_axis * u.t0)[None, :]
+    X *= (n_doppler * u.dt) * np.exp(1j * 2.0 * math.pi * nu_axis * u.t0)
     return AmbiguitySurface(
         X, lags * u.dt, nu_axis, "cyclic" if cyclic else "linear", u.dt, u.t0
     )

@@ -8,7 +8,8 @@ Four subcommands:
 * ``verify`` runs named identity-check suites and reports pass/fail lines.
 
 Exit codes: 0 all checks passed / command succeeded, 1 at least one check
-failed, 2 usage or validation error.
+failed, 2 usage or validation error, including a size too large to
+allocate.
 
 A plain-text config file (``key=value`` lines, ``#`` comments) can seed
 any subcommand's flags via ``--config``; explicit flags win.  Keys use
@@ -567,7 +568,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MimoafError, OSError) as exc:
+    except (MimoafError, OSError, MemoryError) as exc:
+        # a grid too large to allocate is a bad input, not a failed identity
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

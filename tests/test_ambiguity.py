@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,38 @@ def test_oracle_equivalence_odd_sizes():
     fast = cross_ambiguity(u, n_doppler=4 * u.n)
     slow = cross_ambiguity_oracle(u, n_doppler=4 * u.n)
     assert frob_rel(fast.values, slow.values) <= 1e-10
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_fft_matches_oracle_off_power_of_two(cyclic):
+    # Doppler counts that are not powers of two, where pocketfft rounds the
+    # sign-flipped input differently from a shifted output, and a window
+    # start off the sample grid, so the phase exp(i 2 pi nu t0) is not a
+    # whole number of turns per bin.
+    for name, w in family_waveforms().items():
+        u = SampledSignal(w.samples, w.dt, w.t0 + 0.37 * w.dt)
+        v = chirp_multiply(heisenberg_shift(u, HeisenbergPoint(3 * u.dt, 0.5)), 1.0)
+        n_doppler = (u.n if cyclic else 4 * u.n) + 2
+        fast = cross_ambiguity(u, v, n_doppler=n_doppler, cyclic=cyclic)
+        slow = cross_ambiguity_oracle(u, v, n_doppler=n_doppler, cyclic=cyclic)
+        assert fast.n_doppler == n_doppler
+        assert frob_rel(fast.values, slow.values) <= 1e-10, name
+
+
+def test_cross_ambiguity_peak_memory(gauss256):
+    # The lag products P and one surface X are the only full-size arrays
+    # alive at once; an output fftshift would hold a second surface.
+    n, n_doppler = gauss256.n, 1024
+    p_bytes = (2 * n - 1) * n * 16
+    x_bytes = (2 * n - 1) * n_doppler * 16
+    tracemalloc.start()
+    try:
+        s = cross_ambiguity(gauss256, n_doppler=n_doppler)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.values.nbytes == x_bytes
+    assert peak <= 1.05 * (p_bytes + x_bytes)
 
 
 # ------------------------------------------------------------ surface shape

@@ -358,6 +358,27 @@ def test_gen_lfm_bad_rate_exits_2(value, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# Each size is past any address space (>= 2**48 bytes), so the allocation
+# fails at once and nothing large is ever touched.
+_HUGE_DOPPLER = str(2 ** 50)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "rect", "--dt", "1e-16"],
+    ["af", "--u", "{sig}", "--n-doppler", _HUGE_DOPPLER],
+    ["verify", "--suite", "norm", "--n-doppler", _HUGE_DOPPLER],
+], ids=["gen-dt", "af-n-doppler", "verify-n-doppler"])
+def test_out_of_memory_exits_2(argv, tmp_path, capsys):
+    sig = tmp_path / "s.sig"
+    write_signal(sig, gen_rect(1.0, 1 / 128))
+    out = tmp_path / "out"
+    argv = [a.replace("{sig}", str(sig)) for a in argv] + ["-o", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_unknown_suite_exits_2():
     res = run_cli("verify", "--suite", "nonsense")
     assert res.returncode == 2
