@@ -41,7 +41,6 @@ from .errors import (
     GridAlignmentError,
     GridMismatchError,
     InvalidParameterError,
-    InvariantViolationError,
     MimoafError,
     TruncationRiskError,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "GridMismatchError",
     "HeisenbergPoint",
     "InvalidParameterError",
-    "InvariantViolationError",
     "MimoafError",
     "ProbeSet",
     "SampledSignal",

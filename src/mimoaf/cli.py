@@ -415,6 +415,8 @@ def cmd_verify(args) -> int:
     if args.tol is not None and not args.tol >= 0:
         # a tolerance no error can meet would report every check as failed
         raise InvalidParameterError(f"--tol must be >= 0, got {args.tol}")
+    if args.seed < 0:
+        raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
     names = list(_SUITE_FUNCS) if args.suite == "all" else [args.suite]
     reports: list[CheckReport] = []
     for name in names:

@@ -25,9 +25,5 @@ class TruncationRiskError(MimoafError, ValueError):
     """A window is too short to hold the requested waveform support."""
 
 
-class InvariantViolationError(MimoafError, RuntimeError):
-    """An internal cross-check between two computation routes failed."""
-
-
 class FileFormatError(MimoafError, ValueError):
     """A signal or surface file does not parse as its declared format."""

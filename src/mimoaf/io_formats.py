@@ -14,6 +14,7 @@ axes only; it is also used for spatial (fs, fs') grids.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -222,8 +223,8 @@ def write_ppm(
     elif scaling == "linear":
         img = mag / peak
     else:
-        if db_floor >= 0:
-            raise FileFormatError(f"db_floor must be negative, got {db_floor}")
+        if not (math.isfinite(db_floor) and db_floor < 0):
+            raise FileFormatError(f"db_floor must be negative and finite, got {db_floor}")
         with np.errstate(divide="ignore"):
             db = 20.0 * np.log10(mag / peak)
         img = 1.0 - np.clip(db, db_floor, 0.0) / db_floor

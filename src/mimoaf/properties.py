@@ -19,9 +19,8 @@ import numpy.typing as npt
 
 from .ambiguity import (
     AmbiguitySurface,
-    CorrelationMatrix,
     SteeringConfig,
-    correlation_matrix,
+    _check_doppler_count,
     cross_ambiguity,
     mimo_ambiguity,
     mimo_energy_quadrature,
@@ -145,9 +144,12 @@ def random_probe_set(
     """
     if not (0 < span <= 0.25):
         raise InvalidParameterError(f"span must lie in (0, 0.25], got {span}")
+    if n_points < 1:
+        raise InvalidParameterError(f"need at least one probe point, got {n_points}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     n = signal.n
-    if n_doppler is None:
-        n_doppler = 4 * n
+    n_doppler = _check_doppler_count(n_doppler, n, cyclic=False)
     d_nu = 1.0 / (n_doppler * signal.dt)
     max_k = max(1, int((n - 1) * span))
     max_l = max(1, int((n_doppler // 2) * span))
@@ -192,14 +194,11 @@ def check_mimo_energy(
     cfg: SteeringConfig,
     n_doppler: int | None = None,
     tol: float = 1e-5,
-    corr: CorrelationMatrix | None = None,
 ) -> CheckReport:
     """Four-fold quadrature of the spatial slices against the closed count
     (sum of waveform energies) squared."""
     cfg.require_integer_gamma()
-    if corr is None:
-        corr = correlation_matrix(waveforms, n_doppler=n_doppler)
-    lhs = mimo_energy_quadrature(corr, cfg)
+    lhs = mimo_energy_quadrature(waveforms, cfg, n_doppler)
     total = sum(w.energy() for w in waveforms)
     rhs = total * total
     return make_report("mimo-energy", lhs, rhs, tol, scale=max(abs(rhs), _TINY))

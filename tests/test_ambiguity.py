@@ -30,6 +30,7 @@ from mimoaf import (
     spatial_integral,
     wigner,
 )
+from mimoaf.ambiguity import _lag_products
 from mimoaf.signals import HeisenbergPoint, SampledSignal
 
 from conftest import DT, DT_G, family_waveforms, frob_rel, mixture_basis, random_mixture
@@ -83,6 +84,37 @@ def test_cross_ambiguity_peak_memory(gauss256):
         tracemalloc.stop()
     assert s.values.nbytes == x_bytes
     assert peak <= 1.05 * (p_bytes + x_bytes)
+
+
+def _lag_products_loop(us, vs, cyclic):
+    # one row per lag, as a plain loop: the reference for the window gather
+    n = us.size
+    if cyclic:
+        lags = np.arange(-(n // 2), n // 2)
+        return np.array([us * np.conj(np.roll(vs, -k)) for k in lags]), lags
+    lags = np.arange(-(n - 1), n)
+    P = np.zeros((lags.size, n), dtype=np.complex128)
+    for i, k in enumerate(lags):
+        if k >= 0:
+            P[i, : n - k] = us[: n - k] * np.conj(vs[k:])
+        else:
+            P[i, -k:] = us[-k:] * np.conj(vs[: n + k])
+    return P, lags
+
+
+@pytest.mark.parametrize("n,cyclic", [
+    (2, False), (7, False), (8, False), (256, False), (2, True), (8, True), (256, True),
+])
+def test_lag_products_match_loop(n, cyclic):
+    rng = np.random.default_rng(n)
+    us = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    vs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    us[:2] = -0.0  # signed zeros make any stray product visible in the bits
+    u, v = SampledSignal(us, 0.01, 0.0), SampledSignal(vs, 0.01, 0.0)
+    P, lags = _lag_products(u, v, cyclic)
+    P_ref, lags_ref = _lag_products_loop(us, vs, cyclic)
+    assert np.array_equal(lags, lags_ref)
+    assert P.tobytes() == P_ref.tobytes()
 
 
 # ------------------------------------------------------------ surface shape
@@ -389,22 +421,42 @@ def test_spatial_integral_requires_integer_gamma(subcarriers2):
         spatial_integral(subcarriers2, SteeringConfig(2, 0.5, 8))
 
 
-def test_spatial_integral_paths_agree_random_m3():
+@pytest.fixture(scope="module")
+def mixed3():
     waves = gen_subcarrier_set(3, 1.0, DT)
     rng = np.random.default_rng(2)
-    mixed = [random_mixture(mixture_basis(w), rng) for w in waves]
-    corr = correlation_matrix(mixed, n_doppler=512)
-    cfg = SteeringConfig(3, 1.0, 16)
-    out = spatial_integral(mixed, cfg, n_doppler=512)  # raises if quadrature/trace disagree
-    assert frob_rel(out.values, corr.trace_surface().values) <= 1e-9
+    return [random_mixture(mixture_basis(w), rng) for w in waves]
+
+
+def _riemann_spatial_integral(ws, cfg):
+    # The K-point mean over fs of the public co-steered slice: it carries
+    # the M^2 - M cross terms, which cancel only through the sum over fs.
+    total = 0.0
+    for fs in cfg.fs_grid:
+        total = total + mimo_ambiguity(ws, cfg, fs, fs, n_doppler=512).values
+    return total / cfg.n_spatial
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_spatial_integral_is_riemann_sum_of_slices(mixed3, gamma):
+    cfg = SteeringConfig(3, gamma, 16)
+    out = spatial_integral(mixed3, cfg, n_doppler=512)
+    assert frob_rel(_riemann_spatial_integral(mixed3, cfg), out.values) <= 1e-12
+
+
+def test_spatial_riemann_sum_misses_trace_at_half_wavelength(mixed3):
+    trace = spatial_integral(mixed3, SteeringConfig(3, 1.0, 16), n_doppler=512)
+    cfg = SteeringConfig(3, 0.5, 16)
+    assert frob_rel(_riemann_spatial_integral(mixed3, cfg), trace.values) >= 0.1
+    with pytest.raises(InvalidParameterError):
+        spatial_integral(mixed3, cfg, n_doppler=512)
 
 
 def test_mimo_energy_quadrature_matches_slice_by_slice(subcarriers2):
     rng = np.random.default_rng(4)
     mixed = [random_mixture(mixture_basis(w), rng) for w in subcarriers2]
     cfg = SteeringConfig(2, 1.0, 8)
-    corr = correlation_matrix(mixed, n_doppler=512)
-    total = mimo_energy_quadrature(corr, cfg)
+    total = mimo_energy_quadrature(mixed, cfg, n_doppler=512)
     acc = 0.0
     for fa in cfg.fs_grid:
         for fb in cfg.fs_grid:

@@ -118,8 +118,9 @@ def test_ppm_header_and_determinism(tmp_path):
     n_lag, n_dop = s.values.shape
     assert blob.startswith(f"P5\n{n_dop} {n_lag}\n255\n".encode())
     assert blob == p2.read_bytes()
-    with pytest.raises(FileFormatError):
-        write_ppm(tmp_path / "c.ppm", s.values, db_floor=3.0)
+    for db_floor in (3.0, math.nan, -math.inf):
+        with pytest.raises(FileFormatError):
+            write_ppm(tmp_path / "c.ppm", s.values, db_floor=db_floor)
 
 
 def test_report_file_lines(tmp_path):
@@ -199,6 +200,14 @@ def test_af_wigner_and_ppm(tmp_path):
     assert res.returncode == 0
     assert "wigner" in res.stdout
     assert ppm.read_bytes().startswith(b"P5\n")
+
+
+def test_af_ppm_nan_db_floor_exits_2(tmp_path, capsys):
+    sig, ppm = tmp_path / "r.sig", tmp_path / "r.ppm"
+    write_signal(sig, gen_rect(1.0, 1 / 64))
+    assert cli.main(["af", "--u", str(sig), "--ppm", str(ppm), "--db-floor", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not ppm.exists()
 
 
 def test_af_missing_input_exits_2(tmp_path):
@@ -321,6 +330,23 @@ def test_verify_strict_tolerance_fails(tmp_path):
 def test_verify_bad_tolerance_exits_2(tol, capsys):
     # exit 1 would read as "an identity failed"
     assert cli.main(["verify", "--suite", "norm", "--tol", tol]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:")
+
+
+@pytest.mark.parametrize("suite,flag,value", [
+    ("moyal", "--seed", "-1"),
+    ("uniqueness", "--seed", "-1"),
+    ("psd", "--seed", "-1"),
+    ("trace-psd", "--seed", "-1"),
+    ("psd", "--probes", "-1"),
+    ("trace-psd", "--probes", "-1"),
+    ("psd", "--n-doppler", "0"),
+    ("trace-psd", "--n-doppler", "0"),
+], ids=lambda x: x.lstrip("-"))
+def test_verify_bad_input_exits_2(suite, flag, value, capsys):
+    assert cli.main(["verify", "--suite", suite, flag, value]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error:")

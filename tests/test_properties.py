@@ -193,6 +193,14 @@ def test_probe_set_determinism(gauss256):
     assert np.array_equal(a.coefficients, b.coefficients)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_points": 0}, {"n_points": -1}, {"seed": -1}, {"n_doppler": 0}, {"n_doppler": 1023},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_random_probe_set_rejects_bad_input(gauss256, kwargs):
+    with pytest.raises(InvalidParameterError):
+        random_probe_set(gauss256, **kwargs)
+
+
 def test_probe_set_rejects_central_phase():
     with pytest.raises(InvalidParameterError):
         ProbeSet((HeisenbergPoint(0.0, 0.0, 0.5),))
