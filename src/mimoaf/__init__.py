@@ -22,11 +22,9 @@ auditable line by line (see ``python -m mimoaf verify --help``).
 
 from .ambiguity import (
     AmbiguitySurface,
-    CorrelationMatrix,
     SteeringConfig,
     WignerDistribution,
     ambiguity_from_wigner,
-    correlation_matrix,
     cross_ambiguity,
     cross_ambiguity_oracle,
     mimo_ambiguity,
@@ -92,7 +90,6 @@ __all__ = [
     "AmbiguitySurface",
     "CANONICAL_SIGMA",
     "CheckReport",
-    "CorrelationMatrix",
     "FileFormatError",
     "GridAlignmentError",
     "GridMismatchError",
@@ -112,7 +109,6 @@ __all__ = [
     "check_norm_identity",
     "chirp_multiply",
     "collinearity_check",
-    "correlation_matrix",
     "cross_ambiguity",
     "cross_ambiguity_oracle",
     "dilate",

@@ -1,5 +1,4 @@
-"""Cross-ambiguity surfaces, Wigner distributions, and MIMO correlation
-structure.
+"""Cross-ambiguity surfaces, Wigner distributions, and MIMO spatial slices.
 
 The cross-ambiguity of two signals on a common grid is
 
@@ -26,18 +25,16 @@ import numpy.typing as npt
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridAlignmentError, GridMismatchError, InvalidParameterError
-from .signals import SampledSignal
+from .signals import SampledSignal, _require_real
 
 __all__ = [
     "AmbiguitySurface",
     "WignerDistribution",
-    "CorrelationMatrix",
     "SteeringConfig",
     "cross_ambiguity",
     "cross_ambiguity_oracle",
     "wigner",
     "ambiguity_from_wigner",
-    "correlation_matrix",
     "mimo_ambiguity",
     "mimo_slice_spatial",
     "spatial_integral",
@@ -326,77 +323,6 @@ def ambiguity_from_wigner(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationMatrix:
-    """All pairwise cross-ambiguity surfaces of a waveform set.
-
-    entries[i, j] holds chi(u_i, u_j) on shared axes.  The delay-Doppler
-    correlation R_ij(tau, nu) = chi(u_i, u_j)(-tau, nu) is exposed through
-    :meth:`delay_doppler`.
-    """
-
-    entries: npt.NDArray[np.complex128]
-    tau_axis: npt.NDArray[np.float64]
-    nu_axis: npt.NDArray[np.float64]
-    kind: str
-    dt: float
-    t0: float
-
-    def __post_init__(self) -> None:
-        ent = np.asarray(self.entries, dtype=np.complex128)
-        if ent.ndim != 4 or ent.shape[0] != ent.shape[1]:
-            raise InvalidParameterError("entries must have shape (M, M, n_lag, n_doppler)")
-        object.__setattr__(self, "entries", _freeze(ent))
-        object.__setattr__(self, "tau_axis", _freeze(np.asarray(self.tau_axis, dtype=np.float64)))
-        object.__setattr__(self, "nu_axis", _freeze(np.asarray(self.nu_axis, dtype=np.float64)))
-
-    @property
-    def n_waveforms(self) -> int:
-        return self.entries.shape[0]
-
-    def _surface(self, values: np.ndarray) -> AmbiguitySurface:
-        return AmbiguitySurface(
-            values, self.tau_axis, self.nu_axis, self.kind, self.dt, self.t0
-        )
-
-    def chi(self, i: int, j: int) -> AmbiguitySurface:
-        return self._surface(self.entries[i, j])
-
-    def delay_doppler(self, i: int, j: int) -> AmbiguitySurface:
-        """R_ij(tau, nu) = chi_ij(-tau, nu); the symmetric lag axis makes the
-        flip a pure reversal."""
-        if self.kind != "linear":
-            raise InvalidParameterError("delay_doppler requires the linear lag convention")
-        return self._surface(self.entries[i, j][::-1, :])
-
-    def trace_surface(self) -> AmbiguitySurface:
-        return self._surface(np.einsum("mmij->ij", self.entries))
-
-
-def correlation_matrix(
-    waveforms: list[SampledSignal],
-    n_doppler: int | None = None,
-) -> CorrelationMatrix:
-    """Compute every pairwise cross-ambiguity surface of the set."""
-    if len(waveforms) < 1:
-        raise InvalidParameterError("need at least one waveform")
-    first = waveforms[0]
-    for w in waveforms[1:]:
-        first.require_compatible(w)
-    m = len(waveforms)
-    ref = cross_ambiguity(first, first, n_doppler=n_doppler)
-    entries = np.empty((m, m, ref.n_lag, ref.n_doppler), dtype=np.complex128)
-    entries[0, 0] = ref.values
-    for i in range(m):
-        for j in range(m):
-            if i == 0 and j == 0:
-                continue
-            entries[i, j] = cross_ambiguity(
-                waveforms[i], waveforms[j], n_doppler=n_doppler
-            ).values
-    return CorrelationMatrix(entries, ref.tau_axis, ref.nu_axis, ref.kind, ref.dt, ref.t0)
-
-
 @dataclass(frozen=True)
 class SteeringConfig:
     """Uniform linear array geometry for spatial beam slices.
@@ -412,6 +338,7 @@ class SteeringConfig:
     n_spatial: int
 
     def __post_init__(self) -> None:
+        _require_real(integer=True, n_elements=self.n_elements, n_spatial=self.n_spatial)
         if self.n_elements < 1:
             raise InvalidParameterError(f"n_elements must be >= 1, got {self.n_elements}")
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
@@ -555,22 +482,20 @@ def mimo_energy_quadrature(
     cfg: SteeringConfig,
     n_doppler: int | None = None,
 ) -> float:
-    """Four-fold energy of the spatial slices:
+    """Four-fold energy of the spatial slices,
 
-        (1/K^2) sum_{a,b} integral |slice(fs_a, fs_b)(tau, nu)|^2 dtau dnu
+        (1/K^2) sum_{a,b} integral |slice(fs_a, fs_b)(tau, nu)|^2 dtau dnu,
 
-    computed from the full correlation matrix of the set by hoisting the
-    delay-Doppler quadrature into a small Gram tensor over waveform
-    indices, then contracting with steering phases.  Equals the explicit
-    slice-by-slice sum to rounding.
+    as the running sum of the M^2 pair-surface energies
+    integral |chi(u_m, u_p)|^2 over every ordered pair, one surface alive at
+    a time.  For integer gamma and K > gamma (M-1) the steering phases are
+    orthonormal on the K-point fs grid, the same fact spatial_integral uses,
+    so every term that pairs two different (m, p) cancels in the fs sums.
     """
     _require_array(waveforms, cfg)
-    corr = correlation_matrix(waveforms, n_doppler=n_doppler)
-    w = corr.chi(0, 0)
-    weight = w.d_tau * w.d_nu
-    G = np.einsum("mpij,nqij->mpnq", corr.entries, np.conj(corr.entries), optimize=True)
-    G = G * weight
-    phs = cfg.phase_matrix()
-    C = np.einsum("am,bp->abmp", phs, np.conj(phs))
-    total = np.einsum("abmp,mpnq,abnq->", C, G, np.conj(C), optimize=True)
-    return float(total.real) / cfg.n_spatial**2
+    cfg.require_integer_gamma()
+    return sum(
+        cross_ambiguity(u, v, n_doppler=n_doppler).energy()
+        for u in waveforms
+        for v in waveforms
+    )

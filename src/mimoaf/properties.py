@@ -195,9 +195,8 @@ def check_mimo_energy(
     n_doppler: int | None = None,
     tol: float = 1e-5,
 ) -> CheckReport:
-    """Four-fold quadrature of the spatial slices against the closed count
-    (sum of waveform energies) squared."""
-    cfg.require_integer_gamma()
+    """Four-fold slice energy, as the M^2 FFT pair-surface energies (integer
+    gamma only), against the closed count (sum of waveform energies) squared."""
     lhs = mimo_energy_quadrature(waveforms, cfg, n_doppler)
     total = sum(w.energy() for w in waveforms)
     rhs = total * total

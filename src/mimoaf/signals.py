@@ -22,6 +22,7 @@ signal is zero-filled where the window runs out.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,6 +126,9 @@ class HeisenbergPoint:
     nu: float
     x3: float = 0.0
 
+    def __post_init__(self) -> None:
+        _require_real(tau=self.tau, nu=self.nu, x3=self.x3)
+
     @classmethod
     def identity(cls) -> "HeisenbergPoint":
         return cls(0.0, 0.0, 0.0)
@@ -144,6 +148,18 @@ def inner_product(u: SampledSignal, v: SampledSignal) -> complex:
     """dt-weighted inner product, conjugate-linear in the second argument."""
     u.require_compatible(v)
     return complex(u.dt * np.sum(u.samples * np.conj(v.samples)))
+
+
+def _require_real(*, integer: bool = False, **params: float) -> None:
+    """Reject any parameter that is not a finite real number (an integer if
+    asked); bools are rejected too, although Python counts them as ints."""
+    for name, x in params.items():
+        if isinstance(x, bool) or not (
+            isinstance(x, numbers.Integral)
+            or (not integer and isinstance(x, numbers.Real) and math.isfinite(x))
+        ):
+            what = "an integer" if integer else "a finite real number"
+            raise InvalidParameterError(f"{name} must be {what}, got {x!r}")
 
 
 def _require_positive(**params: float) -> None:

@@ -5,6 +5,7 @@ from mimoaf import (
     CANONICAL_SIGMA,
     SampledSignal,
     chirp_multiply,
+    cross_ambiguity,
     gen_gaussian,
     gen_lfm,
     gen_rect,
@@ -54,6 +55,14 @@ def mixture_basis(u: SampledSignal):
         heisenberg_shift(u, HeisenbergPoint(8 * u.dt, 1.0)),
         chirp_multiply(u, 2.0),
     ]
+
+
+def pair_surfaces(waveforms, n_doppler=None):
+    """entries[i, j] = cross_ambiguity(u_i, u_j).values for every ordered
+    pair: the M^2-surface reference for the beam, trace and direct-sum routes."""
+    return np.stack(
+        [[cross_ambiguity(u, v, n_doppler=n_doppler).values for v in waveforms] for u in waveforms]
+    )
 
 
 @pytest.fixture(scope="session")

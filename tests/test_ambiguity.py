@@ -15,7 +15,6 @@ from mimoaf import (
     ambiguity_from_wigner,
     canonical_gaussian,
     chirp_multiply,
-    correlation_matrix,
     cross_ambiguity,
     cross_ambiguity_oracle,
     gen_gaussian,
@@ -33,7 +32,15 @@ from mimoaf import (
 from mimoaf.ambiguity import _lag_products
 from mimoaf.signals import HeisenbergPoint, SampledSignal
 
-from conftest import DT, DT_G, family_waveforms, frob_rel, mixture_basis, random_mixture
+from conftest import (
+    DT,
+    DT_G,
+    family_waveforms,
+    frob_rel,
+    mixture_basis,
+    pair_surfaces,
+    random_mixture,
+)
 
 
 # ------------------------------------------------------- oracle equivalence
@@ -224,17 +231,11 @@ def test_af_wigner_duality(gauss256):
     assert frob_rel(dual.values, s.values) <= 1e-6
 
 
-# ------------------------------------------------------- correlation matrix
-
-def test_correlation_matrix_m1_is_self_af(gauss256):
-    corr = correlation_matrix([gauss256])
-    solo = cross_ambiguity(gauss256)
-    assert np.array_equal(corr.chi(0, 0).values, solo.values)
-
+# ------------------------------------------------- correlation matrix entries
 
 def test_correlation_matrix_orthogonality_at_origin(subcarriers2):
-    corr = correlation_matrix(subcarriers2)
-    assert abs(corr.chi(0, 1).value_at(0.0, 0.0)) <= 1e-10
+    s01 = cross_ambiguity(subcarriers2[0], subcarriers2[1])
+    assert abs(s01.value_at(0.0, 0.0)) <= 1e-10
 
 
 def test_correlation_matrix_cross_symmetry(subcarriers2):
@@ -245,26 +246,13 @@ def test_correlation_matrix_cross_symmetry(subcarriers2):
         random_mixture(mixture_basis(subcarriers2[0]), rng),
         random_mixture(mixture_basis(subcarriers2[1]), rng),
     ]
-    corr = correlation_matrix(waves)
-    s01 = corr.chi(0, 1)
-    s10 = corr.chi(1, 0)
+    s01 = cross_ambiguity(waves[0], waves[1])
+    s10 = cross_ambiguity(waves[1], waves[0])
     T, N = np.meshgrid(s01.tau_axis, s01.nu_axis, indexing="ij")
     target = np.conj(s10.values) * np.exp(-1j * 2 * np.pi * N * T)
     flipped = np.full_like(s01.values, np.nan)
     flipped[:, 1:] = s01.values[::-1, 1:][:, ::-1]
     assert np.max(np.abs(flipped[:, 1:] - target[:, 1:])) <= 1e-9
-
-
-def test_delay_doppler_sign_bridge(subcarriers2):
-    corr = correlation_matrix(subcarriers2)
-    dd = corr.delay_doppler(0, 1)
-    assert np.array_equal(dd.values, corr.chi(0, 1).values[::-1, :])
-
-
-def test_trace_surface_sums_diagonals(subcarriers2):
-    corr = correlation_matrix(subcarriers2)
-    expect = corr.chi(0, 0).values + corr.chi(1, 1).values
-    assert np.array_equal(corr.trace_surface().values, expect)
 
 
 # ----------------------------------------------------------- steering / MIMO
@@ -276,6 +264,17 @@ def test_steering_config_validation():
     assert cfg.fs_grid.size == 8 and cfg.fs_grid[0] == 0.0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(2.5, 1.0, 8), (2, 1.0, math.nan), (2, 1.0, 8.5), (True, 1.0, 8), (2, 1.0, 8.0)],
+    ids=["M-2.5", "K-nan", "K-8.5", "M-bool", "K-float"],
+)
+def test_steering_config_rejects_non_integer_counts(args):
+    # every one of these used to construct without complaint
+    with pytest.raises(InvalidParameterError):
+        SteeringConfig(*args)
+
+
 def test_mimo_slice_orthonormal_origin(subcarriers2):
     cfg = SteeringConfig(2, 1.0, 64)
     s = mimo_ambiguity(subcarriers2, cfg, 0.0, 0.0)
@@ -283,10 +282,9 @@ def test_mimo_slice_orthonormal_origin(subcarriers2):
 
 
 def test_mimo_slice_m1_reduces_to_self_af(gauss256):
-    corr = correlation_matrix([gauss256])
     cfg = SteeringConfig(1, 1.0, 8)
     s = mimo_ambiguity([gauss256], cfg, 0.37, 0.91)
-    assert np.array_equal(s.values, corr.chi(0, 0).values)
+    assert np.array_equal(s.values, cross_ambiguity(gauss256).values)
 
 
 def test_mimo_slice_identical_waveforms_factorize(gauss256):
@@ -309,48 +307,48 @@ def test_mimo_slice_rejects_out_of_range_fs(subcarriers2):
 
 @pytest.fixture(scope="module")
 def mixed4():
-    """M = 4 non-orthogonal unit-norm mixtures and their correlation tensor,
-    the independent M^2-surface reference for the beam and direct-sum routes."""
+    """M = 4 non-orthogonal unit-norm mixtures and their M^2 pair surfaces,
+    the independent reference for the beam and direct-sum routes."""
     rng = np.random.default_rng(11)
     basis = mixture_basis(gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0))
     ws = [random_mixture(basis, rng) for _ in range(4)]
-    return ws, correlation_matrix(ws, n_doppler=512)
+    return ws, pair_surfaces(ws, n_doppler=512)
 
 
 def test_mimo_slice_is_cross_ambiguity_of_beams(mixed4):
     # chi is linear in u and conjugate-linear in v, so the slice
     # sum_{m,p} a_m conj(b_p) chi(u_m, u_p) equals chi(sum a_m u_m, sum b_p u_p)
-    ws, corr = mixed4
+    ws, entries = mixed4
     cfg = SteeringConfig(4, 1.0, 16)
     fs, fsp = 0.137, 0.613  # off the fs grid, fs != fs'
     a = np.exp(1j * 2 * np.pi * cfg.gamma * fs * np.arange(4))
     b = np.exp(1j * 2 * np.pi * cfg.gamma * fsp * np.arange(4))
     slice_ = mimo_ambiguity(ws, cfg, fs, fsp, n_doppler=512).values
-    expect = np.einsum("m,p,mpij->ij", a, np.conj(b), corr.entries)
+    expect = np.einsum("m,p,mpij->ij", a, np.conj(b), entries)
     assert frob_rel(slice_, expect) <= 1e-12
     # dropping the conjugate on the second steering vector breaks it
-    wrong = np.einsum("m,p,mpij->ij", a, b, corr.entries)
+    wrong = np.einsum("m,p,mpij->ij", a, b, entries)
     assert frob_rel(slice_, wrong) >= 0.1
 
 
 def test_spatial_grid_matches_tensor_entries(mixed4):
-    ws, corr = mixed4
+    ws, entries = mixed4
     cfg = SteeringConfig(4, 1.0, 16)
     Z = np.exp(1j * 2 * np.pi * cfg.gamma * np.outer(cfg.fs_grid, np.arange(4)))
-    ref = corr.chi(0, 0)
+    ref = cross_ambiguity(ws[0], n_doppler=512)  # for its axes
     dt = ws[0].dt
     # points where |chi| is not rounding noise, plus both edge lags
     for k, l in [(0, 0), (5, 3), (-7, -4), (16, -8), (ws[0].n - 1, 255), (-(ws[0].n - 1), -256)]:
         tau, nu = k * dt, ref.nu_axis[256 + l]
-        X = corr.entries[:, :, ref.lag_index(tau), ref.doppler_index(nu)]
+        X = entries[:, :, ref.lag_index(tau), ref.doppler_index(nu)]
         V = mimo_slice_spatial(ws, cfg, tau, nu, n_doppler=512)
         assert frob_rel(V, Z @ X @ Z.conj().T) <= 1e-12, (k, l)
 
 
 def test_spatial_integral_matches_tensor_trace(mixed4):
-    ws, corr = mixed4
+    ws, entries = mixed4
     out = spatial_integral(ws, SteeringConfig(4, 1.0, 16), n_doppler=512)
-    assert frob_rel(out.values, corr.trace_surface().values) <= 1e-12
+    assert frob_rel(out.values, np.einsum("mmij->ij", entries)) <= 1e-12
 
 
 def test_steering_linearity(subcarriers2):
@@ -360,14 +358,11 @@ def test_steering_linearity(subcarriers2):
         subcarriers2[1],
     ]
     cfg = SteeringConfig(2, 1.0, 8)
-    base = correlation_matrix(subcarriers2)
     got = mimo_ambiguity(scaled, cfg, 0.3, 0.7)
     w = np.array([[c * np.conj(c), c], [np.conj(c), 1.0]])
     a = cfg.steering_phases(0.3)
     b = cfg.steering_phases(0.7)
-    entries = np.stack(
-        [[base.chi(i, j).values for j in range(2)] for i in range(2)]
-    )
+    entries = pair_surfaces(subcarriers2)
     predicted = np.einsum("m,p,mp,mpij->ij", a, np.conj(b), w, entries)
     assert frob_rel(got.values, predicted) <= 1e-10
 
@@ -380,11 +375,10 @@ def test_spatial_grid_diagonal_is_m(subcarriers2):
 
 
 def test_spatial_grid_m1_constant(gauss256):
-    corr = correlation_matrix([gauss256])
     cfg = SteeringConfig(1, 1.0, 8)
     tau, nu = 4 * gauss256.dt, 0.0
     V = mimo_slice_spatial([gauss256], cfg, tau, nu)
-    expect = corr.chi(0, 0).value_at(tau, nu)
+    expect = cross_ambiguity(gauss256).value_at(tau, nu)
     assert np.max(np.abs(V - expect)) <= 1e-12
 
 
@@ -404,10 +398,9 @@ def test_spatial_grid_conjugation_reverses(subcarriers2):
 
 
 def test_spatial_integral_m1_equals_self_af(gauss256):
-    corr = correlation_matrix([gauss256])
     cfg = SteeringConfig(1, 1.0, 8)
     out = spatial_integral([gauss256], cfg)
-    assert np.allclose(out.values, corr.chi(0, 0).values, atol=1e-12)
+    assert np.allclose(out.values, cross_ambiguity(gauss256).values, atol=1e-12)
 
 
 def test_spatial_integral_orthonormal_origin(subcarriers2):
@@ -452,17 +445,55 @@ def test_spatial_riemann_sum_misses_trace_at_half_wavelength(mixed3):
         spatial_integral(mixed3, cfg, n_doppler=512)
 
 
-def test_mimo_energy_quadrature_matches_slice_by_slice(subcarriers2):
+@pytest.fixture(scope="module")
+def mixed2(subcarriers2):
     rng = np.random.default_rng(4)
-    mixed = [random_mixture(mixture_basis(w), rng) for w in subcarriers2]
-    cfg = SteeringConfig(2, 1.0, 8)
-    total = mimo_energy_quadrature(mixed, cfg, n_doppler=512)
+    return [random_mixture(mixture_basis(w), rng) for w in subcarriers2]
+
+
+def _slice_energy_mean(ws, cfg):
+    # The K^2 mean of beam-slice energies: every slice carries all M^2 pair
+    # surfaces, and their cross terms cancel only through the sums over fs.
     acc = 0.0
     for fa in cfg.fs_grid:
         for fb in cfg.fs_grid:
-            acc += mimo_ambiguity(mixed, cfg, fa, fb, n_doppler=512).energy()
-    acc /= cfg.n_spatial ** 2
+            acc += mimo_ambiguity(ws, cfg, fa, fb, n_doppler=512).energy()
+    return acc / cfg.n_spatial ** 2
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_mimo_energy_quadrature_matches_slice_by_slice(mixed2, gamma):
+    cfg = SteeringConfig(2, gamma, 8)
+    total = mimo_energy_quadrature(mixed2, cfg, n_doppler=512)
+    acc = _slice_energy_mean(mixed2, cfg)
     assert abs(total - acc) <= 1e-12 * abs(acc)
+
+
+def test_slice_energy_mean_misses_quadrature_at_half_wavelength(mixed2):
+    total = mimo_energy_quadrature(mixed2, SteeringConfig(2, 1.0, 8), n_doppler=512)
+    cfg = SteeringConfig(2, 0.5, 8)
+    assert abs(_slice_energy_mean(mixed2, cfg) - total) >= 0.1 * total
+    with pytest.raises(InvalidParameterError):
+        mimo_energy_quadrature(mixed2, cfg, n_doppler=512)
+
+
+def test_mimo_energy_quadrature_peak_memory():
+    # The pair surfaces are summed one at a time: one surface and the
+    # |values|^2 of its energy are alive at once, never all M^2 surfaces.
+    rng = np.random.default_rng(9)
+    basis = mixture_basis(gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0))
+    ws = [random_mixture(basis, rng) for _ in range(4)]
+    cfg = SteeringConfig(4, 1.0, 16)
+    n, n_doppler = ws[0].n, 1024
+    x_bytes = (2 * n - 1) * n_doppler * 16
+    tracemalloc.start()
+    try:
+        total = mimo_energy_quadrature(ws, cfg, n_doppler=n_doppler)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total > 0
+    assert peak <= 2 * x_bytes
 
 
 # --------------------------------------------- randomized surface invariants

@@ -12,7 +12,6 @@ from mimoaf import (
     SampledSignal,
     canonical_gaussian,
     check_norm_identity,
-    correlation_matrix,
     cross_ambiguity,
     gen_rect,
     gen_subcarrier_set,
@@ -78,12 +77,12 @@ def _sur1_bytes(values, tau0, dtau, nu0, dnu):
 
 
 def test_surface_bytes_match_layout(tmp_path):
-    corr = correlation_matrix(gen_subcarrier_set(2, 1.0, 1 / 64), n_doppler=256)
-    s = corr.delay_doppler(0, 1)
+    u0, u1 = gen_subcarrier_set(2, 1.0, 1 / 64)
+    s = cross_ambiguity(u0, u1, n_doppler=256)
     axes = (float(s.tau_axis[0]), s.d_tau, float(s.nu_axis[0]), s.d_nu)
     write_surface(tmp_path / "s.sur", s)
     assert (tmp_path / "s.sur").read_bytes() == _sur1_bytes(s.values, *axes)
-    flipped = corr.entries[0, 1][::-1, :]  # the non-contiguous view behind delay_doppler
+    flipped = s.values[::-1, :]  # a non-contiguous view: the lag axis reversed
     views = {"flipped": flipped, "strided": flipped[::2, 1::3], "real": np.abs(flipped)}
     for name, view in views.items():
         write_surface(tmp_path / f"{name}.sur", view, *axes)

@@ -17,7 +17,6 @@ from mimoaf import (
     check_norm_identity,
     chirp_multiply,
     collinearity_check,
-    correlation_matrix,
     cross_ambiguity,
     gen_gaussian,
     gen_rect,

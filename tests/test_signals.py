@@ -185,6 +185,18 @@ def test_shift_rejects_offgrid_delay_and_aliased_doppler():
         heisenberg_shift(u, HeisenbergPoint(0.0, 64.0))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(math.nan, 0.0), (0.0, math.inf), (0.0, 0.0, -math.inf), (True, 0.0), (1j, 0.0)],
+    ids=["tau-nan", "nu-inf", "x3-neginf", "tau-bool", "tau-complex"],
+)
+def test_heisenberg_point_rejects_non_finite(args):
+    # a NaN delay used to pass and then die in heisenberg_shift with a
+    # bare ValueError from round(nan)
+    with pytest.raises(InvalidParameterError):
+        HeisenbergPoint(*args)
+
+
 def test_chirp_zero_rate_identity():
     u = gen_rect(1.0, 1 / 64)
     assert np.array_equal(chirp_multiply(u, 0.0).samples, u.samples)
