@@ -123,6 +123,9 @@ def write_surface(
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise FileFormatError("surface values must be 2-D")
+    axes = {"tau0": tau0, "dtau": dtau, "nu0": nu0, "dnu": dnu}
+    if missing := [name for name, x in axes.items() if x is None]:
+        raise FileFormatError(f"raw surface values need axis values; missing {', '.join(missing)}")
     header = _SUR1_MAGIC + struct.pack("<IIdddd", *arr.shape, tau0, dtau, nu0, dnu)
     # copies only when the input is strided or not little-endian complex128
     body = np.ascontiguousarray(arr, dtype="<c16")

@@ -261,8 +261,8 @@ def mimo_inner_product(
 
 
 def _dual_gram(
-    shifted_inner,
-    surface_lookup,
+    waveforms: list[SampledSignal],
+    surface: AmbiguitySurface,
     probes: ProbeSet,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix by exact inner products and by phased surface lookup.
@@ -275,11 +275,15 @@ def _dual_gram(
     n = len(pts)
     G_a = np.empty((n, n), dtype=np.complex128)
     G_b = np.empty((n, n), dtype=np.complex128)
+    shifted = [[heisenberg_shift(w, p) for p in pts] for w in waveforms]
     for j in range(n):
         for i in range(n):
-            G_a[i, j] = shifted_inner(pts[j], pts[i])
+            total = 0.0 + 0.0j
+            for copies in shifted:
+                total += inner_product(copies[j], copies[i])
+            G_a[i, j] = total
             z = pts[j].inverse().compose(pts[i])
-            G_b[i, j] = np.exp(-1j * 2.0 * math.pi * z.x3) * surface_lookup(z.tau, -z.nu)
+            G_b[i, j] = np.exp(-1j * 2.0 * math.pi * z.x3) * surface.value_at(z.tau, -z.nu)
     return G_a, G_b
 
 
@@ -329,11 +333,7 @@ def gram_psd_check(
     """
     if surface is None:
         surface = cross_ambiguity(u, u, n_doppler=n_doppler)
-
-    def shifted_inner(pj: HeisenbergPoint, pi: HeisenbergPoint) -> complex:
-        return inner_product(heisenberg_shift(u, pj), heisenberg_shift(u, pi))
-
-    G_a, G_b = _dual_gram(shifted_inner, surface.value_at, probes)
+    G_a, G_b = _dual_gram([u], surface, probes)
     return _psd_report("psd", G_a, G_b, probes, u.energy(), tol, path_tol)
 
 
@@ -357,15 +357,8 @@ def trace_psd_check(
     if cfg is None:
         cfg = SteeringConfig(m, 1.0, max(8, m + 1))
     trace_surface = spatial_integral(waveforms, cfg, n_doppler)
-
-    def shifted_inner(pj: HeisenbergPoint, pi: HeisenbergPoint) -> complex:
-        total = 0.0 + 0.0j
-        for w in waveforms:
-            total += inner_product(heisenberg_shift(w, pj), heisenberg_shift(w, pi))
-        return total
-
     energy_scale = sum(w.energy() for w in waveforms)
-    G_a, G_b = _dual_gram(shifted_inner, trace_surface.value_at, probes)
+    G_a, G_b = _dual_gram(waveforms, trace_surface, probes)
     return _psd_report("trace-psd", G_a, G_b, probes, energy_scale, tol, path_tol)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,14 +152,12 @@ def inner_product(u: SampledSignal, v: SampledSignal) -> complex:
 
 
 def _require_real(*, integer: bool = False, **params: float) -> None:
-    """Reject any parameter that is not a finite real number (an integer if
-    asked); bools are rejected too, although Python counts them as ints."""
+    """Reject any parameter that is not a real number within the float range
+    (an integer if asked); bools are rejected too, although Python counts them as ints."""
+    kind = numbers.Integral if integer else numbers.Real
     for name, x in params.items():
-        if isinstance(x, bool) or not (
-            isinstance(x, numbers.Integral)
-            or (not integer and isinstance(x, numbers.Real) and math.isfinite(x))
-        ):
-            what = "an integer" if integer else "a finite real number"
+        if isinstance(x, bool) or not (isinstance(x, kind) and abs(x) <= sys.float_info.max):
+            what = "an integer within the float range" if integer else "a finite real number"
             raise InvalidParameterError(f"{name} must be {what}, got {x!r}")
 
 
@@ -169,10 +168,21 @@ def _require_positive(**params: float) -> None:
             raise InvalidParameterError(f"{name} must be positive and finite, got {x}")
 
 
+# the largest n the u32 count fields of the SIGB and SUR1 headers can store
+_MAX_SAMPLES = 2**32 - 1
+
+
+def _sample_count(x: float) -> float:
+    """x, if it is finite and rounds to an even count within _MAX_SAMPLES."""
+    if not x <= _MAX_SAMPLES - 1:
+        raise InvalidParameterError(f"{x:.6g} samples: need a finite count <= {_MAX_SAMPLES}")
+    return x
+
+
 def _even_window(n_pulse: int, pad_factor: float) -> int:
     if pad_factor < 2.0:
         raise InvalidParameterError(f"pad_factor must be >= 2, got {pad_factor}")
-    n = math.ceil(pad_factor * n_pulse)
+    n = math.ceil(_sample_count(pad_factor * n_pulse))
     return n + (n % 2)
 
 
@@ -196,7 +206,7 @@ def gen_rect(T: float, dt: float, pad_factor: float = 2.0) -> SampledSignal:
     _require_positive(T=T, dt=dt, pad_factor=pad_factor)
     if T < dt:
         raise InvalidParameterError(f"T must be at least dt, got T={T}, dt={dt}")
-    n_pulse = round(T / dt)
+    n_pulse = round(_sample_count(T / dt))
     n = _even_window(n_pulse, pad_factor)
     _, t0 = _centered_grid(n, dt)
     samples = np.zeros(n, dtype=np.complex128)
@@ -216,12 +226,14 @@ def gen_gaussian(sigma: float, dt: float, half_width: float) -> SampledSignal:
     6.5 sigma or more puts the defect below 1e-9.
     """
     _require_positive(sigma=sigma, dt=dt, half_width=half_width)
+    if not 0.0 < 2.0 * math.pi * sigma * sigma < math.inf:
+        raise InvalidParameterError(f"sigma = {sigma} puts 2 pi sigma^2 outside the float range")
     if half_width < 4.0 * sigma:
         raise TruncationRiskError(
             f"half_width {half_width} is below 4*sigma = {4 * sigma}; "
             "the truncated tails would be significant"
         )
-    n = round(2.0 * half_width / dt)
+    n = round(_sample_count(2.0 * half_width / dt))
     n += n % 2
     if n < 8:
         raise InvalidParameterError("window too short: fewer than 8 samples")
@@ -267,6 +279,7 @@ def gen_subcarrier_set(M: int, T: float, dt: float, pad_factor: float = 2.0) -> 
     Raises:
         AliasingError: if the top subcarrier M/T exceeds the Nyquist band.
     """
+    _require_real(integer=True, M=M)
     if M < 1:
         raise InvalidParameterError(f"M must be >= 1, got {M}")
     _require_positive(T=T, dt=dt, pad_factor=pad_factor)

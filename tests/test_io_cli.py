@@ -89,6 +89,13 @@ def test_surface_bytes_match_layout(tmp_path):
         assert (tmp_path / f"{name}.sur").read_bytes() == _sur1_bytes(view, *axes), name
 
 
+def test_surface_without_axes_is_rejected(tmp_path):
+    # a raw array carries no axes, so the SUR1 header cannot be filled in
+    with pytest.raises(FileFormatError, match="missing nu0, dnu"):
+        write_surface(tmp_path / "s.sur", np.zeros((2, 3)), 0.0, 1.0)
+    assert not (tmp_path / "s.sur").exists()
+
+
 def test_surface_csv_roundtrip(tmp_path):
     s = cross_ambiguity(gen_rect(1.0, 1 / 64))
     p = tmp_path / "s.csv"
@@ -374,6 +381,28 @@ def test_gen_bad_parameter_exits_2(family, flag, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "gaussian", "--dt", "1e-300"],
+    ["gen", "--family", "rect", "--T", "1e300"],
+    ["gen", "--family", "rect", "--pad", "1e300"],
+    ["gen", "--family", "subcarriers", "--T", "1e300"],
+    ["gen", "--family", "gaussian", "--sigma", "1e-200"],
+    ["gen", "--family", "subcarriers", "--M", str(10**400)],
+    ["verify", "--suite", "mimo-energy", "--M", str(10**400)],
+], ids=["gaussian-dt", "rect-T", "rect-pad", "subcarriers-T", "gaussian-sigma", "gen-M",
+        "verify-M"])
+def test_unrepresentable_size_exits_2(argv, tmp_path, capsys):
+    # sample counts past the u32 header fields, an underflowing sigma^2 and
+    # an int no float holds are bad inputs, not failed identity checks
+    out = tmp_path / "x.sig"
+    if argv[0] == "gen":
+        argv = argv + ["-o", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -33,6 +33,7 @@ from mimoaf import (
     trace_psd_check,
     trace_reduction_check,
 )
+from mimoaf import properties
 from mimoaf.signals import HeisenbergPoint
 
 from conftest import DT, DT_G, family_waveforms, mixture_basis, random_mixture
@@ -224,6 +225,25 @@ def test_trace_psd_two_waveforms():
     rep = trace_psd_check(waves, probes)
     assert rep.passed
     assert rep.info["min_eig"] >= -1e-9 * rep.info["max_eig"]
+
+
+def test_psd_checks_shift_each_copy_once(monkeypatch):
+    # route (a) needs each shifted copy T(x_p) w once, not once per Gram entry
+    calls = []
+
+    def counting_shift(w, p):
+        calls.append(p)
+        return heisenberg_shift(w, p)
+
+    monkeypatch.setattr(properties, "heisenberg_shift", counting_shift)
+    base = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
+    waves = [base, chirp_multiply(base, 2.0)]
+    probes = random_probe_set(base, n_points=5, seed=3)
+    assert gram_psd_check(base, probes).passed
+    assert len(calls) == 5
+    calls.clear()
+    assert trace_psd_check(waves, probes).passed
+    assert len(calls) == 2 * 5
 
 
 def test_trace_quadratic_form_is_additive():

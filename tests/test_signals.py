@@ -187,8 +187,9 @@ def test_shift_rejects_offgrid_delay_and_aliased_doppler():
 
 @pytest.mark.parametrize(
     "args",
-    [(math.nan, 0.0), (0.0, math.inf), (0.0, 0.0, -math.inf), (True, 0.0), (1j, 0.0)],
-    ids=["tau-nan", "nu-inf", "x3-neginf", "tau-bool", "tau-complex"],
+    [(math.nan, 0.0), (0.0, math.inf), (0.0, 0.0, -math.inf), (True, 0.0), (1j, 0.0),
+     (10**400, 0.0)],
+    ids=["tau-nan", "nu-inf", "x3-neginf", "tau-bool", "tau-complex", "tau-huge-int"],
 )
 def test_heisenberg_point_rejects_non_finite(args):
     # a NaN delay used to pass and then die in heisenberg_shift with a

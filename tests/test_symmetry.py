@@ -204,8 +204,7 @@ def test_mirror_self_and_cross(gauss256):
     basis = mixture_basis(gauss256)
     rep2 = verify_mirror(random_mixture(basis, rng), random_mixture(basis, rng))
     assert rep2.passed
-    assert rep2.info["direct"] <= 1e-12
-    assert rep2.info["remap"] <= 1e-9
+    assert rep2.info["coverage"] >= 0.9
 
 
 # ---------------------------------------------------------------------- shear
