@@ -25,7 +25,7 @@ import numpy.typing as npt
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridAlignmentError, GridMismatchError, InvalidParameterError
-from .signals import SampledSignal, _require_real
+from .signals import SampledSignal, _require_count
 
 __all__ = [
     "AmbiguitySurface",
@@ -162,7 +162,7 @@ def _check_doppler_count(n_doppler: int | None, n: int, cyclic: bool) -> int:
         raise InvalidParameterError(f"a surface needs at least 2 samples, got {n}")
     if n_doppler is None:
         n_doppler = n if cyclic else 4 * n
-    if n_doppler < n or n_doppler % 2:
+    if _require_count("n_doppler", n_doppler, n) % 2:
         raise InvalidParameterError(
             f"n_doppler must be an even integer >= {n}, got {n_doppler}"
         )
@@ -284,7 +284,7 @@ def wigner(
         )
     if n_freq is None:
         n_freq = 2 * n
-    if n_freq < n or n_freq % 2:
+    if _require_count("n_freq", n_freq, n) % 2:
         raise InvalidParameterError(f"n_freq must be an even integer >= {n}")
     us = u.samples
     vs = v.samples
@@ -338,13 +338,10 @@ class SteeringConfig:
     n_spatial: int
 
     def __post_init__(self) -> None:
-        _require_real(integer=True, n_elements=self.n_elements, n_spatial=self.n_spatial)
-        if self.n_elements < 1:
-            raise InvalidParameterError(f"n_elements must be >= 1, got {self.n_elements}")
+        _require_count("n_elements", self.n_elements, 1)
+        _require_count("n_spatial", self.n_spatial, 2)
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise InvalidParameterError(f"gamma must be positive, got {self.gamma}")
-        if self.n_spatial < 2:
-            raise InvalidParameterError(f"n_spatial must be >= 2, got {self.n_spatial}")
         if self.n_spatial <= self.gamma * (self.n_elements - 1):
             raise InvalidParameterError(
                 f"n_spatial = {self.n_spatial} cannot resolve steering frequencies up "

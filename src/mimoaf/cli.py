@@ -7,6 +7,11 @@ Four subcommands:
 * ``mimo``   evaluates spatial slices and the spatial-integral trace,
 * ``verify`` runs named identity-check suites and reports pass/fail lines.
 
+``verify --tol X`` replaces the tolerance of every check in the suite;
+without it each check keeps its own.  The internal gates do not move with
+it: PSD route agreement 1e-8, uniqueness surface distance 1e-8,
+collinearity sum 1e-8 and symmetry mask coverage 0.9.
+
 Exit codes: 0 all checks passed / command succeeded, 1 at least one check
 failed, 2 usage or validation error, including a size too large to
 allocate.
@@ -71,11 +76,6 @@ from .symmetry import (
 )
 
 FAMILIES = ("rect", "gaussian", "lfm", "subcarriers")
-SUITES = (
-    "norm", "mimo-energy", "moyal", "mimo-moyal", "psd", "trace-psd",
-    "uniqueness", "collinearity", "trace-reduction",
-    "sym-J", "sym-mirror", "sym-lfm", "sym-dilate", "sym-mimo", "all",
-)
 
 _DT_FINE = 1.0 / 128  # rect-family default: T=1 at pad 2 gives 256 samples
 _DT_GAUSS = 1.0 / 64
@@ -140,59 +140,46 @@ def _mixture_basis(family: str) -> list[SampledSignal]:
 
 # ------------------------------------------------------------------- suites
 
-def _tol(args, default: float) -> float:
-    return args.tol if args.tol is not None else default
-
-
-def _suite_norm(args) -> list[CheckReport]:
+def _suite_norm(args, tol: dict) -> list[CheckReport]:
     u = _family_waveform(args.family, args.M)
     v = chirp_multiply(heisenberg_shift(u, HeisenbergPoint(8 * u.dt, 1.0)), 2.0)
     out = [
-        check_norm_identity(u, u, args.n_doppler, _tol(args, 1e-6)),
-        check_norm_identity(u, v, args.n_doppler, _tol(args, 1e-6)),
+        check_norm_identity(u, u, args.n_doppler, **tol),
+        check_norm_identity(u, v, args.n_doppler, **tol),
     ]
     if args.family == "subcarriers":
         pair = gen_subcarrier_set(2, 1.0, _DT_FINE)
-        out.append(
-            check_norm_identity(pair[0], pair[1], args.n_doppler, _tol(args, 1e-6))
-        )
+        out.append(check_norm_identity(pair[0], pair[1], args.n_doppler, **tol))
     return out
 
 
-def _suite_mimo_energy(args) -> list[CheckReport]:
+def _suite_mimo_energy(args, tol: dict) -> list[CheckReport]:
     cfg = SteeringConfig(args.M, args.gamma, args.K)
     waves = _family_set(args.family, args.M, args.seed)
-    return [check_mimo_energy(waves, cfg, args.n_doppler, _tol(args, 1e-5))]
+    return [check_mimo_energy(waves, cfg, args.n_doppler, **tol)]
 
 
-def _suite_moyal(args) -> list[CheckReport]:
+def _suite_moyal(args, tol: dict) -> list[CheckReport]:
     basis = _mixture_basis(args.family)
     rng = np.random.default_rng(args.seed)
     out = []
     u = basis[0]
-    out.append(moyal_inner_product(u, u, u, u, args.n_doppler, _tol(args, 1e-6)))
+    out.append(moyal_inner_product(u, u, u, u, args.n_doppler, **tol))
     for _ in range(3):
         quad = [_mixture(basis, rng) for _ in range(4)]
-        out.append(moyal_inner_product(*quad, args.n_doppler, _tol(args, 1e-6)))
+        out.append(moyal_inner_product(*quad, args.n_doppler, **tol))
     return out
 
 
-def _suite_mimo_moyal(args) -> list[CheckReport]:
+def _suite_mimo_moyal(args, tol: dict) -> list[CheckReport]:
     cfg = SteeringConfig(args.M, args.gamma, args.K)
     us = _family_set(args.family, args.M, args.seed)
     vs = _family_set(args.family, args.M, args.seed + 7)
-    out = [
-        mimo_inner_product(
-            us, vs, cfg, args.fs, args.fsp, args.n_doppler, _tol(args, 1e-6)
-        )
-    ]
     ortho = gen_subcarrier_set(args.M, 1.0, _DT_FINE)
-    out.append(
-        mimo_inner_product(
-            ortho, ortho, cfg, args.fs, args.fs, args.n_doppler, _tol(args, 1e-6)
-        )
-    )
-    return out
+    return [
+        mimo_inner_product(us, vs, cfg, args.fs, args.fsp, args.n_doppler, **tol),
+        mimo_inner_product(ortho, ortho, cfg, args.fs, args.fs, args.n_doppler, **tol),
+    ]
 
 
 def _psd_waveform(family: str) -> SampledSignal:
@@ -202,102 +189,99 @@ def _psd_waveform(family: str) -> SampledSignal:
     return _family_waveform(family)
 
 
-def _suite_psd(args) -> list[CheckReport]:
+def _suite_psd(args, tol: dict) -> list[CheckReport]:
     u = _psd_waveform(args.family)
     probes = random_probe_set(u, args.probes, args.seed, args.n_doppler)
-    return [gram_psd_check(u, probes, n_doppler=args.n_doppler, tol=_tol(args, 1e-9))]
+    return [gram_psd_check(u, probes, n_doppler=args.n_doppler, **tol)]
 
 
-def _suite_trace_psd(args) -> list[CheckReport]:
+def _suite_trace_psd(args, tol: dict) -> list[CheckReport]:
     waves = gen_subcarrier_set(args.M, 1.0, _DT_FINE)
     cfg = SteeringConfig(args.M, args.gamma, args.K)
     probes = random_probe_set(waves[0], args.probes, args.seed, args.n_doppler)
-    return [
-        trace_psd_check(waves, probes, cfg, args.n_doppler, tol=_tol(args, 1e-9))
-    ]
+    return [trace_psd_check(waves, probes, cfg, args.n_doppler, **tol)]
 
 
-def _suite_uniqueness(args) -> list[CheckReport]:
+def _suite_uniqueness(args, tol: dict) -> list[CheckReport]:
     u = _family_waveform(args.family, args.M)
     rng = np.random.default_rng(args.seed)
     out = []
     for _ in range(3):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         v = u.replace_samples(u.samples * np.exp(1j * theta))
-        _, rep = recover_scalar(u, v, args.n_doppler, tol=_tol(args, 1e-6))
+        _, rep = recover_scalar(u, v, args.n_doppler, **tol)
         out.append(rep)
     scaled = u.replace_samples(2.0 * u.samples)
-    _, gate = recover_scalar(u, scaled, args.n_doppler, tol=_tol(args, 1e-6))
+    _, gate = recover_scalar(u, scaled, args.n_doppler, **tol)
     out.append(gate)
     return out
 
 
-def _suite_collinearity(args) -> list[CheckReport]:
+def _suite_collinearity(args, tol: dict) -> list[CheckReport]:
     u = _family_waveform(args.family, args.M)
     v = u.replace_samples(3j * u.samples)
     return [
-        collinearity_check(u, v, args.n_doppler),
-        collinearity_check(u, u, args.n_doppler),
+        collinearity_check(u, v, args.n_doppler, **tol),
+        collinearity_check(u, u, args.n_doppler, **tol),
     ]
 
 
-def _suite_trace_reduction(args) -> list[CheckReport]:
+def _suite_trace_reduction(args, tol: dict) -> list[CheckReport]:
     cfg = SteeringConfig(args.M, args.gamma, args.K)
     base = _family_waveform("gaussian")
     reduced = trace_reduction_check(
-        _phase_family(base, args.M, args.seed), cfg, args.n_doppler, _tol(args, 1e-8)
+        _phase_family(base, args.M, args.seed), cfg, args.n_doppler, **tol
     )
     refused = trace_reduction_check(
-        gen_subcarrier_set(args.M, 1.0, _DT_FINE), cfg, args.n_doppler, _tol(args, 1e-8)
+        gen_subcarrier_set(args.M, 1.0, _DT_FINE), cfg, args.n_doppler, **tol
     )
     return [reduced, refused]
 
 
-def _suite_sym_J(args) -> list[CheckReport]:
+def _suite_sym_J(args, tol: dict) -> list[CheckReport]:
     u = _rotation_waveform(args.family)
-    return [verify_fourier_rotation(u, tol=_tol(args, 1e-5))]
+    return [verify_fourier_rotation(u, **tol)]
 
 
-def _suite_sym_mirror(args) -> list[CheckReport]:
+def _suite_sym_mirror(args, tol: dict) -> list[CheckReport]:
     u = _family_waveform(args.family, args.M)
     v = chirp_multiply(heisenberg_shift(u, HeisenbergPoint(4 * u.dt, 0.5)), 1.0)
-    return [verify_mirror(u, v, args.n_doppler, _tol(args, 1e-9))]
+    return [verify_mirror(u, v, args.n_doppler, **tol)]
 
 
-def _suite_sym_lfm(args) -> list[CheckReport]:
+def _suite_sym_lfm(args, tol: dict) -> list[CheckReport]:
     u = _family_waveform(args.family, args.M)
     rate = _aligned_chirp_rate(u, args.n_doppler)
-    return [verify_lfm_shear(u, rate=rate, n_doppler=args.n_doppler, tol=_tol(args, 1e-4))]
+    return [verify_lfm_shear(u, rate=rate, n_doppler=args.n_doppler, **tol)]
 
 
-def _suite_sym_dilate(args) -> list[CheckReport]:
+def _suite_sym_dilate(args, tol: dict) -> list[CheckReport]:
     # the smooth family: rect-envelope spectra alias under compression
     u = gen_gaussian(CANONICAL_SIGMA, _DT_GAUSS, 2.0)
-    return [verify_dilation(u, b=2.0, n_doppler=args.n_doppler, tol=_tol(args, 1e-4))]
+    return [verify_dilation(u, b=2.0, n_doppler=args.n_doppler, **tol)]
 
 
-def _suite_sym_mimo(args) -> list[CheckReport]:
+def _suite_sym_mimo(args, tol: dict) -> list[CheckReport]:
     out = []
     rot_set = gen_subcarrier_set(2, 8.0, 1.0 / 16)
     cfg = SteeringConfig(2, args.gamma, args.K)
     out.append(
-        verify_mimo_symmetry(rot_set, cfg, 0.25, 0.25, Sl2Element.rotation(),
-                             tol=_tol(args, 1e-5))
+        verify_mimo_symmetry(rot_set, cfg, 0.25, 0.25, Sl2Element.rotation(), **tol)
     )
     flat_set = gen_subcarrier_set(2, 1.0, _DT_FINE)
     out.append(
         verify_mimo_symmetry(flat_set, cfg, args.fs, args.fsp, Sl2Element.mirror(),
-                             n_doppler=args.n_doppler, tol=_tol(args, 1e-9))
+                             n_doppler=args.n_doppler, **tol)
     )
     rate = _aligned_chirp_rate(flat_set[0], args.n_doppler)
     out.append(
         verify_mimo_symmetry(flat_set, cfg, args.fs, args.fsp, Sl2Element.shear(-rate),
-                             n_doppler=args.n_doppler, tol=_tol(args, 1e-4))
+                             n_doppler=args.n_doppler, **tol)
     )
     smooth = _phase_family(gen_gaussian(CANONICAL_SIGMA, _DT_GAUSS, 2.0), 2, args.seed)
     out.append(
         verify_mimo_symmetry(smooth, cfg, args.fs, args.fsp, Sl2Element.scaling(2.0),
-                             n_doppler=args.n_doppler, tol=_tol(args, 1e-4))
+                             n_doppler=args.n_doppler, **tol)
     )
     return out
 
@@ -318,6 +302,7 @@ _SUITE_FUNCS = {
     "sym-dilate": _suite_sym_dilate,
     "sym-mimo": _suite_sym_mimo,
 }
+SUITES = (*_SUITE_FUNCS, "all")
 
 
 # ----------------------------------------------------------------- commands
@@ -417,10 +402,12 @@ def cmd_verify(args) -> int:
         raise InvalidParameterError(f"--tol must be >= 0, got {args.tol}")
     if args.seed < 0:
         raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
+    # without --tol every check keeps its own tolerance
+    tol = {} if args.tol is None else {"tol": args.tol}
     names = list(_SUITE_FUNCS) if args.suite == "all" else [args.suite]
     reports: list[CheckReport] = []
     for name in names:
-        reports.extend(_SUITE_FUNCS[name](args))
+        reports.extend(_SUITE_FUNCS[name](args, tol))
     for r in reports:
         print(r.format_line())
     if args.report:
@@ -468,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--linear", action="store_true", help="linear heatmap scaling")
     a.set_defaults(func=cmd_af)
 
-    m = sub.add_parser("mimo", help="spatial slices of the correlation matrix")
+    m = sub.add_parser("mimo", help="MIMO beam slices and the spatial integral")
     m.add_argument("--config", help="key=value defaults file")
     m.add_argument("--inputs", nargs="+", required=True, help="waveform files")
     m.add_argument("--gamma", type=float, default=1.0)
@@ -476,10 +463,11 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n-doppler", type=int, default=1024)
     m.add_argument("--fs", type=float, default=0.0)
     m.add_argument("--fsp", type=float, default=0.0)
-    m.add_argument("--spatial-integral", action="store_true",
-                   help="trace surface instead of a single slice")
-    m.add_argument("--slice-spatial", action="store_true",
-                   help="K x K spatial grid at one (tau, nu) point")
+    mode = m.add_mutually_exclusive_group()
+    mode.add_argument("--spatial-integral", action="store_true",
+                      help="trace surface instead of a single slice")
+    mode.add_argument("--slice-spatial", action="store_true",
+                      help="K x K spatial grid at one (tau, nu) point")
     m.add_argument("--tau", type=float, default=0.0)
     m.add_argument("--nu", type=float, default=0.0)
     m.add_argument("-o", "--out", help="SUR1 output path")
@@ -502,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--fs", type=float, default=0.3)
     v.add_argument("--fsp", type=float, default=0.7)
     v.add_argument("--tol", type=float, default=None,
-                   help="override every check tolerance in the suite")
+                   help="replace each check's own tolerance (internal gates stay fixed)")
     v.add_argument("-o", "--report", help="write the report lines to this file")
     v.set_defaults(func=cmd_verify)
     return parser

@@ -27,7 +27,7 @@ from .ambiguity import (
     spatial_integral,
 )
 from .errors import GridMismatchError, InvalidParameterError
-from .signals import HeisenbergPoint, SampledSignal, heisenberg_shift, inner_product
+from .signals import HeisenbergPoint, SampledSignal, _require_count, heisenberg_shift, inner_product
 
 __all__ = [
     "CheckReport",
@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 _TINY = 1e-30
+# probe delays and Dopplers stay within this fraction of their half-axes
+_PROBE_SPAN = 1.0 / 6.0
+# internal gates, held fixed whatever tolerance a check reports against:
+_PATH_TOL = 1e-8  # psd routes (a) and (b), relative to the energy
+_AF_TOL = 1e-8  # uniqueness: L2 distance at which two self surfaces coincide
+_SUM_TOL = 1e-8  # collinearity: summed surfaces against the prediction, by peak
 
 
 def _fmt(x: complex) -> str:
@@ -86,7 +92,6 @@ def make_report(
     rhs: complex,
     tol: float,
     scale: float | None = None,
-    info: dict | None = None,
 ) -> CheckReport:
     """Compare two computed values at a relative tolerance.
 
@@ -102,7 +107,7 @@ def make_report(
         rel_err = abs_err / base
     else:
         rel_err = abs_err
-    return CheckReport(name, rel_err <= tol, lhs, rhs, abs_err, rel_err, tol, info or {})
+    return CheckReport(name, rel_err <= tol, lhs, rhs, abs_err, rel_err, tol)
 
 
 @dataclass(frozen=True)
@@ -133,26 +138,22 @@ def random_probe_set(
     n_points: int = 8,
     seed: int = 0,
     n_doppler: int | None = None,
-    span: float = 1.0 / 6.0,
 ) -> ProbeSet:
     """Seeded probe points aligned to the surface grid of the signal.
 
     Delays are multiples of dt and Dopplers multiples of the surface's
-    Doppler step; both stay within span of the respective half-axes so that
-    pairwise group differences remain on the surface and signal shifts stay
-    inside the zero-padded part of the window.
+    Doppler step; both stay within _PROBE_SPAN of the respective half-axes
+    so that pairwise group differences remain on the surface and signal
+    shifts stay inside the zero-padded part of the window.
     """
-    if not (0 < span <= 0.25):
-        raise InvalidParameterError(f"span must lie in (0, 0.25], got {span}")
-    if n_points < 1:
-        raise InvalidParameterError(f"need at least one probe point, got {n_points}")
+    _require_count("n_points", n_points, 1)
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     n = signal.n
     n_doppler = _check_doppler_count(n_doppler, n, cyclic=False)
     d_nu = 1.0 / (n_doppler * signal.dt)
-    max_k = max(1, int((n - 1) * span))
-    max_l = max(1, int((n_doppler // 2) * span))
+    max_k = max(1, int((n - 1) * _PROBE_SPAN))
+    max_l = max(1, int((n_doppler // 2) * _PROBE_SPAN))
     rng = np.random.default_rng(seed)
     ks = rng.integers(-max_k, max_k + 1, size=n_points)
     ls = rng.integers(-max_l, max_l + 1, size=n_points)
@@ -179,14 +180,13 @@ def check_norm_identity(
     v: SampledSignal,
     n_doppler: int | None = None,
     tol: float = 1e-6,
-    name: str = "norm",
 ) -> CheckReport:
     """Whole-plane energy of the cross-ambiguity surface against the product
     of signal energies."""
     s = cross_ambiguity(u, v, n_doppler=n_doppler)
     lhs = s.energy()
     rhs = u.energy() * v.energy()
-    return make_report(name, lhs, rhs, tol, scale=max(abs(rhs), _TINY))
+    return make_report("norm", lhs, rhs, tol, scale=max(abs(rhs), _TINY))
 
 
 def check_mimo_energy(
@@ -294,7 +294,6 @@ def _psd_report(
     probes: ProbeSet,
     energy_scale: float,
     tol: float,
-    path_tol: float,
 ) -> CheckReport:
     path_gap = float(np.max(np.abs(G_a - G_b)))
     path_rel = path_gap / max(energy_scale, _TINY)
@@ -309,8 +308,8 @@ def _psd_report(
         info["quadratic_form"] = float(
             np.real(np.einsum("i,ij,j->", c, G_a, np.conj(c)))
         )
-    passed = eig_ratio <= tol and path_rel <= path_tol
-    rel_err = max(eig_ratio, path_rel * (tol / path_tol))
+    passed = eig_ratio <= tol and path_rel <= _PATH_TOL
+    rel_err = max(eig_ratio, path_rel * (tol / _PATH_TOL))
     return CheckReport(
         name, passed, min_eig, 0.0, max(0.0, -min_eig), rel_err, tol, info
     )
@@ -322,19 +321,18 @@ def gram_psd_check(
     surface: AmbiguitySurface | None = None,
     n_doppler: int | None = None,
     tol: float = 1e-9,
-    path_tol: float = 1e-8,
 ) -> CheckReport:
     """Positive definiteness of the self-ambiguity surface on the group.
 
     Route (a) builds the exact Gram of Heisenberg-shifted copies; route (b)
     reads the same quadratic form off the precomputed surface through the
-    group product.  Asserts the routes agree and the Hermitian part of (a)
-    has no eigenvalue below -tol times the largest.
+    group product.  Asserts the routes agree to _PATH_TOL of the energy and
+    the Hermitian part of (a) has no eigenvalue below -tol times the largest.
     """
     if surface is None:
         surface = cross_ambiguity(u, u, n_doppler=n_doppler)
     G_a, G_b = _dual_gram([u], surface, probes)
-    return _psd_report("psd", G_a, G_b, probes, u.energy(), tol, path_tol)
+    return _psd_report("psd", G_a, G_b, probes, u.energy(), tol)
 
 
 def trace_psd_check(
@@ -343,13 +341,12 @@ def trace_psd_check(
     cfg: SteeringConfig | None = None,
     n_doppler: int | None = None,
     tol: float = 1e-9,
-    path_tol: float = 1e-8,
 ) -> CheckReport:
-    """Positive definiteness of the correlation-matrix trace surface.
+    """Positive definiteness of the spatially integrated (trace) surface.
 
-    The spatially integrated (trace) surface is looked up on route (b);
-    route (a) sums the per-waveform exact Grams, which the additivity of
-    the quadratic form makes the matching reference.
+    The trace surface is looked up on route (b); route (a) sums the
+    per-waveform exact Grams, which the additivity of the quadratic form
+    makes the matching reference.
     """
     if len(waveforms) < 1:
         raise InvalidParameterError("need at least one waveform")
@@ -359,19 +356,18 @@ def trace_psd_check(
     trace_surface = spatial_integral(waveforms, cfg, n_doppler)
     energy_scale = sum(w.energy() for w in waveforms)
     G_a, G_b = _dual_gram(waveforms, trace_surface, probes)
-    return _psd_report("trace-psd", G_a, G_b, probes, energy_scale, tol, path_tol)
+    return _psd_report("trace-psd", G_a, G_b, probes, energy_scale, tol)
 
 
 def recover_scalar(
     u: SampledSignal,
     v: SampledSignal,
     n_doppler: int | None = None,
-    af_tol: float = 1e-8,
     tol: float = 1e-6,
 ) -> tuple[complex, CheckReport]:
     """Uniqueness up to a unimodular scalar.
 
-    When the two self-ambiguity surfaces coincide (L2 distance <= af_tol),
+    When the two self-ambiguity surfaces coincide (L2 distance <= _AF_TOL),
     the estimate lambda = <u,v>/energy(v) must be unimodular and reproduce
     u as lambda * v.  When the surfaces differ, the hypothesis is void: the
     report passes vacuously and records the non-equal status in info.
@@ -386,7 +382,7 @@ def recover_scalar(
     )
     lam = inner_product(u, v) / ev
     info: dict = {"af_distance": af_dist, "lambda": lam}
-    if af_dist <= af_tol:
+    if af_dist <= _AF_TOL:
         diff = u.samples - lam * v.samples
         residual = math.sqrt(float(u.dt * np.sum(np.abs(diff) ** 2))) / max(u.norm(), _TINY)
         unimodular_defect = abs(abs(lam) - 1.0)
@@ -406,7 +402,6 @@ def collinearity_check(
     u3: SampledSignal,
     n_doppler: int | None = None,
     tol: float = 1e-9,
-    sum_tol: float = 1e-8,
 ) -> CheckReport:
     """A sum of two self surfaces is itself (a scaled) self surface exactly
     when the waveforms are collinear.
@@ -414,8 +409,8 @@ def collinearity_check(
     Collinearity is detected as Cauchy-Schwarz equality.  When it holds,
     the summed surface is compared against the closed prediction
     (energy2 + energy3) times the self surface of the common unit
-    direction; when it fails, the report carries the inner-product ratio
-    as the counterexample witness.
+    direction, to _SUM_TOL of its peak; when it fails, the report carries
+    the inner-product ratio as the counterexample witness.
     """
     e2 = u2.energy()
     e3 = u3.energy()
@@ -436,8 +431,8 @@ def collinearity_check(
         peak = max(float(np.max(np.abs(target))), _TINY)
         sum_gap = float(np.max(np.abs(s2.values + s3.values - target))) / peak
         info["sum_gap"] = sum_gap
-        passed = sum_gap <= sum_tol
-        rel_err = max(defect, sum_gap * (tol / sum_tol))
+        passed = sum_gap <= _SUM_TOL
+        rel_err = max(defect, sum_gap * (tol / _SUM_TOL))
         return CheckReport("collinearity", passed, cs_ratio, 1.0, defect, rel_err, tol, info)
     return CheckReport("collinearity", False, cs_ratio, 1.0, defect, defect, tol, info)
 

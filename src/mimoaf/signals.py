@@ -151,14 +151,12 @@ def inner_product(u: SampledSignal, v: SampledSignal) -> complex:
     return complex(u.dt * np.sum(u.samples * np.conj(v.samples)))
 
 
-def _require_real(*, integer: bool = False, **params: float) -> None:
-    """Reject any parameter that is not a real number within the float range
-    (an integer if asked); bools are rejected too, although Python counts them as ints."""
-    kind = numbers.Integral if integer else numbers.Real
+def _require_real(**params: float) -> None:
+    """Reject any parameter that is not a real number within the float range;
+    bools are rejected too, although Python counts them as ints."""
     for name, x in params.items():
-        if isinstance(x, bool) or not (isinstance(x, kind) and abs(x) <= sys.float_info.max):
-            what = "an integer within the float range" if integer else "a finite real number"
-            raise InvalidParameterError(f"{name} must be {what}, got {x!r}")
+        if isinstance(x, bool) or not (isinstance(x, numbers.Real) and abs(x) <= sys.float_info.max):
+            raise InvalidParameterError(f"{name} must be a finite real number, got {x!r}")
 
 
 def _require_positive(**params: float) -> None:
@@ -176,6 +174,16 @@ def _sample_count(x: float) -> float:
     """x, if it is finite and rounds to an even count within _MAX_SAMPLES."""
     if not x <= _MAX_SAMPLES - 1:
         raise InvalidParameterError(f"{x:.6g} samples: need a finite count <= {_MAX_SAMPLES}")
+    return x
+
+
+def _require_count(name: str, x: int, low: int) -> int:
+    """x, if it is an integer (not a bool) from low to _MAX_SAMPLES: counts
+    end up as array dimensions, which those u32 header fields must store."""
+    if isinstance(x, bool) or not (isinstance(x, numbers.Integral) and low <= x <= _MAX_SAMPLES):
+        raise InvalidParameterError(
+            f"{name} must be an integer from {low} to {_MAX_SAMPLES}, got {x!r}"
+        )
     return x
 
 
@@ -279,9 +287,7 @@ def gen_subcarrier_set(M: int, T: float, dt: float, pad_factor: float = 2.0) -> 
     Raises:
         AliasingError: if the top subcarrier M/T exceeds the Nyquist band.
     """
-    _require_real(integer=True, M=M)
-    if M < 1:
-        raise InvalidParameterError(f"M must be >= 1, got {M}")
+    _require_count("M", M, 1)
     _require_positive(T=T, dt=dt, pad_factor=pad_factor)
     if M / T > 1.0 / (2.0 * dt):
         raise AliasingError(
@@ -362,13 +368,18 @@ def _band_occupancy_ok(v: SampledSignal, keep_fraction_below: float) -> bool:
     return (total - inside) <= 1e-9 * total
 
 
-def dilate(v: SampledSignal, b: float, taps: int = 16, beta: float = 8.0) -> SampledSignal:
+# Kaiser-windowed sinc kernel of dilate: points per output sample, window shape
+_DILATE_TAPS = 16
+_KAISER_BETA = 8.0
+
+
+def dilate(v: SampledSignal, b: float) -> SampledSignal:
     """Resample v at b*t on the same grid: output[n] ~= v(b * t_n).
 
-    Band-limited interpolation with a Kaiser-windowed sinc kernel (taps
-    points per output sample).  Points mapped outside the window are
-    zero-filled.  For b > 1 the spectrum expands by b, so the signal must
-    occupy at most 1/b of the Nyquist band beforehand.
+    Band-limited interpolation with a Kaiser-windowed sinc kernel
+    (_DILATE_TAPS points per output sample).  Points mapped outside the
+    window are zero-filled.  For b > 1 the spectrum expands by b, so the
+    signal must occupy at most 1/b of the Nyquist band beforehand.
 
     Raises:
         AliasingError: if b > 1 and spectral energy above Nyquist/b
@@ -376,24 +387,23 @@ def dilate(v: SampledSignal, b: float, taps: int = 16, beta: float = 8.0) -> Sam
     """
     if not (b > 0 and math.isfinite(b)):
         raise InvalidParameterError(f"b must be positive and finite, got {b}")
-    if taps < 4 or taps % 2:
-        raise InvalidParameterError("taps must be an even integer >= 4")
     if b > 1.0 and not _band_occupancy_ok(v, 1.0 / b):
         raise AliasingError(
             f"dilation by {b} would alias: spectral mass above Nyquist/{b}"
         )
     n = v.n
-    half = taps // 2
+    half = _DILATE_TAPS // 2
     x = (b * v.times - v.t0) / v.dt  # fractional source index per output sample
     base = np.floor(x).astype(np.int64)
     out = np.zeros(n, dtype=np.complex128)
-    i0_beta = np.i0(beta)
+    i0_beta = np.i0(_KAISER_BETA)
     for off in range(-half + 1, half + 1):
         m = base + off
         d = x - m
         # Kaiser window evaluated continuously; support |d| <= half
         arg = 1.0 - (d / half) ** 2
-        w = np.where(np.abs(d) <= half, np.sinc(d) * np.i0(beta * np.sqrt(np.clip(arg, 0.0, None))) / i0_beta, 0.0)
+        window = np.i0(_KAISER_BETA * np.sqrt(np.clip(arg, 0.0, None)))
+        w = np.where(np.abs(d) <= half, np.sinc(d) * window / i0_beta, 0.0)
         valid = (m >= 0) & (m < n)
         out[valid] += v.samples[np.clip(m, 0, n - 1)][valid] * w[valid]
     return v.replace_samples(out)

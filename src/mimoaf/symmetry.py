@@ -40,6 +40,7 @@ from .ambiguity import (
     AmbiguitySurface,
     SteeringConfig,
     _beam,
+    _check_doppler_count,
     _require_array,
     cross_ambiguity,
 )
@@ -352,8 +353,7 @@ def verify_dilation(
     if v is None:
         v = u
     u.require_compatible(v)
-    if n_doppler is None:
-        n_doppler = 4 * u.n
+    n_doppler = _check_doppler_count(n_doppler, u.n, cyclic=False)
     path_a = cross_ambiguity(dilate(u, b), dilate(v, b), n_doppler=n_doppler)
     path_b, mask, route = _dilation_reference(u, v, b, n_doppler)
     return _dual_path_report(

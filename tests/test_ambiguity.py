@@ -267,8 +267,8 @@ def test_steering_config_validation():
 @pytest.mark.parametrize(
     "args",
     [(2.5, 1.0, 8), (2, 1.0, math.nan), (2, 1.0, 8.5), (True, 1.0, 8), (2, 1.0, 8.0),
-     (10**400, 1.0, 8)],
-    ids=["M-2.5", "K-nan", "K-8.5", "M-bool", "K-float", "M-huge-int"],
+     (10**400, 1.0, 8), (2, 1.0, 2**32)],
+    ids=["M-2.5", "K-nan", "K-8.5", "M-bool", "K-float", "M-huge-int", "K-past-u32"],
 )
 def test_steering_config_rejects_non_integer_counts(args):
     # every one of these used to construct without complaint

@@ -309,6 +309,13 @@ def test_mimo_slice_spatial_bad_point_exits_2(extra, subcarrier_files, tmp_path,
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_mimo_modes_are_exclusive(subcarrier_files):
+    argv = ["mimo", "--inputs", *subcarrier_files, "--slice-spatial", "--spatial-integral"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(a) for a in argv])
+    assert exc.value.code == 2
+
+
 def test_verify_sym_mimo_rejects_bad_steering(capsys):
     # the suites steer through SteeringConfig.steering_phases, like `mimo`
     for extra in (["--fs", "1.5"], ["--fsp", "nan"]):
@@ -330,6 +337,13 @@ def test_verify_strict_tolerance_fails(tmp_path):
     res = run_cli("verify", "--suite", "norm", "--tol", "1e-20")
     assert res.returncode == 1
     assert any(" fail " in ln for ln in res.stdout.splitlines())
+
+
+def test_verify_tol_reaches_every_check(capsys):
+    assert cli.main(["verify", "--suite", "all", "--tol", "0.25"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) >= len(cli.SUITES) - 1
+    assert [ln.split()[-1] for ln in lines] == ["0.25"] * len(lines)
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan"])
@@ -403,6 +417,32 @@ def test_unrepresentable_size_exits_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+_PAST_U32 = str(10**20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "psd", "--probes", str(10**19)],
+    ["verify", "--suite", "psd", "--probes", str(10**400)],
+    ["verify", "--suite", "psd", "--n-doppler", _PAST_U32],
+    ["verify", "--suite", "norm", "--n-doppler", _PAST_U32],
+    ["af", "--u", "{s0}", "--n-doppler", _PAST_U32],
+    ["af", "--u", "{s0}", "--wigner", "--n-freq", _PAST_U32],
+    ["mimo", "--inputs", "{s0}", "{s1}", "--n-doppler", _PAST_U32],
+    ["mimo", "--inputs", "{s0}", "{s1}", "--slice-spatial", "--K", _PAST_U32],
+], ids=["psd-probes", "psd-probes-401-digits", "psd-n-doppler", "norm-n-doppler",
+        "af-n-doppler", "wigner-n-freq", "mimo-n-doppler", "mimo-K"])
+def test_count_past_u32_exits_2(argv, tmp_path, capsys):
+    # counts become u32 SUR1 dimensions; argparse takes ints of any size
+    inputs = [tmp_path / "s0.sig", tmp_path / "s1.sig"]
+    for path, w in zip(inputs, gen_subcarrier_set(2, 1.0, 1 / 128)):
+        write_signal(path, w)
+    argv = [a.format(s0=inputs[0], s1=inputs[1]) for a in argv]
+    assert cli.main(argv + ["-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == inputs
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
