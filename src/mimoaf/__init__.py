@@ -28,6 +28,7 @@ from .ambiguity import (
     cross_ambiguity,
     cross_ambiguity_oracle,
     mimo_ambiguity,
+    mimo_beams,
     mimo_energy_quadrature,
     mimo_slice_spatial,
     spatial_integral,
@@ -122,6 +123,7 @@ __all__ = [
     "inner_product",
     "make_report",
     "mimo_ambiguity",
+    "mimo_beams",
     "mimo_energy_quadrature",
     "mimo_inner_product",
     "mimo_slice_spatial",

@@ -18,6 +18,7 @@ past the product array, so agreement is a real cross-check.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "cross_ambiguity_oracle",
     "wigner",
     "ambiguity_from_wigner",
+    "mimo_beams",
     "mimo_ambiguity",
     "mimo_slice_spatial",
     "spatial_integral",
@@ -125,10 +127,16 @@ class AmbiguitySurface:
         return float(np.max(np.abs(self.values)))
 
 
-def _lag_products(
+# The surface is built in blocks of lag rows holding about this many bytes of
+# output, so a streamed surface needs one block of memory at any size.
+_BLOCK_BYTES = 4 * 2**20
+
+
+def _lag_rows(
     u: SampledSignal, v: SampledSignal, cyclic: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows P[i, n] = u[n] * conj(v[n + lag_i]) for the chosen lag set."""
+) -> tuple[np.ndarray, Callable[[int, np.ndarray], None]]:
+    """The lag set and a gather of the rows P[i, n] = u[n] * conj(v[n + lag_i]):
+    gather(start, out) fills out with rows start .. start + len(out) - 1."""
     n = u.n
     us = u.samples
     cv = np.conj(v.samples)
@@ -138,19 +146,34 @@ def _lag_products(
         h = n // 2
         # window i of conj(v), wrapped by n/2 on each side, is row i: conj(v)
         # rolled by the lag i - n/2
-        wrapped = np.concatenate([cv[h:], cv, cv[:h]])
-        P = us * sliding_window_view(wrapped, n)[:n]
-        return P, np.arange(-h, h)
+        windows = sliding_window_view(np.concatenate([cv[h:], cv, cv[:h]]), n)[:n]
+
+        def gather(start: int, out: np.ndarray) -> None:
+            np.multiply(us, windows[start : start + len(out)], out=out)
+
+        return np.arange(-h, h), gather
     # window i of conj(v), zero-padded by n-1 on each side, is row i at lag
     # i - (n-1); the mask leaves cells past the signal's ends at +0, where a
     # plain product would write u * 0 and so sometimes -0
-    padded = np.pad(cv, n - 1)
-    inside = np.pad(np.ones(n, dtype=bool), n - 1)
-    P = np.zeros((2 * n - 1, n), dtype=np.complex128)
-    np.multiply(
-        us, sliding_window_view(padded, n), out=P, where=sliding_window_view(inside, n)
-    )
-    return P, np.arange(-(n - 1), n)
+    windows = sliding_window_view(np.pad(cv, n - 1), n)
+    inside = sliding_window_view(np.pad(np.ones(n, dtype=bool), n - 1), n)
+
+    def gather(start: int, out: np.ndarray) -> None:
+        rows = slice(start, start + len(out))
+        out.fill(0)
+        np.multiply(us, windows[rows], out=out, where=inside[rows])
+
+    return np.arange(-(n - 1), n), gather
+
+
+def _lag_products(
+    u: SampledSignal, v: SampledSignal, cyclic: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of P at once, for the direct-sum oracle."""
+    lags, gather = _lag_rows(u, v, cyclic)
+    P = np.empty((lags.size, u.n), dtype=np.complex128)
+    gather(0, P)
+    return P, lags
 
 
 def _doppler_axis(n_doppler: int, dt: float) -> np.ndarray:
@@ -169,6 +192,69 @@ def _check_doppler_count(n_doppler: int | None, n: int, cyclic: bool) -> int:
     return n_doppler
 
 
+class _SurfaceBlocks:
+    """The one row-block loop behind every FFT surface of u against v.
+
+    Construction checks every size and allocates the buffers, so a bad size
+    or an allocation too large fails before anything is computed or
+    written.  Iterating yields (first row, block) in lag order.  Each block
+    takes its lag-product rows, flips the sign of their odd columns, runs
+    the zero-padded inverse FFT straight into its destination rows and
+    applies the scale-and-phase row there in place.  With whole=True the
+    destinations are rows of one surface, ``values``; otherwise ``values``
+    is one block buffer, reused, so a block holds only until the next.
+
+    The centred Doppler axis comes from the FFT input, not from an fftshift
+    of its output: n_doppler is even, so shifting the output by n_doppler/2
+    bins is the same as multiplying input sample m by (-1)^m.  The flip is
+    exact.  This matches ifft-then-fftshift bit for bit only where
+    pocketfft rounds the flipped input the same way (power-of-two lengths)
+    and n_doppler*dt is a power of two, and even there a cell that is
+    exactly zero may flip the sign of its zero; elsewhere the two differ at
+    rounding level.  pocketfft transforms each row on its own, so the block
+    size does not change a bit of the result.
+    """
+
+    def __init__(
+        self,
+        u: SampledSignal,
+        v: SampledSignal | None,
+        n_doppler: int | None,
+        cyclic: bool,
+        whole: bool,
+    ) -> None:
+        if v is None:
+            v = u
+        u.require_compatible(v)
+        self.n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
+        self.lags, self._gather = _lag_rows(u, v, cyclic)
+        self.tau_axis = self.lags * u.dt
+        self.nu_axis = _doppler_axis(self.n_doppler, u.dt)
+        # the scale n_doppler*dt times the window phase exp(i 2 pi nu t0)
+        self._scale = (self.n_doppler * u.dt) * np.exp(
+            1j * 2.0 * math.pi * self.nu_axis * u.t0
+        )
+        n_lag = self.lags.size
+        self._rows = min(n_lag, max(1, _BLOCK_BYTES // (16 * self.n_doppler)))
+        self._products = np.empty((self._rows, u.n), dtype=np.complex128)
+        self._whole = whole
+        self.values = np.empty(
+            (n_lag if whole else self._rows, self.n_doppler), dtype=np.complex128
+        )
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        n_lag = self.lags.size
+        for start in range(0, n_lag, self._rows):
+            stop = min(start + self._rows, n_lag)
+            P = self._products[: stop - start]
+            self._gather(start, P)
+            np.negative(P[:, 1::2], out=P[:, 1::2])
+            block = self.values[start:stop] if self._whole else self.values[: stop - start]
+            np.fft.ifft(P, n=self.n_doppler, axis=1, out=block)
+            block *= self._scale
+            yield start, block
+
+
 def cross_ambiguity(
     u: SampledSignal,
     v: SampledSignal | None = None,
@@ -181,35 +267,24 @@ def cross_ambiguity(
     index, then picks up the window phase exp(i 2 pi nu t0) so the result
     matches the absolute-time definition.
 
-    The centred Doppler axis comes from the FFT input, not from an
-    fftshift of its output: n_doppler is even, so shifting the output by
-    n_doppler/2 bins is the same as multiplying input sample m by (-1)^m.
-    The sign flip is exact and writes into the lag products this call
-    owns, so the surface is the only full-size array left once they are
-    dropped; the scale n_doppler*dt and the window phase then go on in one
-    in-place pass.  This matches ifft-then-fftshift bit for bit only where
-    pocketfft rounds the flipped input the same way (power-of-two lengths)
-    and n_doppler*dt is a power of two, and even there a cell that is
-    exactly zero may flip the sign of its zero; elsewhere the two differ
-    at rounding level.
+    The surface is allocated once and filled in blocks of lag rows, each
+    block's lag products transformed straight into its rows (see
+    :class:`_SurfaceBlocks`).  Besides the surface, only the lag products
+    of one block are alive, never all (2n-1) x n of them.
+    ``io_formats.write_surface_stream`` runs the same loop into a SUR1 file
+    and holds one block of the surface instead of all of it.
 
     Args:
         u, v: signals on a common grid.
         n_doppler: Doppler bins; defaults to 4n (linear) or n (cyclic).
         cyclic: use mod-n lag products on lags -n/2 .. n/2-1.
     """
-    if v is None:
-        v = u
-    u.require_compatible(v)
-    n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
-    P, lags = _lag_products(u, v, cyclic)
-    np.negative(P[:, 1::2], out=P[:, 1::2])
-    X = np.fft.ifft(P, n=n_doppler, axis=1)
-    del P
-    nu_axis = _doppler_axis(n_doppler, u.dt)
-    X *= (n_doppler * u.dt) * np.exp(1j * 2.0 * math.pi * nu_axis * u.t0)
+    blocks = _SurfaceBlocks(u, v, n_doppler, cyclic, whole=True)
+    for _ in blocks:
+        pass
     return AmbiguitySurface(
-        X, lags * u.dt, nu_axis, "cyclic" if cyclic else "linear", u.dt, u.t0
+        blocks.values, blocks.tau_axis, blocks.nu_axis,
+        "cyclic" if cyclic else "linear", u.dt, u.t0,
     )
 
 
@@ -391,11 +466,20 @@ def _require_array(waveforms: list[SampledSignal], cfg: SteeringConfig) -> None:
         waveforms[0].require_compatible(w)
 
 
-def _beam(waveforms: list[SampledSignal], cfg: SteeringConfig, fs: float) -> SampledSignal:
-    """The beamformed signal sum_m exp(i 2 pi gamma fs m) u_m."""
-    return waveforms[0].replace_samples(
-        sum(c * w.samples for c, w in zip(cfg.steering_phases(fs), waveforms))
-    )
+def mimo_beams(
+    waveforms: list[SampledSignal], cfg: SteeringConfig, fs: float, fs_prime: float
+) -> tuple[SampledSignal, SampledSignal]:
+    """The beamformed pair U = sum_m exp(i 2 pi gamma fs m) u_m and V, the
+    same at fs'."""
+    _require_array(waveforms, cfg)
+
+    def beam(f: float) -> SampledSignal:
+        phases = cfg.steering_phases(f)
+        return waveforms[0].replace_samples(
+            sum(c * w.samples for c, w in zip(phases, waveforms))
+        )
+
+    return beam(fs), beam(fs_prime)
 
 
 def mimo_ambiguity(
@@ -409,14 +493,10 @@ def mimo_ambiguity(
 
     chi is linear in its first signal and conjugate-linear in its second,
     so the slice is the single surface chi(U, V) of the beamformed pair
-    U = sum_m exp(i 2 pi gamma fs m) u_m and V (same at fs'); see San
-    Antonio, Fuhrmann & Robey, "MIMO Radar Ambiguity Functions", IEEE
-    JSTSP 1(1), 2007.
+    (:func:`mimo_beams`); see San Antonio, Fuhrmann & Robey, "MIMO Radar
+    Ambiguity Functions", IEEE JSTSP 1(1), 2007.
     """
-    _require_array(waveforms, cfg)
-    return cross_ambiguity(
-        _beam(waveforms, cfg, fs), _beam(waveforms, cfg, fs_prime), n_doppler=n_doppler
-    )
+    return cross_ambiguity(*mimo_beams(waveforms, cfg, fs, fs_prime), n_doppler=n_doppler)
 
 
 def mimo_slice_spatial(

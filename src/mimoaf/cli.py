@@ -36,7 +36,7 @@ from . import io_formats
 from .ambiguity import (
     SteeringConfig,
     cross_ambiguity,
-    mimo_ambiguity,
+    mimo_beams,
     mimo_slice_spatial,
     spatial_integral,
     wigner,
@@ -352,6 +352,24 @@ def _export_surface(args, values, tau0, dtau, nu0, dnu, surface=None) -> None:
         io_formats.write_ppm(args.ppm, values, args.db_floor, scaling)
 
 
+def _cross_surface(args, u: SampledSignal, v: SampledSignal) -> tuple[int, int, complex]:
+    """Export cross_ambiguity(u, v) to every requested output and return its
+    lag count, Doppler count and origin value.  A SUR1 file alone streams
+    one block of lag rows at a time, so the surface is never whole in memory."""
+    if args.out and not (args.csv or args.ppm):
+        return io_formats.write_surface_stream(args.out, u, v, args.n_doppler)
+    s = cross_ambiguity(u, v, n_doppler=args.n_doppler)
+    _export_surface(
+        args, s.values, float(s.tau_axis[0]), s.d_tau, float(s.nu_axis[0]), s.d_nu, s
+    )
+    return s.n_lag, s.n_doppler, s.value_at(0.0, 0.0)
+
+
+def _surface_line(label: str, n_lag: int, n_doppler: int, origin: complex) -> str:
+    return (f"{label} n_lag={n_lag} n_doppler={n_doppler} "
+            f"origin={origin.real:.12g}{origin.imag:+.12g}j")
+
+
 def cmd_af(args) -> int:
     u = io_formats.read_signal(args.u)
     v = io_formats.read_signal(args.v) if args.v else u
@@ -363,13 +381,7 @@ def cmd_af(args) -> int:
         )
         print(f"wigner n_time={w.values.shape[0]} n_freq={w.values.shape[1]}")
         return 0
-    s = cross_ambiguity(u, v, n_doppler=args.n_doppler)
-    _export_surface(
-        args, s.values, float(s.tau_axis[0]), s.d_tau, float(s.nu_axis[0]), s.d_nu, s
-    )
-    origin = s.value_at(0.0, 0.0)
-    print(f"af n_lag={s.n_lag} n_doppler={s.n_doppler} "
-          f"origin={origin.real:.12g}{origin.imag:+.12g}j")
+    print(_surface_line("af", *_cross_surface(args, u, v)))
     return 0
 
 
@@ -382,17 +394,16 @@ def cmd_mimo(args) -> int:
         _export_surface(args, grid, 0.0, step, 0.0, step)
         print(f"spatial-slice K={cfg.n_spatial} tau={args.tau:.12g} nu={args.nu:.12g}")
         return 0
-    if args.spatial_integral:
-        s = spatial_integral(waves, cfg, args.n_doppler)
-    else:
-        s = mimo_ambiguity(waves, cfg, args.fs, args.fsp, args.n_doppler)
+    if not args.spatial_integral:
+        # the beam slice is the cross-ambiguity of the beamformed pair
+        beams = mimo_beams(waves, cfg, args.fs, args.fsp)
+        print(_surface_line("mimo-slice", *_cross_surface(args, *beams)))
+        return 0
+    s = spatial_integral(waves, cfg, args.n_doppler)
     _export_surface(
         args, s.values, float(s.tau_axis[0]), s.d_tau, float(s.nu_axis[0]), s.d_nu, s
     )
-    origin = s.value_at(0.0, 0.0)
-    label = "spatial-integral" if args.spatial_integral else "mimo-slice"
-    print(f"{label} n_lag={s.n_lag} n_doppler={s.n_doppler} "
-          f"origin={origin.real:.12g}{origin.imag:+.12g}j")
+    print(_surface_line("spatial-integral", s.n_lag, s.n_doppler, s.value_at(0.0, 0.0)))
     return 0
 
 

@@ -9,7 +9,9 @@ produce byte-identical files.
 SUR1 layout: magic "SUR1", then little-endian u32 n_tau, u32 n_nu,
 f64 tau0, f64 dtau, f64 nu0, f64 dnu, then n_tau*n_nu complex values as
 interleaved (re, im) f64 pairs, row-major in lag.  The container stores
-axes only; it is also used for spatial (fs, fs') grids.
+axes only; it is also used for spatial (fs, fs') grids.  A cross-ambiguity
+surface can go to SUR1 one block of lag rows at a time
+(:func:`write_surface_stream`), never whole in memory.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ambiguity import AmbiguitySurface
+from .ambiguity import AmbiguitySurface, _SurfaceBlocks
 from .errors import FileFormatError
 from .properties import CheckReport
 from .signals import SampledSignal
@@ -29,6 +31,7 @@ __all__ = [
     "write_signal",
     "read_signal",
     "write_surface",
+    "write_surface_stream",
     "read_surface",
     "write_surface_csv",
     "read_surface_csv",
@@ -107,6 +110,17 @@ def read_signal(path: str | Path) -> SampledSignal:
     return SampledSignal(samples, dt, t0)
 
 
+def _sur1_header(
+    shape: tuple[int, int], tau0: float, dtau: float, nu0: float, dnu: float
+) -> bytes:
+    return _SUR1_MAGIC + struct.pack("<IIdddd", *shape, tau0, dtau, nu0, dnu)
+
+
+def _sur1_body(values: np.ndarray) -> memoryview:
+    # copies only when the input is strided or not little-endian complex128
+    return np.ascontiguousarray(values, dtype="<c16").data
+
+
 def write_surface(
     path: str | Path,
     values: np.ndarray | AmbiguitySurface,
@@ -126,12 +140,48 @@ def write_surface(
     axes = {"tau0": tau0, "dtau": dtau, "nu0": nu0, "dnu": dnu}
     if missing := [name for name, x in axes.items() if x is None]:
         raise FileFormatError(f"raw surface values need axis values; missing {', '.join(missing)}")
-    header = _SUR1_MAGIC + struct.pack("<IIdddd", *arr.shape, tau0, dtau, nu0, dnu)
-    # copies only when the input is strided or not little-endian complex128
-    body = np.ascontiguousarray(arr, dtype="<c16")
+    header = _sur1_header(arr.shape, tau0, dtau, nu0, dnu)
+    body = _sur1_body(arr)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body.data)
+        fh.write(body)
+
+
+def write_surface_stream(
+    path: str | Path, u: SampledSignal, v: SampledSignal, n_doppler: int | None
+) -> tuple[int, int, complex]:
+    """Write the SUR1 file of ``cross_ambiguity(u, v, n_doppler)`` one block
+    of lag rows at a time, byte-identical to :func:`write_surface` of that
+    surface.
+
+    Only one block of the surface is ever in memory.  Every size is checked
+    and the block buffer allocated before the file is opened; if the stream
+    fails after that, the partial file is deleted.  Returns the lag count,
+    the Doppler count and the surface value at the origin (tau, nu) = (0, 0).
+    """
+    blocks = _SurfaceBlocks(u, v, n_doppler, cyclic=False, whole=False)
+    tau, nu = blocks.tau_axis, blocks.nu_axis
+    header = _sur1_header(
+        (tau.size, nu.size), float(tau[0]), float(tau[1] - tau[0]),
+        float(nu[0]), float(nu[1] - nu[0]),
+    )
+    # lag 0 is row -lags[0]; Doppler 0 is column n_doppler/2
+    row0, col0 = -int(blocks.lags[0]), nu.size // 2
+    # opened outside the try: a path that cannot be opened is left alone
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(header)
+            for start, block in blocks:
+                fh.write(_sur1_body(block))
+                if start <= row0 < start + len(block):
+                    origin = complex(block[row0 - start, col0])
+    except BaseException:
+        # leave no partial surface; a device or pipe given as path stays
+        if Path(path).is_file():
+            Path(path).unlink()
+        raise
+    return tau.size, nu.size, origin
 
 
 def read_surface(path: str | Path) -> AmbiguitySurface:

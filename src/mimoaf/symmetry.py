@@ -39,10 +39,9 @@ import numpy.typing as npt
 from .ambiguity import (
     AmbiguitySurface,
     SteeringConfig,
-    _beam,
     _check_doppler_count,
-    _require_array,
     cross_ambiguity,
+    mimo_beams,
 )
 from .errors import GridMismatchError, InvalidParameterError
 from .properties import CheckReport
@@ -382,8 +381,7 @@ def verify_mimo_symmetry(
     """
     if g.tag is None:
         raise InvalidParameterError("pass a tagged generator (rotation/shear/scaling/mirror)")
-    _require_array(waveforms, cfg)
-    u, v = _beam(waveforms, cfg, fs), _beam(waveforms, cfg, fs_prime)
+    u, v = mimo_beams(waveforms, cfg, fs, fs_prime)
     kw = {} if tol is None else {"tol": tol}
     if g.tag == "J":
         rep = verify_fourier_rotation(u, v, **kw)

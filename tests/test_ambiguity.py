@@ -29,7 +29,8 @@ from mimoaf import (
     spatial_integral,
     wigner,
 )
-from mimoaf.ambiguity import _lag_products
+from mimoaf import ambiguity
+from mimoaf.ambiguity import _BLOCK_BYTES, _lag_products, _lag_rows
 from mimoaf.signals import HeisenbergPoint, SampledSignal
 
 from conftest import (
@@ -78,11 +79,15 @@ def test_fft_matches_oracle_off_power_of_two(cyclic):
 
 
 def test_cross_ambiguity_peak_memory(gauss256):
-    # The lag products P and one surface X are the only full-size arrays
-    # alive at once; an output fftshift would hold a second surface.
+    # The surface X and one block of lag products are the only arrays of
+    # size alive at once; the whole lag-product array would add (2n-1) x n.
+    # The last MiB covers the axes, the padded windows and numpy's ufunc
+    # buffers (about 0.45 MB here).
     n, n_doppler = gauss256.n, 1024
-    p_bytes = (2 * n - 1) * n * 16
     x_bytes = (2 * n - 1) * n_doppler * 16
+    rows = min(2 * n - 1, _BLOCK_BYTES // (16 * n_doppler))
+    block_bytes = rows * n * 16
+    assert block_bytes < (2 * n - 1) * n * 16
     tracemalloc.start()
     try:
         s = cross_ambiguity(gauss256, n_doppler=n_doppler)
@@ -90,7 +95,7 @@ def test_cross_ambiguity_peak_memory(gauss256):
     finally:
         tracemalloc.stop()
     assert s.values.nbytes == x_bytes
-    assert peak <= 1.05 * (p_bytes + x_bytes)
+    assert peak <= x_bytes + block_bytes + 2**20
 
 
 def _lag_products_loop(us, vs, cyclic):
@@ -122,6 +127,44 @@ def test_lag_products_match_loop(n, cyclic):
     P_ref, lags_ref = _lag_products_loop(us, vs, cyclic)
     assert np.array_equal(lags, lags_ref)
     assert P.tobytes() == P_ref.tobytes()
+    # the surface loop gathers blocks of rows into one reused buffer, which
+    # holds the previous block's products (here NaN at first)
+    for size in (1, 7, lags.size + 3):
+        lags_b, gather = _lag_rows(u, v, cyclic)
+        buf = np.full((min(size, lags.size), n), np.nan, dtype=np.complex128)
+        blocks = []
+        for start in range(0, lags.size, size):
+            block = buf[: min(size, lags.size - start)]
+            gather(start, block)
+            blocks.append(block.tobytes())
+        assert np.array_equal(lags_b, lags_ref)
+        assert b"".join(blocks) == P_ref.tobytes(), size
+
+
+@pytest.mark.parametrize("n,n_doppler,cyclic", [
+    (256, 1024, False), (256, 1000, False), (255, 1020, False), (2, 4, False),
+    (256, 256, True), (100, 100, True),
+])
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_blocked_surface_matches_one_ifft(n, n_doppler, cyclic, rows, monkeypatch):
+    # one batched ifft over every lag row, as the surface was built before
+    # it was blocked: pocketfft transforms each row on its own, so the
+    # block size must not change a bit
+    if rows is not None:
+        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * n_doppler)
+    rng = np.random.default_rng(n_doppler)
+    u, v = (
+        SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1 / 64, -0.37)
+        for _ in range(2)
+    )
+    P, lags = _lag_products(u, v, cyclic)
+    np.negative(P[:, 1::2], out=P[:, 1::2])
+    X = np.fft.ifft(P, n=n_doppler, axis=1)
+    nu = np.fft.fftshift(np.fft.fftfreq(n_doppler, d=u.dt))
+    X *= (n_doppler * u.dt) * np.exp(1j * 2.0 * math.pi * nu * u.t0)
+    s = cross_ambiguity(u, v, n_doppler=n_doppler, cyclic=cyclic)
+    assert s.values.tobytes() == X.tobytes()
+    assert np.array_equal(s.tau_axis, lags * u.dt) and np.array_equal(s.nu_axis, nu)
 
 
 # ------------------------------------------------------------ surface shape

@@ -1,7 +1,9 @@
+import errno
 import math
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from mimoaf import (
     gen_subcarrier_set,
     inner_product,
 )
-from mimoaf import cli
+from mimoaf import ambiguity, cli, io_formats
 from mimoaf.io_formats import (
     read_signal,
     read_surface,
@@ -232,6 +234,120 @@ def test_af_determinism(tmp_path):
         assert res.returncode == 0
         outs.append((sur.read_bytes(), ppm.read_bytes()))
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------- cli: streamed SUR1
+
+def _random_signal(n: int, seed: int) -> SampledSignal:
+    rng = np.random.default_rng(seed)
+    return SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1 / 64, -1.0)
+
+
+def _streamed_and_in_memory(argv, tmp_path, capsys):
+    """SUR1 bytes and stdout of argv with -o alone, which streams, and with
+    -o beside --ppm, which writes write_surface(cross_ambiguity(...))."""
+    runs = []
+    for tag, extra in (("stream", []), ("memory", ["--ppm", str(tmp_path / "x.ppm")])):
+        sur = tmp_path / f"{tag}.sur"
+        assert cli.main(argv + ["-o", str(sur), *extra]) == 0
+        runs.append((sur.read_bytes(), capsys.readouterr().out))
+    return runs
+
+
+@pytest.mark.parametrize("n,n_doppler,cross", [
+    (256, 1024, False), (256, 1000, True), (255, 1020, True), (2, 4, False),
+])
+@pytest.mark.parametrize("rows", [None, 5])
+def test_streamed_af_matches_in_memory(n, n_doppler, cross, rows, tmp_path,
+                                       monkeypatch, capsys):
+    if rows is not None:  # many blocks; at n = 256 lag 0 starts the 52nd
+        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * n_doppler)
+    u_path, v_path = tmp_path / "u.sig", tmp_path / "v.sig"
+    write_signal(u_path, _random_signal(n, 1))
+    write_signal(v_path, _random_signal(n, 2))
+    argv = ["af", "--u", str(u_path), "--n-doppler", str(n_doppler)]
+    if cross:
+        argv += ["--v", str(v_path)]
+    (streamed, line), (in_memory, line_ref) = _streamed_and_in_memory(argv, tmp_path, capsys)
+    assert streamed == in_memory
+    assert line == line_ref and line.startswith(f"af n_lag={2 * n - 1} ")
+    assert len(streamed) == 44 + (2 * n - 1) * n_doppler * 16
+
+
+@pytest.mark.parametrize("rows", [None, 5])
+def test_streamed_mimo_slice_matches_in_memory(rows, tmp_path, monkeypatch, capsys):
+    if rows is not None:
+        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * 1000)
+    paths = [tmp_path / f"s{m}.sig" for m in range(3)]
+    for path, w in zip(paths, gen_subcarrier_set(3, 1.0, 1 / 128)):
+        write_signal(path, w)
+    argv = ["mimo", "--inputs", *map(str, paths), "--fs", "0.25", "--fsp", "0.75",
+            "--n-doppler", "1000"]
+    (streamed, line), (in_memory, line_ref) = _streamed_and_in_memory(argv, tmp_path, capsys)
+    assert streamed == in_memory
+    assert line == line_ref and line.startswith("mimo-slice n_lag=511 n_doppler=1000 ")
+
+
+class _FailingFile:
+    """A binary file that takes the SUR1 header and the first block, then
+    raises the given error."""
+
+    def __init__(self, error, path, mode):
+        self.error = error
+        self.fh = open(path, mode)
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 2:
+            raise self.error
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("error", [
+    OSError(errno.ENOSPC, "No space left on device"), MemoryError("Unable to allocate"),
+], ids=["os-error", "memory-error"])
+def test_failed_stream_leaves_no_file(error, tmp_path, monkeypatch, capsys):
+    sig, out = tmp_path / "r.sig", tmp_path / "r.sur"
+    write_signal(sig, gen_rect(1.0, 1 / 128))
+    out.write_bytes(b"an older surface")
+    monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", 7 * 16 * 1024)
+    files = []
+
+    def failing_open(path, mode):
+        files.append(_FailingFile(error, path, mode))
+        return files[-1]
+
+    monkeypatch.setattr(io_formats, "open", failing_open, raising=False)
+    assert cli.main(["af", "--u", str(sig), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert [f.writes for f in files] == [3]
+    assert sorted(tmp_path.iterdir()) == [sig]
+
+
+def test_streamed_af_peak_memory(tmp_path, capsys):
+    # af -o alone holds one block of rows, not the 128 MiB surface
+    n, n_doppler = 1024, 4096
+    sig, out = tmp_path / "u.sig", tmp_path / "u.sur"
+    write_signal(sig, _random_signal(n, 3), binary=True)
+    tracemalloc.start()
+    try:
+        rc = cli.main(["af", "--u", str(sig), "--n-doppler", str(n_doppler), "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert capsys.readouterr().out.startswith(f"af n_lag={2 * n - 1} n_doppler={n_doppler} ")
+    assert out.stat().st_size == 44 + (2 * n - 1) * n_doppler * 16
+    out.unlink()
+    assert peak <= 16 * 2**20
 
 
 # --------------------------------------------------------------- cli: mimo
@@ -461,12 +577,16 @@ _HUGE_DOPPLER = str(2 ** 50)
     ["gen", "--family", "rect", "--dt", "1e-16"],
     ["af", "--u", "{sig}", "--n-doppler", _HUGE_DOPPLER],
     ["verify", "--suite", "norm", "--n-doppler", _HUGE_DOPPLER],
-], ids=["gen-dt", "af-n-doppler", "verify-n-doppler"])
+    # a count inside the u32 bound: the 4096 x (2**32 - 2) lag grid is 256 TiB
+    ["af", "--u", "{sig4096}", "--wigner", "--n-freq", str(2**32 - 2)],
+], ids=["gen-dt", "af-n-doppler", "verify-n-doppler", "wigner-n-freq"])
 def test_out_of_memory_exits_2(argv, tmp_path, capsys):
-    sig = tmp_path / "s.sig"
+    sig, sig4096 = tmp_path / "s.sig", tmp_path / "s4096.sig"
     write_signal(sig, gen_rect(1.0, 1 / 128))
+    write_signal(sig4096, gen_rect(1.0, 1 / 2048))
     out = tmp_path / "out"
-    argv = [a.replace("{sig}", str(sig)) for a in argv] + ["-o", str(out)]
+    argv = [a.replace("{sig}", str(sig)).replace("{sig4096}", str(sig4096)) for a in argv]
+    argv += ["-o", str(out)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
