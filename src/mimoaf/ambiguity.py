@@ -368,7 +368,12 @@ def wigner(
         m_max = min(ni, n - 1 - ni)
         m = np.arange(-m_max, m_max + 1)
         R[ni, m % n_freq] = us[ni + m] * np.conj(vs[ni - m])
-    W = 2.0 * u.dt * np.fft.fftshift(np.fft.fft(R, axis=1), axes=1)
+    np.fft.fft(R, axis=1, out=R)
+    # fftshift and the 2 dt scale in one pass: the two half-spectra swap
+    W = np.empty_like(R)
+    half, scale = n_freq // 2, 2.0 * u.dt
+    np.multiply(R[:, half:], scale, out=W[:, :half])
+    np.multiply(R[:, :half], scale, out=W[:, half:])
     freq_axis = np.fft.fftshift(np.fft.fftfreq(n_freq, d=2.0 * u.dt))
     return WignerDistribution(W, u.times, freq_axis, u.dt)
 
@@ -547,11 +552,17 @@ def spatial_integral(
     """
     _require_array(waveforms, cfg)
     cfg.require_integer_gamma()
-    trace = 0.0
+    trace = None
     for w in waveforms:
         s = cross_ambiguity(w, n_doppler=n_doppler)
-        trace = trace + s.values
-    return AmbiguitySurface(trace, s.tau_axis, s.nu_axis, s.kind, s.dt, s.t0)
+        if trace is None:
+            # zeros, not a copy of s: 0.0 + (-0.0) is +0.0, so each cell's
+            # sign bit is the one the sum 0.0 + chi_0 + chi_1 + ... gives
+            trace = np.zeros_like(s.values)
+            axes = (s.tau_axis, s.nu_axis, s.kind, s.dt, s.t0)
+        trace += s.values
+        del s  # only the trace and one surface are alive while the next is built
+    return AmbiguitySurface(trace, *axes)
 
 
 def mimo_energy_quadrature(

@@ -2,9 +2,15 @@
 
 Signals travel as SIG1 (plain text, one complex sample per line) or as the
 binary twin SIGB; surfaces as the binary SUR1 container or CSV.  All float
-text uses 17 significant digits, which round-trips IEEE doubles exactly,
-and the binary layouts are fixed little-endian, so identical inputs
-produce byte-identical files.
+text uses 17 significant digits (``%.17g``), which round-trips IEEE doubles
+exactly, and the binary layouts are fixed little-endian, so identical
+inputs produce byte-identical files.
+
+The text bodies are formatted by one ``%`` map over columns of Python
+floats, and a CSV surface is written one lag row at a time, so its text is
+never whole in memory.  The readers check the header and the line count,
+then parse the body with numpy's C reader (``np.loadtxt``), which rounds
+each number exactly as ``float()`` does.
 
 SUR1 layout: magic "SUR1", then little-endian u32 n_tau, u32 n_nu,
 f64 tau0, f64 dtau, f64 nu0, f64 dnu, then n_tau*n_nu complex values as
@@ -16,9 +22,13 @@ surface can go to SUR1 one block of lag rows at a time
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
+from collections.abc import Iterator
+from itertools import repeat
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -47,6 +57,37 @@ def _f(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _text_lines(fmt: str, *columns) -> str:
+    """fmt % (c0[i], c1[i], ...) for each i, joined.  Give float columns as
+    Python floats (``.tolist()``): ``%.17g`` then formats them exactly as
+    ``format(x, ".17g")`` does, -0.0 and inf included."""
+    return "".join(map(fmt.__mod__, zip(*columns)))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    # set the parts, not re + 1j * im, which turns an infinite part into nan
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    return z
+
+
+@contextlib.contextmanager
+def _new_file(path: str | Path, mode: str) -> Iterator[IO]:
+    """Open path for writing; if the write fails, delete the partial file.
+
+    The file is opened outside the cleanup: a path that cannot be opened is
+    left alone, and so is a device or pipe given as path."""
+    fh = open(path, mode)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if Path(path).is_file():
+            Path(path).unlink()
+        raise
+
+
 def write_signal(path: str | Path, signal: SampledSignal, binary: bool = False) -> None:
     path = Path(path)
     if binary:
@@ -56,10 +97,11 @@ def write_signal(path: str | Path, signal: SampledSignal, binary: bool = False) 
         blob += signal.samples.astype("<c16").tobytes()
         path.write_bytes(bytes(blob))
         return
-    lines = [f"n={signal.n}", f"dt={_f(signal.dt)}", f"t0={_f(signal.t0)}"]
-    for z in signal.samples:
-        lines.append(f"{_f(z.real)},{_f(z.imag)}")
-    path.write_text("\n".join(lines) + "\n")
+    z = signal.samples
+    path.write_text(
+        f"n={signal.n}\ndt={_f(signal.dt)}\nt0={_f(signal.t0)}\n"
+        + _text_lines("%.17g,%.17g\n", z.real.tolist(), z.imag.tolist())
+    )
 
 
 def _read_signal_binary(blob: bytes, path: Path) -> SampledSignal:
@@ -100,14 +142,13 @@ def read_signal(path: str | Path) -> SampledSignal:
     body = lines[3:]
     if len(body) != n:
         raise FileFormatError(f"{path}: header says {n} samples, found {len(body)}")
-    samples = np.empty(n, dtype=np.complex128)
-    for i, ln in enumerate(body):
-        try:
-            re_s, im_s = ln.split(",")
-            samples[i] = complex(float(re_s), float(im_s))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: bad sample line {i + 4}: {ln!r}") from exc
-    return SampledSignal(samples, dt, t0)
+    try:
+        pairs = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad sample line: {exc}") from exc
+    if pairs.shape[1] != 2:
+        raise FileFormatError(f"{path}: sample lines need 2 fields, found {pairs.shape[1]}")
+    return SampledSignal(_complex(pairs[:, 0], pairs[:, 1]), dt, t0)
 
 
 def _sur1_header(
@@ -142,7 +183,7 @@ def write_surface(
         raise FileFormatError(f"raw surface values need axis values; missing {', '.join(missing)}")
     header = _sur1_header(arr.shape, tau0, dtau, nu0, dnu)
     body = _sur1_body(arr)
-    with open(path, "wb") as fh:
+    with _new_file(path, "wb") as fh:
         fh.write(header)
         fh.write(body)
 
@@ -167,20 +208,12 @@ def write_surface_stream(
     )
     # lag 0 is row -lags[0]; Doppler 0 is column n_doppler/2
     row0, col0 = -int(blocks.lags[0]), nu.size // 2
-    # opened outside the try: a path that cannot be opened is left alone
-    fh = open(path, "wb")
-    try:
-        with fh:
-            fh.write(header)
-            for start, block in blocks:
-                fh.write(_sur1_body(block))
-                if start <= row0 < start + len(block):
-                    origin = complex(block[row0 - start, col0])
-    except BaseException:
-        # leave no partial surface; a device or pipe given as path stays
-        if Path(path).is_file():
-            Path(path).unlink()
-        raise
+    with _new_file(path, "wb") as fh:
+        fh.write(header)
+        for start, block in blocks:
+            fh.write(_sur1_body(block))
+            if start <= row0 < start + len(block):
+                origin = complex(block[row0 - start, col0])
     return tau.size, nu.size, origin
 
 
@@ -209,48 +242,71 @@ def read_surface(path: str | Path) -> AmbiguitySurface:
 
 
 def write_surface_csv(path: str | Path, s: AmbiguitySurface) -> None:
-    """CSV with axis header comments and one `tau,nu,re,im` line per cell."""
-    out = [
-        f"# n_tau={s.n_lag} n_nu={s.n_doppler}",
+    """CSV with axis header comments and one `tau,nu,re,im` line per cell,
+    written one lag row at a time.  If the write fails, no file is left."""
+    header = (
+        f"# n_tau={s.n_lag} n_nu={s.n_doppler}\n"
         f"# tau0={_f(float(s.tau_axis[0]))} dtau={_f(s.d_tau)} "
-        f"nu0={_f(float(s.nu_axis[0]))} dnu={_f(s.d_nu)}",
-        "tau,nu,re,im",
-    ]
-    for i, tau in enumerate(s.tau_axis):
-        row = s.values[i]
-        for j, nu in enumerate(s.nu_axis):
-            z = row[j]
-            out.append(f"{_f(tau)},{_f(nu)},{_f(z.real)},{_f(z.imag)}")
-    Path(path).write_text("\n".join(out) + "\n")
+        f"nu0={_f(float(s.nu_axis[0]))} dnu={_f(s.d_nu)}\n"
+        "tau,nu,re,im\n"
+    )
+    # tau and nu are formatted once each, with their commas
+    nus = [_f(nu) + "," for nu in s.nu_axis.tolist()]
+    with _new_file(path, "w") as fh:
+        fh.write(header)
+        for tau, row in zip(s.tau_axis.tolist(), s.values):
+            fh.write(_text_lines("%s%s%.17g,%.17g\n", repeat(_f(tau) + ","), nus,
+                                 row.real.tolist(), row.imag.tolist()))
+
+
+def _count_lines(fh: IO[str]) -> int:
+    """Lines left in text file fh; a last line without a newline counts."""
+    count, last = 0, "\n"
+    for chunk in iter(lambda: fh.read(2**20), ""):
+        count += chunk.count("\n")
+        last = chunk[-1]
+    return count + (last != "\n")
 
 
 def read_surface_csv(path: str | Path) -> AmbiguitySurface:
+    """Read a CSV surface: two header comment lines, the column line, then
+    exactly n_tau * n_nu `tau,nu,re,im` rows, parsed by numpy's C reader.
+    Every row must hold four numbers; blank and comment lines are errors."""
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if len(lines) < 3 or not lines[0].startswith("#") or not lines[1].startswith("#"):
-        raise FileFormatError(f"{path}: missing CSV surface header")
-    meta: dict[str, str] = {}
-    for ln in lines[:2]:
-        for tok in ln.lstrip("#").split():
-            key, _, val = tok.partition("=")
-            meta[key] = val
-    try:
-        n_tau = int(meta["n_tau"])
-        n_nu = int(meta["n_nu"])
-        tau0, dtau = float(meta["tau0"]), float(meta["dtau"])
-        nu0, dnu = float(meta["nu0"]), float(meta["dnu"])
-    except (KeyError, ValueError) as exc:
-        raise FileFormatError(f"{path}: bad CSV surface header") from exc
-    body = lines[3:]
-    if len(body) != n_tau * n_nu:
-        raise FileFormatError(f"{path}: expected {n_tau * n_nu} rows, found {len(body)}")
-    values = np.empty(n_tau * n_nu, dtype=np.complex128)
-    for i, ln in enumerate(body):
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise FileFormatError(f"{path}: bad CSV row {i + 4}")
-        values[i] = complex(float(parts[2]), float(parts[3]))
-    values = values.reshape(n_tau, n_nu)
+    # a byte that is not UTF-8 becomes U+FFFD, which no number parses as
+    with open(path, errors="replace") as fh:
+        head = [fh.readline() for _ in range(3)]
+        if not head[2] or not head[0].startswith("#") or not head[1].startswith("#"):
+            raise FileFormatError(f"{path}: missing CSV surface header")
+        meta: dict[str, str] = {}
+        for ln in head[:2]:
+            for tok in ln.lstrip("#").split():
+                key, _, val = tok.partition("=")
+                meta[key] = val
+        try:
+            n_tau = int(meta["n_tau"])
+            n_nu = int(meta["n_nu"])
+            tau0, dtau = float(meta["tau0"]), float(meta["dtau"])
+            nu0, dnu = float(meta["nu0"]), float(meta["dnu"])
+        except (KeyError, ValueError) as exc:
+            raise FileFormatError(f"{path}: bad CSV surface header") from exc
+        if n_tau < 1 or n_nu < 1:
+            raise FileFormatError(f"{path}: bad CSV surface header: {n_tau}x{n_nu} cells")
+        # loadtxt skips blank lines, so the rows are counted before it runs
+        start = fh.tell()
+        rows = _count_lines(fh)
+        if rows != n_tau * n_nu:
+            raise FileFormatError(f"{path}: expected {n_tau * n_nu} rows, found {rows}")
+        fh.seek(start)
+        try:
+            cells = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: bad CSV row: {exc}") from exc
+    if cells.shape != (rows, 4):
+        raise FileFormatError(
+            f"{path}: expected {rows} rows of 4 fields, found {cells.shape[0]} of {cells.shape[1]}"
+        )
+    values = _complex(cells[:, 2], cells[:, 3]).reshape(n_tau, n_nu)
     tau_axis = tau0 + dtau * np.arange(n_tau)
     nu_axis = nu0 + dnu * np.arange(n_nu)
     return AmbiguitySurface(values, tau_axis, nu_axis, "linear", dtau, 0.0)

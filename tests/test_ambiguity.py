@@ -274,6 +274,43 @@ def test_af_wigner_duality(gauss256):
     assert frob_rel(dual.values, s.values) <= 1e-6
 
 
+def _wigner_reference(u, v, n_freq):
+    # the lag array, then a separate FFT, fftshift and scale, as first written
+    n, us, vs = u.n, u.samples, v.samples
+    R = np.zeros((n, n_freq), dtype=np.complex128)
+    for ni in range(n):
+        m_max = min(ni, n - 1 - ni)
+        m = np.arange(-m_max, m_max + 1)
+        R[ni, m % n_freq] = us[ni + m] * np.conj(vs[ni - m])
+    return 2.0 * u.dt * np.fft.fftshift(np.fft.fft(R, axis=1), axes=1)
+
+
+@pytest.mark.parametrize("n,n_freq", [(64, None), (63, 130), (2, 2)])
+def test_wigner_matches_fftshift_expression(n, n_freq):
+    rng = np.random.default_rng(n)
+    u, v = (SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1 / 64, -0.5)
+            for _ in range(2))
+    w = wigner(u, v, n_freq=n_freq)
+    ref = _wigner_reference(u, v, n_freq or 2 * n)
+    assert w.values.tobytes() == ref.tobytes()
+
+
+def test_wigner_peak_memory():
+    # the lag array is transformed in place and its half-spectra are scaled
+    # straight into the result: two arrays of the result's size, not three
+    n = 1024
+    rng = np.random.default_rng(4)
+    u = SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1 / 64, -8.0)
+    tracemalloc.start()
+    try:
+        w = wigner(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.values.shape == (n, 2 * n)
+    assert peak <= 2 * w.values.nbytes + 2**20
+
+
 # ------------------------------------------------- correlation matrix entries
 
 def test_correlation_matrix_orthogonality_at_origin(subcarriers2):
@@ -456,6 +493,36 @@ def test_spatial_integral_orthonormal_origin(subcarriers2):
 def test_spatial_integral_requires_integer_gamma(subcarriers2):
     with pytest.raises(InvalidParameterError):
         spatial_integral(subcarriers2, SteeringConfig(2, 0.5, 8))
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_spatial_integral_bytes_match_out_of_place_sum(m):
+    # 0.0 + chi_0 + chi_1 + ...: the first add turns -0.0 cells into +0.0,
+    # which a sum started from a copy of chi_0 would not
+    ws = gen_subcarrier_set(4, 1.0, DT)[:m]
+    expect = 0.0
+    for w in ws:
+        expect = expect + cross_ambiguity(w, n_doppler=512).values
+    first = cross_ambiguity(ws[0], n_doppler=512).values.view(np.float64)
+    assert np.any((first == 0) & np.signbit(first))
+    out = spatial_integral(ws, SteeringConfig(m, 1.0, 16), n_doppler=512)
+    assert out.values.tobytes() == expect.tobytes()
+
+
+def test_spatial_integral_peak_memory():
+    # the trace and one self surface, with that surface's lag-product block
+    ws = gen_subcarrier_set(4, 1.0, DT)
+    n, n_doppler = ws[0].n, 1024
+    x_bytes = (2 * n - 1) * n_doppler * 16
+    block_bytes = min(2 * n - 1, _BLOCK_BYTES // (16 * n_doppler)) * n * 16
+    tracemalloc.start()
+    try:
+        out = spatial_integral(ws, SteeringConfig(4, 1.0, 16), n_doppler=n_doppler)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.values.nbytes == x_bytes
+    assert peak <= 2 * x_bytes + block_bytes + 2**20
 
 
 @pytest.fixture(scope="module")

@@ -289,13 +289,14 @@ def test_streamed_mimo_slice_matches_in_memory(rows, tmp_path, monkeypatch, caps
 
 
 class _FailingFile:
-    """A binary file that takes the SUR1 header and the first block, then
-    raises the given error."""
+    """A file that takes the first `limit` writes (by default the SUR1 header
+    and the first block), then raises the given error."""
 
-    def __init__(self, error, path, mode):
+    def __init__(self, error, path, mode, limit=2):
         self.error = error
         self.fh = open(path, mode)
         self.writes = 0
+        self.limit = limit
 
     def __enter__(self):
         return self
@@ -305,7 +306,7 @@ class _FailingFile:
 
     def write(self, data):
         self.writes += 1
-        if self.writes > 2:
+        if self.writes > self.limit:
             raise self.error
         return self.fh.write(data)
 
@@ -330,6 +331,27 @@ def test_failed_stream_leaves_no_file(error, tmp_path, monkeypatch, capsys):
     assert err.startswith("error:") and "Traceback" not in err
     assert [f.writes for f in files] == [3]
     assert sorted(tmp_path.iterdir()) == [sig]
+
+
+@pytest.mark.parametrize("writer", [write_surface, write_surface_csv])
+def test_failed_surface_write_leaves_no_file(writer, tmp_path, monkeypatch):
+    # the header goes through, the SUR1 body or the first CSV row fails
+    s = cross_ambiguity(gen_rect(1.0, 1 / 16))
+    out = tmp_path / "s.out"
+    out.write_bytes(b"an older surface")
+    error = OSError(errno.ENOSPC, "No space left on device")
+    files = []
+
+    def failing_open(path, mode):
+        files.append(_FailingFile(error, path, mode, limit=1))
+        return files[-1]
+
+    monkeypatch.setattr(io_formats, "open", failing_open, raising=False)
+    with pytest.raises(OSError) as info:
+        writer(out, s)
+    assert info.value is error
+    assert [f.writes for f in files] == [2]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_streamed_af_peak_memory(tmp_path, capsys):

@@ -1,0 +1,210 @@
+"""The SIG1 and CSV text codecs: pinned bytes, malformed input, the exact
+round trip and the memory of the row-by-row CSV writer."""
+
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mimoaf import FileFormatError, SampledSignal, cli, cross_ambiguity, gen_rect
+from mimoaf.ambiguity import AmbiguitySurface
+from mimoaf.io_formats import read_signal, read_surface_csv, write_signal, write_surface_csv
+
+
+def _integer_signal(n: int, k: int, dt: float = 0.125) -> SampledSignal:
+    """Small-integer samples on a power-of-two step, so that a surface of it
+    carries no rounding but the FFT's own."""
+    m = np.arange(n)
+    return SampledSignal((m * k) % 5 - 2 + 1j * ((m + k) % 3 - 1), dt, -(n // 2) * dt)
+
+
+def _signed_zero_surface() -> AmbiguitySurface:
+    # -0.0 in both parts, infinities, subnormals and 17-digit values
+    values = np.array([
+        [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)],
+        [complex(np.inf, -np.inf), complex(5e-324, -2.2250738585072009e-308), 0.1 - 1j / 3],
+    ])
+    return AmbiguitySurface(values, np.array([-0.25, 0.0]), np.array([-1.0, -0.5, 0.0]),
+                            "linear", 0.25, 0.0)
+
+
+def _write_rect(d):
+    u = gen_rect(1.0, 1 / 16)
+    write_signal(d / "u.sig", u)
+    write_surface_csv(d / "af.csv", cross_ambiguity(u))
+
+
+def _write_odd_cross(d):
+    u, v = _integer_signal(7, 1), _integer_signal(7, 2)
+    write_signal(d / "u.sig", u)
+    write_signal(d / "v.sig", v)
+    write_surface_csv(d / "af.csv", cross_ambiguity(u, v))
+
+
+def _write_signed_zeros(d):
+    samples = np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.5, 1e-310),
+                        complex(0.1, -0.0)])
+    write_signal(d / "u.sig", SampledSignal(samples, 0.1, -0.2))
+    write_surface_csv(d / "af.csv", _signed_zero_surface())
+
+
+def _write_spatial_grid(d):
+    paths = [d / "a.sig", d / "b.sig"]
+    write_signal(paths[0], _integer_signal(8, 1))
+    write_signal(paths[1], _integer_signal(8, 3))
+    argv = ["mimo", "--inputs", *map(str, paths), "--slice-spatial", "--K", "4",
+            "--csv", str(d / "grid.csv")]
+    assert cli.main(argv) == 0
+
+
+# sha256 of every file each case writes, taken from the per-line writers
+# these codecs replace.  The surface cases also pin the FFT's rounding, and
+# the grid the steering product's, of exact inputs: a numpy or BLAS build
+# that rounds those differently changes the pins without a codec fault.
+PINNED = {
+    "rect": (_write_rect, {
+        "af.csv": "271ef9c85e2e82cdab7c3597d008dc99926661fc96e8fd6a9e07c6659fc70f67",
+        "u.sig": "adac0fd9023e6cc650c01c6de945a7d75c445b960e0f90370e91aee4feea5b9b",
+    }),
+    "odd-cross": (_write_odd_cross, {
+        "af.csv": "fb6602b2c2bdf523c4a003cf65a213c02aea74e0d53e208609f54492b3ea50eb",
+        "u.sig": "7e7e18f1405d54ce994f1fc319e2a5ffe75d6c6ba7e2fbf1ea9eff37acf02120",
+        "v.sig": "db2ba360e6cc171360216f774d0f8409732d696cc12a1349f44248269b6dd101",
+    }),
+    "signed-zeros": (_write_signed_zeros, {
+        "af.csv": "ceadef881d06065ecb8f382eb8e8fe922ebf24f594cd7c9799049654d50b4575",
+        "u.sig": "54d15e21ef8efedc9bd3b0657d5eb42e9715410284457ef50299364f8ab334a7",
+    }),
+    "spatial-grid": (_write_spatial_grid, {
+        "a.sig": "618485f984a55708775e2da0ce78651f9e49a39038ec35d1865aee3eb0153027",
+        "b.sig": "6beacecdb4916eae442a3c9b1d9b73ba3afe183778375561dc58ce274cfaa802",
+        "grid.csv": "123c90eb20879909a218bfcd692ddf77def0bfdbbe53d782983611eae1c615ed",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_text_files_match_pinned_bytes(case, tmp_path, capsys):
+    write, pinned = PINNED[case]
+    write(tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == pinned
+
+
+def test_signed_zero_cells_read_back_bit_exact(tmp_path):
+    s = _signed_zero_surface()
+    write_surface_csv(tmp_path / "z.csv", s)
+    back = read_surface_csv(tmp_path / "z.csv")
+    assert back.values.view(np.uint64).tolist() == s.values.view(np.uint64).tolist()
+
+
+# ------------------------------------------------------------ malformed CSV
+
+_HEADER = "# n_tau=2 n_nu=2\n# tau0=-1 dtau=1 nu0=-0.5 dnu=0.5\ntau,nu,re,im\n"
+_ROWS = ["-1,-0.5,1,2", "-1,0,3,4", "0,-0.5,5,6", "0,0,7,8"]
+
+_MALFORMED = {
+    "no-header": "".join(r + "\n" for r in _ROWS),
+    "header-only-two-lines": "# n_tau=2 n_nu=2\n# tau0=-1 dtau=1 nu0=-0.5 dnu=0.5\n",
+    "bad-count": _HEADER.replace("n_nu=2", "n_nu=two") + "\n".join(_ROWS) + "\n",
+    "missing-axis": _HEADER.replace(" dnu=0.5", "") + "\n".join(_ROWS) + "\n",
+    "zero-cells": _HEADER.replace("n_tau=2", "n_tau=0"),
+    "too-few-rows": _HEADER + "\n".join(_ROWS[:3]) + "\n",
+    "too-many-rows": _HEADER + "\n".join(_ROWS + _ROWS[-1:]) + "\n",
+    "blank-line-extra": _HEADER + "\n".join(_ROWS[:2] + [""] + _ROWS[2:]) + "\n",
+    "blank-line-for-row": _HEADER + "\n".join(_ROWS[:3] + [""]) + "\n",
+    "trailing-blank-line": _HEADER + "\n".join(_ROWS) + "\n\n",
+    "three-fields": _HEADER + "\n".join(_ROWS[:3] + ["0,0,7"]) + "\n",
+    "five-fields": _HEADER + "\n".join(_ROWS[:3] + ["0,0,7,8,9"]) + "\n",
+    "five-fields-everywhere": _HEADER + "".join(r + ",9\n" for r in _ROWS),
+    "three-fields-everywhere": _HEADER + "".join(r.rsplit(",", 1)[0] + "\n" for r in _ROWS),
+    "non-numeric-re": _HEADER + "\n".join(_ROWS[:3] + ["0,0,x,8"]) + "\n",
+    "non-numeric-im": _HEADER + "\n".join(_ROWS[:3] + ["0,0,7,1.5j"]) + "\n",
+    "empty-field": _HEADER + "\n".join(_ROWS[:3] + ["0,0,,8"]) + "\n",
+    "comment-for-row": _HEADER + "\n".join(_ROWS[:3] + ["# 0,0,7,8"]) + "\n",
+    "comment-extra": _HEADER + "\n".join(_ROWS[:1] + ["# note"] + _ROWS[1:]) + "\n",
+    "not-utf8-header": _HEADER.replace("n_nu=2", "n_nu=\xff2") + "\n".join(_ROWS) + "\n",
+    "not-utf8-row": _HEADER + "\n".join(_ROWS[:3] + ["0,0,7\xff,8"]) + "\n",
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_malformed_csv_is_rejected(case, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(_MALFORMED[case].encode("latin-1"))  # "\xff" is not UTF-8
+    with pytest.raises(FileFormatError):
+        read_surface_csv(path)
+
+
+def test_well_formed_csv_reference_reads(tmp_path):
+    # the text the malformed cases start from is itself accepted
+    path = tmp_path / "ok.csv"
+    path.write_text(_HEADER + "\n".join(_ROWS) + "\n")
+    s = read_surface_csv(path)
+    assert s.values.tolist() == [[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]]
+    assert s.tau_axis.tolist() == [-1.0, 0.0] and s.nu_axis.tolist() == [-0.5, 0.0]
+
+
+@pytest.mark.parametrize("line", ["1,x", "1", "1,2,3", "# 1,2", "1,,"])
+def test_bad_sig1_sample_line_is_rejected(line, tmp_path):
+    path = tmp_path / "bad.sig"
+    path.write_text(f"n=2\ndt=0.5\nt0=0\n1,2\n{line}\n")
+    with pytest.raises(FileFormatError):
+        read_signal(path)
+
+
+# ------------------------------------------------------- exact round trip
+
+# every double but nan: finite values, both zeros, subnormals and both infinities
+_doubles = st.floats(allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_tau=st.integers(2, 4), n_nu=st.integers(2, 4), data=st.data())
+def test_csv_round_trip_is_bit_exact(n_tau, n_nu, data, tmp_path_factory):
+    parts = data.draw(st.lists(_doubles, min_size=2 * n_tau * n_nu, max_size=2 * n_tau * n_nu))
+    values = np.array(parts).view(np.complex128).reshape(n_tau, n_nu)
+    s = AmbiguitySurface(values, 0.5 * np.arange(n_tau) - 0.5, 0.25 * np.arange(n_nu),
+                         "linear", 0.5, 0.0)
+    path = tmp_path_factory.mktemp("csv") / "s.csv"
+    write_surface_csv(path, s)
+    back = read_surface_csv(path)
+    assert back.values.view(np.uint64).tolist() == s.values.view(np.uint64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2),
+                      min_size=1, max_size=8))
+def test_sig1_round_trip_is_bit_exact(pairs, tmp_path_factory):
+    u = SampledSignal(np.array(pairs).view(np.complex128)[:, 0], 0.1, -0.3)
+    path = tmp_path_factory.mktemp("sig") / "u.sig"
+    write_signal(path, u)
+    back = read_signal(path)
+    assert back.samples.view(np.uint64).tolist() == u.samples.view(np.uint64).tolist()
+    assert (back.dt, back.t0) == (u.dt, u.t0)
+
+
+# ------------------------------------------------------------------ memory
+
+def test_csv_write_peak_memory(tmp_path):
+    # One lag row of text and its float lists are alive at a time; the
+    # whole text of this 1023x1024 surface is 59 MB.
+    n_tau, n_nu = 1023, 1024
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((n_tau, n_nu)) + 1j * rng.standard_normal((n_tau, n_nu))
+    s = AmbiguitySurface(values, (np.arange(n_tau) - 511) / 64, (np.arange(n_nu) - 512) / 16,
+                         "linear", 1 / 64, 0.0)
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_surface_csv(path, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    path.unlink()
+    assert size > 50 * 2**20
+    assert peak <= 4 * 2**20
