@@ -88,6 +88,11 @@ class AmbiguitySurface:
             raise InvalidParameterError(
                 f"values shape {vals.shape} does not match axes ({tau.size}, {nu.size})"
             )
+        if tau.size < 2 or nu.size < 2:
+            # an axis needs two points for its step (d_tau, d_nu)
+            raise InvalidParameterError(
+                f"a surface needs at least 2 points on each axis, got {vals.shape}"
+            )
         if self.kind not in ("linear", "cyclic"):
             raise InvalidParameterError(f"unknown surface kind {self.kind!r}")
         object.__setattr__(self, "values", _freeze(vals))

@@ -178,6 +178,8 @@ def write_surface(
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise FileFormatError("surface values must be 2-D")
+    if min(arr.shape) < 2:
+        raise FileFormatError(f"surface axes need at least 2 points, got {arr.shape}")
     axes = {"tau0": tau0, "dtau": dtau, "nu0": nu0, "dnu": dnu}
     if missing := [name for name, x in axes.items() if x is None]:
         raise FileFormatError(f"raw surface values need axis values; missing {', '.join(missing)}")
@@ -231,6 +233,8 @@ def read_surface(path: str | Path) -> AmbiguitySurface:
     if len(blob) < 4 + header:
         raise FileFormatError(f"{path}: truncated SUR1 header")
     n_tau, n_nu, tau0, dtau, nu0, dnu = struct.unpack_from("<IIdddd", blob, 4)
+    if n_tau < 2 or n_nu < 2:
+        raise FileFormatError(f"{path}: SUR1 axes need at least 2 points, got {n_tau}x{n_nu}")
     body = blob[4 + header:]
     if len(body) != 16 * n_tau * n_nu:
         raise FileFormatError(f"{path}: SUR1 payload size mismatch")
@@ -290,8 +294,10 @@ def read_surface_csv(path: str | Path) -> AmbiguitySurface:
             nu0, dnu = float(meta["nu0"]), float(meta["dnu"])
         except (KeyError, ValueError) as exc:
             raise FileFormatError(f"{path}: bad CSV surface header") from exc
-        if n_tau < 1 or n_nu < 1:
-            raise FileFormatError(f"{path}: bad CSV surface header: {n_tau}x{n_nu} cells")
+        if n_tau < 2 or n_nu < 2:
+            raise FileFormatError(
+                f"{path}: CSV surface axes need at least 2 points, got {n_tau}x{n_nu}"
+            )
         # loadtxt skips blank lines, so the rows are counted before it runs
         start = fh.tell()
         rows = _count_lines(fh)

@@ -7,6 +7,12 @@ direct inner products or closed forms on the other) and returns a
 
 Report lines serialize as ``name status lhs rhs abs_err rel_err tol`` and
 are what the command-line verify suites emit.
+
+Memory: no check holds more than three surfaces of its grid at once, plus
+the block of lag products of the surface being built.  The whole-surface
+checks (uniqueness, collinearity, trace reduction) build their surfaces in
+an order that lets each be dropped once it has been read, and reduce with
+in-place subtract and square; the two routes still share no surface.
 """
 
 from __future__ import annotations
@@ -376,10 +382,9 @@ def recover_scalar(
     if ev <= 0.0:
         raise InvalidParameterError("v has zero energy")
     su = cross_ambiguity(u, u, n_doppler=n_doppler)
-    sv = cross_ambiguity(v, v, n_doppler=n_doppler)
-    af_dist = math.sqrt(
-        float(np.sum(np.abs(su.values - sv.values) ** 2)) * su.d_tau * su.d_nu
-    )
+    # chi(v,v) is a temporary, dropped once subtracted
+    sq = np.abs(su.values - cross_ambiguity(v, v, n_doppler=n_doppler).values)
+    af_dist = math.sqrt(float(np.sum(np.square(sq, out=sq))) * su.d_tau * su.d_nu)
     lam = inner_product(u, v) / ev
     info: dict = {"af_distance": af_dist, "lambda": lam}
     if af_dist <= _AF_TOL:
@@ -424,12 +429,15 @@ def collinearity_check(
         alpha = ip / e3  # u2 = alpha * u3
         info["alpha"] = alpha
         unit = u2.replace_samples(u2.samples / u2.norm())
-        s2 = cross_ambiguity(u2, u2, n_doppler=n_doppler)
-        s3 = cross_ambiguity(u3, u3, n_doppler=n_doppler)
-        s_unit = cross_ambiguity(unit, unit, n_doppler=n_doppler)
-        target = (e2 + e3) * s_unit.values
+        # each surface is a temporary, dropped once summed or scaled
+        gap = (
+            cross_ambiguity(u2, u2, n_doppler=n_doppler).values
+            + cross_ambiguity(u3, u3, n_doppler=n_doppler).values
+        )
+        target = (e2 + e3) * cross_ambiguity(unit, unit, n_doppler=n_doppler).values
         peak = max(float(np.max(np.abs(target))), _TINY)
-        sum_gap = float(np.max(np.abs(s2.values + s3.values - target))) / peak
+        np.subtract(gap, target, out=gap)
+        sum_gap = float(np.max(np.abs(gap))) / peak
         info["sum_gap"] = sum_gap
         passed = sum_gap <= _SUM_TOL
         rel_err = max(defect, sum_gap * (tol / _SUM_TOL))
@@ -465,10 +473,10 @@ def trace_reduction_check(
             reduced = reduced and ok
     if reduced:
         trace = spatial_integral(waveforms, cfg, n_doppler)
-        base = cross_ambiguity(waveforms[0], waveforms[0], n_doppler=n_doppler)
-        target = m * base.values
+        target = m * cross_ambiguity(waveforms[0], waveforms[0], n_doppler=n_doppler).values
         peak = max(float(np.max(np.abs(target))), _TINY)
-        gap = float(np.max(np.abs(trace.values - target))) / peak
+        np.subtract(trace.values, target, out=target)
+        gap = float(np.max(np.abs(target))) / peak
         info = {"reduced": True, "gap": gap}
         return CheckReport(
             "trace-reduction", gap <= tol, gap, 0.0, gap, gap, tol, info

@@ -26,6 +26,16 @@ Grid notes baked into the checks:
   periodic linear interpolation as the off-grid fallback.
 * Integer dilations are evaluated against a parent surface with a b times
   finer Doppler step, again landing on exact grid points.
+
+Memory: no comparison holds more than three surfaces of its grid at once,
+plus the block of lag products of the surface being built; the integer-
+dilation parent has b times the Doppler bins and counts as b surfaces (two
+for the sym-dilate suite's b = 2).  The mirror, shear and dilation checks
+build route (b) first and route (a) only once every surface route (b)
+needed is gone, and take the difference in place over route (b)'s cells.
+The bilinear pullback
+:func:`act_on_surface` (sym-J, off-grid dilations) is outside this budget:
+it builds about a dozen index and weight arrays the size of its grid.
 """
 
 from __future__ import annotations
@@ -166,13 +176,18 @@ def act_on_surface(s: AmbiguitySurface, g: Sl2Element) -> AmbiguitySurface:
 
 
 def _masked_frobenius(
-    a: np.ndarray, b: np.ndarray, mask: np.ndarray | None
+    a: np.ndarray, b: np.ndarray, whole: np.ndarray | None
 ) -> tuple[float, float]:
-    """(relative distance, mass coverage of b inside the mask)."""
-    diff, inside = (a - b, b) if mask is None else ((a - b)[mask], b[mask])
-    den = float(np.linalg.norm(inside))
-    total = den if mask is None else float(np.linalg.norm(b))
+    """(relative distance, mass coverage of b within whole) over the compared
+    cells a and b; whole is all of route (b), None when b is all of it.
+
+    b is overwritten with a - b once its norms are read, so the difference
+    needs no surface of its own.
+    """
+    den = float(np.linalg.norm(b))
+    total = den if whole is None else float(np.linalg.norm(whole))
     coverage = (den / total) ** 2 if total > 0.0 else 0.0
+    diff = np.subtract(a, b, out=b)
     return float(np.linalg.norm(diff)) / max(den, 1e-300), coverage
 
 
@@ -180,11 +195,11 @@ def _dual_path_report(
     name: str,
     path_a: np.ndarray,
     path_b: np.ndarray,
-    mask: np.ndarray | None,
+    whole: np.ndarray | None,
     tol: float,
     info: dict,
 ) -> CheckReport:
-    rel, coverage = _masked_frobenius(path_a, path_b, mask)
+    rel, coverage = _masked_frobenius(path_a, path_b, whole)
     info = dict(info)
     info["coverage"] = coverage
     covered = coverage >= _COVERAGE_FLOOR
@@ -222,7 +237,7 @@ def verify_fourier_rotation(
     phase = np.exp(1j * 2.0 * math.pi * np.outer(s.tau_axis, s.nu_axis))
     path_b = s_hat.values * phase
     mask = path_a.meta["valid_mask"]
-    return _dual_path_report("sym-J", path_a.values, path_b, mask, tol, {})
+    return _dual_path_report("sym-J", path_a.values[mask], path_b[mask], path_b, tol, {})
 
 
 def verify_mirror(
@@ -235,21 +250,23 @@ def verify_mirror(
 
     The left side is chi(u,v) relabelled by reversing both index axes, a
     pure permutation on the symmetric axes; the right side is chi(v,u),
-    built by its own FFT.  The unpaired -Nyquist Doppler bin is masked out.
+    built by its own FFT.  The unpaired -Nyquist Doppler bin is left out.
+    The target is built, and chi(v,u) dropped, before chi(u,v) is, so the
+    check holds at most three surfaces.
     """
     if v is None:
         v = u
     u.require_compatible(v)
-    suv = cross_ambiguity(u, v, n_doppler=n_doppler)
     svu = cross_ambiguity(v, u, n_doppler=n_doppler)
-    phase = np.exp(-1j * 2.0 * math.pi * np.outer(svu.tau_axis, svu.nu_axis))
-    target = np.conj(svu.values) * phase
-    flipped = np.zeros_like(suv.values)
-    # lag axis is symmetric; Doppler bin 0 (-Nyquist edge) has no partner
-    flipped[:, 1:] = suv.values[::-1, 1:][:, ::-1]
-    paired = np.zeros(suv.values.shape, dtype=bool)
-    paired[:, 1:] = True
-    return _dual_path_report("sym-mirror", flipped, target, paired, tol, {})
+    target = -1j * 2.0 * math.pi * np.outer(svu.tau_axis, svu.nu_axis)
+    np.exp(target, out=target)
+    np.multiply(np.conj(svu.values), target, out=target)
+    del svu
+    suv = cross_ambiguity(u, v, n_doppler=n_doppler)
+    # lag axis is symmetric; Doppler bin 0 (-Nyquist edge) has no partner,
+    # so target bin j pairs with the reversed surface's bin j - 1
+    flipped = suv.values[::-1, :0:-1]
+    return _dual_path_report("sym-mirror", flipped, target[:, 1:], target, tol, {})
 
 
 def _shear_resample(s: AmbiguitySurface, rate: float) -> tuple[np.ndarray, bool]:
@@ -274,16 +291,20 @@ def _shear_resample(s: AmbiguitySurface, rate: float) -> tuple[np.ndarray, bool]
         for row, lag in enumerate(lags):
             out[row] = np.roll(s.values[row], int(round(float(lag) * shift_per_lag)))
     else:
+        # s and at most two surface-sized arrays are alive at any step
         phase_in = np.exp(-1j * 2.0 * math.pi * s.t0 * s.nu_axis)[None, :]
-        spectrum = np.fft.fft(s.values * phase_in, axis=1)
+        out = np.fft.fft(s.values * phase_in, axis=1)
         delta = (rate * s.tau_axis / s.d_nu)[:, None]
-        spectrum *= np.exp(
-            -1j * 2.0 * math.pi * delta * np.arange(n_d)[None, :] / n_d
-        )
-        shifted_nu = s.nu_axis[None, :] - rate * s.tau_axis[:, None]
-        out = np.fft.ifft(spectrum, axis=1) * np.exp(
-            1j * 2.0 * math.pi * s.t0 * shifted_nu
-        )
+        phase = -1j * 2.0 * math.pi * delta * np.arange(n_d)[None, :]
+        np.divide(phase, n_d, out=phase)
+        out *= np.exp(phase, out=phase)
+        np.fft.ifft(out, axis=1, out=out)
+        # the shifted Doppler grid fills the real part of the zeroed phase
+        # array: the values a float grid casts to, with no float grid beside
+        phase.fill(0)
+        np.subtract(s.nu_axis[None, :], rate * s.tau_axis[:, None], out=phase.real)
+        np.multiply(1j * 2.0 * math.pi * s.t0, phase, out=phase)
+        np.multiply(out, np.exp(phase, out=phase), out=out)
     out *= np.exp(-1j * math.pi * rate * s.tau_axis**2)[:, None]
     return out, aligned
 
@@ -301,11 +322,11 @@ def verify_lfm_shear(
     if v is None:
         v = u
     u.require_compatible(v)
+    # the unsheared surface is dropped as soon as it is resampled
+    path_b, aligned = _shear_resample(cross_ambiguity(u, v, n_doppler=n_doppler), rate)
     path_a = cross_ambiguity(
         chirp_multiply(u, rate), chirp_multiply(v, rate), n_doppler=n_doppler
     )
-    s = cross_ambiguity(u, v, n_doppler=n_doppler)
-    path_b, aligned = _shear_resample(s, rate)
     return _dual_path_report(
         "sym-lfm", path_a.values, path_b, None, tol, {"rate": rate, "aligned": aligned}
     )
@@ -316,25 +337,26 @@ def _dilation_reference(
     v: SampledSignal,
     b: float,
     n_doppler: int,
-) -> tuple[np.ndarray, np.ndarray | None, str]:
-    """(1/b) chi(u,v)(b tau, nu/b) on the standard (n_doppler) axes.
+) -> tuple[np.ndarray, slice | np.ndarray, str]:
+    """(1/b) chi(u,v)(b tau, nu/b) on the standard (n_doppler) axes, the
+    index of its valid cells, and the route taken.
 
     Integer b: evaluated on a parent surface with Doppler step dnu/b, where
-    every target point is a grid point.  Otherwise: bilinear pullback
-    along m(b)."""
+    every target point is a grid point; the valid cells are the lag rows
+    -k .. k with b k inside the parent.  The parent is gone when this
+    returns.  Otherwise: bilinear pullback along m(b), valid where the
+    pullback lands on the grid."""
     b_int = round(b)
     if abs(b - b_int) <= _SNAP and b_int >= 1:
         parent = cross_ambiguity(u, v, n_doppler=b_int * n_doppler)
         n = u.n
-        lags = np.arange(-(n - 1), n)
-        out = np.zeros((lags.size, n_doppler), dtype=np.complex128)
-        mask = np.zeros(out.shape, dtype=bool)
-        rows = np.abs(lags) * b_int <= n - 1
-        src_rows = (n - 1) + lags[rows] * b_int
+        k = (n - 1) // b_int
+        out = np.zeros((2 * n - 1, n_doppler), dtype=np.complex128)
+        rows = slice(n - 1 - k, n + k)
         col0 = (b_int * n_doppler) // 2 - n_doppler // 2
-        out[rows] = parent.values[src_rows, col0 : col0 + n_doppler] / b
-        mask[rows] = True
-        return out, mask, "exact-parent"
+        src = parent.values[n - 1 - k * b_int : n + k * b_int : b_int, col0 : col0 + n_doppler]
+        np.divide(src, b, out=out[rows])
+        return out, rows, "exact-parent"
     s = cross_ambiguity(u, v, n_doppler=n_doppler)
     pulled = act_on_surface(s, Sl2Element.scaling(b))
     return pulled.values / b, pulled.meta["valid_mask"], "bilinear"
@@ -353,10 +375,12 @@ def verify_dilation(
         v = u
     u.require_compatible(v)
     n_doppler = _check_doppler_count(n_doppler, u.n, cyclic=False)
-    path_a = cross_ambiguity(dilate(u, b), dilate(v, b), n_doppler=n_doppler)
-    path_b, mask, route = _dilation_reference(u, v, b, n_doppler)
+    du, dv = dilate(u, b), dilate(v, b)
+    path_b, valid, route = _dilation_reference(u, v, b, n_doppler)
+    path_a = cross_ambiguity(du, dv, n_doppler=n_doppler)
     return _dual_path_report(
-        "sym-dilate", path_a.values, path_b, mask, tol, {"b": b, "route": route}
+        "sym-dilate", path_a.values[valid], path_b[valid], path_b, tol,
+        {"b": b, "route": route},
     )
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,17 @@ def family_waveforms():
         "lfm": gen_lfm(1.0, 4.0, DT),
         "subcarrier": gen_subcarrier_set(2, 1.0, DT)[0],
     }
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the tracemalloc peak of that call in bytes)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def random_mixture(basis, rng) -> SampledSignal:

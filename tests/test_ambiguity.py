@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +40,7 @@ from conftest import (
     mixture_basis,
     pair_surfaces,
     random_mixture,
+    traced_peak,
 )
 
 
@@ -88,12 +88,7 @@ def test_cross_ambiguity_peak_memory(gauss256):
     rows = min(2 * n - 1, _BLOCK_BYTES // (16 * n_doppler))
     block_bytes = rows * n * 16
     assert block_bytes < (2 * n - 1) * n * 16
-    tracemalloc.start()
-    try:
-        s = cross_ambiguity(gauss256, n_doppler=n_doppler)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    s, peak = traced_peak(cross_ambiguity, gauss256, n_doppler=n_doppler)
     assert s.values.nbytes == x_bytes
     assert peak <= x_bytes + block_bytes + 2**20
 
@@ -301,12 +296,7 @@ def test_wigner_peak_memory():
     n = 1024
     rng = np.random.default_rng(4)
     u = SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1 / 64, -8.0)
-    tracemalloc.start()
-    try:
-        w = wigner(u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    w, peak = traced_peak(wigner, u)
     assert w.values.shape == (n, 2 * n)
     assert peak <= 2 * w.values.nbytes + 2**20
 
@@ -515,12 +505,7 @@ def test_spatial_integral_peak_memory():
     n, n_doppler = ws[0].n, 1024
     x_bytes = (2 * n - 1) * n_doppler * 16
     block_bytes = min(2 * n - 1, _BLOCK_BYTES // (16 * n_doppler)) * n * 16
-    tracemalloc.start()
-    try:
-        out = spatial_integral(ws, SteeringConfig(4, 1.0, 16), n_doppler=n_doppler)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(spatial_integral, ws, SteeringConfig(4, 1.0, 16), n_doppler=n_doppler)
     assert out.values.nbytes == x_bytes
     assert peak <= 2 * x_bytes + block_bytes + 2**20
 
@@ -597,12 +582,7 @@ def test_mimo_energy_quadrature_peak_memory():
     cfg = SteeringConfig(4, 1.0, 16)
     n, n_doppler = ws[0].n, 1024
     x_bytes = (2 * n - 1) * n_doppler * 16
-    tracemalloc.start()
-    try:
-        total = mimo_energy_quadrature(ws, cfg, n_doppler=n_doppler)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    total, peak = traced_peak(mimo_energy_quadrature, ws, cfg, n_doppler=n_doppler)
     assert total > 0
     assert peak <= 2 * x_bytes
 

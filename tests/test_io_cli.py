@@ -4,7 +4,6 @@ import math
 import struct
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +11,7 @@ import pytest
 
 from mimoaf import (
     FileFormatError,
+    InvalidParameterError,
     SampledSignal,
     canonical_gaussian,
     check_norm_identity,
@@ -21,6 +21,7 @@ from mimoaf import (
     inner_product,
 )
 from mimoaf import ambiguity, cli, io_formats
+from mimoaf.ambiguity import AmbiguitySurface
 from mimoaf.io_formats import (
     read_signal,
     read_surface,
@@ -31,6 +32,8 @@ from mimoaf.io_formats import (
     write_surface,
     write_surface_csv,
 )
+
+from conftest import traced_peak
 
 
 def run_cli(*args, cwd=None):
@@ -97,6 +100,21 @@ def test_surface_without_axes_is_rejected(tmp_path):
     with pytest.raises(FileFormatError, match="missing nu0, dnu"):
         write_surface(tmp_path / "s.sur", np.zeros((2, 3)), 0.0, 1.0)
     assert not (tmp_path / "s.sur").exists()
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
+def test_one_point_surface_axis_is_refused(shape, tmp_path):
+    # an axis of one point has no step, which energy() and every writer need
+    values = np.ones(shape, dtype=np.complex128)
+    with pytest.raises(InvalidParameterError):
+        AmbiguitySurface(values, np.arange(shape[0]) / 2, np.arange(shape[1]) / 4, "linear", 0.5, 0.0)
+    with pytest.raises(FileFormatError):
+        write_surface(tmp_path / "w.sur", values, 0.0, 0.5, 0.0, 0.25)
+    assert not (tmp_path / "w.sur").exists()
+    path = tmp_path / "s.sur"
+    path.write_bytes(_sur1_bytes(values, 0.0, 0.5, 0.0, 0.25))
+    with pytest.raises(FileFormatError):
+        read_surface(path)
 
 
 def test_surface_csv_roundtrip(tmp_path):
@@ -360,12 +378,9 @@ def test_streamed_af_peak_memory(tmp_path, capsys):
     n, n_doppler = 1024, 4096
     sig, out = tmp_path / "u.sig", tmp_path / "u.sur"
     write_signal(sig, _random_signal(n, 3), binary=True)
-    tracemalloc.start()
-    try:
-        rc = cli.main(["af", "--u", str(sig), "--n-doppler", str(n_doppler), "-o", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rc, peak = traced_peak(
+        cli.main, ["af", "--u", str(sig), "--n-doppler", str(n_doppler), "-o", str(out)]
+    )
     assert rc == 0
     assert capsys.readouterr().out.startswith(f"af n_lag={2 * n - 1} n_doppler={n_doppler} ")
     assert out.stat().st_size == 44 + (2 * n - 1) * n_doppler * 16
@@ -666,6 +681,18 @@ def test_verify_all_report_lines_pinned(family, capsys):
     # gaussian, the default family, is pinned on test_verify_all_suites's run
     assert cli.main(["verify", "--suite", "all", "--family", family]) == 0
     assert _sha256(capsys.readouterr().out) == VERIFY_ALL_PINNED[family]
+
+
+@pytest.mark.parametrize("suite", [s for s in cli.SUITES if s != "all"])
+def test_verify_suite_surface_budget(suite, capsys):
+    # No check holds more than three surfaces of the default grid (256
+    # samples, 1024 Doppler bins) at once, sym-dilate's parent with twice
+    # the Doppler bins counting as two; the last 2 MiB covers one block of
+    # lag products, the axes and numpy's buffers.
+    surface_bytes = (2 * 256 - 1) * 1024 * 16
+    rc, peak = traced_peak(cli.main, ["verify", "--suite", suite])
+    assert rc == 0
+    assert peak <= 3 * surface_bytes + 2 * 2**20
 
 
 # ------------------------------------------------------------- cli: config

@@ -2,7 +2,6 @@
 round trip and the memory of the row-by-row CSV writer."""
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from hypothesis import strategies as st
 from mimoaf import FileFormatError, SampledSignal, cli, cross_ambiguity, gen_rect
 from mimoaf.ambiguity import AmbiguitySurface
 from mimoaf.io_formats import read_signal, read_surface_csv, write_signal, write_surface_csv
+
+from conftest import traced_peak
 
 
 def _integer_signal(n: int, k: int, dt: float = 0.125) -> SampledSignal:
@@ -112,6 +113,8 @@ _MALFORMED = {
     "bad-count": _HEADER.replace("n_nu=2", "n_nu=two") + "\n".join(_ROWS) + "\n",
     "missing-axis": _HEADER.replace(" dnu=0.5", "") + "\n".join(_ROWS) + "\n",
     "zero-cells": _HEADER.replace("n_tau=2", "n_tau=0"),
+    "one-lag": _HEADER.replace("n_tau=2", "n_tau=1") + "\n".join(_ROWS[:2]) + "\n",
+    "one-doppler-bin": _HEADER.replace("n_nu=2", "n_nu=1") + "\n".join(_ROWS[::2]) + "\n",
     "too-few-rows": _HEADER + "\n".join(_ROWS[:3]) + "\n",
     "too-many-rows": _HEADER + "\n".join(_ROWS + _ROWS[-1:]) + "\n",
     "blank-line-extra": _HEADER + "\n".join(_ROWS[:2] + [""] + _ROWS[2:]) + "\n",
@@ -190,21 +193,17 @@ def test_sig1_round_trip_is_bit_exact(pairs, tmp_path_factory):
 # ------------------------------------------------------------------ memory
 
 def test_csv_write_peak_memory(tmp_path):
-    # One lag row of text and its float lists are alive at a time; the
-    # whole text of this 1023x1024 surface is 59 MB.
-    n_tau, n_nu = 1023, 1024
+    # One lag row of text and its float lists, about 0.3 MiB, are alive at a
+    # time.  The whole text of this 31x1024 surface is 1.7 MiB, past the
+    # bound, so a writer that holds it all fails; the per-cell-line writer
+    # this one replaced peaks at 6.8 MiB here.
+    n_tau, n_nu = 31, 1024
     rng = np.random.default_rng(6)
     values = rng.standard_normal((n_tau, n_nu)) + 1j * rng.standard_normal((n_tau, n_nu))
-    s = AmbiguitySurface(values, (np.arange(n_tau) - 511) / 64, (np.arange(n_nu) - 512) / 16,
+    s = AmbiguitySurface(values, (np.arange(n_tau) - 15) / 64, (np.arange(n_nu) - 512) / 16,
                          "linear", 1 / 64, 0.0)
     path = tmp_path / "big.csv"
-    tracemalloc.start()
-    try:
-        write_surface_csv(path, s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(write_surface_csv, path, s)
     size = path.stat().st_size
-    path.unlink()
-    assert size > 50 * 2**20
-    assert peak <= 4 * 2**20
+    assert size > 1.5 * 2**20
+    assert peak <= 2**20
