@@ -4,7 +4,8 @@
 Thin driver over `python -m mimoaf verify`: each suite runs in sequence
 with shared seed/tolerance settings, timings are collected, and the
 per-check report lines can be concatenated into a single file.  Exits
-nonzero if any suite reports a failing check.
+with the CLI's codes: 2 if any suite refused its input (a usage or
+validation error), otherwise 1 if any suite reports a failing check.
 
     python scripts/run_full_verification.py
     python scripts/run_full_verification.py --seed 3 --report /tmp/verify.txt
@@ -33,6 +34,7 @@ def main() -> int:
     names = args.suite or [s for s in SUITES if s != "all"]
     combined: list[str] = []
     failures: list[str] = []
+    worst = 0
     t_total = time.perf_counter()
     for suite in names:
         argv = [
@@ -48,6 +50,7 @@ def main() -> int:
         print(f"# {suite}: {status} in {elapsed:.2f}s")
         if code != 0:
             failures.append(suite)
+            worst = max(worst, code)
 
     print(f"# total: {len(names)} suites, {len(combined)} checks, "
           f"{time.perf_counter() - t_total:.2f}s")
@@ -56,8 +59,7 @@ def main() -> int:
         print(f"# report written to {args.report}")
     if failures:
         print(f"# failing suites: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    return 0
+    return worst
 
 
 if __name__ == "__main__":

@@ -198,16 +198,24 @@ def _check_doppler_count(n_doppler: int | None, n: int, cyclic: bool) -> int:
 
 
 class _SurfaceBlocks:
-    """The one row-block loop behind every FFT surface of u against v.
+    """The one row-block loop behind every FFT surface.
+
+    It builds the surface of a list of signal pairs, sum_i chi(u_i, v_i):
+    one pair gives chi(u, v), and the pairs (u_m, u_m) give the MIMO trace.
+    chi is linear in its lag products, so the sum is the Doppler transform
+    of the summed products, and a block needs one FFT however many pairs
+    there are.  Each block gathers the first pair's lag-product rows, adds
+    each further pair's rows from one scratch block in list order, flips
+    the sign of their odd columns, runs the zero-padded inverse FFT
+    straight into its destination rows and applies the scale-and-phase row
+    there in place.  One pair takes no scratch block and no add.  With
+    whole=True the destinations are rows of one surface, ``values``;
+    otherwise ``values`` is one block buffer, reused, so a block holds only
+    until the next.
 
     Construction checks every size and allocates the buffers, so a bad size
     or an allocation too large fails before anything is computed or
-    written.  Iterating yields (first row, block) in lag order.  Each block
-    takes its lag-product rows, flips the sign of their odd columns, runs
-    the zero-padded inverse FFT straight into its destination rows and
-    applies the scale-and-phase row there in place.  With whole=True the
-    destinations are rows of one surface, ``values``; otherwise ``values``
-    is one block buffer, reused, so a block holds only until the next.
+    written.  Iterating yields (first row, block) in lag order.
 
     The centred Doppler axis comes from the FFT input, not from an fftshift
     of its output: n_doppler is even, so shifting the output by n_doppler/2
@@ -216,23 +224,25 @@ class _SurfaceBlocks:
     pocketfft rounds the flipped input the same way (power-of-two lengths)
     and n_doppler*dt is a power of two, and even there a cell that is
     exactly zero may flip the sign of its zero; elsewhere the two differ at
-    rounding level.  pocketfft transforms each row on its own, so the block
-    size does not change a bit of the result.
+    rounding level.  pocketfft transforms each row on its own and the sums
+    are per cell, so the block size does not change a bit of the result.
     """
 
     def __init__(
         self,
-        u: SampledSignal,
-        v: SampledSignal | None,
+        pairs: list[tuple[SampledSignal, SampledSignal]],
         n_doppler: int | None,
         cyclic: bool,
         whole: bool,
     ) -> None:
-        if v is None:
-            v = u
-        u.require_compatible(v)
+        u = pairs[0][0]
+        for a, b in pairs:
+            u.require_compatible(a)
+            a.require_compatible(b)
         self.n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
-        self.lags, self._gather = _lag_rows(u, v, cyclic)
+        lag_rows = [_lag_rows(a, b, cyclic) for a, b in pairs]
+        self.lags = lag_rows[0][0]
+        self._gathers = [gather for _, gather in lag_rows]
         self.tau_axis = self.lags * u.dt
         self.nu_axis = _doppler_axis(self.n_doppler, u.dt)
         # the scale n_doppler*dt times the window phase exp(i 2 pi nu t0)
@@ -242,6 +252,7 @@ class _SurfaceBlocks:
         n_lag = self.lags.size
         self._rows = min(n_lag, max(1, _BLOCK_BYTES // (16 * self.n_doppler)))
         self._products = np.empty((self._rows, u.n), dtype=np.complex128)
+        self._scratch = np.empty_like(self._products) if len(pairs) > 1 else None
         self._whole = whole
         self.values = np.empty(
             (n_lag if whole else self._rows, self.n_doppler), dtype=np.complex128
@@ -249,15 +260,36 @@ class _SurfaceBlocks:
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         n_lag = self.lags.size
+        first, *rest = self._gathers
         for start in range(0, n_lag, self._rows):
             stop = min(start + self._rows, n_lag)
             P = self._products[: stop - start]
-            self._gather(start, P)
+            first(start, P)
+            for gather in rest:
+                more = self._scratch[: stop - start]
+                gather(start, more)
+                P += more
             np.negative(P[:, 1::2], out=P[:, 1::2])
             block = self.values[start:stop] if self._whole else self.values[: stop - start]
             np.fft.ifft(P, n=self.n_doppler, axis=1, out=block)
             block *= self._scale
             yield start, block
+
+
+def _surface(
+    pairs: list[tuple[SampledSignal, SampledSignal]],
+    n_doppler: int | None,
+    cyclic: bool = False,
+) -> AmbiguitySurface:
+    """sum_i chi(u_i, v_i) over the pairs, built whole in memory."""
+    blocks = _SurfaceBlocks(pairs, n_doppler, cyclic, whole=True)
+    for _ in blocks:
+        pass
+    u = pairs[0][0]
+    return AmbiguitySurface(
+        blocks.values, blocks.tau_axis, blocks.nu_axis,
+        "cyclic" if cyclic else "linear", u.dt, u.t0,
+    )
 
 
 def cross_ambiguity(
@@ -284,13 +316,7 @@ def cross_ambiguity(
         n_doppler: Doppler bins; defaults to 4n (linear) or n (cyclic).
         cyclic: use mod-n lag products on lags -n/2 .. n/2-1.
     """
-    blocks = _SurfaceBlocks(u, v, n_doppler, cyclic, whole=True)
-    for _ in blocks:
-        pass
-    return AmbiguitySurface(
-        blocks.values, blocks.tau_axis, blocks.nu_axis,
-        "cyclic" if cyclic else "linear", u.dt, u.t0,
-    )
+    return _surface([(u, u if v is None else v)], n_doppler, cyclic)
 
 
 def cross_ambiguity_oracle(
@@ -543,6 +569,16 @@ def mimo_slice_spatial(
     return Z @ X @ Z.conj().T
 
 
+def _trace_pairs(
+    waveforms: list[SampledSignal], cfg: SteeringConfig
+) -> list[tuple[SampledSignal, SampledSignal]]:
+    """The self pairs (u_m, u_m) whose surfaces sum to the spatial integral,
+    once the array and its whole-wavelength spacing are checked."""
+    _require_array(waveforms, cfg)
+    cfg.require_integer_gamma()
+    return [(w, w) for w in waveforms]
+
+
 def spatial_integral(
     waveforms: list[SampledSignal],
     cfg: SteeringConfig,
@@ -553,21 +589,13 @@ def spatial_integral(
 
     The identity holds because the steering phases of a whole-wavelength
     array are orthogonal on the K-point fs grid, so the M^2 - M cross terms
-    cancel; the trace is built from the M self surfaces alone.
+    cancel; the trace is built from the M self pairs alone.  chi is linear
+    in its lag products, so the trace is one Doppler transform of the
+    summed products sum_m u_m[n] conj(u_m[n + k]): one FFT surface, not M
+    (see :class:`_SurfaceBlocks`).  Besides the trace, two blocks of lag
+    products are alive.
     """
-    _require_array(waveforms, cfg)
-    cfg.require_integer_gamma()
-    trace = None
-    for w in waveforms:
-        s = cross_ambiguity(w, n_doppler=n_doppler)
-        if trace is None:
-            # zeros, not a copy of s: 0.0 + (-0.0) is +0.0, so each cell's
-            # sign bit is the one the sum 0.0 + chi_0 + chi_1 + ... gives
-            trace = np.zeros_like(s.values)
-            axes = (s.tau_axis, s.nu_axis, s.kind, s.dt, s.t0)
-        trace += s.values
-        del s  # only the trace and one surface are alive while the next is built
-    return AmbiguitySurface(trace, *axes)
+    return _surface(_trace_pairs(waveforms, cfg), n_doppler)
 
 
 def mimo_energy_quadrature(

@@ -28,13 +28,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import io_formats
 from .ambiguity import (
+    AmbiguitySurface,
     SteeringConfig,
+    _trace_pairs,
     cross_ambiguity,
     mimo_beams,
     mimo_slice_spatial,
@@ -340,8 +344,6 @@ def _export_surface(args, values, tau0, dtau, nu0, dnu, surface=None) -> None:
         io_formats.write_surface(args.out, values, tau0, dtau, nu0, dnu)
     if getattr(args, "csv", None):
         if surface is None:
-            from .ambiguity import AmbiguitySurface
-
             surface = AmbiguitySurface(
                 values, tau0 + dtau * np.arange(values.shape[0]),
                 nu0 + dnu * np.arange(values.shape[1]), "linear", dtau, 0.0,
@@ -352,13 +354,20 @@ def _export_surface(args, values, tau0, dtau, nu0, dnu, surface=None) -> None:
         io_formats.write_ppm(args.ppm, values, args.db_floor, scaling)
 
 
-def _cross_surface(args, u: SampledSignal, v: SampledSignal) -> tuple[int, int, complex]:
-    """Export cross_ambiguity(u, v) to every requested output and return its
-    lag count, Doppler count and origin value.  A SUR1 file alone streams
-    one block of lag rows at a time, so the surface is never whole in memory."""
+def _cross_surface(
+    args,
+    pairs: list[tuple[SampledSignal, SampledSignal]],
+    build: Callable[..., AmbiguitySurface],
+) -> tuple[int, int, complex]:
+    """Export the surface sum_i chi(u_i, v_i) of the signal pairs to every
+    requested output and return its lag count, Doppler count and origin
+    value.  A SUR1 file alone streams one block of lag rows at a time, so
+    the surface is never whole in memory.  Otherwise build(n_doppler=...)
+    builds it whole: the public function of that surface (cross_ambiguity
+    or spatial_integral), so a traced run still counts the surface there."""
     if args.out and not (args.csv or args.ppm):
-        return io_formats.write_surface_stream(args.out, u, v, args.n_doppler)
-    s = cross_ambiguity(u, v, n_doppler=args.n_doppler)
+        return io_formats.write_surface_stream(args.out, pairs, args.n_doppler)
+    s = build(n_doppler=args.n_doppler)
     _export_surface(
         args, s.values, float(s.tau_axis[0]), s.d_tau, float(s.nu_axis[0]), s.d_nu, s
     )
@@ -381,7 +390,8 @@ def cmd_af(args) -> int:
         )
         print(f"wigner n_time={w.values.shape[0]} n_freq={w.values.shape[1]}")
         return 0
-    print(_surface_line("af", *_cross_surface(args, u, v)))
+    surface = _cross_surface(args, [(u, v)], partial(cross_ambiguity, u, v))
+    print(_surface_line("af", *surface))
     return 0
 
 
@@ -394,16 +404,15 @@ def cmd_mimo(args) -> int:
         _export_surface(args, grid, 0.0, step, 0.0, step)
         print(f"spatial-slice K={cfg.n_spatial} tau={args.tau:.12g} nu={args.nu:.12g}")
         return 0
-    if not args.spatial_integral:
+    if args.spatial_integral:
+        # the trace: one surface of the M self pairs' summed lag products
+        label, pairs = "spatial-integral", _trace_pairs(waves, cfg)
+        build = partial(spatial_integral, waves, cfg)
+    else:
         # the beam slice is the cross-ambiguity of the beamformed pair
         beams = mimo_beams(waves, cfg, args.fs, args.fsp)
-        print(_surface_line("mimo-slice", *_cross_surface(args, *beams)))
-        return 0
-    s = spatial_integral(waves, cfg, args.n_doppler)
-    _export_surface(
-        args, s.values, float(s.tau_axis[0]), s.d_tau, float(s.nu_axis[0]), s.d_nu, s
-    )
-    print(_surface_line("spatial-integral", s.n_lag, s.n_doppler, s.value_at(0.0, 0.0)))
+        label, pairs, build = "mimo-slice", [beams], partial(cross_ambiguity, *beams)
+    print(_surface_line(label, *_cross_surface(args, pairs, build)))
     return 0
 
 

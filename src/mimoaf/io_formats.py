@@ -16,7 +16,7 @@ SUR1 layout: magic "SUR1", then little-endian u32 n_tau, u32 n_nu,
 f64 tau0, f64 dtau, f64 nu0, f64 dnu, then n_tau*n_nu complex values as
 interleaved (re, im) f64 pairs, row-major in lag.  The container stores
 axes only; it is also used for spatial (fs, fs') grids.  A cross-ambiguity
-surface can go to SUR1 one block of lag rows at a time
+surface or a MIMO trace can go to SUR1 one block of lag rows at a time
 (:func:`write_surface_stream`), never whole in memory.
 """
 
@@ -191,18 +191,22 @@ def write_surface(
 
 
 def write_surface_stream(
-    path: str | Path, u: SampledSignal, v: SampledSignal, n_doppler: int | None
+    path: str | Path,
+    pairs: list[tuple[SampledSignal, SampledSignal]],
+    n_doppler: int | None,
 ) -> tuple[int, int, complex]:
-    """Write the SUR1 file of ``cross_ambiguity(u, v, n_doppler)`` one block
-    of lag rows at a time, byte-identical to :func:`write_surface` of that
-    surface.
+    """Write the SUR1 file of the surface sum_i chi(u_i, v_i) over the signal
+    pairs (u_i, v_i) one block of lag rows at a time, byte-identical to
+    :func:`write_surface` of that surface built in memory.  One pair (u, v)
+    gives ``cross_ambiguity(u, v, n_doppler)``; the self pairs of an array
+    give its ``spatial_integral``.
 
     Only one block of the surface is ever in memory.  Every size is checked
     and the block buffer allocated before the file is opened; if the stream
     fails after that, the partial file is deleted.  Returns the lag count,
     the Doppler count and the surface value at the origin (tau, nu) = (0, 0).
     """
-    blocks = _SurfaceBlocks(u, v, n_doppler, cyclic=False, whole=False)
+    blocks = _SurfaceBlocks(pairs, n_doppler, cyclic=False, whole=False)
     tau, nu = blocks.tau_axis, blocks.nu_axis
     header = _sur1_header(
         (tau.size, nu.size), float(tau[0]), float(tau[1] - tau[0]),

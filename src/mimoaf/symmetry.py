@@ -33,9 +33,9 @@ dilation parent has b times the Doppler bins and counts as b surfaces (two
 for the sym-dilate suite's b = 2).  The mirror, shear and dilation checks
 build route (b) first and route (a) only once every surface route (b)
 needed is gone, and take the difference in place over route (b)'s cells.
-The bilinear pullback
-:func:`act_on_surface` (sym-J, off-grid dilations) is outside this budget:
-it builds about a dozen index and weight arrays the size of its grid.
+The bilinear pullback :func:`act_on_surface` (sym-J, off-grid dilations)
+holds its input, its output and their valid-cell mask, and builds its
+index and weight arrays one row block at a time.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ __all__ = [
 
 _SNAP = 1e-9
 _COVERAGE_FLOOR = 0.9
+# cells per row block of act_on_surface; a block's index, weight and gather
+# arrays peak at about 140 bytes a cell, so about 2 MiB
+_PULLBACK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,14 @@ class Sl2Element:
         return self.a * tau + self.b * nu, self.c * tau + self.d * nu
 
 
+def _grid_position(x: np.ndarray, x0: float, step: float) -> np.ndarray:
+    """Fractional index of x on the axis x0 + step * i, snapped to the grid
+    point within _SNAP of a step."""
+    f = (x - x0) / step
+    r = np.round(f)
+    return np.where(np.abs(f - r) <= _SNAP, r, f)
+
+
 def act_on_surface(s: AmbiguitySurface, g: Sl2Element) -> AmbiguitySurface:
     """Pull the surface back along g: output(tau, nu) = s(g (tau, nu)^T).
 
@@ -139,39 +150,44 @@ def act_on_surface(s: AmbiguitySurface, g: Sl2Element) -> AmbiguitySurface:
     gathered exactly; otherwise bilinear interpolation applies.  Points
     mapped outside the grid are zero-filled; meta carries the valid-point
     mask and their fraction under "valid_mask" / "coverage".
+
+    Every value is computed per cell, so the output is built one block of
+    about _PULLBACK_CELLS cells at a time: besides the input and the
+    output, only one block's index, weight and gather arrays are alive.
     """
     tau0 = float(s.tau_axis[0])
     nu0 = float(s.nu_axis[0])
     L, V = s.values.shape
-    T, Nu = np.meshgrid(s.tau_axis, s.nu_axis, indexing="ij")
-    src_tau = g.a * T + g.b * Nu
-    src_nu = g.c * T + g.d * Nu
-    fi = (src_tau - tau0) / s.d_tau
-    fj = (src_nu - nu0) / s.d_nu
-    ri = np.round(fi)
-    fi = np.where(np.abs(fi - ri) <= _SNAP, ri, fi)
-    rj = np.round(fj)
-    fj = np.where(np.abs(fj - rj) <= _SNAP, rj, fj)
-    valid = (fi >= 0) & (fi <= L - 1) & (fj >= 0) & (fj <= V - 1)
-    i0 = np.floor(fi).astype(np.int64)
-    j0 = np.floor(fj).astype(np.int64)
-    ai = fi - i0
-    aj = fj - j0
-    i0c = np.clip(i0, 0, L - 1)
-    i1c = np.clip(i0 + 1, 0, L - 1)
-    j0c = np.clip(j0, 0, V - 1)
-    j1c = np.clip(j0 + 1, 0, V - 1)
     vals = s.values
-    out = (
-        (1.0 - ai) * (1.0 - aj) * vals[i0c, j0c]
-        + (1.0 - ai) * aj * vals[i0c, j1c]
-        + ai * (1.0 - aj) * vals[i1c, j0c]
-        + ai * aj * vals[i1c, j1c]
-    )
-    out[~valid] = 0.0
-    mask = valid.copy()
-    mask.setflags(write=False)
-    meta = {"coverage": float(np.mean(valid)), "valid_mask": mask}
+    nu = s.nu_axis[None, :]
+    out = np.empty((L, V), dtype=np.complex128)
+    valid = np.empty((L, V), dtype=bool)
+    rows = max(1, _PULLBACK_CELLS // V)
+    for start in range(0, L, rows):
+        blk = slice(start, start + rows)
+        tau = s.tau_axis[blk, None]
+        fi = _grid_position(g.a * tau + g.b * nu, tau0, s.d_tau)
+        fj = _grid_position(g.c * tau + g.d * nu, nu0, s.d_nu)
+        ok = (fi >= 0) & (fi <= L - 1) & (fj >= 0) & (fj <= V - 1)
+        valid[blk] = ok
+        i0 = np.floor(fi).astype(np.int64)
+        j0 = np.floor(fj).astype(np.int64)
+        ai = fi - i0
+        aj = fj - j0
+        i0c = np.clip(i0, 0, L - 1)
+        i1c = np.clip(i0 + 1, 0, L - 1)
+        j0c = np.clip(j0, 0, V - 1)
+        j1c = np.clip(j0 + 1, 0, V - 1)
+        out[blk] = (
+            (1.0 - ai) * (1.0 - aj) * vals[i0c, j0c]
+            + (1.0 - ai) * aj * vals[i0c, j1c]
+            + ai * (1.0 - aj) * vals[i1c, j0c]
+            + ai * aj * vals[i1c, j1c]
+        )
+        out[blk][~ok] = 0.0
+    valid.setflags(write=False)
+    # the valid count is an exact integer, so the fraction is one rounding
+    meta = {"coverage": np.count_nonzero(valid) / valid.size, "valid_mask": valid}
     return AmbiguitySurface(out, s.tau_axis, s.nu_axis, s.kind, s.dt, s.t0, meta)
 
 
@@ -357,8 +373,8 @@ def _dilation_reference(
         src = parent.values[n - 1 - k * b_int : n + k * b_int : b_int, col0 : col0 + n_doppler]
         np.divide(src, b, out=out[rows])
         return out, rows, "exact-parent"
-    s = cross_ambiguity(u, v, n_doppler=n_doppler)
-    pulled = act_on_surface(s, Sl2Element.scaling(b))
+    # the unscaled surface is dropped once pulled back
+    pulled = act_on_surface(cross_ambiguity(u, v, n_doppler=n_doppler), Sl2Element.scaling(b))
     return pulled.values / b, pulled.meta["valid_mask"], "bilinear"
 
 
@@ -377,10 +393,10 @@ def verify_dilation(
     n_doppler = _check_doppler_count(n_doppler, u.n, cyclic=False)
     du, dv = dilate(u, b), dilate(v, b)
     path_b, valid, route = _dilation_reference(u, v, b, n_doppler)
-    path_a = cross_ambiguity(du, dv, n_doppler=n_doppler)
+    # a mask's cells are a copy, so route (a)'s whole surface goes at once
+    path_a = cross_ambiguity(du, dv, n_doppler=n_doppler).values[valid]
     return _dual_path_report(
-        "sym-dilate", path_a.values[valid], path_b[valid], path_b, tol,
-        {"b": b, "route": route},
+        "sym-dilate", path_a, path_b[valid], path_b, tol, {"b": b, "route": route},
     )
 
 

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import importlib.util
 import math
 import struct
 import subprocess
@@ -10,15 +11,18 @@ import numpy as np
 import pytest
 
 from mimoaf import (
+    CANONICAL_SIGMA,
     FileFormatError,
     InvalidParameterError,
     SampledSignal,
     canonical_gaussian,
     check_norm_identity,
     cross_ambiguity,
+    gen_gaussian,
     gen_rect,
     gen_subcarrier_set,
     inner_product,
+    verify_dilation,
 )
 from mimoaf import ambiguity, cli, io_formats
 from mimoaf.ambiguity import AmbiguitySurface
@@ -262,11 +266,12 @@ def _random_signal(n: int, seed: int) -> SampledSignal:
     return SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1 / 64, -1.0)
 
 
-def _streamed_and_in_memory(argv, tmp_path, capsys):
+def _streamed_and_in_memory(argv, tmp_path, capsys, flag="--ppm"):
     """SUR1 bytes and stdout of argv with -o alone, which streams, and with
-    -o beside --ppm, which writes write_surface(cross_ambiguity(...))."""
+    -o beside flag (--ppm or --csv), which writes write_surface of the
+    surface built whole in memory."""
     runs = []
-    for tag, extra in (("stream", []), ("memory", ["--ppm", str(tmp_path / "x.ppm")])):
+    for tag, extra in (("stream", []), ("memory", [flag, str(tmp_path / "x.out")])):
         sur = tmp_path / f"{tag}.sur"
         assert cli.main(argv + ["-o", str(sur), *extra]) == 0
         runs.append((sur.read_bytes(), capsys.readouterr().out))
@@ -305,6 +310,44 @@ def test_streamed_mimo_slice_matches_in_memory(rows, tmp_path, monkeypatch, caps
     (streamed, line), (in_memory, line_ref) = _streamed_and_in_memory(argv, tmp_path, capsys)
     assert streamed == in_memory
     assert line == line_ref and line.startswith("mimo-slice n_lag=511 n_doppler=1000 ")
+
+
+def _subcarrier_files(tmp_path, m: int, T: float) -> list[Path]:
+    paths = [tmp_path / f"s{i}.sig" for i in range(m)]
+    for path, w in zip(paths, gen_subcarrier_set(m, T, 1 / 128)):
+        write_signal(path, w, binary=True)
+    return paths
+
+
+@pytest.mark.parametrize("rows", [None, 5])
+def test_streamed_mimo_trace_matches_in_memory(rows, tmp_path, monkeypatch, capsys):
+    # -o alone streams the trace; beside --csv it is spatial_integral's
+    if rows is not None:
+        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * 400)
+    paths = _subcarrier_files(tmp_path, 3, 0.5)
+    argv = ["mimo", "--inputs", *map(str, paths), "--spatial-integral", "--n-doppler", "400"]
+    (streamed, line), (in_memory, line_ref) = _streamed_and_in_memory(
+        argv, tmp_path, capsys, flag="--csv"
+    )
+    assert streamed == in_memory
+    assert line == line_ref and line.startswith("spatial-integral n_lag=255 n_doppler=400 ")
+    assert len(streamed) == 44 + 255 * 400 * 16
+
+
+def test_streamed_mimo_trace_peak_memory(tmp_path, capsys):
+    # mimo --spatial-integral -o alone holds one block of the 32 MiB trace
+    # and two blocks of lag products, not the trace and a self surface
+    paths = _subcarrier_files(tmp_path, 2, 2.0)
+    out = tmp_path / "tr.sur"
+    rc, peak = traced_peak(cli.main, [
+        "mimo", "--inputs", *map(str, paths), "--spatial-integral",
+        "--n-doppler", "2048", "-o", str(out),
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("spatial-integral n_lag=1023 n_doppler=2048 ")
+    assert out.stat().st_size == 44 + 1023 * 2048 * 16
+    out.unlink()
+    assert peak <= 16 * 2**20
 
 
 class _FailingFile:
@@ -350,6 +393,40 @@ def test_failed_stream_leaves_no_file(error, tmp_path, monkeypatch, capsys):
     assert err.startswith("error:") and "Traceback" not in err
     assert [f.writes for f in files] == [3]
     assert sorted(tmp_path.iterdir()) == [sig]
+
+
+def test_failed_trace_stream_leaves_no_file(tmp_path, monkeypatch, capsys):
+    paths = _subcarrier_files(tmp_path, 2, 1.0)
+    out = tmp_path / "tr.sur"
+    out.write_bytes(b"an older surface")
+    monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", 7 * 16 * 1024)
+    files = []
+
+    def failing_open(path, mode):
+        files.append(_FailingFile(OSError(errno.ENOSPC, "No space left on device"), path, mode))
+        return files[-1]
+
+    monkeypatch.setattr(io_formats, "open", failing_open, raising=False)
+    assert cli.main(["mimo", "--inputs", *map(str, paths), "--spatial-integral",
+                     "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert [f.writes for f in files] == [3]
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+
+
+def test_trace_stream_checks_gamma_before_opening(tmp_path, monkeypatch, capsys):
+    # a half-wavelength array has no trace identity: exit 2, file untouched
+    paths = _subcarrier_files(tmp_path, 2, 1.0)
+    out = tmp_path / "tr.sur"
+    out.write_bytes(b"an older surface")
+    opened = []
+    monkeypatch.setattr(io_formats, "open", lambda *a: opened.append(a), raising=False)
+    assert cli.main(["mimo", "--inputs", *map(str, paths), "--spatial-integral",
+                     "--gamma", "0.5", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert opened == []
+    assert out.read_bytes() == b"an older surface"
 
 
 @pytest.mark.parametrize("writer", [write_surface, write_surface_csv])
@@ -649,16 +726,19 @@ def test_verify_report_determinism(tmp_path):
     assert b" pass " in blobs[0]
 
 
-# sha256 of `verify --suite all --family F` stdout at seed 0, taken before the
-# checks were rewritten to hold fewer surfaces.  Each line prints 17 digits of
-# its errors, so the pins also hold the FFT's and BLAS's rounding of the
+# sha256 of `verify --suite all --family F` stdout at seed 0, re-taken when the
+# spatial-integral trace became one Doppler FFT of the summed self lag
+# products instead of a sum of M FFT surfaces.  That moved only the
+# trace-psd and trace-reduction lines, at rounding level (the diff is in
+# CHANGES.md); every other line kept its bytes.  Each line prints 17 digits
+# of its errors, so the pins also hold the FFT's and BLAS's rounding of the
 # surfaces and sums behind them: a numpy or BLAS build that rounds those
 # differently changes the pins without a fault in the checks.
 VERIFY_ALL_PINNED = {
-    "gaussian": "24659d1f9d9ef74249dc5d8562bfdc933c295adb9a4486eb2b70024d58e4bdda",
-    "lfm": "0416332eab253999283458c5c68b362953a64624aadaa46e3a173e06e996beef",
-    "rect": "5c1349b14f068de5d3fc05268de5e2ac14f0fab49c2c84bf5ff1c58dc6a33eef",
-    "subcarriers": "169e04a53edf1132f4f9d0b913fc2a8eb85e3a1058fff3a4cf32b0de71b85702",
+    "gaussian": "5daf66127f5cf572fde5a2d605f949a1db5fc19ab80cfff7ae46c0dab8276781",
+    "lfm": "87cf4577a2f023e897b6ffd63df19eca15cf517bf8e1ac03ac87404403b2485c",
+    "rect": "850a459c846118a012a36d6d5ba1c9d4f973707af1dd83fc8f6c5e449246118c",
+    "subcarriers": "4e39189d8da895a5721035e2ce3a735db522dbe6d0e99001ed87e5a2acc811aa",
 }
 
 
@@ -683,15 +763,21 @@ def test_verify_all_report_lines_pinned(family, capsys):
     assert _sha256(capsys.readouterr().out) == VERIFY_ALL_PINNED[family]
 
 
-@pytest.mark.parametrize("suite", [s for s in cli.SUITES if s != "all"])
+@pytest.mark.parametrize("suite", [*(s for s in cli.SUITES if s != "all"), "bilinear-dilation"])
 def test_verify_suite_surface_budget(suite, capsys):
     # No check holds more than three surfaces of the default grid (256
     # samples, 1024 Doppler bins) at once, sym-dilate's parent with twice
     # the Doppler bins counting as two; the last 2 MiB covers one block of
-    # lag products, the axes and numpy's buffers.
+    # lag products, the axes and numpy's buffers.  b = 1.25 takes the
+    # dilation check through act_on_surface's bilinear pullback.
     surface_bytes = (2 * 256 - 1) * 1024 * 16
-    rc, peak = traced_peak(cli.main, ["verify", "--suite", suite])
-    assert rc == 0
+    if suite == "bilinear-dilation":
+        u = gen_gaussian(CANONICAL_SIGMA, 1 / 64, 2.0)
+        rep, peak = traced_peak(verify_dilation, u, b=1.25, n_doppler=1024)
+        assert rep.info["route"] == "bilinear"
+    else:
+        rc, peak = traced_peak(cli.main, ["verify", "--suite", suite])
+        assert rc == 0
     assert peak <= 3 * surface_bytes + 2 * 2**20
 
 
@@ -752,3 +838,33 @@ def test_render_af_gallery_script(tmp_path):
     # co-steered slice of an orthonormal pair: M at the origin
     beam = read_surface(tmp_path / "mimo_fs0_fsp0.sur")
     assert abs(beam.value_at(0.0, 0.0) - 2.0) <= 1e-9
+
+
+def _full_verification_module():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_full_verification.py"
+    spec = importlib.util.spec_from_file_location("run_full_verification", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--suite", "norm"], 0),
+    (["--suite", "norm", "--seed", "-1"], 2),
+    (["--suite", "norm", "--suite", "psd", "--probes", "0"], 2),
+])
+def test_full_verification_exit_codes(argv, code, monkeypatch, capsys):
+    # bad input exits 2 as the CLI does; 1 is kept for a failed identity
+    monkeypatch.setattr(sys, "argv", ["run_full_verification.py", *argv])
+    assert _full_verification_module().main() == code
+
+
+@pytest.mark.parametrize("codes,code", [
+    ({"norm": 1, "psd": 0}, 1), ({"norm": 1, "psd": 2}, 2), ({"norm": 2, "psd": 1}, 2),
+])
+def test_full_verification_refusal_outranks_failure(codes, code, monkeypatch, capsys):
+    script = _full_verification_module()
+    monkeypatch.setattr(script, "cli_main", lambda argv: codes[argv[2]])
+    monkeypatch.setattr(sys, "argv", ["run_full_verification.py", "--suite", "norm",
+                                      "--suite", "psd"])
+    assert script.main() == code
