@@ -29,7 +29,7 @@ import argparse
 import math
 import sys
 from collections.abc import Callable
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -437,7 +437,10 @@ def cmd_verify(args) -> int:
 
 # ------------------------------------------------------------------ parsing
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: each add_argument sizes a help formatter to the
+    # terminal, about 2 ms in all, and parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="mimoaf",
         description="Delay-Doppler ambiguity surfaces and their identity checks.",

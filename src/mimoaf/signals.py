@@ -394,18 +394,18 @@ def dilate(v: SampledSignal, b: float) -> SampledSignal:
     n = v.n
     half = _DILATE_TAPS // 2
     x = (b * v.times - v.t0) / v.dt  # fractional source index per output sample
-    base = np.floor(x).astype(np.int64)
+    # one row per tap offset: source index m, distance d and weight w
+    m = np.floor(x).astype(np.int64) + np.arange(-half + 1, half + 1)[:, None]
+    d = x - m
+    # Kaiser window evaluated continuously; support |d| <= half
+    arg = 1.0 - (d / half) ** 2
+    window = np.i0(_KAISER_BETA * np.sqrt(np.clip(arg, 0.0, None)))
+    w = np.where(np.abs(d) <= half, np.sinc(d) * window / np.i0(_KAISER_BETA), 0.0)
+    terms = v.samples[np.clip(m, 0, n - 1)] * w
+    valid = (m >= 0) & (m < n)
     out = np.zeros(n, dtype=np.complex128)
-    i0_beta = np.i0(_KAISER_BETA)
-    for off in range(-half + 1, half + 1):
-        m = base + off
-        d = x - m
-        # Kaiser window evaluated continuously; support |d| <= half
-        arg = 1.0 - (d / half) ** 2
-        window = np.i0(_KAISER_BETA * np.sqrt(np.clip(arg, 0.0, None)))
-        w = np.where(np.abs(d) <= half, np.sinc(d) * window / i0_beta, 0.0)
-        valid = (m >= 0) & (m < n)
-        out[valid] += v.samples[np.clip(m, 0, n - 1)][valid] * w[valid]
+    for term, ok in zip(terms, valid):  # tap by tap, in offset order
+        np.add(out, term, out=out, where=ok)
     return v.replace_samples(out)
 
 

@@ -15,27 +15,36 @@ signal pair, whose cross-ambiguity is the spatial slice.
 
 Grid notes baked into the checks:
 
+* On every surface :func:`cross_ambiguity` builds, lag k and Doppler bin
+  j of N satisfy tau_k nu_j = k (j - N/2) / N whatever dt is, so the
+  factor exp(+-i 2 pi tau nu) of the rotation and mirror identities is an
+  N-th root of unity picked by integer index arithmetic, with no rounded
+  product tau*nu inside a complex exponential.
 * The rotation identity needs the frequency grid to coincide with the
   time grid (n dt^2 = 1) and cyclic lag products, under which it is exact.
   With the forward Fourier transform the rotation appears as the inverse
-  quarter-turn; the remap runs through J^{-1}.
+  quarter-turn, which on that grid is the index relabel
+  out[a, l] = s[n - l, a]; only Doppler bin 0 has no source.
 * The mirror check relabels the surface by reversing both index axes, a
   pure permutation on symmetric axes, and is held to 1e-9.
 * Shear rolls the Doppler axis per lag row (the discrete surface is
-  exactly periodic in Doppler); integer roll counts make it exact, with
-  periodic linear interpolation as the off-grid fallback.
+  exactly periodic in Doppler); integer roll counts make it an exact
+  gather, with a bin-wise phase rotation as the off-grid fallback.
 * Integer dilations are evaluated against a parent surface with a b times
   finer Doppler step, again landing on exact grid points.
+
+Every relative distance takes its norms with numpy's own summation loop,
+not a BLAS dot, whose bits change with the BLAS thread count.
 
 Memory: no comparison holds more than three surfaces of its grid at once,
 plus the block of lag products of the surface being built; the integer-
 dilation parent has b times the Doppler bins and counts as b surfaces (two
-for the sym-dilate suite's b = 2).  The mirror, shear and dilation checks
-build route (b) first and route (a) only once every surface route (b)
-needed is gone, and take the difference in place over route (b)'s cells.
-The bilinear pullback :func:`act_on_surface` (sym-J, off-grid dilations)
-holds its input, its output and their valid-cell mask, and builds its
-index and weight arrays one row block at a time.
+for the sym-dilate suite's b = 2).  Every check builds route (b) first and
+route (a) only once every surface route (b) needed is gone, and takes the
+difference in place over route (b)'s cells.  Index and phase arrays are
+built one row block at a time.  The bilinear pullback
+:func:`act_on_surface` (off-grid dilations) holds its input, its output and
+their valid-cell mask.
 """
 
 from __future__ import annotations
@@ -69,9 +78,10 @@ __all__ = [
 
 _SNAP = 1e-9
 _COVERAGE_FLOOR = 0.9
-# cells per row block of act_on_surface; a block's index, weight and gather
-# arrays peak at about 140 bytes a cell, so about 2 MiB
-_PULLBACK_CELLS = 2**14
+# cells per row block of the index and phase arrays; act_on_surface's
+# index, weight and gather arrays peak at about 140 bytes a cell, so about
+# 2 MiB a block, and an integer gather's at 24 bytes a cell
+_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -152,7 +162,7 @@ def act_on_surface(s: AmbiguitySurface, g: Sl2Element) -> AmbiguitySurface:
     mask and their fraction under "valid_mask" / "coverage".
 
     Every value is computed per cell, so the output is built one block of
-    about _PULLBACK_CELLS cells at a time: besides the input and the
+    about _BLOCK_CELLS cells at a time: besides the input and the
     output, only one block's index, weight and gather arrays are alive.
     """
     tau0 = float(s.tau_axis[0])
@@ -162,7 +172,7 @@ def act_on_surface(s: AmbiguitySurface, g: Sl2Element) -> AmbiguitySurface:
     nu = s.nu_axis[None, :]
     out = np.empty((L, V), dtype=np.complex128)
     valid = np.empty((L, V), dtype=bool)
-    rows = max(1, _PULLBACK_CELLS // V)
+    rows = max(1, _BLOCK_CELLS // V)
     for start in range(0, L, rows):
         blk = slice(start, start + rows)
         tau = s.tau_axis[blk, None]
@@ -191,6 +201,61 @@ def act_on_surface(s: AmbiguitySurface, g: Sl2Element) -> AmbiguitySurface:
     return AmbiguitySurface(out, s.tau_axis, s.nu_axis, s.kind, s.dt, s.t0, meta)
 
 
+def _unit_roots(n: int) -> np.ndarray:
+    """exp(i 2 pi m / n) for m = 0 .. n-1, each from an angle of at most pi/4.
+
+    4m = q n + r splits the angle into q quarter turns and (pi/2) r/n; a
+    remainder past n/2 is folded to its complement (pi/2) (n - r)/n, which
+    swaps cosine and sine.  The fold and the quarter turns only swap and
+    negate parts, which is exact.
+    """
+    q, r = np.divmod(4 * np.arange(n), n)
+    fold = 2 * r > n
+    phi = (0.5 * math.pi) * (np.where(fold, n - r, r) / n)
+    c, s = np.cos(phi), np.sin(phi)
+    re, im = np.where(fold, s, c), np.where(fold, c, s)
+    out = np.empty(n, dtype=np.complex128)
+    out.real = np.choose(q, (re, -im, -re, im))
+    out.imag = np.choose(q, (im, re, -im, -re))
+    return out
+
+
+def _tau_nu_phase(values: np.ndarray, sign: int, conj: bool = False) -> np.ndarray:
+    """values (conj(values) if conj) times exp(sign i 2 pi tau nu), as a new
+    array, on a grid :func:`cross_ambiguity` built.
+
+    There row i of L is lag k = i - L//2 and tau_k nu_j = k (j - N/2) / N
+    for Doppler bin j of N, on linear and cyclic grids alike, so the phase
+    is the root of unity roots[sign k (j - N/2) mod N]: integer arithmetic
+    and a table read, one row block at a time.
+    """
+    L, N = values.shape
+    roots = _unit_roots(N)
+    k = sign * (np.arange(L) - L // 2)
+    j = np.arange(N) - N // 2
+    out = np.empty_like(values)
+    rows = max(1, _BLOCK_CELLS // N)
+    for start in range(0, L, rows):
+        blk = slice(start, start + rows)
+        idx = np.multiply.outer(k[blk], j)
+        phase = roots[np.remainder(idx, N, out=idx)]
+        src = np.conjugate(values[blk], out=out[blk]) if conj else values[blk]
+        np.multiply(src, phase, out=out[blk])
+    return out
+
+
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm of a complex array whose last axis is contiguous.
+
+    einsum sums the squares of its float64 view with numpy's own loop, so a
+    strided view is read in place and, unlike the BLAS dot behind
+    np.linalg.norm, the bits do not depend on the BLAS thread count.
+    """
+    f = x.view(np.float64)
+    axes = "abcdefgh"[: f.ndim]
+    return math.sqrt(float(np.einsum(f"{axes},{axes}->", f, f)))
+
+
 def _masked_frobenius(
     a: np.ndarray, b: np.ndarray, whole: np.ndarray | None
 ) -> tuple[float, float]:
@@ -200,11 +265,11 @@ def _masked_frobenius(
     b is overwritten with a - b once its norms are read, so the difference
     needs no surface of its own.
     """
-    den = float(np.linalg.norm(b))
-    total = den if whole is None else float(np.linalg.norm(whole))
+    den = _norm(b)
+    total = den if whole is None else _norm(whole)
     coverage = (den / total) ** 2 if total > 0.0 else 0.0
     diff = np.subtract(a, b, out=b)
-    return float(np.linalg.norm(diff)) / max(den, 1e-300), coverage
+    return _norm(diff) / max(den, 1e-300), coverage
 
 
 def _dual_path_report(
@@ -236,7 +301,11 @@ def verify_fourier_rotation(
     exp(i 2 pi nu tau).
 
     Needs n dt^2 = 1 (frequency grid equal to time grid) and uses cyclic
-    lag products, under which both routes agree to rounding.
+    lag products, under which both routes agree to rounding.  There lag
+    index and Doppler bin share the step dt, so the pullback along J^{-1},
+    s(-nu, tau), is the relabel out[a, l] = s[n - l, a]; Doppler bin 0
+    would read lag row n, off the grid, and is left out.  Route (b) is
+    built, and the Fourier pair's surface dropped, before chi(u, v) is.
     """
     if v is None:
         v = u
@@ -247,13 +316,17 @@ def verify_fourier_rotation(
             f"rotation check needs n*dt^2 = 1 so the Fourier grid matches; "
             f"got n={n}, dt={u.dt}"
         )
-    s = cross_ambiguity(u, v, n_doppler=n, cyclic=True)
-    path_a = act_on_surface(s, Sl2Element.rotation().inverse())
     s_hat = cross_ambiguity(fourier(u), fourier(v), n_doppler=n, cyclic=True)
-    phase = np.exp(1j * 2.0 * math.pi * np.outer(s.tau_axis, s.nu_axis))
-    path_b = s_hat.values * phase
-    mask = path_a.meta["valid_mask"]
-    return _dual_path_report("sym-J", path_a.values[mask], path_b[mask], path_b, tol, {})
+    path_b = _tau_nu_phase(s_hat.values, 1)
+    del s_hat
+    s = cross_ambiguity(u, v, n_doppler=n, cyclic=True)
+    return _dual_path_report("sym-J", _rotation_relabel(s), path_b[:, 1:], path_b, tol, {})
+
+
+def _rotation_relabel(s: AmbiguitySurface) -> np.ndarray:
+    """s(-nu, tau) on Doppler bins 1 .. n-1 of a cyclic n dt^2 = 1 grid: the
+    view out[a, l - 1] = s[n - l, a]."""
+    return s.values[:0:-1].T
 
 
 def verify_mirror(
@@ -274,9 +347,7 @@ def verify_mirror(
         v = u
     u.require_compatible(v)
     svu = cross_ambiguity(v, u, n_doppler=n_doppler)
-    target = -1j * 2.0 * math.pi * np.outer(svu.tau_axis, svu.nu_axis)
-    np.exp(target, out=target)
-    np.multiply(np.conj(svu.values), target, out=target)
+    target = _tau_nu_phase(svu.values, -1, conj=True)
     del svu
     suv = cross_ambiguity(u, v, n_doppler=n_doppler)
     # lag axis is symmetric; Doppler bin 0 (-Nyquist edge) has no partner,
@@ -303,9 +374,19 @@ def _shear_resample(s: AmbiguitySurface, rate: float) -> tuple[np.ndarray, bool]
     shifts = lags * shift_per_lag
     aligned = bool(np.all(np.abs(shifts - np.round(shifts)) <= _SNAP))
     if aligned:
+        # np.roll of row i by shift_i, as one gather per row block from the
+        # flat surface: out[i, j] = s[i, (j - shift_i) mod n_d]
         out = np.empty_like(s.values)
-        for row, lag in enumerate(lags):
-            out[row] = np.roll(s.values[row], int(round(float(lag) * shift_per_lag)))
+        flat = s.values.reshape(-1)
+        first_col = -np.round(shifts).astype(np.int64)
+        cols = np.arange(n_d)
+        rows = max(1, _BLOCK_CELLS // n_d)
+        for start in range(0, lags.size, rows):
+            blk = slice(start, start + rows)
+            idx = np.add.outer(first_col[blk], cols)
+            np.remainder(idx, n_d, out=idx)
+            idx += np.arange(start, start + len(idx))[:, None] * n_d
+            np.take(flat, idx, out=out[blk], mode="clip")
     else:
         # s and at most two surface-sized arrays are alive at any step
         phase_in = np.exp(-1j * 2.0 * math.pi * s.t0 * s.nu_axis)[None, :]

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import importlib.util
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -547,6 +548,30 @@ def test_mimo_modes_are_exclusive(subcarrier_files):
     assert exc.value.code == 2
 
 
+def test_cached_parser_behaves_as_fresh_ones(capsys):
+    # main builds its parser once per process; an argparse error (exit 2)
+    # must leave it as a freshly built one would be, and --help reads the same
+    def outcome(argv, fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    calls = [["verify", "--suite", "nope"], ["verify", "--suite", "norm"], ["verify", "--help"]]
+    fresh = [outcome(argv, fresh=True) for argv in calls]
+    cli._build_parser.cache_clear()
+    cached = [outcome(argv, fresh=False) for argv in calls]
+    assert cached == fresh
+    assert [c for c, _, _ in cached] == [2, 0, 0]
+    assert "invalid choice: 'nope'" in cached[0][2]
+    assert "--suite" in cached[2][1]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_verify_sym_mimo_rejects_bad_steering(capsys):
     # the suites steer through SteeringConfig.steering_phases, like `mimo`
     for extra in (["--fs", "1.5"], ["--fsp", "nan"]):
@@ -726,19 +751,23 @@ def test_verify_report_determinism(tmp_path):
     assert b" pass " in blobs[0]
 
 
-# sha256 of `verify --suite all --family F` stdout at seed 0, re-taken when the
-# spatial-integral trace became one Doppler FFT of the summed self lag
-# products instead of a sum of M FFT surfaces.  That moved only the
-# trace-psd and trace-reduction lines, at rounding level (the diff is in
-# CHANGES.md); every other line kept its bytes.  Each line prints 17 digits
-# of its errors, so the pins also hold the FFT's and BLAS's rounding of the
+# sha256 of `verify --suite all --family F` stdout at seed 0, re-taken when
+# the symmetry checks moved to exact index arithmetic: the exp(+-i2pi tau nu)
+# factors of sym-J and sym-mirror became roots of unity read from a table,
+# sym-J's pullback became an index relabel, and every relative distance
+# took its norms with numpy's einsum instead of the BLAS dot behind
+# np.linalg.norm.  That moved the sym-J, sym-mirror, sym-lfm, sym-dilate and
+# sym-mimo lines at rounding level (the diff is in CHANGES.md); every other
+# line kept its bytes.  The lines are the same at 1 and 2 BLAS threads
+# (test_verify_all_thread_count_independent).  Each line prints 17 digits of
+# its errors, so the pins also hold the FFT's and BLAS's rounding of the
 # surfaces and sums behind them: a numpy or BLAS build that rounds those
 # differently changes the pins without a fault in the checks.
 VERIFY_ALL_PINNED = {
-    "gaussian": "5daf66127f5cf572fde5a2d605f949a1db5fc19ab80cfff7ae46c0dab8276781",
-    "lfm": "87cf4577a2f023e897b6ffd63df19eca15cf517bf8e1ac03ac87404403b2485c",
-    "rect": "850a459c846118a012a36d6d5ba1c9d4f973707af1dd83fc8f6c5e449246118c",
-    "subcarriers": "4e39189d8da895a5721035e2ce3a735db522dbe6d0e99001ed87e5a2acc811aa",
+    "gaussian": "650696ed1c94dbad464c1f3e2972bb639067ce4efdf5a63654862360e4ea8b1b",
+    "lfm": "e9d345d921b1394a8e0a75a7d5ab25a79242c4378a74f2ad9a55e3b0170e3daf",
+    "rect": "646d7158f0ee5b8fbfe40b0151e08694dc6168fa3bc54389db35fad809aab30f",
+    "subcarriers": "3921c47864f1890eae3579a4b7d7416d6ae16a30305444d3ef541d4b0c4fdde7",
 }
 
 
@@ -763,6 +792,27 @@ def test_verify_all_report_lines_pinned(family, capsys):
     assert _sha256(capsys.readouterr().out) == VERIFY_ALL_PINNED[family]
 
 
+def test_verify_all_thread_count_independent():
+    # the report of every family has the same bytes at one and two BLAS
+    # threads; the thread count is read when numpy loads, so each count
+    # runs in its own process
+    script = (
+        "import sys\nfrom mimoaf import cli\n"
+        "for f in sys.argv[1:]:\n"
+        "    print(f, cli.main(['verify', '--suite', 'all', '--family', f]))\n"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        res = subprocess.run([sys.executable, "-c", script, *VERIFY_ALL_PINNED],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count(" pass ") >= 4 * 14 and " fail " not in outs[0]
+
+
 @pytest.mark.parametrize("suite", [*(s for s in cli.SUITES if s != "all"), "bilinear-dilation"])
 def test_verify_suite_surface_budget(suite, capsys):
     # No check holds more than three surfaces of the default grid (256
@@ -779,6 +829,16 @@ def test_verify_suite_surface_budget(suite, capsys):
         rc, peak = traced_peak(cli.main, ["verify", "--suite", suite])
         assert rc == 0
     assert peak <= 3 * surface_bytes + 2 * 2**20
+
+
+def test_verify_sym_J_surface_budget(capsys):
+    # sym-J's own cyclic grid is 256 x 256, 1 MiB a surface: the rotation
+    # check holds at most three of them plus 1 MiB, the same rule as the
+    # other checks at the default grid
+    surface_bytes = 256 * 256 * 16
+    rc, peak = traced_peak(cli.main, ["verify", "--suite", "sym-J"])
+    assert rc == 0
+    assert peak <= 3 * surface_bytes + 2**20
 
 
 # ------------------------------------------------------------- cli: config

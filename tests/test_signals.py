@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -231,6 +232,28 @@ def test_dilate_offgrid_factor_energy():
     u = canonical_gaussian()
     out = dilate(u, 1.25)
     assert math.isclose(out.energy(), 1 / 1.25, rel_tol=1e-4)
+
+
+# sha256 of dilate(u, b).samples for the sym-dilate Gaussian and its rate-3
+# chirp, taken when the 16 taps' Kaiser-sinc weights were built one tap at a
+# time; building them as one (taps, n) array must keep every bit
+DILATE_PINNED = {
+    ("gauss", 0.5): "49ec5a917fe4e8b0def11fff5f5537636669f1c0af2ee13d78ab67950b1f0576",
+    ("gauss", 1.25): "c4ed8916bf8e8e9d23530024b6f9524c6459d687c362820d79d870f1d16af299",
+    ("gauss", 2.0): "7b8add687e3b776444e747cbbc35045615ad308c03cdc0ddd818810b02a58261",
+    ("chirp", 0.5): "81b653e74d3e856b20bf55cae3b1890644d99a57f882fb680beeb27b4353cd9c",
+    ("chirp", 1.25): "9a75a620df6c93c3a730ec35cf1395778205acfdf53092495d30d6de2537365f",
+    ("chirp", 2.0): "8468095484c498de62da744fa030c57cada0acce6d6cf67c13b82f60e1b74f7e",
+}
+
+
+@pytest.mark.parametrize("name, b", sorted(DILATE_PINNED))
+def test_dilate_bytes_pinned(name, b):
+    u = gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0)
+    if name == "chirp":
+        u = chirp_multiply(u, 3.0)
+    digest = hashlib.sha256(dilate(u, b).samples.tobytes()).hexdigest()
+    assert digest == DILATE_PINNED[(name, b)]
 
 
 def test_dilate_rejects_bad_factor():

@@ -1,4 +1,6 @@
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from mimoaf import (
     CANONICAL_SIGMA,
     GridMismatchError,
     InvalidParameterError,
+    SampledSignal,
     Sl2Element,
     SteeringConfig,
     act_on_surface,
@@ -23,6 +26,7 @@ from mimoaf import (
     verify_mimo_symmetry,
     verify_mirror,
 )
+from mimoaf import cli, symmetry
 from mimoaf.ambiguity import AmbiguitySurface
 
 from conftest import DT_G, mixture_basis, random_mixture
@@ -194,6 +198,55 @@ def test_fourier_rotation_needs_matched_grid(rect256):
         verify_fourier_rotation(rect256)
 
 
+@pytest.mark.parametrize("family", cli.FAMILIES)
+def test_rotation_relabel_is_the_pullback(family):
+    # on the cyclic n dt^2 = 1 grid, the pullback along J^{-1} lands every
+    # point but Doppler column 0 on a grid point; the relabel reads the same
+    # values (array_equal: a blend of exact weights may flip a zero's sign)
+    u = cli._rotation_waveform(family)
+    s = cross_ambiguity(u, n_doppler=u.n, cyclic=True)
+    pulled = act_on_surface(s, Sl2Element.rotation().inverse())
+    mask = pulled.meta["valid_mask"]
+    assert mask[:, 1:].all() and not mask[:, 0].any()
+    assert np.array_equal(pulled.values[:, 1:], symmetry._rotation_relabel(s))
+
+
+# ---------------------------------------------------------------- phase table
+
+@pytest.mark.parametrize(
+    "n, n_doppler, cyclic", [(256, 1024, False), (256, 256, True), (100, 250, False)]
+)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_tau_nu_phase_is_the_exact_root_of_unity(n, n_doppler, cyclic, sign):
+    # tau_k nu_j = k (j - N/2) / N exactly, whatever dt is; each sampled cell
+    # of the table route is within 2 ulp of cmath.exp of that rational
+    u = SampledSignal(np.ones(n, dtype=np.complex128), 0.37 / n, -0.1)
+    s = cross_ambiguity(u, n_doppler=n_doppler, cyclic=cyclic)
+    L, N = s.values.shape
+    phase = symmetry._tau_nu_phase(np.ones((L, N), dtype=np.complex128), sign)
+    rng = np.random.default_rng(5)
+    cells = [(0, 0), (0, N - 1), (L - 1, 0), (L - 1, N - 1), (L // 2, N // 2)]
+    cells += [tuple(c) for c in rng.integers(0, (L, N), size=(200, 2))]
+    for i, j in cells:
+        k = round(s.tau_axis[i] / s.dt)
+        assert k == i - L // 2
+        r = Fraction(sign * k * (j - N // 2), N) % 1
+        ref = cmath.exp(2j * math.pi * float(r - 1 if r > 0.5 else r))
+        assert abs(phase[i, j].real - ref.real) <= 2 * np.spacing(1.0), (i, j)
+        assert abs(phase[i, j].imag - ref.imag) <= 2 * np.spacing(1.0), (i, j)
+
+
+def test_conjugated_phase_table_breaks_rotation_and_mirror(rot_gauss, gauss256, monkeypatch):
+    # the table's sign is what the two identities test: a conjugated table
+    # fails both at order one
+    roots = symmetry._unit_roots
+    monkeypatch.setattr(symmetry, "_unit_roots", lambda n: np.conj(roots(n)))
+    v = chirp_multiply(gauss256, 1.0)
+    for rep in (verify_fourier_rotation(rot_gauss), verify_mirror(gauss256, v)):
+        assert not rep.passed, rep.name
+        assert rep.rel_err >= 0.1, rep.name
+
+
 # --------------------------------------------------------------------- mirror
 
 def test_mirror_self_and_cross(gauss256):
@@ -221,6 +274,19 @@ def test_shear_aligned_rate(gauss256):
     assert rep.passed
     assert rep.rel_err <= 1e-12
     assert rep.info["aligned"] is True
+
+
+@pytest.mark.parametrize("n_doppler, bins_per_lag", [(1024, 3), (1000, -5)])
+def test_aligned_shear_gather_equals_row_rolls(gauss256, n_doppler, bins_per_lag):
+    # the gather keeps every bit of rolling each lag row on its own
+    s = cross_ambiguity(gauss256, n_doppler=n_doppler)
+    rate = bins_per_lag / (n_doppler * s.dt * s.dt)
+    out, aligned = symmetry._shear_resample(s, rate)
+    assert aligned
+    lags = np.round(s.tau_axis / s.dt).astype(np.int64)
+    rolled = np.array([np.roll(row, k * bins_per_lag) for k, row in zip(lags, s.values)])
+    rolled *= np.exp(-1j * math.pi * rate * s.tau_axis**2)[:, None]
+    assert np.array_equal(out, rolled)
 
 
 def test_shear_fractional_rate(rect256, gauss256):
