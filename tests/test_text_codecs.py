@@ -1,5 +1,6 @@
-"""The SIG1 and CSV text codecs: pinned bytes, malformed input, the exact
-round trip and the memory of the row-by-row CSV writer."""
+"""The SIG1 and CSV text codecs and the surface files the CLI writes:
+pinned bytes, malformed input, the exact round trip and the memory of the
+row-by-row CSV writer."""
 
 import hashlib
 
@@ -8,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimoaf import FileFormatError, SampledSignal, cli, cross_ambiguity, gen_rect
+from mimoaf import (
+    CANONICAL_SIGMA,
+    FileFormatError,
+    SampledSignal,
+    cli,
+    cross_ambiguity,
+    gen_gaussian,
+    gen_rect,
+    gen_subcarrier_set,
+)
 from mimoaf.ambiguity import AmbiguitySurface
 from mimoaf.io_formats import read_signal, read_surface_csv, write_signal, write_surface_csv
 
@@ -32,10 +42,22 @@ def _signed_zero_surface() -> AmbiguitySurface:
                             "linear", 0.25, 0.0)
 
 
+def _run_cli(*argv):
+    assert cli.main([*map(str, argv)]) == 0
+
+
+def _af_outputs(d, *argv):
+    """af on the case's signals to SUR1, CSV and a dB heatmap in one run,
+    then to a linear heatmap.  cli.csv must equal write_surface_csv's af.csv."""
+    _run_cli("af", *argv, "-o", d / "af.sur", "--csv", d / "cli.csv", "--ppm", d / "db.ppm")
+    _run_cli("af", *argv, "--linear", "--ppm", d / "linear.ppm")
+
+
 def _write_rect(d):
     u = gen_rect(1.0, 1 / 16)
     write_signal(d / "u.sig", u)
     write_surface_csv(d / "af.csv", cross_ambiguity(u))
+    _af_outputs(d, "--u", d / "u.sig", "--n-doppler", 4 * u.n)
 
 
 def _write_odd_cross(d):
@@ -43,6 +65,21 @@ def _write_odd_cross(d):
     write_signal(d / "u.sig", u)
     write_signal(d / "v.sig", v)
     write_surface_csv(d / "af.csv", cross_ambiguity(u, v))
+    _af_outputs(d, "--u", d / "u.sig", "--v", d / "v.sig", "--n-doppler", 4 * u.n)
+
+
+def _write_wigner(d):
+    write_signal(d / "u.sig", gen_gaussian(CANONICAL_SIGMA, 1 / 8, 2.0))
+    _run_cli("af", "--u", d / "u.sig", "--wigner",
+             "-o", d / "w.sur", "--csv", d / "w.csv", "--ppm", d / "w.ppm")
+
+
+def _mimo_outputs(d, tag, *argv):
+    paths = [d / "s0.sig", d / "s1.sig"]
+    for path, w in zip(paths, gen_subcarrier_set(2, 0.5, 1 / 32)):
+        write_signal(path, w)
+    _run_cli("mimo", "--inputs", *paths, "--n-doppler", 64, *argv,
+             "-o", d / f"{tag}.sur", "--csv", d / f"{tag}.csv", "--ppm", d / f"{tag}.ppm")
 
 
 def _write_signed_zeros(d):
@@ -56,22 +93,39 @@ def _write_spatial_grid(d):
     paths = [d / "a.sig", d / "b.sig"]
     write_signal(paths[0], _integer_signal(8, 1))
     write_signal(paths[1], _integer_signal(8, 3))
-    argv = ["mimo", "--inputs", *map(str, paths), "--slice-spatial", "--K", "4",
-            "--csv", str(d / "grid.csv")]
-    assert cli.main(argv) == 0
+    _run_cli("mimo", "--inputs", *paths, "--slice-spatial", "--K", 4, "--csv", d / "grid.csv")
+    _run_cli("mimo", "--inputs", *paths, "--slice-spatial", "--K", 4, "--tau", 0.25,
+             "-o", d / "grid.sur", "--ppm", d / "grid.ppm")
 
 
-# sha256 of every file each case writes, taken from the per-line writers
-# these codecs replace.  The surface cases also pin the FFT's rounding, and
-# the grid the steering product's, of exact inputs: a numpy or BLAS build
-# that rounds those differently changes the pins without a codec fault.
+# sha256 of every file each case writes.  The SIG1 and CSV pins were taken
+# from the per-line writers these codecs replace; the SUR1, PPM and other CLI
+# pins from the CLI that streamed a SUR1 file alone and built the whole
+# surface for every other output.  The surface cases also pin the FFT's
+# rounding, and the grid the steering product's, of exact inputs: a numpy or
+# BLAS build that rounds those differently changes the pins without a codec
+# fault.
+_RECT_CSV = "271ef9c85e2e82cdab7c3597d008dc99926661fc96e8fd6a9e07c6659fc70f67"
+_ODD_CROSS_CSV = "fb6602b2c2bdf523c4a003cf65a213c02aea74e0d53e208609f54492b3ea50eb"
+_SUBCARRIERS = {
+    "s0.sig": "8110c3087204b4efbdde431f867ea0023700455d38afbd6531571331a3ba4708",
+    "s1.sig": "fa343e9dbbf5d4020097bf2e8d1a08e9cb683b5f3bfa25bf51c71174142f5b35",
+}
 PINNED = {
     "rect": (_write_rect, {
-        "af.csv": "271ef9c85e2e82cdab7c3597d008dc99926661fc96e8fd6a9e07c6659fc70f67",
+        "af.csv": _RECT_CSV,
+        "cli.csv": _RECT_CSV,
+        "af.sur": "51140b3fba7db7b5f2512fc06faef0a0fa8a0dd463b1347c4c99efdca787b663",
+        "db.ppm": "2ed32a5123de98befbe8478ae2856e3364844523d925ba65a2fc06220ef01a02",
+        "linear.ppm": "45e42218998485a62ca2e9b00228d98803b2d28faee3a961160d7b8b98c4022e",
         "u.sig": "adac0fd9023e6cc650c01c6de945a7d75c445b960e0f90370e91aee4feea5b9b",
     }),
     "odd-cross": (_write_odd_cross, {
-        "af.csv": "fb6602b2c2bdf523c4a003cf65a213c02aea74e0d53e208609f54492b3ea50eb",
+        "af.csv": _ODD_CROSS_CSV,
+        "cli.csv": _ODD_CROSS_CSV,
+        "af.sur": "4ca83bc1180d0673a6213855c4fe4ea94ca7311fe84f3603d42bf548083f55af",
+        "db.ppm": "13714ee83b90ba7583c072b9e887a0501c4f53924a3058a3c35ccfb7fa54613d",
+        "linear.ppm": "9f08940be6f2be6bc92966f130dd6d527d9fdb962c5e69b914dd846bb34b0856",
         "u.sig": "7e7e18f1405d54ce994f1fc319e2a5ffe75d6c6ba7e2fbf1ea9eff37acf02120",
         "v.sig": "db2ba360e6cc171360216f774d0f8409732d696cc12a1349f44248269b6dd101",
     }),
@@ -83,6 +137,26 @@ PINNED = {
         "a.sig": "618485f984a55708775e2da0ce78651f9e49a39038ec35d1865aee3eb0153027",
         "b.sig": "6beacecdb4916eae442a3c9b1d9b73ba3afe183778375561dc58ce274cfaa802",
         "grid.csv": "123c90eb20879909a218bfcd692ddf77def0bfdbbe53d782983611eae1c615ed",
+        "grid.sur": "70b945a4d1ce56386b5bff5f97c39b933810c14e0ce505c0bff28016a74f2a8c",
+        "grid.ppm": "497abc7085ade839df8037976486ccc9d652abe1af0b90c805252c823075afad",
+    }),
+    "wigner": (_write_wigner, {
+        "u.sig": "7a2a1ee0f613ba48319d4c19ecc3d3cb34f825053452254b0d16510ea4741659",
+        "w.sur": "c3963a88f971bd175c0586e17b96fe09d92f9ec69ea96739f84beb7fb550381a",
+        "w.csv": "685b8fa3d5c78d29c531978a468249332facd10872adedec1997443a0e4e0e0c",
+        "w.ppm": "b3b28d483cd0d191c0bd76daefc1b710fbbf8a880b723bf582e542fa9da83c28",
+    }),
+    "mimo-slice": (lambda d: _mimo_outputs(d, "slice", "--fs", 0.25, "--fsp", 0.75), {
+        **_SUBCARRIERS,
+        "slice.sur": "e47ee62e01611abc3377bef20f89dcc7e58255addf24e58eb74ec895fe52d332",
+        "slice.csv": "20492e9ca2c320e3b334ec3102f5545c39c2810634a1e757081384d8ea71fcc5",
+        "slice.ppm": "35bdf189e8568c2495845086f48b8094f140ba307f4cd0cf31ca62bfeb716559",
+    }),
+    "mimo-trace": (lambda d: _mimo_outputs(d, "trace", "--spatial-integral"), {
+        **_SUBCARRIERS,
+        "trace.sur": "c1d7f7d0a535e950c8f3d9f4502324333f994427735963e123197bef1a8cd306",
+        "trace.csv": "ba7528f181f8131b6a74b3742124451b9f3638045e63e691562b0c8417238cef",
+        "trace.ppm": "673ab115a1aa2bf346152105581230efdf45972b320a2b5ee4054acce1cdbafb",
     }),
 }
 
