@@ -5,13 +5,17 @@ Writes one PPM per surface into the output directory, plus the SUR1
 containers so the raw complex values stay inspectable:
 
     python scripts/render_af_gallery.py --out /tmp/gallery
+
+A bad --db-floor prints an error and exits 2 before any file is written.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from mimoaf import (
     CANONICAL_SIGMA,
+    MimoafError,
     SteeringConfig,
     cross_ambiguity,
     gen_gaussian,
@@ -21,16 +25,14 @@ from mimoaf import (
     mimo_ambiguity,
     wigner,
 )
-from mimoaf.io_formats import write_ppm, write_surface
+from mimoaf.io_formats import write_ppm, write_surface_blocks
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="gallery", help="output directory")
-    ap.add_argument("--db-floor", type=float, default=-60.0)
-    args = ap.parse_args()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def render(out: Path, db_floor: float) -> None:
+    def write(stem, s):
+        # the SUR1 file and the heatmap in one call, so a bad floor writes neither
+        write_surface_blocks([(0, s.values)], s.tau_axis, s.nu_axis, sur1=out / f"{stem}.sur",
+                             ppm=out / f"{stem}.ppm", db_floor=db_floor)
 
     singles = {
         "rect": gen_rect(1.0, 1 / 128),
@@ -39,23 +41,36 @@ def main() -> None:
     }
     for name, u in singles.items():
         s = cross_ambiguity(u)
-        write_surface(out / f"{name}_af.sur", s)
-        write_ppm(out / f"{name}_af.ppm", s.values, db_floor=args.db_floor)
+        write(f"{name}_af", s)
         w = wigner(u)
-        write_ppm(out / f"{name}_wigner.ppm", w.values, db_floor=args.db_floor)
+        write_ppm(out / f"{name}_wigner.ppm", w.values, db_floor=db_floor)
         print(f"{name}: af {s.values.shape}, wigner {w.values.shape}")
 
     subs = list(gen_subcarrier_set(2, 1.0, 1 / 128))
     cfg = SteeringConfig(2, 1.0, 64)
     for fs, fsp in [(0.0, 0.0), (0.25, 0.75)]:
         s = mimo_ambiguity(subs, cfg, fs, fsp, n_doppler=512)
-        stem = f"mimo_fs{fs:g}_fsp{fsp:g}".replace(".", "p")
-        write_surface(out / f"{stem}.sur", s)
-        write_ppm(out / f"{stem}.ppm", s.values, db_floor=args.db_floor)
+        write(f"mimo_fs{fs:g}_fsp{fsp:g}".replace(".", "p"), s)
         print(f"mimo slice ({fs}, {fsp}): {s.values.shape}")
 
     print(f"wrote gallery to {out}")
 
 
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", default="gallery", help="output directory")
+    ap.add_argument("--db-floor", type=float, default=-60.0)
+    args = ap.parse_args()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        render(out, args.db_floor)
+    except MimoafError as exc:
+        # bad input exits 2 as the CLI does
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -308,8 +308,6 @@ def cross_ambiguity(
     block's lag products transformed straight into its rows (see
     :class:`_SurfaceBlocks`).  Besides the surface, only the lag products
     of one block are alive, never all (2n-1) x n of them.
-    ``io_formats.write_surface_stream`` runs the same loop into a SUR1 file
-    and holds one block of the surface instead of all of it.
 
     Args:
         u, v: signals on a common grid.

@@ -28,21 +28,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Callable
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from . import io_formats
 from .ambiguity import (
-    AmbiguitySurface,
     SteeringConfig,
+    _SurfaceBlocks,
     _trace_pairs,
-    cross_ambiguity,
     mimo_beams,
     mimo_slice_spatial,
-    spatial_integral,
     wigner,
 )
 from .errors import InvalidParameterError, MimoafError
@@ -339,44 +336,24 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _export_surface(args, values, tau0, dtau, nu0, dnu, surface=None) -> None:
-    if args.out:
-        io_formats.write_surface(args.out, values, tau0, dtau, nu0, dnu)
-    if getattr(args, "csv", None):
-        if surface is None:
-            surface = AmbiguitySurface(
-                values, tau0 + dtau * np.arange(values.shape[0]),
-                nu0 + dnu * np.arange(values.shape[1]), "linear", dtau, 0.0,
-            )
-        io_formats.write_surface_csv(args.csv, surface)
-    if getattr(args, "ppm", None):
-        scaling = "linear" if args.linear else "db"
-        io_formats.write_ppm(args.ppm, values, args.db_floor, scaling)
-
-
-def _cross_surface(
-    args,
-    pairs: list[tuple[SampledSignal, SampledSignal]],
-    build: Callable[..., AmbiguitySurface],
-) -> tuple[int, int, complex]:
-    """Export the surface sum_i chi(u_i, v_i) of the signal pairs to every
-    requested output and return its lag count, Doppler count and origin
-    value.  A SUR1 file alone streams one block of lag rows at a time, so
-    the surface is never whole in memory.  Otherwise build(n_doppler=...)
-    builds it whole: the public function of that surface (cross_ambiguity
-    or spatial_integral), so a traced run still counts the surface there."""
-    if args.out and not (args.csv or args.ppm):
-        return io_formats.write_surface_stream(args.out, pairs, args.n_doppler)
-    s = build(n_doppler=args.n_doppler)
-    _export_surface(
-        args, s.values, float(s.tau_axis[0]), s.d_tau, float(s.nu_axis[0]), s.d_nu, s
+def _write_outputs(args, blocks, tau_axis: np.ndarray, nu_axis: np.ndarray) -> complex:
+    """Feed the surface's (first row, block) pairs to every requested output
+    file and return its value at the origin."""
+    return io_formats.write_surface_blocks(
+        blocks, tau_axis, nu_axis, sur1=args.out, csv=args.csv, ppm=args.ppm,
+        db_floor=args.db_floor, scaling="linear" if args.linear else "db",
     )
-    return s.n_lag, s.n_doppler, s.value_at(0.0, 0.0)
 
 
-def _surface_line(label: str, n_lag: int, n_doppler: int, origin: complex) -> str:
-    return (f"{label} n_lag={n_lag} n_doppler={n_doppler} "
-            f"origin={origin.real:.12g}{origin.imag:+.12g}j")
+def _cross_surface(args, label: str, pairs: list[tuple[SampledSignal, SampledSignal]]) -> int:
+    """Write the surface sum_i chi(u_i, v_i) of the signal pairs to every
+    requested output and print its line.  The surface is built one block of
+    lag rows at a time and never held whole."""
+    blocks = _SurfaceBlocks(pairs, args.n_doppler, cyclic=False, whole=False)
+    origin = _write_outputs(args, blocks, blocks.tau_axis, blocks.nu_axis)
+    print(f"{label} n_lag={blocks.lags.size} n_doppler={blocks.n_doppler} "
+          f"origin={origin.real:.12g}{origin.imag:+.12g}j")
+    return 0
 
 
 def cmd_af(args) -> int:
@@ -384,15 +361,12 @@ def cmd_af(args) -> int:
     v = io_formats.read_signal(args.v) if args.v else u
     if args.wigner:
         w = wigner(u, v, n_freq=args.n_freq)
-        _export_surface(
-            args, w.values, float(w.time_axis[0]),
-            float(w.time_axis[1] - w.time_axis[0]), float(w.freq_axis[0]), w.d_freq,
-        )
+        # the CSV lists each axis as SUR1 stores it: first value plus k steps
+        axes = [a[0] + (a[1] - a[0]) * np.arange(a.size) for a in (w.time_axis, w.freq_axis)]
+        _write_outputs(args, [(0, w.values)], *axes)
         print(f"wigner n_time={w.values.shape[0]} n_freq={w.values.shape[1]}")
         return 0
-    surface = _cross_surface(args, [(u, v)], partial(cross_ambiguity, u, v))
-    print(_surface_line("af", *surface))
-    return 0
+    return _cross_surface(args, "af", [(u, v)])
 
 
 def cmd_mimo(args) -> int:
@@ -400,20 +374,15 @@ def cmd_mimo(args) -> int:
     cfg = SteeringConfig(len(waves), args.gamma, args.K)
     if args.slice_spatial:
         grid = mimo_slice_spatial(waves, cfg, args.tau, args.nu, args.n_doppler)
-        step = 1.0 / cfg.n_spatial
-        _export_surface(args, grid, 0.0, step, 0.0, step)
+        fs_axis = np.arange(cfg.n_spatial) * (1.0 / cfg.n_spatial)
+        _write_outputs(args, [(0, grid)], fs_axis, fs_axis)
         print(f"spatial-slice K={cfg.n_spatial} tau={args.tau:.12g} nu={args.nu:.12g}")
         return 0
     if args.spatial_integral:
         # the trace: one surface of the M self pairs' summed lag products
-        label, pairs = "spatial-integral", _trace_pairs(waves, cfg)
-        build = partial(spatial_integral, waves, cfg)
-    else:
-        # the beam slice is the cross-ambiguity of the beamformed pair
-        beams = mimo_beams(waves, cfg, args.fs, args.fsp)
-        label, pairs, build = "mimo-slice", [beams], partial(cross_ambiguity, *beams)
-    print(_surface_line(label, *_cross_surface(args, pairs, build)))
-    return 0
+        return _cross_surface(args, "spatial-integral", _trace_pairs(waves, cfg))
+    # the beam slice is the cross-ambiguity of the beamformed pair
+    return _cross_surface(args, "mimo-slice", [mimo_beams(waves, cfg, args.fs, args.fsp)])
 
 
 def cmd_verify(args) -> int:

@@ -15,9 +15,12 @@ each number exactly as ``float()`` does.
 SUR1 layout: magic "SUR1", then little-endian u32 n_tau, u32 n_nu,
 f64 tau0, f64 dtau, f64 nu0, f64 dnu, then n_tau*n_nu complex values as
 interleaved (re, im) f64 pairs, row-major in lag.  The container stores
-axes only; it is also used for spatial (fs, fs') grids.  A cross-ambiguity
-surface or a MIMO trace can go to SUR1 one block of lag rows at a time
-(:func:`write_surface_stream`), never whole in memory.
+axes only; it is also used for spatial (fs, fs') grids.
+
+Every surface file goes through one writer, :func:`write_surface_blocks`,
+which takes the surface as blocks of lag rows and feeds each block to the
+SUR1 body, the CSV rows and the heatmap's |values| image at once, so a
+surface built block by block is never whole in memory.
 """
 
 from __future__ import annotations
@@ -25,14 +28,14 @@ from __future__ import annotations
 import contextlib
 import math
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import repeat
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
-from .ambiguity import AmbiguitySurface, _SurfaceBlocks
+from .ambiguity import AmbiguitySurface
 from .errors import FileFormatError
 from .properties import CheckReport
 from .signals import SampledSignal
@@ -41,7 +44,7 @@ __all__ = [
     "write_signal",
     "read_signal",
     "write_surface",
-    "write_surface_stream",
+    "write_surface_blocks",
     "read_surface",
     "write_surface_csv",
     "read_surface_csv",
@@ -151,15 +154,98 @@ def read_signal(path: str | Path) -> SampledSignal:
     return SampledSignal(_complex(pairs[:, 0], pairs[:, 1]), dt, t0)
 
 
-def _sur1_header(
-    shape: tuple[int, int], tau0: float, dtau: float, nu0: float, dnu: float
-) -> bytes:
-    return _SUR1_MAGIC + struct.pack("<IIdddd", *shape, tau0, dtau, nu0, dnu)
+def _write_heatmap(fh: IO[bytes], mag: np.ndarray, db_floor: float, scaling: str) -> None:
+    """Scale the |values| image in place onto 0 .. 255 and write it as P5."""
+    peak = float(mag.max())
+    if peak <= 0.0:
+        mag.fill(0.0)
+    elif scaling == "linear":
+        mag /= peak
+    else:
+        # 1 - clip(20 log10(mag / peak), db_floor, 0) / db_floor, one step at a time
+        mag /= peak
+        with np.errstate(divide="ignore"):
+            np.log10(mag, out=mag)
+        mag *= 20.0
+        np.clip(mag, db_floor, 0.0, out=mag)
+        mag /= db_floor
+        np.subtract(1.0, mag, out=mag)
+    mag *= 255.0
+    np.round(mag, out=mag)
+    h, w = mag.shape
+    fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+    fh.write(mag.astype(np.uint8))
 
 
-def _sur1_body(values: np.ndarray) -> memoryview:
-    # copies only when the input is strided or not little-endian complex128
-    return np.ascontiguousarray(values, dtype="<c16").data
+def write_surface_blocks(
+    blocks: Iterable[tuple[int, np.ndarray]],
+    tau_axis: np.ndarray,
+    nu_axis: np.ndarray,
+    *,
+    sur1: str | Path | None = None,
+    csv: str | Path | None = None,
+    ppm: str | Path | None = None,
+    db_floor: float = -60.0,
+    scaling: str = "db",
+) -> complex:
+    """Write the surface given as (first row, block) pairs of consecutive lag
+    rows, in one pass, to each output whose path is given: the SUR1 body, the
+    CSV rows, and a float64 |values| image that becomes the heatmap once the
+    last block is in.  The headers store each axis's first value and step
+    axis[1] - axis[0].  A block is used only until the next one arrives.
+
+    Everything is checked and allocated before any file opens; if an output
+    fails part way, every file opened here is deleted.  Returns the value
+    at the grid point nearest (tau, nu) = (0, 0).
+    """
+    tau = np.asarray(tau_axis, dtype=np.float64)
+    nu = np.asarray(nu_axis, dtype=np.float64)
+    if (sur1 or csv) and min(tau.size, nu.size) < 2:
+        # the headers store a step, which an axis of one point does not have
+        raise FileFormatError(f"surface axes need at least 2 points, got {tau.size}x{nu.size}")
+    if ppm:
+        if scaling not in ("db", "linear"):
+            raise FileFormatError(f"unknown scaling {scaling!r}")
+        if scaling == "db" and not (math.isfinite(db_floor) and db_floor < 0):
+            raise FileFormatError(f"db_floor must be negative and finite, got {db_floor}")
+        image = np.empty((tau.size, nu.size))
+    row0, col0 = int(np.abs(tau).argmin()), int(np.abs(nu).argmin())
+    steps = (tau[0], tau[1] - tau[0], nu[0], nu[1] - nu[0]) if sur1 or csv else ()
+    with contextlib.ExitStack() as files:
+        if sur1:
+            sur1_fh = files.enter_context(_new_file(sur1, "wb"))
+            sur1_fh.write(_SUR1_MAGIC + struct.pack("<IIdddd", tau.size, nu.size, *steps))
+        if csv:
+            csv_fh = files.enter_context(_new_file(csv, "w"))
+            csv_fh.write("# n_tau={} n_nu={}\n# tau0={} dtau={} nu0={} dnu={}\ntau,nu,re,im\n"
+                         .format(tau.size, nu.size, *map(_f, steps)))
+            # tau and nu are formatted once each, with their commas
+            taus = [_f(x) + "," for x in tau.tolist()]
+            nus = [_f(x) + "," for x in nu.tolist()]
+        if ppm:
+            ppm_fh = files.enter_context(_new_file(ppm, "wb"))
+        done = 0
+        for start, block in blocks:
+            stop = start + len(block)
+            if start != done or block.shape[1:] != nu.shape:
+                raise FileFormatError(f"blocks must be consecutive rows of {nu.size} values")
+            if sur1:
+                # copies only when the block is strided or not little-endian complex128
+                sur1_fh.write(np.ascontiguousarray(block, dtype="<c16"))
+            if csv:  # one lag row of text at a time
+                for tau_text, row in zip(taus[start:stop], block):
+                    csv_fh.write(_text_lines("%s%s%.17g,%.17g\n", repeat(tau_text), nus,
+                                             row.real.tolist(), row.imag.tolist()))
+            if ppm:
+                np.abs(block, out=image[start:stop])
+            if start <= row0 < stop:
+                origin = complex(block[row0 - start, col0])
+            done = stop
+        if done != tau.size:
+            raise FileFormatError(f"blocks hold {done} of {tau.size} lag rows")
+        if ppm:
+            _write_heatmap(ppm_fh, image, db_floor, scaling)
+    return origin
 
 
 def write_surface(
@@ -172,55 +258,18 @@ def write_surface(
 ) -> None:
     """Write a SUR1 file from a surface or a raw 2-D array with axis data."""
     if isinstance(values, AmbiguitySurface):
-        s = values
-        values, tau0, dtau = s.values, float(s.tau_axis[0]), s.d_tau
-        nu0, dnu = float(s.nu_axis[0]), s.d_nu
+        write_surface_blocks([(0, values.values)], values.tau_axis, values.nu_axis, sur1=path)
+        return
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise FileFormatError("surface values must be 2-D")
-    if min(arr.shape) < 2:
-        raise FileFormatError(f"surface axes need at least 2 points, got {arr.shape}")
     axes = {"tau0": tau0, "dtau": dtau, "nu0": nu0, "dnu": dnu}
     if missing := [name for name, x in axes.items() if x is None]:
         raise FileFormatError(f"raw surface values need axis values; missing {', '.join(missing)}")
-    header = _sur1_header(arr.shape, tau0, dtau, nu0, dnu)
-    body = _sur1_body(arr)
-    with _new_file(path, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
-
-
-def write_surface_stream(
-    path: str | Path,
-    pairs: list[tuple[SampledSignal, SampledSignal]],
-    n_doppler: int | None,
-) -> tuple[int, int, complex]:
-    """Write the SUR1 file of the surface sum_i chi(u_i, v_i) over the signal
-    pairs (u_i, v_i) one block of lag rows at a time, byte-identical to
-    :func:`write_surface` of that surface built in memory.  One pair (u, v)
-    gives ``cross_ambiguity(u, v, n_doppler)``; the self pairs of an array
-    give its ``spatial_integral``.
-
-    Only one block of the surface is ever in memory.  Every size is checked
-    and the block buffer allocated before the file is opened; if the stream
-    fails after that, the partial file is deleted.  Returns the lag count,
-    the Doppler count and the surface value at the origin (tau, nu) = (0, 0).
-    """
-    blocks = _SurfaceBlocks(pairs, n_doppler, cyclic=False, whole=False)
-    tau, nu = blocks.tau_axis, blocks.nu_axis
-    header = _sur1_header(
-        (tau.size, nu.size), float(tau[0]), float(tau[1] - tau[0]),
-        float(nu[0]), float(nu[1] - nu[0]),
+    n_tau, n_nu = arr.shape
+    write_surface_blocks(
+        [(0, arr)], tau0 + dtau * np.arange(n_tau), nu0 + dnu * np.arange(n_nu), sur1=path
     )
-    # lag 0 is row -lags[0]; Doppler 0 is column n_doppler/2
-    row0, col0 = -int(blocks.lags[0]), nu.size // 2
-    with _new_file(path, "wb") as fh:
-        fh.write(header)
-        for start, block in blocks:
-            fh.write(_sur1_body(block))
-            if start <= row0 < start + len(block):
-                origin = complex(block[row0 - start, col0])
-    return tau.size, nu.size, origin
 
 
 def read_surface(path: str | Path) -> AmbiguitySurface:
@@ -252,19 +301,7 @@ def read_surface(path: str | Path) -> AmbiguitySurface:
 def write_surface_csv(path: str | Path, s: AmbiguitySurface) -> None:
     """CSV with axis header comments and one `tau,nu,re,im` line per cell,
     written one lag row at a time.  If the write fails, no file is left."""
-    header = (
-        f"# n_tau={s.n_lag} n_nu={s.n_doppler}\n"
-        f"# tau0={_f(float(s.tau_axis[0]))} dtau={_f(s.d_tau)} "
-        f"nu0={_f(float(s.nu_axis[0]))} dnu={_f(s.d_nu)}\n"
-        "tau,nu,re,im\n"
-    )
-    # tau and nu are formatted once each, with their commas
-    nus = [_f(nu) + "," for nu in s.nu_axis.tolist()]
-    with _new_file(path, "w") as fh:
-        fh.write(header)
-        for tau, row in zip(s.tau_axis.tolist(), s.values):
-            fh.write(_text_lines("%s%s%.17g,%.17g\n", repeat(_f(tau) + ","), nus,
-                                 row.real.tolist(), row.imag.tolist()))
+    write_surface_blocks([(0, s.values)], s.tau_axis, s.nu_axis, csv=path)
 
 
 def _count_lines(fh: IO[str]) -> int:
@@ -331,26 +368,13 @@ def write_ppm(
     """8-bit grayscale P5 heatmap of |values| (rows = lag, columns = Doppler).
 
     "db" maps [db_floor, 0] dB relative to the peak onto [0, 255];
-    "linear" maps [0, peak].  A zero surface renders black.
+    "linear" maps [0, peak].  A zero surface renders black.  A bad scaling
+    or floor is refused before the file opens.
     """
-    if scaling not in ("db", "linear"):
-        raise FileFormatError(f"unknown scaling {scaling!r}")
-    mag = np.abs(np.asarray(values))
-    peak = float(mag.max())
-    if peak <= 0.0:
-        img = np.zeros(mag.shape)
-    elif scaling == "linear":
-        img = mag / peak
-    else:
-        if not (math.isfinite(db_floor) and db_floor < 0):
-            raise FileFormatError(f"db_floor must be negative and finite, got {db_floor}")
-        with np.errstate(divide="ignore"):
-            db = 20.0 * np.log10(mag / peak)
-        img = 1.0 - np.clip(db, db_floor, 0.0) / db_floor
-    data = np.round(img * 255.0).astype(np.uint8)
-    h, w = data.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + data.tobytes())
+    arr = np.asarray(values)
+    h, w = arr.shape
+    write_surface_blocks([(0, arr)], np.arange(h), np.arange(w), ppm=path,
+                         db_floor=db_floor, scaling=scaling)
 
 
 def write_report(path: str | Path, reports: list[CheckReport]) -> None:

@@ -16,6 +16,7 @@ from mimoaf import (
     FileFormatError,
     InvalidParameterError,
     SampledSignal,
+    SteeringConfig,
     canonical_gaussian,
     check_norm_identity,
     cross_ambiguity,
@@ -23,6 +24,8 @@ from mimoaf import (
     gen_rect,
     gen_subcarrier_set,
     inner_product,
+    mimo_ambiguity,
+    spatial_integral,
     verify_dilation,
 )
 from mimoaf import ambiguity, cli, io_formats
@@ -242,6 +245,23 @@ def test_af_ppm_nan_db_floor_exits_2(tmp_path, capsys):
     assert not ppm.exists()
 
 
+@pytest.mark.parametrize("floor", ["nan", "5"])
+@pytest.mark.parametrize("command", ["af", "mimo"])
+def test_bad_db_floor_opens_no_output(command, floor, tmp_path, capsys):
+    # the floor is refused before any output opens; --linear ignores it
+    paths = _subcarrier_files(tmp_path, 2, 0.5)
+    argv = (["af", "--u", str(paths[0])] if command == "af"
+            else ["mimo", "--inputs", *map(str, paths)])
+    argv += ["--n-doppler", "256", "--db-floor", floor]
+    outs = [tmp_path / name for name in ("x.sur", "x.csv", "x.ppm")]
+    argv += ["-o", str(outs[0]), "--csv", str(outs[1]), "--ppm", str(outs[2])]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+    assert cli.main(argv + ["--linear"]) == 0
+    assert all(out.stat().st_size > 0 for out in outs)
+
+
 def test_af_missing_input_exits_2(tmp_path):
     res = run_cli("af", "--u", tmp_path / "nope.sig")
     assert res.returncode == 2
@@ -260,23 +280,27 @@ def test_af_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
-# ---------------------------------------------------- cli: streamed SUR1
+# ------------------------------------------------- cli: streamed outputs
 
 def _random_signal(n: int, seed: int) -> SampledSignal:
     rng = np.random.default_rng(seed)
     return SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1 / 64, -1.0)
 
 
-def _streamed_and_in_memory(argv, tmp_path, capsys, flag="--ppm"):
-    """SUR1 bytes and stdout of argv with -o alone, which streams, and with
-    -o beside flag (--ppm or --csv), which writes write_surface of the
-    surface built whole in memory."""
-    runs = []
-    for tag, extra in (("stream", []), ("memory", [flag, str(tmp_path / "x.out")])):
-        sur = tmp_path / f"{tag}.sur"
+def _assert_cli_writes(argv, surface, label, tmp_path, capsys, flag="--ppm"):
+    """argv with -o alone, and with -o beside flag (--ppm or --csv), writes
+    the bytes write_surface writes for the surface built whole in memory and
+    prints that surface's line."""
+    write_surface(tmp_path / "ref.sur", surface)
+    reference = (tmp_path / "ref.sur").read_bytes()
+    o = surface.value_at(0.0, 0.0)
+    line = (f"{label} n_lag={surface.n_lag} n_doppler={surface.n_doppler} "
+            f"origin={o.real:.12g}{o.imag:+.12g}j\n")
+    for extra in ([], [flag, str(tmp_path / "x.out")]):
+        sur = tmp_path / "cli.sur"
         assert cli.main(argv + ["-o", str(sur), *extra]) == 0
-        runs.append((sur.read_bytes(), capsys.readouterr().out))
-    return runs
+        assert sur.read_bytes() == reference
+        assert capsys.readouterr().out == line
 
 
 @pytest.mark.parametrize("n,n_doppler,cross", [
@@ -285,32 +309,33 @@ def _streamed_and_in_memory(argv, tmp_path, capsys, flag="--ppm"):
 @pytest.mark.parametrize("rows", [None, 5])
 def test_streamed_af_matches_in_memory(n, n_doppler, cross, rows, tmp_path,
                                        monkeypatch, capsys):
-    if rows is not None:  # many blocks; at n = 256 lag 0 starts the 52nd
-        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * n_doppler)
+    u, v = _random_signal(n, 1), _random_signal(n, 2)
     u_path, v_path = tmp_path / "u.sig", tmp_path / "v.sig"
-    write_signal(u_path, _random_signal(n, 1))
-    write_signal(v_path, _random_signal(n, 2))
+    write_signal(u_path, u)
+    write_signal(v_path, v)
     argv = ["af", "--u", str(u_path), "--n-doppler", str(n_doppler)]
     if cross:
         argv += ["--v", str(v_path)]
-    (streamed, line), (in_memory, line_ref) = _streamed_and_in_memory(argv, tmp_path, capsys)
-    assert streamed == in_memory
-    assert line == line_ref and line.startswith(f"af n_lag={2 * n - 1} ")
-    assert len(streamed) == 44 + (2 * n - 1) * n_doppler * 16
+    surface = cross_ambiguity(u, v if cross else u, n_doppler=n_doppler)
+    assert surface.values.nbytes == (2 * n - 1) * n_doppler * 16
+    if rows is not None:  # many blocks; at n = 256 lag 0 starts the 52nd
+        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * n_doppler)
+    _assert_cli_writes(argv, surface, "af", tmp_path, capsys)
 
 
 @pytest.mark.parametrize("rows", [None, 5])
 def test_streamed_mimo_slice_matches_in_memory(rows, tmp_path, monkeypatch, capsys):
-    if rows is not None:
-        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * 1000)
+    waves = gen_subcarrier_set(3, 1.0, 1 / 128)
     paths = [tmp_path / f"s{m}.sig" for m in range(3)]
-    for path, w in zip(paths, gen_subcarrier_set(3, 1.0, 1 / 128)):
+    for path, w in zip(paths, waves):
         write_signal(path, w)
     argv = ["mimo", "--inputs", *map(str, paths), "--fs", "0.25", "--fsp", "0.75",
             "--n-doppler", "1000"]
-    (streamed, line), (in_memory, line_ref) = _streamed_and_in_memory(argv, tmp_path, capsys)
-    assert streamed == in_memory
-    assert line == line_ref and line.startswith("mimo-slice n_lag=511 n_doppler=1000 ")
+    surface = mimo_ambiguity(waves, SteeringConfig(3, 1.0, 64), 0.25, 0.75, n_doppler=1000)
+    assert surface.values.shape == (511, 1000)
+    if rows is not None:
+        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * 1000)
+    _assert_cli_writes(argv, surface, "mimo-slice", tmp_path, capsys)
 
 
 def _subcarrier_files(tmp_path, m: int, T: float) -> list[Path]:
@@ -322,17 +347,14 @@ def _subcarrier_files(tmp_path, m: int, T: float) -> list[Path]:
 
 @pytest.mark.parametrize("rows", [None, 5])
 def test_streamed_mimo_trace_matches_in_memory(rows, tmp_path, monkeypatch, capsys):
-    # -o alone streams the trace; beside --csv it is spatial_integral's
-    if rows is not None:
-        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * 400)
     paths = _subcarrier_files(tmp_path, 3, 0.5)
     argv = ["mimo", "--inputs", *map(str, paths), "--spatial-integral", "--n-doppler", "400"]
-    (streamed, line), (in_memory, line_ref) = _streamed_and_in_memory(
-        argv, tmp_path, capsys, flag="--csv"
-    )
-    assert streamed == in_memory
-    assert line == line_ref and line.startswith("spatial-integral n_lag=255 n_doppler=400 ")
-    assert len(streamed) == 44 + 255 * 400 * 16
+    waves = gen_subcarrier_set(3, 0.5, 1 / 128)
+    surface = spatial_integral(waves, SteeringConfig(3, 1.0, 64), n_doppler=400)
+    assert surface.values.shape == (255, 400)
+    if rows is not None:
+        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * 400)
+    _assert_cli_writes(argv, surface, "spatial-integral", tmp_path, capsys, flag="--csv")
 
 
 def test_streamed_mimo_trace_peak_memory(tmp_path, capsys):
@@ -377,22 +399,34 @@ class _FailingFile:
 @pytest.mark.parametrize("error", [
     OSError(errno.ENOSPC, "No space left on device"), MemoryError("Unable to allocate"),
 ], ids=["os-error", "memory-error"])
-def test_failed_stream_leaves_no_file(error, tmp_path, monkeypatch, capsys):
-    sig, out = tmp_path / "r.sig", tmp_path / "r.sur"
+@pytest.mark.parametrize("failing,limit", [
+    (".sur", 2), (".csv", 2), (".ppm", 1),
+], ids=["sur1", "csv", "ppm"])
+def test_failed_stream_leaves_no_file(failing, limit, error, tmp_path, monkeypatch, capsys):
+    # whichever output fails part way (SUR1 at its second block, CSV at its
+    # second row, PPM at its pixels), every output of the command is deleted
+    sig = tmp_path / "r.sig"
     write_signal(sig, gen_rect(1.0, 1 / 128))
-    out.write_bytes(b"an older surface")
-    monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", 7 * 16 * 1024)
-    files = []
+    outs = [tmp_path / f"r{suffix}" for suffix in (".sur", ".csv", ".ppm")]
+    for out in outs:
+        out.write_bytes(b"an older output")
+    monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", 7 * 16 * 256)
+    files = {}
 
     def failing_open(path, mode):
-        files.append(_FailingFile(error, path, mode))
-        return files[-1]
+        files[Path(path).suffix] = _FailingFile(
+            error, path, mode, limit if Path(path).suffix == failing else math.inf
+        )
+        return files[Path(path).suffix]
 
     monkeypatch.setattr(io_formats, "open", failing_open, raising=False)
-    assert cli.main(["af", "--u", str(sig), "-o", str(out)]) == 2
+    argv = ["af", "--u", str(sig), "--n-doppler", "256",
+            "-o", str(outs[0]), "--csv", str(outs[1]), "--ppm", str(outs[2])]
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert [f.writes for f in files] == [3]
+    assert sorted(files) == [".csv", ".ppm", ".sur"]
+    assert files[failing].writes == limit + 1
     assert sorted(tmp_path.iterdir()) == [sig]
 
 
@@ -430,9 +464,11 @@ def test_trace_stream_checks_gamma_before_opening(tmp_path, monkeypatch, capsys)
     assert out.read_bytes() == b"an older surface"
 
 
-@pytest.mark.parametrize("writer", [write_surface, write_surface_csv])
+@pytest.mark.parametrize("writer", [
+    write_surface, write_surface_csv, lambda path, s: write_ppm(path, s.values),
+])
 def test_failed_surface_write_leaves_no_file(writer, tmp_path, monkeypatch):
-    # the header goes through, the SUR1 body or the first CSV row fails
+    # the header goes through; the SUR1 body, first CSV row or pixels fail
     s = cross_ambiguity(gen_rect(1.0, 1 / 16))
     out = tmp_path / "s.out"
     out.write_bytes(b"an older surface")
@@ -451,6 +487,18 @@ def test_failed_surface_write_leaves_no_file(writer, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("rows", [[0, 3], [0, 1], [0, 2, 4]], ids=["gap", "overlap", "short"])
+def test_blocks_off_the_lag_rows_leave_no_file(rows, tmp_path):
+    # blocks must tile the lag axis in order: a gap, an overlap or a missing
+    # last row is refused and every output deleted
+    s = cross_ambiguity(gen_rect(1.0, 1 / 4), n_doppler=8)
+    blocks = [(r, s.values[r:r + 2]) for r in rows]
+    outs = {"sur1": tmp_path / "s.sur", "csv": tmp_path / "s.csv", "ppm": tmp_path / "s.ppm"}
+    with pytest.raises(FileFormatError):
+        io_formats.write_surface_blocks(blocks, s.tau_axis, s.nu_axis, **outs)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_streamed_af_peak_memory(tmp_path, capsys):
     # af -o alone holds one block of rows, not the 128 MiB surface
     n, n_doppler = 1024, 4096
@@ -464,6 +512,61 @@ def test_streamed_af_peak_memory(tmp_path, capsys):
     assert out.stat().st_size == 44 + (2 * n - 1) * n_doppler * 16
     out.unlink()
     assert peak <= 16 * 2**20
+
+
+def _af_peak(tmp_path, *extra):
+    """tracemalloc peak of af on a 1024-sample signal at 1024 Doppler bins,
+    a 2047x1024 surface of 32 MiB."""
+    sig = tmp_path / "u.sig"
+    write_signal(sig, _random_signal(1024, 3), binary=True)
+    rc, peak = traced_peak(cli.main, ["af", "--u", str(sig), "--n-doppler", "1024", *extra])
+    assert rc == 0
+    return peak
+
+
+def test_af_without_output_peak_memory(tmp_path, capsys):
+    # af alone holds one block of the surface and one of lag products
+    peak = _af_peak(tmp_path)
+    assert capsys.readouterr().out.startswith("af n_lag=2047 n_doppler=1024 ")
+    assert peak <= 2 * ambiguity._BLOCK_BYTES + 2 * 2**20
+
+
+def test_af_ppm_peak_memory(tmp_path, capsys):
+    # af --ppm holds the float64 |values| image (16 MiB), its 8-bit copy
+    # (2 MiB) and one block each of the surface and its lag products
+    out = tmp_path / "u.ppm"
+    peak = _af_peak(tmp_path, "--ppm", str(out))
+    assert out.stat().st_size == len(b"P5\n1024 2047\n255\n") + 2047 * 1024
+    image = 2047 * 1024 * 8
+    assert peak <= image + image // 8 + 2 * ambiguity._BLOCK_BYTES + 2 * 2**20
+
+
+def test_af_csv_peak_memory(tmp_path, monkeypatch, capsys):
+    # af --csv holds one small block and one lag row of text, not the 2 MiB
+    # surface (a full-size CSV takes tens of seconds, so the blocks shrink)
+    monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", 8 * 16 * 512)
+    sig, out = tmp_path / "u.sig", tmp_path / "u.csv"
+    write_signal(sig, _random_signal(256, 4), binary=True)
+    rc, peak = traced_peak(cli.main, ["af", "--u", str(sig), "--n-doppler", "512",
+                                      "--csv", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("af n_lag=511 n_doppler=512 ")
+    assert peak <= 2**20
+
+
+def test_streamed_mimo_trace_ppm_peak_memory(tmp_path, capsys):
+    # the M=4 trace holds its float64 |values| image (8 MiB), its 8-bit copy
+    # and one block of the surface and two of lag products
+    paths = _subcarrier_files(tmp_path, 4, 2.0)
+    out = tmp_path / "tr.ppm"
+    rc, peak = traced_peak(cli.main, [
+        "mimo", "--inputs", *map(str, paths), "--spatial-integral",
+        "--n-doppler", "1024", "--ppm", str(out),
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("spatial-integral n_lag=1023 n_doppler=1024 ")
+    image = 1023 * 1024 * 8
+    assert peak <= image + image // 8 + 3 * ambiguity._BLOCK_BYTES + 2**20
 
 
 # --------------------------------------------------------------- cli: mimo
@@ -898,6 +1001,18 @@ def test_render_af_gallery_script(tmp_path):
     # co-steered slice of an orthonormal pair: M at the origin
     beam = read_surface(tmp_path / "mimo_fs0_fsp0.sur")
     assert abs(beam.value_at(0.0, 0.0) - 2.0) <= 1e-9
+
+
+@pytest.mark.parametrize("floor", ["nan", "5"])
+def test_render_af_gallery_bad_floor_exits_2(floor, tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "render_af_gallery.py"
+    res = subprocess.run(
+        [sys.executable, str(script), "--out", str(tmp_path), "--db-floor", floor],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def _full_verification_module():
