@@ -76,7 +76,6 @@ from .signals import (
 )
 from .symmetry import (
     Sl2Element,
-    act_on_surface,
     verify_dilation,
     verify_fourier_rotation,
     verify_lfm_shear,
@@ -103,7 +102,6 @@ __all__ = [
     "SteeringConfig",
     "TruncationRiskError",
     "WignerDistribution",
-    "act_on_surface",
     "ambiguity_from_wigner",
     "canonical_gaussian",
     "check_mimo_energy",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -78,7 +78,6 @@ class AmbiguitySurface:
     kind: str
     dt: float
     t0: float
-    meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.complex128)

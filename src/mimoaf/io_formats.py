@@ -36,7 +36,7 @@ from typing import IO
 import numpy as np
 
 from .ambiguity import AmbiguitySurface
-from .errors import FileFormatError
+from .errors import FileFormatError, InvalidParameterError
 from .properties import CheckReport
 from .signals import SampledSignal
 
@@ -194,12 +194,19 @@ def write_surface_blocks(
     last block is in.  The headers store each axis's first value and step
     axis[1] - axis[0].  A block is used only until the next one arrives.
 
-    Everything is checked and allocated before any file opens; if an output
-    fails part way, every file opened here is deleted.  Returns the value
-    at the grid point nearest (tau, nu) = (0, 0).
+    Everything is checked and allocated before any file opens, including
+    that no two outputs resolve to one file; if an output fails part way,
+    every file opened here is deleted.  Returns the value at the grid point
+    nearest (tau, nu) = (0, 0).
     """
     tau = np.asarray(tau_axis, dtype=np.float64)
     nu = np.asarray(nu_axis, dtype=np.float64)
+    paths = [Path(p).resolve() for p in (sur1, csv, ppm) if p]
+    if len(set(paths)) < len(paths):
+        # the later output would truncate the earlier one's file
+        raise InvalidParameterError(
+            f"two surface outputs name one file: {', '.join(map(str, paths))}"
+        )
     if (sur1 or csv) and min(tau.size, nu.size) < 2:
         # the headers store a step, which an axis of one point does not have
         raise FileFormatError(f"surface axes need at least 2 points, got {tau.size}x{nu.size}")

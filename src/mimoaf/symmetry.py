@@ -30,21 +30,22 @@ Grid notes baked into the checks:
 * Shear rolls the Doppler axis per lag row (the discrete surface is
   exactly periodic in Doppler); integer roll counts make it an exact
   gather, with a bin-wise phase rotation as the off-grid fallback.
-* Integer dilations are evaluated against a parent surface with a b times
-  finer Doppler step, again landing on exact grid points.
+* Dilations by b = k and b = 1/k, k whole, read one side from a parent
+  surface with a k times finer Doppler step, where (k tau, nu/k) lands on
+  exact grid points; for 1/k the parent is the dilated pair's.  Any other
+  b would fall between grid points and is refused.
 
 Every relative distance takes its norms with numpy's own summation loop,
 not a BLAS dot, whose bits change with the BLAS thread count.
 
 Memory: no comparison holds more than three surfaces of its grid at once,
-plus the block of lag products of the surface being built; the integer-
-dilation parent has b times the Doppler bins and counts as b surfaces (two
+plus the block of lag products of the surface being built; the dilation
+parent has k times the Doppler bins and counts as k surfaces, and route (b)
+keeps only the (2n-1)/k lag rows it reads from it (two and a half surfaces
 for the sym-dilate suite's b = 2).  Every check builds route (b) first and
 route (a) only once every surface route (b) needed is gone, and takes the
 difference in place over route (b)'s cells.  Index and phase arrays are
-built one row block at a time.  The bilinear pullback
-:func:`act_on_surface` (off-grid dilations) holds its input, its output and
-their valid-cell mask.
+built one row block at a time.
 """
 
 from __future__ import annotations
@@ -62,13 +63,12 @@ from .ambiguity import (
     cross_ambiguity,
     mimo_beams,
 )
-from .errors import GridMismatchError, InvalidParameterError
+from .errors import GridAlignmentError, GridMismatchError, InvalidParameterError
 from .properties import CheckReport
 from .signals import SampledSignal, chirp_multiply, dilate, fourier
 
 __all__ = [
     "Sl2Element",
-    "act_on_surface",
     "verify_fourier_rotation",
     "verify_mirror",
     "verify_lfm_shear",
@@ -78,9 +78,8 @@ __all__ = [
 
 _SNAP = 1e-9
 _COVERAGE_FLOOR = 0.9
-# cells per row block of the index and phase arrays; act_on_surface's
-# index, weight and gather arrays peak at about 140 bytes a cell, so about
-# 2 MiB a block, and an integer gather's at 24 bytes a cell
+# cells per row block of the index and phase arrays, which peak at 24 bytes
+# a cell (an int64 index and a complex phase), so 384 KiB a block
 _BLOCK_CELLS = 2**14
 
 
@@ -143,62 +142,6 @@ class Sl2Element:
 
     def apply(self, tau: float, nu: float) -> tuple[float, float]:
         return self.a * tau + self.b * nu, self.c * tau + self.d * nu
-
-
-def _grid_position(x: np.ndarray, x0: float, step: float) -> np.ndarray:
-    """Fractional index of x on the axis x0 + step * i, snapped to the grid
-    point within _SNAP of a step."""
-    f = (x - x0) / step
-    r = np.round(f)
-    return np.where(np.abs(f - r) <= _SNAP, r, f)
-
-
-def act_on_surface(s: AmbiguitySurface, g: Sl2Element) -> AmbiguitySurface:
-    """Pull the surface back along g: output(tau, nu) = s(g (tau, nu)^T).
-
-    Source coordinates landing on grid points (within 1e-9 of a step) are
-    gathered exactly; otherwise bilinear interpolation applies.  Points
-    mapped outside the grid are zero-filled; meta carries the valid-point
-    mask and their fraction under "valid_mask" / "coverage".
-
-    Every value is computed per cell, so the output is built one block of
-    about _BLOCK_CELLS cells at a time: besides the input and the
-    output, only one block's index, weight and gather arrays are alive.
-    """
-    tau0 = float(s.tau_axis[0])
-    nu0 = float(s.nu_axis[0])
-    L, V = s.values.shape
-    vals = s.values
-    nu = s.nu_axis[None, :]
-    out = np.empty((L, V), dtype=np.complex128)
-    valid = np.empty((L, V), dtype=bool)
-    rows = max(1, _BLOCK_CELLS // V)
-    for start in range(0, L, rows):
-        blk = slice(start, start + rows)
-        tau = s.tau_axis[blk, None]
-        fi = _grid_position(g.a * tau + g.b * nu, tau0, s.d_tau)
-        fj = _grid_position(g.c * tau + g.d * nu, nu0, s.d_nu)
-        ok = (fi >= 0) & (fi <= L - 1) & (fj >= 0) & (fj <= V - 1)
-        valid[blk] = ok
-        i0 = np.floor(fi).astype(np.int64)
-        j0 = np.floor(fj).astype(np.int64)
-        ai = fi - i0
-        aj = fj - j0
-        i0c = np.clip(i0, 0, L - 1)
-        i1c = np.clip(i0 + 1, 0, L - 1)
-        j0c = np.clip(j0, 0, V - 1)
-        j1c = np.clip(j0 + 1, 0, V - 1)
-        out[blk] = (
-            (1.0 - ai) * (1.0 - aj) * vals[i0c, j0c]
-            + (1.0 - ai) * aj * vals[i0c, j1c]
-            + ai * (1.0 - aj) * vals[i1c, j0c]
-            + ai * aj * vals[i1c, j1c]
-        )
-        out[blk][~ok] = 0.0
-    valid.setflags(write=False)
-    # the valid count is an exact integer, so the fraction is one rounding
-    meta = {"coverage": np.count_nonzero(valid) / valid.size, "valid_mask": valid}
-    return AmbiguitySurface(out, s.tau_axis, s.nu_axis, s.kind, s.dt, s.t0, meta)
 
 
 def _unit_roots(n: int) -> np.ndarray:
@@ -429,34 +372,51 @@ def verify_lfm_shear(
     )
 
 
+def _dilation_factor(b: float, n: int) -> tuple[int, bool]:
+    """(k, reciprocal): b = k, or b = 1/k if reciprocal, for a whole k from 1
+    to n - 1, within _SNAP.
+
+    Past k = n - 1 only lag 0 of the parent survives the stride, so a larger
+    factor is refused before any signal is dilated or parent allocated.  A
+    b that is neither k nor 1/k sends surface points between grid points.
+    """
+    if not (b > 0 and math.isfinite(b)):
+        raise InvalidParameterError(f"b must be positive and finite, got {b}")
+    reciprocal = b < 1.0
+    x = 1.0 / b if reciprocal else b
+    if x > n - 1 + _SNAP:
+        raise InvalidParameterError(
+            f"dilation by {b} needs a factor of at most n - 1 = {n - 1}, got {x}"
+        )
+    k = round(x)
+    if abs(x - k) > _SNAP:
+        raise GridAlignmentError(
+            f"dilation by {b} is neither a whole k nor 1/k, so its surface "
+            f"points fall between grid points"
+        )
+    return k, reciprocal
+
+
 def _dilation_reference(
     u: SampledSignal,
     v: SampledSignal,
-    b: float,
+    k: int,
+    scale: float,
     n_doppler: int,
-) -> tuple[np.ndarray, slice | np.ndarray, str]:
-    """(1/b) chi(u,v)(b tau, nu/b) on the standard (n_doppler) axes, the
-    index of its valid cells, and the route taken.
+) -> tuple[np.ndarray, slice]:
+    """chi(u,v)(k tau, nu/k) / scale on lag rows -K .. K, K = (n-1)//k, of the
+    standard (n_doppler) axes, and the slice of those rows.
 
-    Integer b: evaluated on a parent surface with Doppler step dnu/b, where
-    every target point is a grid point; the valid cells are the lag rows
-    -k .. k with b k inside the parent.  The parent is gone when this
-    returns.  Otherwise: bilinear pullback along m(b), valid where the
-    pullback lands on the grid."""
-    b_int = round(b)
-    if abs(b - b_int) <= _SNAP and b_int >= 1:
-        parent = cross_ambiguity(u, v, n_doppler=b_int * n_doppler)
-        n = u.n
-        k = (n - 1) // b_int
-        out = np.zeros((2 * n - 1, n_doppler), dtype=np.complex128)
-        rows = slice(n - 1 - k, n + k)
-        col0 = (b_int * n_doppler) // 2 - n_doppler // 2
-        src = parent.values[n - 1 - k * b_int : n + k * b_int : b_int, col0 : col0 + n_doppler]
-        np.divide(src, b, out=out[rows])
-        return out, rows, "exact-parent"
-    # the unscaled surface is dropped once pulled back
-    pulled = act_on_surface(cross_ambiguity(u, v, n_doppler=n_doppler), Sl2Element.scaling(b))
-    return pulled.values / b, pulled.meta["valid_mask"], "bilinear"
+    Every target point is a grid point of the parent surface with k times
+    the Doppler bins: lag row k i and the central n_doppler bins.  The
+    parent is gone when this returns.
+    """
+    parent = cross_ambiguity(u, v, n_doppler=k * n_doppler)
+    n = u.n
+    half = (n - 1) // k
+    col0 = (k * n_doppler) // 2 - n_doppler // 2
+    src = parent.values[n - 1 - half * k : n + half * k : k, col0 : col0 + n_doppler]
+    return np.divide(src, scale), slice(n - 1 - half, n + half)
 
 
 def verify_dilation(
@@ -467,17 +427,33 @@ def verify_dilation(
     tol: float = 1e-4,
 ) -> CheckReport:
     """Dilation: the surface of the time-dilated pair equals
-    (1/b) chi(u,v)(b tau, nu/b), the pullback along m(b)."""
+    (1/b) chi(u,v)(b tau, nu/b), the pullback along m(b), for b = k or
+    b = 1/k with k a whole number from 1 to n - 1.
+
+    Both directions compare the surface of a coarse pair, route (a), with
+    (1/k) chi(fine pair)(k tau, nu/k), route (b), read exactly from the fine
+    pair's parent surface with k times the Doppler bins.  For b = k the fine
+    pair is (u, v) and the coarse pair the dilated one.  For b = 1/k the
+    roles swap: with D = dilate(., 1/k) the identity reads
+    chi(u,v)(tau, nu) = (1/k) chi(Du, Dv)(k tau, nu/k).  The two routes
+    share only their inputs.  Any other b raises GridAlignmentError, and a
+    k past n - 1 InvalidParameterError.
+    """
     if v is None:
         v = u
     u.require_compatible(v)
     n_doppler = _check_doppler_count(n_doppler, u.n, cyclic=False)
+    k, reciprocal = _dilation_factor(b, u.n)
     du, dv = dilate(u, b), dilate(v, b)
-    path_b, valid, route = _dilation_reference(u, v, b, n_doppler)
-    # a mask's cells are a copy, so route (a)'s whole surface goes at once
-    path_a = cross_ambiguity(du, dv, n_doppler=n_doppler).values[valid]
+    if reciprocal:
+        path_b, rows = _dilation_reference(du, dv, k, 1.0 / b, n_doppler)
+        coarse, route = (u, v), "reciprocal-parent"
+    else:
+        path_b, rows = _dilation_reference(u, v, k, b, n_doppler)
+        coarse, route = (du, dv), "exact-parent"
+    path_a = cross_ambiguity(*coarse, n_doppler=n_doppler).values[rows]
     return _dual_path_report(
-        "sym-dilate", path_a, path_b[valid], path_b, tol, {"b": b, "route": route},
+        "sym-dilate", path_a, path_b, None, tol, {"b": b, "route": route},
     )
 
 

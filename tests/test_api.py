@@ -11,3 +11,16 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
+
+
+def test_package_exports_exactly_the_layers():
+    # a name deleted from a layer cannot linger as a package re-export
+    import mimoaf
+    from mimoaf import errors
+
+    # io_formats is not re-exported; errors has no __all__
+    layers = ["signals", "ambiguity", "properties", "symmetry"]
+    names = [name for m in layers for name in importlib.import_module(f"mimoaf.{m}").__all__]
+    names += [name for name, obj in vars(errors).items()
+              if isinstance(obj, type) and issubclass(obj, errors.MimoafError)]
+    assert sorted(mimoaf.__all__) == sorted(names)

@@ -396,6 +396,21 @@ class _FailingFile:
         return self.fh.write(data)
 
 
+@pytest.mark.parametrize("second", ["csv", "ppm"])
+def test_one_path_for_two_outputs_exits_2(second, tmp_path, capsys):
+    # two outputs on one file would leave only the later one's bytes there;
+    # the command is refused before any file opens, whatever the spelling
+    sig = tmp_path / "g.sig"
+    write_signal(sig, gen_rect(1.0, 1 / 128))
+    (tmp_path / "sub").mkdir()
+    argv = ["af", "--u", str(sig), "-o", str(tmp_path / "a.out"),
+            f"--{second}", str(tmp_path / "sub" / ".." / "a.out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [sig, tmp_path / "sub"]
+
+
 @pytest.mark.parametrize("error", [
     OSError(errno.ENOSPC, "No space left on device"), MemoryError("Unable to allocate"),
 ], ids=["os-error", "memory-error"])
@@ -916,18 +931,18 @@ def test_verify_all_thread_count_independent():
     assert outs[0].count(" pass ") >= 4 * 14 and " fail " not in outs[0]
 
 
-@pytest.mark.parametrize("suite", [*(s for s in cli.SUITES if s != "all"), "bilinear-dilation"])
+@pytest.mark.parametrize("suite", [*(s for s in cli.SUITES if s != "all"), "reciprocal-dilation"])
 def test_verify_suite_surface_budget(suite, capsys):
     # No check holds more than three surfaces of the default grid (256
     # samples, 1024 Doppler bins) at once, sym-dilate's parent with twice
     # the Doppler bins counting as two; the last 2 MiB covers one block of
-    # lag products, the axes and numpy's buffers.  b = 1.25 takes the
-    # dilation check through act_on_surface's bilinear pullback.
+    # lag products, the axes and numpy's buffers.  b = 0.5 takes the
+    # dilation check through the dilated pair's parent.
     surface_bytes = (2 * 256 - 1) * 1024 * 16
-    if suite == "bilinear-dilation":
+    if suite == "reciprocal-dilation":
         u = gen_gaussian(CANONICAL_SIGMA, 1 / 64, 2.0)
-        rep, peak = traced_peak(verify_dilation, u, b=1.25, n_doppler=1024)
-        assert rep.info["route"] == "bilinear"
+        rep, peak = traced_peak(verify_dilation, u, b=0.5, n_doppler=1024)
+        assert rep.info["route"] == "reciprocal-parent"
     else:
         rc, peak = traced_peak(cli.main, ["verify", "--suite", suite])
         assert rc == 0

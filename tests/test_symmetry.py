@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from mimoaf import (
     CANONICAL_SIGMA,
+    GridAlignmentError,
     GridMismatchError,
     InvalidParameterError,
     SampledSignal,
     Sl2Element,
     SteeringConfig,
-    act_on_surface,
     chirp_multiply,
     cross_ambiguity,
     gen_gaussian,
@@ -27,7 +27,6 @@ from mimoaf import (
     verify_mirror,
 )
 from mimoaf import cli, symmetry
-from mimoaf.ambiguity import AmbiguitySurface
 
 from conftest import DT_G, mixture_basis, random_mixture
 
@@ -94,91 +93,6 @@ def test_rotation_powers():
     assert np.allclose(j4.matrix, np.eye(2))
 
 
-# -------------------------------------------------------------- surface action
-
-def test_identity_action_is_exact(rect256):
-    s = cross_ambiguity(rect256)
-    out = act_on_surface(s, Sl2Element.identity())
-    assert np.array_equal(out.values, s.values)
-    assert out.meta["coverage"] == 1.0
-
-
-def test_double_rotation_is_point_reflection(rect256):
-    s = cross_ambiguity(rect256)
-    out = act_on_surface(s, Sl2Element.rotation().compose(Sl2Element.rotation()))
-    flip = s.values[::-1, 1:][:, ::-1]
-    # lag rows all pair up; Doppler bin 0 (-Nyquist) has no partner
-    assert np.array_equal(out.values[:, 1:], flip)
-    assert not out.meta["valid_mask"][:, 0].any()
-
-
-def test_fourth_rotation_power_restores_surface(rot_gauss):
-    s = cross_ambiguity(rot_gauss, n_doppler=rot_gauss.n, cyclic=True)
-    cur = s
-    for _ in range(4):
-        cur = act_on_surface(cur, Sl2Element.rotation())
-    # each remap zero-fills one unpaired edge line; the interior returns
-    # to the start bit-for-bit
-    assert np.array_equal(cur.values[1:, 1:], s.values[1:, 1:])
-
-
-def test_scaling_action_matches_closed_form():
-    u = gen_gaussian(CANONICAL_SIGMA, 1 / 32, 2.0)
-    s = cross_ambiguity(u, n_doppler=32 * u.n)
-    pulled = act_on_surface(s, Sl2Element.scaling(2.0))
-    T, N = np.meshgrid(s.tau_axis, s.nu_axis, indexing="ij")
-    closed = np.exp(-np.pi * ((2 * T) ** 2 + (N / 2) ** 2) / 2) * np.exp(
-        -1j * np.pi * (2 * T) * (N / 2)
-    )
-    mask = pulled.meta["valid_mask"]
-    rel = np.linalg.norm((pulled.values - closed)[mask]) / np.linalg.norm(closed[mask])
-    assert rel <= 1e-4
-
-
-def test_action_is_linear_in_the_surface(gauss256):
-    s1 = cross_ambiguity(gauss256)
-    s2 = cross_ambiguity(chirp_multiply(gauss256, 2.0))
-    a, b = 0.8 - 0.3j, -1.1 + 0.6j
-    mix = AmbiguitySurface(
-        a * s1.values + b * s2.values, s1.tau_axis, s1.nu_axis, s1.kind, s1.dt, s1.t0
-    )
-    g = Sl2Element.shear(0.4)
-    lhs = act_on_surface(mix, g).values
-    rhs = a * act_on_surface(s1, g).values + b * act_on_surface(s2, g).values
-    assert np.max(np.abs(lhs - rhs)) <= 1e-10
-
-
-def test_group_law_within_interpolation_error():
-    u = gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0)
-    s = cross_ambiguity(u)
-    T, N = np.meshgrid(s.tau_axis, s.nu_axis, indexing="ij")
-
-    def closed_at(g):
-        st, sn = g.a * T + g.b * N, g.c * T + g.d * N
-        return np.exp(-np.pi * (st ** 2 + sn ** 2) / 2) * np.exp(-1j * np.pi * st * sn)
-
-    def rel(x, y, m):
-        return np.linalg.norm((x - y)[m]) / max(np.linalg.norm(y[m]), 1e-300)
-
-    gens = [
-        Sl2Element.rotation(),
-        Sl2Element.shear(0.5),
-        Sl2Element.scaling(1.5),
-        Sl2Element.mirror(),
-    ]
-    rng = np.random.default_rng(0)
-    for _ in range(6):
-        gi, hi = rng.choice(len(gens), 2)
-        g, h = gens[gi], gens[hi]
-        nested = act_on_surface(act_on_surface(s, g), h)
-        composed = act_on_surface(s, g.compose(h))
-        m = nested.meta["valid_mask"] & composed.meta["valid_mask"]
-        truth = closed_at(g.compose(h))
-        single = max(rel(nested.values, truth, m), rel(composed.values, truth, m))
-        assert rel(nested.values, composed.values, m) <= 2 * single + 1e-12
-        assert single <= 5e-3
-
-
 # ------------------------------------------------------------------- rotation
 
 def test_fourier_rotation_gaussian(rot_gauss):
@@ -200,15 +114,16 @@ def test_fourier_rotation_needs_matched_grid(rect256):
 
 @pytest.mark.parametrize("family", cli.FAMILIES)
 def test_rotation_relabel_is_the_pullback(family):
-    # on the cyclic n dt^2 = 1 grid, the pullback along J^{-1} lands every
-    # point but Doppler column 0 on a grid point; the relabel reads the same
-    # values (array_equal: a blend of exact weights may flip a zero's sign)
+    # on the cyclic n dt^2 = 1 grid the pullback along J^{-1}, s(-nu, tau),
+    # lands every cell but those of Doppler column 0 on a grid point, and
+    # the relabel reads the value there
     u = cli._rotation_waveform(family)
     s = cross_ambiguity(u, n_doppler=u.n, cyclic=True)
-    pulled = act_on_surface(s, Sl2Element.rotation().inverse())
-    mask = pulled.meta["valid_mask"]
-    assert mask[:, 1:].all() and not mask[:, 0].any()
-    assert np.array_equal(pulled.values[:, 1:], symmetry._rotation_relabel(s))
+    tau, nu = s.tau_axis.tolist(), s.nu_axis.tolist()
+    pulled = [[s.value_at(-nu_l, tau_a) for nu_l in nu[1:]] for tau_a in tau]
+    assert np.array_equal(symmetry._rotation_relabel(s), np.array(pulled))
+    with pytest.raises(GridAlignmentError):
+        s.value_at(-nu[0], tau[0])
 
 
 # ---------------------------------------------------------------- phase table
@@ -346,11 +261,40 @@ def test_dilated_gaussian_closed_form(wide_gauss):
     assert s.energy() == pytest.approx(wide_gauss.energy() ** 2 / b ** 2, rel=1e-5)
 
 
-def test_dilation_fractional_factor_uses_bilinear(wide_gauss):
-    rep = verify_dilation(wide_gauss, b=1.25, tol=1e-2)
+def test_dilation_reciprocal_factor_is_exact(wide_gauss):
+    # b = 1/2 reads the dilated pair's parent surface: exact where the
+    # bilinear blend of the surface of (u, u) missed the default tol at 1.2e-4
+    rep = verify_dilation(wide_gauss, b=0.5)
     assert rep.passed
-    assert rep.info["route"] == "bilinear"
-    assert rep.rel_err <= 1e-2
+    assert rep.rel_err <= 1e-5
+    assert rep.info["route"] == "reciprocal-parent"
+
+
+def test_dilation_reciprocal_failure_is_real(wide_gauss):
+    # stretched three times, the Gaussian leaves the window: the identity
+    # fails on the grid, and the check says so
+    rep = verify_dilation(wide_gauss, b=1 / 3)
+    assert not rep.passed
+    assert 1e-3 <= rep.rel_err <= 1e-2
+    assert rep.info["route"] == "reciprocal-parent"
+
+
+def test_dilation_off_grid_factor_is_refused(wide_gauss):
+    with pytest.raises(GridAlignmentError):
+        verify_dilation(wide_gauss, b=1.25)
+
+
+@pytest.mark.parametrize("b", [1 / 1000, 1000.0])
+def test_dilation_factor_past_n_is_refused_first(wide_gauss, b, monkeypatch):
+    # past k = n - 1 only lag 0 survives the stride; the factor is refused
+    # before a signal is dilated or a 1000-fold parent allocated
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the factor check")
+
+    monkeypatch.setattr(symmetry, "dilate", never)
+    monkeypatch.setattr(symmetry, "cross_ambiguity", never)
+    with pytest.raises(InvalidParameterError):
+        verify_dilation(wide_gauss, b=b)
 
 
 # ----------------------------------------------------------------- mimo lifts
@@ -422,6 +366,10 @@ def test_mimo_shear_and_scaling(wide_gauss):
     rep_m = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, Sl2Element.scaling(2.0))
     assert rep_m.passed
     assert rep_m.rel_err <= 1e-4
+    rep_r = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, Sl2Element.scaling(0.5))
+    assert rep_r.passed
+    assert rep_r.rel_err <= 1e-5
+    assert rep_r.info["route"] == "reciprocal-parent"
 
 
 def test_mimo_requires_tagged_generator(wide_gauss):
