@@ -75,7 +75,6 @@ from .signals import (
     inner_product,
 )
 from .symmetry import (
-    Sl2Element,
     verify_dilation,
     verify_fourier_rotation,
     verify_lfm_shear,
@@ -98,7 +97,6 @@ __all__ = [
     "MimoafError",
     "ProbeSet",
     "SampledSignal",
-    "Sl2Element",
     "SteeringConfig",
     "TruncationRiskError",
     "WignerDistribution",

@@ -127,9 +127,6 @@ class AmbiguitySurface:
         """Quadrature of |values|^2 over the whole surface."""
         return float(np.sum(np.abs(self.values) ** 2) * self.d_tau * self.d_nu)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 # The surface is built in blocks of lag rows holding about this many bytes of
 # output, so a streamed surface needs one block of memory at any size.

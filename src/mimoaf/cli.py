@@ -68,7 +68,6 @@ from .signals import (
     heisenberg_shift,
 )
 from .symmetry import (
-    Sl2Element,
     verify_dilation,
     verify_fourier_rotation,
     verify_lfm_shear,
@@ -210,11 +209,9 @@ def _suite_uniqueness(args, tol: dict) -> list[CheckReport]:
     for _ in range(3):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         v = u.replace_samples(u.samples * np.exp(1j * theta))
-        _, rep = recover_scalar(u, v, args.n_doppler, **tol)
-        out.append(rep)
+        out.append(recover_scalar(u, v, args.n_doppler, **tol))
     scaled = u.replace_samples(2.0 * u.samples)
-    _, gate = recover_scalar(u, scaled, args.n_doppler, **tol)
-    out.append(gate)
+    out.append(recover_scalar(u, scaled, args.n_doppler, **tol))
     return out
 
 
@@ -267,22 +264,22 @@ def _suite_sym_mimo(args, tol: dict) -> list[CheckReport]:
     rot_set = gen_subcarrier_set(2, 8.0, 1.0 / 16)
     cfg = SteeringConfig(2, args.gamma, args.K)
     out.append(
-        verify_mimo_symmetry(rot_set, cfg, 0.25, 0.25, Sl2Element.rotation(), **tol)
+        verify_mimo_symmetry(rot_set, cfg, 0.25, 0.25, verify_fourier_rotation, **tol)
     )
     flat_set = gen_subcarrier_set(2, 1.0, _DT_FINE)
     out.append(
-        verify_mimo_symmetry(flat_set, cfg, args.fs, args.fsp, Sl2Element.mirror(),
+        verify_mimo_symmetry(flat_set, cfg, args.fs, args.fsp, verify_mirror,
                              n_doppler=args.n_doppler, **tol)
     )
     rate = _aligned_chirp_rate(flat_set[0], args.n_doppler)
     out.append(
-        verify_mimo_symmetry(flat_set, cfg, args.fs, args.fsp, Sl2Element.shear(-rate),
-                             n_doppler=args.n_doppler, **tol)
+        verify_mimo_symmetry(flat_set, cfg, args.fs, args.fsp, verify_lfm_shear,
+                             rate=rate, n_doppler=args.n_doppler, **tol)
     )
     smooth = _phase_family(gen_gaussian(CANONICAL_SIGMA, _DT_GAUSS, 2.0), 2, args.seed)
     out.append(
-        verify_mimo_symmetry(smooth, cfg, args.fs, args.fsp, Sl2Element.scaling(2.0),
-                             n_doppler=args.n_doppler, **tol)
+        verify_mimo_symmetry(smooth, cfg, args.fs, args.fsp, verify_dilation,
+                             b=2.0, n_doppler=args.n_doppler, **tol)
     )
     return out
 

@@ -370,13 +370,14 @@ def recover_scalar(
     v: SampledSignal,
     n_doppler: int | None = None,
     tol: float = 1e-6,
-) -> tuple[complex, CheckReport]:
+) -> CheckReport:
     """Uniqueness up to a unimodular scalar.
 
     When the two self-ambiguity surfaces coincide (L2 distance <= _AF_TOL),
     the estimate lambda = <u,v>/energy(v) must be unimodular and reproduce
     u as lambda * v.  When the surfaces differ, the hypothesis is void: the
     report passes vacuously and records the non-equal status in info.
+    Either way info["lambda"] holds the estimate.
     """
     ev = v.energy()
     if ev <= 0.0:
@@ -393,13 +394,11 @@ def recover_scalar(
         unimodular_defect = abs(abs(lam) - 1.0)
         rel_err = max(residual, unimodular_defect)
         info.update({"af_equal": True, "residual": residual})
-        report = CheckReport(
+        return CheckReport(
             "uniqueness", rel_err <= tol, abs(lam), 1.0, rel_err, rel_err, tol, info
         )
-    else:
-        info.update({"af_equal": False, "status": "surfaces differ; hypothesis void"})
-        report = CheckReport("uniqueness", True, abs(lam), 1.0, 0.0, 0.0, tol, info)
-    return lam, report
+    info.update({"af_equal": False, "status": "surfaces differ; hypothesis void"})
+    return CheckReport("uniqueness", True, abs(lam), 1.0, 0.0, 0.0, tol, info)
 
 
 def collinearity_check(
@@ -467,7 +466,7 @@ def trace_reduction_check(
     reduced = True
     for i in range(m):
         for j in range(i + 1, m):
-            _, rep = recover_scalar(waveforms[i], waveforms[j], n_doppler=n_doppler)
+            rep = recover_scalar(waveforms[i], waveforms[j], n_doppler=n_doppler)
             ok = bool(rep.info.get("af_equal")) and rep.rel_err <= rep.tol
             pair_status[(i, j)] = ok
             reduced = reduced and ok

@@ -130,10 +130,6 @@ class HeisenbergPoint:
     def __post_init__(self) -> None:
         _require_real(tau=self.tau, nu=self.nu, x3=self.x3)
 
-    @classmethod
-    def identity(cls) -> "HeisenbergPoint":
-        return cls(0.0, 0.0, 0.0)
-
     def compose(self, other: "HeisenbergPoint") -> "HeisenbergPoint":
         return HeisenbergPoint(
             self.tau + other.tau,

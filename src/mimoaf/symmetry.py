@@ -1,17 +1,19 @@
-"""SL(2,R) generators and their dual action on signals and surfaces.
+"""SL(2,R) covariance of ambiguity surfaces, checked along two routes.
 
-The three generators
+The generators
 
     J = [[0, 1], [-1, 0]]   (quarter-turn of the delay-Doppler plane)
     t(a) = [[1, 0], [a, 1]] (shear)
     m(b) = [[b, 0], [0, 1/b]] (dilation)
 
-act on an ambiguity surface by coordinate remap, and on the underlying
-signals by Fourier transform, chirp multiplication, and time dilation.
-Each verify routine computes one identity along both routes (surface
-remap vs transformed signals) and reports the relative Frobenius
-distance.  The MIMO lifts reuse the scalar routines on the beamformed
-signal pair, whose cross-ambiguity is the spatial slice.
+and the point reflection -I = J^2 act on an ambiguity surface by
+coordinate remap, and on the underlying signals by Fourier transform,
+chirp multiplication, time dilation and swapping the pair.  Each verify
+routine computes one identity along both routes (surface remap vs
+transformed signals) and reports the relative Frobenius distance.  The
+MIMO lift, :func:`verify_mimo_symmetry`, is handed one of the four scalar
+verifiers and runs it on the beamformed signal pair, whose
+cross-ambiguity is the spatial slice.
 
 Grid notes baked into the checks:
 
@@ -51,10 +53,11 @@ built one row block at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import replace
+from typing import Any
 
 import numpy as np
-import numpy.typing as npt
 
 from .ambiguity import (
     AmbiguitySurface,
@@ -65,10 +68,9 @@ from .ambiguity import (
 )
 from .errors import GridAlignmentError, GridMismatchError, InvalidParameterError
 from .properties import CheckReport
-from .signals import SampledSignal, chirp_multiply, dilate, fourier
+from .signals import SampledSignal, _require_real, chirp_multiply, dilate, fourier
 
 __all__ = [
-    "Sl2Element",
     "verify_fourier_rotation",
     "verify_mirror",
     "verify_lfm_shear",
@@ -81,67 +83,6 @@ _COVERAGE_FLOOR = 0.9
 # cells per row block of the index and phase arrays, which peak at 24 bytes
 # a cell (an int64 index and a complex phase), so 384 KiB a block
 _BLOCK_CELLS = 2**14
-
-
-@dataclass(frozen=True)
-class Sl2Element:
-    """Real 2x2 matrix [[a, b], [c, d]] with unit determinant.
-
-    Generator constructors attach a tag ("J", "t", "m", "-I") so
-    dispatching code can tell which one-parameter family an element came
-    from; composed elements carry no tag.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    tag: str | None = None
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(x) for x in (self.a, self.b, self.c, self.d)):
-            raise InvalidParameterError(
-                f"entries must be finite, got {(self.a, self.b, self.c, self.d)}"
-            )
-        det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > 1e-12:
-            raise InvalidParameterError(f"determinant {det} is not 1")
-
-    @classmethod
-    def identity(cls) -> "Sl2Element":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def rotation(cls) -> "Sl2Element":
-        return cls(0.0, 1.0, -1.0, 0.0, tag="J")
-
-    @classmethod
-    def shear(cls, a: float) -> "Sl2Element":
-        return cls(1.0, 0.0, a, 1.0, tag="t")
-
-    @classmethod
-    def scaling(cls, b: float) -> "Sl2Element":
-        if b <= 0:
-            raise InvalidParameterError(f"scaling parameter must be positive, got {b}")
-        return cls(b, 0.0, 0.0, 1.0 / b, tag="m")
-
-    @classmethod
-    def mirror(cls) -> "Sl2Element":
-        return cls(-1.0, 0.0, 0.0, -1.0, tag="-I")
-
-    @property
-    def matrix(self) -> npt.NDArray[np.float64]:
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
-    def compose(self, other: "Sl2Element") -> "Sl2Element":
-        m = self.matrix @ other.matrix
-        return Sl2Element(float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
-
-    def inverse(self) -> "Sl2Element":
-        return Sl2Element(self.d, -self.b, -self.c, self.a)
-
-    def apply(self, tau: float, nu: float) -> tuple[float, float]:
-        return self.a * tau + self.b * nu, self.c * tau + self.d * nu
 
 
 def _unit_roots(n: int) -> np.ndarray:
@@ -358,7 +299,9 @@ def verify_lfm_shear(
 ) -> CheckReport:
     """Chirp shear: the surface of the chirped pair equals the original
     surface resampled at (tau, nu - rate*tau) times exp(-i pi rate tau^2),
-    the pullback along t(-rate)."""
+    the pullback along t(-rate).  A rate that is not a finite real raises
+    InvalidParameterError before any surface is built."""
+    _require_real(rate=rate)
     if v is None:
         v = u
     u.require_compatible(v)
@@ -462,31 +405,26 @@ def verify_mimo_symmetry(
     cfg: SteeringConfig,
     fs: float,
     fs_prime: float,
-    g: Sl2Element,
-    n_doppler: int | None = None,
-    tol: float | None = None,
+    check: Callable[..., CheckReport],
+    **kwargs: Any,
 ) -> CheckReport:
-    """Generator identities lifted to spatial slices at fixed (fs, fs').
+    """A scalar identity lifted to the spatial slice at fixed (fs, fs').
 
     chi is linear in its first signal and conjugate-linear in its second,
     so the slice sum_{m,m'} chi(u_m, u_m') exp(i 2 pi gamma (fs m - fs' m'))
-    is the cross-ambiguity chi(U, V) of the beamformed pair U, V.  The
-    scalar verifier for the tag of g therefore runs on (U, V) unchanged;
-    the mirror case compares chi(U, V) against the independently computed
-    swapped slice chi(V, U).  tol=None keeps the scalar default.  The
-    report is named "sym-mimo" and info["kind"] holds the tag.
+    is the cross-ambiguity chi(U, V) of the beamformed pair U, V.  check,
+    one of verify_fourier_rotation, verify_mirror, verify_lfm_shear and
+    verify_dilation, therefore runs on (U, V) unchanged, with kwargs
+    passed through: check(U, V, **kwargs).  For the mirror that compares
+    chi(U, V) against the independently computed swapped slice chi(V, U).
+    Any other check raises InvalidParameterError before a beam is formed.
+    The report is renamed "sym-mimo" and info["kind"] holds the name of
+    check.
     """
-    if g.tag is None:
-        raise InvalidParameterError("pass a tagged generator (rotation/shear/scaling/mirror)")
-    u, v = mimo_beams(waveforms, cfg, fs, fs_prime)
-    kw = {} if tol is None else {"tol": tol}
-    if g.tag == "J":
-        rep = verify_fourier_rotation(u, v, **kw)
-    elif g.tag == "-I":
-        rep = verify_mirror(u, v, n_doppler, **kw)
-    elif g.tag == "t":
-        # g = t(-rate) shears onto the +rate chirp
-        rep = verify_lfm_shear(u, v, rate=-g.c, n_doppler=n_doppler, **kw)
-    else:
-        rep = verify_dilation(u, v, b=g.a, n_doppler=n_doppler, **kw)
-    return replace(rep, name="sym-mimo", info={"kind": g.tag, **rep.info})
+    if check not in (verify_fourier_rotation, verify_mirror, verify_lfm_shear, verify_dilation):
+        raise InvalidParameterError(
+            "pass one of verify_fourier_rotation, verify_mirror, "
+            f"verify_lfm_shear or verify_dilation, got {check!r}"
+        )
+    rep = check(*mimo_beams(waveforms, cfg, fs, fs_prime), **kwargs)
+    return replace(rep, name="sym-mimo", info={"kind": check.__name__, **rep.info})

@@ -15,7 +15,6 @@ import pytest
 
 from mimoaf import (
     CANONICAL_SIGMA,
-    Sl2Element,
     SteeringConfig,
     check_mimo_energy,
     check_norm_identity,
@@ -166,11 +165,11 @@ def test_c05_scalar_recovery(capsys):
     worst_res = 0.0
     for theta in rng.uniform(0.0, 2 * math.pi, size=20):
         v = u.replace_samples(np.exp(1j * theta) * u.samples)
-        lam, rep = recover_scalar(u, v)
+        rep = recover_scalar(u, v)
         assert rep.passed
-        worst_mod = max(worst_mod, abs(abs(lam) - 1.0))
+        worst_mod = max(worst_mod, abs(abs(rep.info["lambda"]) - 1.0))
         worst_res = max(worst_res, rep.info["residual"])
-    _, gate = recover_scalar(u, u.replace_samples(2.0 * u.samples))
+    gate = recover_scalar(u, u.replace_samples(2.0 * u.samples))
     gated = gate.info["af_equal"] is False
     ok = worst_mod <= 1e-6 and worst_res <= 1e-6 and gated
     announce(
@@ -239,10 +238,10 @@ def test_c07_symmetry_battery(capsys):
     fam = [wide.replace_samples(np.exp(1j * t) * wide.samples) for t in thetas]
     cfg = SteeringConfig(2, 1.0, 8)
     mimo = {
-        "J": (verify_mimo_symmetry(rot_subs, cfg, 0.25, 0.25, Sl2Element.rotation()), 1e-5),
-        "mirror": (verify_mimo_symmetry(mixed, cfg, 0.3, 0.7, Sl2Element.mirror()), 1e-9),
-        "shear": (verify_mimo_symmetry(fam, cfg, 0.3, 0.7, Sl2Element.shear(-4.0)), 1e-4),
-        "dilate": (verify_mimo_symmetry(fam, cfg, 0.3, 0.7, Sl2Element.scaling(2.0)), 1e-4),
+        "J": (verify_mimo_symmetry(rot_subs, cfg, 0.25, 0.25, verify_fourier_rotation), 1e-5),
+        "mirror": (verify_mimo_symmetry(mixed, cfg, 0.3, 0.7, verify_mirror), 1e-9),
+        "shear": (verify_mimo_symmetry(fam, cfg, 0.3, 0.7, verify_lfm_shear, rate=4.0), 1e-4),
+        "dilate": (verify_mimo_symmetry(fam, cfg, 0.3, 0.7, verify_dilation, b=2.0), 1e-4),
     }
 
     # the mirror lift must actually need the (fs, fs') exchange

@@ -269,7 +269,8 @@ def test_gram_psd_seed_sweep(seed):
 def test_recover_scalar_pure_phase(gauss256):
     theta = math.pi / 3
     v = gauss256.replace_samples(np.exp(1j * theta) * gauss256.samples)
-    lam, rep = recover_scalar(gauss256, v)
+    rep = recover_scalar(gauss256, v)
+    lam = rep.info["lambda"]
     assert rep.passed
     assert rep.info["af_equal"] is True
     assert abs(lam - cmath.exp(-1j * theta)) <= 1e-12
@@ -278,23 +279,23 @@ def test_recover_scalar_pure_phase(gauss256):
 
 
 def test_recover_scalar_identity(gauss256):
-    lam, rep = recover_scalar(gauss256, gauss256)
+    rep = recover_scalar(gauss256, gauss256)
     assert rep.passed
-    assert abs(lam - 1.0) <= 1e-15
+    assert abs(rep.info["lambda"] - 1.0) <= 1e-15
 
 
 def test_recover_scalar_gate_rejects_scaling(gauss256):
     v = gauss256.replace_samples(2.0 * gauss256.samples)
-    lam, rep = recover_scalar(gauss256, v)
+    rep = recover_scalar(gauss256, v)
     assert rep.passed  # hypothesis void, vacuous pass
     assert rep.info["af_equal"] is False
     assert rep.info["af_distance"] == pytest.approx(3.0, rel=1e-6)
-    assert abs(lam - 0.5) <= 1e-12
+    assert abs(rep.info["lambda"] - 0.5) <= 1e-12
 
 
 def test_recover_scalar_shifted_waveform_not_equal(gauss256):
     v = heisenberg_shift(gauss256, HeisenbergPoint(16 * gauss256.dt, 0.0))
-    _, rep = recover_scalar(gauss256, v)
+    rep = recover_scalar(gauss256, v)
     # a pure delay keeps |chi| but not chi; the linear-phase mismatch is visible
     assert rep.info["af_equal"] is False
 

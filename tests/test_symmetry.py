@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,13 +14,13 @@ from mimoaf import (
     GridMismatchError,
     InvalidParameterError,
     SampledSignal,
-    Sl2Element,
     SteeringConfig,
     chirp_multiply,
     cross_ambiguity,
     gen_gaussian,
     gen_rect,
     gen_subcarrier_set,
+    mimo_beams,
     verify_dilation,
     verify_fourier_rotation,
     verify_lfm_shear,
@@ -45,52 +46,6 @@ def rot_rect():
 @pytest.fixture(scope="module")
 def wide_gauss():
     return gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
-
-
-# ------------------------------------------------------------------ sl2 group
-
-def test_generator_matrices():
-    j = Sl2Element.rotation()
-    assert (j.a, j.b, j.c, j.d) == (0.0, 1.0, -1.0, 0.0)
-    t = Sl2Element.shear(3.0)
-    assert (t.a, t.b, t.c, t.d) == (1.0, 0.0, 3.0, 1.0)
-    m = Sl2Element.scaling(2.0)
-    assert (m.a, m.d) == (2.0, 0.5)
-    assert Sl2Element.mirror().matrix.tolist() == [[-1.0, 0.0], [0.0, -1.0]]
-
-
-def test_determinant_enforced():
-    with pytest.raises(InvalidParameterError):
-        Sl2Element(1.0, 0.0, 0.0, 2.0)
-    with pytest.raises(InvalidParameterError):
-        Sl2Element.scaling(-1.0)
-    # NaN slips past both "b <= 0" and "abs(det - 1) > tol"; inf gives det NaN
-    for make in (
-        lambda: Sl2Element.shear(math.nan),
-        lambda: Sl2Element.scaling(math.nan),
-        lambda: Sl2Element.scaling(math.inf),
-        lambda: Sl2Element(1.0, math.inf, 0.0, 1.0),
-    ):
-        with pytest.raises(InvalidParameterError):
-            make()
-
-
-def test_compose_inverse_apply():
-    g = Sl2Element.shear(0.7).compose(Sl2Element.scaling(1.5))
-    gi = g.inverse()
-    eye = g.compose(gi)
-    assert np.allclose(eye.matrix, np.eye(2), atol=1e-15)
-    tau, nu = g.apply(0.3, -0.4)
-    assert np.allclose([tau, nu], g.matrix @ [0.3, -0.4])
-    assert g.tag is None  # composition drops the generator tag
-
-
-def test_rotation_powers():
-    j = Sl2Element.rotation()
-    j2 = j.compose(j)
-    assert np.allclose(j2.matrix, -np.eye(2))
-    j4 = j2.compose(j2)
-    assert np.allclose(j4.matrix, np.eye(2))
 
 
 # ------------------------------------------------------------------- rotation
@@ -302,21 +257,47 @@ def test_dilation_factor_past_n_is_refused_first(wide_gauss, b, monkeypatch):
 def test_mimo_single_element_matches_scalar(rot_gauss, wide_gauss):
     cfg = SteeringConfig(1, 1.0, 8)
     cases = [
-        (Sl2Element.rotation(), rot_gauss, verify_fourier_rotation(rot_gauss)),
-        (Sl2Element.mirror(), wide_gauss, verify_mirror(wide_gauss)),
-        (Sl2Element.shear(-4.0), wide_gauss, verify_lfm_shear(wide_gauss, rate=4.0)),
-        (Sl2Element.scaling(2.0), wide_gauss, verify_dilation(wide_gauss, b=2.0)),
+        (verify_fourier_rotation, rot_gauss, {}),
+        (verify_mirror, wide_gauss, {}),
+        (verify_lfm_shear, wide_gauss, {"rate": 4.0}),
+        (verify_dilation, wide_gauss, {"b": 2.0}),
     ]
-    for g, u, scalar_rep in cases:
-        rep = verify_mimo_symmetry([u], cfg, 0.3, 0.7, g)
-        assert rep.passed, g.tag
-        assert rep.rel_err == scalar_rep.rel_err, g.tag
+    for check, u, kw in cases:
+        rep = verify_mimo_symmetry([u], cfg, 0.3, 0.7, check, **kw)
+        assert rep.passed, check.__name__
+        assert rep.rel_err == check(u, **kw).rel_err, check.__name__
+
+
+@pytest.mark.parametrize(
+    "check, kwargs",
+    [
+        (verify_fourier_rotation, {"tol": 1e-6}),
+        (verify_mirror, {"n_doppler": 512, "tol": 1e-8}),
+        (verify_lfm_shear, {"rate": 2.5, "n_doppler": 512, "tol": 1e-5}),
+        (verify_dilation, {"b": 2.0, "n_doppler": 512, "tol": 1e-3}),
+    ],
+    ids=["rotation", "mirror", "shear", "dilation"],
+)
+def test_mimo_lift_is_the_scalar_check_on_the_beams(rot_gauss, wide_gauss, check, kwargs):
+    # on an M = 2 phase family the lift is the scalar check on the beam pair,
+    # field for field, with every keyword passed through
+    base = rot_gauss if check is verify_fourier_rotation else wide_gauss
+    thetas = np.random.default_rng(8).uniform(0, 2 * np.pi, size=2)
+    waves = [base.replace_samples(np.exp(1j * t) * base.samples) for t in thetas]
+    cfg = SteeringConfig(2, 1.0, 8)
+    rep = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, check, **kwargs)
+    ref = check(*mimo_beams(waves, cfg, 0.3, 0.7), **kwargs)
+    # CheckReport equality compares every field but info
+    assert rep == replace(ref, name="sym-mimo")
+    assert rep.info == {"kind": check.__name__, **ref.info}
+    assert rep.tol == kwargs["tol"]
+    assert rep.passed
 
 
 def test_mimo_rotation_two_subcarriers():
     waves = list(gen_subcarrier_set(2, 8.0, 1 / 16))
     cfg = SteeringConfig(2, 1.0, 8)
-    rep = verify_mimo_symmetry(waves, cfg, 0.25, 0.25, Sl2Element.rotation())
+    rep = verify_mimo_symmetry(waves, cfg, 0.25, 0.25, verify_fourier_rotation)
     assert rep.passed
     assert rep.rel_err <= 1e-5
 
@@ -327,7 +308,7 @@ def test_mimo_mirror_swaps_beam_pair():
     waves = [subs[0], random_mixture([subs[0], subs[1], chirp_multiply(subs[0], 2.0)], rng)]
     cfg = SteeringConfig(2, 1.0, 8)
     fs, fsp = 0.3, 0.7
-    rep = verify_mimo_symmetry(waves, cfg, fs, fsp, Sl2Element.mirror())
+    rep = verify_mimo_symmetry(waves, cfg, fs, fsp, verify_mirror)
     assert rep.passed
     assert rep.rel_err <= 1e-9
 
@@ -360,25 +341,61 @@ def test_mimo_shear_and_scaling(wide_gauss):
     thetas = rng.uniform(0, 2 * np.pi, size=2)
     waves = [wide_gauss.replace_samples(np.exp(1j * t) * wide_gauss.samples) for t in thetas]
     cfg = SteeringConfig(2, 1.0, 8)
-    rep_t = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, Sl2Element.shear(-2.5))
+    rep_t = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, verify_lfm_shear, rate=2.5)
     assert rep_t.passed
     assert rep_t.rel_err <= 1e-10
-    rep_m = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, Sl2Element.scaling(2.0))
+    rep_m = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, verify_dilation, b=2.0)
     assert rep_m.passed
     assert rep_m.rel_err <= 1e-4
-    rep_r = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, Sl2Element.scaling(0.5))
+    rep_r = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, verify_dilation, b=0.5)
     assert rep_r.passed
     assert rep_r.rel_err <= 1e-5
     assert rep_r.info["route"] == "reciprocal-parent"
 
 
-def test_mimo_requires_tagged_generator(wide_gauss):
+def test_mimo_refuses_a_non_verifier(wide_gauss, monkeypatch):
+    # anything but the four scalar verifiers is refused before a beam forms
+    def never(*args, **kwargs):
+        raise AssertionError("formed a beam")
+
     cfg = SteeringConfig(1, 1.0, 8)
-    g = Sl2Element.shear(1.0).compose(Sl2Element.shear(-1.0))
-    with pytest.raises(InvalidParameterError):
-        verify_mimo_symmetry([wide_gauss], cfg, 0.0, 0.0, g)
+    with monkeypatch.context() as m:
+        m.setattr(symmetry, "mimo_beams", never)
+        for check in (cross_ambiguity, lambda u, v, **kw: verify_mirror(u, v, **kw), None):
+            with pytest.raises(InvalidParameterError):
+                verify_mimo_symmetry([wide_gauss], cfg, 0.0, 0.0, check)
     with pytest.raises(GridMismatchError):
-        verify_mimo_symmetry([wide_gauss, wide_gauss], cfg, 0.0, 0.0, Sl2Element.mirror())
+        verify_mimo_symmetry([wide_gauss, wide_gauss], cfg, 0.0, 0.0, verify_mirror)
+
+
+@pytest.mark.parametrize(
+    "check, kwargs",
+    [
+        (verify_lfm_shear, {"rate": math.nan}),
+        (verify_lfm_shear, {"rate": math.inf}),
+        (verify_lfm_shear, {"rate": -math.inf}),
+        (verify_dilation, {"b": math.nan}),
+        (verify_dilation, {"b": math.inf}),
+        (verify_dilation, {"b": -1.0}),
+    ],
+    ids=["shear-nan", "shear-inf", "shear-minus-inf", "dilation-nan", "dilation-inf",
+         "dilation-negative"],
+)
+@pytest.mark.parametrize("lifted", [False, True], ids=["scalar", "mimo"])
+def test_bad_rate_or_factor_is_refused_first(wide_gauss, check, kwargs, lifted, monkeypatch):
+    # a chirp rate that is not finite, or a dilation factor that is not
+    # positive and finite, is refused before any surface is built, on its
+    # own and lifted to a spatial slice
+    def never(*args, **kwargs):
+        raise AssertionError("built a surface")
+
+    monkeypatch.setattr(symmetry, "cross_ambiguity", never)
+    cfg = SteeringConfig(1, 1.0, 8)
+    with pytest.raises(InvalidParameterError):
+        if lifted:
+            verify_mimo_symmetry([wide_gauss], cfg, 0.3, 0.7, check, **kwargs)
+        else:
+            check(wide_gauss, **kwargs)
 
 
 # ----------------------------------------------------------- randomized sweeps
