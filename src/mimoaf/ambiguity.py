@@ -26,7 +26,7 @@ import numpy.typing as npt
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridAlignmentError, GridMismatchError, InvalidParameterError
-from .signals import SampledSignal, _require_count
+from .signals import SampledSignal, _require_count, _require_positive
 
 __all__ = [
     "AmbiguitySurface",
@@ -61,23 +61,20 @@ def _axis_index(axis: np.ndarray, x: float, quantity: str, axis_name: str) -> in
 
 @dataclass(frozen=True, eq=False)
 class AmbiguitySurface:
-    """Sampled surface over the delay-Doppler plane.
+    """Values of a function on the delay-Doppler plane, sampled on its axes.
+
+    The sample grid of the signals behind a surface is not part of it: code
+    that needs their dt or t0 reads them from the signals.
 
     Attributes:
         values: complex array indexed [lag, doppler].
         tau_axis: delays in seconds, ascending, uniform.
         nu_axis: Doppler frequencies in Hz, ascending, uniform.
-        kind: "linear" or "cyclic" lag convention.
-        dt: sample spacing of the underlying signals.
-        t0: window start of the underlying signals.
     """
 
     values: npt.NDArray[np.complex128]
     tau_axis: npt.NDArray[np.float64]
     nu_axis: npt.NDArray[np.float64]
-    kind: str
-    dt: float
-    t0: float
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.complex128)
@@ -92,15 +89,9 @@ class AmbiguitySurface:
             raise InvalidParameterError(
                 f"a surface needs at least 2 points on each axis, got {vals.shape}"
             )
-        if self.kind not in ("linear", "cyclic"):
-            raise InvalidParameterError(f"unknown surface kind {self.kind!r}")
         object.__setattr__(self, "values", _freeze(vals))
         object.__setattr__(self, "tau_axis", _freeze(tau))
         object.__setattr__(self, "nu_axis", _freeze(nu))
-
-    @property
-    def n_lag(self) -> int:
-        return self.tau_axis.size
 
     @property
     def n_doppler(self) -> int:
@@ -281,11 +272,7 @@ def _surface(
     blocks = _SurfaceBlocks(pairs, n_doppler, cyclic, whole=True)
     for _ in blocks:
         pass
-    u = pairs[0][0]
-    return AmbiguitySurface(
-        blocks.values, blocks.tau_axis, blocks.nu_axis,
-        "cyclic" if cyclic else "linear", u.dt, u.t0,
-    )
+    return AmbiguitySurface(blocks.values, blocks.tau_axis, blocks.nu_axis)
 
 
 def cross_ambiguity(
@@ -332,9 +319,7 @@ def cross_ambiguity_oracle(
     nu_axis = _doppler_axis(n_doppler, u.dt)
     kernel = np.exp(1j * 2.0 * math.pi * np.outer(u.times, nu_axis))
     X = u.dt * (P @ kernel)
-    return AmbiguitySurface(
-        X, lags * u.dt, nu_axis, "cyclic" if cyclic else "linear", u.dt, u.t0
-    )
+    return AmbiguitySurface(X, lags * u.dt, nu_axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,9 +408,7 @@ def ambiguity_from_wigner(
     temp = w.values.T @ Et  # (n_freq, n_nu)
     vals = (Ef.T @ temp) * (w.dt * w.d_freq)
     vals *= np.exp(-1j * math.pi * np.outer(tau_axis, nu_axis))
-    return AmbiguitySurface(
-        vals, tau_axis, nu_axis, "linear", w.dt, float(w.time_axis[0])
-    )
+    return AmbiguitySurface(vals, tau_axis, nu_axis)
 
 
 @dataclass(frozen=True)
@@ -445,8 +428,7 @@ class SteeringConfig:
     def __post_init__(self) -> None:
         _require_count("n_elements", self.n_elements, 1)
         _require_count("n_spatial", self.n_spatial, 2)
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise InvalidParameterError(f"gamma must be positive, got {self.gamma}")
+        _require_positive(gamma=self.gamma)
         if self.n_spatial <= self.gamma * (self.n_elements - 1):
             raise InvalidParameterError(
                 f"n_spatial = {self.n_spatial} cannot resolve steering frequencies up "

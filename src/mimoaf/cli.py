@@ -8,9 +8,10 @@ Four subcommands:
 * ``verify`` runs named identity-check suites and reports pass/fail lines.
 
 ``verify --tol X`` replaces the tolerance of every check in the suite;
-without it each check keeps its own.  The internal gates do not move with
-it: PSD route agreement 1e-8, uniqueness surface distance 1e-8,
-collinearity sum 1e-8 and symmetry mask coverage 0.9.
+without it each check keeps its own.  X must be finite and >= 0.  The
+internal gates do not move with it: PSD route agreement 1e-8, uniqueness
+surface distance 1e-8, collinearity sum 1e-8 and symmetry mask coverage
+0.9.  A failed PSD, collinearity or coverage gate fails its check at any X.
 
 Exit codes: 0 all checks passed / command succeeded, 1 at least one check
 failed, 2 usage or validation error, including a size too large to
@@ -106,7 +107,7 @@ def _family_set(family: str, M: int, seed: int) -> list[SampledSignal]:
     return _phase_family(_family_waveform(family, M), M, seed)
 
 
-def _rotation_waveform(family: str, M: int = 1) -> SampledSignal:
+def _rotation_waveform(family: str) -> SampledSignal:
     """256 samples at dt = 1/16, so n dt^2 = 1 (rotation-check grid)."""
     if family == "rect":
         return gen_rect(8.0, 1.0 / 16)
@@ -114,7 +115,7 @@ def _rotation_waveform(family: str, M: int = 1) -> SampledSignal:
         return gen_gaussian(CANONICAL_SIGMA, 1.0 / 16, 8.0)
     if family == "lfm":
         return gen_lfm(8.0, 0.5, 1.0 / 16)
-    return gen_subcarrier_set(M, 8.0, 1.0 / 16)[0]
+    return gen_subcarrier_set(1, 8.0, 1.0 / 16)[0]
 
 
 def _aligned_chirp_rate(u: SampledSignal, n_doppler: int) -> float:
@@ -383,9 +384,10 @@ def cmd_mimo(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.tol is not None and not args.tol >= 0:
-        # a tolerance no error can meet would report every check as failed
-        raise InvalidParameterError(f"--tol must be >= 0, got {args.tol}")
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        # a negative or nan tolerance fails every check, an infinite one
+        # passes every check
+        raise InvalidParameterError(f"--tol must be finite and >= 0, got {args.tol}")
     if args.seed < 0:
         raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
     # without --tol every check keeps its own tolerance

@@ -255,36 +255,13 @@ def write_surface_blocks(
     return origin
 
 
-def write_surface(
-    path: str | Path,
-    values: np.ndarray | AmbiguitySurface,
-    tau0: float | None = None,
-    dtau: float | None = None,
-    nu0: float | None = None,
-    dnu: float | None = None,
-) -> None:
-    """Write a SUR1 file from a surface or a raw 2-D array with axis data."""
-    if isinstance(values, AmbiguitySurface):
-        write_surface_blocks([(0, values.values)], values.tau_axis, values.nu_axis, sur1=path)
-        return
-    arr = np.asarray(values)
-    if arr.ndim != 2:
-        raise FileFormatError("surface values must be 2-D")
-    axes = {"tau0": tau0, "dtau": dtau, "nu0": nu0, "dnu": dnu}
-    if missing := [name for name, x in axes.items() if x is None]:
-        raise FileFormatError(f"raw surface values need axis values; missing {', '.join(missing)}")
-    n_tau, n_nu = arr.shape
-    write_surface_blocks(
-        [(0, arr)], tau0 + dtau * np.arange(n_tau), nu0 + dnu * np.arange(n_nu), sur1=path
-    )
+def write_surface(path: str | Path, s: AmbiguitySurface) -> None:
+    """Write a surface as a SUR1 file."""
+    write_surface_blocks([(0, s.values)], s.tau_axis, s.nu_axis, sur1=path)
 
 
 def read_surface(path: str | Path) -> AmbiguitySurface:
-    """Read a SUR1 file.
-
-    The container carries axes only; the result is tagged "linear" with
-    dt set to the lag step and t0 to 0 (SUR1 does not store signal
-    provenance)."""
+    """Read a SUR1 file: the values on their delay and Doppler axes."""
     path = Path(path)
     blob = path.read_bytes()
     if blob[:4] != _SUR1_MAGIC:
@@ -302,7 +279,7 @@ def read_surface(path: str | Path) -> AmbiguitySurface:
     values = values.reshape(n_tau, n_nu)
     tau_axis = tau0 + dtau * np.arange(n_tau)
     nu_axis = nu0 + dnu * np.arange(n_nu)
-    return AmbiguitySurface(values, tau_axis, nu_axis, "linear", dtau, 0.0)
+    return AmbiguitySurface(values, tau_axis, nu_axis)
 
 
 def write_surface_csv(path: str | Path, s: AmbiguitySurface) -> None:
@@ -363,7 +340,7 @@ def read_surface_csv(path: str | Path) -> AmbiguitySurface:
     values = _complex(cells[:, 2], cells[:, 3]).reshape(n_tau, n_nu)
     tau_axis = tau0 + dtau * np.arange(n_tau)
     nu_axis = nu0 + dnu * np.arange(n_nu)
-    return AmbiguitySurface(values, tau_axis, nu_axis, "linear", dtau, 0.0)
+    return AmbiguitySurface(values, tau_axis, nu_axis)
 
 
 def write_ppm(

@@ -71,8 +71,10 @@ def _fmt(x: complex) -> str:
 class CheckReport:
     """Outcome of one identity check.
 
-    passed holds exactly when rel_err <= tol (rel_err degrades to the
-    absolute error when the reference magnitude vanishes).
+    A report never passes with rel_err > tol (rel_err degrades to the
+    absolute error when the reference magnitude vanishes).  A check with an
+    internal gate (PSD route agreement, collinearity sum, symmetry mask
+    coverage) fails its report when the gate fails, at any tol.
     """
 
     name: str
@@ -97,22 +99,15 @@ def make_report(
     lhs: complex,
     rhs: complex,
     tol: float,
-    scale: float | None = None,
+    scale: float,
 ) -> CheckReport:
-    """Compare two computed values at a relative tolerance.
-
-    scale overrides the denominator of the relative error; without it the
-    larger magnitude of the two sides is used, and a vanishing denominator
-    falls back to the absolute error.
+    """Compare two computed values at a relative tolerance: the error is
+    taken relative to scale, or absolute where scale vanishes.
     """
     lhs = complex(lhs)
     rhs = complex(rhs)
     abs_err = abs(lhs - rhs)
-    base = scale if scale is not None else max(abs(lhs), abs(rhs))
-    if base > _TINY:
-        rel_err = abs_err / base
-    else:
-        rel_err = abs_err
+    rel_err = abs_err / scale if scale > _TINY else abs_err
     return CheckReport(name, rel_err <= tol, lhs, rhs, abs_err, rel_err, tol)
 
 
@@ -344,21 +339,17 @@ def gram_psd_check(
 def trace_psd_check(
     waveforms: list[SampledSignal],
     probes: ProbeSet,
-    cfg: SteeringConfig | None = None,
+    cfg: SteeringConfig,
     n_doppler: int | None = None,
     tol: float = 1e-9,
 ) -> CheckReport:
-    """Positive definiteness of the spatially integrated (trace) surface.
+    """Positive definiteness of the spatially integrated (trace) surface of
+    the array cfg describes.
 
     The trace surface is looked up on route (b); route (a) sums the
     per-waveform exact Grams, which the additivity of the quadratic form
     makes the matching reference.
     """
-    if len(waveforms) < 1:
-        raise InvalidParameterError("need at least one waveform")
-    m = len(waveforms)
-    if cfg is None:
-        cfg = SteeringConfig(m, 1.0, max(8, m + 1))
     trace_surface = spatial_integral(waveforms, cfg, n_doppler)
     energy_scale = sum(w.energy() for w in waveforms)
     G_a, G_b = _dual_gram(waveforms, trace_surface, probes)

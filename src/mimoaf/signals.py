@@ -78,10 +78,8 @@ class SampledSignal:
             raise InvalidParameterError("samples must be a non-empty 1-D array")
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise InvalidParameterError("samples must be finite")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise InvalidParameterError(f"dt must be positive and finite, got {self.dt}")
-        if not math.isfinite(self.t0):
-            raise InvalidParameterError("t0 must be finite")
+        _require_positive(dt=self.dt)
+        _require_real(t0=self.t0)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
@@ -262,8 +260,7 @@ def gen_lfm(T: float, rate: float, dt: float, pad_factor: float = 2.0) -> Sample
         AliasingError: if |rate| * T exceeds the Nyquist band 1/(2 dt).
     """
     _require_positive(T=T, dt=dt, pad_factor=pad_factor)
-    if not math.isfinite(rate):
-        raise InvalidParameterError(f"rate must be finite, got {rate}")
+    _require_real(rate=rate)
     if abs(rate) * T > 1.0 / (2.0 * dt):
         raise AliasingError(
             f"chirp sweep |rate|*T = {abs(rate) * T} exceeds Nyquist {1.0 / (2 * dt)}"
@@ -342,7 +339,9 @@ def chirp_multiply(v: SampledSignal, rate: float) -> SampledSignal:
 
     The instantaneous frequency added at time t is rate * t; the check below
     bounds it by the Nyquist band over the occupied part of the window.
+    A rate that is not a finite real raises InvalidParameterError.
     """
+    _require_real(rate=rate)
     t_max = _nonzero_extent(v)
     if abs(rate) * t_max > 1.0 / (2.0 * v.dt):
         raise AliasingError(
@@ -381,8 +380,7 @@ def dilate(v: SampledSignal, b: float) -> SampledSignal:
         AliasingError: if b > 1 and spectral energy above Nyquist/b
             exceeds a 1e-9 fraction.
     """
-    if not (b > 0 and math.isfinite(b)):
-        raise InvalidParameterError(f"b must be positive and finite, got {b}")
+    _require_positive(b=b)
     if b > 1.0 and not _band_occupancy_ok(v, 1.0 / b):
         raise AliasingError(
             f"dilation by {b} would alias: spectral mass above Nyquist/{b}"

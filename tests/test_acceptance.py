@@ -135,6 +135,7 @@ def test_c04_positive_definiteness(capsys):
     u = gen_gaussian(CANONICAL_SIGMA, 1 / 64, 4.0)
     surface = cross_ambiguity(u, n_doppler=1024)
     pair = [u, chirp_multiply(u, 2.0)]
+    cfg = SteeringConfig(2, 1.0, 8)
     worst_eig = 0.0
     worst_path = 0.0
     for seed in range(100):
@@ -143,7 +144,7 @@ def test_c04_positive_definiteness(capsys):
         assert rep.passed, f"gram psd failed at seed {seed}"
         worst_eig = max(worst_eig, -rep.info["min_eig"] / rep.info["max_eig"])
         worst_path = max(worst_path, rep.info["path_gap"] / u.energy())
-        trep = trace_psd_check(pair, probes, n_doppler=1024)
+        trep = trace_psd_check(pair, probes, cfg, n_doppler=1024)
         assert trep.passed, f"trace psd failed at seed {seed}"
         worst_eig = max(worst_eig, -trep.info["min_eig"] / trep.info["max_eig"])
         worst_path = max(worst_path, trep.info["path_gap"] / 2.0)

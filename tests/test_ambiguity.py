@@ -332,6 +332,9 @@ def test_steering_config_validation():
         SteeringConfig(3, 2.0, 4)  # K must exceed gamma (M-1)
     cfg = SteeringConfig(2, 1.0, 8)
     assert cfg.fs_grid.size == 8 and cfg.fs_grid[0] == 0.0
+    for gamma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            SteeringConfig(2, gamma, 8)
 
 
 @pytest.mark.parametrize(

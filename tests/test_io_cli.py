@@ -38,6 +38,7 @@ from mimoaf.io_formats import (
     write_report,
     write_signal,
     write_surface,
+    write_surface_blocks,
     write_surface_csv,
 )
 
@@ -99,25 +100,21 @@ def test_surface_bytes_match_layout(tmp_path):
     flipped = s.values[::-1, :]  # a non-contiguous view: the lag axis reversed
     views = {"flipped": flipped, "strided": flipped[::2, 1::3], "real": np.abs(flipped)}
     for name, view in views.items():
-        write_surface(tmp_path / f"{name}.sur", view, *axes)
+        n_tau, n_nu = view.shape
+        write_surface_blocks([(0, view)], axes[0] + axes[1] * np.arange(n_tau),
+                             axes[2] + axes[3] * np.arange(n_nu), sur1=tmp_path / f"{name}.sur")
         assert (tmp_path / f"{name}.sur").read_bytes() == _sur1_bytes(view, *axes), name
-
-
-def test_surface_without_axes_is_rejected(tmp_path):
-    # a raw array carries no axes, so the SUR1 header cannot be filled in
-    with pytest.raises(FileFormatError, match="missing nu0, dnu"):
-        write_surface(tmp_path / "s.sur", np.zeros((2, 3)), 0.0, 1.0)
-    assert not (tmp_path / "s.sur").exists()
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
 def test_one_point_surface_axis_is_refused(shape, tmp_path):
     # an axis of one point has no step, which energy() and every writer need
     values = np.ones(shape, dtype=np.complex128)
+    tau, nu = np.arange(shape[0]) / 2, np.arange(shape[1]) / 4
     with pytest.raises(InvalidParameterError):
-        AmbiguitySurface(values, np.arange(shape[0]) / 2, np.arange(shape[1]) / 4, "linear", 0.5, 0.0)
+        AmbiguitySurface(values, tau, nu)
     with pytest.raises(FileFormatError):
-        write_surface(tmp_path / "w.sur", values, 0.0, 0.5, 0.0, 0.25)
+        write_surface_blocks([(0, values)], tau, nu, sur1=tmp_path / "w.sur")
     assert not (tmp_path / "w.sur").exists()
     path = tmp_path / "s.sur"
     path.write_bytes(_sur1_bytes(values, 0.0, 0.5, 0.0, 0.25))
@@ -294,7 +291,7 @@ def _assert_cli_writes(argv, surface, label, tmp_path, capsys, flag="--ppm"):
     write_surface(tmp_path / "ref.sur", surface)
     reference = (tmp_path / "ref.sur").read_bytes()
     o = surface.value_at(0.0, 0.0)
-    line = (f"{label} n_lag={surface.n_lag} n_doppler={surface.n_doppler} "
+    line = (f"{label} n_lag={surface.tau_axis.size} n_doppler={surface.n_doppler} "
             f"origin={o.real:.12g}{o.imag:+.12g}j\n")
     for extra in ([], [flag, str(tmp_path / "x.out")]):
         sur = tmp_path / "cli.sur"
@@ -720,9 +717,10 @@ def test_verify_tol_reaches_every_check(capsys):
     assert [ln.split()[-1] for ln in lines] == ["0.25"] * len(lines)
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_verify_bad_tolerance_exits_2(tol, capsys):
-    # exit 1 would read as "an identity failed"
+    # exit 1 would read as "an identity failed", and an infinite tolerance
+    # would pass every check whatever its error
     assert cli.main(["verify", "--suite", "norm", "--tol", tol]) == 2
     out = capsys.readouterr()
     assert out.out == ""

@@ -212,7 +212,7 @@ def test_trace_psd_m1_matches_gram():
     u = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
     probes = random_probe_set(u, n_points=6, seed=1)
     single = gram_psd_check(u, probes)
-    traced = trace_psd_check([u], probes)
+    traced = trace_psd_check([u], probes, SteeringConfig(1, 1.0, 8))
     assert traced.passed
     assert abs(single.info["min_eig"] - traced.info["min_eig"]) <= 1e-12
     assert abs(single.info["quadratic_form"] - traced.info["quadratic_form"]) <= 1e-12
@@ -222,7 +222,7 @@ def test_trace_psd_two_waveforms():
     base = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
     waves = [base, chirp_multiply(base, 2.0)]
     probes = random_probe_set(base, n_points=8, seed=3)
-    rep = trace_psd_check(waves, probes)
+    rep = trace_psd_check(waves, probes, SteeringConfig(2, 1.0, 8))
     assert rep.passed
     assert rep.info["min_eig"] >= -1e-9 * rep.info["max_eig"]
 
@@ -242,7 +242,7 @@ def test_psd_checks_shift_each_copy_once(monkeypatch):
     assert gram_psd_check(base, probes).passed
     assert len(calls) == 5
     calls.clear()
-    assert trace_psd_check(waves, probes).passed
+    assert trace_psd_check(waves, probes, SteeringConfig(2, 1.0, 8)).passed
     assert len(calls) == 2 * 5
 
 
@@ -250,7 +250,7 @@ def test_trace_quadratic_form_is_additive():
     base = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
     waves = [base, chirp_multiply(base, 2.0), heisenberg_shift(base, HeisenbergPoint(4 * base.dt, 0.0))]
     probes = random_probe_set(base, n_points=5, seed=8)
-    total = trace_psd_check(waves, probes).info["quadratic_form"]
+    total = trace_psd_check(waves, probes, SteeringConfig(3, 1.0, 8)).info["quadratic_form"]
     parts = sum(gram_psd_check(w, probes).info["quadratic_form"] for w in waves)
     assert abs(total - parts) <= 1e-8 * max(abs(total), 1.0)
 
@@ -360,11 +360,11 @@ def test_trace_reduction_single_waveform(gauss256):
 # -------------------------------------------------------------------- reports
 
 def test_format_line_shape():
-    rep = make_report("demo", 1.0 + 0j, 1.0 + 0j, 1e-6)
+    rep = make_report("demo", 1.0 + 0j, 1.0 + 0j, 1e-6, scale=1.0)
     line = rep.format_line()
     assert line.startswith("demo pass")
     assert len(line.split()) == 7  # name status lhs rhs abs rel tol
-    complex_line = make_report("demo", 1j, 1j, 1e-6).format_line()
+    complex_line = make_report("demo", 1j, 1j, 1e-6, scale=1.0).format_line()
     assert len(complex_line.split()) == 7  # complex values stay one token
 
 
@@ -375,7 +375,7 @@ def test_format_line_shape():
     st.floats(min_value=1e-12, max_value=1.0),
 )
 def test_report_pass_iff_within_tolerance(lhs, rhs, tol):
-    rep = make_report("x", lhs, rhs, tol)
+    rep = make_report("x", lhs, rhs, tol, scale=max(abs(lhs), abs(rhs)))
     assert rep.passed == (rep.rel_err <= rep.tol)
     assert rep.abs_err == abs(lhs - rhs)
 

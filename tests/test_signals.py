@@ -41,6 +41,10 @@ def test_signal_rejects_empty_and_nonfinite():
         SampledSignal(np.array([1.0, np.inf * 1j]), 0.1, 0.0)
     with pytest.raises(InvalidParameterError):
         SampledSignal(np.array([1.0]), -0.1, 0.0)
+    for dt, t0 in [(math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, -math.inf),
+                   (0.1, True), (0.1, 10**400)]:
+        with pytest.raises(InvalidParameterError):
+            SampledSignal(np.array([1.0]), dt, t0)
 
 
 def test_signal_grid_compatibility_enforced():
@@ -125,6 +129,19 @@ def test_lfm_equals_chirped_rect():
 def test_lfm_aliasing_refused():
     with pytest.raises(AliasingError):
         gen_lfm(1.0, 100.0, 1 / 64)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, True, 1j],
+                         ids=["nan", "inf", "minus-inf", "bool", "complex"])
+def test_chirp_rate_must_be_a_finite_real(rate):
+    # the zero signal has no support edge, so the aliasing bound never saw
+    # an infinite rate, which went on to a nan phase
+    u = gen_rect(1.0, 1 / 64)
+    for v in (u, u.replace_samples(np.zeros(u.n))):
+        with pytest.raises(InvalidParameterError):
+            chirp_multiply(v, rate)
+    with pytest.raises(InvalidParameterError):
+        gen_lfm(1.0, rate, 1 / 64)
 
 
 def test_subcarriers_orthonormal_pair():

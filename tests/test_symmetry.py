@@ -98,7 +98,7 @@ def test_tau_nu_phase_is_the_exact_root_of_unity(n, n_doppler, cyclic, sign):
     cells = [(0, 0), (0, N - 1), (L - 1, 0), (L - 1, N - 1), (L // 2, N // 2)]
     cells += [tuple(c) for c in rng.integers(0, (L, N), size=(200, 2))]
     for i, j in cells:
-        k = round(s.tau_axis[i] / s.dt)
+        k = round(s.tau_axis[i] / u.dt)
         assert k == i - L // 2
         r = Fraction(sign * k * (j - N // 2), N) % 1
         ref = cmath.exp(2j * math.pi * float(r - 1 if r > 0.5 else r))
@@ -130,6 +130,20 @@ def test_mirror_self_and_cross(gauss256):
     assert rep2.info["coverage"] >= 0.9
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1.0, 10.0])
+def test_coverage_gate_fails_at_any_tolerance(tol):
+    # v = (-1)^n u moves the mass of chi(v, u) onto the Nyquist column the
+    # mirror leaves out, so a third of it is compared; the gate does not
+    # move with tol
+    n, dt = 256, 1 / 128
+    u = SampledSignal(np.ones(n, dtype=np.complex128), dt, -(n // 2) * dt)
+    v = u.replace_samples((-1.0) ** np.arange(n) * u.samples)
+    rep = verify_mirror(u, v, n_doppler=256, tol=tol)
+    assert rep.info["coverage"] < 0.9
+    assert rep.info["coverage_failure"] is True
+    assert not rep.passed
+
+
 # ---------------------------------------------------------------------- shear
 
 def test_shear_zero_rate_is_identity(gauss256):
@@ -150,10 +164,11 @@ def test_shear_aligned_rate(gauss256):
 def test_aligned_shear_gather_equals_row_rolls(gauss256, n_doppler, bins_per_lag):
     # the gather keeps every bit of rolling each lag row on its own
     s = cross_ambiguity(gauss256, n_doppler=n_doppler)
-    rate = bins_per_lag / (n_doppler * s.dt * s.dt)
-    out, aligned = symmetry._shear_resample(s, rate)
+    dt = gauss256.dt
+    rate = bins_per_lag / (n_doppler * dt * dt)
+    out, aligned = symmetry._shear_resample(s, gauss256, rate)
     assert aligned
-    lags = np.round(s.tau_axis / s.dt).astype(np.int64)
+    lags = np.round(s.tau_axis / dt).astype(np.int64)
     rolled = np.array([np.roll(row, k * bins_per_lag) for k, row in zip(lags, s.values)])
     rolled *= np.exp(-1j * math.pi * rate * s.tau_axis**2)[:, None]
     assert np.array_equal(out, rolled)

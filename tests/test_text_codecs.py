@@ -38,8 +38,7 @@ def _signed_zero_surface() -> AmbiguitySurface:
         [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)],
         [complex(np.inf, -np.inf), complex(5e-324, -2.2250738585072009e-308), 0.1 - 1j / 3],
     ])
-    return AmbiguitySurface(values, np.array([-0.25, 0.0]), np.array([-1.0, -0.5, 0.0]),
-                            "linear", 0.25, 0.0)
+    return AmbiguitySurface(values, np.array([-0.25, 0.0]), np.array([-1.0, -0.5, 0.0]))
 
 
 def _run_cli(*argv):
@@ -244,8 +243,7 @@ _doubles = st.floats(allow_nan=False)
 def test_csv_round_trip_is_bit_exact(n_tau, n_nu, data, tmp_path_factory):
     parts = data.draw(st.lists(_doubles, min_size=2 * n_tau * n_nu, max_size=2 * n_tau * n_nu))
     values = np.array(parts).view(np.complex128).reshape(n_tau, n_nu)
-    s = AmbiguitySurface(values, 0.5 * np.arange(n_tau) - 0.5, 0.25 * np.arange(n_nu),
-                         "linear", 0.5, 0.0)
+    s = AmbiguitySurface(values, 0.5 * np.arange(n_tau) - 0.5, 0.25 * np.arange(n_nu))
     path = tmp_path_factory.mktemp("csv") / "s.csv"
     write_surface_csv(path, s)
     back = read_surface_csv(path)
@@ -274,8 +272,7 @@ def test_csv_write_peak_memory(tmp_path):
     n_tau, n_nu = 31, 1024
     rng = np.random.default_rng(6)
     values = rng.standard_normal((n_tau, n_nu)) + 1j * rng.standard_normal((n_tau, n_nu))
-    s = AmbiguitySurface(values, (np.arange(n_tau) - 15) / 64, (np.arange(n_nu) - 512) / 16,
-                         "linear", 1 / 64, 0.0)
+    s = AmbiguitySurface(values, (np.arange(n_tau) - 15) / 64, (np.arange(n_nu) - 512) / 16)
     path = tmp_path / "big.csv"
     _, peak = traced_peak(write_surface_csv, path, s)
     size = path.stat().st_size
