@@ -589,8 +589,7 @@ def mimo_energy_quadrature(
     orthonormal on the K-point fs grid, the same fact spatial_integral uses,
     so every term that pairs two different (m, p) cancels in the fs sums.
     """
-    _require_array(waveforms, cfg)
-    cfg.require_integer_gamma()
+    _trace_pairs(waveforms, cfg)
     return sum(
         cross_ambiguity(u, v, n_doppler=n_doppler).energy()
         for u in waveforms

@@ -18,8 +18,9 @@ failed, 2 usage or validation error, including a size too large to
 allocate.
 
 A plain-text config file (``key=value`` lines, ``#`` comments) can seed
-any subcommand's flags via ``--config``; explicit flags win.  Keys use
-flag names without the leading dashes; switch flags take ``true``/``false``.
+any subcommand's flags via ``--config``, given before or after the
+subcommand; explicit flags win.  Keys use flag names without the leading
+dashes; switch flags take ``true``/``false``.
 Outputs carry no timestamps, so a fixed command line (and seed) produces
 byte-identical files.
 """
@@ -406,6 +407,15 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------ parsing
 
 @cache
+def _config_parser() -> argparse.ArgumentParser:
+    # main reads --config with this parser before the subcommand's own, so the
+    # flag may stand before or after the subcommand
+    p = argparse.ArgumentParser(prog="mimoaf", add_help=False, allow_abbrev=False)
+    p.add_argument("--config", help="key=value defaults file")
+    return p
+
+
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: each add_argument sizes a help formatter to the
     # terminal, about 2 ms in all, and parse_args leaves the parser unchanged
@@ -415,8 +425,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate waveform files")
-    g.add_argument("--config", help="key=value defaults file")
+    # flags that several subcommands share with one default
+    config = _config_parser()
+    doppler = argparse.ArgumentParser(add_help=False)
+    doppler.add_argument("--n-doppler", type=int, default=1024)
+    steering = argparse.ArgumentParser(add_help=False)
+    steering.add_argument("--gamma", type=float, default=1.0)
+    steering.add_argument("--K", type=int, default=64, help="spatial grid points")
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("-o", "--out", help="SUR1 output path")
+    outputs.add_argument("--csv", help="CSV output path")
+    outputs.add_argument("--ppm", help="grayscale heatmap output path")
+    outputs.add_argument("--db-floor", type=float, default=-60.0)
+    outputs.add_argument("--linear", action="store_true", help="linear heatmap scaling")
+
+    g = sub.add_parser("gen", parents=[config], help="generate waveform files")
     g.add_argument("--family", required=True, choices=FAMILIES)
     g.add_argument("--T", type=float, default=1.0, help="pulse length in seconds")
     g.add_argument("--dt", type=float, default=None,
@@ -432,26 +455,17 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--out", required=True, help="output signal path")
     g.set_defaults(func=cmd_gen)
 
-    a = sub.add_parser("af", help="compute an ambiguity or Wigner surface")
-    a.add_argument("--config", help="key=value defaults file")
+    a = sub.add_parser("af", parents=[config, doppler, outputs],
+                       help="compute an ambiguity or Wigner surface")
     a.add_argument("--u", required=True, help="first signal file")
     a.add_argument("--v", help="second signal file (default: self surface)")
     a.add_argument("--wigner", action="store_true", help="Wigner distribution instead")
-    a.add_argument("--n-doppler", type=int, default=1024)
     a.add_argument("--n-freq", type=int, default=None, help="Wigner frequency bins")
-    a.add_argument("-o", "--out", help="SUR1 output path")
-    a.add_argument("--csv", help="CSV output path")
-    a.add_argument("--ppm", help="grayscale heatmap output path")
-    a.add_argument("--db-floor", type=float, default=-60.0)
-    a.add_argument("--linear", action="store_true", help="linear heatmap scaling")
     a.set_defaults(func=cmd_af)
 
-    m = sub.add_parser("mimo", help="MIMO beam slices and the spatial integral")
-    m.add_argument("--config", help="key=value defaults file")
+    m = sub.add_parser("mimo", parents=[config, doppler, steering, outputs],
+                       help="MIMO beam slices and the spatial integral")
     m.add_argument("--inputs", nargs="+", required=True, help="waveform files")
-    m.add_argument("--gamma", type=float, default=1.0)
-    m.add_argument("--K", type=int, default=64, help="spatial grid points")
-    m.add_argument("--n-doppler", type=int, default=1024)
     m.add_argument("--fs", type=float, default=0.0)
     m.add_argument("--fsp", type=float, default=0.0)
     mode = m.add_mutually_exclusive_group()
@@ -461,21 +475,13 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="K x K spatial grid at one (tau, nu) point")
     m.add_argument("--tau", type=float, default=0.0)
     m.add_argument("--nu", type=float, default=0.0)
-    m.add_argument("-o", "--out", help="SUR1 output path")
-    m.add_argument("--csv", help="CSV output path")
-    m.add_argument("--ppm", help="grayscale heatmap output path")
-    m.add_argument("--db-floor", type=float, default=-60.0)
-    m.add_argument("--linear", action="store_true")
     m.set_defaults(func=cmd_mimo)
 
-    v = sub.add_parser("verify", help="run identity-check suites")
-    v.add_argument("--config", help="key=value defaults file")
+    v = sub.add_parser("verify", parents=[config, doppler, steering],
+                       help="run identity-check suites")
     v.add_argument("--suite", required=True, choices=SUITES)
     v.add_argument("--family", default="gaussian", choices=FAMILIES)
     v.add_argument("--M", type=int, default=2)
-    v.add_argument("--gamma", type=float, default=1.0)
-    v.add_argument("--K", type=int, default=64)
-    v.add_argument("--n-doppler", type=int, default=1024)
     v.add_argument("--probes", type=int, default=8)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--fs", type=float, default=0.3)
@@ -508,46 +514,17 @@ def _load_config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _inject_config(argv: list[str]) -> list[str]:
-    """Splice config-file tokens right after the subcommand, so explicit
-    flags (parsed later) override them."""
-    config_path = None
-    rest: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise MimoafError("--config needs a path")
-            config_path = argv[i + 1]
-            i += 2
-            continue
-        if tok.startswith("--config="):
-            config_path = tok.split("=", 1)[1]
-            i += 1
-            continue
-        rest.append(tok)
-        i += 1
-    if config_path is None:
-        return argv
-    tokens = _load_config_tokens(config_path)
-    for pos, tok in enumerate(rest):
-        if tok in ("gen", "af", "mimo", "verify"):
-            return rest[: pos + 1] + tokens + rest[pos + 1:]
-    return rest + tokens
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser()
+    known, argv = _config_parser().parse_known_args(argv)
     try:
-        argv = _inject_config(argv)
-    except (MimoafError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
-    try:
+        if known.config is not None:
+            # the subcommand is the first token left, as the top-level parser
+            # has no flag but --help; explicit flags, parsed later, win
+            argv[1:1] = _load_config_tokens(known.config)
+        args = parser.parse_args(argv)
         return args.func(args)
     except (MimoafError, OSError, MemoryError) as exc:
         # a grid too large to allocate is a bad input, not a failed identity

@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "MimoafError",
+    "InvalidParameterError",
+    "GridMismatchError",
+    "GridAlignmentError",
+    "AliasingError",
+    "TruncationRiskError",
+    "FileFormatError",
+]
+
 
 class MimoafError(Exception):
     """Base class for all package-specific errors."""

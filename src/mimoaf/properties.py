@@ -27,6 +27,7 @@ from .ambiguity import (
     AmbiguitySurface,
     SteeringConfig,
     _check_doppler_count,
+    _trace_pairs,
     cross_ambiguity,
     mimo_ambiguity,
     mimo_energy_quadrature,
@@ -449,9 +450,7 @@ def trace_reduction_check(
     fail collinearity; the failing pairs are reported.  The check passes
     when whichever branch applies holds.
     """
-    if len(waveforms) < 1:
-        raise InvalidParameterError("empty waveform set")
-    cfg.require_integer_gamma()
+    _trace_pairs(waveforms, cfg)  # the array and its spacing, before any pair
     m = len(waveforms)
     pair_status: dict[tuple[int, int], bool] = {}
     reduced = True

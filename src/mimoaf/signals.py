@@ -154,10 +154,11 @@ def _require_real(**params: float) -> None:
 
 
 def _require_positive(**params: float) -> None:
-    """Reject any parameter that is not a positive finite number."""
+    """Reject any parameter that is not a positive finite real number."""
+    _require_real(**params)
     for name, x in params.items():
-        if not (x > 0 and math.isfinite(x)):
-            raise InvalidParameterError(f"{name} must be positive and finite, got {x}")
+        if not x > 0:
+            raise InvalidParameterError(f"{name} must be positive, got {x}")
 
 
 # the largest n the u32 count fields of the SIGB and SUR1 headers can store

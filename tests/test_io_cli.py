@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import importlib.util
@@ -993,6 +994,64 @@ def test_config_unknown_key_exits_2(tmp_path):
     cfg.write_text("family=rect\nwavelength=3\n")
     res = run_cli("gen", "--config", cfg, "-o", tmp_path / "x.sig")
     assert res.returncode == 2
+
+
+def _exit_code(argv):
+    """cli.main's exit code, whether it returns it or argparse raises it."""
+    try:
+        return cli.main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("where", ["before", "equals"])
+def test_config_before_subcommand_or_with_equals(where, tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("family=lfm\nT=0.5\n")
+    out = tmp_path / "c.sig"
+    argv = {
+        "before": ["--config", cfg, "gen", "-o", out],
+        "equals": ["gen", "-o", out, f"--config={cfg}"],
+    }[where]
+    assert _exit_code(argv) == 0
+    assert read_signal(out).n == 128  # T=0.5 at pad 2 and dt 1/128
+
+
+@pytest.mark.parametrize("case", ["no-path", "missing", "directory", "no-equals"])
+def test_config_refusals_exit_2(case, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("family=lfm\nT 0.5\n")
+    tail = {
+        "no-path": ["--config"],
+        "missing": ["--config", tmp_path / "missing.cfg"],
+        "directory": ["--config", tmp_path],
+        "no-equals": ["--config", bad],
+    }[case]
+    assert _exit_code(["gen", "-o", tmp_path / "x.sig", *tail]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "x.sig").exists()
+
+
+SUBCOMMAND_OPTIONS = {
+    "gen": "-h --help --config --family --T --dt --pad --sigma --half-width --rate --M "
+           "--binary -o --out",
+    "af": "-h --help --config --u --v --wigner --n-doppler --n-freq -o --out --csv --ppm "
+          "--db-floor --linear",
+    "mimo": "-h --help --config --inputs --gamma --K --n-doppler --fs --fsp "
+            "--spatial-integral --slice-spatial --tau --nu -o --out --csv --ppm "
+            "--db-floor --linear",
+    "verify": "-h --help --config --suite --family --M --gamma --K --n-doppler --probes "
+              "--seed --fs --fsp --tol -o --report",
+}
+
+
+def test_subcommand_option_strings_pinned():
+    # each subcommand accepts exactly these flags, however they are declared
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(s for a in p._actions for s in a.option_strings)
+           for name, p in sub.choices.items()}
+    assert got == {name: sorted(opts.split()) for name, opts in SUBCOMMAND_OPTIONS.items()}
 
 
 # ------------------------------------------------------------------ scripts

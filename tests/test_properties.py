@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mimoaf import (
     CANONICAL_SIGMA,
     CheckReport,
+    GridMismatchError,
     InvalidParameterError,
     ProbeSet,
     SteeringConfig,
@@ -355,6 +356,14 @@ def test_trace_reduction_single_waveform(gauss256):
     assert rep.passed
     assert rep.info["reduced"] is True
     assert rep.info["gap"] <= 1e-12
+
+
+def test_trace_reduction_refuses_a_set_the_array_cannot_hold():
+    # three orthonormal waveforms on a two-element array used to take the
+    # refusal branch and pass; the array is checked before any pair
+    waves = list(gen_subcarrier_set(3, 1.0, DT))
+    with pytest.raises(GridMismatchError):
+        trace_reduction_check(waves, SteeringConfig(2, 1.0, 8), n_doppler=512)
 
 
 # -------------------------------------------------------------------- reports

@@ -13,6 +13,7 @@ from mimoaf import (
     GridMismatchError,
     InvalidParameterError,
     SampledSignal,
+    SteeringConfig,
     TruncationRiskError,
     canonical_gaussian,
     chirp_multiply,
@@ -278,6 +279,19 @@ def test_dilate_rejects_bad_factor():
     for b in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidParameterError):
             dilate(u, b)
+
+
+@pytest.mark.parametrize("x", [True, 1 + 0j], ids=["bool", "complex"])
+@pytest.mark.parametrize("build", [
+    lambda x: SampledSignal(np.ones(4), x, 0.0),
+    lambda x: gen_rect(1.0, x),
+    lambda x: SteeringConfig(2, x, 8),
+    lambda x: dilate(canonical_gaussian(), x),
+], ids=["signal-dt", "rect-dt", "steering-gamma", "dilate-b"])
+def test_positive_parameters_must_be_real(build, x):
+    # True used to pass as 1, and a complex value died in a bare TypeError
+    with pytest.raises(InvalidParameterError):
+        build(x)
 
 
 def test_dilate_compression_checks_bandwidth():
