@@ -172,6 +172,29 @@ def _doppler_axis(n_doppler: int, dt: float) -> np.ndarray:
     return np.fft.fftshift(np.fft.fftfreq(n_doppler, d=dt))
 
 
+def _unit_roots(n: int) -> np.ndarray:
+    """exp(i 2 pi m / n) for m = 0 .. n-1, each from an angle of at most pi/4.
+
+    The one source of the grid phase exp(+-i 2 pi tau nu): on every surface
+    :func:`cross_ambiguity` builds, linear or cyclic, lag k and Doppler bin
+    j of N satisfy tau_k nu_j = k (j - N/2) / N whatever dt is.
+
+    4m = q n + r splits the angle into q quarter turns and (pi/2) r/n; a
+    remainder past n/2 is folded to its complement (pi/2) (n - r)/n, which
+    swaps cosine and sine.  The fold and the quarter turns only swap and
+    negate parts, which is exact.
+    """
+    q, r = np.divmod(4 * np.arange(n), n)
+    fold = 2 * r > n
+    phi = (0.5 * math.pi) * (np.where(fold, n - r, r) / n)
+    c, s = np.cos(phi), np.sin(phi)
+    re, im = np.where(fold, s, c), np.where(fold, c, s)
+    out = np.empty(n, dtype=np.complex128)
+    out.real = np.choose(q, (re, -im, -re, im))
+    out.imag = np.choose(q, (im, re, -im, -re))
+    return out
+
+
 def _check_doppler_count(n_doppler: int | None, n: int, cyclic: bool) -> int:
     if n < 2:
         raise InvalidParameterError(f"a surface needs at least 2 samples, got {n}")

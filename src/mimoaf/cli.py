@@ -20,7 +20,7 @@ allocate.
 A plain-text config file (``key=value`` lines, ``#`` comments) can seed
 any subcommand's flags via ``--config``, given before or after the
 subcommand; explicit flags win.  Keys use flag names without the leading
-dashes; switch flags take ``true``/``false``.
+dashes; switch flags take ``true``/``false``; ``--conf`` or a ``config=`` line exits 2.
 Outputs carry no timestamps, so a fixed command line (and seed) produces
 byte-identical files.
 """
@@ -525,6 +525,9 @@ def main(argv: list[str] | None = None) -> int:
             # has no flag but --help; explicit flags, parsed later, win
             argv[1:1] = _load_config_tokens(known.config)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # an abbreviation or a config-file line: the file would go unread
+            raise MimoafError(f"--config {args.config}: spell the flag out on the command line")
         return args.func(args)
     except (MimoafError, OSError, MemoryError) as exc:
         # a grid too large to allocate is a bad input, not a failed identity

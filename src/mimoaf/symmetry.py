@@ -17,11 +17,8 @@ cross-ambiguity is the spatial slice.
 
 Grid notes baked into the checks:
 
-* On every surface :func:`cross_ambiguity` builds, lag k and Doppler bin
-  j of N satisfy tau_k nu_j = k (j - N/2) / N whatever dt is, so the
-  factor exp(+-i 2 pi tau nu) of the rotation and mirror identities is an
-  N-th root of unity picked by integer index arithmetic, with no rounded
-  product tau*nu inside a complex exponential.
+* The factor exp(+-i 2 pi tau nu) of the rotation and mirror identities
+  is read from the root-of-unity table ``_unit_roots`` by integer index.
 * The rotation identity needs the frequency grid to coincide with the
   time grid (n dt^2 = 1) and cyclic lag products, under which it is exact.
   With the forward Fourier transform the rotation appears as the inverse
@@ -63,6 +60,7 @@ from .ambiguity import (
     AmbiguitySurface,
     SteeringConfig,
     _check_doppler_count,
+    _unit_roots,
     cross_ambiguity,
     mimo_beams,
 )
@@ -85,33 +83,12 @@ _COVERAGE_FLOOR = 0.9
 _BLOCK_CELLS = 2**14
 
 
-def _unit_roots(n: int) -> np.ndarray:
-    """exp(i 2 pi m / n) for m = 0 .. n-1, each from an angle of at most pi/4.
-
-    4m = q n + r splits the angle into q quarter turns and (pi/2) r/n; a
-    remainder past n/2 is folded to its complement (pi/2) (n - r)/n, which
-    swaps cosine and sine.  The fold and the quarter turns only swap and
-    negate parts, which is exact.
-    """
-    q, r = np.divmod(4 * np.arange(n), n)
-    fold = 2 * r > n
-    phi = (0.5 * math.pi) * (np.where(fold, n - r, r) / n)
-    c, s = np.cos(phi), np.sin(phi)
-    re, im = np.where(fold, s, c), np.where(fold, c, s)
-    out = np.empty(n, dtype=np.complex128)
-    out.real = np.choose(q, (re, -im, -re, im))
-    out.imag = np.choose(q, (im, re, -im, -re))
-    return out
-
-
 def _tau_nu_phase(values: np.ndarray, sign: int, conj: bool = False) -> np.ndarray:
     """values (conj(values) if conj) times exp(sign i 2 pi tau nu), as a new
     array, on a grid :func:`cross_ambiguity` built.
 
-    There row i of L is lag k = i - L//2 and tau_k nu_j = k (j - N/2) / N
-    for Doppler bin j of N, on linear and cyclic grids alike, so the phase
-    is the root of unity roots[sign k (j - N/2) mod N]: integer arithmetic
-    and a table read, one row block at a time.
+    Row i of L is lag k = i - L//2, so the phase at Doppler bin j of N is
+    roots[sign k (j - N/2) mod N], read one row block at a time.
     """
     L, N = values.shape
     roots = _unit_roots(N)

@@ -18,7 +18,9 @@ def test_package_exports_exactly_the_layers():
     import mimoaf
     from mimoaf import errors
 
-    # io_formats is not re-exported; errors has no __all__
+    # io_formats is not re-exported; the exception classes are listed from
+    # the errors module itself, not from its __all__, so one left out of it
+    # fails here
     layers = ["signals", "ambiguity", "properties", "symmetry"]
     names = [name for m in layers for name in importlib.import_module(f"mimoaf.{m}").__all__]
     names += [name for name, obj in vars(errors).items()

@@ -868,23 +868,24 @@ def test_verify_report_determinism(tmp_path):
     assert b" pass " in blobs[0]
 
 
-# sha256 of `verify --suite all --family F` stdout at seed 0, re-taken when
-# the symmetry checks moved to exact index arithmetic: the exp(+-i2pi tau nu)
-# factors of sym-J and sym-mirror became roots of unity read from a table,
-# sym-J's pullback became an index relabel, and every relative distance
-# took its norms with numpy's einsum instead of the BLAS dot behind
-# np.linalg.norm.  That moved the sym-J, sym-mirror, sym-lfm, sym-dilate and
-# sym-mimo lines at rounding level (the diff is in CHANGES.md); every other
-# line kept its bytes.  The lines are the same at 1 and 2 BLAS threads
+# sha256 of `verify --suite all --family F` stdout at seed 0, last re-taken
+# when the psd and trace-psd Grams moved to index arithmetic: route (b)
+# reads exp(-i2pi z3) from the root-of-unity table and the surface cell by
+# integer probe offsets, not through a float group product.  That moved
+# only the rel_err field of the psd and trace-psd lines, at rounding level
+# (the route gap times 0.1; the diff is in CHANGES.md); every other field
+# and line kept its bytes.  Earlier, the symmetry checks' move to the same
+# table, sym-J's index relabel and einsum norms moved the sym-* lines the
+# same way.  The lines are the same at 1 and 2 BLAS threads
 # (test_verify_all_thread_count_independent).  Each line prints 17 digits of
 # its errors, so the pins also hold the FFT's and BLAS's rounding of the
 # surfaces and sums behind them: a numpy or BLAS build that rounds those
 # differently changes the pins without a fault in the checks.
 VERIFY_ALL_PINNED = {
-    "gaussian": "650696ed1c94dbad464c1f3e2972bb639067ce4efdf5a63654862360e4ea8b1b",
-    "lfm": "e9d345d921b1394a8e0a75a7d5ab25a79242c4378a74f2ad9a55e3b0170e3daf",
-    "rect": "646d7158f0ee5b8fbfe40b0151e08694dc6168fa3bc54389db35fad809aab30f",
-    "subcarriers": "3921c47864f1890eae3579a4b7d7416d6ae16a30305444d3ef541d4b0c4fdde7",
+    "gaussian": "57be06d109da2d25c1ecd8d2f12a28555db57428976a8435d691e412d03ec120",
+    "lfm": "4ee4029370a9e259e6eaf3248e47cf878616db6f2556c953b2e14b3c1ff0eb5c",
+    "rect": "2709adbba0de78ae5c6bb8b2de9522036a8845d885d046b010b8471ab2cefc7d",
+    "subcarriers": "33a2972b6d7b3cce2be3bdeb153944f75c5e1ba039a1c699cb771ba1057ea9e0",
 }
 
 
@@ -1030,6 +1031,25 @@ def test_config_refusals_exit_2(case, tmp_path, capsys):
     assert _exit_code(["gen", "-o", tmp_path / "x.sig", *tail]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "x.sig").exists()
+
+
+@pytest.mark.parametrize("case", ["abbreviated", "config-line"])
+def test_config_reaching_the_subcommand_exits_2(case, tmp_path, capsys):
+    # main reads only the spelled-out flag, so a --config the subcommand
+    # parses instead would name a file nobody reads
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("family=lfm\nT=0.5\n")
+    outer = tmp_path / "outer.cfg"
+    outer.write_text(f"config={cfg}\n")
+    out = tmp_path / "y.sig"
+    tail = {
+        "abbreviated": ["--conf", cfg],
+        "config-line": ["--config", outer],
+    }[case]
+    assert _exit_code(["gen", "--family", "rect", "-o", out, *tail]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "--config" in err
+    assert not out.exists()
 
 
 SUBCOMMAND_OPTIONS = {

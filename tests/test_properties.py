@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from mimoaf import (
     CANONICAL_SIGMA,
+    AmbiguitySurface,
     CheckReport,
+    GridAlignmentError,
     GridMismatchError,
     InvalidParameterError,
     ProbeSet,
@@ -247,6 +249,82 @@ def test_psd_checks_shift_each_copy_once(monkeypatch):
     assert len(calls) == 2 * 5
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_dual_gram_matches_the_group_law_loop(seed):
+    # the per-entry reference: inner products of the shifted copies, and the
+    # surface read through the float group product z = x_j^{-1} x_i
+    base = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
+    waves = [base, chirp_multiply(base, 2.0)]
+    surface = properties.spatial_integral(waves, SteeringConfig(2, 1.0, 8), 1024)
+    probes = random_probe_set(base, 6, seed, 1024)
+    G_a, G_b = properties._dual_gram(waves, surface, probes)
+    pts = probes.points
+    for j, xj in enumerate(pts):
+        for i, xi in enumerate(pts):
+            total = 0j
+            for w in waves:
+                total += inner_product(heisenberg_shift(w, xj), heisenberg_shift(w, xi))
+            assert G_a[i, j] == total  # the same products and sums
+            z = xj.inverse().compose(xi)
+            ref = cmath.exp(-2j * math.pi * z.x3) * surface.value_at(z.tau, -z.nu)
+            assert abs(G_b[i, j] - ref) <= 1e-14 * 2.0  # the summed energy
+
+
+def _psd_pair():
+    """(gram psd, trace psd) reports of the verify suites' setup."""
+    base = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
+    waves = list(gen_subcarrier_set(2, 1.0, DT))
+    return (
+        gram_psd_check(base, random_probe_set(base, 8, 0, 1024), n_doppler=1024),
+        trace_psd_check(waves, random_probe_set(waves[0], 8, 0, 1024),
+                        SteeringConfig(2, 1.0, 8), n_doppler=1024),
+    )
+
+
+def test_psd_route_b_needs_the_group_phase(monkeypatch):
+    # route (b) reads exp(-i 2 pi z3) from the shared root table; with the
+    # conjugate table the central phase turns the wrong way and both fail
+    roots = properties._unit_roots
+    monkeypatch.setattr(properties, "_unit_roots", lambda n: np.conj(roots(n)))
+    for rep in _psd_pair():
+        assert not rep.passed
+        assert rep.rel_err > 1e-3
+
+
+def test_psd_route_b_needs_the_doppler_sign(monkeypatch):
+    # reading the surface at nu_i - nu_j instead of nu_j - nu_i is the same
+    # as reading the Doppler-mirrored surface, bin j -> N - j
+    def mirrored(build):
+        def wrapped(*args, **kwargs):
+            s = build(*args, **kwargs)
+            flipped = np.roll(s.values[:, ::-1], 1, axis=1)
+            return AmbiguitySurface(flipped, s.tau_axis, s.nu_axis)
+        return wrapped
+
+    monkeypatch.setattr(properties, "cross_ambiguity", mirrored(cross_ambiguity))
+    monkeypatch.setattr(properties, "spatial_integral", mirrored(properties.spatial_integral))
+    for rep in _psd_pair():
+        assert not rep.passed
+        assert rep.rel_err > 1e-3
+
+
+@pytest.mark.parametrize("axis", ["lag", "doppler"])
+def test_probe_differences_must_stay_on_the_surface(axis):
+    # 512 samples: lags -511 .. 511 and 2048 Doppler bins, so differences
+    # of up to 511 lags and 1023 bins are on the surface and one more is not
+    u = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
+    d_nu = 1.0 / (2048 * u.dt)
+
+    def probes(span):
+        tau, nu = (span * u.dt, 0.0) if axis == "lag" else (0.0, span * d_nu)
+        return ProbeSet((HeisenbergPoint(0.0, 0.0), HeisenbergPoint(tau, nu)))
+
+    edge = 511 if axis == "lag" else 1023
+    gram_psd_check(u, probes(edge))
+    with pytest.raises(GridAlignmentError):
+        gram_psd_check(u, probes(edge + 1))
+
+
 def test_trace_quadratic_form_is_additive():
     base = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
     waves = [base, chirp_multiply(base, 2.0), heisenberg_shift(base, HeisenbergPoint(4 * base.dt, 0.0))]
@@ -348,6 +426,17 @@ def test_trace_reduction_refuses_orthonormal():
     assert rep.info["reduced"] is False
     assert len(rep.info["failing_pairs"]) == 3
     assert all(not ok for ok in rep.info["pair_status"].values())
+
+
+def test_trace_reduction_scaled_copy_is_a_void_hypothesis(gauss256):
+    # u and 2u are collinear but not unimodular: the uniqueness pass fails
+    # the pair, so the reduction is not claimed and the pair is the witness
+    waves = [gauss256, gauss256.replace_samples(2.0 * gauss256.samples)]
+    rep = trace_reduction_check(waves, SteeringConfig(2, 1.0, 8))
+    assert rep.passed
+    assert rep.info["reduced"] is False
+    assert rep.info["failing_pairs"] == [(0, 1)]
+    assert rep.format_line() == "trace-reduction pass 1 0 0 0 1e-08"
 
 
 def test_trace_reduction_single_waveform(gauss256):
