@@ -47,7 +47,7 @@ def render(out: Path, db_floor: float) -> None:
         print(f"{name}: af {s.values.shape}, wigner {w.values.shape}")
 
     subs = list(gen_subcarrier_set(2, 1.0, 1 / 128))
-    cfg = SteeringConfig(2, 1.0, 64)
+    cfg = SteeringConfig(2, 1.0)
     for fs, fsp in [(0.0, 0.0), (0.25, 0.75)]:
         s = mimo_ambiguity(subs, cfg, fs, fsp, n_doppler=512)
         write(f"mimo_fs{fs:g}_fsp{fsp:g}".replace(".", "p"), s)

@@ -26,7 +26,7 @@ import numpy.typing as npt
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridAlignmentError, GridMismatchError, InvalidParameterError
-from .signals import SampledSignal, _require_count, _require_positive
+from .signals import SampledSignal, _require_count, _require_positive, _snap
 
 __all__ = [
     "AmbiguitySurface",
@@ -52,9 +52,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _axis_index(axis: np.ndarray, x: float, quantity: str, axis_name: str) -> int:
     """Index of x on a uniform ascending axis, within 1e-6 of a step."""
-    pos = (x - axis[0]) / float(axis[1] - axis[0])
-    idx = round(pos) if math.isfinite(pos) else -1
-    if abs(pos - idx) > 1e-6 or not (0 <= idx < axis.size):
+    idx = _snap((float(x) - float(axis[0])) / float(axis[1] - axis[0]), 1e-6)
+    if idx is None or not 0 <= idx < axis.size:
         raise GridAlignmentError(f"{quantity} {x} is not on the {axis_name} axis")
     return idx
 
@@ -436,31 +435,25 @@ def ambiguity_from_wigner(
 
 @dataclass(frozen=True)
 class SteeringConfig:
-    """Uniform linear array geometry for spatial beam slices.
+    """Uniform linear array geometry for spatial beam slices.  Integrals
+    over the spatial frequency fs run over [0, 1), exactly for integer gamma.
 
     Attributes:
         n_elements: transmit element count M.
         gamma: element spacing in carrier wavelengths.
-        n_spatial: quadrature points K on the normalized sine axis [0, 1).
     """
 
     n_elements: int
     gamma: float
-    n_spatial: int
 
     def __post_init__(self) -> None:
         _require_count("n_elements", self.n_elements, 1)
-        _require_count("n_spatial", self.n_spatial, 2)
         _require_positive(gamma=self.gamma)
-        if self.n_spatial <= self.gamma * (self.n_elements - 1):
+        # every steering phase 2 pi gamma fs m, fs < 1, is below this bound
+        if not math.isfinite(2.0 * math.pi * self.gamma * max(self.n_elements - 1, 1)):
             raise InvalidParameterError(
-                f"n_spatial = {self.n_spatial} cannot resolve steering frequencies up "
-                f"to gamma*(M-1) = {self.gamma * (self.n_elements - 1)}"
+                f"steering phases overflow at gamma = {self.gamma}, M = {self.n_elements}"
             )
-
-    @property
-    def fs_grid(self) -> npt.NDArray[np.float64]:
-        return np.arange(self.n_spatial) / self.n_spatial
 
     def steering_phases(self, fs: float) -> npt.NDArray[np.complex128]:
         """exp(i 2 pi gamma fs m), m = 0 .. M-1."""
@@ -470,16 +463,6 @@ class SteeringConfig:
             )
         return np.exp(
             1j * 2.0 * math.pi * self.gamma * fs * np.arange(self.n_elements)
-        )
-
-    def phase_matrix(self) -> npt.NDArray[np.complex128]:
-        """(K, M) array of steering phases along the fs grid."""
-        return np.exp(
-            1j
-            * 2.0
-            * math.pi
-            * self.gamma
-            * np.outer(self.fs_grid, np.arange(self.n_elements))
         )
 
     def require_integer_gamma(self) -> int:
@@ -539,16 +522,24 @@ def mimo_slice_spatial(
     cfg: SteeringConfig,
     tau: float,
     nu: float,
+    n_spatial: int,
     n_doppler: int | None = None,
 ) -> npt.NDArray[np.complex128]:
-    """All K x K spatial slices at one delay-Doppler point: V = Z X Z^H with
-    Z the phase matrix and X[m, p] = chi(u_m, u_p)(tau, nu).
+    """All K x K spatial slices at one delay-Doppler point, K = n_spatial >
+    gamma (M-1): V = Z X Z^H with Z[a, m] = exp(i 2 pi gamma m a/K) and
+    X[m, p] = chi(u_m, u_p)(tau, nu).
 
     tau and nu must land on the lag and Doppler axes of the surfaces
     cross_ambiguity would build with n_doppler bins; X is then summed
     directly at that grid point, dt sum_n u_m[n] conj(u_p[n+k]) exp(i 2 pi nu t_n),
     in O(M^2 n) with no FFT.
     """
+    _require_count("n_spatial", n_spatial, 2)
+    if n_spatial <= cfg.gamma * (cfg.n_elements - 1):
+        raise InvalidParameterError(
+            f"n_spatial = {n_spatial} cannot resolve steering frequencies up "
+            f"to gamma*(M-1) = {cfg.gamma * (cfg.n_elements - 1)}"
+        )
     _require_array(waveforms, cfg)
     first = waveforms[0]
     n = first.n
@@ -564,7 +555,8 @@ def mimo_slice_spatial(
     else:
         X = (U[:, -k:] * phase[-k:]) @ U[:, : n + k].conj().T
     X *= first.dt
-    Z = cfg.phase_matrix()
+    fs_grid = np.arange(n_spatial) / n_spatial
+    Z = np.exp(1j * 2.0 * math.pi * cfg.gamma * np.outer(fs_grid, np.arange(cfg.n_elements)))
     return Z @ X @ Z.conj().T
 
 
@@ -583,16 +575,16 @@ def spatial_integral(
     cfg: SteeringConfig,
     n_doppler: int | None = None,
 ) -> AmbiguitySurface:
-    """Integral of the co-steered slice over fs in [0, 1), which collapses to
-    the trace sum_m chi(u_m, u_m) for whole-wavelength spacings.
+    """Integral of the co-steered slice over fs in [0, 1), which is exactly
+    the trace sum_m chi(u_m, u_m) for an integer gamma.
 
     The identity holds because the steering phases of a whole-wavelength
-    array are orthogonal on the K-point fs grid, so the M^2 - M cross terms
-    cancel; the trace is built from the M self pairs alone.  chi is linear
-    in its lag products, so the trace is one Doppler transform of the
-    summed products sum_m u_m[n] conj(u_m[n + k]): one FFT surface, not M
-    (see :class:`_SurfaceBlocks`).  Besides the trace, two blocks of lag
-    products are alive.
+    array are orthonormal over fs in [0, 1), so the M^2 - M cross terms
+    integrate to zero; the trace is built from the M self pairs alone.
+    chi is linear in its lag products, so the trace is one Doppler
+    transform of the summed products sum_m u_m[n] conj(u_m[n + k]): one FFT
+    surface, not M (see :class:`_SurfaceBlocks`).  Besides the trace, two
+    blocks of lag products are alive.
     """
     return _surface(_trace_pairs(waveforms, cfg), n_doppler)
 
@@ -604,13 +596,13 @@ def mimo_energy_quadrature(
 ) -> float:
     """Four-fold energy of the spatial slices,
 
-        (1/K^2) sum_{a,b} integral |slice(fs_a, fs_b)(tau, nu)|^2 dtau dnu,
+        integral over fs, fs' in [0, 1) of integral |slice(fs, fs')|^2 dtau dnu,
 
     as the running sum of the M^2 pair-surface energies
     integral |chi(u_m, u_p)|^2 over every ordered pair, one surface alive at
-    a time.  For integer gamma and K > gamma (M-1) the steering phases are
-    orthonormal on the K-point fs grid, the same fact spatial_integral uses,
-    so every term that pairs two different (m, p) cancels in the fs sums.
+    a time.  Exact for integer gamma: the steering phases are orthonormal
+    over fs in [0, 1), the same fact spatial_integral uses, so every term
+    that pairs two different (m, p) integrates to zero.
     """
     _trace_pairs(waveforms, cfg)
     return sum(

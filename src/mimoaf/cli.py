@@ -19,7 +19,8 @@ allocate.
 
 A plain-text config file (``key=value`` lines, ``#`` comments) can seed
 any subcommand's flags via ``--config``, given before or after the
-subcommand; explicit flags win.  Keys use flag names without the leading
+subcommand and repeatable; a later file overrides an earlier one, and
+explicit flags win.  Keys use flag names without the leading
 dashes; switch flags take ``true``/``false``; ``--conf`` or a ``config=`` line exits 2.
 Outputs carry no timestamps, so a fixed command line (and seed) produces
 byte-identical files.
@@ -156,7 +157,7 @@ def _suite_norm(args, tol: dict) -> list[CheckReport]:
 
 
 def _suite_mimo_energy(args, tol: dict) -> list[CheckReport]:
-    cfg = SteeringConfig(args.M, args.gamma, args.K)
+    cfg = SteeringConfig(args.M, args.gamma)
     waves = _family_set(args.family, args.M, args.seed)
     return [check_mimo_energy(waves, cfg, args.n_doppler, **tol)]
 
@@ -174,7 +175,7 @@ def _suite_moyal(args, tol: dict) -> list[CheckReport]:
 
 
 def _suite_mimo_moyal(args, tol: dict) -> list[CheckReport]:
-    cfg = SteeringConfig(args.M, args.gamma, args.K)
+    cfg = SteeringConfig(args.M, args.gamma)
     us = _family_set(args.family, args.M, args.seed)
     vs = _family_set(args.family, args.M, args.seed + 7)
     ortho = gen_subcarrier_set(args.M, 1.0, _DT_FINE)
@@ -199,7 +200,7 @@ def _suite_psd(args, tol: dict) -> list[CheckReport]:
 
 def _suite_trace_psd(args, tol: dict) -> list[CheckReport]:
     waves = gen_subcarrier_set(args.M, 1.0, _DT_FINE)
-    cfg = SteeringConfig(args.M, args.gamma, args.K)
+    cfg = SteeringConfig(args.M, args.gamma)
     probes = random_probe_set(waves[0], args.probes, args.seed, args.n_doppler)
     return [trace_psd_check(waves, probes, cfg, args.n_doppler, **tol)]
 
@@ -227,7 +228,7 @@ def _suite_collinearity(args, tol: dict) -> list[CheckReport]:
 
 
 def _suite_trace_reduction(args, tol: dict) -> list[CheckReport]:
-    cfg = SteeringConfig(args.M, args.gamma, args.K)
+    cfg = SteeringConfig(args.M, args.gamma)
     base = _family_waveform("gaussian")
     reduced = trace_reduction_check(
         _phase_family(base, args.M, args.seed), cfg, args.n_doppler, **tol
@@ -264,7 +265,7 @@ def _suite_sym_dilate(args, tol: dict) -> list[CheckReport]:
 def _suite_sym_mimo(args, tol: dict) -> list[CheckReport]:
     out = []
     rot_set = gen_subcarrier_set(2, 8.0, 1.0 / 16)
-    cfg = SteeringConfig(2, args.gamma, args.K)
+    cfg = SteeringConfig(2, args.gamma)
     out.append(
         verify_mimo_symmetry(rot_set, cfg, 0.25, 0.25, verify_fourier_rotation, **tol)
     )
@@ -370,12 +371,12 @@ def cmd_af(args) -> int:
 
 def cmd_mimo(args) -> int:
     waves = [io_formats.read_signal(p) for p in args.inputs]
-    cfg = SteeringConfig(len(waves), args.gamma, args.K)
+    cfg = SteeringConfig(len(waves), args.gamma)
     if args.slice_spatial:
-        grid = mimo_slice_spatial(waves, cfg, args.tau, args.nu, args.n_doppler)
-        fs_axis = np.arange(cfg.n_spatial) * (1.0 / cfg.n_spatial)
+        grid = mimo_slice_spatial(waves, cfg, args.tau, args.nu, args.K, args.n_doppler)
+        fs_axis = np.arange(args.K) * (1.0 / args.K)
         _write_outputs(args, [(0, grid)], fs_axis, fs_axis)
-        print(f"spatial-slice K={cfg.n_spatial} tau={args.tau:.12g} nu={args.nu:.12g}")
+        print(f"spatial-slice K={args.K} tau={args.tau:.12g} nu={args.nu:.12g}")
         return 0
     if args.spatial_integral:
         # the trace: one surface of the M self pairs' summed lag products
@@ -411,7 +412,7 @@ def _config_parser() -> argparse.ArgumentParser:
     # main reads --config with this parser before the subcommand's own, so the
     # flag may stand before or after the subcommand
     p = argparse.ArgumentParser(prog="mimoaf", add_help=False, allow_abbrev=False)
-    p.add_argument("--config", help="key=value defaults file")
+    p.add_argument("--config", action="append", help="key=value defaults file (repeatable)")
     return p
 
 
@@ -431,7 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
     doppler.add_argument("--n-doppler", type=int, default=1024)
     steering = argparse.ArgumentParser(add_help=False)
     steering.add_argument("--gamma", type=float, default=1.0)
-    steering.add_argument("--K", type=int, default=64, help="spatial grid points")
     outputs = argparse.ArgumentParser(add_help=False)
     outputs.add_argument("-o", "--out", help="SUR1 output path")
     outputs.add_argument("--csv", help="CSV output path")
@@ -473,6 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="trace surface instead of a single slice")
     mode.add_argument("--slice-spatial", action="store_true",
                       help="K x K spatial grid at one (tau, nu) point")
+    m.add_argument("--K", type=int, default=64, help="spatial grid points (--slice-spatial)")
     m.add_argument("--tau", type=float, default=0.0)
     m.add_argument("--nu", type=float, default=0.0)
     m.set_defaults(func=cmd_mimo)
@@ -522,12 +523,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if known.config is not None:
             # the subcommand is the first token left, as the top-level parser
-            # has no flag but --help; explicit flags, parsed later, win
-            argv[1:1] = _load_config_tokens(known.config)
+            # has no flag but --help; a later file overrides an earlier one,
+            # and explicit flags, parsed last, win
+            argv[1:1] = [t for path in known.config for t in _load_config_tokens(path)]
         args = parser.parse_args(argv)
         if args.config is not None:
             # an abbreviation or a config-file line: the file would go unread
-            raise MimoafError(f"--config {args.config}: spell the flag out on the command line")
+            raise MimoafError(f"--config {args.config[0]}: spell the flag out on the command line")
         return args.func(args)
     except (MimoafError, OSError, MemoryError) as exc:
         # a grid too large to allocate is a bad input, not a failed identity

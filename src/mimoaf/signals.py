@@ -182,6 +182,16 @@ def _require_count(name: str, x: int, low: int) -> int:
     return x
 
 
+def _snap(pos: float, tol: float) -> int | None:
+    """The integer within tol of pos, or None.  Callers compute pos in Python
+    floats, which overflow to inf without a warning, and a position that is
+    not finite is refused rather than rounded."""
+    if not math.isfinite(pos):
+        return None
+    k = round(pos)
+    return k if abs(pos - k) <= tol else None
+
+
 def _even_window(n_pulse: int, pad_factor: float) -> int:
     if pad_factor < 2.0:
         raise InvalidParameterError(f"pad_factor must be >= 2, got {pad_factor}")
@@ -297,9 +307,9 @@ def gen_subcarrier_set(M: int, T: float, dt: float, pad_factor: float = 2.0) -> 
 
 
 def _delay_to_lag(v: SampledSignal, tau: float) -> int:
-    lag = tau / v.dt
-    k = round(lag)
-    if abs(lag - k) > 1e-9:
+    lag = float(tau) / float(v.dt)
+    k = _snap(lag, 1e-9)
+    if k is None:
         raise GridAlignmentError(
             f"delay {tau} is {lag} samples; it must be an integer multiple of dt={v.dt}"
         )

@@ -39,11 +39,11 @@ not a BLAS dot, whose bits change with the BLAS thread count.
 
 Memory: no comparison holds more than three surfaces of its grid at once,
 plus the block of lag products of the surface being built; the dilation
-parent has k times the Doppler bins and counts as k surfaces, and route (b)
-keeps only the (2n-1)/k lag rows it reads from it (two and a half surfaces
-for the sym-dilate suite's b = 2).  Every check builds route (b) first and
-route (a) only once every surface route (b) needed is gone, and takes the
-difference in place over route (b)'s cells.  Index and phase arrays are
+parent, with k times the Doppler bins, is streamed one row block at a
+time, and route (b) keeps only the (2n-1)/k lag rows and central bins it
+reads from it.  Every check builds route (b) first and route (a) only
+once every surface route (b) needed is gone, and takes the difference in
+place over route (b)'s cells.  Index and phase arrays are
 built one row block at a time.
 """
 
@@ -59,6 +59,7 @@ import numpy as np
 from .ambiguity import (
     AmbiguitySurface,
     SteeringConfig,
+    _SurfaceBlocks,
     _check_doppler_count,
     _unit_roots,
     cross_ambiguity,
@@ -330,14 +331,22 @@ def _dilation_reference(
 
     Every target point is a grid point of the parent surface with k times
     the Doppler bins: lag row k i and the central n_doppler bins.  The
-    parent is gone when this returns.
+    parent is streamed in row blocks and never held whole; each block
+    gives up the rows and bins it holds of the target.
     """
-    parent = cross_ambiguity(u, v, n_doppler=k * n_doppler)
     n = u.n
     half = (n - 1) // k
     col0 = (k * n_doppler) // 2 - n_doppler // 2
-    src = parent.values[n - 1 - half * k : n + half * k : k, col0 : col0 + n_doppler]
-    return np.divide(src, scale), slice(n - 1 - half, n + half)
+    first = n - 1 - half * k  # the parent row of target row 0
+    out = np.empty((2 * half + 1, n_doppler), dtype=np.complex128)
+    # target row i is parent row first + k i; past i = 2 half that is past
+    # the parent's last row 2n - 2, so each block's stride ends in target rows
+    done = 0
+    for start, block in _SurfaceBlocks([(u, v)], k * n_doppler, cyclic=False, whole=False):
+        src = block[first + done * k - start :: k, col0 : col0 + n_doppler]
+        np.divide(src, scale, out=out[done : done + len(src)])
+        done += len(src)
+    return out, slice(n - 1 - half, n + half)
 
 
 def verify_dilation(

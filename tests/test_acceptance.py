@@ -83,14 +83,14 @@ def test_c02_mimo_energy(capsys):
     for m in (2, 3):
         waves = list(gen_subcarrier_set(m, 1.0, 1 / 128))
         for gamma in (1.0, 2.0):
-            cfg = SteeringConfig(m, gamma, 64)
+            cfg = SteeringConfig(m, gamma)
             rep = check_mimo_energy(waves, cfg)
             worst = max(worst, abs(rep.lhs - m * m) / (m * m))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-5 and elapsed < 60.0
     announce(
         capsys, 2,
-        f"mimo energy M in 2,3 gamma in 1,2 K=64 (max rel {worst:.2e}, {elapsed:.1f}s)",
+        f"mimo energy M in 2,3 gamma in 1,2 (max rel {worst:.2e}, {elapsed:.1f}s)",
         ok,
     )
     assert worst <= 1e-5
@@ -106,7 +106,7 @@ def test_c03_moyal(capsys):
         worst = max(worst, moyal_inner_product(*quad).rel_err)
 
     subs = gen_subcarrier_set(2, 1.0, 1 / 128)
-    cfg = SteeringConfig(2, 1.0, 8)
+    cfg = SteeringConfig(2, 1.0)
     sub_basis = [mixture_basis(s) for s in subs]
     worst_mimo = 0.0
     for seed in range(5):
@@ -134,7 +134,7 @@ def test_c03_moyal(capsys):
 def test_c04_positive_definiteness(capsys):
     u = gen_gaussian(CANONICAL_SIGMA, 1 / 64, 4.0)
     pair = [u, chirp_multiply(u, 2.0)]
-    cfg = SteeringConfig(2, 1.0, 8)
+    cfg = SteeringConfig(2, 1.0)
     worst_eig = 0.0
     worst_path = 0.0
     for seed in range(100):
@@ -192,12 +192,12 @@ def test_c06_trace_reduction(capsys):
             u.replace_samples(np.exp(1j * t) * u.samples)
             for t in rng.uniform(0.0, 2 * math.pi, size=m)
         ]
-        rep = trace_reduction_check(waves, SteeringConfig(m, 1.0, 8))
+        rep = trace_reduction_check(waves, SteeringConfig(m, 1.0))
         assert rep.passed and rep.info["reduced"]
         worst_gap = max(worst_gap, rep.info["gap"])
 
     ortho = list(gen_subcarrier_set(3, 1.0, 1 / 128))
-    refuse = trace_reduction_check(ortho, SteeringConfig(3, 1.0, 8), n_doppler=512)
+    refuse = trace_reduction_check(ortho, SteeringConfig(3, 1.0), n_doppler=512)
     refused = (
         refuse.passed
         and not refuse.info["reduced"]
@@ -236,7 +236,7 @@ def test_c07_symmetry_battery(capsys):
     ]
     thetas = np.random.default_rng(6).uniform(0, 2 * math.pi, size=2)
     fam = [wide.replace_samples(np.exp(1j * t) * wide.samples) for t in thetas]
-    cfg = SteeringConfig(2, 1.0, 8)
+    cfg = SteeringConfig(2, 1.0)
     mimo = {
         "J": (verify_mimo_symmetry(rot_subs, cfg, 0.25, 0.25, verify_fourier_rotation), 1e-5),
         "mirror": (verify_mimo_symmetry(mixed, cfg, 0.3, 0.7, verify_mirror), 1e-9),

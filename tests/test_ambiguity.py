@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -187,6 +188,17 @@ def test_value_at_rejects_offgrid():
         s.value_at(0.013, 0.0)
 
 
+@pytest.mark.parametrize("x", [1e308, -1e308, math.inf, math.nan])
+def test_huge_coordinate_is_off_the_axes(x):
+    # the step into the axis overflows: refused, with no OverflowError and
+    # no RuntimeWarning (an error here) from numpy scalar arithmetic
+    s = cross_ambiguity(gen_rect(1.0, 1 / 64))
+    with pytest.raises(GridAlignmentError):
+        s.lag_index(x)
+    with pytest.raises(GridAlignmentError):
+        s.doppler_index(x)
+
+
 def test_doppler_count_validation():
     u = gen_rect(1.0, 1 / 64)
     with pytest.raises(InvalidParameterError):
@@ -327,14 +339,16 @@ def test_correlation_matrix_cross_symmetry(subcarriers2):
 
 # ----------------------------------------------------------- steering / MIMO
 
-def test_steering_config_validation():
-    with pytest.raises(InvalidParameterError):
-        SteeringConfig(3, 2.0, 4)  # K must exceed gamma (M-1)
-    cfg = SteeringConfig(2, 1.0, 8)
-    assert cfg.fs_grid.size == 8 and cfg.fs_grid[0] == 0.0
+def test_steering_config_validation(subcarriers2):
+    assert [f.name for f in dataclasses.fields(SteeringConfig)] == ["n_elements", "gamma"]
+    waves = [*subcarriers2, subcarriers2[0]]
+    with pytest.raises(InvalidParameterError, match="cannot resolve"):
+        # the K x K grid needs K > gamma (M-1)
+        mimo_slice_spatial(waves, SteeringConfig(3, 2.0), 0.0, 0.0, 4)
+    assert mimo_slice_spatial(waves, SteeringConfig(3, 2.0), 0.0, 0.0, 5).shape == (5, 5)
     for gamma in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidParameterError):
-            SteeringConfig(2, gamma, 8)
+            SteeringConfig(2, gamma)
 
 
 @pytest.mark.parametrize(
@@ -343,27 +357,37 @@ def test_steering_config_validation():
      (10**400, 1.0, 8), (2, 1.0, 2**32)],
     ids=["M-2.5", "K-nan", "K-8.5", "M-bool", "K-float", "M-huge-int", "K-past-u32"],
 )
-def test_steering_config_rejects_non_integer_counts(args):
-    # every one of these used to construct without complaint
+def test_steering_config_rejects_non_integer_counts(subcarriers2, args):
+    # every one of these used to construct without complaint; M is refused
+    # by the array and K by the one call that samples the spatial grid
+    M, gamma, K = args
     with pytest.raises(InvalidParameterError):
-        SteeringConfig(*args)
+        mimo_slice_spatial(subcarriers2, SteeringConfig(M, gamma), 0.0, 0.0, K)
+
+
+@pytest.mark.parametrize("M, gamma", [(1, 1e308), (2**32 - 1, 1e299)])
+def test_steering_config_rejects_overflowing_phases(M, gamma):
+    # past a finite 2 pi gamma max(M-1, 1) the steering phases are nan, and
+    # at M = 1 nothing else bounds gamma
+    with pytest.raises(InvalidParameterError, match="overflow"):
+        SteeringConfig(M, gamma)
 
 
 def test_mimo_slice_orthonormal_origin(subcarriers2):
-    cfg = SteeringConfig(2, 1.0, 64)
+    cfg = SteeringConfig(2, 1.0)
     s = mimo_ambiguity(subcarriers2, cfg, 0.0, 0.0)
     assert abs(s.value_at(0.0, 0.0) - 2.0) <= 1e-9
 
 
 def test_mimo_slice_m1_reduces_to_self_af(gauss256):
-    cfg = SteeringConfig(1, 1.0, 8)
+    cfg = SteeringConfig(1, 1.0)
     s = mimo_ambiguity([gauss256], cfg, 0.37, 0.91)
     assert np.array_equal(s.values, cross_ambiguity(gauss256).values)
 
 
 def test_mimo_slice_identical_waveforms_factorize(gauss256):
     M, gamma, fs, fsp = 3, 1.0, 0.3, 0.45
-    cfg = SteeringConfig(M, gamma, 16)
+    cfg = SteeringConfig(M, gamma)
     s = mimo_ambiguity([gauss256] * M, cfg, fs, fsp)
     d_fs = np.sum(np.exp(1j * 2 * np.pi * gamma * fs * np.arange(M)))
     d_fsp = np.sum(np.exp(1j * 2 * np.pi * gamma * fsp * np.arange(M)))
@@ -372,7 +396,7 @@ def test_mimo_slice_identical_waveforms_factorize(gauss256):
 
 
 def test_mimo_slice_rejects_out_of_range_fs(subcarriers2):
-    cfg = SteeringConfig(2, 1.0, 8)
+    cfg = SteeringConfig(2, 1.0)
     with pytest.raises(InvalidParameterError):
         mimo_ambiguity(subcarriers2, cfg, 1.5, 0.0)
     with pytest.raises(InvalidParameterError):
@@ -393,7 +417,7 @@ def test_mimo_slice_is_cross_ambiguity_of_beams(mixed4):
     # chi is linear in u and conjugate-linear in v, so the slice
     # sum_{m,p} a_m conj(b_p) chi(u_m, u_p) equals chi(sum a_m u_m, sum b_p u_p)
     ws, entries = mixed4
-    cfg = SteeringConfig(4, 1.0, 16)
+    cfg = SteeringConfig(4, 1.0)
     fs, fsp = 0.137, 0.613  # off the fs grid, fs != fs'
     a = np.exp(1j * 2 * np.pi * cfg.gamma * fs * np.arange(4))
     b = np.exp(1j * 2 * np.pi * cfg.gamma * fsp * np.arange(4))
@@ -407,21 +431,21 @@ def test_mimo_slice_is_cross_ambiguity_of_beams(mixed4):
 
 def test_spatial_grid_matches_tensor_entries(mixed4):
     ws, entries = mixed4
-    cfg = SteeringConfig(4, 1.0, 16)
-    Z = np.exp(1j * 2 * np.pi * cfg.gamma * np.outer(cfg.fs_grid, np.arange(4)))
+    cfg = SteeringConfig(4, 1.0)
+    Z = np.exp(1j * 2 * np.pi * cfg.gamma * np.outer(np.arange(16) / 16, np.arange(4)))
     ref = cross_ambiguity(ws[0], n_doppler=512)  # for its axes
     dt = ws[0].dt
     # points where |chi| is not rounding noise, plus both edge lags
     for k, l in [(0, 0), (5, 3), (-7, -4), (16, -8), (ws[0].n - 1, 255), (-(ws[0].n - 1), -256)]:
         tau, nu = k * dt, ref.nu_axis[256 + l]
         X = entries[:, :, ref.lag_index(tau), ref.doppler_index(nu)]
-        V = mimo_slice_spatial(ws, cfg, tau, nu, n_doppler=512)
+        V = mimo_slice_spatial(ws, cfg, tau, nu, 16, n_doppler=512)
         assert frob_rel(V, Z @ X @ Z.conj().T) <= 1e-12, (k, l)
 
 
 def test_spatial_integral_matches_tensor_trace(mixed4):
     ws, entries = mixed4
-    out = spatial_integral(ws, SteeringConfig(4, 1.0, 16), n_doppler=512)
+    out = spatial_integral(ws, SteeringConfig(4, 1.0), n_doppler=512)
     assert frob_rel(out.values, np.einsum("mmij->ij", entries)) <= 1e-12
 
 
@@ -431,7 +455,7 @@ def test_steering_linearity(subcarriers2):
         subcarriers2[0].replace_samples(c * subcarriers2[0].samples),
         subcarriers2[1],
     ]
-    cfg = SteeringConfig(2, 1.0, 8)
+    cfg = SteeringConfig(2, 1.0)
     got = mimo_ambiguity(scaled, cfg, 0.3, 0.7)
     w = np.array([[c * np.conj(c), c], [np.conj(c), 1.0]])
     a = cfg.steering_phases(0.3)
@@ -442,16 +466,16 @@ def test_steering_linearity(subcarriers2):
 
 
 def test_spatial_grid_diagonal_is_m(subcarriers2):
-    cfg = SteeringConfig(2, 1.0, 16)
-    V = mimo_slice_spatial(subcarriers2, cfg, 0.0, 0.0)
+    cfg = SteeringConfig(2, 1.0)
+    V = mimo_slice_spatial(subcarriers2, cfg, 0.0, 0.0, 16)
     assert V.shape == (16, 16)
     assert np.max(np.abs(np.diag(V) - 2.0)) <= 1e-9
 
 
 def test_spatial_grid_m1_constant(gauss256):
-    cfg = SteeringConfig(1, 1.0, 8)
+    cfg = SteeringConfig(1, 1.0)
     tau, nu = 4 * gauss256.dt, 0.0
-    V = mimo_slice_spatial([gauss256], cfg, tau, nu)
+    V = mimo_slice_spatial([gauss256], cfg, tau, nu, 8)
     expect = cross_ambiguity(gauss256).value_at(tau, nu)
     assert np.max(np.abs(V - expect)) <= 1e-12
 
@@ -462,11 +486,11 @@ def test_spatial_grid_conjugation_reverses(subcarriers2):
         random_mixture(mixture_basis(subcarriers2[0]), rng),
         random_mixture(mixture_basis(subcarriers2[1]), rng),
     ]
-    cfg = SteeringConfig(2, 1.0, 8)
+    cfg = SteeringConfig(2, 1.0)
     tau, nu = 4 * waves[0].dt, 0.25
-    V = mimo_slice_spatial(waves, cfg, tau, nu)
+    V = mimo_slice_spatial(waves, cfg, tau, nu, 8)
     conj_waves = [w.replace_samples(np.conj(w.samples)) for w in waves]
-    Vc = mimo_slice_spatial(conj_waves, cfg, tau, -nu)
+    Vc = mimo_slice_spatial(conj_waves, cfg, tau, -nu, 8)
     idx = (-np.arange(8)) % 8
     assert np.max(np.abs(Vc - np.conj(V[np.ix_(idx, idx)]))) <= 1e-9
 
@@ -475,7 +499,7 @@ def test_spatial_integral_m1_equals_self_af(gauss256):
     # one self pair is gathered with no scratch block and no add, so the
     # trace of one waveform is its self surface bit for bit, signed zeros
     # included (the subcarrier's surface has -0.0 cells)
-    cfg = SteeringConfig(1, 1.0, 8)
+    cfg = SteeringConfig(1, 1.0)
     out = spatial_integral([gauss256], cfg)
     assert out.values.tobytes() == cross_ambiguity(gauss256).values.tobytes()
     w = gen_subcarrier_set(4, 1.0, DT)[0]
@@ -487,14 +511,14 @@ def test_spatial_integral_m1_equals_self_af(gauss256):
 
 
 def test_spatial_integral_orthonormal_origin(subcarriers2):
-    cfg = SteeringConfig(2, 1.0, 64)
+    cfg = SteeringConfig(2, 1.0)
     out = spatial_integral(subcarriers2, cfg)
     assert abs(out.value_at(0.0, 0.0) - 2.0) <= 1e-9
 
 
 def test_spatial_integral_requires_integer_gamma(subcarriers2):
     with pytest.raises(InvalidParameterError):
-        spatial_integral(subcarriers2, SteeringConfig(2, 0.5, 8))
+        spatial_integral(subcarriers2, SteeringConfig(2, 0.5))
 
 
 @pytest.mark.parametrize("m", [1, 4])
@@ -512,7 +536,7 @@ def test_spatial_integral_bytes_match_out_of_place_sum(m):
     nu = np.fft.fftshift(np.fft.fftfreq(n_doppler, d=DT))
     scale = (n_doppler * DT) * np.exp(1j * 2.0 * math.pi * nu * ws[0].t0)
     expect = np.fft.ifft(P, n=n_doppler, axis=1) * scale
-    out = spatial_integral(ws, SteeringConfig(m, 1.0, 16), n_doppler=n_doppler)
+    out = spatial_integral(ws, SteeringConfig(m, 1.0), n_doppler=n_doppler)
     bits = out.values.view(np.float64)
     assert np.any((bits == 0) & np.signbit(bits))
     assert out.values.tobytes() == expect.tobytes()
@@ -523,7 +547,7 @@ def test_spatial_integral_bytes_match_across_block_sizes(monkeypatch):
     # and pocketfft transforms each row on its own, so the block size does
     # not change a bit of the trace
     ws = gen_subcarrier_set(4, 1.0, DT)
-    cfg = SteeringConfig(4, 1.0, 16)
+    cfg = SteeringConfig(4, 1.0)
     default = spatial_integral(ws, cfg, n_doppler=512).values
     monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", 5 * 16 * 512)
     assert spatial_integral(ws, cfg, n_doppler=512).values.tobytes() == default.tobytes()
@@ -536,7 +560,7 @@ def test_spatial_integral_peak_memory():
     n, n_doppler = ws[0].n, 1024
     x_bytes = (2 * n - 1) * n_doppler * 16
     block_bytes = min(2 * n - 1, _BLOCK_BYTES // (16 * n_doppler)) * n * 16
-    out, peak = traced_peak(spatial_integral, ws, SteeringConfig(4, 1.0, 16), n_doppler=n_doppler)
+    out, peak = traced_peak(spatial_integral, ws, SteeringConfig(4, 1.0), n_doppler=n_doppler)
     assert out.values.nbytes == x_bytes
     assert peak <= x_bytes + 2 * block_bytes + 2**20
 
@@ -548,25 +572,27 @@ def mixed3():
     return [random_mixture(mixture_basis(w), rng) for w in waves]
 
 
-def _riemann_spatial_integral(ws, cfg):
+def _riemann_spatial_integral(ws, cfg, K=16):
     # The K-point mean over fs of the public co-steered slice: it carries
     # the M^2 - M cross terms, which cancel only through the sum over fs.
+    # For an integer gamma and K > gamma (M-1) the steering phases are
+    # orthonormal on this grid, so the mean is the integral over [0, 1).
     total = 0.0
-    for fs in cfg.fs_grid:
+    for fs in np.arange(K) / K:
         total = total + mimo_ambiguity(ws, cfg, fs, fs, n_doppler=512).values
-    return total / cfg.n_spatial
+    return total / K
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
 def test_spatial_integral_is_riemann_sum_of_slices(mixed3, gamma):
-    cfg = SteeringConfig(3, gamma, 16)
+    cfg = SteeringConfig(3, gamma)
     out = spatial_integral(mixed3, cfg, n_doppler=512)
     assert frob_rel(_riemann_spatial_integral(mixed3, cfg), out.values) <= 1e-12
 
 
 def test_spatial_riemann_sum_misses_trace_at_half_wavelength(mixed3):
-    trace = spatial_integral(mixed3, SteeringConfig(3, 1.0, 16), n_doppler=512)
-    cfg = SteeringConfig(3, 0.5, 16)
+    trace = spatial_integral(mixed3, SteeringConfig(3, 1.0), n_doppler=512)
+    cfg = SteeringConfig(3, 0.5)
     assert frob_rel(_riemann_spatial_integral(mixed3, cfg), trace.values) >= 0.1
     with pytest.raises(InvalidParameterError):
         spatial_integral(mixed3, cfg, n_doppler=512)
@@ -578,27 +604,28 @@ def mixed2(subcarriers2):
     return [random_mixture(mixture_basis(w), rng) for w in subcarriers2]
 
 
-def _slice_energy_mean(ws, cfg):
-    # The K^2 mean of beam-slice energies: every slice carries all M^2 pair
-    # surfaces, and their cross terms cancel only through the sums over fs.
+def _slice_energy_mean(ws, cfg, K=8):
+    # The K^2 mean of beam-slice energies on the K-point fs grid: every
+    # slice carries all M^2 pair surfaces, and their cross terms cancel only
+    # through the sums over fs, exactly for an integer gamma and K > gamma (M-1).
     acc = 0.0
-    for fa in cfg.fs_grid:
-        for fb in cfg.fs_grid:
+    for fa in np.arange(K) / K:
+        for fb in np.arange(K) / K:
             acc += mimo_ambiguity(ws, cfg, fa, fb, n_doppler=512).energy()
-    return acc / cfg.n_spatial ** 2
+    return acc / K ** 2
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
 def test_mimo_energy_quadrature_matches_slice_by_slice(mixed2, gamma):
-    cfg = SteeringConfig(2, gamma, 8)
+    cfg = SteeringConfig(2, gamma)
     total = mimo_energy_quadrature(mixed2, cfg, n_doppler=512)
     acc = _slice_energy_mean(mixed2, cfg)
     assert abs(total - acc) <= 1e-12 * abs(acc)
 
 
 def test_slice_energy_mean_misses_quadrature_at_half_wavelength(mixed2):
-    total = mimo_energy_quadrature(mixed2, SteeringConfig(2, 1.0, 8), n_doppler=512)
-    cfg = SteeringConfig(2, 0.5, 8)
+    total = mimo_energy_quadrature(mixed2, SteeringConfig(2, 1.0), n_doppler=512)
+    cfg = SteeringConfig(2, 0.5)
     assert abs(_slice_energy_mean(mixed2, cfg) - total) >= 0.1 * total
     with pytest.raises(InvalidParameterError):
         mimo_energy_quadrature(mixed2, cfg, n_doppler=512)
@@ -610,7 +637,7 @@ def test_mimo_energy_quadrature_peak_memory():
     rng = np.random.default_rng(9)
     basis = mixture_basis(gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0))
     ws = [random_mixture(basis, rng) for _ in range(4)]
-    cfg = SteeringConfig(4, 1.0, 16)
+    cfg = SteeringConfig(4, 1.0)
     n, n_doppler = ws[0].n, 1024
     x_bytes = (2 * n - 1) * n_doppler * 16
     total, peak = traced_peak(mimo_energy_quadrature, ws, cfg, n_doppler=n_doppler)

@@ -329,7 +329,7 @@ def test_streamed_mimo_slice_matches_in_memory(rows, tmp_path, monkeypatch, caps
         write_signal(path, w)
     argv = ["mimo", "--inputs", *map(str, paths), "--fs", "0.25", "--fsp", "0.75",
             "--n-doppler", "1000"]
-    surface = mimo_ambiguity(waves, SteeringConfig(3, 1.0, 64), 0.25, 0.75, n_doppler=1000)
+    surface = mimo_ambiguity(waves, SteeringConfig(3, 1.0), 0.25, 0.75, n_doppler=1000)
     assert surface.values.shape == (511, 1000)
     if rows is not None:
         monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * 1000)
@@ -348,7 +348,7 @@ def test_streamed_mimo_trace_matches_in_memory(rows, tmp_path, monkeypatch, caps
     paths = _subcarrier_files(tmp_path, 3, 0.5)
     argv = ["mimo", "--inputs", *map(str, paths), "--spatial-integral", "--n-doppler", "400"]
     waves = gen_subcarrier_set(3, 0.5, 1 / 128)
-    surface = spatial_integral(waves, SteeringConfig(3, 1.0, 64), n_doppler=400)
+    surface = spatial_integral(waves, SteeringConfig(3, 1.0), n_doppler=400)
     assert surface.values.shape == (255, 400)
     if rows is not None:
         monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * 400)
@@ -623,6 +623,31 @@ def test_mimo_slice_spatial_grid(subcarrier_files, tmp_path):
     assert np.max(np.abs(np.diag(grid) - 2.0)) <= 1e-9
 
 
+def test_mimo_K_is_read_by_the_grid_alone(subcarrier_files, tmp_path, capsys):
+    # the trace and the beam slice take --K and ignore it, as the beam
+    # slice ignores --tau; the K x K grid still refuses K = 1
+    base = ["mimo", "--inputs", *subcarrier_files, "--n-doppler", "512"]
+    for mode in (["--spatial-integral"], []):
+        plain, with_k = tmp_path / "plain.sur", tmp_path / "k.sur"
+        assert _exit_code([*base, *mode, "-o", plain]) == 0
+        assert _exit_code([*base, *mode, "--K", "1", "-o", with_k]) == 0
+        assert with_k.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
+    assert _exit_code([*base, "--slice-spatial", "--K", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: n_spatial must be an integer")
+
+
+def test_mimo_single_element_overflowing_steering_exits_2(tmp_path, capsys):
+    # 2 pi gamma overflows, so the steering phases would be nan (a numpy
+    # RuntimeWarning, an error here): the array is refused before any phase
+    one = tmp_path / "s.sig"
+    write_signal(one, gen_rect(1.0, 1 / 128))
+    argv = ["mimo", "--inputs", one, "--gamma", "1e308", "--fs", "0.3"]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_mimo_grid_mismatch_exits_2(tmp_path):
     a, b = tmp_path / "a.sig", tmp_path / "b.sig"
     run_cli("gen", "--family", "rect", "-o", a)
@@ -642,6 +667,7 @@ def test_mimo_fs_out_of_range_exits_2(subcarrier_files):
     ["--nu", "0.0625"],       # half a Doppler bin off the axis at 1024 bins
     ["--tau", "nan"],
     ["--nu", "inf"],
+    ["--tau", "1e308"],       # overflows on the way to a lag index
     ["--n-doppler", "3"],
     None,  # second input on a coarser grid
 ])
@@ -696,6 +722,28 @@ def test_verify_sym_mimo_rejects_bad_steering(capsys):
 
 
 # ------------------------------------------------------------- cli: verify
+
+def test_verify_takes_no_K(tmp_path, capsys):
+    # no verify suite samples the spatial grid, so K is not a verify flag,
+    # on the command line or in a config file
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("K=64\n")
+    for argv in (["verify", "--suite", "norm", "--K", "64"],
+                 ["verify", "--suite", "norm", "--config", cfg]):
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "--K" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "suite", ["mimo-energy", "mimo-moyal", "trace-psd", "trace-reduction", "sym-mimo"]
+)
+def test_verify_mimo_suites_take_a_wide_array(suite, capsys):
+    # gamma (M-1) is 140 here and 70 for sym-mimo's two elements, past the
+    # default --K of 64: no verify suite samples the K x K grid
+    assert cli.main(["verify", "--suite", suite, "--M", "3", "--gamma", "70"]) == 0
+    assert all(" pass " in ln for ln in capsys.readouterr().out.splitlines())
+
 
 def test_verify_norm_passes(tmp_path):
     res = run_cli("verify", "--suite", "norm")
@@ -981,6 +1029,22 @@ def test_config_explicit_flag_wins(tmp_path):
     assert read_signal(out).n == 256
 
 
+def test_config_files_are_all_read_in_order(tmp_path):
+    # each file is read, a later one overrides an earlier one, and an
+    # explicit flag overrides both
+    a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    a.write_text("family=lfm\nT=0.5\n")
+    b.write_text("rate=6\n")
+    c = tmp_path / "c.cfg"
+    c.write_text("T=0.25\n")
+    out = tmp_path / "d.sig"
+    cases = [([a, b], [], 128), ([a, c], [], 64), ([c, a], [], 128), ([a, c], ["--T", "1"], 256)]
+    for files, flags, n in cases:
+        argv = ["gen", *(t for f in files for t in ("--config", f)), *flags, "-o", out]
+        assert _exit_code(argv) == 0, (files, flags)
+        assert read_signal(out).n == n, (files, flags)
+
+
 def test_config_bare_flag(tmp_path):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("family=gaussian\nbinary=true\n")
@@ -1060,7 +1124,7 @@ SUBCOMMAND_OPTIONS = {
     "mimo": "-h --help --config --inputs --gamma --K --n-doppler --fs --fsp "
             "--spatial-integral --slice-spatial --tau --nu -o --out --csv --ppm "
             "--db-floor --linear",
-    "verify": "-h --help --config --suite --family --M --gamma --K --n-doppler --probes "
+    "verify": "-h --help --config --suite --family --M --gamma --n-doppler --probes "
               "--seed --fs --fsp --tol -o --report",
 }
 

@@ -78,14 +78,14 @@ def test_norm_identity_all_families():
 
 
 def test_mimo_energy_two_orthonormal(subcarriers2):
-    cfg = SteeringConfig(2, 1.0, 64)
+    cfg = SteeringConfig(2, 1.0)
     rep = check_mimo_energy(subcarriers2, cfg)
     assert rep.passed
     assert abs(rep.lhs - 4.0) <= 1e-5
 
 
 def test_mimo_energy_m1_matches_norm(gauss256):
-    cfg = SteeringConfig(1, 1.0, 8)
+    cfg = SteeringConfig(1, 1.0)
     rep = check_mimo_energy([gauss256], cfg)
     norm_rep = check_norm_identity(gauss256, gauss256)
     assert rep.passed
@@ -96,14 +96,14 @@ def test_mimo_energy_three_random_mixtures():
     waves = gen_subcarrier_set(3, 1.0, DT)
     rng = np.random.default_rng(9)
     mixed = [random_mixture(mixture_basis(w), rng) for w in waves]
-    cfg = SteeringConfig(3, 1.0, 64)
+    cfg = SteeringConfig(3, 1.0)
     rep = check_mimo_energy(mixed, cfg, n_doppler=512)
     assert rep.passed
     assert abs(rep.lhs - 9.0) <= 1e-5
 
 
 def test_mimo_energy_gamma_two(subcarriers2):
-    cfg = SteeringConfig(2, 2.0, 64)
+    cfg = SteeringConfig(2, 2.0)
     rep = check_mimo_energy(subcarriers2, cfg)
     assert rep.passed
     assert abs(rep.lhs - 4.0) <= 1e-5
@@ -146,14 +146,14 @@ def test_moyal_randomized_invariant(seed):
 
 
 def test_mimo_moyal_norm_case(subcarriers2):
-    cfg = SteeringConfig(2, 1.0, 8)
+    cfg = SteeringConfig(2, 1.0)
     rep = mimo_inner_product(subcarriers2, subcarriers2, cfg, 0.0, 0.0)
     assert rep.passed
     assert abs(rep.lhs - 4.0) <= 1e-6
 
 
 def test_mimo_moyal_m1_matches_scalar(gauss256):
-    cfg = SteeringConfig(1, 1.0, 8)
+    cfg = SteeringConfig(1, 1.0)
     rep = mimo_inner_product([gauss256], [gauss256], cfg, 0.3, 0.7)
     scalar = moyal_inner_product(gauss256, gauss256, gauss256, gauss256)
     assert rep.passed
@@ -164,7 +164,7 @@ def test_mimo_moyal_random_sets():
     us = gen_subcarrier_set(2, 1.0, DT)
     rng = np.random.default_rng(7)
     vs = [random_mixture(mixture_basis(w), rng) for w in us]
-    cfg = SteeringConfig(2, 1.0, 8)
+    cfg = SteeringConfig(2, 1.0)
     rep = mimo_inner_product(list(us), vs, cfg, 0.3, 0.7, n_doppler=512)
     assert rep.passed
     assert rep.rel_err <= 1e-8
@@ -215,7 +215,7 @@ def test_trace_psd_m1_matches_gram():
     u = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
     probes = random_probe_set(u, n_points=6, seed=1)
     single = gram_psd_check(u, probes)
-    traced = trace_psd_check([u], probes, SteeringConfig(1, 1.0, 8))
+    traced = trace_psd_check([u], probes, SteeringConfig(1, 1.0))
     assert traced.passed
     assert abs(single.info["min_eig"] - traced.info["min_eig"]) <= 1e-12
     assert abs(single.info["quadratic_form"] - traced.info["quadratic_form"]) <= 1e-12
@@ -225,7 +225,7 @@ def test_trace_psd_two_waveforms():
     base = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
     waves = [base, chirp_multiply(base, 2.0)]
     probes = random_probe_set(base, n_points=8, seed=3)
-    rep = trace_psd_check(waves, probes, SteeringConfig(2, 1.0, 8))
+    rep = trace_psd_check(waves, probes, SteeringConfig(2, 1.0))
     assert rep.passed
     assert rep.info["min_eig"] >= -1e-9 * rep.info["max_eig"]
 
@@ -245,7 +245,7 @@ def test_psd_checks_shift_each_copy_once(monkeypatch):
     assert gram_psd_check(base, probes).passed
     assert len(calls) == 5
     calls.clear()
-    assert trace_psd_check(waves, probes, SteeringConfig(2, 1.0, 8)).passed
+    assert trace_psd_check(waves, probes, SteeringConfig(2, 1.0)).passed
     assert len(calls) == 2 * 5
 
 
@@ -255,7 +255,7 @@ def test_dual_gram_matches_the_group_law_loop(seed):
     # surface read through the float group product z = x_j^{-1} x_i
     base = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
     waves = [base, chirp_multiply(base, 2.0)]
-    surface = properties.spatial_integral(waves, SteeringConfig(2, 1.0, 8), 1024)
+    surface = properties.spatial_integral(waves, SteeringConfig(2, 1.0), 1024)
     probes = random_probe_set(base, 6, seed, 1024)
     G_a, G_b = properties._dual_gram(waves, surface, probes)
     pts = probes.points
@@ -277,7 +277,7 @@ def _psd_pair():
     return (
         gram_psd_check(base, random_probe_set(base, 8, 0, 1024), n_doppler=1024),
         trace_psd_check(waves, random_probe_set(waves[0], 8, 0, 1024),
-                        SteeringConfig(2, 1.0, 8), n_doppler=1024),
+                        SteeringConfig(2, 1.0), n_doppler=1024),
     )
 
 
@@ -329,7 +329,7 @@ def test_trace_quadratic_form_is_additive():
     base = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
     waves = [base, chirp_multiply(base, 2.0), heisenberg_shift(base, HeisenbergPoint(4 * base.dt, 0.0))]
     probes = random_probe_set(base, n_points=5, seed=8)
-    total = trace_psd_check(waves, probes, SteeringConfig(3, 1.0, 8)).info["quadratic_form"]
+    total = trace_psd_check(waves, probes, SteeringConfig(3, 1.0)).info["quadratic_form"]
     parts = sum(gram_psd_check(w, probes).info["quadratic_form"] for w in waves)
     assert abs(total - parts) <= 1e-8 * max(abs(total), 1.0)
 
@@ -411,7 +411,7 @@ def test_collinearity_refuses_orthogonal(subcarriers2):
 @pytest.mark.parametrize("m", [2, 3])
 def test_trace_reduction_phase_family(gauss256, m):
     waves = phase_family(gauss256, m, seed=m)
-    cfg = SteeringConfig(m, 1.0, 8)
+    cfg = SteeringConfig(m, 1.0)
     rep = trace_reduction_check(waves, cfg)
     assert rep.passed
     assert rep.info["reduced"] is True
@@ -420,7 +420,7 @@ def test_trace_reduction_phase_family(gauss256, m):
 
 def test_trace_reduction_refuses_orthonormal():
     waves = list(gen_subcarrier_set(3, 1.0, DT))
-    cfg = SteeringConfig(3, 1.0, 8)
+    cfg = SteeringConfig(3, 1.0)
     rep = trace_reduction_check(waves, cfg, n_doppler=512)
     assert rep.passed  # dichotomy: refusal with witnesses is the correct outcome
     assert rep.info["reduced"] is False
@@ -432,7 +432,7 @@ def test_trace_reduction_scaled_copy_is_a_void_hypothesis(gauss256):
     # u and 2u are collinear but not unimodular: the uniqueness pass fails
     # the pair, so the reduction is not claimed and the pair is the witness
     waves = [gauss256, gauss256.replace_samples(2.0 * gauss256.samples)]
-    rep = trace_reduction_check(waves, SteeringConfig(2, 1.0, 8))
+    rep = trace_reduction_check(waves, SteeringConfig(2, 1.0))
     assert rep.passed
     assert rep.info["reduced"] is False
     assert rep.info["failing_pairs"] == [(0, 1)]
@@ -440,7 +440,7 @@ def test_trace_reduction_scaled_copy_is_a_void_hypothesis(gauss256):
 
 
 def test_trace_reduction_single_waveform(gauss256):
-    cfg = SteeringConfig(1, 1.0, 8)
+    cfg = SteeringConfig(1, 1.0)
     rep = trace_reduction_check([gauss256], cfg)
     assert rep.passed
     assert rep.info["reduced"] is True
@@ -452,7 +452,7 @@ def test_trace_reduction_refuses_a_set_the_array_cannot_hold():
     # refusal branch and pass; the array is checked before any pair
     waves = list(gen_subcarrier_set(3, 1.0, DT))
     with pytest.raises(GridMismatchError):
-        trace_reduction_check(waves, SteeringConfig(2, 1.0, 8), n_doppler=512)
+        trace_reduction_check(waves, SteeringConfig(2, 1.0), n_doppler=512)
 
 
 # -------------------------------------------------------------------- reports

@@ -204,6 +204,13 @@ def test_shift_rejects_offgrid_delay_and_aliased_doppler():
         heisenberg_shift(u, HeisenbergPoint(0.0, 64.0))
 
 
+@pytest.mark.parametrize("tau", [1e308, -1e308])
+def test_shift_by_a_delay_past_float_range_is_off_grid(tau):
+    # tau / dt overflows to inf, which round() would turn into OverflowError
+    with pytest.raises(GridAlignmentError):
+        heisenberg_shift(gen_rect(1.0, 1 / 64), HeisenbergPoint(tau, 0.0))
+
+
 @pytest.mark.parametrize(
     "args",
     [(math.nan, 0.0), (0.0, math.inf), (0.0, 0.0, -math.inf), (True, 0.0), (1j, 0.0),
@@ -285,7 +292,7 @@ def test_dilate_rejects_bad_factor():
 @pytest.mark.parametrize("build", [
     lambda x: SampledSignal(np.ones(4), x, 0.0),
     lambda x: gen_rect(1.0, x),
-    lambda x: SteeringConfig(2, x, 8),
+    lambda x: SteeringConfig(2, x),
     lambda x: dilate(canonical_gaussian(), x),
 ], ids=["signal-dt", "rect-dt", "steering-gamma", "dilate-b"])
 def test_positive_parameters_must_be_real(build, x):

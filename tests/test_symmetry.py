@@ -29,7 +29,7 @@ from mimoaf import (
 )
 from mimoaf import cli, symmetry
 
-from conftest import DT_G, mixture_basis, random_mixture
+from conftest import DT_G, mixture_basis, random_mixture, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +254,16 @@ def test_dilation_off_grid_factor_is_refused(wide_gauss):
         verify_dilation(wide_gauss, b=1.25)
 
 
+def test_reciprocal_dilation_streams_its_parent():
+    # the 8-fold parent (511 x 8192, 64 MiB) goes by one row block at a time;
+    # alive at the peak are route (a)'s surface (8 MiB), route (b)'s 63 rows
+    # (1 MiB) and one parent block with its lag products (about 4 MiB)
+    u = gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0)
+    rep, peak = traced_peak(verify_dilation, u, b=1 / 8, n_doppler=1024)
+    assert rep.info["route"] == "reciprocal-parent"
+    assert peak <= 16 * 2**20
+
+
 @pytest.mark.parametrize("b", [1 / 1000, 1000.0])
 def test_dilation_factor_past_n_is_refused_first(wide_gauss, b, monkeypatch):
     # past k = n - 1 only lag 0 survives the stride; the factor is refused
@@ -270,7 +280,7 @@ def test_dilation_factor_past_n_is_refused_first(wide_gauss, b, monkeypatch):
 # ----------------------------------------------------------------- mimo lifts
 
 def test_mimo_single_element_matches_scalar(rot_gauss, wide_gauss):
-    cfg = SteeringConfig(1, 1.0, 8)
+    cfg = SteeringConfig(1, 1.0)
     cases = [
         (verify_fourier_rotation, rot_gauss, {}),
         (verify_mirror, wide_gauss, {}),
@@ -299,7 +309,7 @@ def test_mimo_lift_is_the_scalar_check_on_the_beams(rot_gauss, wide_gauss, check
     base = rot_gauss if check is verify_fourier_rotation else wide_gauss
     thetas = np.random.default_rng(8).uniform(0, 2 * np.pi, size=2)
     waves = [base.replace_samples(np.exp(1j * t) * base.samples) for t in thetas]
-    cfg = SteeringConfig(2, 1.0, 8)
+    cfg = SteeringConfig(2, 1.0)
     rep = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, check, **kwargs)
     ref = check(*mimo_beams(waves, cfg, 0.3, 0.7), **kwargs)
     # CheckReport equality compares every field but info
@@ -311,7 +321,7 @@ def test_mimo_lift_is_the_scalar_check_on_the_beams(rot_gauss, wide_gauss, check
 
 def test_mimo_rotation_two_subcarriers():
     waves = list(gen_subcarrier_set(2, 8.0, 1 / 16))
-    cfg = SteeringConfig(2, 1.0, 8)
+    cfg = SteeringConfig(2, 1.0)
     rep = verify_mimo_symmetry(waves, cfg, 0.25, 0.25, verify_fourier_rotation)
     assert rep.passed
     assert rep.rel_err <= 1e-5
@@ -321,7 +331,7 @@ def test_mimo_mirror_swaps_beam_pair():
     subs = gen_subcarrier_set(2, 1.0, 1 / 128)
     rng = np.random.default_rng(3)
     waves = [subs[0], random_mixture([subs[0], subs[1], chirp_multiply(subs[0], 2.0)], rng)]
-    cfg = SteeringConfig(2, 1.0, 8)
+    cfg = SteeringConfig(2, 1.0)
     fs, fsp = 0.3, 0.7
     rep = verify_mimo_symmetry(waves, cfg, fs, fsp, verify_mirror)
     assert rep.passed
@@ -355,7 +365,7 @@ def test_mimo_shear_and_scaling(wide_gauss):
     rng = np.random.default_rng(6)
     thetas = rng.uniform(0, 2 * np.pi, size=2)
     waves = [wide_gauss.replace_samples(np.exp(1j * t) * wide_gauss.samples) for t in thetas]
-    cfg = SteeringConfig(2, 1.0, 8)
+    cfg = SteeringConfig(2, 1.0)
     rep_t = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, verify_lfm_shear, rate=2.5)
     assert rep_t.passed
     assert rep_t.rel_err <= 1e-10
@@ -373,7 +383,7 @@ def test_mimo_refuses_a_non_verifier(wide_gauss, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("formed a beam")
 
-    cfg = SteeringConfig(1, 1.0, 8)
+    cfg = SteeringConfig(1, 1.0)
     with monkeypatch.context() as m:
         m.setattr(symmetry, "mimo_beams", never)
         for check in (cross_ambiguity, lambda u, v, **kw: verify_mirror(u, v, **kw), None):
@@ -405,7 +415,7 @@ def test_bad_rate_or_factor_is_refused_first(wide_gauss, check, kwargs, lifted, 
         raise AssertionError("built a surface")
 
     monkeypatch.setattr(symmetry, "cross_ambiguity", never)
-    cfg = SteeringConfig(1, 1.0, 8)
+    cfg = SteeringConfig(1, 1.0)
     with pytest.raises(InvalidParameterError):
         if lifted:
             verify_mimo_symmetry([wide_gauss], cfg, 0.3, 0.7, check, **kwargs)
