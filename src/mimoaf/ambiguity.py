@@ -206,6 +206,24 @@ def _check_doppler_count(n_doppler: int | None, n: int, cyclic: bool) -> int:
     return n_doppler
 
 
+def _window_shift(u: SampledSignal) -> tuple[int, float]:
+    """t0/dt split into its nearest whole number s and the fraction t0/dt - s.
+
+    On the grid of u, the window phase exp(i 2 pi nu t0) at Doppler bin j of
+    N is exp(i 2 pi (j - N/2) (s + f) / N): the whole part s is a circular
+    shift of a Doppler transform's input by s columns, which is exact, and
+    only the fraction f leaves a phase to compute.  A t0/dt that is not
+    finite raises InvalidParameterError.
+    """
+    x = u.t0 / u.dt
+    if not math.isfinite(x):
+        raise InvalidParameterError(
+            f"window start t0/dt = {u.t0}/{u.dt} is not a finite number of samples"
+        )
+    s = round(x)
+    return s, x - s
+
+
 class _SurfaceBlocks:
     """The one row-block loop behind every FFT surface.
 
@@ -214,27 +232,29 @@ class _SurfaceBlocks:
     chi is linear in its lag products, so the sum is the Doppler transform
     of the summed products, and a block needs one FFT however many pairs
     there are.  Each block gathers the first pair's lag-product rows, adds
-    each further pair's rows from one scratch block in list order, flips
-    the sign of their odd columns, runs the zero-padded inverse FFT
-    straight into its destination rows and applies the scale-and-phase row
-    there in place.  One pair takes no scratch block and no add.  With
-    whole=True the destinations are rows of one surface, ``values``;
-    otherwise ``values`` is one block buffer, reused, so a block holds only
-    until the next.
+    each further pair's rows from one scratch block in list order, writes
+    them, times real weights, straight into its destination rows and runs
+    one unscaled inverse FFT there in place.  One pair takes no scratch
+    block and no add.  With whole=True the destinations are rows of one
+    surface, ``values``; otherwise ``values`` is one block buffer, reused,
+    so a block holds only until the next.
 
-    Construction checks every size and allocates the buffers, so a bad size
-    or an allocation too large fails before anything is computed or
-    written.  Iterating yields (first row, block) in lag order.
+    Construction checks every size and the window start and allocates the
+    buffers, so a bad size or an allocation too large fails before
+    anything is computed or written.  Iterating yields (first row, block)
+    in lag order.
 
-    The centred Doppler axis comes from the FFT input, not from an fftshift
-    of its output: n_doppler is even, so shifting the output by n_doppler/2
-    bins is the same as multiplying input sample m by (-1)^m.  The flip is
-    exact.  This matches ifft-then-fftshift bit for bit only where
-    pocketfft rounds the flipped input the same way (power-of-two lengths)
-    and n_doppler*dt is a power of two, and even there a cell that is
-    exactly zero may flip the sign of its zero; elsewhere the two differ at
-    rounding level.  pocketfft transforms each row on its own and the sums
-    are per cell, so the block size does not change a bit of the result.
+    With t0/dt = s + f (:func:`_window_shift`), Doppler bin j of N and
+    sample m, the kernel dt exp(i 2 pi nu_j t_m) is
+    dt (-1)^(m+s) exp(i 2 pi j (m+s) / N) exp(i 2 pi (j - N/2) f / N).  So
+    product m, times the real weight dt (-1)^(m+s), goes into column
+    (m+s) mod N, at most two contiguous runs (N >= n), the other columns
+    are zeroed, and the unscaled inverse FFT is the whole Doppler stage:
+    the centred axis, the quadrature weight and the window phase of the
+    whole part are all exact before it.  Only f != 0 leaves the residual
+    row exp(i 2 pi (j - N/2) f / N) to multiply; the generators' windows
+    have f = 0.  pocketfft transforms each row on its own and the sums are
+    per cell, so the block size does not change a bit of the result.
     """
 
     def __init__(
@@ -249,23 +269,35 @@ class _SurfaceBlocks:
             u.require_compatible(a)
             a.require_compatible(b)
         self.n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
+        shift, frac = _window_shift(u)
         lag_rows = [_lag_rows(a, b, cyclic) for a, b in pairs]
         self.lags = lag_rows[0][0]
         self._gathers = [gather for _, gather in lag_rows]
         self.tau_axis = self.lags * u.dt
         self.nu_axis = _doppler_axis(self.n_doppler, u.dt)
-        # the scale n_doppler*dt times the window phase exp(i 2 pi nu t0)
-        self._scale = (self.n_doppler * u.dt) * np.exp(
-            1j * 2.0 * math.pi * self.nu_axis * u.t0
+        n, N = u.n, self.n_doppler
+        # dt (-1)^(m+s) on both float parts of product m
+        self._weights = np.repeat(np.where((np.arange(n) + shift % 2) % 2, -u.dt, u.dt), 2)
+        # product m goes to column (m + s) mod N: products 0 .. head-1 to
+        # columns c .. c+head-1, the rest (if any) to 0 .. n-head-1.  The
+        # runs are (product, column) slices of the float views; the gaps
+        # left between them are column slices
+        c = shift % N
+        head = min(n, N - c)
+        self._runs = [
+            (slice(0, 2 * head), slice(2 * c, 2 * (c + head))),
+            (slice(2 * head, 2 * n), slice(0, 2 * (n - head))),
+        ]
+        self._gaps = [slice(n - head, c), slice(c + head, N)]
+        self._residual = None if frac == 0.0 else np.exp(
+            (1j * 2.0 * math.pi * frac / N) * (np.arange(N) - N // 2)
         )
         n_lag = self.lags.size
-        self._rows = min(n_lag, max(1, _BLOCK_BYTES // (16 * self.n_doppler)))
-        self._products = np.empty((self._rows, u.n), dtype=np.complex128)
+        self._rows = min(n_lag, max(1, _BLOCK_BYTES // (16 * N)))
+        self._products = np.empty((self._rows, n), dtype=np.complex128)
         self._scratch = np.empty_like(self._products) if len(pairs) > 1 else None
         self._whole = whole
-        self.values = np.empty(
-            (n_lag if whole else self._rows, self.n_doppler), dtype=np.complex128
-        )
+        self.values = np.empty((n_lag if whole else self._rows, N), dtype=np.complex128)
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         n_lag = self.lags.size
@@ -278,10 +310,15 @@ class _SurfaceBlocks:
                 more = self._scratch[: stop - start]
                 gather(start, more)
                 P += more
-            np.negative(P[:, 1::2], out=P[:, 1::2])
             block = self.values[start:stop] if self._whole else self.values[: stop - start]
-            np.fft.ifft(P, n=self.n_doppler, axis=1, out=block)
-            block *= self._scale
+            src, dst = P.view(np.float64), block.view(np.float64)
+            for p, c in self._runs:
+                np.multiply(src[:, p], self._weights[p], out=dst[:, c])
+            for gap in self._gaps:
+                block[:, gap] = 0
+            np.fft.ifft(block, axis=1, out=block, norm="forward")
+            if self._residual is not None:
+                block *= self._residual
             yield start, block
 
 
@@ -305,9 +342,10 @@ def cross_ambiguity(
 ) -> AmbiguitySurface:
     """Cross-ambiguity surface of u against v (v = u gives the auto surface).
 
-    The Doppler transform runs as a zero-padded inverse FFT over the sample
-    index, then picks up the window phase exp(i 2 pi nu t0) so the result
-    matches the absolute-time definition.
+    The Doppler transform runs as one unscaled inverse FFT over the sample
+    index, its input circularly shifted by the whole part of t0/dt, so the
+    result matches the absolute-time definition with no pass after the FFT
+    unless t0/dt has a fractional part.
 
     The surface is allocated once and filled in blocks of lag rows, each
     block's lag products transformed straight into its rows (see
@@ -542,6 +580,8 @@ def mimo_slice_spatial(
         )
     _require_array(waveforms, cfg)
     first = waveforms[0]
+    # the phase nu t_n below overflows where t0/dt does
+    _window_shift(first)
     n = first.n
     n_doppler = _check_doppler_count(n_doppler, n, cyclic=False)
     lags = np.arange(-(n - 1), n)

@@ -26,9 +26,11 @@ Grid notes baked into the checks:
   out[a, l] = s[n - l, a]; only Doppler bin 0 has no source.
 * The mirror check relabels the surface by reversing both index axes, a
   pure permutation on symmetric axes, and is held to 1e-9.
-* Shear rolls the Doppler axis per lag row (the discrete surface is
-  exactly periodic in Doppler); integer roll counts make it an exact
-  gather, with a bin-wise phase rotation as the off-grid fallback.
+* Shear rolls the Doppler axis per lag row.  The discrete surface is
+  periodic in Doppler up to the factor exp(i 2 pi t0/dt) per period, which
+  is 1 when the window start t0 is a whole number of samples and is
+  otherwise applied to each wrapped cell; integer roll counts make it an
+  exact gather, with a bin-wise phase rotation as the off-grid fallback.
 * Dilations by b = k and b = 1/k, k whole, read one side from a parent
   surface with a k times finer Doppler step, where (k tau, nu/k) lands on
   exact grid points; for 1/k the parent is the dilated pair's.  Any other
@@ -62,6 +64,7 @@ from .ambiguity import (
     _SurfaceBlocks,
     _check_doppler_count,
     _unit_roots,
+    _window_shift,
     cross_ambiguity,
     mimo_beams,
 )
@@ -223,8 +226,11 @@ def _shear_resample(s: AmbiguitySurface, u: SampledSignal, rate: float) -> tuple
     """Values of s, a surface of signals on u's grid, at (tau, nu - rate*tau)
     times exp(-i pi rate tau^2).
 
-    The discrete surface is exactly periodic in Doppler (the window start
-    is a whole number of samples).  Integer per-row shifts roll cyclically;
+    The discrete surface is periodic in Doppler up to the window phase:
+    chi(tau, nu + 1/dt) = exp(i 2 pi t0/dt) chi(tau, nu), exactly periodic
+    when the window start t0 is a whole number of samples.  Integer per-row
+    shifts roll cyclically, a cell the roll wraps w times taking the factor
+    exp(i 2 pi w t0/dt) (skipped when t0/dt is whole, where it is 1);
     fractional shifts are still exact, because once the window-start phase
     splits off, each row is a trigonometric polynomial whose coefficients
     occupy Fourier bins 0 .. n-1, so an off-grid translate is a bin-wise
@@ -239,7 +245,10 @@ def _shear_resample(s: AmbiguitySurface, u: SampledSignal, rate: float) -> tuple
     aligned = bool(np.all(np.abs(shifts - np.round(shifts)) <= _SNAP))
     if aligned:
         # np.roll of row i by shift_i, as one gather per row block from the
-        # flat surface: out[i, j] = s[i, (j - shift_i) mod n_d]
+        # flat surface: out[i, j] = s[i, (j - shift_i) mod n_d], times
+        # exp(i 2 pi w f) with w = floor((j - shift_i) / n_d) wraps and f
+        # the fraction of t0/dt (the whole part gives whole turns)
+        frac = _window_shift(u)[1]
         out = np.empty_like(s.values)
         flat = s.values.reshape(-1)
         first_col = -np.round(shifts).astype(np.int64)
@@ -248,9 +257,12 @@ def _shear_resample(s: AmbiguitySurface, u: SampledSignal, rate: float) -> tuple
         for start in range(0, lags.size, rows):
             blk = slice(start, start + rows)
             idx = np.add.outer(first_col[blk], cols)
+            wraps = np.floor_divide(idx, n_d) if frac != 0.0 else None
             np.remainder(idx, n_d, out=idx)
             idx += np.arange(start, start + len(idx))[:, None] * n_d
             np.take(flat, idx, out=out[blk], mode="clip")
+            if wraps is not None:
+                out[blk] *= np.exp((1j * 2.0 * math.pi * frac) * wraps)
     else:
         # s and at most two surface-sized arrays are alive at any step
         phase_in = np.exp(-1j * 2.0 * math.pi * u.t0 * s.nu_axis)[None, :]

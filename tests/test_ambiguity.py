@@ -79,6 +79,49 @@ def test_fft_matches_oracle_off_power_of_two(cyclic):
         assert frob_rel(fast.values, slow.values) <= 1e-10, name
 
 
+@pytest.mark.parametrize("n,n_doppler,cyclic,shift", [
+    (64, 256, False, -32),    # even, negative, wraps (the generators' window)
+    (64, 256, False, -33),    # odd, negative, wraps
+    (64, 256, False, 0),      # even, no wrap
+    (64, 256, False, 5),      # odd, positive, no wrap
+    (64, 256, False, 201),    # odd, positive, wraps
+    (64, 256, False, -611),   # odd, |s| > N, no wrap
+    (64, 256, False, 1000),   # even, |s| > N, wraps
+    (63, 200, False, -77),    # odd n, N not a power of two, no wrap
+    (63, 200, False, 150),    # odd n, N not a power of two, wraps
+    (64, 64, True, -33),      # odd, wraps
+    (64, 64, True, 128),      # even, |s| > N, no wrap
+    (64, 64, True, -131),     # odd, |s| > N, wraps
+    (64, 66, True, 7),        # odd, N not a power of two, wraps
+    (64, 256, False, -31.7),  # a fraction left for the residual phase
+    (64, 66, True, 12.25),
+])
+def test_fft_matches_oracle_at_window_shifts(n, n_doppler, cyclic, shift):
+    # the window start t0 = s dt places product m in column (m + s) mod N
+    # with the sign (-1)^(m+s): odd s, wrapped runs and shifts past N each
+    # move the placement or the sign, and the oracle shares none of it
+    rng = np.random.default_rng(n_doppler + 7 * n)
+    dt = 1 / 16
+    u, v = (
+        SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), dt, shift * dt)
+        for _ in range(2)
+    )
+    fast = cross_ambiguity(u, v, n_doppler=n_doppler, cyclic=cyclic)
+    slow = cross_ambiguity_oracle(u, v, n_doppler=n_doppler, cyclic=cyclic)
+    assert frob_rel(fast.values, slow.values) <= 1e-10
+
+
+def test_window_start_past_float_range_is_refused():
+    # t0/dt = 1e300 / 1e-300 overflows, so the window has no whole shift and
+    # the direct sum's phase nu t_n overflows too
+    u = SampledSignal(np.ones(8, dtype=np.complex128), 1e-300, 1e300)
+    with pytest.raises(InvalidParameterError, match="t0/dt"):
+        cross_ambiguity(u)
+    nu = float(np.fft.fftshift(np.fft.fftfreq(32, d=u.dt))[17])
+    with pytest.raises(InvalidParameterError, match="t0/dt"):
+        mimo_slice_spatial([u], SteeringConfig(1, 1.0), 0.0, nu, 4, n_doppler=32)
+
+
 def test_cross_ambiguity_peak_memory(gauss256):
     # The surface X and one block of lag products are the only arrays of
     # size alive at once; the whole lag-product array would add (2n-1) x n.
@@ -137,6 +180,24 @@ def test_lag_products_match_loop(n, cyclic):
         assert b"".join(blocks) == P_ref.tobytes(), size
 
 
+def _one_ifft(P, n_doppler, u):
+    # every lag row at once by the block loop's formula: with t0/dt = s + f,
+    # product m times dt (-1)^(m+s) in column (m+s) mod n_doppler, one
+    # unscaled inverse FFT, then the residual phase of f when f != 0
+    x = u.t0 / u.dt
+    s = round(x)
+    f = x - s
+    m = np.arange(P.shape[1])
+    w = np.where((m + s) % 2, -u.dt, u.dt)
+    X = np.zeros((P.shape[0], n_doppler), dtype=np.complex128)
+    X.real[:, (m + s) % n_doppler] = P.real * w
+    X.imag[:, (m + s) % n_doppler] = P.imag * w
+    X = np.fft.ifft(X, axis=1, norm="forward")
+    if f != 0.0:
+        X *= np.exp((1j * 2.0 * math.pi * f / n_doppler) * (np.arange(n_doppler) - n_doppler // 2))
+    return X
+
+
 @pytest.mark.parametrize("n,n_doppler,cyclic", [
     (256, 1024, False), (256, 1000, False), (255, 1020, False), (2, 4, False),
     (256, 256, True), (100, 100, True),
@@ -154,12 +215,10 @@ def test_blocked_surface_matches_one_ifft(n, n_doppler, cyclic, rows, monkeypatc
         for _ in range(2)
     )
     P, lags = _lag_products(u, v, cyclic)
-    np.negative(P[:, 1::2], out=P[:, 1::2])
-    X = np.fft.ifft(P, n=n_doppler, axis=1)
-    nu = np.fft.fftshift(np.fft.fftfreq(n_doppler, d=u.dt))
-    X *= (n_doppler * u.dt) * np.exp(1j * 2.0 * math.pi * nu * u.t0)
+    X = _one_ifft(P, n_doppler, u)
     s = cross_ambiguity(u, v, n_doppler=n_doppler, cyclic=cyclic)
     assert s.values.tobytes() == X.tobytes()
+    nu = np.fft.fftshift(np.fft.fftfreq(n_doppler, d=u.dt))
     assert np.array_equal(s.tau_axis, lags * u.dt) and np.array_equal(s.nu_axis, nu)
 
 
@@ -498,15 +557,16 @@ def test_spatial_grid_conjugation_reverses(subcarriers2):
 def test_spatial_integral_m1_equals_self_af(gauss256):
     # one self pair is gathered with no scratch block and no add, so the
     # trace of one waveform is its self surface bit for bit, signed zeros
-    # included (the subcarrier's surface has -0.0 cells)
+    # included (the subcarrier's surface has -0.0 cells at 514 bins, where
+    # pocketfft's factor 257 leaves them; at 512 it has none)
     cfg = SteeringConfig(1, 1.0)
     out = spatial_integral([gauss256], cfg)
     assert out.values.tobytes() == cross_ambiguity(gauss256).values.tobytes()
     w = gen_subcarrier_set(4, 1.0, DT)[0]
-    expect = cross_ambiguity(w, n_doppler=512).values
+    expect = cross_ambiguity(w, n_doppler=514).values
     bits = expect.view(np.float64)
     assert np.any((bits == 0) & np.signbit(bits))
-    out = spatial_integral([w], cfg, n_doppler=512)
+    out = spatial_integral([w], cfg, n_doppler=514)
     assert out.values.tobytes() == expect.tobytes()
 
 
@@ -525,17 +585,14 @@ def test_spatial_integral_requires_integer_gamma(subcarriers2):
 def test_spatial_integral_bytes_match_out_of_place_sum(m):
     # the trace is one Doppler transform of P_0 + P_1 + ..., the self lag
     # products summed left to right from P_0 (not from 0.0, whose first add
-    # would turn -0.0 cells into +0.0): flip the odd columns, zero-padded
-    # inverse FFT, then the scale n_doppler*dt times exp(i 2 pi nu t0)
+    # would turn -0.0 cells into +0.0), by the block loop's formula; 514
+    # bins leave -0.0 cells in the trace, which 512 would not
     ws = gen_subcarrier_set(4, 1.0, DT)[:m]
-    n_doppler = 512
+    n_doppler = 514
     P = _lag_products(ws[0], ws[0], False)[0]
     for w in ws[1:]:
         P = P + _lag_products(w, w, False)[0]
-    P[:, 1::2] = -P[:, 1::2]
-    nu = np.fft.fftshift(np.fft.fftfreq(n_doppler, d=DT))
-    scale = (n_doppler * DT) * np.exp(1j * 2.0 * math.pi * nu * ws[0].t0)
-    expect = np.fft.ifft(P, n=n_doppler, axis=1) * scale
+    expect = _one_ifft(P, n_doppler, ws[0])
     out = spatial_integral(ws, SteeringConfig(m, 1.0), n_doppler=n_doppler)
     bits = out.values.view(np.float64)
     assert np.any((bits == 0) & np.signbit(bits))

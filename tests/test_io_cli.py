@@ -266,6 +266,17 @@ def test_af_missing_input_exits_2(tmp_path):
     assert res.stderr != ""
 
 
+def test_af_window_start_past_float_range_exits_2(tmp_path, capsys):
+    # t0/dt = 1e300 / 1e-300 overflows: the surface is refused before any
+    # output opens, where the window phase would be nan
+    sig, sur = tmp_path / "far.sigb", tmp_path / "far.sur"
+    write_signal(sig, SampledSignal(np.ones(8, dtype=np.complex128), 1e-300, 1e300), binary=True)
+    assert cli.main(["af", "--u", str(sig), "-o", str(sur)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not sur.exists()
+
+
 def test_af_determinism(tmp_path):
     sig = tmp_path / "g.sig"
     run_cli("gen", "--family", "gaussian", "-o", sig)
@@ -917,23 +928,23 @@ def test_verify_report_determinism(tmp_path):
 
 
 # sha256 of `verify --suite all --family F` stdout at seed 0, last re-taken
-# when the psd and trace-psd Grams moved to index arithmetic: route (b)
-# reads exp(-i2pi z3) from the root-of-unity table and the surface cell by
-# integer probe offsets, not through a float group product.  That moved
-# only the rel_err field of the psd and trace-psd lines, at rounding level
-# (the route gap times 0.1; the diff is in CHANGES.md); every other field
-# and line kept its bytes.  Earlier, the symmetry checks' move to the same
-# table, sym-J's index relabel and einsum norms moved the sym-* lines the
-# same way.  The lines are the same at 1 and 2 BLAS threads
+# when the block loop took the window phase of a whole t0/dt as a circular
+# shift of the Doppler FFT's input and dropped its scale-and-phase pass:
+# 15 to 18 of the 27 or 28 lines per family moved, only in their numbers
+# and by at most 9.0e-15 (the diff is in CHANGES.md), and every line still
+# passes.  Before that, the psd and trace-psd Grams' move to index
+# arithmetic moved the rel_err field of those lines at rounding level, and
+# the symmetry checks' move to the same table, sym-J's index relabel and
+# einsum norms moved the sym-* lines the same way.  The lines are the same at 1 and 2 BLAS threads
 # (test_verify_all_thread_count_independent).  Each line prints 17 digits of
 # its errors, so the pins also hold the FFT's and BLAS's rounding of the
 # surfaces and sums behind them: a numpy or BLAS build that rounds those
 # differently changes the pins without a fault in the checks.
 VERIFY_ALL_PINNED = {
-    "gaussian": "57be06d109da2d25c1ecd8d2f12a28555db57428976a8435d691e412d03ec120",
-    "lfm": "4ee4029370a9e259e6eaf3248e47cf878616db6f2556c953b2e14b3c1ff0eb5c",
-    "rect": "2709adbba0de78ae5c6bb8b2de9522036a8845d885d046b010b8471ab2cefc7d",
-    "subcarriers": "33a2972b6d7b3cce2be3bdeb153944f75c5e1ba039a1c699cb771ba1057ea9e0",
+    "gaussian": "d4f7910a5f43ccfdcf4722b4a659ca66d73467629914610814190204d1865367",
+    "lfm": "e67c2ca2a12d65d71273b7543dc4ed623cdcbacaa8b161662deb4b2b478f9805",
+    "rect": "9b258934877201619fcb2c7a273821912b2b67178daf9862382ec71e5f6bfa2e",
+    "subcarriers": "51f826ad0b660e2d54c72f59ccea86d7448d983e7c0cda907c307c56e176d1eb",
 }
 
 

@@ -160,6 +160,20 @@ def test_shear_aligned_rate(gauss256):
     assert rep.info["aligned"] is True
 
 
+@pytest.mark.parametrize("n_doppler", [None, 512])
+def test_shear_aligned_fractional_window_start(n_doppler):
+    # t0/dt = -31.70: a cell the roll wraps w times reads nu + w/dt, where
+    # the surface takes the factor exp(i 2 pi w t0/dt), which is not 1
+    n, dt = 64, 1 / 16
+    t0 = -31.70 * dt
+    t = t0 + np.arange(n) * dt
+    u = SampledSignal(np.exp(-math.pi * t**2), dt, t0)
+    v = SampledSignal(np.exp(-math.pi * (t - 0.3) ** 2 / 1.5), dt, t0)
+    rep = verify_lfm_shear(u, v, rate=4.0, n_doppler=n_doppler)
+    assert rep.info["aligned"] is True
+    assert rep.passed and rep.rel_err <= 1e-12
+
+
 @pytest.mark.parametrize("n_doppler, bins_per_lag", [(1024, 3), (1000, -5)])
 def test_aligned_shear_gather_equals_row_rolls(gauss256, n_doppler, bins_per_lag):
     # the gather keeps every bit of rolling each lag row on its own

@@ -100,12 +100,15 @@ def _write_spatial_grid(d):
 # sha256 of every file each case writes.  The SIG1 and CSV pins were taken
 # from the per-line writers these codecs replace; the SUR1, PPM and other CLI
 # pins from the CLI that streamed a SUR1 file alone and built the whole
-# surface for every other output.  The surface cases also pin the FFT's
-# rounding, and the grid the steering product's, of exact inputs: a numpy or
-# BLAS build that rounds those differently changes the pins without a codec
-# fault.
-_RECT_CSV = "271ef9c85e2e82cdab7c3597d008dc99926661fc96e8fd6a9e07c6659fc70f67"
-_ODD_CROSS_CSV = "fb6602b2c2bdf523c4a003cf65a213c02aea74e0d53e208609f54492b3ea50eb"
+# surface for every other output; the SUR1 and CSV surface pins of rect,
+# odd-cross, mimo-slice and mimo-trace were re-taken when the Doppler stage
+# became one unscaled FFT of window-shifted input (their PPM bytes held, and
+# the Wigner and spatial-grid outputs, which take no such FFT, kept every
+# byte).  The surface cases also pin the FFT's rounding, and the grid the
+# steering product's, of exact inputs: a numpy or BLAS build that rounds
+# those differently changes the pins without a codec fault.
+_RECT_CSV = "4eb6da79770a20661415d41f04a7e62f36c9d7006ceaad2d26943f4e80fd0fa0"
+_ODD_CROSS_CSV = "c02fa45157f91ca1f609fa05e574ddf4a00eb2e970c44a74e2b759ee165f7366"
 _SUBCARRIERS = {
     "s0.sig": "8110c3087204b4efbdde431f867ea0023700455d38afbd6531571331a3ba4708",
     "s1.sig": "fa343e9dbbf5d4020097bf2e8d1a08e9cb683b5f3bfa25bf51c71174142f5b35",
@@ -114,7 +117,7 @@ PINNED = {
     "rect": (_write_rect, {
         "af.csv": _RECT_CSV,
         "cli.csv": _RECT_CSV,
-        "af.sur": "51140b3fba7db7b5f2512fc06faef0a0fa8a0dd463b1347c4c99efdca787b663",
+        "af.sur": "02ad316c1193ff4c15a6f238a53fa7980a6af0066da85244c6031b40c95a0f2f",
         "db.ppm": "2ed32a5123de98befbe8478ae2856e3364844523d925ba65a2fc06220ef01a02",
         "linear.ppm": "45e42218998485a62ca2e9b00228d98803b2d28faee3a961160d7b8b98c4022e",
         "u.sig": "adac0fd9023e6cc650c01c6de945a7d75c445b960e0f90370e91aee4feea5b9b",
@@ -122,7 +125,7 @@ PINNED = {
     "odd-cross": (_write_odd_cross, {
         "af.csv": _ODD_CROSS_CSV,
         "cli.csv": _ODD_CROSS_CSV,
-        "af.sur": "4ca83bc1180d0673a6213855c4fe4ea94ca7311fe84f3603d42bf548083f55af",
+        "af.sur": "1dcacfd4c54fc0ef4ac5f80204573388e219ea52358bc992c6823ceae0add5d5",
         "db.ppm": "13714ee83b90ba7583c072b9e887a0501c4f53924a3058a3c35ccfb7fa54613d",
         "linear.ppm": "9f08940be6f2be6bc92966f130dd6d527d9fdb962c5e69b914dd846bb34b0856",
         "u.sig": "7e7e18f1405d54ce994f1fc319e2a5ffe75d6c6ba7e2fbf1ea9eff37acf02120",
@@ -147,14 +150,14 @@ PINNED = {
     }),
     "mimo-slice": (lambda d: _mimo_outputs(d, "slice", "--fs", 0.25, "--fsp", 0.75), {
         **_SUBCARRIERS,
-        "slice.sur": "e47ee62e01611abc3377bef20f89dcc7e58255addf24e58eb74ec895fe52d332",
-        "slice.csv": "20492e9ca2c320e3b334ec3102f5545c39c2810634a1e757081384d8ea71fcc5",
+        "slice.sur": "c0a29fd8ee18672e9421ae761e765584bab58b664ea2565e6de713bf94e92c26",
+        "slice.csv": "a80a55c032fff25e928e4e106394b386a6da943b01ec3f47b26a08d005c5375c",
         "slice.ppm": "35bdf189e8568c2495845086f48b8094f140ba307f4cd0cf31ca62bfeb716559",
     }),
     "mimo-trace": (lambda d: _mimo_outputs(d, "trace", "--spatial-integral"), {
         **_SUBCARRIERS,
-        "trace.sur": "c1d7f7d0a535e950c8f3d9f4502324333f994427735963e123197bef1a8cd306",
-        "trace.csv": "ba7528f181f8131b6a74b3742124451b9f3638045e63e691562b0c8417238cef",
+        "trace.sur": "d81256a2fd1a7ae27b9d736bfa820df7c917a636a25204fcc6f393cb19a6b275",
+        "trace.csv": "709e83dc392ec7b8610f5181b9fb67419c019e89695b84537821a2a6df738384",
         "trace.ppm": "673ab115a1aa2bf346152105581230efdf45972b320a2b5ee4054acce1cdbafb",
     }),
 }
