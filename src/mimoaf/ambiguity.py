@@ -88,6 +88,9 @@ class AmbiguitySurface:
             raise InvalidParameterError(
                 f"a surface needs at least 2 points on each axis, got {vals.shape}"
             )
+        for name, axis in (("delay", tau), ("Doppler", nu)):
+            if not (np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0)):
+                raise InvalidParameterError(f"the {name} axis must be finite and strictly ascending")
         object.__setattr__(self, "values", _freeze(vals))
         object.__setattr__(self, "tau_axis", _freeze(tau))
         object.__setattr__(self, "nu_axis", _freeze(nu))
@@ -590,10 +593,9 @@ def mimo_slice_spatial(
     nu = float(nu_axis[_axis_index(nu_axis, nu, "Doppler", "Doppler")])
     U = np.stack([w.samples for w in waveforms])
     phase = np.exp(1j * 2.0 * math.pi * nu * first.times)
-    if k >= 0:
-        X = (U[:, : n - k] * phase[: n - k]) @ U[:, k:].conj().T
-    else:
-        X = (U[:, -k:] * phase[-k:]) @ U[:, : n + k].conj().T
+    # the samples n in [lo, hi) whose partner n + k is in the window
+    lo, hi = max(-k, 0), min(n - k, n)
+    X = (U[:, lo:hi] * phase[lo:hi]) @ U[:, lo + k : hi + k].conj().T
     X *= first.dt
     fs_grid = np.arange(n_spatial) / n_spatial
     Z = np.exp(1j * 2.0 * math.pi * cfg.gamma * np.outer(fs_grid, np.arange(cfg.n_elements)))

@@ -248,15 +248,10 @@ def mimo_inner_product(
     B = mimo_ambiguity(vs, cfg, fs, fs_prime, n_doppler)
     lhs = surface_quadrature_inner(A, B)
 
-    m = cfg.n_elements
     P = np.array([[inner_product(a, b) for b in vs] for a in us])
-    idx = np.arange(m)
-    w = 2.0 * math.pi * cfg.gamma
-    a1 = np.exp(1j * w * fs * idx)        # u-set row index m
-    a2 = np.exp(-1j * w * fs_prime * idx)  # u-set column index m'
-    a3 = np.exp(-1j * w * fs * idx)       # v-set row index n
-    a4 = np.exp(1j * w * fs_prime * idx)  # v-set column index n'
-    rhs = np.einsum("mn,pq,m,p,n,q->", P, np.conj(P), a1, a2, a3, a4)
+    a, b = cfg.steering_phases(fs), cfg.steering_phases(fs_prime)
+    # phases of the u-set row m and column m', then the v-set row n and column n'
+    rhs = np.einsum("mn,pq,m,p,n,q->", P, np.conj(P), a, np.conj(b), np.conj(a), b)
     scale = math.sqrt(max(A.energy() * B.energy(), _TINY))
     return make_report("mimo-moyal", lhs, complex(rhs), tol, scale=scale)
 

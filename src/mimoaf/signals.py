@@ -262,10 +262,8 @@ def canonical_gaussian(dt: float = 1.0 / 64, half_width: float = 4.0) -> Sampled
 
 
 def gen_lfm(T: float, rate: float, dt: float, pad_factor: float = 2.0) -> SampledSignal:
-    """Unit-energy linear-FM pulse: rectangular envelope times exp(i pi rate t^2).
-
-    The quadratic phase uses absolute window time, so the result equals
-    chirp_multiply(gen_rect(T, dt, pad_factor), rate) sample for sample.
+    """Unit-energy linear-FM pulse: rectangular envelope times exp(i pi rate t^2),
+    chirp_multiply(gen_rect(T, dt, pad_factor), rate), in absolute window time.
 
     Raises:
         AliasingError: if |rate| * T exceeds the Nyquist band 1/(2 dt).
@@ -276,9 +274,7 @@ def gen_lfm(T: float, rate: float, dt: float, pad_factor: float = 2.0) -> Sample
         raise AliasingError(
             f"chirp sweep |rate|*T = {abs(rate) * T} exceeds Nyquist {1.0 / (2 * dt)}"
         )
-    base = gen_rect(T, dt, pad_factor)
-    phase = np.exp(1j * math.pi * rate * base.times**2)
-    return base.replace_samples(base.samples * phase)
+    return chirp_multiply(gen_rect(T, dt, pad_factor), rate)
 
 
 def gen_subcarrier_set(M: int, T: float, dt: float, pad_factor: float = 2.0) -> list[SampledSignal]:
@@ -328,12 +324,10 @@ def heisenberg_shift(v: SampledSignal, p: HeisenbergPoint) -> SampledSignal:
         raise AliasingError(f"Doppler {p.nu} exceeds Nyquist {1.0 / (2 * v.dt)}")
     n = v.n
     shifted = np.zeros(n, dtype=np.complex128)
-    if k >= 0:
-        if k < n:
-            shifted[: n - k] = v.samples[k:]
-    else:
-        if -k < n:
-            shifted[-k:] = v.samples[: n + k]
+    # output m reads sample m + k for m in [-k, n - k), clamped to the window:
+    # a negative stop would wrap, and |k| >= n copies nothing
+    lo, hi = (min(max(m, 0), n) for m in (-k, n - k))
+    shifted[lo:hi] = v.samples[lo + k : hi + k]
     phase = np.exp(1j * 2.0 * math.pi * (p.x3 + p.nu * v.times))
     return v.replace_samples(phase * shifted)
 

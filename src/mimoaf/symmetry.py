@@ -29,8 +29,9 @@ Grid notes baked into the checks:
 * Shear rolls the Doppler axis per lag row.  The discrete surface is
   periodic in Doppler up to the factor exp(i 2 pi t0/dt) per period, which
   is 1 when the window start t0 is a whole number of samples and is
-  otherwise applied to each wrapped cell; integer roll counts make it an
-  exact gather, with a bin-wise phase rotation as the off-grid fallback.
+  otherwise applied to each wrapped run; an integer roll count makes each
+  row two exact slice copies, with a bin-wise phase rotation as the
+  off-grid fallback.
 * Dilations by b = k and b = 1/k, k whole, read one side from a parent
   surface with a k times finer Doppler step, where (k tau, nu/k) lands on
   exact grid points; for 1/k the parent is the dilated pair's.  Any other
@@ -70,7 +71,7 @@ from .ambiguity import (
 )
 from .errors import GridAlignmentError, GridMismatchError, InvalidParameterError
 from .properties import CheckReport
-from .signals import SampledSignal, _require_positive, _require_real, chirp_multiply, dilate, fourier
+from .signals import SampledSignal, _require_positive, chirp_multiply, dilate, fourier
 
 __all__ = [
     "verify_fourier_rotation",
@@ -244,25 +245,20 @@ def _shear_resample(s: AmbiguitySurface, u: SampledSignal, rate: float) -> tuple
     shifts = lags * shift_per_lag
     aligned = bool(np.all(np.abs(shifts - np.round(shifts)) <= _SNAP))
     if aligned:
-        # np.roll of row i by shift_i, as one gather per row block from the
-        # flat surface: out[i, j] = s[i, (j - shift_i) mod n_d], times
-        # exp(i 2 pi w f) with w = floor((j - shift_i) / n_d) wraps and f
-        # the fraction of t0/dt (the whole part gives whole turns)
-        frac = _window_shift(u)[1]
+        # np.roll of row i by its whole shift d = q n_d + r, 0 <= r < n_d, as
+        # two slice copies.  Cell j reads bin j - d, which the roll wraps
+        # w = floor((j - d) / n_d) times: -q on the run [r:], -q - 1 on [:r].
+        # A wrap takes exp(i 2 pi f), f the fraction of t0/dt (the whole part
+        # gives whole turns)
+        turn = 1j * 2.0 * math.pi * _window_shift(u)[1]
         out = np.empty_like(s.values)
-        flat = s.values.reshape(-1)
-        first_col = -np.round(shifts).astype(np.int64)
-        cols = np.arange(n_d)
-        rows = max(1, _BLOCK_CELLS // n_d)
-        for start in range(0, lags.size, rows):
-            blk = slice(start, start + rows)
-            idx = np.add.outer(first_col[blk], cols)
-            wraps = np.floor_divide(idx, n_d) if frac != 0.0 else None
-            np.remainder(idx, n_d, out=idx)
-            idx += np.arange(start, start + len(idx))[:, None] * n_d
-            np.take(flat, idx, out=out[blk], mode="clip")
-            if wraps is not None:
-                out[blk] *= np.exp((1j * 2.0 * math.pi * frac) * wraps)
+        for row, dst, d in zip(s.values, out, np.round(shifts).astype(np.int64).tolist()):
+            q, r = divmod(d, n_d)
+            dst[r:] = row[: n_d - r]
+            dst[:r] = row[n_d - r :]
+            if turn:
+                dst[r:] *= np.exp(turn * -q)
+                dst[:r] *= np.exp(turn * (-q - 1))
     else:
         # s and at most two surface-sized arrays are alive at any step
         phase_in = np.exp(-1j * 2.0 * math.pi * u.t0 * s.nu_axis)[None, :]
@@ -272,12 +268,10 @@ def _shear_resample(s: AmbiguitySurface, u: SampledSignal, rate: float) -> tuple
         np.divide(phase, n_d, out=phase)
         out *= np.exp(phase, out=phase)
         np.fft.ifft(out, axis=1, out=out)
-        # the shifted Doppler grid fills the real part of the zeroed phase
-        # array: the values a float grid casts to, with no float grid beside
-        phase.fill(0)
-        np.subtract(s.nu_axis[None, :], rate * s.tau_axis[:, None], out=phase.real)
-        np.multiply(1j * 2.0 * math.pi * u.t0, phase, out=phase)
-        np.multiply(out, np.exp(phase, out=phase), out=out)
+        # the window phase exp(i 2 pi t0 (nu - rate tau)) is a Doppler row
+        # times a lag column
+        out *= np.exp(1j * 2.0 * math.pi * u.t0 * s.nu_axis)
+        out *= np.exp(-1j * 2.0 * math.pi * u.t0 * rate * s.tau_axis)[:, None]
     out *= np.exp(-1j * math.pi * rate * s.tau_axis**2)[:, None]
     return out, aligned
 
@@ -292,16 +286,15 @@ def verify_lfm_shear(
     """Chirp shear: the surface of the chirped pair equals the original
     surface resampled at (tau, nu - rate*tau) times exp(-i pi rate tau^2),
     the pullback along t(-rate).  A rate that is not a finite real raises
-    InvalidParameterError before any surface is built."""
-    _require_real(rate=rate)
+    InvalidParameterError, and one that would chirp u or v past the Nyquist
+    band AliasingError, before any surface is built."""
     if v is None:
         v = u
+    chirped = chirp_multiply(u, rate), chirp_multiply(v, rate)
     u.require_compatible(v)
     # the unsheared surface is dropped as soon as it is resampled
     path_b, aligned = _shear_resample(cross_ambiguity(u, v, n_doppler=n_doppler), u, rate)
-    path_a = cross_ambiguity(
-        chirp_multiply(u, rate), chirp_multiply(v, rate), n_doppler=n_doppler
-    )
+    path_a = cross_ambiguity(*chirped, n_doppler=n_doppler)
     return _dual_path_report(
         "sym-lfm", path_a.values, path_b, None, tol, {"rate": rate, "aligned": aligned}
     )

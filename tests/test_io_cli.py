@@ -123,6 +123,55 @@ def test_one_point_surface_axis_is_refused(shape, tmp_path):
         read_surface(path)
 
 
+@pytest.mark.parametrize("first, step", [(math.nan, 0.5), (math.inf, 0.5), (0.0, 0.0), (0.0, -0.5)])
+def test_surface_axis_off_the_reals_or_not_ascending_is_refused(first, step, tmp_path):
+    # each reader used to return a surface whose axis was [nan, nan] or [0, 0]
+    values = np.ones((2, 2), dtype=np.complex128)
+    good = (0.0, 0.5)
+    for tau, nu in (((first, step), good), (good, (first, step))):
+        with pytest.raises(InvalidParameterError):
+            AmbiguitySurface(values, tau[0] + tau[1] * np.arange(2), nu[0] + nu[1] * np.arange(2))
+        sur, csv = tmp_path / "s.sur", tmp_path / "s.csv"
+        sur.write_bytes(_sur1_bytes(values, *tau, *nu))
+        csv.write_text(f"# n_tau=2 n_nu=2\n# tau0={tau[0]} dtau={tau[1]} nu0={nu[0]} dnu={nu[1]}\n"
+                       "tau,nu,re,im\n" + "0,0,1,0\n" * 4)
+        for reader, path in ((read_surface, sur), (read_surface_csv, csv)):
+            with pytest.raises(InvalidParameterError, match="axis"):
+                reader(path)
+
+
+_BAD_SIGNAL_FILES = {
+    "truncated binary signal": b"SIGB" + struct.pack("<I", 1),
+    "expected 3 samples, found 2": b"SIGB" + struct.pack("<Idd", 3, 0.5, 0.0) + bytes(32),
+    "neither SIGB nor text": b"\xff\xfe",
+    "bad SIG1 header": b"n=two\ndt=0.5\nt0=0\n1,2\n",
+    "header says 3 samples, found 2": b"n=3\ndt=0.5\nt0=0\n1,2\n3,4\n",
+    "sample lines need 2 fields, found 3": b"n=2\ndt=0.5\nt0=0\n1,2,3\n4,5,6\n",
+}
+
+
+@pytest.mark.parametrize("message", _BAD_SIGNAL_FILES)
+def test_malformed_signal_file_is_refused(message, tmp_path, capsys):
+    path = tmp_path / "bad.sig"
+    path.write_bytes(_BAD_SIGNAL_FILES[message])
+    with pytest.raises(FileFormatError, match=message):
+        read_signal(path)
+    assert cli.main(["af", "--u", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"SUR1" + struct.pack("<II", 2, 2), "truncated SUR1 header"),
+    (_sur1_bytes(np.ones((2, 2)), 0.0, 0.5, 0.0, 0.25)[:-16], "payload size mismatch"),
+])
+def test_malformed_sur1_is_refused(blob, message, tmp_path):
+    path = tmp_path / "bad.sur"
+    path.write_bytes(blob)
+    with pytest.raises(FileFormatError, match=message):
+        read_surface(path)
+
+
 def test_surface_csv_roundtrip(tmp_path):
     s = cross_ambiguity(gen_rect(1.0, 1 / 64))
     p = tmp_path / "s.csv"
