@@ -9,10 +9,12 @@ supported: "linear" (zero-filled products over lags -(n-1) .. n-1, the
 default) and "cyclic" (mod-n products over lags -n/2 .. n/2-1, which is what
 makes Fourier-rotation identities exact on matched grids).
 
-Every FFT-accelerated routine here has a brute-force twin
-(:func:`cross_ambiguity_oracle`) computed as a dense matrix product against
-the explicit Doppler kernel exp(i 2 pi nu t_n).  The twins share nothing
-past the product array, so agreement is a real cross-check.
+Both the ambiguity surfaces and the Wigner distribution are a Fourier
+transform of lag products taken row by row, and one row-block loop
+(:class:`_SurfaceBlocks`) builds all of them.  The tests check them against
+a brute-force twin computed as a dense matrix product against the explicit
+Doppler kernel exp(i 2 pi nu t_n), which shares nothing past the product
+array.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ __all__ = [
     "WignerDistribution",
     "SteeringConfig",
     "cross_ambiguity",
-    "cross_ambiguity_oracle",
     "wigner",
-    "ambiguity_from_wigner",
     "mimo_beams",
     "mimo_ambiguity",
     "mimo_slice_spatial",
@@ -160,16 +160,6 @@ def _lag_rows(
     return np.arange(-(n - 1), n), gather
 
 
-def _lag_products(
-    u: SampledSignal, v: SampledSignal, cyclic: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every row of P at once, for the direct-sum oracle."""
-    lags, gather = _lag_rows(u, v, cyclic)
-    P = np.empty((lags.size, u.n), dtype=np.complex128)
-    gather(0, P)
-    return P, lags
-
-
 def _doppler_axis(n_doppler: int, dt: float) -> np.ndarray:
     return np.fft.fftshift(np.fft.fftfreq(n_doppler, d=dt))
 
@@ -230,57 +220,53 @@ def _window_shift(u: SampledSignal) -> tuple[int, float]:
 class _SurfaceBlocks:
     """The one row-block loop behind every FFT surface.
 
-    It builds the surface of a list of signal pairs, sum_i chi(u_i, v_i):
-    one pair gives chi(u, v), and the pairs (u_m, u_m) give the MIMO trace.
-    chi is linear in its lag products, so the sum is the Doppler transform
-    of the summed products, and a block needs one FFT however many pairs
-    there are.  Each block gathers the first pair's lag-product rows, adds
-    each further pair's rows from one scratch block in list order, writes
-    them, times real weights, straight into its destination rows and runs
-    one unscaled inverse FFT there in place.  One pair takes no scratch
-    block and no add.  With whole=True the destinations are rows of one
-    surface, ``values``; otherwise ``values`` is one block buffer, reused,
-    so a block holds only until the next.
+    Each row of the surface is the Doppler transform of n products.  A
+    gather fills rows start .. start + len(out) - 1 of the products into
+    out; with several gathers the rows are their sum, and a block still
+    needs one FFT.  Each block gathers the first's rows, adds each further
+    gather's rows from one scratch block in list order, writes them, times
+    real weights, straight into its destination rows and runs one unscaled
+    inverse FFT there in place.  One gather takes no scratch block and no
+    add.  With whole=True the destinations are rows of one surface,
+    ``values``; otherwise ``values`` is one block buffer, reused, so a
+    block holds only until the next.  :func:`_ambiguity_blocks` and
+    :func:`_wigner_blocks` work out the gathers and the geometry.
 
-    Construction checks every size and the window start and allocates the
-    buffers, so a bad size or an allocation too large fails before
-    anything is computed or written.  Iterating yields (first row, block)
-    in lag order.
+    Construction allocates the buffers, so an allocation too large fails
+    before anything is computed or written.  Iterating yields (first row,
+    block) in row order; ``tau_axis`` labels the rows (delays, or the
+    times of a Wigner distribution) and is also ``lags``, whose size the
+    loop counts them by, and ``nu_axis`` the columns.
 
-    With t0/dt = s + f (:func:`_window_shift`), Doppler bin j of N and
-    sample m, the kernel dt exp(i 2 pi nu_j t_m) is
-    dt (-1)^(m+s) exp(i 2 pi j (m+s) / N) exp(i 2 pi (j - N/2) f / N).  So
-    product m, times the real weight dt (-1)^(m+s), goes into column
+    With the window (s, f), column j of N and product m, the kernel
+    weight exp(i 2 pi (j - N/2) (m + s + f) / N) is
+    weight (-1)^(m+s) exp(i 2 pi j (m+s) / N) exp(i 2 pi (j - N/2) f / N).
+    So product m, times the real weight (-1)^(m+s), goes into column
     (m+s) mod N, at most two contiguous runs (N >= n), the other columns
-    are zeroed, and the unscaled inverse FFT is the whole Doppler stage:
-    the centred axis, the quadrature weight and the window phase of the
-    whole part are all exact before it.  Only f != 0 leaves the residual
-    row exp(i 2 pi (j - N/2) f / N) to multiply; the generators' windows
-    have f = 0.  pocketfft transforms each row on its own and the sums are
+    are zeroed, and the unscaled inverse FFT is the whole transform: the
+    centred axis, the weight and the shift s are all exact before it.
+    Only f != 0 leaves the residual row exp(i 2 pi (j - N/2) f / N) to
+    multiply.  pocketfft transforms each row on its own and the sums are
     per cell, so the block size does not change a bit of the result.
     """
 
     def __init__(
         self,
-        pairs: list[tuple[SampledSignal, SampledSignal]],
-        n_doppler: int | None,
-        cyclic: bool,
+        gathers: list[Callable[[int, np.ndarray], None]],
+        n: int,
+        tau_axis: np.ndarray,
+        nu_axis: np.ndarray,
+        window: tuple[int, float],
+        weight: float,
         whole: bool,
     ) -> None:
-        u = pairs[0][0]
-        for a, b in pairs:
-            u.require_compatible(a)
-            a.require_compatible(b)
-        self.n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
-        shift, frac = _window_shift(u)
-        lag_rows = [_lag_rows(a, b, cyclic) for a, b in pairs]
-        self.lags = lag_rows[0][0]
-        self._gathers = [gather for _, gather in lag_rows]
-        self.tau_axis = self.lags * u.dt
-        self.nu_axis = _doppler_axis(self.n_doppler, u.dt)
-        n, N = u.n, self.n_doppler
-        # dt (-1)^(m+s) on both float parts of product m
-        self._weights = np.repeat(np.where((np.arange(n) + shift % 2) % 2, -u.dt, u.dt), 2)
+        shift, frac = window
+        self._gathers = gathers
+        self.lags = self.tau_axis = tau_axis
+        self.nu_axis = nu_axis
+        self.n_doppler = N = nu_axis.size
+        # weight (-1)^(m+s) on both float parts of product m
+        self._weights = np.repeat(np.where((np.arange(n) + shift % 2) % 2, -weight, weight), 2)
         # product m goes to column (m + s) mod N: products 0 .. head-1 to
         # columns c .. c+head-1, the rest (if any) to 0 .. n-head-1.  The
         # runs are (product, column) slices of the float views; the gaps
@@ -295,10 +281,10 @@ class _SurfaceBlocks:
         self._residual = None if frac == 0.0 else np.exp(
             (1j * 2.0 * math.pi * frac / N) * (np.arange(N) - N // 2)
         )
-        n_lag = self.lags.size
+        n_lag = tau_axis.size
         self._rows = min(n_lag, max(1, _BLOCK_BYTES // (16 * N)))
         self._products = np.empty((self._rows, n), dtype=np.complex128)
-        self._scratch = np.empty_like(self._products) if len(pairs) > 1 else None
+        self._scratch = np.empty_like(self._products) if len(gathers) > 1 else None
         self._whole = whole
         self.values = np.empty((n_lag if whole else self._rows, N), dtype=np.complex128)
 
@@ -325,13 +311,41 @@ class _SurfaceBlocks:
             yield start, block
 
 
+def _ambiguity_blocks(
+    pairs: list[tuple[SampledSignal, SampledSignal]],
+    n_doppler: int | None,
+    cyclic: bool,
+    whole: bool,
+) -> _SurfaceBlocks:
+    """The blocks of sum_i chi(u_i, v_i) over a list of signal pairs: one
+    pair gives chi(u, v), and the pairs (u_m, u_m) give the MIMO trace.
+
+    chi is linear in its lag products, so the sum is the Doppler transform
+    of the summed products.  With t0/dt = s + f (:func:`_window_shift`),
+    Doppler bin j of N and sample m, the kernel dt exp(i 2 pi nu_j t_m) is
+    the block loop's at the window (s, f) with weight dt; the generators'
+    windows have f = 0.  Every size and the window start are checked here.
+    """
+    u = pairs[0][0]
+    for a, b in pairs:
+        u.require_compatible(a)
+        a.require_compatible(b)
+    n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
+    window = _window_shift(u)
+    lag_rows = [_lag_rows(a, b, cyclic) for a, b in pairs]
+    return _SurfaceBlocks(
+        [gather for _, gather in lag_rows], u.n, lag_rows[0][0] * u.dt,
+        _doppler_axis(n_doppler, u.dt), window, u.dt, whole,
+    )
+
+
 def _surface(
     pairs: list[tuple[SampledSignal, SampledSignal]],
     n_doppler: int | None,
     cyclic: bool = False,
 ) -> AmbiguitySurface:
     """sum_i chi(u_i, v_i) over the pairs, built whole in memory."""
-    blocks = _SurfaceBlocks(pairs, n_doppler, cyclic, whole=True)
+    blocks = _ambiguity_blocks(pairs, n_doppler, cyclic, whole=True)
     for _ in blocks:
         pass
     return AmbiguitySurface(blocks.values, blocks.tau_axis, blocks.nu_axis)
@@ -363,28 +377,6 @@ def cross_ambiguity(
     return _surface([(u, u if v is None else v)], n_doppler, cyclic)
 
 
-def cross_ambiguity_oracle(
-    u: SampledSignal,
-    v: SampledSignal | None = None,
-    n_doppler: int | None = None,
-    cyclic: bool = False,
-) -> AmbiguitySurface:
-    """Brute-force twin of :func:`cross_ambiguity`.
-
-    Sums the defining series against the dense kernel exp(i 2 pi nu t_n)
-    with absolute sample times.  Quadratic cost; used for cross-checks.
-    """
-    if v is None:
-        v = u
-    u.require_compatible(v)
-    n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
-    P, lags = _lag_products(u, v, cyclic)
-    nu_axis = _doppler_axis(n_doppler, u.dt)
-    kernel = np.exp(1j * 2.0 * math.pi * np.outer(u.times, nu_axis))
-    X = u.dt * (P @ kernel)
-    return AmbiguitySurface(X, lags * u.dt, nu_axis)
-
-
 @dataclass(frozen=True, eq=False)
 class WignerDistribution:
     """Wigner (cross-)distribution sampled on the signal's time grid.
@@ -396,31 +388,23 @@ class WignerDistribution:
     values: npt.NDArray[np.complex128]
     time_axis: npt.NDArray[np.float64]
     freq_axis: npt.NDArray[np.float64]
-    dt: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _freeze(np.asarray(self.values, dtype=np.complex128)))
         object.__setattr__(self, "time_axis", _freeze(np.asarray(self.time_axis, dtype=np.float64)))
         object.__setattr__(self, "freq_axis", _freeze(np.asarray(self.freq_axis, dtype=np.float64)))
 
-    @property
-    def d_freq(self) -> float:
-        return float(self.freq_axis[1] - self.freq_axis[0])
 
-    def time_marginal(self) -> npt.NDArray[np.complex128]:
-        """Frequency quadrature per time sample; equals u[n] * conj(v[n])."""
-        return np.sum(self.values, axis=1) * self.d_freq
+def _wigner_blocks(
+    u: SampledSignal, v: SampledSignal | None, n_freq: int | None, whole: bool
+) -> _SurfaceBlocks:
+    """The blocks of the Wigner distribution of u against v (v = u if None).
 
-
-def wigner(
-    u: SampledSignal, v: SampledSignal | None = None, n_freq: int | None = None
-) -> WignerDistribution:
-    """Wigner distribution via even-lag products:
-
-        W[n, l] = 2 dt * sum_m u[n+m] conj(v[n-m]) exp(-i 2 pi l m / n_freq)
-
-    sampled at f_l = l / (2 dt n_freq), covering half the Nyquist band.
-    Keep signals inside that band (the generators' default padding does).
+    Row t holds the products r(m) = u[t+m] conj(v[t-m]), |m| <= min(t, n-1-t),
+    at index q = h - m, h = (n-1)//2, among n; the cells past that diamond
+    stay +0.  Bin l of N needs sum_m r(m) exp(-i 2 pi (l - N/2) m / N), that
+    is sum_q P(q) exp(i 2 pi (l - N/2) (q - h) / N): the block loop's kernel
+    at the window (-h, 0) with weight 2 dt.
     """
     if v is None:
         v = u
@@ -434,44 +418,44 @@ def wigner(
         n_freq = 2 * n
     if _require_count("n_freq", n_freq, n) % 2:
         raise InvalidParameterError(f"n_freq must be an even integer >= {n}")
-    us = u.samples
-    vs = v.samples
-    R = np.zeros((n, n_freq), dtype=np.complex128)
-    for ni in range(n):
-        m_max = min(ni, n - 1 - ni)
-        m = np.arange(-m_max, m_max + 1)
-        R[ni, m % n_freq] = us[ni + m] * np.conj(vs[ni - m])
-    np.fft.fft(R, axis=1, out=R)
-    # fftshift and the 2 dt scale in one pass: the two half-spectra swap
-    W = np.empty_like(R)
-    half, scale = n_freq // 2, 2.0 * u.dt
-    np.multiply(R[:, half:], scale, out=W[:, :half])
-    np.multiply(R[:, :half], scale, out=W[:, half:])
-    freq_axis = np.fft.fftshift(np.fft.fftfreq(n_freq, d=2.0 * u.dt))
-    return WignerDistribution(W, u.times, freq_axis, u.dt)
+    h = (n - 1) // 2
+
+    def windows(x: np.ndarray) -> np.ndarray:
+        # n windows of n: window i reads x[i + q - h], zero past its ends.
+        # Width n, not 2h + 1, so that a block is never one cell: numpy
+        # rounds a one-cell complex multiply with where= differently
+        return sliding_window_view(np.pad(x, (h, n - 1 - h)), n)
+
+    # row t holds u[t + h - q] from u reversed and conj(v[t - h + q]); a cell
+    # is inside the diamond where neither reads padding
+    us, cv = windows(u.samples[::-1])[::-1], windows(np.conj(v.samples))
+    inside = windows(np.ones(n, dtype=bool))
+
+    def gather(start: int, out: np.ndarray) -> None:
+        rows = slice(start, start + len(out))
+        out.fill(0)
+        np.multiply(us[rows], cv[rows], out=out, where=inside[::-1][rows] & inside[rows])
+
+    return _SurfaceBlocks(
+        [gather], n, u.times, _doppler_axis(n_freq, 2.0 * u.dt), (-h, 0.0), 2.0 * u.dt, whole
+    )
 
 
-def ambiguity_from_wigner(
-    w: WignerDistribution,
-    tau_axis: npt.NDArray[np.float64],
-    nu_axis: npt.NDArray[np.float64],
-) -> AmbiguitySurface:
-    """Map a Wigner distribution back to the ambiguity plane:
+def wigner(
+    u: SampledSignal, v: SampledSignal | None = None, n_freq: int | None = None
+) -> WignerDistribution:
+    """Wigner distribution via even-lag products:
 
-        chi(tau, nu) = exp(-i pi nu tau) *
-                       integral W(t, f) exp(i 2 pi nu t) exp(-i 2 pi f tau) dt df
+        W[n, l] = 2 dt * sum_m u[n+m] conj(v[n-m]) exp(-i 2 pi l m / n_freq)
 
-    evaluated by dense quadrature on the requested output axes.  Used as a
-    second route to the ambiguity surface.
+    sampled at f_l = l / (2 dt n_freq), covering half the Nyquist band.
+    Keep signals inside that band (the generators' default padding does).
+    It is built by the same row-block loop as every ambiguity surface.
     """
-    tau_axis = np.asarray(tau_axis, dtype=np.float64)
-    nu_axis = np.asarray(nu_axis, dtype=np.float64)
-    Et = np.exp(1j * 2.0 * math.pi * np.outer(w.time_axis, nu_axis))
-    Ef = np.exp(-1j * 2.0 * math.pi * np.outer(w.freq_axis, tau_axis))
-    temp = w.values.T @ Et  # (n_freq, n_nu)
-    vals = (Ef.T @ temp) * (w.dt * w.d_freq)
-    vals *= np.exp(-1j * math.pi * np.outer(tau_axis, nu_axis))
-    return AmbiguitySurface(vals, tau_axis, nu_axis)
+    blocks = _wigner_blocks(u, v, n_freq, whole=True)
+    for _ in blocks:
+        pass
+    return WignerDistribution(blocks.values, blocks.tau_axis, blocks.nu_axis)
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,11 @@ import numpy as np
 from . import io_formats
 from .ambiguity import (
     SteeringConfig,
-    _SurfaceBlocks,
+    _ambiguity_blocks,
     _trace_pairs,
+    _wigner_blocks,
     mimo_beams,
     mimo_slice_spatial,
-    wigner,
 )
 from .errors import InvalidParameterError, MimoafError
 from .properties import (
@@ -349,9 +349,9 @@ def _cross_surface(args, label: str, pairs: list[tuple[SampledSignal, SampledSig
     """Write the surface sum_i chi(u_i, v_i) of the signal pairs to every
     requested output and print its line.  The surface is built one block of
     lag rows at a time and never held whole."""
-    blocks = _SurfaceBlocks(pairs, args.n_doppler, cyclic=False, whole=False)
+    blocks = _ambiguity_blocks(pairs, args.n_doppler, cyclic=False, whole=False)
     origin = _write_outputs(args, blocks, blocks.tau_axis, blocks.nu_axis)
-    print(f"{label} n_lag={blocks.lags.size} n_doppler={blocks.n_doppler} "
+    print(f"{label} n_lag={blocks.tau_axis.size} n_doppler={blocks.n_doppler} "
           f"origin={origin.real:.12g}{origin.imag:+.12g}j")
     return 0
 
@@ -360,11 +360,11 @@ def cmd_af(args) -> int:
     u = io_formats.read_signal(args.u)
     v = io_formats.read_signal(args.v) if args.v else u
     if args.wigner:
-        w = wigner(u, v, n_freq=args.n_freq)
+        blocks = _wigner_blocks(u, v, args.n_freq, whole=False)
         # the CSV lists each axis as SUR1 stores it: first value plus k steps
-        axes = [a[0] + (a[1] - a[0]) * np.arange(a.size) for a in (w.time_axis, w.freq_axis)]
-        _write_outputs(args, [(0, w.values)], *axes)
-        print(f"wigner n_time={w.values.shape[0]} n_freq={w.values.shape[1]}")
+        axes = [a[0] + (a[1] - a[0]) * np.arange(a.size) for a in (blocks.tau_axis, blocks.nu_axis)]
+        _write_outputs(args, blocks, *axes)
+        print(f"wigner n_time={blocks.tau_axis.size} n_freq={blocks.n_doppler}")
         return 0
     return _cross_surface(args, "af", [(u, v)])
 

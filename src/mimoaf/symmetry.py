@@ -62,7 +62,7 @@ import numpy as np
 from .ambiguity import (
     AmbiguitySurface,
     SteeringConfig,
-    _SurfaceBlocks,
+    _ambiguity_blocks,
     _check_doppler_count,
     _unit_roots,
     _window_shift,
@@ -238,7 +238,10 @@ def _shear_resample(s: AmbiguitySurface, u: SampledSignal, rate: float) -> tuple
     phase rotation.
     """
     n_d = s.n_doppler
-    shift_per_lag = rate * u.dt / s.d_nu  # Doppler bins per lag step
+    # Doppler bins per lag step, rate dt / d_nu with d_nu = 1 / (n_d dt):
+    # from the exact grid, not s.d_nu, a difference of two axis values whose
+    # rounding long rolls would carry past the alignment snap
+    shift_per_lag = rate * n_d * u.dt * u.dt
     lags = np.round(s.tau_axis / u.dt).astype(np.int64)
     # every row's shift must be whole, not just the per-lag step: a step
     # within the snap of an integer can still drift by n times the snap
@@ -263,8 +266,7 @@ def _shear_resample(s: AmbiguitySurface, u: SampledSignal, rate: float) -> tuple
         # s and at most two surface-sized arrays are alive at any step
         phase_in = np.exp(-1j * 2.0 * math.pi * u.t0 * s.nu_axis)[None, :]
         out = np.fft.fft(s.values * phase_in, axis=1)
-        delta = (rate * s.tau_axis / s.d_nu)[:, None]
-        phase = -1j * 2.0 * math.pi * delta * np.arange(n_d)[None, :]
+        phase = -1j * 2.0 * math.pi * shifts[:, None] * np.arange(n_d)[None, :]
         np.divide(phase, n_d, out=phase)
         out *= np.exp(phase, out=phase)
         np.fft.ifft(out, axis=1, out=out)
@@ -347,7 +349,7 @@ def _dilation_reference(
     # target row i is parent row first + k i; past i = 2 half that is past
     # the parent's last row 2n - 2, so each block's stride ends in target rows
     done = 0
-    for start, block in _SurfaceBlocks([(u, v)], k * n_doppler, cyclic=False, whole=False):
+    for start, block in _ambiguity_blocks([(u, v)], k * n_doppler, cyclic=False, whole=False):
         src = block[first + done * k - start :: k, col0 : col0 + n_doppler]
         np.divide(src, scale, out=out[done : done + len(src)])
         done += len(src)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from mimoaf import (
     CANONICAL_SIGMA,
+    AmbiguitySurface,
     SampledSignal,
     chirp_multiply,
     cross_ambiguity,
@@ -14,6 +16,7 @@ from mimoaf import (
     gen_subcarrier_set,
     heisenberg_shift,
 )
+from mimoaf.ambiguity import _check_doppler_count, _doppler_axis, _lag_rows
 from mimoaf.signals import HeisenbergPoint
 
 DT = 1.0 / 128  # rect-family grid: T=1, pad 2 -> 256 samples
@@ -51,6 +54,45 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+def lag_products(u, v, cyclic):
+    """(P, lags): every row of the lag products P[i, n] = u[n] conj(v[n + lag_i])
+    at once, from the gather the surface loop reads in blocks."""
+    lags, gather = _lag_rows(u, v, cyclic)
+    P = np.empty((lags.size, u.n), dtype=np.complex128)
+    gather(0, P)
+    return P, lags
+
+
+def cross_ambiguity_oracle(u, v=None, n_doppler=None, cyclic=False) -> AmbiguitySurface:
+    """Brute-force twin of cross_ambiguity: the defining series summed
+    against the dense kernel exp(i 2 pi nu t_n) with absolute sample times.
+    It shares nothing with the FFT surface past the lag products."""
+    if v is None:
+        v = u
+    u.require_compatible(v)
+    n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
+    P, lags = lag_products(u, v, cyclic)
+    nu_axis = _doppler_axis(n_doppler, u.dt)
+    kernel = np.exp(1j * 2.0 * math.pi * np.outer(u.times, nu_axis))
+    return AmbiguitySurface(u.dt * (P @ kernel), lags * u.dt, nu_axis)
+
+
+def ambiguity_from_wigner(w, tau_axis, nu_axis) -> AmbiguitySurface:
+    """The Wigner distribution mapped back to the ambiguity plane,
+
+        chi(tau, nu) = exp(-i pi nu tau) *
+                       integral W(t, f) exp(i 2 pi nu t) exp(-i 2 pi f tau) dt df,
+
+    by dense quadrature on the given axes: a second route to the surface."""
+    dt = w.time_axis[1] - w.time_axis[0]
+    d_freq = w.freq_axis[1] - w.freq_axis[0]
+    Et = np.exp(1j * 2.0 * math.pi * np.outer(w.time_axis, nu_axis))
+    Ef = np.exp(-1j * 2.0 * math.pi * np.outer(w.freq_axis, tau_axis))
+    vals = (Ef.T @ (w.values.T @ Et)) * (dt * d_freq)
+    vals *= np.exp(-1j * math.pi * np.outer(tau_axis, nu_axis))
+    return AmbiguitySurface(vals, tau_axis, nu_axis)
 
 
 def random_mixture(basis, rng) -> SampledSignal:

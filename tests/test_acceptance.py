@@ -20,7 +20,6 @@ from mimoaf import (
     check_norm_identity,
     chirp_multiply,
     cross_ambiguity,
-    cross_ambiguity_oracle,
     dilate,
     gen_gaussian,
     gen_lfm,
@@ -41,7 +40,7 @@ from mimoaf import (
 )
 from mimoaf.io_formats import read_signal, read_surface
 
-from conftest import mixture_basis, random_mixture
+from conftest import cross_ambiguity_oracle, mixture_basis, random_mixture
 
 
 def announce(capsys, index, text, ok):

@@ -12,11 +12,9 @@ from mimoaf import (
     GridMismatchError,
     InvalidParameterError,
     SteeringConfig,
-    ambiguity_from_wigner,
     canonical_gaussian,
     chirp_multiply,
     cross_ambiguity,
-    cross_ambiguity_oracle,
     gen_gaussian,
     gen_lfm,
     gen_rect,
@@ -30,14 +28,17 @@ from mimoaf import (
     wigner,
 )
 from mimoaf import ambiguity
-from mimoaf.ambiguity import _BLOCK_BYTES, _lag_products, _lag_rows
+from mimoaf.ambiguity import _BLOCK_BYTES, _lag_rows
 from mimoaf.signals import HeisenbergPoint, SampledSignal
 
 from conftest import (
     DT,
     DT_G,
+    ambiguity_from_wigner,
+    cross_ambiguity_oracle,
     family_waveforms,
     frob_rel,
+    lag_products,
     mixture_basis,
     pair_surfaces,
     random_mixture,
@@ -162,7 +163,7 @@ def test_lag_products_match_loop(n, cyclic):
     vs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     us[:2] = -0.0  # signed zeros make any stray product visible in the bits
     u, v = SampledSignal(us, 0.01, 0.0), SampledSignal(vs, 0.01, 0.0)
-    P, lags = _lag_products(u, v, cyclic)
+    P, lags = lag_products(u, v, cyclic)
     P_ref, lags_ref = _lag_products_loop(us, vs, cyclic)
     assert np.array_equal(lags, lags_ref)
     assert P.tobytes() == P_ref.tobytes()
@@ -214,7 +215,7 @@ def test_blocked_surface_matches_one_ifft(n, n_doppler, cyclic, rows, monkeypatc
         SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1 / 64, -0.37)
         for _ in range(2)
     )
-    P, lags = _lag_products(u, v, cyclic)
+    P, lags = lag_products(u, v, cyclic)
     X = _one_ifft(P, n_doppler, u)
     s = cross_ambiguity(u, v, n_doppler=n_doppler, cyclic=cyclic)
     assert s.values.tobytes() == X.tobytes()
@@ -320,10 +321,10 @@ def test_wigner_gaussian_closed_form(gauss256):
 
 
 def test_wigner_time_marginal(gauss256):
+    # the frequency quadrature of each time row recovers |u|^2
     w = wigner(gauss256)
-    assert np.max(
-        np.abs(w.time_marginal() - np.abs(gauss256.samples) ** 2)
-    ) <= 1e-6
+    marginal = np.sum(w.values, axis=1) * (w.freq_axis[1] - w.freq_axis[0])
+    assert np.max(np.abs(marginal - np.abs(gauss256.samples) ** 2)) <= 1e-6
 
 
 def test_wigner_shift_covariance(rect256):
@@ -340,7 +341,32 @@ def test_af_wigner_duality(gauss256):
     assert frob_rel(dual.values, s.values) <= 1e-6
 
 
+def _wigner_products(u, v):
+    # row t holds u[t+m] conj(v[t-m]) for |m| <= min(t, n-1-t) at index
+    # q = h - m of n, h = (n-1)//2, and +0 past that diamond; one row at a time
+    n, us, vs = u.n, u.samples, v.samples
+    h = (n - 1) // 2
+    P = np.zeros((n, n), dtype=np.complex128)
+    for t in range(n):
+        m_max = min(t, n - 1 - t)
+        m = np.arange(-m_max, m_max + 1)
+        P[t, h - m] = us[t + m] * np.conj(vs[t - m])
+    return P, h
+
+
 def _wigner_reference(u, v, n_freq):
+    # the block loop's formula over every row at once: product q times
+    # 2 dt (-1)^(q-h) in column (q - h) mod n_freq, one unscaled inverse FFT
+    P, h = _wigner_products(u, v)
+    q = np.arange(P.shape[1])
+    w = np.where((q - h) % 2, -2.0 * u.dt, 2.0 * u.dt)
+    X = np.zeros((u.n, n_freq), dtype=np.complex128)
+    X.real[:, (q - h) % n_freq] = P.real * w
+    X.imag[:, (q - h) % n_freq] = P.imag * w
+    return np.fft.ifft(X, axis=1, norm="forward")
+
+
+def _wigner_fftshift(u, v, n_freq):
     # the lag array, then a separate FFT, fftshift and scale, as first written
     n, us, vs = u.n, u.samples, v.samples
     R = np.zeros((n, n_freq), dtype=np.complex128)
@@ -352,24 +378,37 @@ def _wigner_reference(u, v, n_freq):
 
 
 @pytest.mark.parametrize("n,n_freq", [(64, None), (63, 130), (2, 2)])
-def test_wigner_matches_fftshift_expression(n, n_freq):
+def test_wigner_matches_fftshift_expression(n, n_freq, monkeypatch):
     rng = np.random.default_rng(n)
-    u, v = (SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1 / 64, -0.5)
-            for _ in range(2))
-    w = wigner(u, v, n_freq=n_freq)
-    ref = _wigner_reference(u, v, n_freq or 2 * n)
-    assert w.values.tobytes() == ref.tobytes()
+    us, vs = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+    # signed zeros at both ends make any stray product past the diamond
+    # visible in the bits
+    us[:2], vs[-2:] = -0.0, -0.0
+    u, v = SampledSignal(us, 1 / 64, -0.5), SampledSignal(vs, 1 / 64, -0.5)
+    N = n_freq or 2 * n
+    ref = _wigner_reference(u, v, N)
+    # the distribution goes through the surface block loop, so the block
+    # size must not change a bit of it
+    for rows in (None, 1, 7):
+        if rows is not None:
+            monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * N)
+        w = wigner(u, v, n_freq=n_freq)
+        assert w.values.tobytes() == ref.tobytes(), rows
+    first = _wigner_fftshift(u, v, N)
+    assert np.max(np.abs(w.values - first)) <= 1e-13 * np.max(np.abs(first))
+    assert np.array_equal(w.time_axis, u.times)
+    assert np.array_equal(w.freq_axis, np.fft.fftshift(np.fft.fftfreq(N, 2 * u.dt)))
 
 
 def test_wigner_peak_memory():
-    # the lag array is transformed in place and its half-spectra are scaled
-    # straight into the result: two arrays of the result's size, not three
+    # the distribution and one block of its lag products are the only
+    # arrays of size alive at once
     n = 1024
     rng = np.random.default_rng(4)
     u = SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1 / 64, -8.0)
     w, peak = traced_peak(wigner, u)
     assert w.values.shape == (n, 2 * n)
-    assert peak <= 2 * w.values.nbytes + 2**20
+    assert peak <= w.values.nbytes + _BLOCK_BYTES + 2**20
 
 
 # ------------------------------------------------- correlation matrix entries
@@ -589,9 +628,9 @@ def test_spatial_integral_bytes_match_out_of_place_sum(m):
     # bins leave -0.0 cells in the trace, which 512 would not
     ws = gen_subcarrier_set(4, 1.0, DT)[:m]
     n_doppler = 514
-    P = _lag_products(ws[0], ws[0], False)[0]
+    P = lag_products(ws[0], ws[0], False)[0]
     for w in ws[1:]:
-        P = P + _lag_products(w, w, False)[0]
+        P = P + lag_products(w, w, False)[0]
     expect = _one_ifft(P, n_doppler, ws[0])
     out = spatial_integral(ws, SteeringConfig(m, 1.0), n_doppler=n_doppler)
     bits = out.values.view(np.float64)

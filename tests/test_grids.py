@@ -14,7 +14,6 @@ from mimoaf import (
     MimoafError,
     SampledSignal,
     cross_ambiguity,
-    cross_ambiguity_oracle,
     verify_dilation,
     verify_fourier_rotation,
     verify_lfm_shear,
@@ -22,7 +21,7 @@ from mimoaf import (
 )
 from mimoaf import ambiguity, symmetry
 
-from conftest import frob_rel
+from conftest import cross_ambiguity_oracle, frob_rel, lag_products
 
 
 @st.composite
@@ -52,7 +51,7 @@ def _grids(draw):
 def _sheared_direct_sum(u, v, n_doppler, rate):
     """exp(-i pi rate tau^2) chi(u, v)(tau, nu - rate tau), each cell a direct
     sum at its own sheared frequency: no roll, so no wrap and no period."""
-    P, lags = ambiguity._lag_products(u, v, cyclic=False)
+    P, lags = lag_products(u, v, cyclic=False)
     tau, t = lags * u.dt, u.times
     rows = P * np.exp(-2j * math.pi * rate * np.outer(tau, t))
     chi = u.dt * rows @ np.exp(2j * math.pi * np.outer(t, ambiguity._doppler_axis(n_doppler, u.dt)))
@@ -100,9 +99,26 @@ def test_engine_and_verifiers_hold_on_any_grid(grid, extra, sign):
     # period (q = floor(d / N) not 0 or -1), where the window start's
     # fraction leaves a wrap factor on each of the row's two runs
     bins_per_lag = sign * (n_doppler + 1 + extra % (n_doppler - 1))
-    # from the surface's own step: 1 / (N dt^2) differs from it by N ulp,
-    # which the longest rolls would carry past the alignment snap
-    rate = bins_per_lag * s.d_nu / dt
+    # the shear reads its step as rate N dt^2, so this rate is whole bins
+    # per lag to a few ulp
+    rate = bins_per_lag / (n_doppler * dt * dt)
+    out, aligned = symmetry._shear_resample(s, u, rate)
+    assert aligned
+    assert frob_rel(out, _sheared_direct_sum(u, v, n_doppler, rate)) <= 1e-10
+
+
+def test_aligned_shear_step_is_exact_on_long_rolls():
+    # 443 bins per lag on 290 bins at dt = 0.01: a step read from the axis
+    # difference s.d_nu is 443.0000000000088 and drifts 1.1e-9 bins over the
+    # 130 lags, past the alignment snap, so the exact grid would take the
+    # off-grid rotation; rate N dt^2 is exactly 443
+    n, n_doppler, dt = 131, 290, 0.01
+    t0 = (-65 + 0.4) * dt
+    t = t0 + np.arange(n) * dt
+    u = SampledSignal(np.exp(-math.pi * (t / (12 * dt)) ** 2), dt, t0)
+    v = SampledSignal(np.exp(-math.pi * ((t - 2 * dt) / (11 * dt)) ** 2 + 0.3j * t / dt), dt, t0)
+    rate = 443 / (n_doppler * dt * dt)
+    s = cross_ambiguity(u, v, n_doppler=n_doppler)
     out, aligned = symmetry._shear_resample(s, u, rate)
     assert aligned
     assert frob_rel(out, _sheared_direct_sum(u, v, n_doppler, rate)) <= 1e-10

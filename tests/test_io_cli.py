@@ -28,6 +28,7 @@ from mimoaf import (
     mimo_ambiguity,
     spatial_integral,
     verify_dilation,
+    wigner,
 )
 from mimoaf import ambiguity, cli, io_formats
 from mimoaf.ambiguity import AmbiguitySurface
@@ -396,6 +397,24 @@ def test_streamed_mimo_slice_matches_in_memory(rows, tmp_path, monkeypatch, caps
     _assert_cli_writes(argv, surface, "mimo-slice", tmp_path, capsys)
 
 
+@pytest.mark.parametrize("rows", [None, 5])
+def test_streamed_wigner_matches_in_memory(rows, tmp_path, monkeypatch, capsys):
+    # af --wigner streams the rows of the distribution wigner builds whole
+    u, v = _random_signal(255, 1), _random_signal(255, 2)
+    u_path, v_path, ref = tmp_path / "u.sig", tmp_path / "v.sig", tmp_path / "ref.sur"
+    write_signal(u_path, u)
+    write_signal(v_path, v)
+    w = wigner(u, v, n_freq=520)
+    write_surface(ref, AmbiguitySurface(w.values, w.time_axis, w.freq_axis))
+    if rows is not None:
+        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * 520)
+    sur = tmp_path / "cli.sur"
+    assert cli.main(["af", "--u", str(u_path), "--v", str(v_path), "--wigner",
+                     "--n-freq", "520", "-o", str(sur)]) == 0
+    assert sur.read_bytes() == ref.read_bytes()
+    assert capsys.readouterr().out == "wigner n_time=255 n_freq=520\n"
+
+
 def _subcarrier_files(tmp_path, m: int, T: float) -> list[Path]:
     paths = [tmp_path / f"s{i}.sig" for i in range(m)]
     for path, w in zip(paths, gen_subcarrier_set(m, T, 1 / 128)):
@@ -585,6 +604,22 @@ def test_streamed_af_peak_memory(tmp_path, capsys):
     assert out.stat().st_size == 44 + (2 * n - 1) * n_doppler * 16
     out.unlink()
     assert peak <= 16 * 2**20
+
+
+def test_streamed_af_wigner_peak_memory(tmp_path, capsys):
+    # af --wigner -o alone holds one block of rows and one of lag products,
+    # not the 32 MiB distribution
+    n, n_freq = 1024, 2048
+    sig, out = tmp_path / "u.sig", tmp_path / "w.sur"
+    write_signal(sig, _random_signal(n, 3), binary=True)
+    rc, peak = traced_peak(
+        cli.main, ["af", "--u", str(sig), "--wigner", "--n-freq", str(n_freq), "-o", str(out)]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out == f"wigner n_time={n} n_freq={n_freq}\n"
+    assert out.stat().st_size == 44 + n * n_freq * 16
+    out.unlink()
+    assert peak <= 2 * ambiguity._BLOCK_BYTES + 2 * 2**20
 
 
 def _af_peak(tmp_path, *extra):

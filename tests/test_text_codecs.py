@@ -103,10 +103,14 @@ def _write_spatial_grid(d):
 # surface for every other output; the SUR1 and CSV surface pins of rect,
 # odd-cross, mimo-slice and mimo-trace were re-taken when the Doppler stage
 # became one unscaled FFT of window-shifted input (their PPM bytes held, and
-# the Wigner and spatial-grid outputs, which take no such FFT, kept every
-# byte).  The surface cases also pin the FFT's rounding, and the grid the
-# steering product's, of exact inputs: a numpy or BLAS build that rounds
-# those differently changes the pins without a codec fault.
+# the Wigner and spatial-grid outputs, which took no such FFT, kept every
+# byte).  The Wigner SUR1 and CSV pins were re-taken when the distribution
+# went through the same block loop, one unscaled inverse FFT of reversed,
+# sign-weighted products in place of a forward FFT and a half swap (its PPM
+# bytes held; both agree with an extended-precision direct sum to about
+# 1.3e-16 of the peak).  The surface cases also pin the FFT's rounding, and
+# the grid the steering product's, of exact inputs: a numpy or BLAS build
+# that rounds those differently changes the pins without a codec fault.
 _RECT_CSV = "4eb6da79770a20661415d41f04a7e62f36c9d7006ceaad2d26943f4e80fd0fa0"
 _ODD_CROSS_CSV = "c02fa45157f91ca1f609fa05e574ddf4a00eb2e970c44a74e2b759ee165f7366"
 _SUBCARRIERS = {
@@ -144,8 +148,8 @@ PINNED = {
     }),
     "wigner": (_write_wigner, {
         "u.sig": "7a2a1ee0f613ba48319d4c19ecc3d3cb34f825053452254b0d16510ea4741659",
-        "w.sur": "c3963a88f971bd175c0586e17b96fe09d92f9ec69ea96739f84beb7fb550381a",
-        "w.csv": "685b8fa3d5c78d29c531978a468249332facd10872adedec1997443a0e4e0e0c",
+        "w.sur": "c44e7da21618d515adcb22b49980f9d5c68426d554bca750f259e38dab7a74cd",
+        "w.csv": "59efca289eac5b74cd206ba0cbeb9fd57c50ffb223844c59137d0c65156f9704",
         "w.ppm": "b3b28d483cd0d191c0bd76daefc1b710fbbf8a880b723bf582e542fa9da83c28",
     }),
     "mimo-slice": (lambda d: _mimo_outputs(d, "slice", "--fs", 0.25, "--fsp", 0.75), {
