@@ -127,10 +127,12 @@ _BLOCK_BYTES = 4 * 2**20
 
 
 def _lag_rows(
-    u: SampledSignal, v: SampledSignal, cyclic: bool
+    u: SampledSignal, v: SampledSignal, cyclic: bool, step: int = 1
 ) -> tuple[np.ndarray, Callable[[int, np.ndarray], None]]:
-    """The lag set and a gather of the rows P[i, n] = u[n] * conj(v[n + lag_i]):
-    gather(start, out) fills out with rows start .. start + len(out) - 1."""
+    """The lag set, every step-th lag counted out from lag 0, and a gather of
+    the rows P[i, n] = u[n] * conj(v[n + lag_i]): gather(start, out) fills
+    out with rows start .. start + len(out) - 1.  The rows are one strided
+    slice of the windows below, so a stride copies nothing."""
     n = u.n
     us = u.samples
     cv = np.conj(v.samples)
@@ -138,26 +140,28 @@ def _lag_rows(
         if n % 2:
             raise InvalidParameterError("cyclic lags require an even sample count")
         h = n // 2
+        pick = slice(h % step, n, step)
         # window i of conj(v), wrapped by n/2 on each side, is row i: conj(v)
         # rolled by the lag i - n/2
-        windows = sliding_window_view(np.concatenate([cv[h:], cv, cv[:h]]), n)[:n]
+        windows = sliding_window_view(np.concatenate([cv[h:], cv, cv[:h]]), n)[pick]
 
         def gather(start: int, out: np.ndarray) -> None:
             np.multiply(us, windows[start : start + len(out)], out=out)
 
-        return np.arange(-h, h), gather
+        return np.arange(-h, h)[pick], gather
+    pick = slice((n - 1) % step, None, step)
     # window i of conj(v), zero-padded by n-1 on each side, is row i at lag
     # i - (n-1); the mask leaves cells past the signal's ends at +0, where a
     # plain product would write u * 0 and so sometimes -0
-    windows = sliding_window_view(np.pad(cv, n - 1), n)
-    inside = sliding_window_view(np.pad(np.ones(n, dtype=bool), n - 1), n)
+    windows = sliding_window_view(np.pad(cv, n - 1), n)[pick]
+    inside = sliding_window_view(np.pad(np.ones(n, dtype=bool), n - 1), n)[pick]
 
     def gather(start: int, out: np.ndarray) -> None:
         rows = slice(start, start + len(out))
         out.fill(0)
         np.multiply(us, windows[rows], out=out, where=inside[rows])
 
-    return np.arange(-(n - 1), n), gather
+    return np.arange(-(n - 1), n)[pick], gather
 
 
 def _doppler_axis(n_doppler: int, dt: float) -> np.ndarray:
@@ -235,8 +239,8 @@ class _SurfaceBlocks:
     Construction allocates the buffers, so an allocation too large fails
     before anything is computed or written.  Iterating yields (first row,
     block) in row order; ``tau_axis`` labels the rows (delays, or the
-    times of a Wigner distribution) and is also ``lags``, whose size the
-    loop counts them by, and ``nu_axis`` the columns.
+    times of a Wigner distribution), one per row, and ``nu_axis`` the
+    columns.
 
     With the window (s, f), column j of N and product m, the kernel
     weight exp(i 2 pi (j - N/2) (m + s + f) / N) is
@@ -262,7 +266,7 @@ class _SurfaceBlocks:
     ) -> None:
         shift, frac = window
         self._gathers = gathers
-        self.lags = self.tau_axis = tau_axis
+        self.tau_axis = tau_axis
         self.nu_axis = nu_axis
         self.n_doppler = N = nu_axis.size
         # weight (-1)^(m+s) on both float parts of product m
@@ -289,7 +293,7 @@ class _SurfaceBlocks:
         self.values = np.empty((n_lag if whole else self._rows, N), dtype=np.complex128)
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        n_lag = self.lags.size
+        n_lag = self.tau_axis.size
         first, *rest = self._gathers
         for start in range(0, n_lag, self._rows):
             stop = min(start + self._rows, n_lag)
@@ -316,6 +320,7 @@ def _ambiguity_blocks(
     n_doppler: int | None,
     cyclic: bool,
     whole: bool,
+    step: int = 1,
 ) -> _SurfaceBlocks:
     """The blocks of sum_i chi(u_i, v_i) over a list of signal pairs: one
     pair gives chi(u, v), and the pairs (u_m, u_m) give the MIMO trace.
@@ -332,7 +337,7 @@ def _ambiguity_blocks(
         a.require_compatible(b)
     n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
     window = _window_shift(u)
-    lag_rows = [_lag_rows(a, b, cyclic) for a, b in pairs]
+    lag_rows = [_lag_rows(a, b, cyclic, step) for a, b in pairs]
     return _SurfaceBlocks(
         [gather for _, gather in lag_rows], u.n, lag_rows[0][0] * u.dt,
         _doppler_axis(n_doppler, u.dt), window, u.dt, whole,
@@ -343,9 +348,12 @@ def _surface(
     pairs: list[tuple[SampledSignal, SampledSignal]],
     n_doppler: int | None,
     cyclic: bool = False,
+    step: int = 1,
 ) -> AmbiguitySurface:
-    """sum_i chi(u_i, v_i) over the pairs, built whole in memory."""
-    blocks = _ambiguity_blocks(pairs, n_doppler, cyclic, whole=True)
+    """sum_i chi(u_i, v_i) over the pairs on every step-th lag, counted out
+    from lag 0, built whole in memory.  Row i of the strided surface is row
+    c % step + step i of the full one, c its lag-0 row, to the bit."""
+    blocks = _ambiguity_blocks(pairs, n_doppler, cyclic, whole=True, step=step)
     for _ in blocks:
         pass
     return AmbiguitySurface(blocks.values, blocks.tau_axis, blocks.nu_axis)

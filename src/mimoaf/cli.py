@@ -361,9 +361,7 @@ def cmd_af(args) -> int:
     v = io_formats.read_signal(args.v) if args.v else u
     if args.wigner:
         blocks = _wigner_blocks(u, v, args.n_freq, whole=False)
-        # the CSV lists each axis as SUR1 stores it: first value plus k steps
-        axes = [a[0] + (a[1] - a[0]) * np.arange(a.size) for a in (blocks.tau_axis, blocks.nu_axis)]
-        _write_outputs(args, blocks, *axes)
+        _write_outputs(args, blocks, blocks.tau_axis, blocks.nu_axis)
         print(f"wigner n_time={blocks.tau_axis.size} n_freq={blocks.n_doppler}")
         return 0
     return _cross_surface(args, "af", [(u, v)])

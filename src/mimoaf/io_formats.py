@@ -207,9 +207,12 @@ def write_surface_blocks(
         raise InvalidParameterError(
             f"two surface outputs name one file: {', '.join(map(str, paths))}"
         )
-    if (sur1 or csv) and min(tau.size, nu.size) < 2:
-        # the headers store a step, which an axis of one point does not have
-        raise FileFormatError(f"surface axes need at least 2 points, got {tau.size}x{nu.size}")
+    # the headers store a step, which an axis of one point does not have
+    least = 2 if sur1 or csv else 1
+    if min(tau.size, nu.size) < least:
+        raise FileFormatError(
+            f"surface axes need at least {least} points, got {tau.size}x{nu.size}"
+        )
     if ppm:
         if scaling not in ("db", "linear"):
             raise FileFormatError(f"unknown scaling {scaling!r}")
@@ -353,9 +356,12 @@ def write_ppm(
 
     "db" maps [db_floor, 0] dB relative to the peak onto [0, 255];
     "linear" maps [0, peak].  A zero surface renders black.  A bad scaling
-    or floor is refused before the file opens.
+    or floor, and values that are not a 2-D array of at least one cell, are
+    refused before the file opens.
     """
     arr = np.asarray(values)
+    if arr.ndim != 2:
+        raise InvalidParameterError(f"a heatmap needs a 2-D array, got shape {arr.shape}")
     h, w = arr.shape
     write_surface_blocks([(0, arr)], np.arange(h), np.arange(w), ppm=path,
                          db_floor=db_floor, scaling=scaling)

@@ -41,13 +41,13 @@ Every relative distance takes its norms with numpy's own summation loop,
 not a BLAS dot, whose bits change with the BLAS thread count.
 
 Memory: no comparison holds more than three surfaces of its grid at once,
-plus the block of lag products of the surface being built; the dilation
-parent, with k times the Doppler bins, is streamed one row block at a
-time, and route (b) keeps only the (2n-1)/k lag rows and central bins it
-reads from it.  Every check builds route (b) first and route (a) only
-once every surface route (b) needed is gone, and takes the difference in
-place over route (b)'s cells.  Index and phase arrays are
-built one row block at a time.
+plus the block of lag products of the surface being built.  The dilation
+parent, with k times the Doppler bins, is built only on the lags it is
+read at, every k-th: (2 floor((n-1)/k) + 1) k N cells, at most 1.5
+surfaces.  Route (b) keeps only its central bins.  Every check builds
+route (b) first and route (a) only once every surface route (b) needed is
+gone, and takes the difference in place over route (b)'s cells.  Index
+and phase arrays are built one row block at a time.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ import numpy as np
 from .ambiguity import (
     AmbiguitySurface,
     SteeringConfig,
-    _ambiguity_blocks,
     _check_doppler_count,
+    _surface,
     _unit_roots,
     _window_shift,
     cross_ambiguity,
@@ -326,36 +326,6 @@ def _dilation_factor(b: float, n: int) -> tuple[int, bool]:
     return k, reciprocal
 
 
-def _dilation_reference(
-    u: SampledSignal,
-    v: SampledSignal,
-    k: int,
-    scale: float,
-    n_doppler: int,
-) -> tuple[np.ndarray, slice]:
-    """chi(u,v)(k tau, nu/k) / scale on lag rows -K .. K, K = (n-1)//k, of the
-    standard (n_doppler) axes, and the slice of those rows.
-
-    Every target point is a grid point of the parent surface with k times
-    the Doppler bins: lag row k i and the central n_doppler bins.  The
-    parent is streamed in row blocks and never held whole; each block
-    gives up the rows and bins it holds of the target.
-    """
-    n = u.n
-    half = (n - 1) // k
-    col0 = (k * n_doppler) // 2 - n_doppler // 2
-    first = n - 1 - half * k  # the parent row of target row 0
-    out = np.empty((2 * half + 1, n_doppler), dtype=np.complex128)
-    # target row i is parent row first + k i; past i = 2 half that is past
-    # the parent's last row 2n - 2, so each block's stride ends in target rows
-    done = 0
-    for start, block in _ambiguity_blocks([(u, v)], k * n_doppler, cyclic=False, whole=False):
-        src = block[first + done * k - start :: k, col0 : col0 + n_doppler]
-        np.divide(src, scale, out=out[done : done + len(src)])
-        done += len(src)
-    return out, slice(n - 1 - half, n + half)
-
-
 def verify_dilation(
     u: SampledSignal,
     v: SampledSignal | None = None,
@@ -375,6 +345,11 @@ def verify_dilation(
     chi(u,v)(tau, nu) = (1/k) chi(Du, Dv)(k tau, nu/k).  The two routes
     share only their inputs.  Any other b raises GridAlignmentError, and a
     k past n - 1 InvalidParameterError.
+
+    Every target point is a grid point of the parent: its lag row k i and
+    its central n_doppler bins.  So the parent is built on every k-th lag
+    only, 2K + 1 rows for K = (n-1)//k, and route (a) keeps the same lags,
+    rows n-1-K .. n-1+K.  The parent is dropped before route (a) is built.
     """
     if v is None:
         v = u
@@ -383,12 +358,15 @@ def verify_dilation(
     k, reciprocal = _dilation_factor(b, u.n)
     du, dv = dilate(u, b), dilate(v, b)
     if reciprocal:
-        path_b, rows = _dilation_reference(du, dv, k, 1.0 / b, n_doppler)
-        coarse, route = (u, v), "reciprocal-parent"
+        fine, coarse, scale, route = (du, dv), (u, v), 1.0 / b, "reciprocal-parent"
     else:
-        path_b, rows = _dilation_reference(u, v, k, b, n_doppler)
-        coarse, route = (du, dv), "exact-parent"
-    path_a = cross_ambiguity(*coarse, n_doppler=n_doppler).values[rows]
+        fine, coarse, scale, route = (u, v), (du, dv), b, "exact-parent"
+    parent = _surface([fine], k * n_doppler, step=k)
+    col0 = (k * n_doppler) // 2 - n_doppler // 2
+    path_b = np.divide(parent.values[:, col0 : col0 + n_doppler], scale)
+    del parent
+    half = (u.n - 1) // k
+    path_a = cross_ambiguity(*coarse, n_doppler=n_doppler).values[u.n - 1 - half : u.n + half]
     return _dual_path_report(
         "sym-dilate", path_a, path_b, None, tol, {"b": b, "route": route},
     )

@@ -28,7 +28,7 @@ from mimoaf import (
     wigner,
 )
 from mimoaf import ambiguity
-from mimoaf.ambiguity import _BLOCK_BYTES, _lag_rows
+from mimoaf.ambiguity import _BLOCK_BYTES, _lag_rows, _surface
 from mimoaf.signals import HeisenbergPoint, SampledSignal
 
 from conftest import (
@@ -221,6 +221,43 @@ def test_blocked_surface_matches_one_ifft(n, n_doppler, cyclic, rows, monkeypatc
     assert s.values.tobytes() == X.tobytes()
     nu = np.fft.fftshift(np.fft.fftfreq(n_doppler, d=u.dt))
     assert np.array_equal(s.tau_axis, lags * u.dt) and np.array_equal(s.nu_axis, nu)
+
+
+@pytest.mark.parametrize("n,cyclic", [(7, False), (8, False), (33, False), (8, True), (64, True)])
+@pytest.mark.parametrize("n_pairs", [1, 2])
+@pytest.mark.parametrize("shift", [-3.0, -23.68], ids=["whole", "fractional"])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_strided_surface_is_every_kth_row(n, cyclic, n_pairs, shift, rows, monkeypatch):
+    # a stride of k keeps every k-th lag row of the full surface, counted out
+    # from lag 0's row c, to the bit: rows c % k, c % k + k, ...
+    dt = 1 / 64
+    N = 2 * n + 6  # not a power of two
+    if rows is not None:
+        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * N)
+    rng = np.random.default_rng(n + 10 * n_pairs)
+    sigs = [
+        SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), dt, shift * dt)
+        for _ in range(2 * n_pairs)
+    ]
+    pairs = list(zip(sigs[::2], sigs[1::2]))
+    full = _surface(pairs, N, cyclic)
+    c = n // 2 if cyclic else n - 1
+    for k in (1, 2, 3, n - 1):
+        want = slice(c % k, None, k)
+        if full.tau_axis[want].size > 1:
+            s = _surface(pairs, N, cyclic, step=k)
+            values, tau = s.values, s.tau_axis
+        else:
+            # cyclic lags stop short of n - 1, so that stride leaves lag 0
+            # alone: one row, which the blocks hold but no surface can
+            with pytest.raises(InvalidParameterError):
+                _surface(pairs, N, cyclic, step=k)
+            blocks = ambiguity._ambiguity_blocks(pairs, N, cyclic, whole=True, step=k)
+            for _ in blocks:
+                pass
+            values, tau = blocks.values, blocks.tau_axis
+        assert values.tobytes() == full.values[want].tobytes(), k
+        assert tau.tobytes() == full.tau_axis[want].tobytes(), k
 
 
 # ------------------------------------------------------------ surface shape

@@ -415,6 +415,20 @@ def test_streamed_wigner_matches_in_memory(rows, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "wigner n_time=255 n_freq=520\n"
 
 
+def test_af_wigner_csv_lists_the_distributions_axes(tmp_path, capsys):
+    # the CSV lines carry the times and frequencies wigner returns, not the
+    # axes rebuilt as first value plus k steps
+    rng = np.random.default_rng(7)
+    u = SampledSignal(rng.standard_normal(7) + 1j * rng.standard_normal(7), 0.3, 0.05)
+    sig, csv, ref = tmp_path / "u.sig", tmp_path / "cli.csv", tmp_path / "ref.csv"
+    write_signal(sig, u)
+    w = wigner(u, n_freq=10)
+    write_surface_blocks([(0, w.values)], w.time_axis, w.freq_axis, csv=ref)
+    assert cli.main(["af", "--u", str(sig), "--wigner", "--n-freq", "10", "--csv", str(csv)]) == 0
+    assert capsys.readouterr().out == "wigner n_time=7 n_freq=10\n"
+    assert csv.read_text() == ref.read_text()
+
+
 def _subcarrier_files(tmp_path, m: int, T: float) -> list[Path]:
     paths = [tmp_path / f"s{i}.sig" for i in range(m)]
     for path, w in zip(paths, gen_subcarrier_set(m, T, 1 / 128)):
@@ -576,6 +590,22 @@ def test_failed_surface_write_leaves_no_file(writer, tmp_path, monkeypatch):
         writer(out, s)
     assert info.value is error
     assert [f.writes for f in files] == [2]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("write, error", [
+    (lambda p: write_ppm(p, np.zeros((0, 3))), FileFormatError),
+    (lambda p: write_ppm(p, np.zeros((3, 0))), FileFormatError),
+    (lambda p: write_ppm(p, np.zeros(5)), InvalidParameterError),
+    (lambda p: write_ppm(p, np.zeros((2, 2, 2))), InvalidParameterError),
+    (lambda p: write_surface_blocks([], np.zeros(0), np.zeros(3), ppm=p), FileFormatError),
+    (lambda p: write_surface_blocks([], np.zeros(3), np.zeros(0), ppm=p), FileFormatError),
+], ids=["no-rows", "no-columns", "1-d", "3-d", "no-lags", "no-dopplers"])
+def test_shapeless_surface_is_refused_before_the_file(write, error, tmp_path):
+    # a values array that is not 2-D, or an axis with no points, is refused
+    # with the package's own error before any file opens
+    with pytest.raises(error):
+        write(tmp_path / "s.ppm")
     assert list(tmp_path.iterdir()) == []
 
 

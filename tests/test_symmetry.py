@@ -27,7 +27,7 @@ from mimoaf import (
     verify_mimo_symmetry,
     verify_mirror,
 )
-from mimoaf import cli, symmetry
+from mimoaf import ambiguity, cli, symmetry
 
 from conftest import DT_G, mixture_basis, random_mixture, traced_peak
 
@@ -269,13 +269,39 @@ def test_dilation_off_grid_factor_is_refused(wide_gauss):
 
 
 def test_reciprocal_dilation_streams_its_parent():
-    # the 8-fold parent (511 x 8192, 64 MiB) goes by one row block at a time;
-    # alive at the peak are route (a)'s surface (8 MiB), route (b)'s 63 rows
-    # (1 MiB) and one parent block with its lag products (about 4 MiB)
+    # the 8-fold parent is built on every 8th lag only (63 x 8192, 7.9 MiB,
+    # not 511 x 8192) and dropped once route (b)'s 63 rows (1 MiB) are cut
+    # from it; alive at the peak are route (a)'s surface (8 MiB), those 63
+    # rows and one block of route (a)'s lag products (1 MiB)
     u = gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0)
     rep, peak = traced_peak(verify_dilation, u, b=1 / 8, n_doppler=1024)
     assert rep.info["route"] == "reciprocal-parent"
     assert peak <= 16 * 2**20
+
+
+def test_dilation_parent_is_built_on_every_kth_lag(monkeypatch):
+    # route (b) reads every 8th lag row of the parent, so only those rows are
+    # built: one 63 x 8192 parent, then route (a)'s 511 x 1024 surface
+    built = []
+    init = ambiguity._SurfaceBlocks.__init__
+
+    def recorded(self, gathers, n, tau_axis, nu_axis, *args):
+        built.append((tau_axis.size, nu_axis.size))
+        init(self, gathers, n, tau_axis, nu_axis, *args)
+
+    monkeypatch.setattr(ambiguity._SurfaceBlocks, "__init__", recorded)
+    u = gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0)
+    verify_dilation(u, b=1 / 8, n_doppler=1024)
+    assert built == [(63, 8192), (511, 1024)]
+
+
+def test_extreme_dilation_holds_three_surfaces():
+    # at b = 1/255 the parent is 3 rows of 255 x 1024 bins, 12 MiB: with the
+    # rest of the check it stays within the three-surface rule of its grid
+    u = gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0)
+    rep, peak = traced_peak(verify_dilation, u, b=1 / 255, n_doppler=1024)
+    assert rep.info["route"] == "reciprocal-parent"
+    assert peak <= 3 * (2 * u.n - 1) * 1024 * 16 + ambiguity._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("b", [1 / 1000, 1000.0])
