@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -468,11 +469,14 @@ class _FailingFile:
     """A file that takes the first `limit` writes (by default the SUR1 header
     and the first block), then raises the given error."""
 
-    def __init__(self, error, path, mode, limit=2):
+    def __init__(self, error, path, mode, limit=2, **kwargs):
         self.error = error
-        self.fh = open(path, mode)
+        self.fh = open(path, mode, **kwargs)
         self.writes = 0
         self.limit = limit
+
+    def fileno(self):
+        return self.fh.fileno()
 
     def __enter__(self):
         return self
@@ -519,9 +523,9 @@ def test_failed_stream_leaves_no_file(failing, limit, error, tmp_path, monkeypat
     monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", 7 * 16 * 256)
     files = {}
 
-    def failing_open(path, mode):
+    def failing_open(path, mode, **kwargs):
         files[Path(path).suffix] = _FailingFile(
-            error, path, mode, limit if Path(path).suffix == failing else math.inf
+            error, path, mode, limit if Path(path).suffix == failing else math.inf, **kwargs
         )
         return files[Path(path).suffix]
 
@@ -543,8 +547,9 @@ def test_failed_trace_stream_leaves_no_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", 7 * 16 * 1024)
     files = []
 
-    def failing_open(path, mode):
-        files.append(_FailingFile(OSError(errno.ENOSPC, "No space left on device"), path, mode))
+    def failing_open(path, mode, **kwargs):
+        files.append(_FailingFile(OSError(errno.ENOSPC, "No space left on device"), path, mode,
+                                  **kwargs))
         return files[-1]
 
     monkeypatch.setattr(io_formats, "open", failing_open, raising=False)
@@ -562,7 +567,7 @@ def test_trace_stream_checks_gamma_before_opening(tmp_path, monkeypatch, capsys)
     out = tmp_path / "tr.sur"
     out.write_bytes(b"an older surface")
     opened = []
-    monkeypatch.setattr(io_formats, "open", lambda *a: opened.append(a), raising=False)
+    monkeypatch.setattr(io_formats, "open", lambda *a, **k: opened.append(a), raising=False)
     assert cli.main(["mimo", "--inputs", *map(str, paths), "--spatial-integral",
                      "--gamma", "0.5", "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -581,8 +586,8 @@ def test_failed_surface_write_leaves_no_file(writer, tmp_path, monkeypatch):
     error = OSError(errno.ENOSPC, "No space left on device")
     files = []
 
-    def failing_open(path, mode):
-        files.append(_FailingFile(error, path, mode, limit=1))
+    def failing_open(path, mode, **kwargs):
+        files.append(_FailingFile(error, path, mode, limit=1, **kwargs))
         return files[-1]
 
     monkeypatch.setattr(io_formats, "open", failing_open, raising=False)
@@ -591,6 +596,145 @@ def test_failed_surface_write_leaves_no_file(writer, tmp_path, monkeypatch):
     assert info.value is error
     assert [f.writes for f in files] == [2]
     assert list(tmp_path.iterdir()) == []
+
+
+def _output_commands(d, sig):
+    """Each command that writes files, with the files it writes under d."""
+    outs = {"af": [d / "s.sur", d / "s.csv", d / "s.ppm"], "gen": [d / "g.sig"],
+            "gen-binary": [d / "g.sigb"], "report": [d / "r.txt"]}
+    argv = {
+        "af": ["af", "--u", str(sig), "--n-doppler", "256", "-o", str(outs["af"][0]),
+               "--csv", str(outs["af"][1]), "--ppm", str(outs["af"][2])],
+        "gen": ["gen", "--family", "lfm", "-o", str(outs["gen"][0])],
+        "gen-binary": ["gen", "--family", "lfm", "--binary", "-o", str(outs["gen-binary"][0])],
+        "report": ["verify", "--suite", "norm", "--report", str(outs["report"][0])],
+    }
+    return {name: (argv[name], outs[name]) for name in argv}
+
+
+@pytest.mark.parametrize("command", ["gen", "gen-binary", "report"])
+def test_failed_signal_or_report_write_leaves_no_file(command, tmp_path, monkeypatch, capsys):
+    # the first write fails: a SIG1, SIGB or report output is deleted, not
+    # left as the older file or a part of the new one
+    sig = tmp_path / "r.sig"
+    write_signal(sig, gen_rect(1.0, 1 / 128))
+    argv, (out,) = _output_commands(tmp_path, sig)[command]
+    out.write_bytes(b"an older output")
+    files = []
+
+    def failing_open(path, mode, **kwargs):
+        files.append(_FailingFile(OSError(errno.ENOSPC, "No space left on device"), path, mode,
+                                  limit=0, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(io_formats, "open", failing_open, raising=False)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert [f.writes for f in files] == [1]
+    assert sorted(tmp_path.iterdir()) == [sig]
+
+
+@pytest.mark.parametrize("older", ["longer", "shorter"])
+@pytest.mark.parametrize("command", ["af", "gen", "gen-binary", "report"])
+def test_rewrite_equals_fresh_write(command, older, tmp_path, capsys):
+    # an output is written over the older file's bytes and cut to length:
+    # the result is the fresh file, byte for byte, and a new file gets the
+    # mode bits open(path, "wb") gives
+    sig = tmp_path / "r.sig"
+    write_signal(sig, gen_rect(1.0, 1 / 128))
+    (tmp_path / "fresh").mkdir()
+    (tmp_path / "re").mkdir()
+    umask = os.umask(0o027)
+    try:
+        argv, fresh = _output_commands(tmp_path / "fresh", sig)[command]
+        assert cli.main(argv) == 0
+        with open(tmp_path / "mode.ref", "wb"):
+            pass
+    finally:
+        os.umask(umask)
+    mode = (tmp_path / "mode.ref").stat().st_mode
+    argv, outs = _output_commands(tmp_path / "re", sig)[command]
+    for f, out in zip(fresh, outs):
+        assert f.stat().st_mode == mode
+        blob = f.read_bytes()[::-1]
+        out.write_bytes(blob + blob if older == "longer" else blob[: len(blob) // 2])
+    assert cli.main(argv) == 0
+    for f, out in zip(fresh, outs):
+        assert out.read_bytes() == f.read_bytes()
+
+
+class _TornFile(_FailingFile):
+    """A _FailingFile whose failing write puts the first half of its data in
+    before it raises, as a process killed inside that write would."""
+
+    def write(self, data):
+        if self.writes == self.limit:
+            self.fh.write(data[: len(data) // 2])
+        return super().write(data)
+
+
+@pytest.mark.parametrize("command, index, limit, reader", [
+    ("af", 0, 1, read_surface),
+    ("af", 1, 1, read_surface_csv),
+    ("gen", 0, 0, read_signal),
+    ("gen-binary", 0, 0, read_signal),
+], ids=["sur1", "csv", "sig1", "sigb"])
+def test_interrupted_rewrite_is_refused(command, index, limit, reader, tmp_path, monkeypatch,
+                                        capsys):
+    # a run killed part way through rewriting a same-size older output (here:
+    # a write torn in half, and no cleanup) leaves a file whose marker is
+    # still the placeholder, so the reader refuses it
+    sig = tmp_path / "r.sig"
+    write_signal(sig, gen_rect(1.0, 1 / 128))
+    argv, outs = _output_commands(tmp_path, sig)[command]
+    assert cli.main(argv) == 0
+    out = outs[index]
+    size = out.stat().st_size
+
+    def torn_open(path, mode, **kwargs):
+        error = OSError(errno.EIO, "Killed")
+        return _TornFile(error, path, mode, limit if Path(path) == out else math.inf, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ambiguity, "_BLOCK_BYTES", 7 * 16 * 256)
+        m.setattr(Path, "unlink", lambda self, missing_ok=False: None)
+        m.setattr(io_formats, "open", torn_open, raising=False)
+        assert cli.main(argv) == 2
+    assert out.stat().st_size == size
+    with pytest.raises(FileFormatError):
+        reader(out)
+
+
+def test_device_output_is_neither_cut_nor_marked(tmp_path, monkeypatch, capsys):
+    # /dev/null cannot be truncated, and its header carries the marker itself
+    sig = tmp_path / "r.sig"
+    write_signal(sig, gen_rect(1.0, 1 / 128))
+    pwrites = []
+    monkeypatch.setattr(os, "pwrite", lambda *a: pwrites.append(a))
+    assert cli.main(["af", "--u", str(sig), "-o", "/dev/null"]) == 0
+    assert capsys.readouterr().out.startswith("af n_lag=511 n_doppler=1024 ")
+    assert pwrites == []
+
+
+def test_pipe_output_matches_file_output(tmp_path, capsys):
+    # through a pipe the marker goes out with the header, so the bytes read
+    # are those of the regular file
+    sig = tmp_path / "r.sig"
+    write_signal(sig, gen_rect(1.0, 1 / 128))
+    assert cli.main(["af", "--u", str(sig), "-o", str(tmp_path / "a.sur")]) == 0
+    fifo = tmp_path / "a.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        assert cli.main(["af", "--u", str(sig), "-o", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [(tmp_path / "a.sur").read_bytes()]
+    assert fifo.exists()
 
 
 @pytest.mark.parametrize("write, error", [
