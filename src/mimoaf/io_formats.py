@@ -121,9 +121,15 @@ def _new_file(
                 if marker:
                     os.pwrite(fh.fileno(), marker, 0)
     except BaseException:
+        _unlink_files([path])
+        raise
+
+
+def _unlink_files(paths: Iterable[str | Path]) -> None:
+    """Delete each path that names a regular file; a device or pipe stays."""
+    for path in paths:
         if Path(path).is_file():
             Path(path).unlink()
-        raise
 
 
 def write_signal(path: str | Path, signal: SampledSignal, binary: bool = False) -> None:
@@ -232,9 +238,9 @@ def write_surface_blocks(
     axis[1] - axis[0].  A block is used only until the next one arrives.
 
     Everything is checked and allocated before any file opens, including
-    that no two outputs resolve to one file; if an output fails part way,
-    every file opened here is deleted.  Returns the value at the grid point
-    nearest (tau, nu) = (0, 0).
+    that no two outputs resolve to one file; if an output fails part way or
+    at its finish, every file opened here is deleted, those already finished
+    included.  Returns the value at the grid point nearest (tau, nu) = (0, 0).
     """
     tau = np.asarray(tau_axis, dtype=np.float64)
     nu = np.asarray(nu_axis, dtype=np.float64)
@@ -259,18 +265,32 @@ def write_surface_blocks(
     row0, col0 = int(np.abs(tau).argmin()), int(np.abs(nu).argmin())
     steps = (tau[0], tau[1] - tau[0], nu[0], nu[1] - nu[0]) if sur1 or csv else ()
     with contextlib.ExitStack() as files:
+        opened: list[str | Path] = []
+
+        @files.push
+        def drop_outputs(exc_type, exc, tb) -> None:
+            # runs once every output has finished or failed: a failure in any
+            # of them, its finish included, deletes those already finished
+            if exc_type is not None:
+                _unlink_files(opened)
+
+        def open_output(path: str | Path, mode: str, marker: bytes) -> tuple[IO, bytes | str]:
+            out = files.enter_context(_new_file(path, mode, marker))
+            opened.append(path)
+            return out
+
         if sur1:
-            sur1_fh, lead = files.enter_context(_new_file(sur1, "wb", _SUR1_MAGIC))
+            sur1_fh, lead = open_output(sur1, "wb", _SUR1_MAGIC)
             sur1_fh.write(lead + struct.pack("<IIdddd", tau.size, nu.size, *steps))
         if csv:
-            csv_fh, lead = files.enter_context(_new_file(csv, "w", b"#"))
+            csv_fh, lead = open_output(csv, "w", b"#")
             csv_fh.write("{} n_tau={} n_nu={}\n# tau0={} dtau={} nu0={} dnu={}\ntau,nu,re,im\n"
                          .format(lead, tau.size, nu.size, *map(_f, steps)))
             # tau and nu are formatted once each, with their commas
             taus = [_f(x) + "," for x in tau.tolist()]
             nus = [_f(x) + "," for x in nu.tolist()]
         if ppm:
-            ppm_fh, ppm_lead = files.enter_context(_new_file(ppm, "wb", b"P5"))
+            ppm_fh, ppm_lead = open_output(ppm, "wb", b"P5")
         done = 0
         for start, block in blocks:
             stop = start + len(block)

@@ -16,6 +16,7 @@ from mimoaf import (
     gen_subcarrier_set,
     heisenberg_shift,
 )
+from mimoaf import ambiguity
 from mimoaf.ambiguity import _check_doppler_count, _doppler_axis, _lag_rows
 from mimoaf.signals import HeisenbergPoint
 
@@ -118,6 +119,20 @@ def pair_surfaces(waveforms, n_doppler=None):
     return np.stack(
         [[cross_ambiguity(u, v, n_doppler=n_doppler).values for v in waveforms] for u in waveforms]
     )
+
+
+@pytest.fixture
+def surface_builds(monkeypatch):
+    """(lags, Doppler bins) of each surface the block loop sets up, in order."""
+    built = []
+    init = ambiguity._SurfaceBlocks.__init__
+
+    def recorded(self, gathers, n, tau_axis, nu_axis, *args):
+        built.append((tau_axis.size, nu_axis.size))
+        init(self, gathers, n, tau_axis, nu_axis, *args)
+
+    monkeypatch.setattr(ambiguity._SurfaceBlocks, "__init__", recorded)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -491,6 +491,56 @@ class _FailingFile:
         return self.fh.write(data)
 
 
+class _FailingFinish(_FailingFile):
+    """A _FailingFile that takes every write, then raises its error when it
+    is cut to length."""
+
+    def __init__(self, error, path, mode, **kwargs):
+        super().__init__(error, path, mode, limit=math.inf, **kwargs)
+
+    def truncate(self):
+        raise self.error
+
+
+def test_failed_finish_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # the outputs finish in reverse order of opening: the PPM and CSV are
+    # cut and marked before the SUR1 file fails to be cut, and all three go
+    sig = tmp_path / "r.sig"
+    write_signal(sig, gen_rect(1.0, 1 / 128))
+    outs = [tmp_path / f"r{suffix}" for suffix in (".sur", ".csv", ".ppm")]
+    for out in outs:
+        out.write_bytes(b"an older output")
+    files = []
+
+    def failing_open(path, mode, **kwargs):
+        if Path(path).suffix != ".sur":
+            return open(path, mode, **kwargs)
+        files.append(_FailingFinish(OSError(errno.EIO, "Input/output error"), path, mode,
+                                    **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(io_formats, "open", failing_open, raising=False)
+    argv = ["af", "--u", str(sig), "--n-doppler", "256",
+            "-o", str(outs[0]), "--csv", str(outs[1]), "--ppm", str(outs[2])]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Input/output error" in err
+    assert len(files) == 1 and files[0].writes >= 2
+    assert sorted(tmp_path.iterdir()) == [sig]
+
+
+def test_output_that_cannot_open_deletes_the_opened_ones(tmp_path, capsys):
+    # the PPM path's directory is missing: the SUR1 file, opened before it,
+    # is deleted
+    sig = tmp_path / "r.sig"
+    write_signal(sig, gen_rect(1.0, 1 / 128))
+    argv = ["af", "--u", str(sig), "-o", str(tmp_path / "new.sur"),
+            "--ppm", str(tmp_path / "missing_dir" / "x.ppm")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(tmp_path.iterdir()) == [sig]
+
+
 @pytest.mark.parametrize("second", ["csv", "ppm"])
 def test_one_path_for_two_outputs_exits_2(second, tmp_path, capsys):
     # two outputs on one file would leave only the later one's bytes there;
@@ -1246,6 +1296,30 @@ def test_verify_all_thread_count_independent():
         outs.append(res.stdout)
     assert outs[0] == outs[1]
     assert outs[0].count(" pass ") >= 4 * 14 and " fail " not in outs[0]
+
+
+# Surfaces each suite builds on one family.  A check builds only what its
+# routes read: trace-reduction decides its hypothesis on the waveforms (the
+# trace and chi(u0, u0) of the collinear set, none for the refused set), and
+# a pair given twice to one side of an identity is built once (moyal's
+# (u, u, u, u), collinearity's (u, u), mimo-moyal's (ortho, ortho)).  The
+# symmetry suites build both routes even where they coincide.
+SUITE_BUILDS = {
+    "norm": 2, "mimo-energy": 4, "moyal": 7, "mimo-moyal": 3, "psd": 1, "trace-psd": 1,
+    "uniqueness": 8, "collinearity": 5, "trace-reduction": 2, "sym-J": 2, "sym-mirror": 2,
+    "sym-lfm": 2, "sym-dilate": 2, "sym-mimo": 8,
+}
+
+
+def test_suite_builds_cover_every_suite():
+    assert sorted(SUITE_BUILDS) == sorted(s for s in cli.SUITES if s != "all")
+    assert sum(SUITE_BUILDS.values()) == 49
+
+
+@pytest.mark.parametrize("suite", SUITE_BUILDS)
+def test_verify_suite_surface_builds(suite, surface_builds, capsys):
+    assert cli.main(["verify", "--suite", suite, "--family", "gaussian"]) == 0
+    assert len(surface_builds) == SUITE_BUILDS[suite]
 
 
 @pytest.mark.parametrize("suite", [*(s for s in cli.SUITES if s != "all"), "reciprocal-dilation"])

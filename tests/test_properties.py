@@ -447,6 +447,27 @@ def test_trace_reduction_single_waveform(gauss256):
     assert rep.info["gap"] <= 1e-12
 
 
+def test_trace_reduction_zero_energy_raises_before_any_surface(gauss256, surface_builds):
+    waves = [gauss256, gauss256.replace_samples(np.zeros(gauss256.n))]
+    with pytest.raises(InvalidParameterError):
+        trace_reduction_check(waves, SteeringConfig(2, 1.0))
+    assert surface_builds == []
+
+
+def test_trace_reduction_decides_on_the_waveforms(gauss256, surface_builds):
+    # |lambda| = 1 + 5e-7 is within the unimodular fit but puts the self
+    # surfaces about 1e-6 apart, past uniqueness's surface distance: the
+    # set is tested for the reduction, which misses by |lambda|^2 - 1 over 2
+    v = gauss256.replace_samples((1 + 5e-7) * 1j * gauss256.samples)
+    assert recover_scalar(gauss256, v).info["af_equal"] is False
+    surface_builds.clear()
+    rep = trace_reduction_check([gauss256, v], SteeringConfig(2, 1.0))
+    assert rep.info["reduced"] is True
+    assert not rep.passed
+    assert rep.info["gap"] == pytest.approx(5e-7, rel=1e-3)
+    assert len(surface_builds) == 2  # the trace and chi(u0, u0), nothing pairwise
+
+
 def test_trace_reduction_refuses_a_set_the_array_cannot_hold():
     # three orthonormal waveforms on a two-element array used to take the
     # refusal branch and pass; the array is checked before any pair

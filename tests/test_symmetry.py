@@ -279,20 +279,12 @@ def test_reciprocal_dilation_streams_its_parent():
     assert peak <= 16 * 2**20
 
 
-def test_dilation_parent_is_built_on_every_kth_lag(monkeypatch):
+def test_dilation_parent_is_built_on_every_kth_lag(surface_builds):
     # route (b) reads every 8th lag row of the parent, so only those rows are
     # built: one 63 x 8192 parent, then route (a)'s 511 x 1024 surface
-    built = []
-    init = ambiguity._SurfaceBlocks.__init__
-
-    def recorded(self, gathers, n, tau_axis, nu_axis, *args):
-        built.append((tau_axis.size, nu_axis.size))
-        init(self, gathers, n, tau_axis, nu_axis, *args)
-
-    monkeypatch.setattr(ambiguity._SurfaceBlocks, "__init__", recorded)
     u = gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0)
     verify_dilation(u, b=1 / 8, n_doppler=1024)
-    assert built == [(63, 8192), (511, 1024)]
+    assert surface_builds == [(63, 8192), (511, 1024)]
 
 
 def test_extreme_dilation_holds_three_surfaces():
