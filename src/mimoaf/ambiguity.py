@@ -58,6 +58,15 @@ def _axis_index(axis: np.ndarray, x: float, quantity: str, axis_name: str) -> in
     return idx
 
 
+def _require_ascending(tau_axis: np.ndarray, nu_axis: np.ndarray) -> None:
+    """Raise InvalidParameterError unless both axes are finite and strictly
+    ascending: a grid so far out, or so coarse, that float64 cannot tell its
+    points apart has no surface."""
+    for name, axis in (("delay", tau_axis), ("Doppler", nu_axis)):
+        if not (np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0)):
+            raise InvalidParameterError(f"the {name} axis must be finite and strictly ascending")
+
+
 @dataclass(frozen=True, eq=False)
 class AmbiguitySurface:
     """Values of a function on the delay-Doppler plane, sampled on its axes.
@@ -88,9 +97,7 @@ class AmbiguitySurface:
             raise InvalidParameterError(
                 f"a surface needs at least 2 points on each axis, got {vals.shape}"
             )
-        for name, axis in (("delay", tau), ("Doppler", nu)):
-            if not (np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0)):
-                raise InvalidParameterError(f"the {name} axis must be finite and strictly ascending")
+        _require_ascending(tau, nu)
         object.__setattr__(self, "values", _freeze(vals))
         object.__setattr__(self, "tau_axis", _freeze(tau))
         object.__setattr__(self, "nu_axis", _freeze(nu))
@@ -236,7 +243,8 @@ class _SurfaceBlocks:
     block holds only until the next.  :func:`_ambiguity_blocks` and
     :func:`_wigner_blocks` work out the gathers and the geometry.
 
-    Construction allocates the buffers, so an allocation too large fails
+    Construction checks the axes as :class:`AmbiguitySurface` does, then
+    allocates the buffers, so bad axes or an allocation too large fail
     before anything is computed or written.  Iterating yields (first row,
     block) in row order; ``tau_axis`` labels the rows (delays, or the
     times of a Wigner distribution), one per row, and ``nu_axis`` the
@@ -264,6 +272,7 @@ class _SurfaceBlocks:
         weight: float,
         whole: bool,
     ) -> None:
+        _require_ascending(tau_axis, nu_axis)
         shift, frac = window
         self._gathers = gathers
         self.tau_axis = tau_axis

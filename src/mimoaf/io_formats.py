@@ -22,16 +22,17 @@ which takes the surface as blocks of lag rows and feeds each block to the
 SUR1 body, the CSV rows and the heatmap's |values| image at once, so a
 surface built block by block is never whole in memory.
 
-Every output file is opened by :func:`_new_file`, which rewrites an
-existing file in place: it is opened without truncation, the new bytes go
-over the old ones, and the file is cut to its new length at the end.  Over
-an older file of the same size this spares the kernel freeing the old pages
-and blocks and allocating them again: on ext4 (2 vCPU) a 128 MiB rewrite
-takes 27 ms CPU and 29 ms wall in place, against 41 ms CPU and 77 ms wall
-after truncation.  Each format's marker ("SUR1", "SIGB", the CSV's leading
-"#", SIG1's "n", PPM's "P5") is written last, over NUL bytes that hold its
-place: a failed write deletes its file, and a run killed part way leaves
-one that no reader accepts.
+Each writer's output files form one write group, :func:`_new_files`, which
+rewrites every existing file in place: it is opened without truncation, the
+new bytes go over the old ones, and the file is cut to its new length once
+the bodies of all the group's files are in.  Over an older file of the same
+size this spares the kernel freeing the old pages and blocks and allocating
+them again: on ext4 (2 vCPU) a 128 MiB rewrite takes 27 ms CPU and 29 ms
+wall in place, against 41 ms CPU and 77 ms wall after truncation.  Each
+format's marker ("SUR1", "SIGB", the CSV's leading "#", SIG1's "n", PPM's
+"P5") is written last, over NUL bytes that hold its place: a failed write
+or finish deletes every file of the group, and a run killed part way leaves
+files that no reader accepts.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import math
 import os
 import stat
 import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import repeat
 from pathlib import Path
 from typing import IO
@@ -94,57 +95,59 @@ def _open_in_place(path: str, flags: int) -> int:
 
 
 @contextlib.contextmanager
-def _new_file(
-    path: str | Path, mode: str, marker: bytes = b""
-) -> Iterator[tuple[IO, bytes | str]]:
-    """Open path for writing over its old bytes; yield the file and the lead
-    to write in place of the format's marker.
+def _new_files() -> Iterator[Callable[..., tuple[IO, bytes | str]]]:
+    """A write group: yield new(path, mode, marker=b""), which opens path
+    for writing over its old bytes and returns the file and the lead to
+    write in place of the format's marker.
 
-    A regular file is rewritten in place and cut to its new length at the
-    end, which spares the file system freeing the old pages and allocating
-    them again.  Its lead is a placeholder of NUL bytes, and the marker is
-    written over it only after the rest is in and the file is cut, so a run
-    killed part way leaves a file that no reader accepts.  If the write
-    fails, the file is deleted.  A device or pipe given as path gets the
-    marker itself as lead and is neither cut nor deleted.
-
-    The file is opened outside the cleanup: a path that cannot be opened is
-    left alone."""
-    fh = open(path, mode, opener=_open_in_place)
+    A regular file is rewritten in place, which spares the file system
+    freeing the old pages and allocating them again.  Its lead is a
+    placeholder of NUL bytes.  Once the body is done, each regular file is
+    cut to its new length and only then gets its marker, so a run killed
+    part way leaves files that no reader accepts.  If the body or any
+    finish fails, every regular file of the group is closed and deleted,
+    those already finished included.  A device or pipe gets the marker
+    itself as lead and is neither cut nor deleted; a path that cannot be
+    opened is left alone.
+    """
+    regular: list[tuple[str | Path, IO, bytes]] = []
     try:
-        with fh:
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-            lead = bytes(len(marker)) if regular else marker
-            yield fh, lead if "b" in mode else lead.decode("ascii")
-            if regular:
+        with contextlib.ExitStack() as files:
+
+            def new(path: str | Path, mode: str, marker: bytes = b"") -> tuple[IO, bytes | str]:
+                fh = files.enter_context(open(path, mode, opener=_open_in_place))
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    regular.append((path, fh, marker))
+                    lead = bytes(len(marker))
+                else:
+                    lead = marker
+                return fh, lead if "b" in mode else lead.decode("ascii")
+
+            yield new
+            for _, fh, marker in regular:
                 fh.truncate()
                 if marker:
                     os.pwrite(fh.fileno(), marker, 0)
     except BaseException:
-        _unlink_files([path])
+        for path, _, _ in regular:
+            Path(path).unlink(missing_ok=True)
         raise
-
-
-def _unlink_files(paths: Iterable[str | Path]) -> None:
-    """Delete each path that names a regular file; a device or pipe stays."""
-    for path in paths:
-        if Path(path).is_file():
-            Path(path).unlink()
 
 
 def write_signal(path: str | Path, signal: SampledSignal, binary: bool = False) -> None:
     """Write a SIG1 text or, with binary, a SIGB signal file."""
-    if binary:
-        with _new_file(path, "wb", _SIGB_MAGIC) as (fh, lead):
-            fh.write(lead + struct.pack("<Idd", signal.n, signal.dt, signal.t0))
-            fh.write(np.ascontiguousarray(signal.samples, dtype="<c16"))
-        return
     z = signal.samples
-    with _new_file(path, "w", b"n") as (fh, lead):
-        fh.write(
-            f"{lead}={signal.n}\ndt={_f(signal.dt)}\nt0={_f(signal.t0)}\n"
-            + _text_lines("%.17g,%.17g\n", z.real.tolist(), z.imag.tolist())
-        )
+    with _new_files() as new:
+        if binary:
+            fh, lead = new(path, "wb", _SIGB_MAGIC)
+            fh.write(lead + struct.pack("<Idd", signal.n, signal.dt, signal.t0))
+            fh.write(np.ascontiguousarray(z, dtype="<c16"))
+        else:
+            fh, lead = new(path, "w", b"n")
+            fh.write(
+                f"{lead}={signal.n}\ndt={_f(signal.dt)}\nt0={_f(signal.t0)}\n"
+                + _text_lines("%.17g,%.17g\n", z.real.tolist(), z.imag.tolist())
+            )
 
 
 def _read_signal_binary(blob: bytes, path: Path) -> SampledSignal:
@@ -238,9 +241,9 @@ def write_surface_blocks(
     axis[1] - axis[0].  A block is used only until the next one arrives.
 
     Everything is checked and allocated before any file opens, including
-    that no two outputs resolve to one file; if an output fails part way or
-    at its finish, every file opened here is deleted, those already finished
-    included.  Returns the value at the grid point nearest (tau, nu) = (0, 0).
+    that no two outputs resolve to one file.  The outputs are one write
+    group: if any fails part way or at its finish, all of them are deleted.
+    Returns the value at the grid point nearest (tau, nu) = (0, 0).
     """
     tau = np.asarray(tau_axis, dtype=np.float64)
     nu = np.asarray(nu_axis, dtype=np.float64)
@@ -264,33 +267,19 @@ def write_surface_blocks(
         image = np.empty((tau.size, nu.size))
     row0, col0 = int(np.abs(tau).argmin()), int(np.abs(nu).argmin())
     steps = (tau[0], tau[1] - tau[0], nu[0], nu[1] - nu[0]) if sur1 or csv else ()
-    with contextlib.ExitStack() as files:
-        opened: list[str | Path] = []
-
-        @files.push
-        def drop_outputs(exc_type, exc, tb) -> None:
-            # runs once every output has finished or failed: a failure in any
-            # of them, its finish included, deletes those already finished
-            if exc_type is not None:
-                _unlink_files(opened)
-
-        def open_output(path: str | Path, mode: str, marker: bytes) -> tuple[IO, bytes | str]:
-            out = files.enter_context(_new_file(path, mode, marker))
-            opened.append(path)
-            return out
-
+    with _new_files() as new:
         if sur1:
-            sur1_fh, lead = open_output(sur1, "wb", _SUR1_MAGIC)
+            sur1_fh, lead = new(sur1, "wb", _SUR1_MAGIC)
             sur1_fh.write(lead + struct.pack("<IIdddd", tau.size, nu.size, *steps))
         if csv:
-            csv_fh, lead = open_output(csv, "w", b"#")
+            csv_fh, lead = new(csv, "w", b"#")
             csv_fh.write("{} n_tau={} n_nu={}\n# tau0={} dtau={} nu0={} dnu={}\ntau,nu,re,im\n"
                          .format(lead, tau.size, nu.size, *map(_f, steps)))
             # tau and nu are formatted once each, with their commas
             taus = [_f(x) + "," for x in tau.tolist()]
             nus = [_f(x) + "," for x in nu.tolist()]
         if ppm:
-            ppm_fh, ppm_lead = open_output(ppm, "wb", b"P5")
+            ppm_fh, ppm_lead = new(ppm, "wb", b"P5")
         done = 0
         for start, block in blocks:
             stop = start + len(block)
@@ -426,5 +415,6 @@ def write_ppm(
 
 def write_report(path: str | Path, reports: list[CheckReport]) -> None:
     """Write one report line per check.  If the write fails, no file is left."""
-    with _new_file(path, "w") as (fh, _):
+    with _new_files() as new:
+        fh, _ = new(path, "w")
         fh.write("".join(r.format_line() + "\n" for r in reports))

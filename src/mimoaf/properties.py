@@ -369,13 +369,15 @@ def trace_psd_check(
 
 def _unimodular_fit(u: SampledSignal, v: SampledSignal) -> tuple[complex, float, float]:
     """The least-squares scalar lambda = <u,v>/energy(v) with u ~ lambda v,
-    the residual |u - lambda v| / |u|, and the unimodular defect ||lambda| - 1|."""
-    ev = v.energy()
-    if ev <= 0.0:
-        raise InvalidParameterError("v has zero energy")
+    the residual |u - lambda v| / |u|, and the unimodular defect ||lambda| - 1|.
+    A zero u or v has no such scalar and raises InvalidParameterError."""
+    eu, ev = u.energy(), v.energy()
+    for name, e in (("u", eu), ("v", ev)):
+        if e <= 0.0:
+            raise InvalidParameterError(f"{name} has zero energy")
     lam = inner_product(u, v) / ev
     diff = u.samples - lam * v.samples
-    residual = math.sqrt(float(u.dt * np.sum(np.abs(diff) ** 2))) / max(u.norm(), _TINY)
+    residual = math.sqrt(float(u.dt * np.sum(np.abs(diff) ** 2))) / math.sqrt(eu)
     return lam, residual, abs(abs(lam) - 1.0)
 
 
@@ -391,7 +393,8 @@ def recover_scalar(
     the estimate lambda = <u,v>/energy(v) must be unimodular and reproduce
     u as lambda * v.  When the surfaces differ, the hypothesis is void: the
     report passes vacuously and records the non-equal status in info.
-    Either way info["lambda"] holds the estimate.
+    Either way info["lambda"] holds the estimate.  A zero u or v raises
+    InvalidParameterError before any surface is built.
     """
     lam, residual, unimodular_defect = _unimodular_fit(u, v)
     su = cross_ambiguity(u, u, n_doppler=n_doppler)
@@ -475,9 +478,13 @@ def trace_reduction_check(
     No pairwise surface is built.  recover_scalar also asks that the self
     surfaces lie within _AF_TOL of each other; a pair within the residual
     test but not that gate would pass recover_scalar vacuously, and here its
-    set is tested for the reduction instead.
+    set is tested for the reduction instead.  A waveform of zero energy
+    raises InvalidParameterError before any fit or surface.
     """
     _trace_pairs(waveforms, cfg)  # the array and its spacing, before any pair
+    if any(w.energy() <= 0.0 for w in waveforms):
+        # a zero set would pass as reduced, its gap taken against a zero peak
+        raise InvalidParameterError("trace-reduction needs waveforms of nonzero energy")
     m = len(waveforms)
     pair_status: dict[tuple[int, int], bool] = {}
     for i, j in itertools.combinations(range(m), 2):

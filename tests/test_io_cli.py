@@ -328,6 +328,23 @@ def test_af_window_start_past_float_range_exits_2(tmp_path, capsys):
     assert not sur.exists()
 
 
+@pytest.mark.parametrize("text, extra, axis", [
+    ("n=4\ndt=1\nt0=1e300\n" + "1,0\n" * 4, ["--wigner"], "delay"),
+    ("n=2\ndt=1e308\nt0=0\n" + "1,0\n" * 2, [], "Doppler"),
+], ids=["wigner-times-past-resolution", "doppler-step-underflow"])
+def test_streamed_surface_with_collapsed_axis_exits_2(text, extra, axis, tmp_path, capsys):
+    # times 1e300 + k cannot be told apart in float64, and 1/(N 1e308)
+    # underflows to a Doppler axis of zeros: the streamed surface is refused
+    # before its buffers and files, as the in-memory one is
+    sig, sur = tmp_path / "far.sig", tmp_path / "far.sur"
+    sig.write_text(text)
+    sur.write_bytes(b"an older surface")
+    assert cli.main(["af", "--u", str(sig), *extra, "-o", str(sur)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: the {axis} axis must be finite and strictly ascending\n"
+    assert sur.read_bytes() == b"an older surface"
+
+
 def test_af_determinism(tmp_path):
     sig = tmp_path / "g.sig"
     run_cli("gen", "--family", "gaussian", "-o", sig)
@@ -502,30 +519,42 @@ class _FailingFinish(_FailingFile):
         raise self.error
 
 
-def test_failed_finish_leaves_no_file(tmp_path, monkeypatch, capsys):
-    # the outputs finish in reverse order of opening: the PPM and CSV are
-    # cut and marked before the SUR1 file fails to be cut, and all three go
+@pytest.mark.parametrize("failing", [".sur", ".csv", ".ppm"], ids=["sur1", "csv", "ppm"])
+def test_failed_finish_leaves_no_file(failing, tmp_path, monkeypatch, capsys):
+    # the outputs finish in order of opening, SUR1, CSV, PPM: those before
+    # the one that fails to be cut are already cut and marked, and all
+    # three go
     sig = tmp_path / "r.sig"
     write_signal(sig, gen_rect(1.0, 1 / 128))
-    outs = [tmp_path / f"r{suffix}" for suffix in (".sur", ".csv", ".ppm")]
+    suffixes = [".sur", ".csv", ".ppm"]
+    outs = [tmp_path / f"r{suffix}" for suffix in suffixes]
     for out in outs:
         out.write_bytes(b"an older output")
     files = []
 
     def failing_open(path, mode, **kwargs):
-        if Path(path).suffix != ".sur":
+        if Path(path).suffix != failing:
             return open(path, mode, **kwargs)
         files.append(_FailingFinish(OSError(errno.EIO, "Input/output error"), path, mode,
                                     **kwargs))
         return files[-1]
 
+    marked = []
+    pwrite = os.pwrite
+
+    def recorded_pwrite(fd, data, offset):
+        marked.append(data)
+        return pwrite(fd, data, offset)
+
     monkeypatch.setattr(io_formats, "open", failing_open, raising=False)
+    monkeypatch.setattr(os, "pwrite", recorded_pwrite)
     argv = ["af", "--u", str(sig), "--n-doppler", "256",
             "-o", str(outs[0]), "--csv", str(outs[1]), "--ppm", str(outs[2])]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Input/output error" in err
     assert len(files) == 1 and files[0].writes >= 2
+    assert marked == [b"SUR1", b"#", b"P5"][: suffixes.index(failing)]
     assert sorted(tmp_path.iterdir()) == [sig]
 
 
@@ -662,10 +691,15 @@ def _output_commands(d, sig):
     return {name: (argv[name], outs[name]) for name in argv}
 
 
-@pytest.mark.parametrize("command", ["gen", "gen-binary", "report"])
-def test_failed_signal_or_report_write_leaves_no_file(command, tmp_path, monkeypatch, capsys):
-    # the first write fails: a SIG1, SIGB or report output is deleted, not
-    # left as the older file or a part of the new one
+@pytest.mark.parametrize("command, finish", [
+    ("gen", False), ("gen-binary", False), ("report", False),
+    ("gen", True), ("gen-binary", True), ("report", True),
+], ids=["gen", "gen-binary", "report", "gen-finish", "gen-binary-finish", "report-finish"])
+def test_failed_signal_or_report_write_leaves_no_file(command, finish, tmp_path, monkeypatch,
+                                                      capsys):
+    # the first write fails, or every write goes through and the cut to
+    # length fails: a SIG1, SIGB or report output is deleted, not left as
+    # the older file or a part of the new one
     sig = tmp_path / "r.sig"
     write_signal(sig, gen_rect(1.0, 1 / 128))
     argv, (out,) = _output_commands(tmp_path, sig)[command]
@@ -673,15 +707,16 @@ def test_failed_signal_or_report_write_leaves_no_file(command, tmp_path, monkeyp
     files = []
 
     def failing_open(path, mode, **kwargs):
-        files.append(_FailingFile(OSError(errno.ENOSPC, "No space left on device"), path, mode,
-                                  limit=0, **kwargs))
+        error = OSError(errno.ENOSPC, "No space left on device")
+        files.append(_FailingFinish(error, path, mode, **kwargs) if finish
+                     else _FailingFile(error, path, mode, limit=0, **kwargs))
         return files[-1]
 
     monkeypatch.setattr(io_formats, "open", failing_open, raising=False)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert [f.writes for f in files] == [1]
+    assert [f.writes for f in files] == [2 if command == "gen-binary" and finish else 1]
     assert sorted(tmp_path.iterdir()) == [sig]
 
 

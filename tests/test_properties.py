@@ -454,6 +454,19 @@ def test_trace_reduction_zero_energy_raises_before_any_surface(gauss256, surface
     assert surface_builds == []
 
 
+@pytest.mark.parametrize("check", [
+    lambda u, z: trace_reduction_check([z], SteeringConfig(1, 1.0)),
+    lambda u, z: recover_scalar(z, u),
+    lambda u, z: recover_scalar(u, z),
+], ids=["trace", "scalar-u", "scalar-v"])
+def test_zero_waveform_is_refused_before_any_surface(check, gauss256, surface_builds):
+    # a zero waveform has no unimodular scalar, and a zero set's gap would
+    # be taken against a zero peak
+    with pytest.raises(InvalidParameterError, match="zero energy|nonzero energy"):
+        check(gauss256, gauss256.replace_samples(np.zeros(gauss256.n)))
+    assert surface_builds == []
+
+
 def test_trace_reduction_decides_on_the_waveforms(gauss256, surface_builds):
     # |lambda| = 1 + 5e-7 is within the unimodular fit but puts the self
     # surfaces about 1e-6 apart, past uniqueness's surface distance: the
