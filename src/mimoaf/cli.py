@@ -82,21 +82,27 @@ from .symmetry import (
 
 FAMILIES = ("rect", "gaussian", "lfm", "subcarriers")
 
-_DT_FINE = 1.0 / 128  # rect-family default: T=1 at pad 2 gives 256 samples
-_DT_GAUSS = 1.0 / 64
+# the sym-J grid: 256 samples at dt = 1/16, so n dt^2 = 1
+_ROTATION = {"T": 8.0, "dt": 1.0 / 16, "half_width": 8.0, "rate": 0.5}
 
 
 # ---------------------------------------------------------------- waveforms
 
-def _family_waveform(family: str, M: int = 2) -> SampledSignal:
-    """Default verification waveform on a 256-sample grid."""
+def _waveforms(family: str, M: int = 1, T: float = 1.0, dt: float | None = None,
+               pad: float = 2.0, sigma: float = CANONICAL_SIGMA, half_width: float = 2.0,
+               rate: float = 4.0) -> list[SampledSignal]:
+    """The M subcarriers, or a list holding the family's one pulse.  The
+    defaults are the verification grid: 256 samples, at dt = 1/64 for the
+    Gaussian and 1/128 for every other family."""
+    if dt is None:
+        dt = 1.0 / 64 if family == "gaussian" else 1.0 / 128
+    if family == "subcarriers":
+        return gen_subcarrier_set(M, T, dt, pad)
     if family == "rect":
-        return gen_rect(1.0, _DT_FINE)
+        return [gen_rect(T, dt, pad)]
     if family == "gaussian":
-        return gen_gaussian(CANONICAL_SIGMA, _DT_GAUSS, 2.0)
-    if family == "lfm":
-        return gen_lfm(1.0, 4.0, _DT_FINE)
-    return gen_subcarrier_set(M, 1.0, _DT_FINE)[0]
+        return [gen_gaussian(sigma, dt, half_width)]
+    return [gen_lfm(T, rate, dt, pad)]
 
 
 def _phase_family(u: SampledSignal, M: int, seed: int) -> list[SampledSignal]:
@@ -107,19 +113,8 @@ def _phase_family(u: SampledSignal, M: int, seed: int) -> list[SampledSignal]:
 
 def _family_set(family: str, M: int, seed: int) -> list[SampledSignal]:
     if family == "subcarriers":
-        return gen_subcarrier_set(M, 1.0, _DT_FINE)
-    return _phase_family(_family_waveform(family, M), M, seed)
-
-
-def _rotation_waveform(family: str) -> SampledSignal:
-    """256 samples at dt = 1/16, so n dt^2 = 1 (rotation-check grid)."""
-    if family == "rect":
-        return gen_rect(8.0, 1.0 / 16)
-    if family == "gaussian":
-        return gen_gaussian(CANONICAL_SIGMA, 1.0 / 16, 8.0)
-    if family == "lfm":
-        return gen_lfm(8.0, 0.5, 1.0 / 16)
-    return gen_subcarrier_set(1, 8.0, 1.0 / 16)[0]
+        return _waveforms(family, M)
+    return _phase_family(_waveforms(family)[0], M, seed)
 
 
 def _aligned_chirp_rate(u: SampledSignal, n_doppler: int) -> float:
@@ -137,7 +132,7 @@ def _mixture(basis: list[SampledSignal], rng: np.random.Generator) -> SampledSig
 
 
 def _mixture_basis(family: str) -> list[SampledSignal]:
-    u = _family_waveform(family)
+    u = _waveforms(family)[0]
     shifted = heisenberg_shift(u, HeisenbergPoint(8 * u.dt, 1.0))
     chirped = chirp_multiply(u, 2.0)
     return [u, shifted, chirped]
@@ -146,14 +141,14 @@ def _mixture_basis(family: str) -> list[SampledSignal]:
 # ------------------------------------------------------------------- suites
 
 def _suite_norm(args, tol: dict) -> list[CheckReport]:
-    u = _family_waveform(args.family, args.M)
+    u = _waveforms(args.family, args.M)[0]
     v = chirp_multiply(heisenberg_shift(u, HeisenbergPoint(8 * u.dt, 1.0)), 2.0)
     out = [
         check_norm_identity(u, u, args.n_doppler, **tol),
         check_norm_identity(u, v, args.n_doppler, **tol),
     ]
     if args.family == "subcarriers":
-        pair = gen_subcarrier_set(2, 1.0, _DT_FINE)
+        pair = _waveforms("subcarriers", 2)
         out.append(check_norm_identity(pair[0], pair[1], args.n_doppler, **tol))
     return out
 
@@ -180,35 +175,29 @@ def _suite_mimo_moyal(args, tol: dict) -> list[CheckReport]:
     cfg = SteeringConfig(args.M, args.gamma)
     us = _family_set(args.family, args.M, args.seed)
     vs = _family_set(args.family, args.M, args.seed + 7)
-    ortho = gen_subcarrier_set(args.M, 1.0, _DT_FINE)
+    ortho = _waveforms("subcarriers", args.M)
     return [
         mimo_inner_product(us, vs, cfg, args.fs, args.fsp, args.n_doppler, **tol),
         mimo_inner_product(ortho, ortho, cfg, args.fs, args.fs, args.n_doppler, **tol),
     ]
 
 
-def _psd_waveform(family: str) -> SampledSignal:
-    # the Gaussian needs the wide window so probe shifts never clip tails
-    if family == "gaussian":
-        return gen_gaussian(CANONICAL_SIGMA, _DT_GAUSS, 4.0)
-    return _family_waveform(family)
-
-
 def _suite_psd(args, tol: dict) -> list[CheckReport]:
-    u = _psd_waveform(args.family)
+    # the Gaussian needs the wide window so probe shifts never clip tails
+    u = _waveforms(args.family, half_width=4.0)[0]
     probes = random_probe_set(u, args.probes, args.seed, args.n_doppler)
     return [gram_psd_check(u, probes, n_doppler=args.n_doppler, **tol)]
 
 
 def _suite_trace_psd(args, tol: dict) -> list[CheckReport]:
-    waves = gen_subcarrier_set(args.M, 1.0, _DT_FINE)
+    waves = _waveforms("subcarriers", args.M)
     cfg = SteeringConfig(args.M, args.gamma)
     probes = random_probe_set(waves[0], args.probes, args.seed, args.n_doppler)
     return [trace_psd_check(waves, probes, cfg, args.n_doppler, **tol)]
 
 
 def _suite_uniqueness(args, tol: dict) -> list[CheckReport]:
-    u = _family_waveform(args.family, args.M)
+    u = _waveforms(args.family, args.M)[0]
     rng = np.random.default_rng(args.seed)
     out = []
     for _ in range(3):
@@ -221,7 +210,7 @@ def _suite_uniqueness(args, tol: dict) -> list[CheckReport]:
 
 
 def _suite_collinearity(args, tol: dict) -> list[CheckReport]:
-    u = _family_waveform(args.family, args.M)
+    u = _waveforms(args.family, args.M)[0]
     v = u.replace_samples(3j * u.samples)
     return [
         collinearity_check(u, v, args.n_doppler, **tol),
@@ -231,47 +220,46 @@ def _suite_collinearity(args, tol: dict) -> list[CheckReport]:
 
 def _suite_trace_reduction(args, tol: dict) -> list[CheckReport]:
     cfg = SteeringConfig(args.M, args.gamma)
-    base = _family_waveform("gaussian")
     reduced = trace_reduction_check(
-        _phase_family(base, args.M, args.seed), cfg, args.n_doppler, **tol
+        _family_set("gaussian", args.M, args.seed), cfg, args.n_doppler, **tol
     )
     refused = trace_reduction_check(
-        gen_subcarrier_set(args.M, 1.0, _DT_FINE), cfg, args.n_doppler, **tol
+        _waveforms("subcarriers", args.M), cfg, args.n_doppler, **tol
     )
     return [reduced, refused]
 
 
 def _suite_sym_J(args, tol: dict) -> list[CheckReport]:
-    u = _rotation_waveform(args.family)
+    u = _waveforms(args.family, **_ROTATION)[0]
     return [verify_fourier_rotation(u, **tol)]
 
 
 def _suite_sym_mirror(args, tol: dict) -> list[CheckReport]:
-    u = _family_waveform(args.family, args.M)
+    u = _waveforms(args.family, args.M)[0]
     v = chirp_multiply(heisenberg_shift(u, HeisenbergPoint(4 * u.dt, 0.5)), 1.0)
     return [verify_mirror(u, v, args.n_doppler, **tol)]
 
 
 def _suite_sym_lfm(args, tol: dict) -> list[CheckReport]:
-    u = _family_waveform(args.family, args.M)
+    u = _waveforms(args.family, args.M)[0]
     rate = _aligned_chirp_rate(u, args.n_doppler)
     return [verify_lfm_shear(u, rate=rate, n_doppler=args.n_doppler, **tol)]
 
 
 def _suite_sym_dilate(args, tol: dict) -> list[CheckReport]:
     # the smooth family: rect-envelope spectra alias under compression
-    u = gen_gaussian(CANONICAL_SIGMA, _DT_GAUSS, 2.0)
+    u = _waveforms("gaussian")[0]
     return [verify_dilation(u, b=2.0, n_doppler=args.n_doppler, **tol)]
 
 
 def _suite_sym_mimo(args, tol: dict) -> list[CheckReport]:
     out = []
-    rot_set = gen_subcarrier_set(2, 8.0, 1.0 / 16)
+    rot_set = _waveforms("subcarriers", 2, **_ROTATION)
     cfg = SteeringConfig(2, args.gamma)
     out.append(
         verify_mimo_symmetry(rot_set, cfg, 0.25, 0.25, verify_fourier_rotation, **tol)
     )
-    flat_set = gen_subcarrier_set(2, 1.0, _DT_FINE)
+    flat_set = _waveforms("subcarriers", 2)
     out.append(
         verify_mimo_symmetry(flat_set, cfg, args.fs, args.fsp, verify_mirror,
                              n_doppler=args.n_doppler, **tol)
@@ -281,7 +269,7 @@ def _suite_sym_mimo(args, tol: dict) -> list[CheckReport]:
         verify_mimo_symmetry(flat_set, cfg, args.fs, args.fsp, verify_lfm_shear,
                              rate=rate, n_doppler=args.n_doppler, **tol)
     )
-    smooth = _phase_family(gen_gaussian(CANONICAL_SIGMA, _DT_GAUSS, 2.0), 2, args.seed)
+    smooth = _family_set("gaussian", 2, args.seed)
     out.append(
         verify_mimo_symmetry(smooth, cfg, args.fs, args.fsp, verify_dilation,
                              b=2.0, n_doppler=args.n_doppler, **tol)
@@ -310,31 +298,16 @@ SUITES = (*_SUITE_FUNCS, "all")
 
 # ----------------------------------------------------------------- commands
 
-def _resolve_dt(args) -> float:
-    if args.dt is not None:
-        return args.dt
-    return _DT_GAUSS if args.family == "gaussian" else _DT_FINE
-
-
 def cmd_gen(args) -> int:
-    dt = _resolve_dt(args)
+    waves = _waveforms(args.family, args.M, args.T, args.dt, args.pad, args.sigma,
+                       args.half_width, args.rate)
     out = Path(args.out)
-    if args.family == "subcarriers":
-        waves = gen_subcarrier_set(args.M, args.T, dt, args.pad)
-        for m, w in enumerate(waves):
-            path = out.with_name(f"{out.stem}{m}{out.suffix}")
-            io_formats.write_signal(path, w, binary=args.binary)
-            print(f"wrote {path} n={w.n} dt={w.dt:.12g} t0={w.t0:.12g} "
-                  f"energy={w.energy():.12g}")
-        return 0
-    if args.family == "rect":
-        w = gen_rect(args.T, dt, args.pad)
-    elif args.family == "gaussian":
-        w = gen_gaussian(args.sigma, dt, args.half_width)
-    else:
-        w = gen_lfm(args.T, args.rate, dt, args.pad)
-    io_formats.write_signal(out, w, binary=args.binary)
-    print(f"wrote {out} n={w.n} dt={w.dt:.12g} t0={w.t0:.12g} energy={w.energy():.12g}")
+    paths = ([out.with_name(f"{out.stem}{m}{out.suffix}") for m in range(len(waves))]
+             if args.family == "subcarriers" else [out])
+    # one write group: if any file fails, the set's others are deleted too
+    io_formats._write_signals(list(zip(paths, waves)), binary=args.binary)
+    for path, w in zip(paths, waves):
+        print(f"wrote {path} n={w.n} dt={w.dt:.12g} t0={w.t0:.12g} energy={w.energy():.12g}")
     return 0
 
 

@@ -134,20 +134,27 @@ def _new_files() -> Iterator[Callable[..., tuple[IO, bytes | str]]]:
         raise
 
 
+def _write_signals(outputs: list[tuple[str | Path, SampledSignal]], binary: bool) -> None:
+    """Write each (path, signal) as SIG1 text or, with binary, SIGB, all in
+    one write group: if any file fails, every one of them is deleted."""
+    with _new_files() as new:
+        for path, signal in outputs:
+            z = signal.samples
+            if binary:
+                fh, lead = new(path, "wb", _SIGB_MAGIC)
+                fh.write(lead + struct.pack("<Idd", signal.n, signal.dt, signal.t0))
+                fh.write(np.ascontiguousarray(z, dtype="<c16"))
+            else:
+                fh, lead = new(path, "w", b"n")
+                fh.write(
+                    f"{lead}={signal.n}\ndt={_f(signal.dt)}\nt0={_f(signal.t0)}\n"
+                    + _text_lines("%.17g,%.17g\n", z.real.tolist(), z.imag.tolist())
+                )
+
+
 def write_signal(path: str | Path, signal: SampledSignal, binary: bool = False) -> None:
     """Write a SIG1 text or, with binary, a SIGB signal file."""
-    z = signal.samples
-    with _new_files() as new:
-        if binary:
-            fh, lead = new(path, "wb", _SIGB_MAGIC)
-            fh.write(lead + struct.pack("<Idd", signal.n, signal.dt, signal.t0))
-            fh.write(np.ascontiguousarray(z, dtype="<c16"))
-        else:
-            fh, lead = new(path, "w", b"n")
-            fh.write(
-                f"{lead}={signal.n}\ndt={_f(signal.dt)}\nt0={_f(signal.t0)}\n"
-                + _text_lines("%.17g,%.17g\n", z.real.tolist(), z.imag.tolist())
-            )
+    _write_signals([(path, signal)], binary)
 
 
 def _read_signal_binary(blob: bytes, path: Path) -> SampledSignal:
@@ -155,11 +162,11 @@ def _read_signal_binary(blob: bytes, path: Path) -> SampledSignal:
     if len(blob) < 4 + header:
         raise FileFormatError(f"{path}: truncated binary signal")
     n, dt, t0 = struct.unpack_from("<Idd", blob, 4)
-    body = blob[4 + header:]
-    if len(body) != 16 * n:
-        raise FileFormatError(f"{path}: expected {n} samples, found {len(body) // 16}")
-    samples = np.frombuffer(body, dtype="<c16").astype(np.complex128)
-    return SampledSignal(samples, dt, t0)
+    body = len(blob) - (4 + header)
+    if body != 16 * n:
+        raise FileFormatError(f"{path}: expected {n} samples, found {body // 16}")
+    # a view of the file's bytes: SampledSignal makes the one copy
+    return SampledSignal(np.frombuffer(blob, "<c16", offset=4 + header), dt, t0)
 
 
 def read_signal(path: str | Path) -> SampledSignal:
@@ -321,10 +328,10 @@ def read_surface(path: str | Path) -> AmbiguitySurface:
     n_tau, n_nu, tau0, dtau, nu0, dnu = struct.unpack_from("<IIdddd", blob, 4)
     if n_tau < 2 or n_nu < 2:
         raise FileFormatError(f"{path}: SUR1 axes need at least 2 points, got {n_tau}x{n_nu}")
-    body = blob[4 + header:]
-    if len(body) != 16 * n_tau * n_nu:
+    if len(blob) - (4 + header) != 16 * n_tau * n_nu:
         raise FileFormatError(f"{path}: SUR1 payload size mismatch")
-    values = np.frombuffer(body, dtype="<c16").astype(np.complex128)
+    # the one copy, out of the file's bytes
+    values = np.frombuffer(blob, "<c16", offset=4 + header).astype(np.complex128)
     values = values.reshape(n_tau, n_nu)
     tau_axis = tau0 + dtau * np.arange(n_tau)
     nu_axis = nu0 + dnu * np.arange(n_nu)

@@ -409,7 +409,8 @@ def recover_scalar(
             "uniqueness", rel_err <= tol, abs(lam), 1.0, rel_err, rel_err, tol, info
         )
     info.update({"af_equal": False, "status": "surfaces differ; hypothesis void"})
-    return CheckReport("uniqueness", True, abs(lam), 1.0, 0.0, 0.0, tol, info)
+    # a vacuous pass still holds rel_err = 0 to tol, so tol < 0 or nan fails it
+    return CheckReport("uniqueness", 0.0 <= tol, abs(lam), 1.0, 0.0, 0.0, tol, info)
 
 
 def _peak_gap(values: np.ndarray, target: np.ndarray) -> float:
@@ -500,8 +501,8 @@ def trace_reduction_check(
             "trace-reduction", gap <= tol, gap, 0.0, gap, gap, tol, info
         )
     # the hypothesis is void: a vacuous pass whose witnesses are the pairs
-    # that are not unimodular multiples
+    # that are not unimodular multiples; as any pass, it needs rel_err <= tol
     info = {"reduced": False, "failing_pairs": failing, "pair_status": pair_status}
     return CheckReport(
-        "trace-reduction", True, float(len(failing)), 0.0, 0.0, 0.0, tol, info
+        "trace-reduction", 0.0 <= tol, float(len(failing)), 0.0, 0.0, 0.0, tol, info
     )

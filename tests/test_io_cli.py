@@ -88,6 +88,26 @@ def test_surface_roundtrip(tmp_path):
     assert np.allclose(back.nu_axis, s.nu_axis, atol=1e-15)
 
 
+@pytest.mark.parametrize("kind", ["sur1", "sigb"])
+def test_binary_readers_copy_the_body_once(kind, tmp_path):
+    # the file's bytes plus one array of the values: no slice of the body
+    # and no second conversion
+    rng = np.random.default_rng(0)
+    if kind == "sur1":
+        shape, read = (256, 2048), read_surface
+    else:
+        shape, read = (2**20,), read_signal
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    path = tmp_path / "x.bin"
+    if kind == "sur1":
+        write_surface(path, AmbiguitySurface(values, np.arange(256.0), np.arange(2048.0)))
+    else:
+        write_signal(path, SampledSignal(values, 1.0, 0.0), binary=True)
+    back, peak = traced_peak(read, path)
+    assert np.array_equal(back.values if kind == "sur1" else back.samples, values)
+    assert peak <= 2.1 * values.nbytes
+
+
 def _sur1_bytes(values, tau0, dtau, nu0, dnu):
     """SUR1 built from the documented layout: header, then (re, im) f64 pairs."""
     head = b"SUR1" + struct.pack("<II", *values.shape) + struct.pack("<dddd", tau0, dtau, nu0, dnu)
@@ -236,6 +256,39 @@ def test_gen_subcarriers_one_file_per_element(tmp_path):
         for j in range(3):
             want = 1.0 if i == j else 0.0
             assert abs(inner_product(waves[i], waves[j]) - want) <= 1e-10
+
+
+def test_gen_subcarriers_that_cannot_open_leave_no_file(tmp_path, capsys):
+    # s1.sig is a directory: s0.sig, opened before it, is deleted, and no
+    # "wrote" line is printed for it
+    (tmp_path / "s1.sig").mkdir()
+    argv = ["gen", "--family", "subcarriers", "--M", "3", "-o", str(tmp_path / "s.sig")]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["s1.sig"]
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["sig1", "sigb"])
+def test_gen_subcarriers_failed_write_leaves_no_file(binary, tmp_path, monkeypatch, capsys):
+    # the second file's first write fails: the first file, already written,
+    # is deleted with it, an older one in its place included
+    (tmp_path / "s0.sig").write_bytes(b"an older output")
+    files = []
+
+    def failing_open(path, mode, **kwargs):
+        limit = 0 if Path(path).name == "s1.sig" else math.inf
+        files.append(_FailingFile(OSError(errno.ENOSPC, "No space left on device"), path,
+                                  mode, limit=limit, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(io_formats, "open", failing_open, raising=False)
+    argv = ["gen", "--family", "subcarriers", "--M", "3", "-o", str(tmp_path / "s.sig")]
+    assert cli.main(argv + ["--binary"] * binary) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "No space left on device" in err
+    assert [f.writes for f in files] == [2 if binary else 1, 1]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_malformed_flag_exits_2(tmp_path):
@@ -1566,6 +1619,27 @@ def test_full_verification_exit_codes(argv, code, monkeypatch, capsys):
     # bad input exits 2 as the CLI does; 1 is kept for a failed identity
     monkeypatch.setattr(sys, "argv", ["run_full_verification.py", *argv])
     assert _full_verification_module().main() == code
+
+
+def test_full_verification_report_joins_the_suites(tmp_path, monkeypatch, capsys):
+    # the report file holds each suite's verify lines, in the order given
+    want = []
+    for suite in ("norm", "psd"):
+        assert cli.main(["verify", "--suite", suite]) == 0
+        want.append(capsys.readouterr().out)
+    report = tmp_path / "all.txt"
+    monkeypatch.setattr(sys, "argv", ["run_full_verification.py", "--suite", "norm",
+                                      "--suite", "psd", "--report", str(report)])
+    assert _full_verification_module().main() == 0
+    assert report.read_text() == "".join(want)
+
+
+def test_full_verification_refuses_zero_probes(monkeypatch, capsys):
+    # README: --probes 0 is a refused input, exit 2, not a failed check
+    monkeypatch.setattr(sys, "argv", ["run_full_verification.py", "--suite", "psd",
+                                      "--probes", "0"])
+    assert _full_verification_module().main() == 2
+    assert "psd: FAILED (exit 2)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("codes,code", [

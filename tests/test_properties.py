@@ -35,6 +35,11 @@ from mimoaf import (
     surface_quadrature_inner,
     trace_psd_check,
     trace_reduction_check,
+    verify_dilation,
+    verify_fourier_rotation,
+    verify_lfm_shear,
+    verify_mimo_symmetry,
+    verify_mirror,
 )
 from mimoaf import properties
 from mimoaf.signals import HeisenbergPoint
@@ -490,6 +495,49 @@ def test_trace_reduction_refuses_a_set_the_array_cannot_hold():
 
 
 # -------------------------------------------------------------------- reports
+
+_CFG2 = SteeringConfig(2, 1.0)
+
+# every public check, on inputs it passes at its own tolerance; the two
+# "-void" cases take the vacuous branch, whose hypothesis fails on them
+_CHECKS = {
+    "norm": lambda g, s, **kw: check_norm_identity(g, g, 256, **kw),
+    "mimo-energy": lambda g, s, **kw: check_mimo_energy(s, _CFG2, 256, **kw),
+    "moyal": lambda g, s, **kw: moyal_inner_product(g, g, g, g, 256, **kw),
+    "mimo-moyal": lambda g, s, **kw: mimo_inner_product(s, s, _CFG2, 0.3, 0.7, 256, **kw),
+    "psd": lambda g, s, **kw: gram_psd_check(
+        s[0], random_probe_set(s[0], 4, 0, 256), 256, **kw),
+    "trace-psd": lambda g, s, **kw: trace_psd_check(
+        s, random_probe_set(s[0], 4, 0, 256), _CFG2, 256, **kw),
+    "uniqueness": lambda g, s, **kw: recover_scalar(
+        g, g.replace_samples(1j * g.samples), 256, **kw),
+    "uniqueness-void": lambda g, s, **kw: recover_scalar(
+        g, g.replace_samples(2.0 * g.samples), 256, **kw),
+    "collinearity": lambda g, s, **kw: collinearity_check(
+        g, g.replace_samples(3j * g.samples), 256, **kw),
+    "trace-reduction": lambda g, s, **kw: trace_reduction_check(
+        phase_family(g, 2), _CFG2, 256, **kw),
+    "trace-reduction-void": lambda g, s, **kw: trace_reduction_check(s, _CFG2, 256, **kw),
+    "sym-J": lambda g, s, **kw: verify_fourier_rotation(
+        gen_gaussian(CANONICAL_SIGMA, 1 / 16, 8.0), **kw),
+    "sym-mirror": lambda g, s, **kw: verify_mirror(g, n_doppler=256, **kw),
+    "sym-lfm": lambda g, s, **kw: verify_lfm_shear(g, rate=2.5, n_doppler=256, **kw),
+    "sym-dilate": lambda g, s, **kw: verify_dilation(g, b=2.0, n_doppler=256, **kw),
+    "sym-mimo": lambda g, s, **kw: verify_mimo_symmetry(
+        s, _CFG2, 0.3, 0.7, verify_mirror, n_doppler=256, **kw),
+}
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("check", _CHECKS)
+def test_no_report_passes_past_its_tolerance(check, tol, gauss256, subcarriers2):
+    # CheckReport's promise holds in the vacuous branches too: a pass has
+    # rel_err <= tol, so a negative or nan tol passes nothing
+    assert _CHECKS[check](gauss256, subcarriers2).passed
+    rep = _CHECKS[check](gauss256, subcarriers2, tol=tol)
+    assert not rep.passed or rep.rel_err <= rep.tol
+    assert rep.info.get("af_equal", rep.info.get("reduced")) is not check.endswith("-void")
+
 
 def test_format_line_shape():
     rep = make_report("demo", 1.0 + 0j, 1.0 + 0j, 1e-6, scale=1.0)

@@ -72,7 +72,7 @@ def test_rotation_relabel_is_the_pullback(family):
     # on the cyclic n dt^2 = 1 grid the pullback along J^{-1}, s(-nu, tau),
     # lands every cell but those of Doppler column 0 on a grid point, and
     # the relabel reads the value there
-    u = cli._rotation_waveform(family)
+    u = cli._waveforms(family, **cli._ROTATION)[0]
     s = cross_ambiguity(u, n_doppler=u.n, cyclic=True)
     tau, nu = s.tau_axis.tolist(), s.nu_axis.tolist()
     pulled = [[s.value_at(-nu_l, tau_a) for nu_l in nu[1:]] for tau_a in tau]
