@@ -6,7 +6,8 @@ containers so the raw complex values stay inspectable:
 
     python scripts/render_af_gallery.py --out /tmp/gallery
 
-A bad --db-floor prints an error and exits 2 before any file is written.
+A bad --db-floor prints an error and exits 2 before any file is written;
+an output directory that cannot be made or written exits 2 as well.
 """
 
 import argparse
@@ -62,11 +63,11 @@ def main() -> int:
     ap.add_argument("--db-floor", type=float, default=-60.0)
     args = ap.parse_args()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out.mkdir(parents=True, exist_ok=True)
         render(out, args.db_floor)
-    except MimoafError as exc:
-        # bad input exits 2 as the CLI does
+    except (MimoafError, OSError, MemoryError) as exc:
+        # bad input or an unwritable output exits 2 as the CLI does
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -55,7 +55,12 @@ def main() -> int:
     print(f"# total: {len(names)} suites, {len(combined)} checks, "
           f"{time.perf_counter() - t_total:.2f}s")
     if args.report:
-        Path(args.report).write_text("".join(ln + "\n" for ln in combined))
+        try:
+            Path(args.report).write_text("".join(ln + "\n" for ln in combined))
+        except (OSError, MemoryError) as exc:
+            # an unwritable report is a usage error, as in `mimoaf verify`
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"# report written to {args.report}")
     if failures:
         print(f"# failing suites: {', '.join(failures)}", file=sys.stderr)

@@ -11,10 +11,10 @@ makes Fourier-rotation identities exact on matched grids).
 
 Both the ambiguity surfaces and the Wigner distribution are a Fourier
 transform of lag products taken row by row, and one row-block loop
-(:class:`_SurfaceBlocks`) builds all of them.  The tests check them against
-a brute-force twin computed as a dense matrix product against the explicit
-Doppler kernel exp(i 2 pi nu t_n), which shares nothing past the product
-array.
+(:class:`_SurfaceBlocks`) builds all of them as :class:`AmbiguitySurface`
+values.  The tests check them against a brute-force twin computed as a
+dense matrix product against the explicit Doppler kernel
+exp(i 2 pi nu t_n), which shares nothing past the product array.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .signals import SampledSignal, _require_count, _require_positive, _snap
 
 __all__ = [
     "AmbiguitySurface",
-    "WignerDistribution",
     "SteeringConfig",
     "cross_ambiguity",
     "wigner",
@@ -78,6 +77,9 @@ class AmbiguitySurface:
         values: complex array indexed [lag, doppler].
         tau_axis: delays in seconds, ascending, uniform.
         nu_axis: Doppler frequencies in Hz, ascending, uniform.
+
+    A Wigner distribution is one too: its rows are times and its columns
+    frequencies, so tau_axis holds the times and nu_axis the frequencies.
     """
 
     values: npt.NDArray[np.complex128]
@@ -198,16 +200,21 @@ def _unit_roots(n: int) -> np.ndarray:
     return out
 
 
-def _check_doppler_count(n_doppler: int | None, n: int, cyclic: bool) -> int:
+def _check_bins(name: str, count: int | None, n: int, default: int) -> int:
+    """The bin count of a surface of n samples, default if None: an even
+    integer >= n, with n >= 2."""
     if n < 2:
         raise InvalidParameterError(f"a surface needs at least 2 samples, got {n}")
-    if n_doppler is None:
-        n_doppler = n if cyclic else 4 * n
-    if _require_count("n_doppler", n_doppler, n) % 2:
-        raise InvalidParameterError(
-            f"n_doppler must be an even integer >= {n}, got {n_doppler}"
-        )
-    return n_doppler
+    if count is None:
+        count = default
+    if _require_count(name, count, n) % 2:
+        raise InvalidParameterError(f"{name} must be an even integer >= {n}, got {count}")
+    return count
+
+
+def _check_doppler_count(n_doppler: int | None, n: int, cyclic: bool) -> int:
+    """The Doppler bins of an ambiguity surface, n (cyclic) or 4n by default."""
+    return _check_bins("n_doppler", n_doppler, n, n if cyclic else 4 * n)
 
 
 def _window_shift(u: SampledSignal) -> tuple[int, float]:
@@ -353,6 +360,13 @@ def _ambiguity_blocks(
     )
 
 
+def _whole(blocks: _SurfaceBlocks) -> AmbiguitySurface:
+    """Run a whole=True block loop to its end: the surface it filled."""
+    for _ in blocks:
+        pass
+    return AmbiguitySurface(blocks.values, blocks.tau_axis, blocks.nu_axis)
+
+
 def _surface(
     pairs: list[tuple[SampledSignal, SampledSignal]],
     n_doppler: int | None,
@@ -362,10 +376,7 @@ def _surface(
     """sum_i chi(u_i, v_i) over the pairs on every step-th lag, counted out
     from lag 0, built whole in memory.  Row i of the strided surface is row
     c % step + step i of the full one, c its lag-0 row, to the bit."""
-    blocks = _ambiguity_blocks(pairs, n_doppler, cyclic, whole=True, step=step)
-    for _ in blocks:
-        pass
-    return AmbiguitySurface(blocks.values, blocks.tau_axis, blocks.nu_axis)
+    return _whole(_ambiguity_blocks(pairs, n_doppler, cyclic, whole=True, step=step))
 
 
 def cross_ambiguity(
@@ -394,24 +405,6 @@ def cross_ambiguity(
     return _surface([(u, u if v is None else v)], n_doppler, cyclic)
 
 
-@dataclass(frozen=True, eq=False)
-class WignerDistribution:
-    """Wigner (cross-)distribution sampled on the signal's time grid.
-
-    values[n, l] approximates W(t_n, f_l); for a single signal the surface
-    is real up to rounding and its frequency sum recovers |u|^2 exactly.
-    """
-
-    values: npt.NDArray[np.complex128]
-    time_axis: npt.NDArray[np.float64]
-    freq_axis: npt.NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _freeze(np.asarray(self.values, dtype=np.complex128)))
-        object.__setattr__(self, "time_axis", _freeze(np.asarray(self.time_axis, dtype=np.float64)))
-        object.__setattr__(self, "freq_axis", _freeze(np.asarray(self.freq_axis, dtype=np.float64)))
-
-
 def _wigner_blocks(
     u: SampledSignal, v: SampledSignal | None, n_freq: int | None, whole: bool
 ) -> _SurfaceBlocks:
@@ -427,14 +420,7 @@ def _wigner_blocks(
         v = u
     u.require_compatible(v)
     n = u.n
-    if n < 2:
-        raise InvalidParameterError(
-            f"a Wigner distribution needs at least 2 samples, got {n}"
-        )
-    if n_freq is None:
-        n_freq = 2 * n
-    if _require_count("n_freq", n_freq, n) % 2:
-        raise InvalidParameterError(f"n_freq must be an even integer >= {n}")
+    n_freq = _check_bins("n_freq", n_freq, n, 2 * n)
     h = (n - 1) // 2
 
     def windows(x: np.ndarray) -> np.ndarray:
@@ -460,19 +446,19 @@ def _wigner_blocks(
 
 def wigner(
     u: SampledSignal, v: SampledSignal | None = None, n_freq: int | None = None
-) -> WignerDistribution:
-    """Wigner distribution via even-lag products:
+) -> AmbiguitySurface:
+    """Wigner (cross-)distribution via even-lag products:
 
         W[n, l] = 2 dt * sum_m u[n+m] conj(v[n-m]) exp(-i 2 pi l m / n_freq)
 
     sampled at f_l = l / (2 dt n_freq), covering half the Nyquist band.
     Keep signals inside that band (the generators' default padding does).
-    It is built by the same row-block loop as every ambiguity surface.
+    It is built by the same row-block loop as every ambiguity surface, and
+    returned as a surface whose rows are the times of u (tau_axis) and whose
+    columns are the frequencies (nu_axis).  For a single signal it is real
+    up to rounding, and its frequency sum recovers |u|^2 exactly.
     """
-    blocks = _wigner_blocks(u, v, n_freq, whole=True)
-    for _ in blocks:
-        pass
-    return WignerDistribution(blocks.values, blocks.tau_axis, blocks.nu_axis)
+    return _whole(_wigner_blocks(u, v, n_freq, whole=True))
 
 
 @dataclass(frozen=True)

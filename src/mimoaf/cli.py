@@ -141,7 +141,7 @@ def _mixture_basis(family: str) -> list[SampledSignal]:
 # ------------------------------------------------------------------- suites
 
 def _suite_norm(args, tol: dict) -> list[CheckReport]:
-    u = _waveforms(args.family, args.M)[0]
+    u = _waveforms(args.family)[0]
     v = chirp_multiply(heisenberg_shift(u, HeisenbergPoint(8 * u.dt, 1.0)), 2.0)
     out = [
         check_norm_identity(u, u, args.n_doppler, **tol),
@@ -197,7 +197,7 @@ def _suite_trace_psd(args, tol: dict) -> list[CheckReport]:
 
 
 def _suite_uniqueness(args, tol: dict) -> list[CheckReport]:
-    u = _waveforms(args.family, args.M)[0]
+    u = _waveforms(args.family)[0]
     rng = np.random.default_rng(args.seed)
     out = []
     for _ in range(3):
@@ -210,7 +210,7 @@ def _suite_uniqueness(args, tol: dict) -> list[CheckReport]:
 
 
 def _suite_collinearity(args, tol: dict) -> list[CheckReport]:
-    u = _waveforms(args.family, args.M)[0]
+    u = _waveforms(args.family)[0]
     v = u.replace_samples(3j * u.samples)
     return [
         collinearity_check(u, v, args.n_doppler, **tol),
@@ -235,13 +235,13 @@ def _suite_sym_J(args, tol: dict) -> list[CheckReport]:
 
 
 def _suite_sym_mirror(args, tol: dict) -> list[CheckReport]:
-    u = _waveforms(args.family, args.M)[0]
+    u = _waveforms(args.family)[0]
     v = chirp_multiply(heisenberg_shift(u, HeisenbergPoint(4 * u.dt, 0.5)), 1.0)
     return [verify_mirror(u, v, args.n_doppler, **tol)]
 
 
 def _suite_sym_lfm(args, tol: dict) -> list[CheckReport]:
-    u = _waveforms(args.family, args.M)[0]
+    u = _waveforms(args.family)[0]
     rate = _aligned_chirp_rate(u, args.n_doppler)
     return [verify_lfm_shear(u, rate=rate, n_doppler=args.n_doppler, **tol)]
 

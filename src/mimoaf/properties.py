@@ -85,20 +85,25 @@ def _fmt(x: complex) -> str:
 class CheckReport:
     """Outcome of one identity check.
 
-    A report never passes with rel_err > tol (rel_err degrades to the
-    absolute error when the reference magnitude vanishes).  A check with an
-    internal gate (PSD route agreement, collinearity sum, symmetry mask
-    coverage) fails its report when the gate fails, at any tol.
+    It passes when its gate holds and rel_err <= tol (rel_err degrades to
+    the absolute error when the reference magnitude vanishes), so it never
+    passes past its tolerance.  gate is a check's internal condition (PSD
+    route agreement, collinearity sum, symmetry mask coverage), which fails
+    the report at any tol; a check without one leaves it True.
     """
 
     name: str
-    passed: bool
     lhs: complex
     rhs: complex
     abs_err: float
     rel_err: float
     tol: float
     info: dict = field(default_factory=dict, compare=False, repr=False)
+    gate: bool = True
+
+    @property
+    def passed(self) -> bool:
+        return self.gate and self.rel_err <= self.tol
 
     def format_line(self) -> str:
         status = "pass" if self.passed else "fail"
@@ -122,7 +127,7 @@ def make_report(
     rhs = complex(rhs)
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / scale if scale > _TINY else abs_err
-    return CheckReport(name, rel_err <= tol, lhs, rhs, abs_err, rel_err, tol)
+    return CheckReport(name, lhs, rhs, abs_err, rel_err, tol)
 
 
 @dataclass(frozen=True)
@@ -201,7 +206,7 @@ def check_norm_identity(
     s = cross_ambiguity(u, v, n_doppler=n_doppler)
     lhs = s.energy()
     rhs = u.energy() * v.energy()
-    return make_report("norm", lhs, rhs, tol, scale=max(abs(rhs), _TINY))
+    return make_report("norm", lhs, rhs, tol, scale=abs(rhs))
 
 
 def check_mimo_energy(
@@ -215,7 +220,7 @@ def check_mimo_energy(
     lhs = mimo_energy_quadrature(waveforms, cfg, n_doppler)
     total = sum(w.energy() for w in waveforms)
     rhs = total * total
-    return make_report("mimo-energy", lhs, rhs, tol, scale=max(abs(rhs), _TINY))
+    return make_report("mimo-energy", lhs, rhs, tol, scale=abs(rhs))
 
 
 def moyal_inner_product(
@@ -239,7 +244,7 @@ def moyal_inner_product(
     lhs = surface_quadrature_inner(s13, s24)
     rhs = inner_product(u1, u2) * inner_product(u4, u3)
     scale = u1.norm() * u2.norm() * u3.norm() * u4.norm()
-    return make_report("moyal", lhs, rhs, tol, scale=max(scale, _TINY))
+    return make_report("moyal", lhs, rhs, tol, scale=scale)
 
 
 def mimo_inner_product(
@@ -323,10 +328,9 @@ def _psd_report(
         info["quadratic_form"] = float(
             np.real(np.einsum("i,ij,j->", c, G_a, np.conj(c)))
         )
-    passed = eig_ratio <= tol and path_rel <= _PATH_TOL
     rel_err = max(eig_ratio, path_rel * (tol / _PATH_TOL))
     return CheckReport(
-        name, passed, min_eig, 0.0, max(0.0, -min_eig), rel_err, tol, info
+        name, min_eig, 0.0, max(0.0, -min_eig), rel_err, tol, info, gate=path_rel <= _PATH_TOL
     )
 
 
@@ -405,12 +409,9 @@ def recover_scalar(
     if af_dist <= _AF_TOL:
         rel_err = max(residual, unimodular_defect)
         info.update({"af_equal": True, "residual": residual})
-        return CheckReport(
-            "uniqueness", rel_err <= tol, abs(lam), 1.0, rel_err, rel_err, tol, info
-        )
+        return CheckReport("uniqueness", abs(lam), 1.0, rel_err, rel_err, tol, info)
     info.update({"af_equal": False, "status": "surfaces differ; hypothesis void"})
-    # a vacuous pass still holds rel_err = 0 to tol, so tol < 0 or nan fails it
-    return CheckReport("uniqueness", 0.0 <= tol, abs(lam), 1.0, 0.0, 0.0, tol, info)
+    return CheckReport("uniqueness", abs(lam), 1.0, 0.0, 0.0, tol, info)
 
 
 def _peak_gap(values: np.ndarray, target: np.ndarray) -> float:
@@ -454,10 +455,12 @@ def collinearity_check(
         target = (e2 + e3) * cross_ambiguity(unit, unit, n_doppler=n_doppler).values
         sum_gap = _peak_gap(summed, target)
         info["sum_gap"] = sum_gap
-        passed = sum_gap <= _SUM_TOL
         rel_err = max(defect, sum_gap * (tol / _SUM_TOL))
-        return CheckReport("collinearity", passed, cs_ratio, 1.0, defect, rel_err, tol, info)
-    return CheckReport("collinearity", False, cs_ratio, 1.0, defect, defect, tol, info)
+        return CheckReport(
+            "collinearity", cs_ratio, 1.0, defect, rel_err, tol, info, gate=sum_gap <= _SUM_TOL
+        )
+    # not collinear: rel_err = defect > tol fails the report
+    return CheckReport("collinearity", cs_ratio, 1.0, defect, defect, tol, info)
 
 
 def trace_reduction_check(
@@ -497,12 +500,8 @@ def trace_reduction_check(
         target = m * cross_ambiguity(waveforms[0], waveforms[0], n_doppler=n_doppler).values
         gap = _peak_gap(trace.values, target)
         info = {"reduced": True, "gap": gap}
-        return CheckReport(
-            "trace-reduction", gap <= tol, gap, 0.0, gap, gap, tol, info
-        )
+        return CheckReport("trace-reduction", gap, 0.0, gap, gap, tol, info)
     # the hypothesis is void: a vacuous pass whose witnesses are the pairs
-    # that are not unimodular multiples; as any pass, it needs rel_err <= tol
+    # that are not unimodular multiples
     info = {"reduced": False, "failing_pairs": failing, "pair_status": pair_status}
-    return CheckReport(
-        "trace-reduction", 0.0 <= tol, float(len(failing)), 0.0, 0.0, 0.0, tol, info
-    )
+    return CheckReport("trace-reduction", float(len(failing)), 0.0, 0.0, 0.0, tol, info)

@@ -153,9 +153,7 @@ def _dual_path_report(
     rel_err = rel if covered else max(rel, 1.0)
     if not covered:
         info["coverage_failure"] = True
-    # the coverage gate holds at any tolerance
-    passed = covered and rel_err <= tol
-    return CheckReport(name, passed, rel, 0.0, rel, rel_err, tol, info)
+    return CheckReport(name, rel, 0.0, rel, rel_err, tol, info, gate=covered)
 
 
 def verify_fourier_rotation(

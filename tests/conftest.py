@@ -87,10 +87,10 @@ def ambiguity_from_wigner(w, tau_axis, nu_axis) -> AmbiguitySurface:
                        integral W(t, f) exp(i 2 pi nu t) exp(-i 2 pi f tau) dt df,
 
     by dense quadrature on the given axes: a second route to the surface."""
-    dt = w.time_axis[1] - w.time_axis[0]
-    d_freq = w.freq_axis[1] - w.freq_axis[0]
-    Et = np.exp(1j * 2.0 * math.pi * np.outer(w.time_axis, nu_axis))
-    Ef = np.exp(-1j * 2.0 * math.pi * np.outer(w.freq_axis, tau_axis))
+    dt = w.tau_axis[1] - w.tau_axis[0]
+    d_freq = w.nu_axis[1] - w.nu_axis[0]
+    Et = np.exp(1j * 2.0 * math.pi * np.outer(w.tau_axis, nu_axis))
+    Ef = np.exp(-1j * 2.0 * math.pi * np.outer(w.nu_axis, tau_axis))
     vals = (Ef.T @ (w.values.T @ Et)) * (dt * d_freq)
     vals *= np.exp(-1j * math.pi * np.outer(tau_axis, nu_axis))
     return AmbiguitySurface(vals, tau_axis, nu_axis)

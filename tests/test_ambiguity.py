@@ -352,7 +352,7 @@ def test_orthogonal_subcarriers_vanish_at_origin(subcarriers2):
 
 def test_wigner_gaussian_closed_form(gauss256):
     w = wigner(gauss256, n_freq=4 * gauss256.n)
-    T, F = np.meshgrid(w.time_axis, w.freq_axis, indexing="ij")
+    T, F = np.meshgrid(w.tau_axis, w.nu_axis, indexing="ij")
     closed = 2.0 * np.exp(-2 * np.pi * (T ** 2 + F ** 2))
     assert np.max(np.abs(w.values - closed)) <= 1e-5
 
@@ -360,7 +360,7 @@ def test_wigner_gaussian_closed_form(gauss256):
 def test_wigner_time_marginal(gauss256):
     # the frequency quadrature of each time row recovers |u|^2
     w = wigner(gauss256)
-    marginal = np.sum(w.values, axis=1) * (w.freq_axis[1] - w.freq_axis[0])
+    marginal = np.sum(w.values, axis=1) * (w.nu_axis[1] - w.nu_axis[0])
     assert np.max(np.abs(marginal - np.abs(gauss256.samples) ** 2)) <= 1e-6
 
 
@@ -433,8 +433,8 @@ def test_wigner_matches_fftshift_expression(n, n_freq, monkeypatch):
         assert w.values.tobytes() == ref.tobytes(), rows
     first = _wigner_fftshift(u, v, N)
     assert np.max(np.abs(w.values - first)) <= 1e-13 * np.max(np.abs(first))
-    assert np.array_equal(w.time_axis, u.times)
-    assert np.array_equal(w.freq_axis, np.fft.fftshift(np.fft.fftfreq(N, 2 * u.dt)))
+    assert np.array_equal(w.tau_axis, u.times)
+    assert np.array_equal(w.nu_axis, np.fft.fftshift(np.fft.fftfreq(N, 2 * u.dt)))
 
 
 def test_wigner_peak_memory():

@@ -475,8 +475,7 @@ def test_streamed_wigner_matches_in_memory(rows, tmp_path, monkeypatch, capsys):
     u_path, v_path, ref = tmp_path / "u.sig", tmp_path / "v.sig", tmp_path / "ref.sur"
     write_signal(u_path, u)
     write_signal(v_path, v)
-    w = wigner(u, v, n_freq=520)
-    write_surface(ref, AmbiguitySurface(w.values, w.time_axis, w.freq_axis))
+    write_surface(ref, wigner(u, v, n_freq=520))
     if rows is not None:
         monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * 520)
     sur = tmp_path / "cli.sur"
@@ -494,10 +493,20 @@ def test_af_wigner_csv_lists_the_distributions_axes(tmp_path, capsys):
     sig, csv, ref = tmp_path / "u.sig", tmp_path / "cli.csv", tmp_path / "ref.csv"
     write_signal(sig, u)
     w = wigner(u, n_freq=10)
-    write_surface_blocks([(0, w.values)], w.time_axis, w.freq_axis, csv=ref)
+    write_surface_blocks([(0, w.values)], w.tau_axis, w.nu_axis, csv=ref)
     assert cli.main(["af", "--u", str(sig), "--wigner", "--n-freq", "10", "--csv", str(csv)]) == 0
     assert capsys.readouterr().out == "wigner n_time=7 n_freq=10\n"
     assert csv.read_text() == ref.read_text()
+
+
+def test_af_wigner_odd_n_freq_exits_2_naming_it(tmp_path, capsys):
+    # the Wigner bin count is checked as n_doppler is, and the refusal
+    # names the value given
+    sig = tmp_path / "u.sig"
+    write_signal(sig, gen_rect(1.0, 1 / 128))
+    assert cli.main(["af", "--u", str(sig), "--wigner", "--n-freq", "513"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_freq must be an even integer >= 256") and "513" in err
 
 
 def _subcarrier_files(tmp_path, m: int, T: float) -> list[Path]:
@@ -1152,6 +1161,17 @@ def test_verify_mimo_suites_take_a_wide_array(suite, capsys):
     assert all(" pass " in ln for ln in capsys.readouterr().out.splitlines())
 
 
+@pytest.mark.parametrize("suite", ["norm", "uniqueness", "collinearity", "sym-mirror", "sym-lfm"])
+def test_verify_single_waveform_suites_ignore_M(suite, capsys):
+    # these suites run subcarrier 0, the rect pulse, so --M sizes nothing
+    # of theirs, and 100 subcarriers, past Nyquist, are never built
+    argv = ["verify", "--suite", suite, "--family", "subcarriers"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    assert cli.main(argv + ["--M", "100"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_verify_norm_passes(tmp_path):
     res = run_cli("verify", "--suite", "norm")
     assert res.returncode == 0
@@ -1590,16 +1610,25 @@ def test_render_af_gallery_script(tmp_path):
     assert abs(beam.value_at(0.0, 0.0) - 2.0) <= 1e-9
 
 
-@pytest.mark.parametrize("floor", ["nan", "5"])
-def test_render_af_gallery_bad_floor_exits_2(floor, tmp_path):
+@pytest.mark.parametrize("args", [
+    ["--db-floor", "nan"],
+    ["--db-floor", "5"],
+    # an output directory under a regular file cannot be made
+    ["--out", "{blocker}/x"],
+], ids=["nan", "5", "out-under-a-file"])
+def test_render_af_gallery_bad_floor_exits_2(args, tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "render_af_gallery.py"
+    out, blocker = tmp_path / "out", tmp_path / "blocker"
+    out.mkdir()
+    blocker.write_bytes(b"")
     res = subprocess.run(
-        [sys.executable, str(script), "--out", str(tmp_path), "--db-floor", floor],
+        [sys.executable, str(script), "--out", str(out),
+         *[a.format(blocker=blocker) for a in args]],
         capture_output=True, text=True,
     )
     assert res.returncode == 2
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
-    assert list(tmp_path.iterdir()) == []
+    assert list(out.iterdir()) == [] and blocker.read_bytes() == b""
 
 
 def _full_verification_module():
@@ -1640,6 +1669,17 @@ def test_full_verification_refuses_zero_probes(monkeypatch, capsys):
                                       "--probes", "0"])
     assert _full_verification_module().main() == 2
     assert "psd: FAILED (exit 2)" in capsys.readouterr().out
+
+
+def test_full_verification_unwritable_report_exits_2(tmp_path, monkeypatch, capsys):
+    # a report path under a regular file is a usage error, as in verify
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")
+    monkeypatch.setattr(sys, "argv", ["run_full_verification.py", "--suite", "norm",
+                                      "--report", str(blocker / "x.txt")])
+    assert _full_verification_module().main() == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("codes,code", [

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -537,6 +538,16 @@ def test_no_report_passes_past_its_tolerance(check, tol, gauss256, subcarriers2)
     rep = _CHECKS[check](gauss256, subcarriers2, tol=tol)
     assert not rep.passed or rep.rel_err <= rep.tol
     assert rep.info.get("af_equal", rep.info.get("reduced")) is not check.endswith("-void")
+
+
+@pytest.mark.parametrize("check", _CHECKS)
+def test_a_report_derives_its_verdict(check, gauss256, subcarriers2):
+    # passed is read off the report, its gate held and rel_err <= tol, so a
+    # report moved past its tolerance, or with its gate failed, fails
+    rep = _CHECKS[check](gauss256, subcarriers2)
+    assert rep.passed and rep.gate
+    assert not dataclasses.replace(rep, rel_err=2 * rep.tol).passed
+    assert not dataclasses.replace(rep, gate=False).passed
 
 
 def test_format_line_shape():
