@@ -20,7 +20,7 @@ exp(i 2 pi nu t_n), which shares nothing past the product array.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,6 +360,42 @@ def _ambiguity_blocks(
     )
 
 
+def _squared_rows(block: np.ndarray) -> np.ndarray:
+    """The sum of |block|^2 along each row, squaring block's float view in
+    place."""
+    f = block.view(np.float64)
+    return np.square(f, out=f).sum(axis=1)
+
+
+def _integral(blocks: _SurfaceBlocks, row_sums: Iterable[np.ndarray]) -> complex:
+    """Quadrature, total times d_tau d_nu, of a function of the cells of
+    the surface that blocks streams, from its sums along each row.
+
+    numpy sums each row pairwise, on its own, and math.fsum rounds the total
+    of the rows once, so the result does not depend on how many rows a
+    block holds."""
+    sums = np.concatenate(list(row_sums))
+    tau, nu = blocks.tau_axis, blocks.nu_axis
+    d_tau, d_nu = float(tau[1] - tau[0]), float(nu[1] - nu[0])
+
+    def quadrature(part: np.ndarray) -> float:
+        try:
+            total = math.fsum(part)
+        except (OverflowError, ValueError):
+            # a total past the float range, or inf - inf: numpy's sum is
+            # inf or nan there, which fails a check instead of raising
+            total = float(part.sum())
+        return total * d_tau * d_nu
+
+    return complex(quadrature(sums.real), quadrature(sums.imag))
+
+
+def _energy(blocks: _SurfaceBlocks) -> float:
+    """Quadrature of |values|^2 over the surface of a whole=False loop, one
+    block at a time: each block is squared in place."""
+    return _integral(blocks, (_squared_rows(block) for _, block in blocks)).real
+
+
 def _whole(blocks: _SurfaceBlocks) -> AmbiguitySurface:
     """Run a whole=True block loop to its end: the surface it filled."""
     for _ in blocks:
@@ -628,14 +664,16 @@ def mimo_energy_quadrature(
         integral over fs, fs' in [0, 1) of integral |slice(fs, fs')|^2 dtau dnu,
 
     as the running sum of the M^2 pair-surface energies
-    integral |chi(u_m, u_p)|^2 over every ordered pair, one surface alive at
-    a time.  Exact for integer gamma: the steering phases are orthonormal
-    over fs in [0, 1), the same fact spatial_integral uses, so every term
-    that pairs two different (m, p) integrates to zero.
+    integral |chi(u_m, u_p)|^2 over every ordered pair.  Each pair surface
+    is streamed through the block loop and squared block by block, so one
+    block is alive at a time, never a whole surface.  Exact for integer
+    gamma: the steering phases are orthonormal over fs in [0, 1), the same
+    fact spatial_integral uses, so every term that pairs two different
+    (m, p) integrates to zero.
     """
     _trace_pairs(waveforms, cfg)
     return sum(
-        cross_ambiguity(u, v, n_doppler=n_doppler).energy()
+        _energy(_ambiguity_blocks([(u, v)], n_doppler, cyclic=False, whole=False))
         for u in waveforms
         for v in waveforms
     )

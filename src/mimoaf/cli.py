@@ -369,12 +369,17 @@ def cmd_verify(args) -> int:
     tol = {} if args.tol is None else {"tol": args.tol}
     names = list(_SUITE_FUNCS) if args.suite == "all" else [args.suite]
     reports: list[CheckReport] = []
-    for name in names:
-        reports.extend(_SUITE_FUNCS[name](args, tol))
-    for r in reports:
-        print(r.format_line())
-    if args.report:
-        io_formats.write_report(args.report, reports)
+    # the report opens before any suite runs, so a path that cannot be
+    # written exits 2 before a line is printed; the write group deletes it
+    # if a suite refuses its input
+    with io_formats._new_files() as new:
+        report = new(args.report, "w")[0] if args.report else None
+        for name in names:
+            reports.extend(_SUITE_FUNCS[name](args, tol))
+        lines = "".join(r.format_line() + "\n" for r in reports)
+        sys.stdout.write(lines)
+        if report is not None:
+            report.write(lines)
     return 0 if all(r.passed for r in reports) else 1
 
 

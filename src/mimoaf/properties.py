@@ -18,17 +18,23 @@ waveforms alone are decided on the waveforms: trace reduction tests each
 pair for a unimodular multiple by its least-squares scalar, as
 recover_scalar does, and builds no pairwise surface.
 
-Memory: no check holds more than three surfaces of its grid at once, plus
-the block of lag products of the surface being built.  The whole-surface
-checks (uniqueness, collinearity, trace reduction) build their surfaces in
-an order that lets each be dropped once it has been read, and reduce with
-in-place subtract and square.
+Memory: the checks that reduce surfaces to numbers (norm, the MIMO
+energy, both Moyal pairings, uniqueness, collinearity and trace reduction)
+never hold a whole surface.  Each streams its surfaces through the block
+loop, several loops in lockstep when it pairs them, and reduces each set of
+same-row blocks in place before the next: a sum along each row, the rows'
+total rounded once by math.fsum, or a maximum.  Neither depends on the
+block size.  So such a check holds one block and one set of lag products
+per surface it streams, plus at most one scratch block: a few MiB at any
+surface size.  The psd checks read scattered cells and hold their one
+surface whole, and the symmetry checks (symmetry.py) hold at most three.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +43,16 @@ import numpy.typing as npt
 from .ambiguity import (
     AmbiguitySurface,
     SteeringConfig,
+    _ambiguity_blocks,
     _check_doppler_count,
+    _energy,
+    _integral,
+    _squared_rows,
+    _SurfaceBlocks,
     _trace_pairs,
     _unit_roots,
     cross_ambiguity,
-    mimo_ambiguity,
+    mimo_beams,
     mimo_energy_quadrature,
     spatial_integral,
 )
@@ -195,6 +206,48 @@ def surface_quadrature_inner(s1: AmbiguitySurface, s2: AmbiguitySurface) -> comp
     return complex(np.sum(s1.values * np.conj(s2.values)) * s1.d_tau * s1.d_nu)
 
 
+def _stream(
+    pairs: list[tuple[SampledSignal, SampledSignal]], n_doppler: int | None
+) -> _SurfaceBlocks:
+    """The block loop of sum_i chi(u_i, v_i) on the linear grid, one reused
+    block buffer at a time."""
+    return _ambiguity_blocks(pairs, n_doppler, cyclic=False, whole=False)
+
+
+def _lockstep(*loops: _SurfaceBlocks) -> Iterator[tuple[np.ndarray, ...]]:
+    """The same rows of every loop's surface, block by block.  A loop given
+    twice is run once and its block handed out twice, so a caller that
+    writes into one block must not read the other."""
+    distinct = list(dict.fromkeys(loops))
+    first = distinct[0]
+    for other in distinct[1:]:
+        if not (
+            np.array_equal(first.tau_axis, other.tau_axis)
+            and np.array_equal(first.nu_axis, other.nu_axis)
+        ):
+            raise GridMismatchError("surfaces live on different (tau, nu) grids")
+    for blocks in zip(*distinct):
+        block_of = {loop: block for loop, (_, block) in zip(distinct, blocks)}
+        yield tuple(block_of[loop] for loop in loops)
+
+
+def _conj_product_rows(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The sum of x * conj(y) along each row, formed in scratch."""
+    s = np.conjugate(y, out=scratch[: len(y)])
+    return np.multiply(x, s, out=s).sum(axis=1)
+
+
+def _max_gap(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
+    """max |values - target| over the peak of |target|, from (values, target)
+    blocks of one surface pair; each target block is overwritten.  The
+    blocks' maxima are taken by np.max, so a nan in any block is the gap."""
+    peaks, gaps = [], []
+    for values, target in blocks:
+        peaks.append(np.max(np.abs(target)))
+        gaps.append(np.max(np.abs(np.subtract(values, target, out=target))))
+    return float(np.max(gaps)) / max(float(np.max(peaks)), _TINY)
+
+
 def check_norm_identity(
     u: SampledSignal,
     v: SampledSignal,
@@ -203,8 +256,7 @@ def check_norm_identity(
 ) -> CheckReport:
     """Whole-plane energy of the cross-ambiguity surface against the product
     of signal energies."""
-    s = cross_ambiguity(u, v, n_doppler=n_doppler)
-    lhs = s.energy()
+    lhs = _energy(_stream([(u, v)], n_doppler))
     rhs = u.energy() * v.energy()
     return make_report("norm", lhs, rhs, tol, scale=abs(rhs))
 
@@ -238,10 +290,11 @@ def moyal_inner_product(
     <u3,u4> instead the identity fails at order one, which the quadrature
     route exposes immediately.
     """
-    s13 = cross_ambiguity(u1, u3, n_doppler=n_doppler)
+    s13 = _stream([(u1, u3)], n_doppler)
     # both surfaces are route (a)'s: a pair given twice is built once
-    s24 = s13 if u2 is u1 and u4 is u3 else cross_ambiguity(u2, u4, n_doppler=n_doppler)
-    lhs = surface_quadrature_inner(s13, s24)
+    s24 = s13 if u2 is u1 and u4 is u3 else _stream([(u2, u4)], n_doppler)
+    scratch = np.empty_like(s13.values)
+    lhs = _integral(s13, (_conj_product_rows(x, y, scratch) for x, y in _lockstep(s13, s24)))
     rhs = inner_product(u1, u2) * inner_product(u4, u3)
     scale = u1.norm() * u2.norm() * u3.norm() * u4.norm()
     return make_report("moyal", lhs, rhs, tol, scale=scale)
@@ -261,16 +314,24 @@ def mimo_inner_product(
     if len(us) != len(vs):
         raise GridMismatchError(f"waveform counts differ: {len(us)} vs {len(vs)}")
     us[0].require_compatible(vs[0])
-    A = mimo_ambiguity(us, cfg, fs, fs_prime, n_doppler)
-    B = A if vs is us else mimo_ambiguity(vs, cfg, fs, fs_prime, n_doppler)
-    lhs = surface_quadrature_inner(A, B)
+    # each slice is the surface of its beamformed pair (mimo_ambiguity)
+    A = _stream([mimo_beams(us, cfg, fs, fs_prime)], n_doppler)
+    B = A if vs is us else _stream([mimo_beams(vs, cfg, fs, fs_prime)], n_doppler)
+    scratch = np.empty_like(A.values)
+    inner, rows_a, rows_b = [], [], []
+    for x, y in _lockstep(A, B):
+        # the pairing first, in scratch, then each energy squares its block
+        inner.append(_conj_product_rows(x, y, scratch))
+        rows_a.append(_squared_rows(x))
+        rows_b.append(rows_a[-1] if y is x else _squared_rows(y))
+    lhs = _integral(A, inner)
 
     P = np.array([[inner_product(a, b) for b in vs] for a in us])
     a, b = cfg.steering_phases(fs), cfg.steering_phases(fs_prime)
     # phases of the u-set row m and column m', then the v-set row n and column n'
     rhs = np.einsum("mn,pq,m,p,n,q->", P, np.conj(P), a, np.conj(b), np.conj(a), b)
-    energy_a = A.energy()
-    energy_b = energy_a if B is A else B.energy()
+    energy_a = _integral(A, rows_a).real
+    energy_b = energy_a if B is A else _integral(B, rows_b).real
     scale = math.sqrt(max(energy_a * energy_b, _TINY))
     return make_report("mimo-moyal", lhs, complex(rhs), tol, scale=scale)
 
@@ -401,10 +462,9 @@ def recover_scalar(
     InvalidParameterError before any surface is built.
     """
     lam, residual, unimodular_defect = _unimodular_fit(u, v)
-    su = cross_ambiguity(u, u, n_doppler=n_doppler)
-    # chi(v,v) is a temporary, dropped once subtracted
-    sq = np.abs(su.values - cross_ambiguity(v, v, n_doppler=n_doppler).values)
-    af_dist = math.sqrt(float(np.sum(np.square(sq, out=sq))) * su.d_tau * su.d_nu)
+    su, sv = _stream([(u, u)], n_doppler), _stream([(v, v)], n_doppler)
+    diff_rows = (_squared_rows(np.subtract(x, y, out=x)) for x, y in _lockstep(su, sv))
+    af_dist = math.sqrt(_integral(su, diff_rows).real)
     info: dict = {"af_distance": af_dist, "lambda": lam}
     if af_dist <= _AF_TOL:
         rel_err = max(residual, unimodular_defect)
@@ -412,12 +472,6 @@ def recover_scalar(
         return CheckReport("uniqueness", abs(lam), 1.0, rel_err, rel_err, tol, info)
     info.update({"af_equal": False, "status": "surfaces differ; hypothesis void"})
     return CheckReport("uniqueness", abs(lam), 1.0, 0.0, 0.0, tol, info)
-
-
-def _peak_gap(values: np.ndarray, target: np.ndarray) -> float:
-    """max |values - target| over the peak of |target|, written into target."""
-    peak = max(float(np.max(np.abs(target))), _TINY)
-    return float(np.max(np.abs(np.subtract(values, target, out=target)))) / peak
 
 
 def collinearity_check(
@@ -447,13 +501,14 @@ def collinearity_check(
         alpha = ip / e3  # u2 = alpha * u3
         info["alpha"] = alpha
         unit = u2.replace_samples(u2.samples / u2.norm())
-        # each surface is a temporary, dropped once summed or scaled; one
-        # waveform given twice is built once
-        s2 = cross_ambiguity(u2, u2, n_doppler=n_doppler).values
-        summed = s2 + (s2 if u3 is u2 else cross_ambiguity(u3, u3, n_doppler=n_doppler).values)
-        del s2
-        target = (e2 + e3) * cross_ambiguity(unit, unit, n_doppler=n_doppler).values
-        sum_gap = _peak_gap(summed, target)
+        # one waveform given twice is built once
+        s2 = _stream([(u2, u2)], n_doppler)
+        s3 = s2 if u3 is u2 else _stream([(u3, u3)], n_doppler)
+        target = _stream([(unit, unit)], n_doppler)
+        sum_gap = _max_gap(
+            (np.add(x, y, out=x), np.multiply(e2 + e3, t, out=t))
+            for x, y, t in _lockstep(s2, s3, target)
+        )
         info["sum_gap"] = sum_gap
         rel_err = max(defect, sum_gap * (tol / _SUM_TOL))
         return CheckReport(
@@ -485,7 +540,7 @@ def trace_reduction_check(
     set is tested for the reduction instead.  A waveform of zero energy
     raises InvalidParameterError before any fit or surface.
     """
-    _trace_pairs(waveforms, cfg)  # the array and its spacing, before any pair
+    pairs = _trace_pairs(waveforms, cfg)  # the array and its spacing, before any fit
     if any(w.energy() <= 0.0 for w in waveforms):
         # a zero set would pass as reduced, its gap taken against a zero peak
         raise InvalidParameterError("trace-reduction needs waveforms of nonzero energy")
@@ -496,9 +551,9 @@ def trace_reduction_check(
         pair_status[(i, j)] = max(residual, unimodular_defect) <= _FIT_TOL
     failing = [pair for pair, ok in pair_status.items() if not ok]
     if not failing:
-        trace = spatial_integral(waveforms, cfg, n_doppler)
-        target = m * cross_ambiguity(waveforms[0], waveforms[0], n_doppler=n_doppler).values
-        gap = _peak_gap(trace.values, target)
+        trace = _stream(pairs, n_doppler)  # the spatial integral's trace
+        target = _stream([(waveforms[0], waveforms[0])], n_doppler)
+        gap = _max_gap((x, np.multiply(m, t, out=t)) for x, t in _lockstep(trace, target))
         info = {"reduced": True, "gap": gap}
         return CheckReport("trace-reduction", gap, 0.0, gap, gap, tol, info)
     # the hypothesis is void: a vacuous pass whose witnesses are the pairs

@@ -42,7 +42,7 @@ from mimoaf import (
     verify_mimo_symmetry,
     verify_mirror,
 )
-from mimoaf import properties
+from mimoaf import ambiguity, properties
 from mimoaf.signals import HeisenbergPoint
 
 from conftest import DT, DT_G, family_waveforms, mixture_basis, random_mixture
@@ -68,6 +68,17 @@ def test_norm_identity_scales_with_energy(gauss256):
     rep = check_norm_identity(doubled, doubled)
     assert rep.passed
     assert abs(rep.lhs - 16.0) <= 1e-8
+
+
+def test_norm_identity_past_float_range_fails_without_raising(gauss256):
+    # every cell and every row sum of |chi|^2 is finite, but their total is
+    # past the float range: the report fails on an infinite lhs, as numpy's
+    # sum of the whole surface does, and math.fsum's OverflowError stays in
+    big = gauss256.replace_samples(3e76 * gauss256.samples)
+    with np.errstate(over="ignore"):
+        rep = check_norm_identity(big, big)
+    assert math.isfinite(rep.rhs.real)
+    assert rep.lhs == math.inf and not rep.passed
 
 
 def test_norm_identity_orthogonal_pair(subcarriers2):
@@ -139,6 +150,14 @@ def test_moyal_random_quadruple():
     rep = moyal_inner_product(*quad)
     assert rep.passed
     assert rep.rel_err <= 1e-9
+
+
+def test_moyal_refuses_surfaces_on_different_grids(gauss256):
+    # chi(u1, u3) and chi(u2, u4) are paired block by block: on different
+    # grids the pairing is refused before any block is built
+    fine = gen_gaussian(CANONICAL_SIGMA, DT_G / 2, 2.0)
+    with pytest.raises(GridMismatchError):
+        moyal_inner_product(gauss256, fine, gauss256, fine, n_doppler=1024)
 
 
 @settings(max_examples=10, deadline=None)
@@ -577,3 +596,47 @@ def test_surface_quadrature_inner_matches_moyal(gauss256):
     lhs = surface_quadrature_inner(s_uv, s_uv)
     rhs = inner_product(gauss256, gauss256) * inner_product(v, v)
     assert abs(lhs - rhs) <= 1e-9
+
+
+# ------------------------------------------------------- streamed block size
+
+def _streamed_checks(g, sub):
+    """Every check that streams its surfaces, on 512 Doppler bins: one block
+    holds the whole 511-lag surface at the default block size."""
+    basis = mixture_basis(g)
+    rng = np.random.default_rng(3)
+    mix = [random_mixture(basis, rng) for _ in range(6)]
+    phased = phase_family(g, 2)
+    return {
+        "norm-self": lambda: check_norm_identity(g, g, 512),
+        "norm-pair": lambda: check_norm_identity(sub[0], sub[1], 512),
+        "mimo-energy": lambda: check_mimo_energy(mix[:2], _CFG2, 512),
+        "moyal-self": lambda: moyal_inner_product(g, g, g, g, 512),
+        "moyal": lambda: moyal_inner_product(*mix[:4], 512),
+        "mimo-moyal": lambda: mimo_inner_product(mix[:2], mix[2:4], _CFG2, 0.3, 0.7, 512),
+        "mimo-moyal-self": lambda: mimo_inner_product(sub, sub, _CFG2, 0.3, 0.3, 512),
+        "uniqueness": lambda: recover_scalar(g, phased[1], 512),
+        "uniqueness-void": lambda: recover_scalar(g, mix[4], 512),
+        "collinearity": lambda: collinearity_check(g, g.replace_samples(3j * g.samples), 512),
+        "collinearity-self": lambda: collinearity_check(g, g, 512),
+        "trace-reduction": lambda: trace_reduction_check(phased, _CFG2, 512),
+    }
+
+
+def _report_bits(rep):
+    # 17 significant digits round-trip a double, so equal lines are equal bits
+    info = {k: float(rep.info[k]).hex() for k in ("af_distance", "sum_gap", "gap")
+            if k in rep.info}
+    return rep.format_line(), rep.lhs, rep.rhs, rep.abs_err, rep.rel_err, rep.passed, info
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_streamed_checks_do_not_depend_on_block_size(rows, gauss256, subcarriers2, monkeypatch):
+    # each row is summed on its own and the rows' total rounded once by
+    # math.fsum, and a maximum has no order: blocks of 1 or 7 lag rows give
+    # the bits of one 511-row block
+    checks = _streamed_checks(gauss256, subcarriers2)
+    want = {name: _report_bits(check()) for name, check in checks.items()}
+    monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * 512)
+    got = {name: _report_bits(check()) for name, check in checks.items()}
+    assert got == want
