@@ -5,7 +5,10 @@ Four subcommands:
 * ``gen``    writes waveform files (SIG1 text or SIGB binary),
 * ``af``     computes a cross/self ambiguity or Wigner surface,
 * ``mimo``   evaluates spatial slices and the spatial-integral trace,
-* ``verify`` runs named identity-check suites and reports pass/fail lines.
+* ``verify`` runs one or more named identity-check suites in order and
+  prints each suite's pass/fail lines as soon as it finishes.  A suite
+  that refuses its input does not stop the others; the run then ends
+  with one error line naming every refusing suite.
 
 ``verify --tol X`` replaces the tolerance of every check in the suite;
 without it each check keeps its own.  X must be finite and >= 0.  The
@@ -17,7 +20,9 @@ coverage gate fails its check at any X.
 
 Exit codes: 0 all checks passed / command succeeded, 1 at least one check
 failed, 2 usage or validation error, including a size too large to
-allocate.
+allocate.  In ``verify`` a refusing suite outranks a failed check: 2,
+with the lines of the suites that ran kept on stdout and ``--report``
+deleted.
 
 A plain-text config file (``key=value`` lines, ``#`` comments) can seed
 any subcommand's flags via ``--config``, given before or after the
@@ -367,20 +372,31 @@ def cmd_verify(args) -> int:
         raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
     # without --tol every check keeps its own tolerance
     tol = {} if args.tol is None else {"tol": args.tol}
-    names = list(_SUITE_FUNCS) if args.suite == "all" else [args.suite]
-    reports: list[CheckReport] = []
+    # `all` expands in place; a name given twice runs once
+    names = dict.fromkeys(n for s in args.suite for n in (_SUITE_FUNCS if s == "all" else [s]))
+    passed = True
+    refusals: list[str] = []
     # the report opens before any suite runs, so a path that cannot be
-    # written exits 2 before a line is printed; the write group deletes it
-    # if a suite refuses its input
+    # written exits 2 before a line is printed.  A suite that refuses its
+    # input is recorded and the others still run and print; one refusal
+    # makes the run exit 2, and the write group then deletes the report
     with io_formats._new_files() as new:
         report = new(args.report, "w")[0] if args.report else None
         for name in names:
-            reports.extend(_SUITE_FUNCS[name](args, tol))
-        lines = "".join(r.format_line() + "\n" for r in reports)
-        sys.stdout.write(lines)
-        if report is not None:
-            report.write(lines)
-    return 0 if all(r.passed for r in reports) else 1
+            try:
+                reports = _SUITE_FUNCS[name](args, tol)
+            except (MimoafError, MemoryError) as exc:
+                refusals.append(f"{name}: {exc}")
+                continue
+            lines = "".join(r.format_line() + "\n" for r in reports)
+            sys.stdout.write(lines)
+            sys.stdout.flush()
+            if report is not None:
+                report.write(lines)
+            passed = passed and all(r.passed for r in reports)
+        if refusals:
+            raise MimoafError("; ".join(refusals))
+    return 0 if passed else 1
 
 
 # ------------------------------------------------------------------ parsing
@@ -458,7 +474,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", parents=[config, doppler, steering],
                        help="run identity-check suites")
-    v.add_argument("--suite", required=True, choices=SUITES)
+    v.add_argument("--suite", required=True, nargs="+", choices=SUITES,
+                   help="one or more suites, run in the order given")
     v.add_argument("--family", default="gaussian", choices=FAMILIES)
     v.add_argument("--M", type=int, default=2)
     v.add_argument("--probes", type=int, default=8)

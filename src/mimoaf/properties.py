@@ -435,11 +435,12 @@ def trace_psd_check(
 def _unimodular_fit(u: SampledSignal, v: SampledSignal) -> tuple[complex, float, float]:
     """The least-squares scalar lambda = <u,v>/energy(v) with u ~ lambda v,
     the residual |u - lambda v| / |u|, and the unimodular defect ||lambda| - 1|.
-    A zero u or v has no such scalar and raises InvalidParameterError."""
+    A zero u or v has no such scalar, and an energy past the float range
+    makes it nan: either raises InvalidParameterError."""
     eu, ev = u.energy(), v.energy()
     for name, e in (("u", eu), ("v", ev)):
-        if e <= 0.0:
-            raise InvalidParameterError(f"{name} has zero energy")
+        if not 0.0 < e < math.inf:
+            raise InvalidParameterError(f"{name} needs a finite nonzero energy, got {e}")
     lam = inner_product(u, v) / ev
     diff = u.samples - lam * v.samples
     residual = math.sqrt(float(u.dt * np.sum(np.abs(diff) ** 2))) / math.sqrt(eu)
@@ -458,8 +459,9 @@ def recover_scalar(
     the estimate lambda = <u,v>/energy(v) must be unimodular and reproduce
     u as lambda * v.  When the surfaces differ, the hypothesis is void: the
     report passes vacuously and records the non-equal status in info.
-    Either way info["lambda"] holds the estimate.  A zero u or v raises
-    InvalidParameterError before any surface is built.
+    Either way info["lambda"] holds the estimate.  A u or v of zero or
+    non-finite energy raises InvalidParameterError before any surface is
+    built.
     """
     lam, residual, unimodular_defect = _unimodular_fit(u, v)
     su, sv = _stream([(u, u)], n_doppler), _stream([(v, v)], n_doppler)
@@ -491,8 +493,8 @@ def collinearity_check(
     """
     e2 = u2.energy()
     e3 = u3.energy()
-    if e2 <= 0.0 or e3 <= 0.0:
-        raise InvalidParameterError("collinearity needs nonzero inputs")
+    if not (0.0 < e2 < math.inf and 0.0 < e3 < math.inf):
+        raise InvalidParameterError("collinearity needs inputs of finite nonzero energy")
     ip = inner_product(u2, u3)
     cs_ratio = abs(ip) / (u2.norm() * u3.norm())
     defect = max(0.0, 1.0 - cs_ratio)
@@ -537,13 +539,14 @@ def trace_reduction_check(
     No pairwise surface is built.  recover_scalar also asks that the self
     surfaces lie within _AF_TOL of each other; a pair within the residual
     test but not that gate would pass recover_scalar vacuously, and here its
-    set is tested for the reduction instead.  A waveform of zero energy
-    raises InvalidParameterError before any fit or surface.
+    set is tested for the reduction instead.  A waveform of zero or
+    non-finite energy raises InvalidParameterError before any fit or surface.
     """
     pairs = _trace_pairs(waveforms, cfg)  # the array and its spacing, before any fit
-    if any(w.energy() <= 0.0 for w in waveforms):
-        # a zero set would pass as reduced, its gap taken against a zero peak
-        raise InvalidParameterError("trace-reduction needs waveforms of nonzero energy")
+    if not all(0.0 < w.energy() < math.inf for w in waveforms):
+        # a zero set would pass as reduced, its gap taken against a zero
+        # peak, and an overflowing one as void, its fits nan
+        raise InvalidParameterError("trace-reduction needs waveforms of finite nonzero energy")
     m = len(waveforms)
     pair_status: dict[tuple[int, int], bool] = {}
     for i, j in itertools.combinations(range(m), 2):

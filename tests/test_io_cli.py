@@ -1,7 +1,6 @@
 import argparse
 import errno
 import hashlib
-import importlib.util
 import math
 import os
 import struct
@@ -44,6 +43,7 @@ from mimoaf.io_formats import (
     write_surface_blocks,
     write_surface_csv,
 )
+from mimoaf.properties import CheckReport
 
 from conftest import traced_peak
 
@@ -1359,6 +1359,65 @@ def test_verify_unwritable_report_exits_2_before_any_line(tmp_path, surface_buil
     assert surface_builds == []
 
 
+def test_verify_several_suites_join_their_lines(tmp_path, capsys):
+    # stdout and the report hold each suite's lines, in the order given, as
+    # the single-suite runs print them; a name given twice runs once
+    want = ""
+    for suite in ("norm", "psd"):
+        assert cli.main(["verify", "--suite", suite]) == 0
+        want += capsys.readouterr().out
+    report = tmp_path / "r.txt"
+    argv = ["verify", "--suite", "norm", "psd", "norm", "--report", str(report)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert report.read_text() == want
+
+
+def test_verify_refusal_outranks_failure(tmp_path, capsys):
+    # psd refuses zero probes: norm's lines, one of them failing, stay on
+    # stdout, one error line names psd, the run exits 2 and the report is
+    # deleted
+    assert cli.main(["verify", "--suite", "norm", "--tol", "1e-20"]) == 1
+    norm_lines = capsys.readouterr().out
+    assert " fail " in norm_lines
+    report = tmp_path / "r.txt"
+    argv = ["verify", "--suite", "norm", "psd", "--tol", "1e-20", "--report", str(report)]
+    assert cli.main(argv + ["--probes", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == norm_lines
+    assert err.startswith("error: psd: ") and err.count("\n") == 1
+    assert not report.exists()
+    assert cli.main(argv) == 1
+    assert report.exists()
+
+
+def test_verify_explicit_suites_replace_the_config_suite(tmp_path, capsys):
+    # --suite is one flag that takes several names: an explicit one
+    # replaces a config file's, as every other flag does, and adds nothing
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("suite=psd\n")
+    want = ""
+    for suite in ("norm", "sym-mirror"):
+        assert cli.main(["verify", "--suite", suite]) == 0
+        want += capsys.readouterr().out
+    assert cli.main(["verify", "--config", str(cfg), "--suite", "norm", "sym-mirror"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_verify_all_at_half_wavelength_keeps_the_accepting_suites(capsys):
+    # three suites need an integer spacing and refuse gamma = 0.5; the other
+    # eleven still run, in suite order, and one error line names all three
+    refused = ["mimo-energy", "trace-psd", "trace-reduction"]
+    assert cli.main(["verify", "--suite", "all", "--gamma", "0.5"]) == 2
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 23 and all(ln.split()[1] == "pass" for ln in lines)
+    ran = list(dict.fromkeys(ln.split()[0] for ln in lines))
+    assert ran == [s for s in cli.SUITES if s not in [*refused, "all"]]
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and all(f"{s}: " in err for s in refused)
+
+
 # sha256 of `verify --suite all --family F` stdout at seed 0, last re-taken
 # when the scalar checks began to stream their surfaces block by block and
 # to total each sum from its row sums with math.fsum: the moyal and
@@ -1663,63 +1722,39 @@ def test_render_af_gallery_bad_floor_exits_2(args, tmp_path):
     assert list(out.iterdir()) == [] and blocker.read_bytes() == b""
 
 
-def _full_verification_module():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_full_verification.py"
-    spec = importlib.util.spec_from_file_location("run_full_verification", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("argv,code", [
     (["--suite", "norm"], 0),
     (["--suite", "norm", "--seed", "-1"], 2),
-    (["--suite", "norm", "--suite", "psd", "--probes", "0"], 2),
+    (["--suite", "norm", "psd", "--probes", "0"], 2),
 ])
-def test_full_verification_exit_codes(argv, code, monkeypatch, capsys):
-    # bad input exits 2 as the CLI does; 1 is kept for a failed identity
-    monkeypatch.setattr(sys, "argv", ["run_full_verification.py", *argv])
-    assert _full_verification_module().main() == code
+def test_full_verification_exit_codes(argv, code, capsys):
+    # a run over several suites exits as one suite does: 2 for refused
+    # input, 1 kept for a failed identity
+    assert cli.main(["verify", *argv]) == code
 
 
-def test_full_verification_report_joins_the_suites(tmp_path, monkeypatch, capsys):
-    # the report file holds each suite's verify lines, in the order given
-    want = []
-    for suite in ("norm", "psd"):
-        assert cli.main(["verify", "--suite", suite]) == 0
-        want.append(capsys.readouterr().out)
-    report = tmp_path / "all.txt"
-    monkeypatch.setattr(sys, "argv", ["run_full_verification.py", "--suite", "norm",
-                                      "--suite", "psd", "--report", str(report)])
-    assert _full_verification_module().main() == 0
-    assert report.read_text() == "".join(want)
-
-
-def test_full_verification_refuses_zero_probes(monkeypatch, capsys):
+def test_full_verification_refuses_zero_probes(capsys):
     # README: --probes 0 is a refused input, exit 2, not a failed check
-    monkeypatch.setattr(sys, "argv", ["run_full_verification.py", "--suite", "psd",
-                                      "--probes", "0"])
-    assert _full_verification_module().main() == 2
-    assert "psd: FAILED (exit 2)" in capsys.readouterr().out
-
-
-def test_full_verification_unwritable_report_exits_2(tmp_path, monkeypatch, capsys):
-    # a report path under a regular file is a usage error, as in verify
-    blocker = tmp_path / "blocker"
-    blocker.write_bytes(b"")
-    monkeypatch.setattr(sys, "argv", ["run_full_verification.py", "--suite", "norm",
-                                      "--report", str(blocker / "x.txt")])
-    assert _full_verification_module().main() == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert cli.main(["verify", "--suite", "psd", "--probes", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: psd: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("codes,code", [
     ({"norm": 1, "psd": 0}, 1), ({"norm": 1, "psd": 2}, 2), ({"norm": 2, "psd": 1}, 2),
 ])
 def test_full_verification_refusal_outranks_failure(codes, code, monkeypatch, capsys):
-    script = _full_verification_module()
-    monkeypatch.setattr(script, "cli_main", lambda argv: codes[argv[2]])
-    monkeypatch.setattr(sys, "argv", ["run_full_verification.py", "--suite", "norm",
-                                      "--suite", "psd"])
-    assert script.main() == code
+    # each suite passes (0), fails a check (1) or refuses its input (2);
+    # a refusal anywhere in the run outranks a failed check
+    def suite(name):
+        def run(args, tol):
+            if codes[name] == 2:
+                raise InvalidParameterError("refused")
+            return [CheckReport(name, 1, 1, 0.0, float(codes[name]), 0.5)]
+        return run
+
+    for name in codes:
+        monkeypatch.setitem(cli._SUITE_FUNCS, name, suite(name))
+    assert cli.main(["verify", "--suite", "norm", "psd"]) == code
+    out = capsys.readouterr().out
+    assert [ln.split()[0] for ln in out.splitlines()] == [n for n in codes if codes[n] < 2]

@@ -492,6 +492,23 @@ def test_zero_waveform_is_refused_before_any_surface(check, gauss256, surface_bu
     assert surface_builds == []
 
 
+@pytest.mark.parametrize("check,scale", [
+    (lambda w, v: recover_scalar(w, v), 1e160),
+    (lambda w, v: trace_reduction_check([w, v], SteeringConfig(2, 1.0)), 1e154),
+    (lambda w, v: collinearity_check(w, v), 1e160),
+], ids=["scalar", "trace", "collinearity"])
+def test_overflowing_energy_is_refused_before_any_surface(check, scale, gauss256,
+                                                          surface_builds):
+    # an energy past the float range makes lambda and the fits nan, and a
+    # nan passed uniqueness and trace-reduction as a void hypothesis
+    w = gauss256.replace_samples(scale * gauss256.samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert w.energy() == math.inf
+        with pytest.raises(InvalidParameterError, match="finite nonzero energy"):
+            check(w, w.replace_samples(1j * w.samples))
+    assert surface_builds == []
+
+
 def test_trace_reduction_decides_on_the_waveforms(gauss256, surface_builds):
     # |lambda| = 1 + 5e-7 is within the unimodular fit but puts the self
     # surfaces about 1e-6 apart, past uniqueness's surface distance: the
