@@ -126,8 +126,9 @@ class AmbiguitySurface:
         return complex(self.values[self.lag_index(tau), self.doppler_index(nu)])
 
     def energy(self) -> float:
-        """Quadrature of |values|^2 over the whole surface."""
-        return float(np.sum(np.abs(self.values) ** 2) * self.d_tau * self.d_nu)
+        """Quadrature of |values|^2 over the whole surface, by the streamed
+        checks' rule (:func:`_integral`), so to their bit."""
+        return _integral(self, [_squared_rows(self.values.copy())]).real
 
 
 # The surface is built in blocks of lag rows holding about this many bytes of
@@ -215,6 +216,14 @@ def _check_bins(name: str, count: int | None, n: int, default: int) -> int:
 def _check_doppler_count(n_doppler: int | None, n: int, cyclic: bool) -> int:
     """The Doppler bins of an ambiguity surface, n (cyclic) or 4n by default."""
     return _check_bins("n_doppler", n_doppler, n, n if cyclic else 4 * n)
+
+
+def _require_finite_energy(signals: Iterable[SampledSignal]) -> None:
+    """Raise InvalidParameterError for a signal whose energy is past the
+    float range: every surface built from it would be inf or nan."""
+    with np.errstate(over="ignore"):
+        if not all(math.isfinite(w.energy()) for w in signals):
+            raise InvalidParameterError("a signal's energy is past the float range")
 
 
 def _window_shift(u: SampledSignal) -> tuple[int, float]:
@@ -345,7 +354,8 @@ def _ambiguity_blocks(
     of the summed products.  With t0/dt = s + f (:func:`_window_shift`),
     Doppler bin j of N and sample m, the kernel dt exp(i 2 pi nu_j t_m) is
     the block loop's at the window (s, f) with weight dt; the generators'
-    windows have f = 0.  Every size and the window start are checked here.
+    windows have f = 0.  Every size, the window start and the signals'
+    energies are checked here, before any block is built.
     """
     u = pairs[0][0]
     for a, b in pairs:
@@ -354,10 +364,12 @@ def _ambiguity_blocks(
     n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
     window = _window_shift(u)
     lag_rows = [_lag_rows(a, b, cyclic, step) for a, b in pairs]
-    return _SurfaceBlocks(
+    blocks = _SurfaceBlocks(
         [gather for _, gather in lag_rows], u.n, lag_rows[0][0] * u.dt,
         _doppler_axis(n_doppler, u.dt), window, u.dt, whole,
     )
+    _require_finite_energy(w for pair in pairs for w in pair)
+    return blocks
 
 
 def _squared_rows(block: np.ndarray) -> np.ndarray:
@@ -367,9 +379,9 @@ def _squared_rows(block: np.ndarray) -> np.ndarray:
     return np.square(f, out=f).sum(axis=1)
 
 
-def _integral(blocks: _SurfaceBlocks, row_sums: Iterable[np.ndarray]) -> complex:
+def _integral(blocks: _SurfaceBlocks | AmbiguitySurface, row_sums: Iterable[np.ndarray]) -> complex:
     """Quadrature, total times d_tau d_nu, of a function of the cells of
-    the surface that blocks streams, from its sums along each row.
+    the surface that blocks streams or holds, from its sums along each row.
 
     numpy sums each row pairwise, on its own, and math.fsum rounds the total
     of the rows once, so the result does not depend on how many rows a
@@ -475,9 +487,11 @@ def _wigner_blocks(
         out.fill(0)
         np.multiply(us[rows], cv[rows], out=out, where=inside[::-1][rows] & inside[rows])
 
-    return _SurfaceBlocks(
+    blocks = _SurfaceBlocks(
         [gather], n, u.times, _doppler_axis(n_freq, 2.0 * u.dt), (-h, 0.0), 2.0 * u.dt, whole
     )
+    _require_finite_energy([u, v])
+    return blocks
 
 
 def wigner(
@@ -614,6 +628,7 @@ def mimo_slice_spatial(
     nu_axis = _doppler_axis(n_doppler, first.dt)
     k = int(lags[_axis_index(lags * first.dt, tau, "delay", "lag")])
     nu = float(nu_axis[_axis_index(nu_axis, nu, "Doppler", "Doppler")])
+    _require_finite_energy(waveforms)
     U = np.stack([w.samples for w in waveforms])
     phase = np.exp(1j * 2.0 * math.pi * nu * first.times)
     # the samples n in [lo, hi) whose partner n + k is in the window

@@ -1,4 +1,4 @@
-"""File formats for signals, surfaces, heatmaps, and check reports.
+"""File formats for signals, surfaces and heatmaps.
 
 Signals travel as SIG1 (plain text, one complex sample per line) or as the
 binary twin SIGB; surfaces as the binary SUR1 container or CSV.  All float
@@ -51,7 +51,6 @@ import numpy as np
 
 from .ambiguity import AmbiguitySurface
 from .errors import FileFormatError, InvalidParameterError
-from .properties import CheckReport
 from .signals import SampledSignal
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "write_surface_csv",
     "read_surface_csv",
     "write_ppm",
-    "write_report",
 ]
 
 _SIGB_MAGIC = b"SIGB"
@@ -419,9 +417,3 @@ def write_ppm(
     write_surface_blocks([(0, arr)], np.arange(h), np.arange(w), ppm=path,
                          db_floor=db_floor, scaling=scaling)
 
-
-def write_report(path: str | Path, reports: list[CheckReport]) -> None:
-    """Write one report line per check.  If the write fails, no file is left."""
-    with _new_files() as new:
-        fh, _ = new(path, "w")
-        fh.write("".join(r.format_line() + "\n" for r in reports))

@@ -196,14 +196,10 @@ def random_probe_set(
 
 
 def surface_quadrature_inner(s1: AmbiguitySurface, s2: AmbiguitySurface) -> complex:
-    """Riemann quadrature of s1 * conj(s2) over the shared (tau, nu) grid."""
-    if (
-        s1.values.shape != s2.values.shape
-        or not np.array_equal(s1.tau_axis, s2.tau_axis)
-        or not np.array_equal(s1.nu_axis, s2.nu_axis)
-    ):
-        raise GridMismatchError("surfaces live on different (tau, nu) grids")
-    return complex(np.sum(s1.values * np.conj(s2.values)) * s1.d_tau * s1.d_nu)
+    """Riemann quadrature of s1 * conj(s2) over the shared (tau, nu) grid, by
+    the streamed checks' rule: moyal_inner_product's pairing, to the bit."""
+    _require_same_grid(s1, s2)
+    return _integral(s1, [_conj_product_rows(s1.values, s2.values, np.empty_like(s1.values))])
 
 
 def _stream(
@@ -214,18 +210,18 @@ def _stream(
     return _ambiguity_blocks(pairs, n_doppler, cyclic=False, whole=False)
 
 
+def _require_same_grid(*grids: _SurfaceBlocks | AmbiguitySurface) -> None:
+    tau, nu = grids[0].tau_axis, grids[0].nu_axis
+    if not all(np.array_equal(tau, g.tau_axis) and np.array_equal(nu, g.nu_axis) for g in grids):
+        raise GridMismatchError("surfaces live on different (tau, nu) grids")
+
+
 def _lockstep(*loops: _SurfaceBlocks) -> Iterator[tuple[np.ndarray, ...]]:
     """The same rows of every loop's surface, block by block.  A loop given
     twice is run once and its block handed out twice, so a caller that
     writes into one block must not read the other."""
     distinct = list(dict.fromkeys(loops))
-    first = distinct[0]
-    for other in distinct[1:]:
-        if not (
-            np.array_equal(first.tau_axis, other.tau_axis)
-            and np.array_equal(first.nu_axis, other.nu_axis)
-        ):
-            raise GridMismatchError("surfaces live on different (tau, nu) grids")
+    _require_same_grid(*distinct)
     for blocks in zip(*distinct):
         block_of = {loop: block for loop, (_, block) in zip(distinct, blocks)}
         yield tuple(block_of[loop] for loop in loops)
@@ -275,6 +271,16 @@ def check_mimo_energy(
     return make_report("mimo-energy", lhs, rhs, tol, scale=abs(rhs))
 
 
+def _moyal_pairing(u1: SampledSignal, u2: SampledSignal, u3: SampledSignal,
+                   u4: SampledSignal, n_doppler: int | None) -> complex:
+    """The L2 pairing of chi(u1,u3) with chi(u2,u4), streamed in lockstep.
+    Both are one route's surfaces, so a pair given twice is built once."""
+    s13 = _stream([(u1, u3)], n_doppler)
+    s24 = s13 if u2 is u1 and u4 is u3 else _stream([(u2, u4)], n_doppler)
+    scratch = np.empty_like(s13.values)
+    return _integral(s13, (_conj_product_rows(x, y, scratch) for x, y in _lockstep(s13, s24)))
+
+
 def moyal_inner_product(
     u1: SampledSignal,
     u2: SampledSignal,
@@ -290,11 +296,7 @@ def moyal_inner_product(
     <u3,u4> instead the identity fails at order one, which the quadrature
     route exposes immediately.
     """
-    s13 = _stream([(u1, u3)], n_doppler)
-    # both surfaces are route (a)'s: a pair given twice is built once
-    s24 = s13 if u2 is u1 and u4 is u3 else _stream([(u2, u4)], n_doppler)
-    scratch = np.empty_like(s13.values)
-    lhs = _integral(s13, (_conj_product_rows(x, y, scratch) for x, y in _lockstep(s13, s24)))
+    lhs = _moyal_pairing(u1, u2, u3, u4, n_doppler)
     rhs = inner_product(u1, u2) * inner_product(u4, u3)
     scale = u1.norm() * u2.norm() * u3.norm() * u4.norm()
     return make_report("moyal", lhs, rhs, tol, scale=scale)
@@ -310,29 +312,22 @@ def mimo_inner_product(
     tol: float = 1e-6,
 ) -> CheckReport:
     """Moyal pairing of two spatial slices at fixed (fs, fs') against the
-    quadruple sum of waveform inner products with steering phases."""
+    quadruple sum of waveform inner products with steering phases.  A slice
+    is chi of its beamformed pair (mimo_beams), so the left side is moyal's
+    pairing on the beams and the scale their four norms (the norm identity).
+    """
     if len(us) != len(vs):
         raise GridMismatchError(f"waveform counts differ: {len(us)} vs {len(vs)}")
     us[0].require_compatible(vs[0])
-    # each slice is the surface of its beamformed pair (mimo_ambiguity)
-    A = _stream([mimo_beams(us, cfg, fs, fs_prime)], n_doppler)
-    B = A if vs is us else _stream([mimo_beams(vs, cfg, fs, fs_prime)], n_doppler)
-    scratch = np.empty_like(A.values)
-    inner, rows_a, rows_b = [], [], []
-    for x, y in _lockstep(A, B):
-        # the pairing first, in scratch, then each energy squares its block
-        inner.append(_conj_product_rows(x, y, scratch))
-        rows_a.append(_squared_rows(x))
-        rows_b.append(rows_a[-1] if y is x else _squared_rows(y))
-    lhs = _integral(A, inner)
+    U, V = mimo_beams(us, cfg, fs, fs_prime)
+    U2, V2 = (U, V) if vs is us else mimo_beams(vs, cfg, fs, fs_prime)
+    lhs = _moyal_pairing(U, U2, V, V2, n_doppler)
 
     P = np.array([[inner_product(a, b) for b in vs] for a in us])
     a, b = cfg.steering_phases(fs), cfg.steering_phases(fs_prime)
     # phases of the u-set row m and column m', then the v-set row n and column n'
     rhs = np.einsum("mn,pq,m,p,n,q->", P, np.conj(P), a, np.conj(b), np.conj(a), b)
-    energy_a = _integral(A, rows_a).real
-    energy_b = energy_a if B is A else _integral(B, rows_b).real
-    scale = math.sqrt(max(energy_a * energy_b, _TINY))
+    scale = U.norm() * V.norm() * U2.norm() * V2.norm()
     return make_report("mimo-moyal", lhs, complex(rhs), tol, scale=scale)
 
 

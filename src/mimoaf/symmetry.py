@@ -151,8 +151,6 @@ def _dual_path_report(
     info["coverage"] = coverage
     covered = coverage >= _COVERAGE_FLOOR
     rel_err = rel if covered else max(rel, 1.0)
-    if not covered:
-        info["coverage_failure"] = True
     return CheckReport(name, rel, 0.0, rel, rel_err, tol, info, gate=covered)
 
 

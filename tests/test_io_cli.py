@@ -19,7 +19,6 @@ from mimoaf import (
     SampledSignal,
     SteeringConfig,
     canonical_gaussian,
-    check_norm_identity,
     cross_ambiguity,
     gen_gaussian,
     gen_rect,
@@ -37,7 +36,6 @@ from mimoaf.io_formats import (
     read_surface,
     read_surface_csv,
     write_ppm,
-    write_report,
     write_signal,
     write_surface,
     write_surface_blocks,
@@ -227,15 +225,6 @@ def test_ppm_header_and_determinism(tmp_path):
             write_ppm(tmp_path / "c.ppm", s.values, db_floor=db_floor)
 
 
-def test_report_file_lines(tmp_path):
-    u = canonical_gaussian()
-    reports = [check_norm_identity(u, u)]
-    p = tmp_path / "r.txt"
-    write_report(p, reports)
-    lines = p.read_text().splitlines()
-    assert lines == [reports[0].format_line()]
-
-
 # ---------------------------------------------------------------- cli: gen
 
 def test_gen_rect_writes_unit_energy(tmp_path):
@@ -396,6 +385,24 @@ def test_streamed_surface_with_collapsed_axis_exits_2(text, extra, axis, tmp_pat
     err = capsys.readouterr().err
     assert err == f"error: the {axis} axis must be finite and strictly ascending\n"
     assert sur.read_bytes() == b"an older surface"
+
+
+@pytest.mark.parametrize("argv", [
+    ["af", "--u", "{0}"],
+    ["af", "--u", "{0}", "--wigner"],
+    ["mimo", "--inputs", "{0}", "{0}"],
+    ["mimo", "--inputs", "{0}", "{0}", "--spatial-integral"],
+    ["mimo", "--inputs", "{0}", "{0}", "--slice-spatial", "--K", "4"],
+], ids=["af", "wigner", "mimo-beam", "mimo-spatial-integral", "mimo-slice-spatial"])
+def test_signal_energy_past_float_range_exits_2(argv, tmp_path):
+    # 1e200 squared overflows, so every surface of the signal is inf or
+    # nan: it is refused with one line, no warning, before any output opens
+    sig, sur = tmp_path / "big.sig", tmp_path / "big.sur"
+    sig.write_text("n=4\ndt=1\nt0=-2\n" + "1e200,0\n" * 4)
+    res = run_cli(*(a.format(sig) for a in argv), "-o", sur)
+    assert res.returncode == 2
+    assert res.stderr == "error: a signal's energy is past the float range\n"
+    assert not sur.exists()
 
 
 def test_af_determinism(tmp_path):

@@ -43,6 +43,7 @@ from mimoaf import (
     verify_mirror,
 )
 from mimoaf import ambiguity, properties
+from mimoaf.ambiguity import mimo_beams
 from mimoaf.signals import HeisenbergPoint
 
 from conftest import DT, DT_G, family_waveforms, mixture_basis, random_mixture
@@ -193,6 +194,17 @@ def test_mimo_moyal_random_sets():
     rep = mimo_inner_product(list(us), vs, cfg, 0.3, 0.7, n_doppler=512)
     assert rep.passed
     assert rep.rel_err <= 1e-8
+
+
+def test_mimo_moyal_is_moyal_on_the_beams():
+    # each slice is chi of its beam pair, so the pairing is moyal's, bit for bit
+    us = list(gen_subcarrier_set(2, 1.0, DT))
+    rng = np.random.default_rng(7)
+    vs = [random_mixture(mixture_basis(w), rng) for w in us]
+    cfg = SteeringConfig(2, 1.0)
+    (U, V), (U2, V2) = mimo_beams(us, cfg, 0.3, 0.7), mimo_beams(vs, cfg, 0.3, 0.7)
+    rep = mimo_inner_product(us, vs, cfg, 0.3, 0.7, n_doppler=512)
+    assert rep.lhs == moyal_inner_product(U, U2, V, V2, n_doppler=512).lhs
 
 
 # ------------------------------------------------------------------------- psd
@@ -509,6 +521,25 @@ def test_overflowing_energy_is_refused_before_any_surface(check, scale, gauss256
     assert surface_builds == []
 
 
+@pytest.mark.parametrize("check", [
+    lambda w: check_norm_identity(w, w),
+    lambda w: check_mimo_energy([w, w], SteeringConfig(2, 1.0)),
+    lambda w: moyal_inner_product(w, w, w, w),
+    lambda w: mimo_inner_product([w, w], [w, w], SteeringConfig(2, 1.0), 0.3, 0.7),
+    lambda w: verify_mirror(w, w),
+    lambda w: verify_lfm_shear(w, w, rate=1.0),
+    lambda w: gram_psd_check(w, random_probe_set(w)),
+    lambda w: trace_psd_check([w, w], random_probe_set(w), SteeringConfig(2, 1.0)),
+], ids=["norm", "mimo-energy", "moyal", "mimo-moyal", "sym-mirror", "sym-lfm", "psd",
+        "trace-psd"])
+def test_surface_of_an_overflowing_energy_is_refused(check, gauss256):
+    # |w|^2 is past the float range, so every surface of w is inf or nan:
+    # a bad input, not a failed identity, and not numpy's LinAlgError
+    w = gauss256.replace_samples(1e160 * gauss256.samples)
+    with pytest.raises(InvalidParameterError, match="past the float range"):
+        check(w)
+
+
 def test_trace_reduction_decides_on_the_waveforms(gauss256, surface_builds):
     # |lambda| = 1 + 5e-7 is within the unimodular fit but puts the self
     # surfaces about 1e-6 apart, past uniqueness's surface distance: the
@@ -613,6 +644,19 @@ def test_surface_quadrature_inner_matches_moyal(gauss256):
     lhs = surface_quadrature_inner(s_uv, s_uv)
     rhs = inner_product(gauss256, gauss256) * inner_product(v, v)
     assert abs(lhs - rhs) <= 1e-9
+
+
+@pytest.mark.parametrize("family", ["rect", "gaussian", "lfm", "subcarrier"])
+def test_whole_surfaces_integrate_by_the_streamed_rule(family):
+    # energy() and surface_quadrature_inner sum a held surface as the
+    # streamed checks sum its blocks, so they agree to the bit
+    u = family_waveforms()[family]
+    v, u3 = chirp_multiply(u, 2.0), chirp_multiply(u, -1.0)
+    for a, b in ((u, u), (u, v)):
+        assert cross_ambiguity(a, b).energy() == check_norm_identity(a, b).lhs
+    for q in ((u, v, u3, u), (u, u, v, v)):
+        whole = surface_quadrature_inner(cross_ambiguity(q[0], q[2]), cross_ambiguity(q[1], q[3]))
+        assert whole == moyal_inner_product(*q).lhs
 
 
 # ------------------------------------------------------- streamed block size

@@ -140,7 +140,7 @@ def test_coverage_gate_fails_at_any_tolerance(tol):
     v = u.replace_samples((-1.0) ** np.arange(n) * u.samples)
     rep = verify_mirror(u, v, n_doppler=256, tol=tol)
     assert rep.info["coverage"] < 0.9
-    assert rep.info["coverage_failure"] is True
+    assert rep.gate is False
     assert not rep.passed
 
 
