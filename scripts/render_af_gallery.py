@@ -17,7 +17,6 @@ from pathlib import Path
 from mimoaf import (
     CANONICAL_SIGMA,
     MimoafError,
-    SteeringConfig,
     cross_ambiguity,
     gen_gaussian,
     gen_lfm,
@@ -48,9 +47,8 @@ def render(out: Path, db_floor: float) -> None:
         print(f"{name}: af {s.values.shape}, wigner {w.values.shape}")
 
     subs = list(gen_subcarrier_set(2, 1.0, 1 / 128))
-    cfg = SteeringConfig(2, 1.0)
     for fs, fsp in [(0.0, 0.0), (0.25, 0.75)]:
-        s = mimo_ambiguity(subs, cfg, fs, fsp, n_doppler=512)
+        s = mimo_ambiguity(subs, 1.0, fs, fsp, n_doppler=512)
         write(f"mimo_fs{fs:g}_fsp{fsp:g}".replace(".", "p"), s)
         print(f"mimo slice ({fs}, {fsp}): {s.values.shape}")
 

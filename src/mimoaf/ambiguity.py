@@ -15,6 +15,12 @@ transform of lag products taken row by row, and one row-block loop
 values.  The tests check them against a brute-force twin computed as a
 dense matrix product against the explicit Doppler kernel
 exp(i 2 pi nu t_n), which shares nothing past the product array.
+
+A MIMO array is its waveforms: element m transmits u_m, so the element
+count M is len(waveforms), and every MIMO function takes the list and
+gamma, the element spacing in carrier wavelengths.  Element m is steered
+by exp(i 2 pi gamma fs m) at spatial frequency fs in [0, 1), and integrals
+over fs run over [0, 1), exactly for integer gamma.
 """
 
 from __future__ import annotations
@@ -27,12 +33,11 @@ import numpy as np
 import numpy.typing as npt
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridAlignmentError, GridMismatchError, InvalidParameterError
+from .errors import GridAlignmentError, InvalidParameterError
 from .signals import SampledSignal, _require_count, _require_positive, _snap
 
 __all__ = [
     "AmbiguitySurface",
-    "SteeringConfig",
     "cross_ambiguity",
     "wigner",
     "mimo_beams",
@@ -511,66 +516,36 @@ def wigner(
     return _whole(_wigner_blocks(u, v, n_freq, whole=True))
 
 
-@dataclass(frozen=True)
-class SteeringConfig:
-    """Uniform linear array geometry for spatial beam slices.  Integrals
-    over the spatial frequency fs run over [0, 1), exactly for integer gamma.
-
-    Attributes:
-        n_elements: transmit element count M.
-        gamma: element spacing in carrier wavelengths.
-    """
-
-    n_elements: int
-    gamma: float
-
-    def __post_init__(self) -> None:
-        _require_count("n_elements", self.n_elements, 1)
-        _require_positive(gamma=self.gamma)
-        # every steering phase 2 pi gamma fs m, fs < 1, is below this bound
-        if not math.isfinite(2.0 * math.pi * self.gamma * max(self.n_elements - 1, 1)):
-            raise InvalidParameterError(
-                f"steering phases overflow at gamma = {self.gamma}, M = {self.n_elements}"
-            )
-
-    def steering_phases(self, fs: float) -> npt.NDArray[np.complex128]:
-        """exp(i 2 pi gamma fs m), m = 0 .. M-1."""
-        if not 0.0 <= fs < 1.0:
-            raise InvalidParameterError(
-                f"spatial frequency must lie in [0, 1), got {fs}"
-            )
-        return np.exp(
-            1j * 2.0 * math.pi * self.gamma * fs * np.arange(self.n_elements)
-        )
-
-    def require_integer_gamma(self) -> int:
-        g = round(self.gamma)
-        if abs(self.gamma - g) > 1e-12:
-            raise InvalidParameterError(
-                f"this identity needs an integer spacing gamma, got {self.gamma}"
-            )
-        return int(g)
-
-
-def _require_array(waveforms: list[SampledSignal], cfg: SteeringConfig) -> None:
-    """One waveform per array element, all on one grid."""
-    if len(waveforms) != cfg.n_elements:
-        raise GridMismatchError(
-            f"{len(waveforms)} waveforms for an array of {cfg.n_elements} elements"
-        )
+def _require_array(waveforms: list[SampledSignal], gamma: float) -> None:
+    """The gate of every MIMO function: a positive gamma, at least one
+    waveform, all on one grid, and steering phases float64 can hold."""
+    _require_positive(gamma=gamma)
+    if not waveforms:
+        raise InvalidParameterError("an array needs at least one waveform")
     for w in waveforms[1:]:
         waveforms[0].require_compatible(w)
+    M = len(waveforms)
+    # every steering phase 2 pi gamma fs m, fs < 1, is below this bound
+    if not math.isfinite(2.0 * math.pi * gamma * max(M - 1, 1)):
+        raise InvalidParameterError(f"steering phases overflow at gamma = {gamma}, M = {M}")
+
+
+def _steering_phases(gamma: float, fs: float, M: int) -> npt.NDArray[np.complex128]:
+    """exp(i 2 pi gamma fs m), m = 0 .. M-1."""
+    if not 0.0 <= fs < 1.0:
+        raise InvalidParameterError(f"spatial frequency must lie in [0, 1), got {fs}")
+    return np.exp(1j * 2.0 * math.pi * gamma * fs * np.arange(M))
 
 
 def mimo_beams(
-    waveforms: list[SampledSignal], cfg: SteeringConfig, fs: float, fs_prime: float
+    waveforms: list[SampledSignal], gamma: float, fs: float, fs_prime: float
 ) -> tuple[SampledSignal, SampledSignal]:
     """The beamformed pair U = sum_m exp(i 2 pi gamma fs m) u_m and V, the
     same at fs'."""
-    _require_array(waveforms, cfg)
+    _require_array(waveforms, gamma)
 
     def beam(f: float) -> SampledSignal:
-        phases = cfg.steering_phases(f)
+        phases = _steering_phases(gamma, f, len(waveforms))
         return waveforms[0].replace_samples(
             sum(c * w.samples for c, w in zip(phases, waveforms))
         )
@@ -580,7 +555,7 @@ def mimo_beams(
 
 def mimo_ambiguity(
     waveforms: list[SampledSignal],
-    cfg: SteeringConfig,
+    gamma: float,
     fs: float,
     fs_prime: float,
     n_doppler: int | None = None,
@@ -592,12 +567,12 @@ def mimo_ambiguity(
     (:func:`mimo_beams`); see San Antonio, Fuhrmann & Robey, "MIMO Radar
     Ambiguity Functions", IEEE JSTSP 1(1), 2007.
     """
-    return cross_ambiguity(*mimo_beams(waveforms, cfg, fs, fs_prime), n_doppler=n_doppler)
+    return cross_ambiguity(*mimo_beams(waveforms, gamma, fs, fs_prime), n_doppler=n_doppler)
 
 
 def mimo_slice_spatial(
     waveforms: list[SampledSignal],
-    cfg: SteeringConfig,
+    gamma: float,
     tau: float,
     nu: float,
     n_spatial: int,
@@ -612,13 +587,14 @@ def mimo_slice_spatial(
     directly at that grid point, dt sum_n u_m[n] conj(u_p[n+k]) exp(i 2 pi nu t_n),
     in O(M^2 n) with no FFT.
     """
+    _require_array(waveforms, gamma)
     _require_count("n_spatial", n_spatial, 2)
-    if n_spatial <= cfg.gamma * (cfg.n_elements - 1):
+    M = len(waveforms)
+    if n_spatial <= gamma * (M - 1):
         raise InvalidParameterError(
             f"n_spatial = {n_spatial} cannot resolve steering frequencies up "
-            f"to gamma*(M-1) = {cfg.gamma * (cfg.n_elements - 1)}"
+            f"to gamma*(M-1) = {gamma * (M - 1)}"
         )
-    _require_array(waveforms, cfg)
     first = waveforms[0]
     # the phase nu t_n below overflows where t0/dt does
     _window_shift(first)
@@ -636,23 +612,24 @@ def mimo_slice_spatial(
     X = (U[:, lo:hi] * phase[lo:hi]) @ U[:, lo + k : hi + k].conj().T
     X *= first.dt
     fs_grid = np.arange(n_spatial) / n_spatial
-    Z = np.exp(1j * 2.0 * math.pi * cfg.gamma * np.outer(fs_grid, np.arange(cfg.n_elements)))
+    Z = np.exp(1j * 2.0 * math.pi * gamma * np.outer(fs_grid, np.arange(M)))
     return Z @ X @ Z.conj().T
 
 
 def _trace_pairs(
-    waveforms: list[SampledSignal], cfg: SteeringConfig
+    waveforms: list[SampledSignal], gamma: float
 ) -> list[tuple[SampledSignal, SampledSignal]]:
     """The self pairs (u_m, u_m) whose surfaces sum to the spatial integral,
     once the array and its whole-wavelength spacing are checked."""
-    _require_array(waveforms, cfg)
-    cfg.require_integer_gamma()
+    _require_array(waveforms, gamma)
+    if _snap(gamma, 1e-12) is None:
+        raise InvalidParameterError(f"this identity needs an integer spacing gamma, got {gamma}")
     return [(w, w) for w in waveforms]
 
 
 def spatial_integral(
     waveforms: list[SampledSignal],
-    cfg: SteeringConfig,
+    gamma: float,
     n_doppler: int | None = None,
 ) -> AmbiguitySurface:
     """Integral of the co-steered slice over fs in [0, 1), which is exactly
@@ -666,12 +643,12 @@ def spatial_integral(
     surface, not M (see :class:`_SurfaceBlocks`).  Besides the trace, two
     blocks of lag products are alive.
     """
-    return _surface(_trace_pairs(waveforms, cfg), n_doppler)
+    return _surface(_trace_pairs(waveforms, gamma), n_doppler)
 
 
 def mimo_energy_quadrature(
     waveforms: list[SampledSignal],
-    cfg: SteeringConfig,
+    gamma: float,
     n_doppler: int | None = None,
 ) -> float:
     """Four-fold energy of the spatial slices,
@@ -686,7 +663,7 @@ def mimo_energy_quadrature(
     fact spatial_integral uses, so every term that pairs two different
     (m, p) integrates to zero.
     """
-    _trace_pairs(waveforms, cfg)
+    _trace_pairs(waveforms, gamma)
     return sum(
         _energy(_ambiguity_blocks([(u, v)], n_doppler, cyclic=False, whole=False))
         for u in waveforms

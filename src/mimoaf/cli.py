@@ -45,7 +45,6 @@ import numpy as np
 
 from . import io_formats
 from .ambiguity import (
-    SteeringConfig,
     _ambiguity_blocks,
     _trace_pairs,
     _wigner_blocks,
@@ -70,6 +69,7 @@ from .signals import (
     CANONICAL_SIGMA,
     HeisenbergPoint,
     SampledSignal,
+    _require_count,
     chirp_multiply,
     gen_gaussian,
     gen_lfm,
@@ -111,6 +111,7 @@ def _waveforms(family: str, M: int = 1, T: float = 1.0, dt: float | None = None,
 
 
 def _phase_family(u: SampledSignal, M: int, seed: int) -> list[SampledSignal]:
+    _require_count("M", M, 1)
     rng = np.random.default_rng(seed + 101)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=M)
     return [u.replace_samples(u.samples * np.exp(1j * t)) for t in thetas]
@@ -159,9 +160,8 @@ def _suite_norm(args, tol: dict) -> list[CheckReport]:
 
 
 def _suite_mimo_energy(args, tol: dict) -> list[CheckReport]:
-    cfg = SteeringConfig(args.M, args.gamma)
     waves = _family_set(args.family, args.M, args.seed)
-    return [check_mimo_energy(waves, cfg, args.n_doppler, **tol)]
+    return [check_mimo_energy(waves, args.gamma, args.n_doppler, **tol)]
 
 
 def _suite_moyal(args, tol: dict) -> list[CheckReport]:
@@ -177,13 +177,12 @@ def _suite_moyal(args, tol: dict) -> list[CheckReport]:
 
 
 def _suite_mimo_moyal(args, tol: dict) -> list[CheckReport]:
-    cfg = SteeringConfig(args.M, args.gamma)
     us = _family_set(args.family, args.M, args.seed)
     vs = _family_set(args.family, args.M, args.seed + 7)
     ortho = _waveforms("subcarriers", args.M)
     return [
-        mimo_inner_product(us, vs, cfg, args.fs, args.fsp, args.n_doppler, **tol),
-        mimo_inner_product(ortho, ortho, cfg, args.fs, args.fs, args.n_doppler, **tol),
+        mimo_inner_product(us, vs, args.gamma, args.fs, args.fsp, args.n_doppler, **tol),
+        mimo_inner_product(ortho, ortho, args.gamma, args.fs, args.fs, args.n_doppler, **tol),
     ]
 
 
@@ -196,9 +195,8 @@ def _suite_psd(args, tol: dict) -> list[CheckReport]:
 
 def _suite_trace_psd(args, tol: dict) -> list[CheckReport]:
     waves = _waveforms("subcarriers", args.M)
-    cfg = SteeringConfig(args.M, args.gamma)
     probes = random_probe_set(waves[0], args.probes, args.seed, args.n_doppler)
-    return [trace_psd_check(waves, probes, cfg, args.n_doppler, **tol)]
+    return [trace_psd_check(waves, probes, args.gamma, args.n_doppler, **tol)]
 
 
 def _suite_uniqueness(args, tol: dict) -> list[CheckReport]:
@@ -224,12 +222,11 @@ def _suite_collinearity(args, tol: dict) -> list[CheckReport]:
 
 
 def _suite_trace_reduction(args, tol: dict) -> list[CheckReport]:
-    cfg = SteeringConfig(args.M, args.gamma)
     reduced = trace_reduction_check(
-        _family_set("gaussian", args.M, args.seed), cfg, args.n_doppler, **tol
+        _family_set("gaussian", args.M, args.seed), args.gamma, args.n_doppler, **tol
     )
     refused = trace_reduction_check(
-        _waveforms("subcarriers", args.M), cfg, args.n_doppler, **tol
+        _waveforms("subcarriers", args.M), args.gamma, args.n_doppler, **tol
     )
     return [reduced, refused]
 
@@ -260,23 +257,22 @@ def _suite_sym_dilate(args, tol: dict) -> list[CheckReport]:
 def _suite_sym_mimo(args, tol: dict) -> list[CheckReport]:
     out = []
     rot_set = _waveforms("subcarriers", 2, **_ROTATION)
-    cfg = SteeringConfig(2, args.gamma)
     out.append(
-        verify_mimo_symmetry(rot_set, cfg, 0.25, 0.25, verify_fourier_rotation, **tol)
+        verify_mimo_symmetry(rot_set, args.gamma, 0.25, 0.25, verify_fourier_rotation, **tol)
     )
     flat_set = _waveforms("subcarriers", 2)
     out.append(
-        verify_mimo_symmetry(flat_set, cfg, args.fs, args.fsp, verify_mirror,
+        verify_mimo_symmetry(flat_set, args.gamma, args.fs, args.fsp, verify_mirror,
                              n_doppler=args.n_doppler, **tol)
     )
     rate = _aligned_chirp_rate(flat_set[0], args.n_doppler)
     out.append(
-        verify_mimo_symmetry(flat_set, cfg, args.fs, args.fsp, verify_lfm_shear,
+        verify_mimo_symmetry(flat_set, args.gamma, args.fs, args.fsp, verify_lfm_shear,
                              rate=rate, n_doppler=args.n_doppler, **tol)
     )
     smooth = _family_set("gaussian", 2, args.seed)
     out.append(
-        verify_mimo_symmetry(smooth, cfg, args.fs, args.fsp, verify_dilation,
+        verify_mimo_symmetry(smooth, args.gamma, args.fs, args.fsp, verify_dilation,
                              b=2.0, n_doppler=args.n_doppler, **tol)
     )
     return out
@@ -349,18 +345,17 @@ def cmd_af(args) -> int:
 
 def cmd_mimo(args) -> int:
     waves = [io_formats.read_signal(p) for p in args.inputs]
-    cfg = SteeringConfig(len(waves), args.gamma)
     if args.slice_spatial:
-        grid = mimo_slice_spatial(waves, cfg, args.tau, args.nu, args.K, args.n_doppler)
+        grid = mimo_slice_spatial(waves, args.gamma, args.tau, args.nu, args.K, args.n_doppler)
         fs_axis = np.arange(args.K) * (1.0 / args.K)
         _write_outputs(args, [(0, grid)], fs_axis, fs_axis)
         print(f"spatial-slice K={args.K} tau={args.tau:.12g} nu={args.nu:.12g}")
         return 0
     if args.spatial_integral:
         # the trace: one surface of the M self pairs' summed lag products
-        return _cross_surface(args, "spatial-integral", _trace_pairs(waves, cfg))
+        return _cross_surface(args, "spatial-integral", _trace_pairs(waves, args.gamma))
     # the beam slice is the cross-ambiguity of the beamformed pair
-    return _cross_surface(args, "mimo-slice", [mimo_beams(waves, cfg, args.fs, args.fsp)])
+    return _cross_surface(args, "mimo-slice", [mimo_beams(waves, args.gamma, args.fs, args.fsp)])
 
 
 def cmd_verify(args) -> int:

@@ -42,12 +42,12 @@ import numpy.typing as npt
 
 from .ambiguity import (
     AmbiguitySurface,
-    SteeringConfig,
     _ambiguity_blocks,
     _check_doppler_count,
     _energy,
     _integral,
     _squared_rows,
+    _steering_phases,
     _SurfaceBlocks,
     _trace_pairs,
     _unit_roots,
@@ -259,13 +259,13 @@ def check_norm_identity(
 
 def check_mimo_energy(
     waveforms: list[SampledSignal],
-    cfg: SteeringConfig,
+    gamma: float,
     n_doppler: int | None = None,
     tol: float = 1e-5,
 ) -> CheckReport:
     """Four-fold slice energy, as the M^2 FFT pair-surface energies (integer
     gamma only), against the closed count (sum of waveform energies) squared."""
-    lhs = mimo_energy_quadrature(waveforms, cfg, n_doppler)
+    lhs = mimo_energy_quadrature(waveforms, gamma, n_doppler)
     total = sum(w.energy() for w in waveforms)
     rhs = total * total
     return make_report("mimo-energy", lhs, rhs, tol, scale=abs(rhs))
@@ -305,7 +305,7 @@ def moyal_inner_product(
 def mimo_inner_product(
     us: list[SampledSignal],
     vs: list[SampledSignal],
-    cfg: SteeringConfig,
+    gamma: float,
     fs: float,
     fs_prime: float,
     n_doppler: int | None = None,
@@ -318,13 +318,13 @@ def mimo_inner_product(
     """
     if len(us) != len(vs):
         raise GridMismatchError(f"waveform counts differ: {len(us)} vs {len(vs)}")
+    U, V = mimo_beams(us, gamma, fs, fs_prime)
     us[0].require_compatible(vs[0])
-    U, V = mimo_beams(us, cfg, fs, fs_prime)
-    U2, V2 = (U, V) if vs is us else mimo_beams(vs, cfg, fs, fs_prime)
+    U2, V2 = (U, V) if vs is us else mimo_beams(vs, gamma, fs, fs_prime)
     lhs = _moyal_pairing(U, U2, V, V2, n_doppler)
 
     P = np.array([[inner_product(a, b) for b in vs] for a in us])
-    a, b = cfg.steering_phases(fs), cfg.steering_phases(fs_prime)
+    a, b = _steering_phases(gamma, fs, len(us)), _steering_phases(gamma, fs_prime, len(us))
     # phases of the u-set row m and column m', then the v-set row n and column n'
     rhs = np.einsum("mn,pq,m,p,n,q->", P, np.conj(P), a, np.conj(b), np.conj(a), b)
     scale = U.norm() * V.norm() * U2.norm() * V2.norm()
@@ -410,18 +410,18 @@ def gram_psd_check(
 def trace_psd_check(
     waveforms: list[SampledSignal],
     probes: ProbeSet,
-    cfg: SteeringConfig,
+    gamma: float,
     n_doppler: int | None = None,
     tol: float = 1e-9,
 ) -> CheckReport:
     """Positive definiteness of the spatially integrated (trace) surface of
-    the array cfg describes.
+    the array of waveforms at spacing gamma.
 
     The trace surface is looked up on route (b); route (a) sums the
     per-waveform exact Grams, which the additivity of the quadratic form
     makes the matching reference.
     """
-    trace_surface = spatial_integral(waveforms, cfg, n_doppler)
+    trace_surface = spatial_integral(waveforms, gamma, n_doppler)
     energy_scale = sum(w.energy() for w in waveforms)
     G_a, G_b = _dual_gram(waveforms, trace_surface, probes)
     return _psd_report("trace-psd", G_a, G_b, probes, energy_scale, tol)
@@ -517,7 +517,7 @@ def collinearity_check(
 
 def trace_reduction_check(
     waveforms: list[SampledSignal],
-    cfg: SteeringConfig,
+    gamma: float,
     n_doppler: int | None = None,
     tol: float = 1e-8,
 ) -> CheckReport:
@@ -537,7 +537,7 @@ def trace_reduction_check(
     set is tested for the reduction instead.  A waveform of zero or
     non-finite energy raises InvalidParameterError before any fit or surface.
     """
-    pairs = _trace_pairs(waveforms, cfg)  # the array and its spacing, before any fit
+    pairs = _trace_pairs(waveforms, gamma)  # the array and its spacing, before any fit
     if not all(0.0 < w.energy() < math.inf for w in waveforms):
         # a zero set would pass as reduced, its gap taken against a zero
         # peak, and an overflowing one as void, its fits nan

@@ -61,7 +61,6 @@ import numpy as np
 
 from .ambiguity import (
     AmbiguitySurface,
-    SteeringConfig,
     _check_doppler_count,
     _surface,
     _unit_roots,
@@ -71,7 +70,7 @@ from .ambiguity import (
 )
 from .errors import GridAlignmentError, GridMismatchError, InvalidParameterError
 from .properties import CheckReport
-from .signals import SampledSignal, _require_positive, chirp_multiply, dilate, fourier
+from .signals import SampledSignal, _require_positive, _snap, chirp_multiply, dilate, fourier
 
 __all__ = [
     "verify_fourier_rotation",
@@ -313,8 +312,8 @@ def _dilation_factor(b: float, n: int) -> tuple[int, bool]:
         raise InvalidParameterError(
             f"dilation by {b} needs a factor of at most n - 1 = {n - 1}, got {x}"
         )
-    k = round(x)
-    if abs(x - k) > _SNAP:
+    k = _snap(x, _SNAP)
+    if k is None:
         raise GridAlignmentError(
             f"dilation by {b} is neither a whole k nor 1/k, so its surface "
             f"points fall between grid points"
@@ -370,7 +369,7 @@ def verify_dilation(
 
 def verify_mimo_symmetry(
     waveforms: list[SampledSignal],
-    cfg: SteeringConfig,
+    gamma: float,
     fs: float,
     fs_prime: float,
     check: Callable[..., CheckReport],
@@ -394,5 +393,5 @@ def verify_mimo_symmetry(
             "pass one of verify_fourier_rotation, verify_mirror, "
             f"verify_lfm_shear or verify_dilation, got {check!r}"
         )
-    rep = check(*mimo_beams(waveforms, cfg, fs, fs_prime), **kwargs)
+    rep = check(*mimo_beams(waveforms, gamma, fs, fs_prime), **kwargs)
     return replace(rep, name="sym-mimo", info={"kind": check.__name__, **rep.info})

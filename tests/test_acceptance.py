@@ -15,7 +15,6 @@ import pytest
 
 from mimoaf import (
     CANONICAL_SIGMA,
-    SteeringConfig,
     check_mimo_energy,
     check_norm_identity,
     chirp_multiply,
@@ -82,8 +81,7 @@ def test_c02_mimo_energy(capsys):
     for m in (2, 3):
         waves = list(gen_subcarrier_set(m, 1.0, 1 / 128))
         for gamma in (1.0, 2.0):
-            cfg = SteeringConfig(m, gamma)
-            rep = check_mimo_energy(waves, cfg)
+            rep = check_mimo_energy(waves, gamma)
             worst = max(worst, abs(rep.lhs - m * m) / (m * m))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-5 and elapsed < 60.0
@@ -105,17 +103,17 @@ def test_c03_moyal(capsys):
         worst = max(worst, moyal_inner_product(*quad).rel_err)
 
     subs = gen_subcarrier_set(2, 1.0, 1 / 128)
-    cfg = SteeringConfig(2, 1.0)
+    gamma = 1.0
     sub_basis = [mixture_basis(s) for s in subs]
     worst_mimo = 0.0
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
         us = [random_mixture(b, rng) for b in sub_basis]
         vs = [random_mixture(b, rng) for b in sub_basis]
-        rep = mimo_inner_product(us, vs, cfg, 0.3, 0.7, n_doppler=512)
+        rep = mimo_inner_product(us, vs, gamma, 0.3, 0.7, n_doppler=512)
         worst_mimo = max(worst_mimo, rep.rel_err)
 
-    self_rep = mimo_inner_product(list(subs), list(subs), cfg, 0.0, 0.0, n_doppler=512)
+    self_rep = mimo_inner_product(list(subs), list(subs), gamma, 0.0, 0.0, n_doppler=512)
     self_gap = abs(self_rep.lhs - 4.0)
 
     ok = worst <= 1e-6 and worst_mimo <= 1e-6 and self_gap <= 1e-6 * 4.0
@@ -133,7 +131,6 @@ def test_c03_moyal(capsys):
 def test_c04_positive_definiteness(capsys):
     u = gen_gaussian(CANONICAL_SIGMA, 1 / 64, 4.0)
     pair = [u, chirp_multiply(u, 2.0)]
-    cfg = SteeringConfig(2, 1.0)
     worst_eig = 0.0
     worst_path = 0.0
     for seed in range(100):
@@ -142,7 +139,7 @@ def test_c04_positive_definiteness(capsys):
         assert rep.passed, f"gram psd failed at seed {seed}"
         worst_eig = max(worst_eig, -rep.info["min_eig"] / rep.info["max_eig"])
         worst_path = max(worst_path, rep.info["path_gap"] / u.energy())
-        trep = trace_psd_check(pair, probes, cfg, n_doppler=1024)
+        trep = trace_psd_check(pair, probes, 1.0, n_doppler=1024)
         assert trep.passed, f"trace psd failed at seed {seed}"
         worst_eig = max(worst_eig, -trep.info["min_eig"] / trep.info["max_eig"])
         worst_path = max(worst_path, trep.info["path_gap"] / 2.0)
@@ -191,12 +188,12 @@ def test_c06_trace_reduction(capsys):
             u.replace_samples(np.exp(1j * t) * u.samples)
             for t in rng.uniform(0.0, 2 * math.pi, size=m)
         ]
-        rep = trace_reduction_check(waves, SteeringConfig(m, 1.0))
+        rep = trace_reduction_check(waves, 1.0)
         assert rep.passed and rep.info["reduced"]
         worst_gap = max(worst_gap, rep.info["gap"])
 
     ortho = list(gen_subcarrier_set(3, 1.0, 1 / 128))
-    refuse = trace_reduction_check(ortho, SteeringConfig(3, 1.0), n_doppler=512)
+    refuse = trace_reduction_check(ortho, 1.0, n_doppler=512)
     refused = (
         refuse.passed
         and not refuse.info["reduced"]
@@ -235,18 +232,18 @@ def test_c07_symmetry_battery(capsys):
     ]
     thetas = np.random.default_rng(6).uniform(0, 2 * math.pi, size=2)
     fam = [wide.replace_samples(np.exp(1j * t) * wide.samples) for t in thetas]
-    cfg = SteeringConfig(2, 1.0)
+    gamma = 1.0
     mimo = {
-        "J": (verify_mimo_symmetry(rot_subs, cfg, 0.25, 0.25, verify_fourier_rotation), 1e-5),
-        "mirror": (verify_mimo_symmetry(mixed, cfg, 0.3, 0.7, verify_mirror), 1e-9),
-        "shear": (verify_mimo_symmetry(fam, cfg, 0.3, 0.7, verify_lfm_shear, rate=4.0), 1e-4),
-        "dilate": (verify_mimo_symmetry(fam, cfg, 0.3, 0.7, verify_dilation, b=2.0), 1e-4),
+        "J": (verify_mimo_symmetry(rot_subs, gamma, 0.25, 0.25, verify_fourier_rotation), 1e-5),
+        "mirror": (verify_mimo_symmetry(mixed, gamma, 0.3, 0.7, verify_mirror), 1e-9),
+        "shear": (verify_mimo_symmetry(fam, gamma, 0.3, 0.7, verify_lfm_shear, rate=4.0), 1e-4),
+        "dilate": (verify_mimo_symmetry(fam, gamma, 0.3, 0.7, verify_dilation, b=2.0), 1e-4),
     }
 
     # the mirror lift must actually need the (fs, fs') exchange
     pairs = [[cross_ambiguity(a, b) for b in mixed] for a in mixed]
     ref = pairs[0][0]
-    w = 2 * math.pi * cfg.gamma
+    w = 2 * math.pi * gamma
 
     def combine(fa, fb):
         out = np.zeros_like(ref.values)

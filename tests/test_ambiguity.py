@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +7,10 @@ from hypothesis import strategies as st
 
 from mimoaf import (
     CANONICAL_SIGMA,
+    AmbiguitySurface,
     GridAlignmentError,
     GridMismatchError,
     InvalidParameterError,
-    SteeringConfig,
     canonical_gaussian,
     chirp_multiply,
     cross_ambiguity,
@@ -22,13 +21,15 @@ from mimoaf import (
     heisenberg_shift,
     inner_product,
     mimo_ambiguity,
+    mimo_beams,
     mimo_energy_quadrature,
+    mimo_inner_product,
     mimo_slice_spatial,
     spatial_integral,
     wigner,
 )
 from mimoaf import ambiguity
-from mimoaf.ambiguity import _BLOCK_BYTES, _lag_rows, _surface
+from mimoaf.ambiguity import _BLOCK_BYTES, _lag_rows, _steering_phases, _surface
 from mimoaf.signals import HeisenbergPoint, SampledSignal
 
 from conftest import (
@@ -120,7 +121,7 @@ def test_window_start_past_float_range_is_refused():
         cross_ambiguity(u)
     nu = float(np.fft.fftshift(np.fft.fftfreq(32, d=u.dt))[17])
     with pytest.raises(InvalidParameterError, match="t0/dt"):
-        mimo_slice_spatial([u], SteeringConfig(1, 1.0), 0.0, nu, 4, n_doppler=32)
+        mimo_slice_spatial([u], 1.0, 0.0, nu, 4, n_doppler=32)
 
 
 def test_cross_ambiguity_peak_memory(gauss256):
@@ -279,6 +280,11 @@ def test_self_surface_origin_is_energy_and_max():
         assert np.max(np.abs(s.values)) <= abs(origin) + 1e-9, name
 
 
+def test_surface_values_must_match_axes():
+    with pytest.raises(InvalidParameterError, match="does not match axes"):
+        AmbiguitySurface(np.zeros((3, 4)), np.arange(3.0), np.arange(5.0))
+
+
 def test_value_at_rejects_offgrid():
     s = cross_ambiguity(gen_rect(1.0, 1 / 64))
     with pytest.raises(GridAlignmentError):
@@ -302,6 +308,9 @@ def test_doppler_count_validation():
         cross_ambiguity(u, n_doppler=u.n - 2)
     with pytest.raises(InvalidParameterError):
         cross_ambiguity(u, n_doppler=u.n + 1)
+    odd = SampledSignal(np.ones(7, dtype=np.complex128), 0.5, 0.0)
+    with pytest.raises(InvalidParameterError, match="even sample count"):
+        cross_ambiguity(odd, n_doppler=8, cyclic=True)
     # one sample gives a single lag row, which has no lag step
     one = SampledSignal(np.array([1.0 + 0j]), 0.5, 0.0)
     for build in (cross_ambiguity, cross_ambiguity_oracle, wigner):
@@ -475,55 +484,59 @@ def test_correlation_matrix_cross_symmetry(subcarriers2):
 # ----------------------------------------------------------- steering / MIMO
 
 def test_steering_config_validation(subcarriers2):
-    assert [f.name for f in dataclasses.fields(SteeringConfig)] == ["n_elements", "gamma"]
     waves = [*subcarriers2, subcarriers2[0]]
     with pytest.raises(InvalidParameterError, match="cannot resolve"):
         # the K x K grid needs K > gamma (M-1)
-        mimo_slice_spatial(waves, SteeringConfig(3, 2.0), 0.0, 0.0, 4)
-    assert mimo_slice_spatial(waves, SteeringConfig(3, 2.0), 0.0, 0.0, 5).shape == (5, 5)
+        mimo_slice_spatial(waves, 2.0, 0.0, 0.0, 4)
+    assert mimo_slice_spatial(waves, 2.0, 0.0, 0.0, 5).shape == (5, 5)
     for gamma in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidParameterError):
-            SteeringConfig(2, gamma)
+            mimo_beams(waves, gamma, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
-    "args",
-    [(2.5, 1.0, 8), (2, 1.0, math.nan), (2, 1.0, 8.5), (True, 1.0, 8), (2, 1.0, 8.0),
-     (10**400, 1.0, 8), (2, 1.0, 2**32)],
-    ids=["M-2.5", "K-nan", "K-8.5", "M-bool", "K-float", "M-huge-int", "K-past-u32"],
+    "K", [math.nan, 8.5, 8.0, 2**32], ids=["K-nan", "K-8.5", "K-float", "K-past-u32"]
 )
-def test_steering_config_rejects_non_integer_counts(subcarriers2, args):
-    # every one of these used to construct without complaint; M is refused
-    # by the array and K by the one call that samples the spatial grid
-    M, gamma, K = args
+def test_steering_config_rejects_non_integer_counts(subcarriers2, K):
+    # K is refused by the one call that samples the spatial grid
     with pytest.raises(InvalidParameterError):
-        mimo_slice_spatial(subcarriers2, SteeringConfig(M, gamma), 0.0, 0.0, K)
+        mimo_slice_spatial(subcarriers2, 1.0, 0.0, 0.0, K)
 
 
-@pytest.mark.parametrize("M, gamma", [(1, 1e308), (2**32 - 1, 1e299)])
-def test_steering_config_rejects_overflowing_phases(M, gamma):
+@pytest.mark.parametrize("M, gamma", [(1, 1e308), (2, 1e308)])
+def test_steering_config_rejects_overflowing_phases(gauss256, M, gamma):
     # past a finite 2 pi gamma max(M-1, 1) the steering phases are nan, and
     # at M = 1 nothing else bounds gamma
     with pytest.raises(InvalidParameterError, match="overflow"):
-        SteeringConfig(M, gamma)
+        mimo_beams([gauss256] * M, gamma, 0.3, 0.3)
+
+
+def test_an_array_needs_a_waveform():
+    with pytest.raises(InvalidParameterError, match="at least one waveform"):
+        mimo_beams([], 1.0, 0.0, 0.0)
+    with pytest.raises(InvalidParameterError, match="at least one waveform"):
+        mimo_slice_spatial([], 1.0, 0.0, 0.0, 4)
+    with pytest.raises(InvalidParameterError, match="at least one waveform"):
+        spatial_integral([], 1.0)
+    with pytest.raises(InvalidParameterError, match="at least one waveform"):
+        mimo_energy_quadrature([], 1.0)
+    with pytest.raises(InvalidParameterError, match="at least one waveform"):
+        mimo_inner_product([], [], 1.0, 0.0, 0.0)
 
 
 def test_mimo_slice_orthonormal_origin(subcarriers2):
-    cfg = SteeringConfig(2, 1.0)
-    s = mimo_ambiguity(subcarriers2, cfg, 0.0, 0.0)
+    s = mimo_ambiguity(subcarriers2, 1.0, 0.0, 0.0)
     assert abs(s.value_at(0.0, 0.0) - 2.0) <= 1e-9
 
 
 def test_mimo_slice_m1_reduces_to_self_af(gauss256):
-    cfg = SteeringConfig(1, 1.0)
-    s = mimo_ambiguity([gauss256], cfg, 0.37, 0.91)
+    s = mimo_ambiguity([gauss256], 1.0, 0.37, 0.91)
     assert np.array_equal(s.values, cross_ambiguity(gauss256).values)
 
 
 def test_mimo_slice_identical_waveforms_factorize(gauss256):
     M, gamma, fs, fsp = 3, 1.0, 0.3, 0.45
-    cfg = SteeringConfig(M, gamma)
-    s = mimo_ambiguity([gauss256] * M, cfg, fs, fsp)
+    s = mimo_ambiguity([gauss256] * M, gamma, fs, fsp)
     d_fs = np.sum(np.exp(1j * 2 * np.pi * gamma * fs * np.arange(M)))
     d_fsp = np.sum(np.exp(1j * 2 * np.pi * gamma * fsp * np.arange(M)))
     base = cross_ambiguity(gauss256)
@@ -531,11 +544,11 @@ def test_mimo_slice_identical_waveforms_factorize(gauss256):
 
 
 def test_mimo_slice_rejects_out_of_range_fs(subcarriers2):
-    cfg = SteeringConfig(2, 1.0)
+    gamma = 1.0
     with pytest.raises(InvalidParameterError):
-        mimo_ambiguity(subcarriers2, cfg, 1.5, 0.0)
+        mimo_ambiguity(subcarriers2, gamma, 1.5, 0.0)
     with pytest.raises(InvalidParameterError):
-        mimo_ambiguity(subcarriers2, cfg, 0.0, -0.2)
+        mimo_ambiguity(subcarriers2, gamma, 0.0, -0.2)
 
 
 @pytest.fixture(scope="module")
@@ -552,11 +565,11 @@ def test_mimo_slice_is_cross_ambiguity_of_beams(mixed4):
     # chi is linear in u and conjugate-linear in v, so the slice
     # sum_{m,p} a_m conj(b_p) chi(u_m, u_p) equals chi(sum a_m u_m, sum b_p u_p)
     ws, entries = mixed4
-    cfg = SteeringConfig(4, 1.0)
+    gamma = 1.0
     fs, fsp = 0.137, 0.613  # off the fs grid, fs != fs'
-    a = np.exp(1j * 2 * np.pi * cfg.gamma * fs * np.arange(4))
-    b = np.exp(1j * 2 * np.pi * cfg.gamma * fsp * np.arange(4))
-    slice_ = mimo_ambiguity(ws, cfg, fs, fsp, n_doppler=512).values
+    a = np.exp(1j * 2 * np.pi * gamma * fs * np.arange(4))
+    b = np.exp(1j * 2 * np.pi * gamma * fsp * np.arange(4))
+    slice_ = mimo_ambiguity(ws, gamma, fs, fsp, n_doppler=512).values
     expect = np.einsum("m,p,mpij->ij", a, np.conj(b), entries)
     assert frob_rel(slice_, expect) <= 1e-12
     # dropping the conjugate on the second steering vector breaks it
@@ -566,21 +579,21 @@ def test_mimo_slice_is_cross_ambiguity_of_beams(mixed4):
 
 def test_spatial_grid_matches_tensor_entries(mixed4):
     ws, entries = mixed4
-    cfg = SteeringConfig(4, 1.0)
-    Z = np.exp(1j * 2 * np.pi * cfg.gamma * np.outer(np.arange(16) / 16, np.arange(4)))
+    gamma = 1.0
+    Z = np.exp(1j * 2 * np.pi * gamma * np.outer(np.arange(16) / 16, np.arange(4)))
     ref = cross_ambiguity(ws[0], n_doppler=512)  # for its axes
     dt = ws[0].dt
     # points where |chi| is not rounding noise, plus both edge lags
     for k, l in [(0, 0), (5, 3), (-7, -4), (16, -8), (ws[0].n - 1, 255), (-(ws[0].n - 1), -256)]:
         tau, nu = k * dt, ref.nu_axis[256 + l]
         X = entries[:, :, ref.lag_index(tau), ref.doppler_index(nu)]
-        V = mimo_slice_spatial(ws, cfg, tau, nu, 16, n_doppler=512)
+        V = mimo_slice_spatial(ws, gamma, tau, nu, 16, n_doppler=512)
         assert frob_rel(V, Z @ X @ Z.conj().T) <= 1e-12, (k, l)
 
 
 def test_spatial_integral_matches_tensor_trace(mixed4):
     ws, entries = mixed4
-    out = spatial_integral(ws, SteeringConfig(4, 1.0), n_doppler=512)
+    out = spatial_integral(ws, 1.0, n_doppler=512)
     assert frob_rel(out.values, np.einsum("mmij->ij", entries)) <= 1e-12
 
 
@@ -590,27 +603,25 @@ def test_steering_linearity(subcarriers2):
         subcarriers2[0].replace_samples(c * subcarriers2[0].samples),
         subcarriers2[1],
     ]
-    cfg = SteeringConfig(2, 1.0)
-    got = mimo_ambiguity(scaled, cfg, 0.3, 0.7)
+    gamma = 1.0
+    got = mimo_ambiguity(scaled, gamma, 0.3, 0.7)
     w = np.array([[c * np.conj(c), c], [np.conj(c), 1.0]])
-    a = cfg.steering_phases(0.3)
-    b = cfg.steering_phases(0.7)
+    a = _steering_phases(gamma, 0.3, 2)
+    b = _steering_phases(gamma, 0.7, 2)
     entries = pair_surfaces(subcarriers2)
     predicted = np.einsum("m,p,mp,mpij->ij", a, np.conj(b), w, entries)
     assert frob_rel(got.values, predicted) <= 1e-10
 
 
 def test_spatial_grid_diagonal_is_m(subcarriers2):
-    cfg = SteeringConfig(2, 1.0)
-    V = mimo_slice_spatial(subcarriers2, cfg, 0.0, 0.0, 16)
+    V = mimo_slice_spatial(subcarriers2, 1.0, 0.0, 0.0, 16)
     assert V.shape == (16, 16)
     assert np.max(np.abs(np.diag(V) - 2.0)) <= 1e-9
 
 
 def test_spatial_grid_m1_constant(gauss256):
-    cfg = SteeringConfig(1, 1.0)
     tau, nu = 4 * gauss256.dt, 0.0
-    V = mimo_slice_spatial([gauss256], cfg, tau, nu, 8)
+    V = mimo_slice_spatial([gauss256], 1.0, tau, nu, 8)
     expect = cross_ambiguity(gauss256).value_at(tau, nu)
     assert np.max(np.abs(V - expect)) <= 1e-12
 
@@ -621,11 +632,11 @@ def test_spatial_grid_conjugation_reverses(subcarriers2):
         random_mixture(mixture_basis(subcarriers2[0]), rng),
         random_mixture(mixture_basis(subcarriers2[1]), rng),
     ]
-    cfg = SteeringConfig(2, 1.0)
+    gamma = 1.0
     tau, nu = 4 * waves[0].dt, 0.25
-    V = mimo_slice_spatial(waves, cfg, tau, nu, 8)
+    V = mimo_slice_spatial(waves, gamma, tau, nu, 8)
     conj_waves = [w.replace_samples(np.conj(w.samples)) for w in waves]
-    Vc = mimo_slice_spatial(conj_waves, cfg, tau, -nu, 8)
+    Vc = mimo_slice_spatial(conj_waves, gamma, tau, -nu, 8)
     idx = (-np.arange(8)) % 8
     assert np.max(np.abs(Vc - np.conj(V[np.ix_(idx, idx)]))) <= 1e-9
 
@@ -635,26 +646,25 @@ def test_spatial_integral_m1_equals_self_af(gauss256):
     # trace of one waveform is its self surface bit for bit, signed zeros
     # included (the subcarrier's surface has -0.0 cells at 514 bins, where
     # pocketfft's factor 257 leaves them; at 512 it has none)
-    cfg = SteeringConfig(1, 1.0)
-    out = spatial_integral([gauss256], cfg)
+    gamma = 1.0
+    out = spatial_integral([gauss256], gamma)
     assert out.values.tobytes() == cross_ambiguity(gauss256).values.tobytes()
     w = gen_subcarrier_set(4, 1.0, DT)[0]
     expect = cross_ambiguity(w, n_doppler=514).values
     bits = expect.view(np.float64)
     assert np.any((bits == 0) & np.signbit(bits))
-    out = spatial_integral([w], cfg, n_doppler=514)
+    out = spatial_integral([w], gamma, n_doppler=514)
     assert out.values.tobytes() == expect.tobytes()
 
 
 def test_spatial_integral_orthonormal_origin(subcarriers2):
-    cfg = SteeringConfig(2, 1.0)
-    out = spatial_integral(subcarriers2, cfg)
+    out = spatial_integral(subcarriers2, 1.0)
     assert abs(out.value_at(0.0, 0.0) - 2.0) <= 1e-9
 
 
 def test_spatial_integral_requires_integer_gamma(subcarriers2):
     with pytest.raises(InvalidParameterError):
-        spatial_integral(subcarriers2, SteeringConfig(2, 0.5))
+        spatial_integral(subcarriers2, 0.5)
 
 
 @pytest.mark.parametrize("m", [1, 4])
@@ -669,7 +679,7 @@ def test_spatial_integral_bytes_match_out_of_place_sum(m):
     for w in ws[1:]:
         P = P + lag_products(w, w, False)[0]
     expect = _one_ifft(P, n_doppler, ws[0])
-    out = spatial_integral(ws, SteeringConfig(m, 1.0), n_doppler=n_doppler)
+    out = spatial_integral(ws, 1.0, n_doppler=n_doppler)
     bits = out.values.view(np.float64)
     assert np.any((bits == 0) & np.signbit(bits))
     assert out.values.tobytes() == expect.tobytes()
@@ -680,10 +690,10 @@ def test_spatial_integral_bytes_match_across_block_sizes(monkeypatch):
     # and pocketfft transforms each row on its own, so the block size does
     # not change a bit of the trace
     ws = gen_subcarrier_set(4, 1.0, DT)
-    cfg = SteeringConfig(4, 1.0)
-    default = spatial_integral(ws, cfg, n_doppler=512).values
+    gamma = 1.0
+    default = spatial_integral(ws, gamma, n_doppler=512).values
     monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", 5 * 16 * 512)
-    assert spatial_integral(ws, cfg, n_doppler=512).values.tobytes() == default.tobytes()
+    assert spatial_integral(ws, gamma, n_doppler=512).values.tobytes() == default.tobytes()
 
 
 def test_spatial_integral_peak_memory():
@@ -693,7 +703,7 @@ def test_spatial_integral_peak_memory():
     n, n_doppler = ws[0].n, 1024
     x_bytes = (2 * n - 1) * n_doppler * 16
     block_bytes = min(2 * n - 1, _BLOCK_BYTES // (16 * n_doppler)) * n * 16
-    out, peak = traced_peak(spatial_integral, ws, SteeringConfig(4, 1.0), n_doppler=n_doppler)
+    out, peak = traced_peak(spatial_integral, ws, 1.0, n_doppler=n_doppler)
     assert out.values.nbytes == x_bytes
     assert peak <= x_bytes + 2 * block_bytes + 2**20
 
@@ -705,30 +715,29 @@ def mixed3():
     return [random_mixture(mixture_basis(w), rng) for w in waves]
 
 
-def _riemann_spatial_integral(ws, cfg, K=16):
+def _riemann_spatial_integral(ws, gamma, K=16):
     # The K-point mean over fs of the public co-steered slice: it carries
     # the M^2 - M cross terms, which cancel only through the sum over fs.
     # For an integer gamma and K > gamma (M-1) the steering phases are
     # orthonormal on this grid, so the mean is the integral over [0, 1).
     total = 0.0
     for fs in np.arange(K) / K:
-        total = total + mimo_ambiguity(ws, cfg, fs, fs, n_doppler=512).values
+        total = total + mimo_ambiguity(ws, gamma, fs, fs, n_doppler=512).values
     return total / K
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
 def test_spatial_integral_is_riemann_sum_of_slices(mixed3, gamma):
-    cfg = SteeringConfig(3, gamma)
-    out = spatial_integral(mixed3, cfg, n_doppler=512)
-    assert frob_rel(_riemann_spatial_integral(mixed3, cfg), out.values) <= 1e-12
+    out = spatial_integral(mixed3, gamma, n_doppler=512)
+    assert frob_rel(_riemann_spatial_integral(mixed3, gamma), out.values) <= 1e-12
 
 
 def test_spatial_riemann_sum_misses_trace_at_half_wavelength(mixed3):
-    trace = spatial_integral(mixed3, SteeringConfig(3, 1.0), n_doppler=512)
-    cfg = SteeringConfig(3, 0.5)
-    assert frob_rel(_riemann_spatial_integral(mixed3, cfg), trace.values) >= 0.1
+    trace = spatial_integral(mixed3, 1.0, n_doppler=512)
+    gamma = 0.5
+    assert frob_rel(_riemann_spatial_integral(mixed3, gamma), trace.values) >= 0.1
     with pytest.raises(InvalidParameterError):
-        spatial_integral(mixed3, cfg, n_doppler=512)
+        spatial_integral(mixed3, gamma, n_doppler=512)
 
 
 @pytest.fixture(scope="module")
@@ -737,31 +746,30 @@ def mixed2(subcarriers2):
     return [random_mixture(mixture_basis(w), rng) for w in subcarriers2]
 
 
-def _slice_energy_mean(ws, cfg, K=8):
+def _slice_energy_mean(ws, gamma, K=8):
     # The K^2 mean of beam-slice energies on the K-point fs grid: every
     # slice carries all M^2 pair surfaces, and their cross terms cancel only
     # through the sums over fs, exactly for an integer gamma and K > gamma (M-1).
     acc = 0.0
     for fa in np.arange(K) / K:
         for fb in np.arange(K) / K:
-            acc += mimo_ambiguity(ws, cfg, fa, fb, n_doppler=512).energy()
+            acc += mimo_ambiguity(ws, gamma, fa, fb, n_doppler=512).energy()
     return acc / K ** 2
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
 def test_mimo_energy_quadrature_matches_slice_by_slice(mixed2, gamma):
-    cfg = SteeringConfig(2, gamma)
-    total = mimo_energy_quadrature(mixed2, cfg, n_doppler=512)
-    acc = _slice_energy_mean(mixed2, cfg)
+    total = mimo_energy_quadrature(mixed2, gamma, n_doppler=512)
+    acc = _slice_energy_mean(mixed2, gamma)
     assert abs(total - acc) <= 1e-12 * abs(acc)
 
 
 def test_slice_energy_mean_misses_quadrature_at_half_wavelength(mixed2):
-    total = mimo_energy_quadrature(mixed2, SteeringConfig(2, 1.0), n_doppler=512)
-    cfg = SteeringConfig(2, 0.5)
-    assert abs(_slice_energy_mean(mixed2, cfg) - total) >= 0.1 * total
+    total = mimo_energy_quadrature(mixed2, 1.0, n_doppler=512)
+    gamma = 0.5
+    assert abs(_slice_energy_mean(mixed2, gamma) - total) >= 0.1 * total
     with pytest.raises(InvalidParameterError):
-        mimo_energy_quadrature(mixed2, cfg, n_doppler=512)
+        mimo_energy_quadrature(mixed2, gamma, n_doppler=512)
 
 
 def test_mimo_energy_quadrature_peak_memory():
@@ -771,10 +779,9 @@ def test_mimo_energy_quadrature_peak_memory():
     rng = np.random.default_rng(9)
     basis = mixture_basis(gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0))
     ws = [random_mixture(basis, rng) for _ in range(4)]
-    cfg = SteeringConfig(4, 1.0)
     n, n_doppler = ws[0].n, 1024
     x_bytes = (2 * n - 1) * n_doppler * 16
-    total, peak = traced_peak(mimo_energy_quadrature, ws, cfg, n_doppler=n_doppler)
+    total, peak = traced_peak(mimo_energy_quadrature, ws, 1.0, n_doppler=n_doppler)
     assert total > 0
     assert peak <= x_bytes
 

@@ -1,4 +1,5 @@
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +27,11 @@ def test_package_exports_exactly_the_layers():
     names += [name for name, obj in vars(errors).items()
               if isinstance(obj, type) and issubclass(obj, errors.MimoafError)]
     assert sorted(mimoaf.__all__) == sorted(names)
+
+
+def test_readme_quick_start_runs():
+    # the Library quick start is README's first python block: an API rename
+    # that leaves it stale fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

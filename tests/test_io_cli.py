@@ -17,7 +17,6 @@ from mimoaf import (
     FileFormatError,
     InvalidParameterError,
     SampledSignal,
-    SteeringConfig,
     canonical_gaussian,
     cross_ambiguity,
     gen_gaussian,
@@ -223,6 +222,13 @@ def test_ppm_header_and_determinism(tmp_path):
     for db_floor in (3.0, math.nan, -math.inf):
         with pytest.raises(FileFormatError):
             write_ppm(tmp_path / "c.ppm", s.values, db_floor=db_floor)
+    with pytest.raises(FileFormatError):
+        write_ppm(tmp_path / "c.ppm", np.ones((2, 2)), scaling="log")
+    assert not (tmp_path / "c.ppm").exists()
+    # an all-zero surface has no peak to scale by: every pixel is 0
+    for scaling in ("db", "linear"):
+        write_ppm(p1, np.zeros((2, 3)), scaling=scaling)
+        assert p1.read_bytes() == b"P5\n3 2\n255\n" + bytes(6), scaling
 
 
 # ---------------------------------------------------------------- cli: gen
@@ -468,7 +474,7 @@ def test_streamed_mimo_slice_matches_in_memory(rows, tmp_path, monkeypatch, caps
         write_signal(path, w)
     argv = ["mimo", "--inputs", *map(str, paths), "--fs", "0.25", "--fsp", "0.75",
             "--n-doppler", "1000"]
-    surface = mimo_ambiguity(waves, SteeringConfig(3, 1.0), 0.25, 0.75, n_doppler=1000)
+    surface = mimo_ambiguity(waves, 1.0, 0.25, 0.75, n_doppler=1000)
     assert surface.values.shape == (511, 1000)
     if rows is not None:
         monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * 1000)
@@ -528,7 +534,7 @@ def test_streamed_mimo_trace_matches_in_memory(rows, tmp_path, monkeypatch, caps
     paths = _subcarrier_files(tmp_path, 3, 0.5)
     argv = ["mimo", "--inputs", *map(str, paths), "--spatial-integral", "--n-doppler", "400"]
     waves = gen_subcarrier_set(3, 0.5, 1 / 128)
-    surface = spatial_integral(waves, SteeringConfig(3, 1.0), n_doppler=400)
+    surface = spatial_integral(waves, 1.0, n_doppler=400)
     assert surface.values.shape == (255, 400)
     if rows is not None:
         monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * 400)
@@ -1138,7 +1144,7 @@ def test_cached_parser_behaves_as_fresh_ones(capsys):
 
 
 def test_verify_sym_mimo_rejects_bad_steering(capsys):
-    # the suites steer through SteeringConfig.steering_phases, like `mimo`
+    # the suites steer through mimo_beams, like `mimo`
     for extra in (["--fs", "1.5"], ["--fsp", "nan"]):
         assert cli.main(["verify", "--suite", "sym-mimo", *extra]) == 2, extra
         assert capsys.readouterr().err.startswith("error:"), extra

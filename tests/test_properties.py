@@ -15,7 +15,6 @@ from mimoaf import (
     GridMismatchError,
     InvalidParameterError,
     ProbeSet,
-    SteeringConfig,
     canonical_gaussian,
     check_mimo_energy,
     check_norm_identity,
@@ -96,15 +95,13 @@ def test_norm_identity_all_families():
 
 
 def test_mimo_energy_two_orthonormal(subcarriers2):
-    cfg = SteeringConfig(2, 1.0)
-    rep = check_mimo_energy(subcarriers2, cfg)
+    rep = check_mimo_energy(subcarriers2, 1.0)
     assert rep.passed
     assert abs(rep.lhs - 4.0) <= 1e-5
 
 
 def test_mimo_energy_m1_matches_norm(gauss256):
-    cfg = SteeringConfig(1, 1.0)
-    rep = check_mimo_energy([gauss256], cfg)
+    rep = check_mimo_energy([gauss256], 1.0)
     norm_rep = check_norm_identity(gauss256, gauss256)
     assert rep.passed
     assert abs(rep.lhs - norm_rep.lhs) <= 1e-12
@@ -114,15 +111,13 @@ def test_mimo_energy_three_random_mixtures():
     waves = gen_subcarrier_set(3, 1.0, DT)
     rng = np.random.default_rng(9)
     mixed = [random_mixture(mixture_basis(w), rng) for w in waves]
-    cfg = SteeringConfig(3, 1.0)
-    rep = check_mimo_energy(mixed, cfg, n_doppler=512)
+    rep = check_mimo_energy(mixed, 1.0, n_doppler=512)
     assert rep.passed
     assert abs(rep.lhs - 9.0) <= 1e-5
 
 
 def test_mimo_energy_gamma_two(subcarriers2):
-    cfg = SteeringConfig(2, 2.0)
-    rep = check_mimo_energy(subcarriers2, cfg)
+    rep = check_mimo_energy(subcarriers2, 2.0)
     assert rep.passed
     assert abs(rep.lhs - 4.0) <= 1e-5
 
@@ -159,6 +154,8 @@ def test_moyal_refuses_surfaces_on_different_grids(gauss256):
     fine = gen_gaussian(CANONICAL_SIGMA, DT_G / 2, 2.0)
     with pytest.raises(GridMismatchError):
         moyal_inner_product(gauss256, fine, gauss256, fine, n_doppler=1024)
+    with pytest.raises(GridMismatchError, match="waveform counts differ"):
+        mimo_inner_product([gauss256, gauss256], [gauss256], 1.0, 0.3, 0.7)
 
 
 @settings(max_examples=10, deadline=None)
@@ -172,15 +169,13 @@ def test_moyal_randomized_invariant(seed):
 
 
 def test_mimo_moyal_norm_case(subcarriers2):
-    cfg = SteeringConfig(2, 1.0)
-    rep = mimo_inner_product(subcarriers2, subcarriers2, cfg, 0.0, 0.0)
+    rep = mimo_inner_product(subcarriers2, subcarriers2, 1.0, 0.0, 0.0)
     assert rep.passed
     assert abs(rep.lhs - 4.0) <= 1e-6
 
 
 def test_mimo_moyal_m1_matches_scalar(gauss256):
-    cfg = SteeringConfig(1, 1.0)
-    rep = mimo_inner_product([gauss256], [gauss256], cfg, 0.3, 0.7)
+    rep = mimo_inner_product([gauss256], [gauss256], 1.0, 0.3, 0.7)
     scalar = moyal_inner_product(gauss256, gauss256, gauss256, gauss256)
     assert rep.passed
     assert abs(rep.lhs - scalar.lhs) <= 1e-12
@@ -190,8 +185,7 @@ def test_mimo_moyal_random_sets():
     us = gen_subcarrier_set(2, 1.0, DT)
     rng = np.random.default_rng(7)
     vs = [random_mixture(mixture_basis(w), rng) for w in us]
-    cfg = SteeringConfig(2, 1.0)
-    rep = mimo_inner_product(list(us), vs, cfg, 0.3, 0.7, n_doppler=512)
+    rep = mimo_inner_product(list(us), vs, 1.0, 0.3, 0.7, n_doppler=512)
     assert rep.passed
     assert rep.rel_err <= 1e-8
 
@@ -201,9 +195,9 @@ def test_mimo_moyal_is_moyal_on_the_beams():
     us = list(gen_subcarrier_set(2, 1.0, DT))
     rng = np.random.default_rng(7)
     vs = [random_mixture(mixture_basis(w), rng) for w in us]
-    cfg = SteeringConfig(2, 1.0)
-    (U, V), (U2, V2) = mimo_beams(us, cfg, 0.3, 0.7), mimo_beams(vs, cfg, 0.3, 0.7)
-    rep = mimo_inner_product(us, vs, cfg, 0.3, 0.7, n_doppler=512)
+    gamma = 1.0
+    (U, V), (U2, V2) = mimo_beams(us, gamma, 0.3, 0.7), mimo_beams(vs, gamma, 0.3, 0.7)
+    rep = mimo_inner_product(us, vs, gamma, 0.3, 0.7, n_doppler=512)
     assert rep.lhs == moyal_inner_product(U, U2, V, V2, n_doppler=512).lhs
 
 
@@ -242,6 +236,8 @@ def test_random_probe_set_rejects_bad_input(gauss256, kwargs):
 
 
 def test_probe_set_rejects_central_phase():
+    with pytest.raises(InvalidParameterError, match="at least one point"):
+        ProbeSet(())
     with pytest.raises(InvalidParameterError):
         ProbeSet((HeisenbergPoint(0.0, 0.0, 0.5),))
     with pytest.raises(InvalidParameterError):
@@ -252,7 +248,7 @@ def test_trace_psd_m1_matches_gram():
     u = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
     probes = random_probe_set(u, n_points=6, seed=1)
     single = gram_psd_check(u, probes)
-    traced = trace_psd_check([u], probes, SteeringConfig(1, 1.0))
+    traced = trace_psd_check([u], probes, 1.0)
     assert traced.passed
     assert abs(single.info["min_eig"] - traced.info["min_eig"]) <= 1e-12
     assert abs(single.info["quadratic_form"] - traced.info["quadratic_form"]) <= 1e-12
@@ -262,7 +258,7 @@ def test_trace_psd_two_waveforms():
     base = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
     waves = [base, chirp_multiply(base, 2.0)]
     probes = random_probe_set(base, n_points=8, seed=3)
-    rep = trace_psd_check(waves, probes, SteeringConfig(2, 1.0))
+    rep = trace_psd_check(waves, probes, 1.0)
     assert rep.passed
     assert rep.info["min_eig"] >= -1e-9 * rep.info["max_eig"]
 
@@ -282,7 +278,7 @@ def test_psd_checks_shift_each_copy_once(monkeypatch):
     assert gram_psd_check(base, probes).passed
     assert len(calls) == 5
     calls.clear()
-    assert trace_psd_check(waves, probes, SteeringConfig(2, 1.0)).passed
+    assert trace_psd_check(waves, probes, 1.0).passed
     assert len(calls) == 2 * 5
 
 
@@ -292,7 +288,7 @@ def test_dual_gram_matches_the_group_law_loop(seed):
     # surface read through the float group product z = x_j^{-1} x_i
     base = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
     waves = [base, chirp_multiply(base, 2.0)]
-    surface = properties.spatial_integral(waves, SteeringConfig(2, 1.0), 1024)
+    surface = properties.spatial_integral(waves, 1.0, 1024)
     probes = random_probe_set(base, 6, seed, 1024)
     G_a, G_b = properties._dual_gram(waves, surface, probes)
     pts = probes.points
@@ -314,7 +310,7 @@ def _psd_pair():
     return (
         gram_psd_check(base, random_probe_set(base, 8, 0, 1024), n_doppler=1024),
         trace_psd_check(waves, random_probe_set(waves[0], 8, 0, 1024),
-                        SteeringConfig(2, 1.0), n_doppler=1024),
+                        1.0, n_doppler=1024),
     )
 
 
@@ -352,21 +348,27 @@ def test_probe_differences_must_stay_on_the_surface(axis):
     u = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
     d_nu = 1.0 / (2048 * u.dt)
 
-    def probes(span):
-        tau, nu = (span * u.dt, 0.0) if axis == "lag" else (0.0, span * d_nu)
-        return ProbeSet((HeisenbergPoint(0.0, 0.0), HeisenbergPoint(tau, nu)))
+    def probes(*spans):
+        return ProbeSet(tuple(
+            HeisenbergPoint(s * u.dt, 0.0) if axis == "lag" else HeisenbergPoint(0.0, s * d_nu)
+            for s in spans
+        ))
 
     edge = 511 if axis == "lag" else 1023
-    gram_psd_check(u, probes(edge))
+    gram_psd_check(u, probes(0, edge))
     with pytest.raises(GridAlignmentError):
-        gram_psd_check(u, probes(edge + 1))
+        gram_psd_check(u, probes(0, edge + 1))
+    # both points on the surface, their difference past it
+    half = edge // 2 + 1
+    with pytest.raises(GridAlignmentError, match="leave the"):
+        gram_psd_check(u, probes(-half, half))
 
 
 def test_trace_quadratic_form_is_additive():
     base = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
     waves = [base, chirp_multiply(base, 2.0), heisenberg_shift(base, HeisenbergPoint(4 * base.dt, 0.0))]
     probes = random_probe_set(base, n_points=5, seed=8)
-    total = trace_psd_check(waves, probes, SteeringConfig(3, 1.0)).info["quadratic_form"]
+    total = trace_psd_check(waves, probes, 1.0).info["quadratic_form"]
     parts = sum(gram_psd_check(w, probes).info["quadratic_form"] for w in waves)
     assert abs(total - parts) <= 1e-8 * max(abs(total), 1.0)
 
@@ -448,8 +450,7 @@ def test_collinearity_refuses_orthogonal(subcarriers2):
 @pytest.mark.parametrize("m", [2, 3])
 def test_trace_reduction_phase_family(gauss256, m):
     waves = phase_family(gauss256, m, seed=m)
-    cfg = SteeringConfig(m, 1.0)
-    rep = trace_reduction_check(waves, cfg)
+    rep = trace_reduction_check(waves, 1.0)
     assert rep.passed
     assert rep.info["reduced"] is True
     assert rep.info["gap"] <= 1e-8
@@ -457,8 +458,7 @@ def test_trace_reduction_phase_family(gauss256, m):
 
 def test_trace_reduction_refuses_orthonormal():
     waves = list(gen_subcarrier_set(3, 1.0, DT))
-    cfg = SteeringConfig(3, 1.0)
-    rep = trace_reduction_check(waves, cfg, n_doppler=512)
+    rep = trace_reduction_check(waves, 1.0, n_doppler=512)
     assert rep.passed  # dichotomy: refusal with witnesses is the correct outcome
     assert rep.info["reduced"] is False
     assert len(rep.info["failing_pairs"]) == 3
@@ -469,7 +469,7 @@ def test_trace_reduction_scaled_copy_is_a_void_hypothesis(gauss256):
     # u and 2u are collinear but not unimodular: the uniqueness pass fails
     # the pair, so the reduction is not claimed and the pair is the witness
     waves = [gauss256, gauss256.replace_samples(2.0 * gauss256.samples)]
-    rep = trace_reduction_check(waves, SteeringConfig(2, 1.0))
+    rep = trace_reduction_check(waves, 1.0)
     assert rep.passed
     assert rep.info["reduced"] is False
     assert rep.info["failing_pairs"] == [(0, 1)]
@@ -477,8 +477,7 @@ def test_trace_reduction_scaled_copy_is_a_void_hypothesis(gauss256):
 
 
 def test_trace_reduction_single_waveform(gauss256):
-    cfg = SteeringConfig(1, 1.0)
-    rep = trace_reduction_check([gauss256], cfg)
+    rep = trace_reduction_check([gauss256], 1.0)
     assert rep.passed
     assert rep.info["reduced"] is True
     assert rep.info["gap"] <= 1e-12
@@ -487,12 +486,12 @@ def test_trace_reduction_single_waveform(gauss256):
 def test_trace_reduction_zero_energy_raises_before_any_surface(gauss256, surface_builds):
     waves = [gauss256, gauss256.replace_samples(np.zeros(gauss256.n))]
     with pytest.raises(InvalidParameterError):
-        trace_reduction_check(waves, SteeringConfig(2, 1.0))
+        trace_reduction_check(waves, 1.0)
     assert surface_builds == []
 
 
 @pytest.mark.parametrize("check", [
-    lambda u, z: trace_reduction_check([z], SteeringConfig(1, 1.0)),
+    lambda u, z: trace_reduction_check([z], 1.0),
     lambda u, z: recover_scalar(z, u),
     lambda u, z: recover_scalar(u, z),
 ], ids=["trace", "scalar-u", "scalar-v"])
@@ -506,7 +505,7 @@ def test_zero_waveform_is_refused_before_any_surface(check, gauss256, surface_bu
 
 @pytest.mark.parametrize("check,scale", [
     (lambda w, v: recover_scalar(w, v), 1e160),
-    (lambda w, v: trace_reduction_check([w, v], SteeringConfig(2, 1.0)), 1e154),
+    (lambda w, v: trace_reduction_check([w, v], 1.0), 1e154),
     (lambda w, v: collinearity_check(w, v), 1e160),
 ], ids=["scalar", "trace", "collinearity"])
 def test_overflowing_energy_is_refused_before_any_surface(check, scale, gauss256,
@@ -523,13 +522,13 @@ def test_overflowing_energy_is_refused_before_any_surface(check, scale, gauss256
 
 @pytest.mark.parametrize("check", [
     lambda w: check_norm_identity(w, w),
-    lambda w: check_mimo_energy([w, w], SteeringConfig(2, 1.0)),
+    lambda w: check_mimo_energy([w, w], 1.0),
     lambda w: moyal_inner_product(w, w, w, w),
-    lambda w: mimo_inner_product([w, w], [w, w], SteeringConfig(2, 1.0), 0.3, 0.7),
+    lambda w: mimo_inner_product([w, w], [w, w], 1.0, 0.3, 0.7),
     lambda w: verify_mirror(w, w),
     lambda w: verify_lfm_shear(w, w, rate=1.0),
     lambda w: gram_psd_check(w, random_probe_set(w)),
-    lambda w: trace_psd_check([w, w], random_probe_set(w), SteeringConfig(2, 1.0)),
+    lambda w: trace_psd_check([w, w], random_probe_set(w), 1.0),
 ], ids=["norm", "mimo-energy", "moyal", "mimo-moyal", "sym-mirror", "sym-lfm", "psd",
         "trace-psd"])
 def test_surface_of_an_overflowing_energy_is_refused(check, gauss256):
@@ -547,36 +546,27 @@ def test_trace_reduction_decides_on_the_waveforms(gauss256, surface_builds):
     v = gauss256.replace_samples((1 + 5e-7) * 1j * gauss256.samples)
     assert recover_scalar(gauss256, v).info["af_equal"] is False
     surface_builds.clear()
-    rep = trace_reduction_check([gauss256, v], SteeringConfig(2, 1.0))
+    rep = trace_reduction_check([gauss256, v], 1.0)
     assert rep.info["reduced"] is True
     assert not rep.passed
     assert rep.info["gap"] == pytest.approx(5e-7, rel=1e-3)
     assert len(surface_builds) == 2  # the trace and chi(u0, u0), nothing pairwise
 
 
-def test_trace_reduction_refuses_a_set_the_array_cannot_hold():
-    # three orthonormal waveforms on a two-element array used to take the
-    # refusal branch and pass; the array is checked before any pair
-    waves = list(gen_subcarrier_set(3, 1.0, DT))
-    with pytest.raises(GridMismatchError):
-        trace_reduction_check(waves, SteeringConfig(2, 1.0), n_doppler=512)
-
-
 # -------------------------------------------------------------------- reports
 
-_CFG2 = SteeringConfig(2, 1.0)
 
 # every public check, on inputs it passes at its own tolerance; the two
 # "-void" cases take the vacuous branch, whose hypothesis fails on them
 _CHECKS = {
     "norm": lambda g, s, **kw: check_norm_identity(g, g, 256, **kw),
-    "mimo-energy": lambda g, s, **kw: check_mimo_energy(s, _CFG2, 256, **kw),
+    "mimo-energy": lambda g, s, **kw: check_mimo_energy(s, 1.0, 256, **kw),
     "moyal": lambda g, s, **kw: moyal_inner_product(g, g, g, g, 256, **kw),
-    "mimo-moyal": lambda g, s, **kw: mimo_inner_product(s, s, _CFG2, 0.3, 0.7, 256, **kw),
+    "mimo-moyal": lambda g, s, **kw: mimo_inner_product(s, s, 1.0, 0.3, 0.7, 256, **kw),
     "psd": lambda g, s, **kw: gram_psd_check(
         s[0], random_probe_set(s[0], 4, 0, 256), 256, **kw),
     "trace-psd": lambda g, s, **kw: trace_psd_check(
-        s, random_probe_set(s[0], 4, 0, 256), _CFG2, 256, **kw),
+        s, random_probe_set(s[0], 4, 0, 256), 1.0, 256, **kw),
     "uniqueness": lambda g, s, **kw: recover_scalar(
         g, g.replace_samples(1j * g.samples), 256, **kw),
     "uniqueness-void": lambda g, s, **kw: recover_scalar(
@@ -584,15 +574,15 @@ _CHECKS = {
     "collinearity": lambda g, s, **kw: collinearity_check(
         g, g.replace_samples(3j * g.samples), 256, **kw),
     "trace-reduction": lambda g, s, **kw: trace_reduction_check(
-        phase_family(g, 2), _CFG2, 256, **kw),
-    "trace-reduction-void": lambda g, s, **kw: trace_reduction_check(s, _CFG2, 256, **kw),
+        phase_family(g, 2), 1.0, 256, **kw),
+    "trace-reduction-void": lambda g, s, **kw: trace_reduction_check(s, 1.0, 256, **kw),
     "sym-J": lambda g, s, **kw: verify_fourier_rotation(
         gen_gaussian(CANONICAL_SIGMA, 1 / 16, 8.0), **kw),
     "sym-mirror": lambda g, s, **kw: verify_mirror(g, n_doppler=256, **kw),
     "sym-lfm": lambda g, s, **kw: verify_lfm_shear(g, rate=2.5, n_doppler=256, **kw),
     "sym-dilate": lambda g, s, **kw: verify_dilation(g, b=2.0, n_doppler=256, **kw),
     "sym-mimo": lambda g, s, **kw: verify_mimo_symmetry(
-        s, _CFG2, 0.3, 0.7, verify_mirror, n_doppler=256, **kw),
+        s, 1.0, 0.3, 0.7, verify_mirror, n_doppler=256, **kw),
 }
 
 
@@ -671,16 +661,16 @@ def _streamed_checks(g, sub):
     return {
         "norm-self": lambda: check_norm_identity(g, g, 512),
         "norm-pair": lambda: check_norm_identity(sub[0], sub[1], 512),
-        "mimo-energy": lambda: check_mimo_energy(mix[:2], _CFG2, 512),
+        "mimo-energy": lambda: check_mimo_energy(mix[:2], 1.0, 512),
         "moyal-self": lambda: moyal_inner_product(g, g, g, g, 512),
         "moyal": lambda: moyal_inner_product(*mix[:4], 512),
-        "mimo-moyal": lambda: mimo_inner_product(mix[:2], mix[2:4], _CFG2, 0.3, 0.7, 512),
-        "mimo-moyal-self": lambda: mimo_inner_product(sub, sub, _CFG2, 0.3, 0.3, 512),
+        "mimo-moyal": lambda: mimo_inner_product(mix[:2], mix[2:4], 1.0, 0.3, 0.7, 512),
+        "mimo-moyal-self": lambda: mimo_inner_product(sub, sub, 1.0, 0.3, 0.3, 512),
         "uniqueness": lambda: recover_scalar(g, phased[1], 512),
         "uniqueness-void": lambda: recover_scalar(g, mix[4], 512),
         "collinearity": lambda: collinearity_check(g, g.replace_samples(3j * g.samples), 512),
         "collinearity-self": lambda: collinearity_check(g, g, 512),
-        "trace-reduction": lambda: trace_reduction_check(phased, _CFG2, 512),
+        "trace-reduction": lambda: trace_reduction_check(phased, 1.0, 512),
     }
 
 

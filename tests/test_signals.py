@@ -13,7 +13,6 @@ from mimoaf import (
     GridMismatchError,
     InvalidParameterError,
     SampledSignal,
-    SteeringConfig,
     TruncationRiskError,
     canonical_gaussian,
     chirp_multiply,
@@ -25,6 +24,7 @@ from mimoaf import (
     gen_subcarrier_set,
     heisenberg_shift,
     inner_product,
+    mimo_beams,
 )
 from mimoaf.signals import HeisenbergPoint
 
@@ -82,6 +82,10 @@ def test_rect_invalid_parameters():
         gen_rect(0.0, 1 / 64)
     with pytest.raises(InvalidParameterError):
         gen_rect(1.0, -1 / 64)
+    with pytest.raises(InvalidParameterError, match="T must be at least dt"):
+        gen_rect(0.001, 0.01)
+    with pytest.raises(InvalidParameterError, match="pad_factor"):
+        gen_rect(1.0, 0.01, 1.5)
 
 
 def test_gaussian_canonical_energy():
@@ -292,7 +296,7 @@ def test_dilate_rejects_bad_factor():
 @pytest.mark.parametrize("build", [
     lambda x: SampledSignal(np.ones(4), x, 0.0),
     lambda x: gen_rect(1.0, x),
-    lambda x: SteeringConfig(2, x),
+    lambda x: mimo_beams([canonical_gaussian()], x, 0.0, 0.0),
     lambda x: dilate(canonical_gaussian(), x),
 ], ids=["signal-dt", "rect-dt", "steering-gamma", "dilate-b"])
 def test_positive_parameters_must_be_real(build, x):

@@ -14,7 +14,6 @@ from mimoaf import (
     GridMismatchError,
     InvalidParameterError,
     SampledSignal,
-    SteeringConfig,
     chirp_multiply,
     cross_ambiguity,
     gen_gaussian,
@@ -312,7 +311,6 @@ def test_dilation_factor_past_n_is_refused_first(wide_gauss, b, monkeypatch):
 # ----------------------------------------------------------------- mimo lifts
 
 def test_mimo_single_element_matches_scalar(rot_gauss, wide_gauss):
-    cfg = SteeringConfig(1, 1.0)
     cases = [
         (verify_fourier_rotation, rot_gauss, {}),
         (verify_mirror, wide_gauss, {}),
@@ -320,7 +318,7 @@ def test_mimo_single_element_matches_scalar(rot_gauss, wide_gauss):
         (verify_dilation, wide_gauss, {"b": 2.0}),
     ]
     for check, u, kw in cases:
-        rep = verify_mimo_symmetry([u], cfg, 0.3, 0.7, check, **kw)
+        rep = verify_mimo_symmetry([u], 1.0, 0.3, 0.7, check, **kw)
         assert rep.passed, check.__name__
         assert rep.rel_err == check(u, **kw).rel_err, check.__name__
 
@@ -341,9 +339,9 @@ def test_mimo_lift_is_the_scalar_check_on_the_beams(rot_gauss, wide_gauss, check
     base = rot_gauss if check is verify_fourier_rotation else wide_gauss
     thetas = np.random.default_rng(8).uniform(0, 2 * np.pi, size=2)
     waves = [base.replace_samples(np.exp(1j * t) * base.samples) for t in thetas]
-    cfg = SteeringConfig(2, 1.0)
-    rep = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, check, **kwargs)
-    ref = check(*mimo_beams(waves, cfg, 0.3, 0.7), **kwargs)
+    gamma = 1.0
+    rep = verify_mimo_symmetry(waves, gamma, 0.3, 0.7, check, **kwargs)
+    ref = check(*mimo_beams(waves, gamma, 0.3, 0.7), **kwargs)
     # CheckReport equality compares every field but info
     assert rep == replace(ref, name="sym-mimo")
     assert rep.info == {"kind": check.__name__, **ref.info}
@@ -353,8 +351,7 @@ def test_mimo_lift_is_the_scalar_check_on_the_beams(rot_gauss, wide_gauss, check
 
 def test_mimo_rotation_two_subcarriers():
     waves = list(gen_subcarrier_set(2, 8.0, 1 / 16))
-    cfg = SteeringConfig(2, 1.0)
-    rep = verify_mimo_symmetry(waves, cfg, 0.25, 0.25, verify_fourier_rotation)
+    rep = verify_mimo_symmetry(waves, 1.0, 0.25, 0.25, verify_fourier_rotation)
     assert rep.passed
     assert rep.rel_err <= 1e-5
 
@@ -363,9 +360,9 @@ def test_mimo_mirror_swaps_beam_pair():
     subs = gen_subcarrier_set(2, 1.0, 1 / 128)
     rng = np.random.default_rng(3)
     waves = [subs[0], random_mixture([subs[0], subs[1], chirp_multiply(subs[0], 2.0)], rng)]
-    cfg = SteeringConfig(2, 1.0)
+    gamma = 1.0
     fs, fsp = 0.3, 0.7
-    rep = verify_mimo_symmetry(waves, cfg, fs, fsp, verify_mirror)
+    rep = verify_mimo_symmetry(waves, gamma, fs, fsp, verify_mirror)
     assert rep.passed
     assert rep.rel_err <= 1e-9
 
@@ -373,7 +370,7 @@ def test_mimo_mirror_swaps_beam_pair():
     # pins down that the reflection exchanges the two steering arguments
     pairs = [[cross_ambiguity(a, b) for b in waves] for a in waves]
     ref = pairs[0][0]
-    w = 2 * math.pi * cfg.gamma
+    w = 2 * math.pi * gamma
 
     def combine(fa, fb):
         out = np.zeros_like(ref.values)
@@ -397,14 +394,14 @@ def test_mimo_shear_and_scaling(wide_gauss):
     rng = np.random.default_rng(6)
     thetas = rng.uniform(0, 2 * np.pi, size=2)
     waves = [wide_gauss.replace_samples(np.exp(1j * t) * wide_gauss.samples) for t in thetas]
-    cfg = SteeringConfig(2, 1.0)
-    rep_t = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, verify_lfm_shear, rate=2.5)
+    gamma = 1.0
+    rep_t = verify_mimo_symmetry(waves, gamma, 0.3, 0.7, verify_lfm_shear, rate=2.5)
     assert rep_t.passed
     assert rep_t.rel_err <= 1e-10
-    rep_m = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, verify_dilation, b=2.0)
+    rep_m = verify_mimo_symmetry(waves, gamma, 0.3, 0.7, verify_dilation, b=2.0)
     assert rep_m.passed
     assert rep_m.rel_err <= 1e-4
-    rep_r = verify_mimo_symmetry(waves, cfg, 0.3, 0.7, verify_dilation, b=0.5)
+    rep_r = verify_mimo_symmetry(waves, gamma, 0.3, 0.7, verify_dilation, b=0.5)
     assert rep_r.passed
     assert rep_r.rel_err <= 1e-5
     assert rep_r.info["route"] == "reciprocal-parent"
@@ -414,15 +411,11 @@ def test_mimo_refuses_a_non_verifier(wide_gauss, monkeypatch):
     # anything but the four scalar verifiers is refused before a beam forms
     def never(*args, **kwargs):
         raise AssertionError("formed a beam")
-
-    cfg = SteeringConfig(1, 1.0)
     with monkeypatch.context() as m:
         m.setattr(symmetry, "mimo_beams", never)
         for check in (cross_ambiguity, lambda u, v, **kw: verify_mirror(u, v, **kw), None):
             with pytest.raises(InvalidParameterError):
-                verify_mimo_symmetry([wide_gauss], cfg, 0.0, 0.0, check)
-    with pytest.raises(GridMismatchError):
-        verify_mimo_symmetry([wide_gauss, wide_gauss], cfg, 0.0, 0.0, verify_mirror)
+                verify_mimo_symmetry([wide_gauss], 1.0, 0.0, 0.0, check)
 
 
 @pytest.mark.parametrize(
@@ -447,10 +440,9 @@ def test_bad_rate_or_factor_is_refused_first(wide_gauss, check, kwargs, lifted, 
         raise AssertionError("built a surface")
 
     monkeypatch.setattr(symmetry, "cross_ambiguity", never)
-    cfg = SteeringConfig(1, 1.0)
     with pytest.raises(InvalidParameterError):
         if lifted:
-            verify_mimo_symmetry([wide_gauss], cfg, 0.3, 0.7, check, **kwargs)
+            verify_mimo_symmetry([wide_gauss], 1.0, 0.3, 0.7, check, **kwargs)
         else:
             check(wide_gauss, **kwargs)
 
