@@ -137,17 +137,19 @@ class AmbiguitySurface:
 
 
 # The surface is built in blocks of lag rows holding about this many bytes of
-# output, so a streamed surface needs one block of memory at any size.
-_BLOCK_BYTES = 4 * 2**20
+# output, so a streamed surface needs one block of memory at any size.  The
+# paired checks ran faster at each halving down to 512 KiB; at 256 KiB a
+# 4096-bin surface's 8-row blocks slowed `af`.
+_BLOCK_BYTES = 2**19
 
 
 def _lag_rows(
-    u: SampledSignal, v: SampledSignal, cyclic: bool, step: int = 1
+    u: SampledSignal, v: SampledSignal, cyclic: bool, rows: slice = slice(None)
 ) -> tuple[np.ndarray, Callable[[int, np.ndarray], None]]:
-    """The lag set, every step-th lag counted out from lag 0, and a gather of
-    the rows P[i, n] = u[n] * conj(v[n + lag_i]): gather(start, out) fills
-    out with rows start .. start + len(out) - 1.  The rows are one strided
-    slice of the windows below, so a stride copies nothing."""
+    """The lags the slice rows picks from the full list, and a gather of the
+    rows P[i, n] = u[n] * conj(v[n + lag_i]): gather(start, out) fills out
+    with rows start .. start + len(out) - 1 of the pick.  The rows are one
+    slice of the windows below, so a pick copies nothing."""
     n = u.n
     us = u.samples
     cv = np.conj(v.samples)
@@ -155,28 +157,26 @@ def _lag_rows(
         if n % 2:
             raise InvalidParameterError("cyclic lags require an even sample count")
         h = n // 2
-        pick = slice(h % step, n, step)
-        # window i of conj(v), wrapped by n/2 on each side, is row i: conj(v)
-        # rolled by the lag i - n/2
-        windows = sliding_window_view(np.concatenate([cv[h:], cv, cv[:h]]), n)[pick]
+        # window i of conj(v), wrapped by n/2 before it and n/2 - 1 after, is
+        # row i of n: conj(v) rolled by the lag i - n/2
+        windows = sliding_window_view(np.concatenate([cv[h:], cv, cv[: h - 1]]), n)[rows]
 
         def gather(start: int, out: np.ndarray) -> None:
             np.multiply(us, windows[start : start + len(out)], out=out)
 
-        return np.arange(-h, h)[pick], gather
-    pick = slice((n - 1) % step, None, step)
+        return np.arange(-h, h)[rows], gather
     # window i of conj(v), zero-padded by n-1 on each side, is row i at lag
     # i - (n-1); the mask leaves cells past the signal's ends at +0, where a
     # plain product would write u * 0 and so sometimes -0
-    windows = sliding_window_view(np.pad(cv, n - 1), n)[pick]
-    inside = sliding_window_view(np.pad(np.ones(n, dtype=bool), n - 1), n)[pick]
+    windows = sliding_window_view(np.pad(cv, n - 1), n)[rows]
+    inside = sliding_window_view(np.pad(np.ones(n, dtype=bool), n - 1), n)[rows]
 
     def gather(start: int, out: np.ndarray) -> None:
-        rows = slice(start, start + len(out))
+        picked = slice(start, start + len(out))
         out.fill(0)
-        np.multiply(us, windows[rows], out=out, where=inside[rows])
+        np.multiply(us, windows[picked], out=out, where=inside[picked])
 
-    return np.arange(-(n - 1), n)[pick], gather
+    return np.arange(-(n - 1), n)[rows], gather
 
 
 def _doppler_axis(n_doppler: int, dt: float) -> np.ndarray:
@@ -269,7 +269,8 @@ class _SurfaceBlocks:
     before anything is computed or written.  Iterating yields (first row,
     block) in row order; ``tau_axis`` labels the rows (delays, or the
     times of a Wigner distribution), one per row, and ``nu_axis`` the
-    columns.
+    columns.  A reversed row slice (:func:`_lag_rows`) runs the delays
+    descending, which only a whole=False loop may do.
 
     With the window (s, f), column j of N and product m, the kernel
     weight exp(i 2 pi (j - N/2) (m + s + f) / N) is
@@ -293,7 +294,7 @@ class _SurfaceBlocks:
         weight: float,
         whole: bool,
     ) -> None:
-        _require_ascending(tau_axis, nu_axis)
+        _require_ascending(tau_axis if tau_axis[0] <= tau_axis[-1] else tau_axis[::-1], nu_axis)
         shift, frac = window
         self._gathers = gathers
         self.tau_axis = tau_axis
@@ -350,10 +351,12 @@ def _ambiguity_blocks(
     n_doppler: int | None,
     cyclic: bool,
     whole: bool,
-    step: int = 1,
+    rows: slice = slice(None),
 ) -> _SurfaceBlocks:
     """The blocks of sum_i chi(u_i, v_i) over a list of signal pairs: one
     pair gives chi(u, v), and the pairs (u_m, u_m) give the MIMO trace.
+    rows picks lag rows (:func:`_lag_rows`), each with the bits of the same
+    row of the whole surface.
 
     chi is linear in its lag products, so the sum is the Doppler transform
     of the summed products.  With t0/dt = s + f (:func:`_window_shift`),
@@ -368,7 +371,7 @@ def _ambiguity_blocks(
         a.require_compatible(b)
     n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
     window = _window_shift(u)
-    lag_rows = [_lag_rows(a, b, cyclic, step) for a, b in pairs]
+    lag_rows = [_lag_rows(a, b, cyclic, rows) for a, b in pairs]
     blocks = _SurfaceBlocks(
         [gather for _, gather in lag_rows], u.n, lag_rows[0][0] * u.dt,
         _doppler_axis(n_doppler, u.dt), window, u.dt, whole,
@@ -384,6 +387,16 @@ def _squared_rows(block: np.ndarray) -> np.ndarray:
     return np.square(f, out=f).sum(axis=1)
 
 
+def _fsum(part: np.ndarray) -> float:
+    """The total of part rounded once, by math.fsum."""
+    try:
+        return math.fsum(part)
+    except (OverflowError, ValueError):
+        # a total past the float range, or inf - inf: numpy's sum is inf or
+        # nan there, which fails a check instead of raising
+        return float(part.sum())
+
+
 def _integral(blocks: _SurfaceBlocks | AmbiguitySurface, row_sums: Iterable[np.ndarray]) -> complex:
     """Quadrature, total times d_tau d_nu, of a function of the cells of
     the surface that blocks streams or holds, from its sums along each row.
@@ -394,17 +407,23 @@ def _integral(blocks: _SurfaceBlocks | AmbiguitySurface, row_sums: Iterable[np.n
     sums = np.concatenate(list(row_sums))
     tau, nu = blocks.tau_axis, blocks.nu_axis
     d_tau, d_nu = float(tau[1] - tau[0]), float(nu[1] - nu[0])
+    return complex(_fsum(sums.real) * d_tau * d_nu, _fsum(sums.imag) * d_tau * d_nu)
 
-    def quadrature(part: np.ndarray) -> float:
-        try:
-            total = math.fsum(part)
-        except (OverflowError, ValueError):
-            # a total past the float range, or inf - inf: numpy's sum is
-            # inf or nan there, which fails a check instead of raising
-            total = float(part.sum())
-        return total * d_tau * d_nu
 
-    return complex(quadrature(sums.real), quadrature(sums.imag))
+def _row_runs(*loops: _SurfaceBlocks) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """(first row, the same rows of each loop's surface) for distinct loops
+    of one row count, in runs that end where the first current block ends:
+    a loop moves to its next block, which overwrites the last, only once a
+    run has used all of it."""
+    its = [iter(loop) for loop in loops]
+    heads = [next(it) for it in its]
+    row = 0
+    while heads[0] is not None:
+        stop = min(start + len(block) for start, block in heads)
+        yield row, [block[row - start : stop - start] for start, block in heads]
+        row = stop
+        heads = [next(it, None) if start + len(block) == stop else (start, block)
+                 for it, (start, block) in zip(its, heads)]
 
 
 def _energy(blocks: _SurfaceBlocks) -> float:
@@ -421,15 +440,10 @@ def _whole(blocks: _SurfaceBlocks) -> AmbiguitySurface:
 
 
 def _surface(
-    pairs: list[tuple[SampledSignal, SampledSignal]],
-    n_doppler: int | None,
-    cyclic: bool = False,
-    step: int = 1,
+    pairs: list[tuple[SampledSignal, SampledSignal]], n_doppler: int | None, cyclic: bool = False
 ) -> AmbiguitySurface:
-    """sum_i chi(u_i, v_i) over the pairs on every step-th lag, counted out
-    from lag 0, built whole in memory.  Row i of the strided surface is row
-    c % step + step i of the full one, c its lag-0 row, to the bit."""
-    return _whole(_ambiguity_blocks(pairs, n_doppler, cyclic, whole=True, step=step))
+    """sum_i chi(u_i, v_i) over the pairs, built whole in memory."""
+    return _whole(_ambiguity_blocks(pairs, n_doppler, cyclic, whole=True))
 
 
 def cross_ambiguity(

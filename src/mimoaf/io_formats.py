@@ -394,7 +394,17 @@ def read_surface_csv(path: str | Path) -> AmbiguitySurface:
     values = _complex(cells[:, 2], cells[:, 3]).reshape(n_tau, n_nu)
     tau_axis = tau0 + dtau * np.arange(n_tau)
     nu_axis = nu0 + dnu * np.arange(n_nu)
-    return AmbiguitySurface(values, tau_axis, nu_axis)
+    surface = AmbiguitySurface(values, tau_axis, nu_axis)
+    # row p must name the grid point of its row-major place, within 1e-6 of
+    # a step as _axis_index snaps, or its value would land in another cell
+    place = np.arange(rows)
+    with np.errstate(all="ignore"):
+        off = np.maximum(np.abs((cells[:, 0] - tau0) / dtau - place // n_nu),
+                         np.abs((cells[:, 1] - nu0) / dnu - place % n_nu))
+    bad = np.flatnonzero(~(off <= 1e-6))
+    if bad.size:
+        raise FileFormatError(f"{path}: data row {bad[0] + 1} is not at its grid point (tau, nu)")
+    return surface
 
 
 def write_ppm(

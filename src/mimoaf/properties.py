@@ -18,16 +18,19 @@ waveforms alone are decided on the waveforms: trace reduction tests each
 pair for a unimodular multiple by its least-squares scalar, as
 recover_scalar does, and builds no pairwise surface.
 
-Memory: the checks that reduce surfaces to numbers (norm, the MIMO
-energy, both Moyal pairings, uniqueness, collinearity and trace reduction)
-never hold a whole surface.  Each streams its surfaces through the block
-loop, several loops in lockstep when it pairs them, and reduces each set of
-same-row blocks in place before the next: a sum along each row, the rows'
-total rounded once by math.fsum, or a maximum.  Neither depends on the
-block size.  So such a check holds one block and one set of lag products
-per surface it streams, plus at most one scratch block: a few MiB at any
-surface size.  The psd checks read scattered cells and hold their one
-surface whole, and the symmetry checks (symmetry.py) hold at most three.
+Memory: no check here holds a whole surface.  The checks that reduce
+surfaces to numbers (norm, the MIMO energy, both Moyal pairings,
+uniqueness, collinearity and trace reduction) stream their surfaces
+through the block loop, several loops in lockstep when they pair them,
+and reduce each set of same-row blocks in place before the next: a sum
+along each row, the rows' total rounded once by math.fsum, or a maximum.
+The psd checks stream only the lag rows their probes' differences span
+and fill each Gram entry from the block that holds its row.  None of it
+depends on the block size.  So a check holds one block and one set of lag
+products per surface it streams, plus at most one scratch block: under
+2.5 MiB of arrays on the default grid, and the same at any surface size.
+The symmetry checks (symmetry.py) stream the same way, all but the
+rotation check.
 """
 
 from __future__ import annotations
@@ -43,18 +46,19 @@ import numpy.typing as npt
 from .ambiguity import (
     AmbiguitySurface,
     _ambiguity_blocks,
+    _axis_index,
     _check_doppler_count,
+    _doppler_axis,
     _energy,
     _integral,
+    _row_runs,
     _squared_rows,
     _steering_phases,
     _SurfaceBlocks,
     _trace_pairs,
     _unit_roots,
-    cross_ambiguity,
     mimo_beams,
     mimo_energy_quadrature,
-    spatial_integral,
 )
 from .errors import GridAlignmentError, GridMismatchError, InvalidParameterError
 from .signals import HeisenbergPoint, SampledSignal, _require_count, heisenberg_shift, inner_product
@@ -217,13 +221,13 @@ def _require_same_grid(*grids: _SurfaceBlocks | AmbiguitySurface) -> None:
 
 
 def _lockstep(*loops: _SurfaceBlocks) -> Iterator[tuple[np.ndarray, ...]]:
-    """The same rows of every loop's surface, block by block.  A loop given
-    twice is run once and its block handed out twice, so a caller that
-    writes into one block must not read the other."""
+    """The same rows of every loop's surface, one grid for all, block by
+    block.  A loop given twice is run once and its block handed out twice,
+    so a caller that writes into one block must not read the other."""
     distinct = list(dict.fromkeys(loops))
     _require_same_grid(*distinct)
-    for blocks in zip(*distinct):
-        block_of = {loop: block for loop, (_, block) in zip(distinct, blocks)}
+    for _, blocks in _row_runs(*distinct):
+        block_of = dict(zip(distinct, blocks))
         yield tuple(block_of[loop] for loop in loops)
 
 
@@ -332,34 +336,49 @@ def mimo_inner_product(
 
 
 def _dual_gram(
-    waveforms: list[SampledSignal],
-    surface: AmbiguitySurface,
-    probes: ProbeSet,
+    waveforms: list[SampledSignal], n_doppler: int | None, probes: ProbeSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix by exact inner products and by phased surface lookup.
+    """Gram matrix by exact inner products and by phased lookup on the
+    trace surface sum_m chi(u_m, u_m) of the waveforms (one gives its self
+    surface).
 
     For z = x_j^{-1} x_i the lookup route reads exp(-i 2 pi z3) * chi(z1, -z2),
     which is <u, T(z) u> under the shift operator convention used throughout.
     Probe p sits k_p lags and l_p Doppler bins from the surface's centre, and
     x3 = 0 gives z3 = k_j (l_j - l_i) / N on a grid cross_ambiguity built.
+    Entry (i, j) reads lag k_i - k_j, so only the lags within the probes'
+    spread are streamed, each entry filled from the block holding its row.
+    The loop is set up, and its energies checked, before route (a).
     """
-    pts = probes.points
-    L, N = surface.values.shape
-    k = np.array([surface.lag_index(p.tau) for p in pts]) - L // 2
-    l = np.array([surface.doppler_index(p.nu) for p in pts]) - N // 2
-    if np.ptp(k) > L // 2 or np.ptp(l) >= N // 2:
+    n, dt, pts = waveforms[0].n, waveforms[0].dt, probes.points
+    L, N = 2 * n - 1, _check_doppler_count(n_doppler, n, cyclic=False)
+    tau_axis, nu_axis = np.arange(-(n - 1), n) * dt, _doppler_axis(N, dt)
+    k = np.array([_axis_index(tau_axis, p.tau, "delay", "lag") for p in pts]) - L // 2
+    l = np.array([_axis_index(nu_axis, p.nu, "Doppler", "Doppler") for p in pts]) - N // 2
+    spread = int(np.ptp(k))
+    if spread > L // 2 or np.ptp(l) >= N // 2:
         raise GridAlignmentError(f"probe differences leave the {L} x {N} surface")
-    n = len(pts)
-    G_a = np.zeros((n, n), dtype=np.complex128)
-    G_b = np.empty((n, n), dtype=np.complex128)
+    # sliced row r is lag r - spread
+    blocks = _ambiguity_blocks(
+        [(w, w) for w in waveforms], N, cyclic=False, whole=False,
+        rows=slice(L // 2 - spread, L // 2 + spread + 1),
+    )
+    P = len(pts)
+    G_a = np.zeros((P, P), dtype=np.complex128)
+    G_b = np.empty((P, P), dtype=np.complex128)
     # row p of C is conj(T(x_p) w): conj(C[j]) * C is inner_product's product
     copies = [np.conj(np.stack([heisenberg_shift(w, p).samples for p in pts])) for w in waveforms]
-    roots = _unit_roots(N)
-    for j in range(n):
+    for j in range(P):
         for w, C in zip(waveforms, copies):
             G_a[:, j] += w.dt * np.sum(np.conj(C[j]) * C, axis=1)
-        dl = l - l[j]
-        G_b[:, j] = roots[k[j] * dl % N] * surface.values[L // 2 + k - k[j], N // 2 - dl]
+    del copies
+    roots = _unit_roots(N)
+    for start, block in blocks:
+        for j in range(P):
+            row = k - k[j] + spread - start
+            hit = (row >= 0) & (row < len(block))
+            dl = l[hit] - l[j]
+            G_b[hit, j] = roots[k[j] * dl % N] * block[row[hit], N // 2 - dl]
     return G_a, G_b
 
 
@@ -403,7 +422,7 @@ def gram_psd_check(
     product.  Asserts the routes agree to _PATH_TOL of the energy and the
     Hermitian part of (a) has no eigenvalue below -tol times the largest.
     """
-    G_a, G_b = _dual_gram([u], cross_ambiguity(u, u, n_doppler=n_doppler), probes)
+    G_a, G_b = _dual_gram([u], n_doppler, probes)
     return _psd_report("psd", G_a, G_b, probes, u.energy(), tol)
 
 
@@ -421,9 +440,9 @@ def trace_psd_check(
     per-waveform exact Grams, which the additivity of the quadratic form
     makes the matching reference.
     """
-    trace_surface = spatial_integral(waveforms, gamma, n_doppler)
+    _trace_pairs(waveforms, gamma)
+    G_a, G_b = _dual_gram(waveforms, n_doppler, probes)
     energy_scale = sum(w.energy() for w in waveforms)
-    G_a, G_b = _dual_gram(waveforms, trace_surface, probes)
     return _psd_report("trace-psd", G_a, G_b, probes, energy_scale, tol)
 
 

@@ -37,23 +37,25 @@ Grid notes baked into the checks:
   exact grid points; for 1/k the parent is the dilated pair's.  Any other
   b would fall between grid points and is refused.
 
-Every relative distance takes its norms with numpy's own summation loop,
-not a BLAS dot, whose bits change with the BLAS thread count.
+Every relative distance takes its norms as sums of squares along each
+row, with numpy's own summation loop, not a BLAS dot, whose bits change
+with the BLAS thread count, and totals the rows once by math.fsum, so no
+report depends on the block size.
 
-Memory: no comparison holds more than three surfaces of its grid at once,
-plus the block of lag products of the surface being built.  The dilation
-parent, with k times the Doppler bins, is built only on the lags it is
-read at, every k-th: (2 floor((n-1)/k) + 1) k N cells, at most 1.5
-surfaces.  Route (b) keeps only its central bins.  Every check builds
-route (b) first and route (a) only once every surface route (b) needed is
-gone, and takes the difference in place over route (b)'s cells.  Index
-and phase arrays are built one row block at a time.
+Memory: the mirror, shear and dilation checks hold no surface.  Each
+streams its two routes, each by its own gathers, side by side through the
+block loop and compares them a run of rows at a time, taking the
+difference in place over route (b)'s cells: a few blocks, under 3 MiB on
+the default grid and the same at any size.  The dilation parent, with k
+times the Doppler bins, and route (a) are built only on the lags route
+(b) reads, every k-th.  The rotation check holds its 1 MiB cyclic
+surfaces whole, at most three, because its relabel is a transpose.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import replace
 from typing import Any
 
@@ -61,8 +63,11 @@ import numpy as np
 
 from .ambiguity import (
     AmbiguitySurface,
+    _ambiguity_blocks,
     _check_doppler_count,
-    _surface,
+    _fsum,
+    _row_runs,
+    _squared_rows,
     _unit_roots,
     _window_shift,
     cross_ambiguity,
@@ -87,69 +92,51 @@ _COVERAGE_FLOOR = 0.9
 _BLOCK_CELLS = 2**14
 
 
-def _tau_nu_phase(values: np.ndarray, sign: int, conj: bool = False) -> np.ndarray:
-    """values (conj(values) if conj) times exp(sign i 2 pi tau nu), as a new
-    array, on a grid :func:`cross_ambiguity` built.
+def _tau_nu_phase(values: np.ndarray, lags: np.ndarray, sign: int, conj: bool = False) -> None:
+    """Multiply values (conjugated first if conj) in place by
+    exp(sign i 2 pi tau nu), on a grid :func:`cross_ambiguity` built.
 
-    Row i of L is lag k = i - L//2, so the phase at Doppler bin j of N is
-    roots[sign k (j - N/2) mod N], read one row block at a time.
+    Row i of values is lag lags[i], so the phase at Doppler bin j of N is
+    roots[sign lags[i] (j - N/2) mod N], read a few rows at a time.
     """
-    L, N = values.shape
+    N = values.shape[1]
     roots = _unit_roots(N)
-    k = sign * (np.arange(L) - L // 2)
+    k = sign * lags
     j = np.arange(N) - N // 2
-    out = np.empty_like(values)
     rows = max(1, _BLOCK_CELLS // N)
-    for start in range(0, L, rows):
+    for start in range(0, len(values), rows):
         blk = slice(start, start + rows)
         idx = np.multiply.outer(k[blk], j)
         phase = roots[np.remainder(idx, N, out=idx)]
-        src = np.conjugate(values[blk], out=out[blk]) if conj else values[blk]
-        np.multiply(src, phase, out=out[blk])
-    return out
-
-
-def _norm(x: np.ndarray) -> float:
-    """Frobenius norm of a complex array whose last axis is contiguous.
-
-    einsum sums the squares of its float64 view with numpy's own loop, so a
-    strided view is read in place and, unlike the BLAS dot behind
-    np.linalg.norm, the bits do not depend on the BLAS thread count.
-    """
-    f = x.view(np.float64)
-    axes = "abcdefgh"[: f.ndim]
-    return math.sqrt(float(np.einsum(f"{axes},{axes}->", f, f)))
-
-
-def _masked_frobenius(
-    a: np.ndarray, b: np.ndarray, whole: np.ndarray | None
-) -> tuple[float, float]:
-    """(relative distance, mass coverage of b within whole) over the compared
-    cells a and b; whole is all of route (b), None when b is all of it.
-
-    b is overwritten with a - b once its norms are read, so the difference
-    needs no surface of its own.
-    """
-    den = _norm(b)
-    total = den if whole is None else _norm(whole)
-    coverage = (den / total) ** 2 if total > 0.0 else 0.0
-    diff = np.subtract(a, b, out=b)
-    return _norm(diff) / max(den, 1e-300), coverage
+        if conj:
+            np.conjugate(values[blk], out=values[blk])
+        values[blk] *= phase
 
 
 def _dual_path_report(
     name: str,
-    path_a: np.ndarray,
-    path_b: np.ndarray,
-    whole: np.ndarray | None,
+    triples: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
     tol: float,
     info: dict,
 ) -> CheckReport:
-    rel, coverage = _masked_frobenius(path_a, path_b, whole)
-    info = dict(info)
-    info["coverage"] = coverage
+    """The relative distance of route (a) from route (b), and the mass
+    coverage of b within all of route (b), from (a, b, whole) blocks of the
+    same rows: the compared cells of each route, and all of route (b)'s
+    cells there, None where b is all of them.  b, whose last axis must be
+    contiguous, is overwritten with a - b once its squares are read."""
+    den, total, gap = [], [], []
+    for a, b, whole in triples:
+        den.append(_squared_rows(b.copy()))
+        total.append(den[-1] if whole is None else _squared_rows(whole.copy()))
+        gap.append(_squared_rows(np.subtract(a, b, out=b)))
+    den_norm, total_norm, gap_norm = (
+        math.sqrt(_fsum(np.concatenate(rows))) for rows in (den, total, gap)
+    )
+    coverage = (den_norm / total_norm) ** 2 if total_norm > 0.0 else 0.0
+    rel = gap_norm / max(den_norm, 1e-300)
     covered = coverage >= _COVERAGE_FLOOR
     rel_err = rel if covered else max(rel, 1.0)
+    info = {**info, "coverage": coverage}
     return CheckReport(name, rel, 0.0, rel, rel_err, tol, info, gate=covered)
 
 
@@ -168,6 +155,7 @@ def verify_fourier_rotation(
     s(-nu, tau), is the relabel out[a, l] = s[n - l, a]; Doppler bin 0
     would read lag row n, off the grid, and is left out.  Route (b) is
     built, and the Fourier pair's surface dropped, before chi(u, v) is.
+    The surfaces are held whole: the relabel is a transpose.
     """
     if v is None:
         v = u
@@ -179,10 +167,11 @@ def verify_fourier_rotation(
             f"got n={n}, dt={u.dt}"
         )
     s_hat = cross_ambiguity(fourier(u), fourier(v), n_doppler=n, cyclic=True)
-    path_b = _tau_nu_phase(s_hat.values, 1)
+    path_b = s_hat.values.copy()
     del s_hat
+    _tau_nu_phase(path_b, np.arange(n) - n // 2, 1)
     s = cross_ambiguity(u, v, n_doppler=n, cyclic=True)
-    return _dual_path_report("sym-J", _rotation_relabel(s), path_b[:, 1:], path_b, tol, {})
+    return _dual_path_report("sym-J", [(_rotation_relabel(s), path_b[:, 1:], path_b)], tol, {})
 
 
 def _rotation_relabel(s: AmbiguitySurface) -> np.ndarray:
@@ -202,25 +191,34 @@ def verify_mirror(
     The left side is chi(u,v) relabelled by reversing both index axes, a
     pure permutation on the symmetric axes; the right side is chi(v,u),
     built by its own FFT.  The unpaired -Nyquist Doppler bin is left out.
-    The target is built, and chi(v,u) dropped, before chi(u,v) is, so the
-    check holds at most three surfaces.
+    chi(u,v) streams in descending lag order beside chi(v,u), so each run
+    of rows meets the reflected lags.
     """
     if v is None:
         v = u
     u.require_compatible(v)
-    svu = cross_ambiguity(v, u, n_doppler=n_doppler)
-    target = _tau_nu_phase(svu.values, -1, conj=True)
-    del svu
-    suv = cross_ambiguity(u, v, n_doppler=n_doppler)
-    # lag axis is symmetric; Doppler bin 0 (-Nyquist edge) has no partner,
-    # so target bin j pairs with the reversed surface's bin j - 1
-    flipped = suv.values[::-1, :0:-1]
-    return _dual_path_report("sym-mirror", flipped, target[:, 1:], target, tol, {})
+    svu = _ambiguity_blocks([(v, u)], n_doppler, cyclic=False, whole=False)
+    suv = _ambiguity_blocks([(u, v)], n_doppler, False, False, rows=slice(None, None, -1))
+    centre = svu.tau_axis.size // 2
+
+    def triples() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        for start, (target, reflected) in _row_runs(svu, suv):
+            _tau_nu_phase(target, np.arange(start, start + len(target)) - centre, -1, conj=True)
+            # Doppler bin 0 (-Nyquist edge) has no partner, so target bin j
+            # pairs with the reflected rows' bin N - j
+            yield reflected[:, :0:-1], target[:, 1:], target
+
+    return _dual_path_report("sym-mirror", triples(), tol, {})
 
 
-def _shear_resample(s: AmbiguitySurface, u: SampledSignal, rate: float) -> tuple[np.ndarray, bool]:
-    """Values of s, a surface of signals on u's grid, at (tau, nu - rate*tau)
-    times exp(-i pi rate tau^2).
+def _shear_resample(
+    tau_axis: np.ndarray, nu_axis: np.ndarray, u: SampledSignal, rate: float
+) -> tuple[Callable[[int, np.ndarray], np.ndarray], bool]:
+    """(resample, aligned) for a surface of signals on u's grid with the
+    given axes: resample(start, rows), rows start, start + 1, ... of it,
+    gives their values at (tau, nu - rate*tau) times exp(-i pi rate tau^2)
+    as a new array; aligned, decided on all rows, says whether every row
+    rolls by whole bins.
 
     The discrete surface is periodic in Doppler up to the window phase:
     chi(tau, nu + 1/dt) = exp(i 2 pi t0/dt) chi(tau, nu), exactly periodic
@@ -230,47 +228,54 @@ def _shear_resample(s: AmbiguitySurface, u: SampledSignal, rate: float) -> tuple
     fractional shifts are still exact, because once the window-start phase
     splits off, each row is a trigonometric polynomial whose coefficients
     occupy Fourier bins 0 .. n-1, so an off-grid translate is a bin-wise
-    phase rotation.
+    phase rotation.  Every step works along a row.
     """
-    n_d = s.n_doppler
+    n_d = nu_axis.size
     # Doppler bins per lag step, rate dt / d_nu with d_nu = 1 / (n_d dt):
-    # from the exact grid, not s.d_nu, a difference of two axis values whose
-    # rounding long rolls would carry past the alignment snap
+    # from the exact grid, not the axis step, a difference of two axis
+    # values whose rounding long rolls would carry past the alignment snap
     shift_per_lag = rate * n_d * u.dt * u.dt
-    lags = np.round(s.tau_axis / u.dt).astype(np.int64)
+    lags = np.round(tau_axis / u.dt).astype(np.int64)
     # every row's shift must be whole, not just the per-lag step: a step
     # within the snap of an integer can still drift by n times the snap
     shifts = lags * shift_per_lag
     aligned = bool(np.all(np.abs(shifts - np.round(shifts)) <= _SNAP))
-    if aligned:
-        # np.roll of row i by its whole shift d = q n_d + r, 0 <= r < n_d, as
-        # two slice copies.  Cell j reads bin j - d, which the roll wraps
-        # w = floor((j - d) / n_d) times: -q on the run [r:], -q - 1 on [:r].
-        # A wrap takes exp(i 2 pi f), f the fraction of t0/dt (the whole part
-        # gives whole turns)
-        turn = 1j * 2.0 * math.pi * _window_shift(u)[1]
-        out = np.empty_like(s.values)
-        for row, dst, d in zip(s.values, out, np.round(shifts).astype(np.int64).tolist()):
-            q, r = divmod(d, n_d)
-            dst[r:] = row[: n_d - r]
-            dst[:r] = row[n_d - r :]
-            if turn:
-                dst[r:] *= np.exp(turn * -q)
-                dst[:r] *= np.exp(turn * (-q - 1))
-    else:
-        # s and at most two surface-sized arrays are alive at any step
-        phase_in = np.exp(-1j * 2.0 * math.pi * u.t0 * s.nu_axis)[None, :]
-        out = np.fft.fft(s.values * phase_in, axis=1)
-        phase = -1j * 2.0 * math.pi * shifts[:, None] * np.arange(n_d)[None, :]
-        np.divide(phase, n_d, out=phase)
-        out *= np.exp(phase, out=phase)
-        np.fft.ifft(out, axis=1, out=out)
-        # the window phase exp(i 2 pi t0 (nu - rate tau)) is a Doppler row
-        # times a lag column
-        out *= np.exp(1j * 2.0 * math.pi * u.t0 * s.nu_axis)
-        out *= np.exp(-1j * 2.0 * math.pi * u.t0 * rate * s.tau_axis)[:, None]
-    out *= np.exp(-1j * math.pi * rate * s.tau_axis**2)[:, None]
-    return out, aligned
+    # a wrap takes exp(i 2 pi f), f the fraction of t0/dt (the whole part
+    # gives whole turns)
+    turn = 1j * 2.0 * math.pi * _window_shift(u)[1] if aligned else 0.0
+
+    def resample(start: int, values: np.ndarray) -> np.ndarray:
+        rows = slice(start, start + len(values))
+        tau = tau_axis[rows]
+        if aligned:
+            # np.roll of row i by its whole shift d = q n_d + r, 0 <= r < n_d,
+            # as two slice copies.  Cell j reads bin j - d, which the roll
+            # wraps w = floor((j - d) / n_d) times: -q on the run [r:], -q - 1
+            # on [:r]
+            out = np.empty_like(values)
+            for row, dst, d in zip(values, out, np.round(shifts[rows]).astype(np.int64).tolist()):
+                q, r = divmod(d, n_d)
+                dst[r:] = row[: n_d - r]
+                dst[:r] = row[n_d - r :]
+                if turn:
+                    dst[r:] *= np.exp(turn * -q)
+                    dst[:r] *= np.exp(turn * (-q - 1))
+        else:
+            # the rows and at most two arrays of their size are alive
+            phase_in = np.exp(-1j * 2.0 * math.pi * u.t0 * nu_axis)[None, :]
+            out = np.fft.fft(values * phase_in, axis=1)
+            phase = -1j * 2.0 * math.pi * shifts[rows, None] * np.arange(n_d)[None, :]
+            np.divide(phase, n_d, out=phase)
+            out *= np.exp(phase, out=phase)
+            np.fft.ifft(out, axis=1, out=out)
+            # the window phase exp(i 2 pi t0 (nu - rate tau)) is a Doppler
+            # row times a lag column
+            out *= np.exp(1j * 2.0 * math.pi * u.t0 * nu_axis)
+            out *= np.exp(-1j * 2.0 * math.pi * u.t0 * rate * tau)[:, None]
+        out *= np.exp(-1j * math.pi * rate * tau**2)[:, None]
+        return out
+
+    return resample, aligned
 
 
 def verify_lfm_shear(
@@ -289,12 +294,11 @@ def verify_lfm_shear(
         v = u
     chirped = chirp_multiply(u, rate), chirp_multiply(v, rate)
     u.require_compatible(v)
-    # the unsheared surface is dropped as soon as it is resampled
-    path_b, aligned = _shear_resample(cross_ambiguity(u, v, n_doppler=n_doppler), u, rate)
-    path_a = cross_ambiguity(*chirped, n_doppler=n_doppler)
-    return _dual_path_report(
-        "sym-lfm", path_a.values, path_b, None, tol, {"rate": rate, "aligned": aligned}
-    )
+    base = _ambiguity_blocks([(u, v)], n_doppler, cyclic=False, whole=False)
+    resample, aligned = _shear_resample(base.tau_axis, base.nu_axis, u, rate)
+    path_a = _ambiguity_blocks([chirped], n_doppler, cyclic=False, whole=False)
+    triples = ((a, resample(start, b), None) for start, (a, b) in _row_runs(path_a, base))
+    return _dual_path_report("sym-lfm", triples, tol, {"rate": rate, "aligned": aligned})
 
 
 def _dilation_factor(b: float, n: int) -> tuple[int, bool]:
@@ -343,8 +347,8 @@ def verify_dilation(
 
     Every target point is a grid point of the parent: its lag row k i and
     its central n_doppler bins.  So the parent is built on every k-th lag
-    only, 2K + 1 rows for K = (n-1)//k, and route (a) keeps the same lags,
-    rows n-1-K .. n-1+K.  The parent is dropped before route (a) is built.
+    only, 2K + 1 rows for K = (n-1)//k, and route (a) on the same lags,
+    rows n-1-K .. n-1+K, and the two stream side by side.
     """
     if v is None:
         v = u
@@ -356,15 +360,15 @@ def verify_dilation(
         fine, coarse, scale, route = (du, dv), (u, v), 1.0 / b, "reciprocal-parent"
     else:
         fine, coarse, scale, route = (u, v), (du, dv), b, "exact-parent"
-    parent = _surface([fine], k * n_doppler, step=k)
-    col0 = (k * n_doppler) // 2 - n_doppler // 2
-    path_b = np.divide(parent.values[:, col0 : col0 + n_doppler], scale)
-    del parent
-    half = (u.n - 1) // k
-    path_a = cross_ambiguity(*coarse, n_doppler=n_doppler).values[u.n - 1 - half : u.n + half]
-    return _dual_path_report(
-        "sym-dilate", path_a, path_b, None, tol, {"b": b, "route": route},
+    n, half, col0 = u.n, (u.n - 1) // k, (k - 1) * n_doppler // 2
+    parent = _ambiguity_blocks([fine], k * n_doppler, False, False, slice((n - 1) % k, None, k))
+    path_a = _ambiguity_blocks([coarse], n_doppler, False, False, slice(n - 1 - half, n + half))
+    central = slice(col0, col0 + n_doppler)
+    triples = (
+        (a, np.divide(p[:, central], scale, out=p[:, central]), None)
+        for _, (a, p) in _row_runs(path_a, parent)
     )
+    return _dual_path_report("sym-dilate", triples, tol, {"b": b, "route": route})
 
 
 def verify_mimo_symmetry(

@@ -245,20 +245,44 @@ def test_strided_surface_is_every_kth_row(n, cyclic, n_pairs, shift, rows, monke
     c = n // 2 if cyclic else n - 1
     for k in (1, 2, 3, n - 1):
         want = slice(c % k, None, k)
+        blocks = ambiguity._ambiguity_blocks(pairs, N, cyclic, whole=True, rows=want)
         if full.tau_axis[want].size > 1:
-            s = _surface(pairs, N, cyclic, step=k)
+            s = ambiguity._whole(blocks)
             values, tau = s.values, s.tau_axis
         else:
             # cyclic lags stop short of n - 1, so that stride leaves lag 0
             # alone: one row, which the blocks hold but no surface can
             with pytest.raises(InvalidParameterError):
-                _surface(pairs, N, cyclic, step=k)
-            blocks = ambiguity._ambiguity_blocks(pairs, N, cyclic, whole=True, step=k)
-            for _ in blocks:
-                pass
+                ambiguity._whole(blocks)
             values, tau = blocks.values, blocks.tau_axis
         assert values.tobytes() == full.values[want].tobytes(), k
         assert tau.tobytes() == full.tau_axis[want].tobytes(), k
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+@pytest.mark.parametrize("n_pairs", [1, 2])
+@pytest.mark.parametrize(
+    "rows", [slice(1, None, 3), slice(5, 12), slice(None, None, -1), slice(12, 2, -2)],
+    ids=["stepped", "range", "reversed", "reversed-stepped"],
+)
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_sliced_rows_are_the_whole_surface_rows(cyclic, n_pairs, rows, block_rows, monkeypatch):
+    # a row slice of the lag windows streams the rows it picks, in its own
+    # order, each with the bits of the same row of the whole surface
+    n, N = 16, 38
+    if block_rows is not None:
+        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", block_rows * 16 * N)
+    rng = np.random.default_rng(n_pairs)
+    sigs = [
+        SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1 / 64, -7.4 / 64)
+        for _ in range(2 * n_pairs)
+    ]
+    pairs = list(zip(sigs[::2], sigs[1::2]))
+    full = _surface(pairs, N, cyclic)
+    loop = ambiguity._ambiguity_blocks(pairs, N, cyclic, whole=False, rows=rows)
+    got = np.concatenate([block.copy() for _, block in loop])
+    assert got.tobytes() == full.values[rows].tobytes()
+    assert loop.tau_axis.tobytes() == full.tau_axis[rows].tobytes()
 
 
 # ------------------------------------------------------------ surface shape

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from mimoaf import (
     CANONICAL_SIGMA,
-    AmbiguitySurface,
     CheckReport,
     GridAlignmentError,
     GridMismatchError,
@@ -32,6 +31,7 @@ from mimoaf import (
     moyal_inner_product,
     random_probe_set,
     recover_scalar,
+    spatial_integral,
     surface_quadrature_inner,
     trace_psd_check,
     trace_reduction_check,
@@ -288,10 +288,14 @@ def test_dual_gram_matches_the_group_law_loop(seed):
     # surface read through the float group product z = x_j^{-1} x_i
     base = gen_gaussian(CANONICAL_SIGMA, DT_G, 4.0)
     waves = [base, chirp_multiply(base, 2.0)]
-    surface = properties.spatial_integral(waves, 1.0, 1024)
+    # the streamed rows have the bits of the whole trace surface's rows
+    surface = spatial_integral(waves, 1.0, 1024)
     probes = random_probe_set(base, 6, seed, 1024)
-    G_a, G_b = properties._dual_gram(waves, surface, probes)
+    G_a, G_b = properties._dual_gram(waves, 1024, probes)
     pts = probes.points
+    roots = properties._unit_roots(1024)
+    k = [surface.lag_index(p.tau) - 511 for p in pts]
+    l = [surface.doppler_index(p.nu) - 512 for p in pts]
     for j, xj in enumerate(pts):
         for i, xi in enumerate(pts):
             total = 0j
@@ -299,8 +303,13 @@ def test_dual_gram_matches_the_group_law_loop(seed):
                 total += inner_product(heisenberg_shift(w, xj), heisenberg_shift(w, xi))
             assert G_a[i, j] == total  # the same products and sums
             z = xj.inverse().compose(xi)
-            ref = cmath.exp(-2j * math.pi * z.x3) * surface.value_at(z.tau, -z.nu)
+            value = surface.value_at(z.tau, -z.nu)
+            ref = cmath.exp(-2j * math.pi * z.x3) * value
             assert abs(G_b[i, j] - ref) <= 1e-14 * 2.0  # the summed energy
+            # with the phase from the root table, to the bit: an array
+            # multiply, as route (b)'s, which numpy rounds apart from a scalar
+            root = roots[[k[j] * (l[i] - l[j]) % 1024]]
+            assert G_b[i, j] == (root * np.array([value]))[0]
 
 
 def _psd_pair():
@@ -326,16 +335,16 @@ def test_psd_route_b_needs_the_group_phase(monkeypatch):
 
 def test_psd_route_b_needs_the_doppler_sign(monkeypatch):
     # reading the surface at nu_i - nu_j instead of nu_j - nu_i is the same
-    # as reading the Doppler-mirrored surface, bin j -> N - j
-    def mirrored(build):
-        def wrapped(*args, **kwargs):
-            s = build(*args, **kwargs)
-            flipped = np.roll(s.values[:, ::-1], 1, axis=1)
-            return AmbiguitySurface(flipped, s.tau_axis, s.nu_axis)
-        return wrapped
+    # as reading the Doppler-mirrored surface, bin j -> N - j, here of each
+    # streamed block
+    blocks = ambiguity._SurfaceBlocks.__iter__
 
-    monkeypatch.setattr(properties, "cross_ambiguity", mirrored(cross_ambiguity))
-    monkeypatch.setattr(properties, "spatial_integral", mirrored(properties.spatial_integral))
+    def mirrored(self):
+        for start, block in blocks(self):
+            block[:] = np.roll(block[:, ::-1], 1, axis=1)
+            yield start, block
+
+    monkeypatch.setattr(ambiguity._SurfaceBlocks, "__iter__", mirrored)
     for rep in _psd_pair():
         assert not rep.passed
         assert rep.rel_err > 1e-3
@@ -652,8 +661,7 @@ def test_whole_surfaces_integrate_by_the_streamed_rule(family):
 # ------------------------------------------------------- streamed block size
 
 def _streamed_checks(g, sub):
-    """Every check that streams its surfaces, on 512 Doppler bins: one block
-    holds the whole 511-lag surface at the default block size."""
+    """Every check that streams its surfaces, on 512 Doppler bins."""
     basis = mixture_basis(g)
     rng = np.random.default_rng(3)
     mix = [random_mixture(basis, rng) for _ in range(6)]
@@ -671,23 +679,33 @@ def _streamed_checks(g, sub):
         "collinearity": lambda: collinearity_check(g, g.replace_samples(3j * g.samples), 512),
         "collinearity-self": lambda: collinearity_check(g, g, 512),
         "trace-reduction": lambda: trace_reduction_check(phased, 1.0, 512),
+        "psd": lambda: gram_psd_check(g, random_probe_set(g, 8, 0, 512), 512),
+        "trace-psd": lambda: trace_psd_check(sub, random_probe_set(sub[0], 8, 0, 512), 1.0, 512),
+        "sym-mirror": lambda: verify_mirror(g, mix[5], 512),
+        "sym-lfm": lambda: verify_lfm_shear(g, rate=1 / (512 * g.dt * g.dt), n_doppler=512),
+        "sym-lfm-off-grid": lambda: verify_lfm_shear(g, rate=2.5, n_doppler=512),
+        "sym-dilate": lambda: verify_dilation(g, b=2.0, n_doppler=512),
+        "sym-dilate-reciprocal": lambda: verify_dilation(g, b=0.5, n_doppler=512),
     }
 
 
 def _report_bits(rep):
     # 17 significant digits round-trip a double, so equal lines are equal bits
-    info = {k: float(rep.info[k]).hex() for k in ("af_distance", "sum_gap", "gap")
-            if k in rep.info}
+    info = {k: float(rep.info[k]).hex() for k in
+            ("af_distance", "sum_gap", "gap", "path_gap", "coverage") if k in rep.info}
     return rep.format_line(), rep.lhs, rep.rhs, rep.abs_err, rep.rel_err, rep.passed, info
 
 
-@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("rows", [1, 7, None])
 def test_streamed_checks_do_not_depend_on_block_size(rows, gauss256, subcarriers2, monkeypatch):
     # each row is summed on its own and the rows' total rounded once by
-    # math.fsum, and a maximum has no order: blocks of 1 or 7 lag rows give
-    # the bits of one 511-row block
+    # math.fsum, a maximum has no order, and a Gram entry is one cell:
+    # blocks of 1 or 7 lag rows, or of the default size, give the bits of
+    # one block that holds every surface whole
     checks = _streamed_checks(gauss256, subcarriers2)
+    default = ambiguity._BLOCK_BYTES
+    monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", 2**30)
     want = {name: _report_bits(check()) for name, check in checks.items()}
-    monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", rows * 16 * 512)
+    monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", default if rows is None else rows * 16 * 512)
     got = {name: _report_bits(check()) for name, check in checks.items()}
     assert got == want

@@ -92,7 +92,8 @@ def test_tau_nu_phase_is_the_exact_root_of_unity(n, n_doppler, cyclic, sign):
     u = SampledSignal(np.ones(n, dtype=np.complex128), 0.37 / n, -0.1)
     s = cross_ambiguity(u, n_doppler=n_doppler, cyclic=cyclic)
     L, N = s.values.shape
-    phase = symmetry._tau_nu_phase(np.ones((L, N), dtype=np.complex128), sign)
+    phase = np.ones((L, N), dtype=np.complex128)
+    symmetry._tau_nu_phase(phase, np.arange(L) - L // 2, sign)
     rng = np.random.default_rng(5)
     cells = [(0, 0), (0, N - 1), (L - 1, 0), (L - 1, N - 1), (L // 2, N // 2)]
     cells += [tuple(c) for c in rng.integers(0, (L, N), size=(200, 2))]
@@ -179,7 +180,8 @@ def test_aligned_shear_gather_equals_row_rolls(gauss256, n_doppler, bins_per_lag
     s = cross_ambiguity(gauss256, n_doppler=n_doppler)
     dt = gauss256.dt
     rate = bins_per_lag / (n_doppler * dt * dt)
-    out, aligned = symmetry._shear_resample(s, gauss256, rate)
+    resample, aligned = symmetry._shear_resample(s.tau_axis, s.nu_axis, gauss256, rate)
+    out = resample(0, s.values)
     assert aligned
     lags = np.round(s.tau_axis / dt).astype(np.int64)
     rolled = np.array([np.roll(row, k * bins_per_lag) for k, row in zip(lags, s.values)])
@@ -269,9 +271,7 @@ def test_dilation_off_grid_factor_is_refused(wide_gauss):
 
 def test_reciprocal_dilation_streams_its_parent():
     # the 8-fold parent is built on every 8th lag only (63 x 8192, 7.9 MiB,
-    # not 511 x 8192) and dropped once route (b)'s 63 rows (1 MiB) are cut
-    # from it; alive at the peak are route (a)'s surface (8 MiB), those 63
-    # rows and one block of route (a)'s lag products (1 MiB)
+    # not 511 x 8192) and streams beside route (a) a block at a time
     u = gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0)
     rep, peak = traced_peak(verify_dilation, u, b=1 / 8, n_doppler=1024)
     assert rep.info["route"] == "reciprocal-parent"
@@ -280,10 +280,10 @@ def test_reciprocal_dilation_streams_its_parent():
 
 def test_dilation_parent_is_built_on_every_kth_lag(surface_builds):
     # route (b) reads every 8th lag row of the parent, so only those rows are
-    # built: one 63 x 8192 parent, then route (a)'s 511 x 1024 surface
+    # built: one 63 x 8192 parent, and route (a) on the same 63 lags
     u = gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0)
     verify_dilation(u, b=1 / 8, n_doppler=1024)
-    assert surface_builds == [(63, 8192), (511, 1024)]
+    assert surface_builds == [(63, 8192), (63, 1024)]
 
 
 def test_extreme_dilation_holds_three_surfaces():

@@ -211,6 +211,9 @@ _MALFORMED = {
     "comment-extra": _HEADER + "\n".join(_ROWS[:1] + ["# note"] + _ROWS[1:]) + "\n",
     "not-utf8-header": _HEADER.replace("n_nu=2", "n_nu=\xff2") + "\n".join(_ROWS) + "\n",
     "not-utf8-row": _HEADER + "\n".join(_ROWS[:3] + ["0,0,7\xff,8"]) + "\n",
+    "swapped-rows": _HEADER + "\n".join([_ROWS[1], _ROWS[0], *_ROWS[2:]]) + "\n",
+    "off-grid-tau": _HEADER + "\n".join(_ROWS[:3] + ["0.5,0,7,8"]) + "\n",
+    "off-grid-nu": _HEADER + "\n".join(_ROWS[:3] + ["0,-99,7,8"]) + "\n",
 }
 
 
