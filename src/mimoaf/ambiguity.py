@@ -16,6 +16,12 @@ values.  The tests check them against a brute-force twin computed as a
 dense matrix product against the explicit Doppler kernel
 exp(i 2 pi nu t_n), which shares nothing past the product array.
 
+On the linear grid a lag row where no nonzero samples of the two signals
+overlap is exactly zero, and the loop writes it as +0 without gathering
+or transforming it (:func:`_live_rows`): a radar pulse padded with zeros
+to its window has about half its rows so.  A cell with no overlapping
+samples is +0 on every surface, whatever the FFT would leave there.
+
 A MIMO array is its waveforms: element m transmits u_m, so the element
 count M is len(waveforms), and every MIMO function takes the list and
 gamma, the element spacing in carrier wavelengths.  Element m is steered
@@ -25,6 +31,7 @@ over fs run over [0, 1), exactly for integer gamma.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -149,7 +156,11 @@ def _lag_rows(
     """The lags the slice rows picks from the full list, and a gather of the
     rows P[i, n] = u[n] * conj(v[n + lag_i]): gather(start, out) fills out
     with rows start .. start + len(out) - 1 of the pick.  The rows are one
-    slice of the windows below, so a pick copies nothing."""
+    slice of the windows below, so a pick copies nothing.
+
+    A cell with no overlapping samples, past a signal's end on the linear
+    grid, is +0.  The block loop extends that to whole rows: it gathers
+    only the live rows (:func:`_live_rows`) and writes the others as +0."""
     n = u.n
     us = u.samples
     cv = np.conj(v.samples)
@@ -183,8 +194,10 @@ def _doppler_axis(n_doppler: int, dt: float) -> np.ndarray:
     return np.fft.fftshift(np.fft.fftfreq(n_doppler, d=dt))
 
 
+@functools.cache
 def _unit_roots(n: int) -> np.ndarray:
     """exp(i 2 pi m / n) for m = 0 .. n-1, each from an angle of at most pi/4.
+    One read-only table per n, built once and shared by every caller.
 
     The one source of the grid phase exp(+-i 2 pi tau nu): on every surface
     :func:`cross_ambiguity` builds, linear or cyclic, lag k and Doppler bin
@@ -203,7 +216,7 @@ def _unit_roots(n: int) -> np.ndarray:
     out = np.empty(n, dtype=np.complex128)
     out.real = np.choose(q, (re, -im, -re, im))
     out.imag = np.choose(q, (im, re, -im, -re))
-    return out
+    return _freeze(out)
 
 
 def _check_bins(name: str, count: int | None, n: int, default: int) -> int:
@@ -264,6 +277,14 @@ class _SurfaceBlocks:
     block holds only until the next.  :func:`_ambiguity_blocks` and
     :func:`_wigner_blocks` work out the gathers and the geometry.
 
+    Only the live rows live[0] .. live[1]-1 are gathered, placed and
+    transformed; every other row of a block is written as +0, the value of
+    a row whose products are all zero.  A row's bits do not depend on its
+    neighbours, so the live rows are those of a loop that transforms every
+    row, and the dead ones are +0 where the FFT of signed zeros could leave
+    -0 (how often depends on how pocketfft factors N).  Cyclic surfaces and
+    the Wigner distribution pass every row as live.
+
     Construction checks the axes as :class:`AmbiguitySurface` does, then
     allocates the buffers, so bad axes or an allocation too large fail
     before anything is computed or written.  Iterating yields (first row,
@@ -293,10 +314,12 @@ class _SurfaceBlocks:
         window: tuple[int, float],
         weight: float,
         whole: bool,
+        live: tuple[int, int],
     ) -> None:
         _require_ascending(tau_axis if tau_axis[0] <= tau_axis[-1] else tau_axis[::-1], nu_axis)
         shift, frac = window
         self._gathers = gathers
+        self._live = live
         self.tau_axis = tau_axis
         self.nu_axis = nu_axis
         self.n_doppler = N = nu_axis.size
@@ -328,22 +351,50 @@ class _SurfaceBlocks:
         first, *rest = self._gathers
         for start in range(0, n_lag, self._rows):
             stop = min(start + self._rows, n_lag)
-            P = self._products[: stop - start]
-            first(start, P)
-            for gather in rest:
-                more = self._scratch[: stop - start]
-                gather(start, more)
-                P += more
             block = self.values[start:stop] if self._whole else self.values[: stop - start]
-            src, dst = P.view(np.float64), block.view(np.float64)
-            for p, c in self._runs:
-                np.multiply(src[:, p], self._weights[p], out=dst[:, c])
-            for gap in self._gaps:
-                block[:, gap] = 0
-            np.fft.ifft(block, axis=1, out=block, norm="forward")
-            if self._residual is not None:
-                block *= self._residual
+            # the block's live rows are lo .. hi-1 of it; the rest are +0
+            lo, hi = (min(max(r - start, 0), stop - start) for r in self._live)
+            block[:lo] = 0
+            block[hi:] = 0
+            if lo < hi:
+                live = block[lo:hi]
+                P = self._products[: hi - lo]
+                first(start + lo, P)
+                for gather in rest:
+                    more = self._scratch[: hi - lo]
+                    gather(start + lo, more)
+                    P += more
+                src, dst = P.view(np.float64), live.view(np.float64)
+                for p, c in self._runs:
+                    np.multiply(src[:, p], self._weights[p], out=dst[:, c])
+                for gap in self._gaps:
+                    live[:, gap] = 0
+                np.fft.ifft(live, axis=1, out=live, norm="forward")
+                if self._residual is not None:
+                    live *= self._residual
             yield start, block
+
+
+def _live_rows(
+    pairs: list[tuple[SampledSignal, SampledSignal]], lags: np.ndarray
+) -> tuple[int, int]:
+    """The rows r0 .. r1-1 of the linear lags (those of a pick, in its
+    order) from the first to the last where some pair's nonzero samples
+    overlap; (0, 0) if there is none.
+
+    With the nonzero samples of u in [a_u, b_u] and of v in [a_v, b_v],
+    lag k can hold a nonzero product u[n] conj(v[n + k]) only when
+    a_v - b_u <= k <= b_v - a_u; a sum of pairs takes the hull of its
+    pairs' ranges.  The lags of any pick are monotone, so the rows in that
+    range are one contiguous run.
+    """
+    low, high = math.inf, -math.inf
+    for u, v in pairs:
+        su, sv = np.flatnonzero(u.samples), np.flatnonzero(v.samples)
+        if su.size and sv.size:
+            low, high = min(low, sv[0] - su[-1]), max(high, sv[-1] - su[0])
+    live = np.flatnonzero((lags >= low) & (lags <= high))
+    return (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
 
 
 def _ambiguity_blocks(
@@ -372,9 +423,10 @@ def _ambiguity_blocks(
     n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
     window = _window_shift(u)
     lag_rows = [_lag_rows(a, b, cyclic, rows) for a, b in pairs]
+    lags = lag_rows[0][0]
     blocks = _SurfaceBlocks(
-        [gather for _, gather in lag_rows], u.n, lag_rows[0][0] * u.dt,
-        _doppler_axis(n_doppler, u.dt), window, u.dt, whole,
+        [gather for _, gather in lag_rows], u.n, lags * u.dt, _doppler_axis(n_doppler, u.dt),
+        window, u.dt, whole, (0, lags.size) if cyclic else _live_rows(pairs, lags),
     )
     _require_finite_energy(w for pair in pairs for w in pair)
     return blocks
@@ -462,7 +514,9 @@ def cross_ambiguity(
     The surface is allocated once and filled in blocks of lag rows, each
     block's lag products transformed straight into its rows (see
     :class:`_SurfaceBlocks`).  Besides the surface, only the lag products
-    of one block are alive, never all (2n-1) x n of them.
+    of one block are alive, never all (2n-1) x n of them.  On the linear
+    grid only the lags where the nonzero samples of u and v overlap are
+    transformed; every other row is +0 (see :func:`_live_rows`).
 
     Args:
         u, v: signals on a common grid.
@@ -507,7 +561,8 @@ def _wigner_blocks(
         np.multiply(us[rows], cv[rows], out=out, where=inside[::-1][rows] & inside[rows])
 
     blocks = _SurfaceBlocks(
-        [gather], n, u.times, _doppler_axis(n_freq, 2.0 * u.dt), (-h, 0.0), 2.0 * u.dt, whole
+        [gather], n, u.times, _doppler_axis(n_freq, 2.0 * u.dt), (-h, 0.0), 2.0 * u.dt, whole,
+        (0, n),
     )
     _require_finite_energy([u, v])
     return blocks

@@ -97,7 +97,9 @@ def _tau_nu_phase(values: np.ndarray, lags: np.ndarray, sign: int, conj: bool = 
     exp(sign i 2 pi tau nu), on a grid :func:`cross_ambiguity` built.
 
     Row i of values is lag lags[i], so the phase at Doppler bin j of N is
-    roots[sign lags[i] (j - N/2) mod N], read a few rows at a time.
+    roots[sign lags[i] (j - N/2) mod N], read a few rows at a time.  For a
+    power-of-two N the mod is a mask of the low bits, which is the same
+    index for negative products too (two's complement) and cheaper.
     """
     N = values.shape[1]
     roots = _unit_roots(N)
@@ -107,7 +109,11 @@ def _tau_nu_phase(values: np.ndarray, lags: np.ndarray, sign: int, conj: bool = 
     for start in range(0, len(values), rows):
         blk = slice(start, start + rows)
         idx = np.multiply.outer(k[blk], j)
-        phase = roots[np.remainder(idx, N, out=idx)]
+        if N & (N - 1):
+            np.remainder(idx, N, out=idx)
+        else:
+            np.bitwise_and(idx, N - 1, out=idx)
+        phase = roots[idx]
         if conj:
             np.conjugate(values[blk], out=values[blk])
         values[blk] *= phase

@@ -285,6 +285,91 @@ def test_sliced_rows_are_the_whole_surface_rows(cyclic, n_pairs, rows, block_row
     assert loop.tau_axis.tobytes() == full.tau_axis[rows].tobytes()
 
 
+def _overlap_lags(pairs, n):
+    """The hull of the lags k at which some pair has u[n] != 0 and
+    v[n + k] != 0, counted pair by pair and lag by lag; None if none."""
+    hit = [
+        k
+        for u, v in pairs
+        for k in range(-(n - 1), n)
+        if np.any((u.samples != 0)[max(0, -k) : n - max(0, k)]
+                  & (v.samples != 0)[max(0, k) : n + min(0, k)])
+    ]
+    return (min(hit), max(hit)) if hit else None
+
+
+@pytest.mark.parametrize("n,N,shift,supports,rows", [
+    # disjoint supports: lag 0 is dead, lags 11 .. 29 are live
+    (64, 256, -32.0, [(slice(0, 10), slice(20, 30))], slice(None)),
+    # an empty support: no row is live
+    (64, 256, -32.0, [(slice(0, 0), slice(None))], slice(None)),
+    # one-sample supports: one live row
+    (64, 256, -32.0, [(slice(5, 6), slice(40, 41))], slice(None)),
+    # odd n, and N = n
+    (63, 128, -31.0, [(slice(16, 48), slice(16, 48))], slice(None)),
+    (64, 64, -32.0, [(slice(16, 48), slice(10, 30))], slice(None)),
+    # a fractional t0/dt leaves its residual phase on the live rows alone
+    (64, 256, -23.68, [(slice(16, 48), slice(16, 48))], slice(None)),
+    # the hull of two pairs' lags, with all-zero rows between them
+    (64, 256, -32.0, [(slice(0, 4), slice(0, 4)), (slice(60, 64), slice(0, 4))], slice(None)),
+    # the reversed pick of sym-mirror and the strided pick of sym-dilate
+    (64, 256, -32.0, [(slice(16, 48), slice(20, 50))], slice(None, None, -1)),
+    (63, 130, -23.68, [(slice(16, 48), slice(20, 50)), (slice(0, 3), slice(30, 33))],
+     slice(1, None, 3)),
+], ids=["disjoint", "empty", "one-sample", "odd-n", "N-equals-n", "fractional", "hull",
+        "reversed", "strided"])
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_dead_lag_rows_are_plus_zero(n, N, shift, supports, rows, block_rows, monkeypatch):
+    # the block loop transforms only the lag rows where some pair's two
+    # signals overlap; every other row is +0, bit for bit, and the live rows
+    # are those of a surface that transforms every row
+    if block_rows is not None:
+        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", block_rows * 16 * N)
+    dt = 1 / 64
+    rng = np.random.default_rng(n + N)
+    for _ in range(8):
+        pairs = []
+        for su, sv in supports:
+            pair = []
+            for support in (su, sv):
+                x = np.zeros(n, dtype=np.complex128)
+                m = len(range(n)[support])
+                x[support] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                pair.append(SampledSignal(x, dt, shift * dt))
+            pairs.append(tuple(pair))
+        P, lags = lag_products(*pairs[0], False)
+        for u, v in pairs[1:]:
+            P = P + lag_products(u, v, False)[0]
+        expect = _one_ifft(P, N, pairs[0][0])[rows]
+        loop = ambiguity._ambiguity_blocks(pairs, N, False, whole=False, rows=rows)
+        got = np.concatenate([block.copy() for _, block in loop])
+        assert np.array_equal(got, expect)
+        hull = _overlap_lags(pairs, n)
+        live = np.zeros(lags.size, dtype=bool) if hull is None else (
+            (lags >= hull[0]) & (lags <= hull[1]))
+        live = live[rows]
+        assert got[live].tobytes() == expect[live].tobytes()
+        assert not got[~live].view(np.uint64).any()
+
+
+def test_rect_pulse_transforms_only_its_live_rows(rect256, monkeypatch):
+    # 128 of the rect pulse's 256 samples are nonzero, so only lags
+    # -127 .. 127 overlap: 255 of its 511 lag rows go through the FFT
+    transformed = []
+    ifft = np.fft.ifft
+
+    def counted(a, *args, **kwargs):
+        transformed.append(len(a))
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    s = cross_ambiguity(rect256)
+    assert s.values.shape == (511, 1024)
+    assert sum(transformed) == 255
+    dead = np.abs(np.arange(511) - 255) >= 128
+    assert not s.values[dead].view(np.uint64).any()
+
+
 # ------------------------------------------------------------ surface shape
 
 def test_surface_axes_uniform_and_increasing(gauss256):
@@ -668,16 +753,16 @@ def test_spatial_grid_conjugation_reverses(subcarriers2):
 def test_spatial_integral_m1_equals_self_af(gauss256):
     # one self pair is gathered with no scratch block and no add, so the
     # trace of one waveform is its self surface bit for bit, signed zeros
-    # included (the subcarrier's surface has -0.0 cells at 514 bins, where
-    # pocketfft's factor 257 leaves them; at 512 it has none)
+    # included (the Gaussian's surface has -0.0 cells at 1028 bins, and
+    # every sample of it is nonzero, so every row is live and transformed;
+    # at 1024 it has none)
     gamma = 1.0
     out = spatial_integral([gauss256], gamma)
     assert out.values.tobytes() == cross_ambiguity(gauss256).values.tobytes()
-    w = gen_subcarrier_set(4, 1.0, DT)[0]
-    expect = cross_ambiguity(w, n_doppler=514).values
+    expect = cross_ambiguity(gauss256, n_doppler=1028).values
     bits = expect.view(np.float64)
     assert np.any((bits == 0) & np.signbit(bits))
-    out = spatial_integral([w], gamma, n_doppler=514)
+    out = spatial_integral([gauss256], gamma, n_doppler=1028)
     assert out.values.tobytes() == expect.tobytes()
 
 
@@ -695,10 +780,11 @@ def test_spatial_integral_requires_integer_gamma(subcarriers2):
 def test_spatial_integral_bytes_match_out_of_place_sum(m):
     # the trace is one Doppler transform of P_0 + P_1 + ..., the self lag
     # products summed left to right from P_0 (not from 0.0, whose first add
-    # would turn -0.0 cells into +0.0), by the block loop's formula; 514
-    # bins leave -0.0 cells in the trace, which 512 would not
-    ws = gen_subcarrier_set(4, 1.0, DT)[:m]
-    n_doppler = 514
+    # would turn -0.0 cells into +0.0), by the block loop's formula; 1028
+    # bins leave -0.0 cells in the trace of these Gaussians, which 1024
+    # would not, and their samples are all nonzero, so every row is live
+    ws = [gen_gaussian(s, DT_G, 2.0) for s in (CANONICAL_SIGMA, 0.3, 0.4, 0.25)][:m]
+    n_doppler = 1028
     P = lag_products(ws[0], ws[0], False)[0]
     for w in ws[1:]:
         P = P + lag_products(w, w, False)[0]

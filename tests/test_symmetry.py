@@ -94,6 +94,9 @@ def test_tau_nu_phase_is_the_exact_root_of_unity(n, n_doppler, cyclic, sign):
     L, N = s.values.shape
     phase = np.ones((L, N), dtype=np.complex128)
     symmetry._tau_nu_phase(phase, np.arange(L) - L // 2, sign)
+    # one table per size, shared by every caller, so none may write to it
+    roots = symmetry._unit_roots(N)
+    assert roots is symmetry._unit_roots(N) and not roots.flags.writeable
     rng = np.random.default_rng(5)
     cells = [(0, 0), (0, N - 1), (L - 1, 0), (L - 1, N - 1), (L // 2, N // 2)]
     cells += [tuple(c) for c in rng.integers(0, (L, N), size=(200, 2))]
