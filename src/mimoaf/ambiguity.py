@@ -19,8 +19,9 @@ exp(i 2 pi nu t_n), which shares nothing past the product array.
 On the linear grid a lag row where no nonzero samples of the two signals
 overlap is exactly zero, and the loop writes it as +0 without gathering
 or transforming it (:func:`_live_rows`): a radar pulse padded with zeros
-to its window has about half its rows so.  A cell with no overlapping
-samples is +0 on every surface, whatever the FFT would leave there.
+to its window has about half its rows so, and of its Wigner time rows.  A
+cell with no overlapping samples is +0 on every surface, whatever the FFT
+would leave there, and the checks read only live rows (:func:`_row_runs`).
 
 A MIMO array is its waveforms: element m transmits u_m, so the element
 count M is len(waveforms), and every MIMO function takes the list and
@@ -150,6 +151,13 @@ class AmbiguitySurface:
 _BLOCK_BYTES = 2**19
 
 
+@functools.cache
+def _inside_windows(n: int) -> np.ndarray:
+    """Row i is True where a sample moved by lag i - (n-1) stays inside the
+    n samples: one read-only table per n, as :func:`_unit_roots`."""
+    return sliding_window_view(_freeze(np.pad(np.ones(n, dtype=bool), n - 1)), n)
+
+
 def _lag_rows(
     u: SampledSignal, v: SampledSignal, cyclic: bool, rows: slice = slice(None)
 ) -> tuple[np.ndarray, Callable[[int, np.ndarray], None]]:
@@ -163,11 +171,11 @@ def _lag_rows(
     only the live rows (:func:`_live_rows`) and writes the others as +0."""
     n = u.n
     us = u.samples
-    cv = np.conj(v.samples)
     if cyclic:
         if n % 2:
             raise InvalidParameterError("cyclic lags require an even sample count")
         h = n // 2
+        cv = np.conj(v.samples)
         # window i of conj(v), wrapped by n/2 before it and n/2 - 1 after, is
         # row i of n: conj(v) rolled by the lag i - n/2
         windows = sliding_window_view(np.concatenate([cv[h:], cv, cv[: h - 1]]), n)[rows]
@@ -179,8 +187,10 @@ def _lag_rows(
     # window i of conj(v), zero-padded by n-1 on each side, is row i at lag
     # i - (n-1); the mask leaves cells past the signal's ends at +0, where a
     # plain product would write u * 0 and so sometimes -0
-    windows = sliding_window_view(np.pad(cv, n - 1), n)[rows]
-    inside = sliding_window_view(np.pad(np.ones(n, dtype=bool), n - 1), n)[rows]
+    padded = np.zeros(3 * n - 2, dtype=np.complex128)
+    np.conjugate(v.samples, out=padded[n - 1 : 2 * n - 1])
+    windows = sliding_window_view(padded, n)[rows]
+    inside = _inside_windows(n)[rows]
 
     def gather(start: int, out: np.ndarray) -> None:
         picked = slice(start, start + len(out))
@@ -282,16 +292,18 @@ class _SurfaceBlocks:
     a row whose products are all zero.  A row's bits do not depend on its
     neighbours, so the live rows are those of a loop that transforms every
     row, and the dead ones are +0 where the FFT of signed zeros could leave
-    -0 (how often depends on how pocketfft factors N).  Cyclic surfaces and
-    the Wigner distribution pass every row as live.
+    -0 (how often depends on how pocketfft factors N).  Cyclic surfaces pass
+    every row as live.
 
     Construction checks the axes as :class:`AmbiguitySurface` does, then
     allocates the buffers, so bad axes or an allocation too large fail
-    before anything is computed or written.  Iterating yields (first row,
-    block) in row order; ``tau_axis`` labels the rows (delays, or the
-    times of a Wigner distribution), one per row, and ``nu_axis`` the
-    columns.  A reversed row slice (:func:`_lag_rows`) runs the delays
-    descending, which only a whole=False loop may do.
+    before anything is computed or written.  ``blocks(first, stop)`` yields
+    (first row, block) over rows first .. stop-1 in row order; iterating
+    covers every row, for a surface written or held, and a check runs only
+    its live hull (:func:`_row_runs`).  ``tau_axis`` labels the rows
+    (delays, or the times of a Wigner distribution), one per row, and
+    ``nu_axis`` the columns.  A reversed row slice (:func:`_lag_rows`) runs
+    the delays descending, which only a whole=False loop may do.
 
     With the window (s, f), column j of N and product m, the kernel
     weight exp(i 2 pi (j - N/2) (m + s + f) / N) is
@@ -347,19 +359,21 @@ class _SurfaceBlocks:
         self.values = np.empty((n_lag if whole else self._rows, N), dtype=np.complex128)
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        n_lag = self.tau_axis.size
-        first, *rest = self._gathers
-        for start in range(0, n_lag, self._rows):
-            stop = min(start + self._rows, n_lag)
-            block = self.values[start:stop] if self._whole else self.values[: stop - start]
+        return self.blocks(0, self.tau_axis.size)
+
+    def blocks(self, first: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+        head, *rest = self._gathers
+        for start in range(first, stop, self._rows):
+            end = min(start + self._rows, stop)
+            block = self.values[start:end] if self._whole else self.values[: end - start]
             # the block's live rows are lo .. hi-1 of it; the rest are +0
-            lo, hi = (min(max(r - start, 0), stop - start) for r in self._live)
+            lo, hi = (min(max(r - start, 0), end - start) for r in self._live)
             block[:lo] = 0
             block[hi:] = 0
             if lo < hi:
                 live = block[lo:hi]
                 P = self._products[: hi - lo]
-                first(start + lo, P)
+                head(start + lo, P)
                 for gather in rest:
                     more = self._scratch[: hi - lo]
                     gather(start + lo, more)
@@ -373,6 +387,12 @@ class _SurfaceBlocks:
                 if self._residual is not None:
                     live *= self._residual
             yield start, block
+
+
+def _support(u: SampledSignal) -> tuple[int, int] | None:
+    """The indices of u's first and last nonzero samples; None if none."""
+    nonzero = np.flatnonzero(u.samples)
+    return (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else None
 
 
 def _live_rows(
@@ -390,9 +410,9 @@ def _live_rows(
     """
     low, high = math.inf, -math.inf
     for u, v in pairs:
-        su, sv = np.flatnonzero(u.samples), np.flatnonzero(v.samples)
-        if su.size and sv.size:
-            low, high = min(low, sv[0] - su[-1]), max(high, sv[-1] - su[0])
+        su, sv = _support(u), _support(v)
+        if su and sv:
+            low, high = min(low, sv[0] - su[1]), max(high, sv[1] - su[0])
     live = np.flatnonzero((lags >= low) & (lags <= high))
     return (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
 
@@ -455,21 +475,32 @@ def _integral(blocks: _SurfaceBlocks | AmbiguitySurface, row_sums: Iterable[np.n
 
     numpy sums each row pairwise, on its own, and math.fsum rounds the total
     of the rows once, so the result does not depend on how many rows a
-    block holds."""
-    sums = np.concatenate(list(row_sums))
+    block holds.  No block at all (an empty hull) gives 0, as zeros do."""
+    sums = np.concatenate([np.zeros(0), *row_sums])
     tau, nu = blocks.tau_axis, blocks.nu_axis
     d_tau, d_nu = float(tau[1] - tau[0]), float(nu[1] - nu[0])
     return complex(_fsum(sums.real) * d_tau * d_nu, _fsum(sums.imag) * d_tau * d_nu)
+
+
+def _live_hull(loops: Iterable[_SurfaceBlocks]) -> tuple[int, int]:
+    """The hull of the loops' non-empty live runs, (0, 0) if all are empty:
+    a loop of an all-zero signal does not pull the hull to row 0."""
+    runs = [loop._live for loop in loops if loop._live[0] < loop._live[1]]
+    return (min(r[0] for r in runs), max(r[1] for r in runs)) if runs else (0, 0)
 
 
 def _row_runs(*loops: _SurfaceBlocks) -> Iterator[tuple[int, list[np.ndarray]]]:
     """(first row, the same rows of each loop's surface) for distinct loops
     of one row count, in runs that end where the first current block ends:
     a loop moves to its next block, which overwrites the last, only once a
-    run has used all of it."""
-    its = [iter(loop) for loop in loops]
-    heads = [next(it) for it in its]
-    row = 0
+    run has used all of it.  Only the rows of the loops' live hull run,
+    numbered as on the whole surface; inside it a row dead in one loop is
+    +0 there.  Every row outside is +0 in every loop and adds exactly 0 to
+    each reducer the checks use: a row sum, math.fsum, a maximum of |.|."""
+    first, end = _live_hull(loops)
+    its = [loop.blocks(first, end) for loop in loops]
+    heads = [next(it, None) for it in its]
+    row = first
     while heads[0] is not None:
         stop = min(start + len(block) for start, block in heads)
         yield row, [block[row - start : stop - start] for start, block in heads]
@@ -480,8 +511,8 @@ def _row_runs(*loops: _SurfaceBlocks) -> Iterator[tuple[int, list[np.ndarray]]]:
 
 def _energy(blocks: _SurfaceBlocks) -> float:
     """Quadrature of |values|^2 over the surface of a whole=False loop, one
-    block at a time: each block is squared in place."""
-    return _integral(blocks, (_squared_rows(block) for _, block in blocks)).real
+    block of its live run (:func:`_row_runs`) at a time, squared in place."""
+    return _integral(blocks, (_squared_rows(block) for _, (block,) in _row_runs(blocks))).real
 
 
 def _whole(blocks: _SurfaceBlocks) -> AmbiguitySurface:
@@ -535,7 +566,9 @@ def _wigner_blocks(
     at index q = h - m, h = (n-1)//2, among n; the cells past that diamond
     stay +0.  Bin l of N needs sum_m r(m) exp(-i 2 pi (l - N/2) m / N), that
     is sum_q P(q) exp(i 2 pi (l - N/2) (q - h) / N): the block loop's kernel
-    at the window (-h, 0) with weight 2 dt.
+    at the window (-h, 0) with weight 2 dt.  With the nonzero samples of u
+    in [a_u, b_u] and of v in [a_v, b_v], only rows a_u + a_v <= 2t <=
+    b_u + b_v can hold a nonzero product; the others are written as +0.
     """
     if v is None:
         v = u
@@ -560,9 +593,11 @@ def _wigner_blocks(
         out.fill(0)
         np.multiply(us[rows], cv[rows], out=out, where=inside[::-1][rows] & inside[rows])
 
+    su, sv = _support(u), _support(v)
+    live = ((su[0] + sv[0] + 1) // 2, (su[1] + sv[1]) // 2 + 1) if su and sv else (0, 0)
     blocks = _SurfaceBlocks(
         [gather], n, u.times, _doppler_axis(n_freq, 2.0 * u.dt), (-h, 0.0), 2.0 * u.dt, whole,
-        (0, n),
+        live,
     )
     _require_finite_energy([u, v])
     return blocks

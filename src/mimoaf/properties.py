@@ -24,10 +24,12 @@ uniqueness, collinearity and trace reduction) stream their surfaces
 through the block loop, several loops in lockstep when they pair them,
 and reduce each set of same-row blocks in place before the next: a sum
 along each row, the rows' total rounded once by math.fsum, or a maximum.
-The psd checks stream only the lag rows their probes' differences span
-and fill each Gram entry from the block that holds its row.  None of it
-depends on the block size.  So a check holds one block and one set of lag
-products per surface it streams, plus at most one scratch block: under
+They read only the hull of their loops' live lag rows (_row_runs), since
+a row where no pair's nonzero samples overlap is +0 and adds exactly 0.
+The psd checks stream the lag rows their probes' differences span, live
+or not, and fill each Gram entry from the block that holds its row.  No
+check depends on the block size, and each holds one block and one set of
+lag products per surface it streams, plus at most one scratch block: under
 2.5 MiB of arrays on the default grid, and the same at any surface size.
 The symmetry checks (symmetry.py) stream the same way, all but the
 rotation check.
@@ -240,12 +242,13 @@ def _conj_product_rows(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> np.
 def _max_gap(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
     """max |values - target| over the peak of |target|, from (values, target)
     blocks of one surface pair; each target block is overwritten.  The
-    blocks' maxima are taken by np.max, so a nan in any block is the gap."""
+    blocks' maxima are taken by np.max, so a nan in any block is the gap;
+    no block at all (an empty hull) is a gap of 0, as all-zero blocks are."""
     peaks, gaps = [], []
     for values, target in blocks:
         peaks.append(np.max(np.abs(target)))
         gaps.append(np.max(np.abs(np.subtract(values, target, out=target))))
-    return float(np.max(gaps)) / max(float(np.max(peaks)), _TINY)
+    return float(np.max(gaps, initial=0.0)) / max(float(np.max(peaks, initial=0.0)), _TINY)
 
 
 def check_norm_identity(

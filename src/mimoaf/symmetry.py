@@ -46,10 +46,12 @@ Memory: the mirror, shear and dilation checks hold no surface.  Each
 streams its two routes, each by its own gathers, side by side through the
 block loop and compares them a run of rows at a time, taking the
 difference in place over route (b)'s cells: a few blocks, under 3 MiB on
-the default grid and the same at any size.  The dilation parent, with k
-times the Doppler bins, and route (a) are built only on the lags route
-(b) reads, every k-th.  The rotation check holds its 1 MiB cyclic
-surfaces whole, at most three, because its relabel is a transpose.
+the default grid and the same at any size, over the hull of the two
+routes' live lag rows only (_row_runs): every row outside is +0 on both.
+The dilation parent, with k times the Doppler bins, and route (a) are
+built only on the lags route (b) reads, every k-th.  The rotation check
+holds its 1 MiB cyclic surfaces whole, at most three, because its relabel
+is a transpose, and reads every row.
 """
 
 from __future__ import annotations
@@ -129,14 +131,15 @@ def _dual_path_report(
     coverage of b within all of route (b), from (a, b, whole) blocks of the
     same rows: the compared cells of each route, and all of route (b)'s
     cells there, None where b is all of them.  b, whose last axis must be
-    contiguous, is overwritten with a - b once its squares are read."""
+    contiguous, is overwritten with a - b once its squares are read.  No
+    triple at all (an empty hull) reads as all-zero blocks do."""
     den, total, gap = [], [], []
     for a, b, whole in triples:
         den.append(_squared_rows(b.copy()))
         total.append(den[-1] if whole is None else _squared_rows(whole.copy()))
         gap.append(_squared_rows(np.subtract(a, b, out=b)))
     den_norm, total_norm, gap_norm = (
-        math.sqrt(_fsum(np.concatenate(rows))) for rows in (den, total, gap)
+        math.sqrt(_fsum(np.concatenate([np.zeros(0), *rows]))) for rows in (den, total, gap)
     )
     coverage = (den_norm / total_norm) ** 2 if total_norm > 0.0 else 0.0
     rel = gap_norm / max(den_norm, 1e-300)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -168,6 +169,9 @@ def test_lag_products_match_loop(n, cyclic):
     P_ref, lags_ref = _lag_products_loop(us, vs, cyclic)
     assert np.array_equal(lags, lags_ref)
     assert P.tobytes() == P_ref.tobytes()
+    # the linear mask is one shared read-only table per n
+    inside = ambiguity._inside_windows(n)
+    assert inside is ambiguity._inside_windows(n) and not inside.flags.writeable
     # the surface loop gathers blocks of rows into one reused buffer, which
     # holds the previous block's products (here NaN at first)
     for size in (1, 7, lags.size + 3):
@@ -352,9 +356,66 @@ def test_dead_lag_rows_are_plus_zero(n, N, shift, supports, rows, block_rows, mo
         assert not got[~live].view(np.uint64).any()
 
 
+def _overlap_times(u, v):
+    """The hull of the times t at which some u[t + m] != 0 and v[t - m] != 0,
+    counted time by time and m by m; None if none."""
+    n = u.n
+    hit = [
+        t
+        for t in range(n)
+        for m in range(-min(t, n - 1 - t), min(t, n - 1 - t) + 1)
+        if u.samples[t + m] != 0 and v.samples[t - m] != 0
+    ]
+    return (min(hit), max(hit)) if hit else None
+
+
+@pytest.mark.parametrize("n,N,supports", [
+    # disjoint supports: times 10 .. 19 are live
+    (64, 128, (slice(0, 10), slice(20, 30))),
+    # an empty support: no row is live
+    (64, 128, (slice(0, 0), slice(None))),
+    # one-sample supports: one live row, and none where the two indices
+    # differ in parity by one sample (2t = 5 + 40 has no whole t)
+    (64, 128, (slice(5, 6), slice(41, 42))),
+    (64, 128, (slice(5, 6), slice(40, 41))),
+    # odd n, and N = n
+    (63, 126, (slice(16, 48), slice(10, 40))),
+    (64, 64, (slice(16, 48), slice(10, 30))),
+], ids=["disjoint", "empty", "one-sample", "one-sample-no-row", "odd-n", "N-equals-n"])
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_dead_wigner_rows_are_plus_zero(n, N, supports, block_rows, monkeypatch):
+    # the Wigner distribution transforms only the times t with
+    # a_u + a_v <= 2t <= b_u + b_v; every other row is +0, bit for bit, and
+    # the live rows are those of a loop that transforms every row
+    if block_rows is not None:
+        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", block_rows * 16 * N)
+    dt = 1 / 64
+    rng = np.random.default_rng(n + N)
+    for _ in range(8):
+        u, v = [], []
+        for support, out in zip(supports, (u, v)):
+            x = np.zeros(n, dtype=np.complex128)
+            m = len(range(n)[support])
+            x[support] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            out.append(SampledSignal(x, dt, -32 * dt))
+        u, v = u[0], v[0]
+        P = np.empty((n, n), dtype=np.complex128)
+        ambiguity._wigner_blocks(u, v, N, whole=False)._gathers[0](0, P)
+        # the block loop's kernel: window (-h, 0), weight 2 dt
+        expect = _one_ifft(P, N, SimpleNamespace(dt=2 * dt, t0=-((n - 1) // 2) * 2 * dt))
+        got = ambiguity.wigner(u, v, n_freq=N).values
+        hull = _overlap_times(u, v)
+        live = np.zeros(n, dtype=bool)
+        if hull is not None:
+            live[hull[0] : hull[1] + 1] = True
+        assert got[live].tobytes() == expect[live].tobytes()
+        assert not got[~live].view(np.uint64).any()
+
+
 def test_rect_pulse_transforms_only_its_live_rows(rect256, monkeypatch):
     # 128 of the rect pulse's 256 samples are nonzero, so only lags
-    # -127 .. 127 overlap: 255 of its 511 lag rows go through the FFT
+    # -127 .. 127 overlap: 255 of its 511 lag rows go through the FFT; its
+    # Wigner distribution holds products only at times 64 .. 191, 128 rows
     transformed = []
     ifft = np.fft.ifft
 
@@ -368,6 +429,11 @@ def test_rect_pulse_transforms_only_its_live_rows(rect256, monkeypatch):
     assert sum(transformed) == 255
     dead = np.abs(np.arange(511) - 255) >= 128
     assert not s.values[dead].view(np.uint64).any()
+    transformed.clear()
+    w = wigner(rect256)
+    assert sum(transformed) == 128
+    dead = (np.arange(256) < 64) | (np.arange(256) > 191)
+    assert not w.values[dead].view(np.uint64).any() and w.values[~dead].any(axis=1).all()
 
 
 # ------------------------------------------------------------ surface shape
@@ -511,14 +577,23 @@ def _wigner_products(u, v):
 
 def _wigner_reference(u, v, n_freq):
     # the block loop's formula over every row at once: product q times
-    # 2 dt (-1)^(q-h) in column (q - h) mod n_freq, one unscaled inverse FFT
+    # 2 dt (-1)^(q-h) in column (q - h) mod n_freq, one unscaled inverse FFT.
+    # The rows before the first and after the last that hold a nonzero
+    # product are +0, as the block loop writes them, where the FFT of their
+    # signed zeros can leave -0
     P, h = _wigner_products(u, v)
     q = np.arange(P.shape[1])
     w = np.where((q - h) % 2, -2.0 * u.dt, 2.0 * u.dt)
     X = np.zeros((u.n, n_freq), dtype=np.complex128)
     X.real[:, (q - h) % n_freq] = P.real * w
     X.imag[:, (q - h) % n_freq] = P.imag * w
-    return np.fft.ifft(X, axis=1, norm="forward")
+    X = np.fft.ifft(X, axis=1, norm="forward")
+    held = np.flatnonzero(np.any(P != 0, axis=1))
+    dead = np.ones(u.n, dtype=bool)
+    if held.size:
+        dead[held[0] : held[-1] + 1] = False
+    X[dead] = 0
+    return X
 
 
 def _wigner_fftshift(u, v, n_freq):

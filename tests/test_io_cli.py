@@ -1503,6 +1503,21 @@ def test_verify_all_thread_count_independent():
     assert outs[0].count(" pass ") >= 4 * 14 and " fail " not in outs[0]
 
 
+def test_live_hull_moves_no_report_byte(monkeypatch, capsys):
+    # a +0 row adds exactly 0 to every reducer the checks use, so checks
+    # that run only their loops' live hull print the bytes of checks that
+    # run every row, on every family, seed and array size
+    def report(args):
+        assert cli.main(["verify", "--suite", "all", *args]) == 0
+        return capsys.readouterr().out
+
+    runs = [["--family", f, "--seed", seed, "--M", M]
+            for f in VERIFY_ALL_PINNED for seed in ("0", "3") for M in ("2", "3")]
+    hull = [report(args) for args in runs]
+    monkeypatch.setattr(ambiguity, "_live_hull", lambda loops: (0, loops[0].tau_axis.size))
+    assert [report(args) for args in runs] == hull
+
+
 # Surfaces each suite builds on one family.  A check builds only what its
 # routes read: trace-reduction decides its hypothesis on the waveforms (the
 # trace and chi(u0, u0) of the collinear set, none for the refused set), and

@@ -709,3 +709,41 @@ def test_streamed_checks_do_not_depend_on_block_size(rows, gauss256, subcarriers
     monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", default if rows is None else rows * 16 * 512)
     got = {name: _report_bits(check()) for name, check in checks.items()}
     assert got == want
+
+
+# Report lines of the streamed entry points on pairs that hold an all-zero
+# signal, where no loop has a live lag row or only one loop of a pairing
+# has: an empty hull runs no block, and must read as all-zero blocks did.
+EMPTY_HULL_LINES = {
+    "norm-zz": "norm pass 0 0 0 0 9.9999999999999995e-07",
+    "norm-uz": "norm pass 0 0 0 0 9.9999999999999995e-07",
+    "mimo-energy": "mimo-energy pass 1 1 0 0 1.0000000000000001e-05",
+    "moyal": "moyal pass 0 0 0 0 9.9999999999999995e-07",
+    "sym-mirror": "sym-mirror fail 0 0 0 1 1.0000000000000001e-09",
+    "sym-lfm": "sym-lfm fail 0 0 0 1 0.0001",
+    "sym-dilate": "sym-dilate fail 0 0 0 1 0.0001",
+}
+
+
+def test_empty_hull_reads_as_all_zero_blocks():
+    u = gen_rect(1.0, DT)
+    z = u.replace_samples(np.zeros(u.n, dtype=np.complex128))
+    reports = {
+        "norm-zz": check_norm_identity(z, z),
+        "norm-uz": check_norm_identity(u, z),
+        "mimo-energy": check_mimo_energy([u, z], 1.0),
+        "moyal": moyal_inner_product(u, z, u, u),
+        "sym-mirror": verify_mirror(u, z),
+        "sym-lfm": verify_lfm_shear(z),
+        "sym-dilate": verify_dilation(z),
+    }
+    assert {name: rep.format_line() for name, rep in reports.items()} == EMPTY_HULL_LINES
+    # a loop of an all-zero pair has no live row, and does not pull the
+    # hull of a pairing down to row 0
+    uz, uu = (ambiguity._ambiguity_blocks([pair], None, False, whole=False)
+              for pair in ((u, z), (u, u)))
+    assert ambiguity._live_hull([uz]) == (0, 0)
+    assert ambiguity._live_hull([uz, uu]) == ambiguity._live_hull([uu]) == (128, 383)
+    # collinearity and trace-reduction refuse zero energy, so no caller
+    # hands _max_gap no block; if one did, it reads as all-zero blocks
+    assert properties._max_gap([]) == 0.0

@@ -289,6 +289,27 @@ def test_dilation_parent_is_built_on_every_kth_lag(surface_builds):
     assert surface_builds == [(63, 8192), (63, 1024)]
 
 
+def test_mirror_runs_only_the_live_lag_rows(monkeypatch):
+    # the rect pulse's two copies overlap only at lags -127 .. 127, so each
+    # of the mirror's two loops hands its check 255 rows, from row 128, not
+    # all 511
+    rows, starts = [], []
+    row_runs = symmetry._row_runs
+
+    def counted(*loops):
+        counts = [0] * len(loops)
+        rows.append(counts)
+        for start, blocks in row_runs(*loops):
+            starts.append(start)
+            for i, block in enumerate(blocks):
+                counts[i] += len(block)
+            yield start, blocks
+
+    monkeypatch.setattr(symmetry, "_row_runs", counted)
+    assert verify_mirror(gen_rect(1.0, 1 / 128)).passed
+    assert rows == [[255, 255]] and starts[0] == 128
+
+
 def test_extreme_dilation_holds_three_surfaces():
     # at b = 1/255 the parent is 3 rows of 255 x 1024 bins, 12 MiB: with the
     # rest of the check it stays within the three-surface rule of its grid
