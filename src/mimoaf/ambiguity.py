@@ -42,7 +42,7 @@ import numpy.typing as npt
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridAlignmentError, InvalidParameterError
-from .signals import SampledSignal, _require_count, _require_positive, _snap
+from .signals import SampledSignal, _require_count, _require_positive, _snap, _support
 
 __all__ = [
     "AmbiguitySurface",
@@ -387,12 +387,6 @@ class _SurfaceBlocks:
                 if self._residual is not None:
                     live *= self._residual
             yield start, block
-
-
-def _support(u: SampledSignal) -> tuple[int, int] | None:
-    """The indices of u's first and last nonzero samples; None if none."""
-    nonzero = np.flatnonzero(u.samples)
-    return (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else None
 
 
 def _live_rows(

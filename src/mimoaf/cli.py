@@ -14,9 +14,8 @@ Four subcommands:
 without it each check keeps its own.  X must be finite and >= 0.  The
 internal gates do not move with it: PSD route agreement 1e-8, the surface
 distance 1e-8 that gates uniqueness only, the unimodular fit 1e-6 by which
-trace-reduction decides its hypothesis on the waveforms, collinearity sum
-1e-8 and symmetry mask coverage 0.9.  A failed PSD, collinearity or
-coverage gate fails its check at any X.
+trace-reduction decides its hypothesis on the waveforms and collinearity
+sum 1e-8.  A failed PSD or collinearity gate fails its check at any X.
 
 Exit codes: 0 all checks passed / command succeeded, 1 at least one check
 failed, 2 usage or validation error, including a size too large to

@@ -105,8 +105,8 @@ class CheckReport:
     It passes when its gate holds and rel_err <= tol (rel_err degrades to
     the absolute error when the reference magnitude vanishes), so it never
     passes past its tolerance.  gate is a check's internal condition (PSD
-    route agreement, collinearity sum, symmetry mask coverage), which fails
-    the report at any tol; a check without one leaves it True.
+    route agreement, collinearity sum), which fails the report at any tol;
+    a check without one leaves it True.
     """
 
     name: str

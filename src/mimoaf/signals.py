@@ -332,11 +332,10 @@ def heisenberg_shift(v: SampledSignal, p: HeisenbergPoint) -> SampledSignal:
     return v.replace_samples(phase * shifted)
 
 
-def _nonzero_extent(v: SampledSignal) -> float:
-    idx = np.nonzero(np.abs(v.samples) > 0)[0]
-    if idx.size == 0:
-        return 0.0
-    return float(np.max(np.abs(v.times[idx])))
+def _support(u: SampledSignal) -> tuple[int, int] | None:
+    """The indices of u's first and last nonzero samples; None if none."""
+    nonzero = np.flatnonzero(u.samples)
+    return (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else None
 
 
 def chirp_multiply(v: SampledSignal, rate: float) -> SampledSignal:
@@ -347,7 +346,9 @@ def chirp_multiply(v: SampledSignal, rate: float) -> SampledSignal:
     A rate that is not a finite real raises InvalidParameterError.
     """
     _require_real(rate=rate)
-    t_max = _nonzero_extent(v)
+    # the times are monotone, so |t| peaks over the support at one of its ends
+    support = _support(v)
+    t_max = float(np.max(np.abs(v.times[list(support)]))) if support else 0.0
     if abs(rate) * t_max > 1.0 / (2.0 * v.dt):
         raise AliasingError(
             f"chirp slope reaches {abs(rate) * t_max} at the support edge, "

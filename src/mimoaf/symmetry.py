@@ -10,7 +10,9 @@ and the point reflection -I = J^2 act on an ambiguity surface by
 coordinate remap, and on the underlying signals by Fourier transform,
 chirp multiplication, time dilation and swapping the pair.  Each verify
 routine computes one identity along both routes (surface remap vs
-transformed signals) and reports the relative Frobenius distance.  The
+transformed signals) and reports the relative Frobenius distance.  A u or
+v of zero energy, whose two routes would both be zero, raises
+InvalidParameterError before any surface is built.  The
 MIMO lift, :func:`verify_mimo_symmetry`, is handed one of the four scalar
 verifiers and runs it on the beamformed signal pair, whose
 cross-ambiguity is the spatial slice.
@@ -23,9 +25,12 @@ Grid notes baked into the checks:
   time grid (n dt^2 = 1) and cyclic lag products, under which it is exact.
   With the forward Fourier transform the rotation appears as the inverse
   quarter-turn, which on that grid is the index relabel
-  out[a, l] = s[n - l, a]; only Doppler bin 0 has no source.
+  out[a, l] = s[(n - l) mod n, a] on every cell: cyclic lag products are
+  n-periodic, so lag row n is lag row 0.
 * The mirror check relabels the surface by reversing both index axes, a
-  pure permutation on symmetric axes, and is held to 1e-9.
+  pure permutation on symmetric axes, and is held to 1e-9.  Doppler bin j
+  pairs with bin (N - j) mod N; bin 0 with itself one period on, which
+  takes the window factor below.
 * Shear rolls the Doppler axis per lag row.  The discrete surface is
   periodic in Doppler up to the factor exp(i 2 pi t0/dt) per period, which
   is 1 when the window start t0 is a whole number of samples and is
@@ -88,7 +93,6 @@ __all__ = [
 ]
 
 _SNAP = 1e-9
-_COVERAGE_FLOOR = 0.9
 # cells per row block of the index and phase arrays, which peak at 24 bytes
 # a cell (an int64 index and a complex phase), so 384 KiB a block
 _BLOCK_CELLS = 2**14
@@ -122,31 +126,32 @@ def _tau_nu_phase(values: np.ndarray, lags: np.ndarray, sign: int, conj: bool = 
 
 
 def _dual_path_report(
-    name: str,
-    triples: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
-    tol: float,
-    info: dict,
+    name: str, pairs: Iterable[tuple[np.ndarray, np.ndarray]], tol: float, info: dict
 ) -> CheckReport:
-    """The relative distance of route (a) from route (b), and the mass
-    coverage of b within all of route (b), from (a, b, whole) blocks of the
-    same rows: the compared cells of each route, and all of route (b)'s
-    cells there, None where b is all of them.  b, whose last axis must be
-    contiguous, is overwritten with a - b once its squares are read.  No
-    triple at all (an empty hull) reads as all-zero blocks do."""
-    den, total, gap = [], [], []
-    for a, b, whole in triples:
+    """The relative distance of route (a) from route (b), from (a, b) blocks
+    of the same cells.  b, whose last axis must be contiguous, is
+    overwritten with a - b once its squares are read.  No pair at all (an
+    empty hull) reads as all-zero blocks do."""
+    den, gap = [], []
+    for a, b in pairs:
         den.append(_squared_rows(b.copy()))
-        total.append(den[-1] if whole is None else _squared_rows(whole.copy()))
         gap.append(_squared_rows(np.subtract(a, b, out=b)))
-    den_norm, total_norm, gap_norm = (
-        math.sqrt(_fsum(np.concatenate([np.zeros(0), *rows]))) for rows in (den, total, gap)
+    den_norm, gap_norm = (
+        math.sqrt(_fsum(np.concatenate([np.zeros(0), *rows]))) for rows in (den, gap)
     )
-    coverage = (den_norm / total_norm) ** 2 if total_norm > 0.0 else 0.0
     rel = gap_norm / max(den_norm, 1e-300)
-    covered = coverage >= _COVERAGE_FLOOR
-    rel_err = rel if covered else max(rel, 1.0)
-    info = {**info, "coverage": coverage}
-    return CheckReport(name, rel, 0.0, rel, rel_err, tol, info, gate=covered)
+    return CheckReport(name, rel, 0.0, rel, rel, tol, info)
+
+
+def _partner(u: SampledSignal, v: SampledSignal | None) -> SampledSignal:
+    """v, or u if None, once the pair is on one grid and neither has zero
+    energy, where both routes would be zero and their distance 0/0."""
+    v = u if v is None else v
+    u.require_compatible(v)
+    with np.errstate(over="ignore"):
+        if u.energy() == 0.0 or v.energy() == 0.0:
+            raise InvalidParameterError("a symmetry check needs u and v of nonzero energy")
+    return v
 
 
 def verify_fourier_rotation(
@@ -161,14 +166,12 @@ def verify_fourier_rotation(
     Needs n dt^2 = 1 (frequency grid equal to time grid) and uses cyclic
     lag products, under which both routes agree to rounding.  There lag
     index and Doppler bin share the step dt, so the pullback along J^{-1},
-    s(-nu, tau), is the relabel out[a, l] = s[n - l, a]; Doppler bin 0
-    would read lag row n, off the grid, and is left out.  Route (b) is
-    built, and the Fourier pair's surface dropped, before chi(u, v) is.
-    The surfaces are held whole: the relabel is a transpose.
+    s(-nu, tau), is the relabel out[a, l] = s[(n - l) mod n, a] on every
+    cell.  Route (b) is built, and the Fourier pair's surface dropped,
+    before chi(u, v) is.  The surfaces are held whole: the relabel is a
+    transpose.
     """
-    if v is None:
-        v = u
-    u.require_compatible(v)
+    v = _partner(u, v)
     n = u.n
     if abs(n * u.dt * u.dt - 1.0) > 1e-9:
         raise GridMismatchError(
@@ -180,13 +183,15 @@ def verify_fourier_rotation(
     del s_hat
     _tau_nu_phase(path_b, np.arange(n) - n // 2, 1)
     s = cross_ambiguity(u, v, n_doppler=n, cyclic=True)
-    return _dual_path_report("sym-J", [(_rotation_relabel(s), path_b[:, 1:], path_b)], tol, {})
+    pairs = zip(_rotation_relabel(s), (path_b[:, :1], path_b[:, 1:]))
+    return _dual_path_report("sym-J", pairs, tol, {})
 
 
-def _rotation_relabel(s: AmbiguitySurface) -> np.ndarray:
-    """s(-nu, tau) on Doppler bins 1 .. n-1 of a cyclic n dt^2 = 1 grid: the
-    view out[a, l - 1] = s[n - l, a]."""
-    return s.values[:0:-1].T
+def _rotation_relabel(s: AmbiguitySurface) -> tuple[np.ndarray, np.ndarray]:
+    """s(-nu, tau) on a cyclic n dt^2 = 1 grid, out[a, l] = s[(n - l) mod n, a],
+    as views of its Doppler bin 0 and of bins 1 .. n-1.  Bin 0 reads lag row
+    n, which is lag row 0: cyclic lag products are n-periodic."""
+    return s.values[:1].T, s.values[:0:-1].T
 
 
 def verify_mirror(
@@ -199,25 +204,26 @@ def verify_mirror(
 
     The left side is chi(u,v) relabelled by reversing both index axes, a
     pure permutation on the symmetric axes; the right side is chi(v,u),
-    built by its own FFT.  The unpaired -Nyquist Doppler bin is left out.
-    chi(u,v) streams in descending lag order beside chi(v,u), so each run
-    of rows meets the reflected lags.
+    built by its own FFT.  The -Nyquist Doppler bin reflects onto +Nyquist,
+    one period past bin 0, where the surface takes the factor
+    exp(i 2 pi t0/dt).  chi(u,v) streams in descending lag order beside
+    chi(v,u), so each run of rows meets the reflected lags.
     """
-    if v is None:
-        v = u
-    u.require_compatible(v)
+    v = _partner(u, v)
     svu = _ambiguity_blocks([(v, u)], n_doppler, cyclic=False, whole=False)
     suv = _ambiguity_blocks([(u, v)], n_doppler, False, False, rows=slice(None, None, -1))
     centre = svu.tau_axis.size // 2
+    # the whole part of t0/dt gives whole turns
+    period = np.exp(1j * 2.0 * math.pi * _window_shift(u)[1])
 
-    def triples() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for start, (target, reflected) in _row_runs(svu, suv):
             _tau_nu_phase(target, np.arange(start, start + len(target)) - centre, -1, conj=True)
-            # Doppler bin 0 (-Nyquist edge) has no partner, so target bin j
-            # pairs with the reflected rows' bin N - j
-            yield reflected[:, :0:-1], target[:, 1:], target
+            # target bin j pairs with the reflected rows' bin (N - j) mod N
+            yield reflected[:, :1] * period, target[:, :1]
+            yield reflected[:, :0:-1], target[:, 1:]
 
-    return _dual_path_report("sym-mirror", triples(), tol, {})
+    return _dual_path_report("sym-mirror", pairs(), tol, {})
 
 
 def _shear_resample(
@@ -299,15 +305,13 @@ def verify_lfm_shear(
     the pullback along t(-rate).  A rate that is not a finite real raises
     InvalidParameterError, and one that would chirp u or v past the Nyquist
     band AliasingError, before any surface is built."""
-    if v is None:
-        v = u
+    v = _partner(u, v)
     chirped = chirp_multiply(u, rate), chirp_multiply(v, rate)
-    u.require_compatible(v)
     base = _ambiguity_blocks([(u, v)], n_doppler, cyclic=False, whole=False)
     resample, aligned = _shear_resample(base.tau_axis, base.nu_axis, u, rate)
     path_a = _ambiguity_blocks([chirped], n_doppler, cyclic=False, whole=False)
-    triples = ((a, resample(start, b), None) for start, (a, b) in _row_runs(path_a, base))
-    return _dual_path_report("sym-lfm", triples, tol, {"rate": rate, "aligned": aligned})
+    pairs = ((a, resample(start, b)) for start, (a, b) in _row_runs(path_a, base))
+    return _dual_path_report("sym-lfm", pairs, tol, {"rate": rate, "aligned": aligned})
 
 
 def _dilation_factor(b: float, n: int) -> tuple[int, bool]:
@@ -359,9 +363,7 @@ def verify_dilation(
     only, 2K + 1 rows for K = (n-1)//k, and route (a) on the same lags,
     rows n-1-K .. n-1+K, and the two stream side by side.
     """
-    if v is None:
-        v = u
-    u.require_compatible(v)
+    v = _partner(u, v)
     n_doppler = _check_doppler_count(n_doppler, u.n, cyclic=False)
     k, reciprocal = _dilation_factor(b, u.n)
     du, dv = dilate(u, b), dilate(v, b)
@@ -373,11 +375,11 @@ def verify_dilation(
     parent = _ambiguity_blocks([fine], k * n_doppler, False, False, slice((n - 1) % k, None, k))
     path_a = _ambiguity_blocks([coarse], n_doppler, False, False, slice(n - 1 - half, n + half))
     central = slice(col0, col0 + n_doppler)
-    triples = (
-        (a, np.divide(p[:, central], scale, out=p[:, central]), None)
+    pairs = (
+        (a, np.divide(p[:, central], scale, out=p[:, central]))
         for _, (a, p) in _row_runs(path_a, parent)
     )
-    return _dual_path_report("sym-dilate", triples, tol, {"b": b, "route": route})
+    return _dual_path_report("sym-dilate", pairs, tol, {"b": b, "route": route})
 
 
 def verify_mimo_symmetry(
@@ -397,7 +399,8 @@ def verify_mimo_symmetry(
     verify_dilation, therefore runs on (U, V) unchanged, with kwargs
     passed through: check(U, V, **kwargs).  For the mirror that compares
     chi(U, V) against the independently computed swapped slice chi(V, U).
-    Any other check raises InvalidParameterError before a beam is formed.
+    Any other check raises InvalidParameterError before a beam is formed,
+    and a beam of zero energy before any surface is built.
     The report is renamed "sym-mimo" and info["kind"] holds the name of
     check.
     """

@@ -1432,12 +1432,15 @@ def test_verify_all_at_half_wavelength_keeps_the_accepting_suites(capsys):
 
 
 # sha256 of `verify --suite all --family F` stdout at seed 0, last re-taken
-# when the symmetry checks began to take their norms as row sums of
-# squares totalled by math.fsum, so that they could stream their routes
-# block by block: sym-J, sym-mirror, sym-dilate and the sym-mimo lines
-# moved, and sym-lfm in all families but lfm, only in the last one or two
-# of their 17 digits (the diff is in CHANGES.md), and every line still
-# passes; the psd and trace-psd lines, which now stream only their probes'
+# when sym-J and sym-mirror began to compare every cell, their Doppler
+# bin 0 read one period on: those two lines and the first two sym-mimo
+# lines moved in their last digits, and every line still passes (the diff
+# is in CHANGES.md).  Before that, when the symmetry checks began to take
+# their norms as row sums of squares totalled by math.fsum, so that they
+# could stream their routes block by block: sym-J, sym-mirror, sym-dilate
+# and the sym-mimo lines moved, and sym-lfm in all families but lfm, only
+# in the last one or two of their 17 digits, and every line still passed;
+# the psd and trace-psd lines, which now stream only their probes'
 # lag rows, kept their bytes.  Before that, when the scalar checks began to
 # stream their surfaces block by block and to total each sum from its row
 # sums with math.fsum, the moyal and mimo-moyal lines and lfm's first norm
@@ -1454,10 +1457,10 @@ def test_verify_all_at_half_wavelength_keeps_the_accepting_suites(capsys):
 # rounding of the surfaces and sums behind them: a numpy or BLAS build that
 # rounds those differently changes the pins without a fault in the checks.
 VERIFY_ALL_PINNED = {
-    "gaussian": "d75ecb3a5a4f74bc51892f6f4e9236bf97b3efc0e03d9470ce2caac8f66e685f",
-    "lfm": "1dc0651e5a39fdf89c0d0d58f4365d5d7946e4a4bb93cff0c998fdcbc706591a",
-    "rect": "44d6b60287be3b8ef0960c063ddd8d210c521034766802bf59454be697f91de5",
-    "subcarriers": "03b9e889830aca4724527042e51ad21b561df231a705665297b5277e5a70c5d0",
+    "gaussian": "9c0be3909b45c64d52da010556e1d5ae8925cf44a287aef1d010bf30a4361051",
+    "lfm": "bb8e1ed71d55940d35287e05fc5d796d4a2087f7e5c4f4b0ea1bba1a2a2012e5",
+    "rect": "e6fa6947f0a70a2b82b4bbd7bd7a06a0826a00273b764273dc027475066ac827",
+    "subcarriers": "edb165e3aa895dcd085e99ee37ca772ca268caba784829b10c90b3a94648ff9d",
 }
 
 

@@ -692,7 +692,7 @@ def _streamed_checks(g, sub):
 def _report_bits(rep):
     # 17 significant digits round-trip a double, so equal lines are equal bits
     info = {k: float(rep.info[k]).hex() for k in
-            ("af_distance", "sum_gap", "gap", "path_gap", "coverage") if k in rep.info}
+            ("af_distance", "sum_gap", "gap", "path_gap") if k in rep.info}
     return rep.format_line(), rep.lhs, rep.rhs, rep.abs_err, rep.rel_err, rep.passed, info
 
 
@@ -714,14 +714,13 @@ def test_streamed_checks_do_not_depend_on_block_size(rows, gauss256, subcarriers
 # Report lines of the streamed entry points on pairs that hold an all-zero
 # signal, where no loop has a live lag row or only one loop of a pairing
 # has: an empty hull runs no block, and must read as all-zero blocks did.
+# The symmetry checks refuse a zero signal before any surface instead
+# (test_symmetry.py::test_zero_energy_is_refused_before_any_surface).
 EMPTY_HULL_LINES = {
     "norm-zz": "norm pass 0 0 0 0 9.9999999999999995e-07",
     "norm-uz": "norm pass 0 0 0 0 9.9999999999999995e-07",
     "mimo-energy": "mimo-energy pass 1 1 0 0 1.0000000000000001e-05",
     "moyal": "moyal pass 0 0 0 0 9.9999999999999995e-07",
-    "sym-mirror": "sym-mirror fail 0 0 0 1 1.0000000000000001e-09",
-    "sym-lfm": "sym-lfm fail 0 0 0 1 0.0001",
-    "sym-dilate": "sym-dilate fail 0 0 0 1 0.0001",
 }
 
 
@@ -733,9 +732,6 @@ def test_empty_hull_reads_as_all_zero_blocks():
         "norm-uz": check_norm_identity(u, z),
         "mimo-energy": check_mimo_energy([u, z], 1.0),
         "moyal": moyal_inner_product(u, z, u, u),
-        "sym-mirror": verify_mirror(u, z),
-        "sym-lfm": verify_lfm_shear(z),
-        "sym-dilate": verify_dilation(z),
     }
     assert {name: rep.format_line() for name, rep in reports.items()} == EMPTY_HULL_LINES
     # a loop of an all-zero pair has no live row, and does not pull the

@@ -70,14 +70,35 @@ def test_fourier_rotation_needs_matched_grid(rect256):
 def test_rotation_relabel_is_the_pullback(family):
     # on the cyclic n dt^2 = 1 grid the pullback along J^{-1}, s(-nu, tau),
     # lands every cell but those of Doppler column 0 on a grid point, and
-    # the relabel reads the value there
+    # the relabel reads the value there; column 0 reads lag +n/2, one
+    # period past the grid's first lag row, which a direct sum gives
     u = cli._waveforms(family, **cli._ROTATION)[0]
     s = cross_ambiguity(u, n_doppler=u.n, cyclic=True)
     tau, nu = s.tau_axis.tolist(), s.nu_axis.tolist()
+    column0, rest = symmetry._rotation_relabel(s)
     pulled = [[s.value_at(-nu_l, tau_a) for nu_l in nu[1:]] for tau_a in tau]
-    assert np.array_equal(symmetry._rotation_relabel(s), np.array(pulled))
+    assert np.array_equal(rest, np.array(pulled))
     with pytest.raises(GridAlignmentError):
         s.value_at(-nu[0], tau[0])
+    n = u.n
+    products = u.samples * np.conj(np.roll(u.samples, -(n // 2)))  # u[m] conj(u[m + n/2])
+    direct = u.dt * np.exp(2j * math.pi * np.outer(s.tau_axis, u.times)) @ products
+    assert column0.shape == (n, 1)
+    assert np.max(np.abs(column0[:, 0] - direct)) <= 1e-12 * np.max(np.abs(s.values))
+
+
+def test_rotation_reads_doppler_column_0(rot_gauss, monkeypatch):
+    # a rotation-grid pair of noise puts about 1/n of the mass on the
+    # relabel's column 0: zeroed, the check fails
+    rng, n = np.random.default_rng(11), rot_gauss.n
+    x, y = (rot_gauss.replace_samples(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            for _ in range(2))
+    assert verify_fourier_rotation(x, y).passed
+    relabel = symmetry._rotation_relabel
+    monkeypatch.setattr(symmetry, "_rotation_relabel", lambda s: (0 * relabel(s)[0], relabel(s)[1]))
+    rep = verify_fourier_rotation(x, y)
+    assert not rep.passed
+    assert rep.rel_err >= 1e-2
 
 
 # ---------------------------------------------------------------- phase table
@@ -130,21 +151,57 @@ def test_mirror_self_and_cross(gauss256):
     basis = mixture_basis(gauss256)
     rep2 = verify_mirror(random_mixture(basis, rng), random_mixture(basis, rng))
     assert rep2.passed
-    assert rep2.info["coverage"] >= 0.9
+
+
+def _nyquist_pair(t0_over_dt):
+    # v = (-1)^n u puts two thirds of the mass of chi(v, u) on the
+    # -Nyquist Doppler column, which reflects one period past bin 0
+    n, dt = 256, 1 / 128
+    u = SampledSignal(np.ones(n, dtype=np.complex128), dt, t0_over_dt * dt)
+    return u, u.replace_samples((-1.0) ** np.arange(n) * u.samples)
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1.0, 10.0])
-def test_coverage_gate_fails_at_any_tolerance(tol):
-    # v = (-1)^n u moves the mass of chi(v, u) onto the Nyquist column the
-    # mirror leaves out, so a third of it is compared; the gate does not
-    # move with tol
-    n, dt = 256, 1 / 128
-    u = SampledSignal(np.ones(n, dtype=np.complex128), dt, -(n // 2) * dt)
-    v = u.replace_samples((-1.0) ** np.arange(n) * u.samples)
-    rep = verify_mirror(u, v, n_doppler=256, tol=tol)
-    assert rep.info["coverage"] < 0.9
-    assert rep.gate is False
-    assert not rep.passed
+def test_nyquist_mirror_passes_at_any_tolerance(tol):
+    # at a whole t0/dt the period factor is 1; at -127.7 it is exp(i 2 pi 0.3)
+    for t0_over_dt in (-128, -127.7):
+        rep = verify_mirror(*_nyquist_pair(t0_over_dt), n_doppler=256, tol=tol)
+        assert rep.passed, t0_over_dt
+        assert rep.rel_err <= 1e-15, t0_over_dt
+
+
+@pytest.mark.parametrize("fraction", [lambda f: 0.0, lambda f: -f], ids=["dropped", "flipped"])
+def test_mirror_bin_0_takes_the_period_factor(fraction, monkeypatch):
+    # without the factor exp(i 2 pi f), or with its sign flipped, the
+    # Nyquist column misses at order one
+    shift = symmetry._window_shift
+    monkeypatch.setattr(symmetry, "_window_shift", lambda u: (shift(u)[0], fraction(shift(u)[1])))
+    rep = verify_mirror(*_nyquist_pair(-127.7), n_doppler=256, tol=10.0)
+    assert rep.rel_err >= 1
+
+
+def _with_zero(u):
+    return u, u.replace_samples(np.zeros(u.n, dtype=np.complex128))
+
+
+def _silent_beam(u):
+    # u and -u, each of nonzero energy, cancel in the beam at fs = 0
+    return [u, u.replace_samples(-u.samples)], 1.0, 0.0, 0.0
+
+
+@pytest.mark.parametrize("check", [
+    lambda u, z: verify_fourier_rotation(*_with_zero(gen_rect(8.0, 1 / 16))),
+    lambda u, z: verify_mirror(u, z),
+    lambda u, z: verify_mirror(z, u),
+    lambda u, z: verify_lfm_shear(z),
+    lambda u, z: verify_dilation(u, z),
+    lambda u, z: verify_mimo_symmetry(*_silent_beam(u), verify_mirror),
+], ids=["sym-J", "sym-mirror-v", "sym-mirror-u", "sym-lfm", "sym-dilate", "sym-mimo"])
+def test_zero_energy_is_refused_before_any_surface(check, rect256, surface_builds):
+    # both routes of a zero signal are zero, and their distance 0/0
+    with pytest.raises(InvalidParameterError, match="nonzero energy"):
+        check(*_with_zero(rect256))
+    assert surface_builds == []
 
 
 # ---------------------------------------------------------------------- shear
