@@ -11,10 +11,11 @@ makes Fourier-rotation identities exact on matched grids).
 
 Both the ambiguity surfaces and the Wigner distribution are a Fourier
 transform of lag products taken row by row, and one row-block loop
-(:class:`_SurfaceBlocks`) builds all of them as :class:`AmbiguitySurface`
-values.  The tests check them against a brute-force twin computed as a
-dense matrix product against the explicit Doppler kernel
-exp(i 2 pi nu t_n), which shares nothing past the product array.
+(:class:`_SurfaceBlocks`) streams all of them through one reused block
+buffer; a held :class:`AmbiguitySurface` is those blocks copied into one
+fresh array (:func:`_whole`).  The tests check them against a brute-force
+twin computed as a dense matrix product against the explicit Doppler
+kernel exp(i 2 pi nu t_n), which shares nothing past the product array.
 
 On the linear grid a lag row where no nonzero samples of the two signals
 overlap is exactly zero, and the loop writes it as +0 without gathering
@@ -280,12 +281,11 @@ class _SurfaceBlocks:
     out; with several gathers the rows are their sum, and a block still
     needs one FFT.  Each block gathers the first's rows, adds each further
     gather's rows from one scratch block in list order, writes them, times
-    real weights, straight into its destination rows and runs one unscaled
-    inverse FFT there in place.  One gather takes no scratch block and no
-    add.  With whole=True the destinations are rows of one surface,
-    ``values``; otherwise ``values`` is one block buffer, reused, so a
-    block holds only until the next.  :func:`_ambiguity_blocks` and
-    :func:`_wigner_blocks` work out the gathers and the geometry.
+    real weights, straight into the rows of one reused block buffer,
+    ``values``, and runs one unscaled inverse FFT there in place, so a
+    block holds only until the next.  One gather takes no scratch block and
+    no add.  :func:`_ambiguity_blocks` and :func:`_wigner_blocks` work out
+    the gathers and the geometry.
 
     Only the live rows live[0] .. live[1]-1 are gathered, placed and
     transformed; every other row of a block is written as +0, the value of
@@ -303,7 +303,7 @@ class _SurfaceBlocks:
     its live hull (:func:`_row_runs`).  ``tau_axis`` labels the rows
     (delays, or the times of a Wigner distribution), one per row, and
     ``nu_axis`` the columns.  A reversed row slice (:func:`_lag_rows`) runs
-    the delays descending, which only a whole=False loop may do.
+    the delays descending.
 
     With the window (s, f), column j of N and product m, the kernel
     weight exp(i 2 pi (j - N/2) (m + s + f) / N) is
@@ -325,7 +325,6 @@ class _SurfaceBlocks:
         nu_axis: np.ndarray,
         window: tuple[int, float],
         weight: float,
-        whole: bool,
         live: tuple[int, int],
     ) -> None:
         _require_ascending(tau_axis if tau_axis[0] <= tau_axis[-1] else tau_axis[::-1], nu_axis)
@@ -355,8 +354,7 @@ class _SurfaceBlocks:
         self._rows = min(n_lag, max(1, _BLOCK_BYTES // (16 * N)))
         self._products = np.empty((self._rows, n), dtype=np.complex128)
         self._scratch = np.empty_like(self._products) if len(gathers) > 1 else None
-        self._whole = whole
-        self.values = np.empty((n_lag if whole else self._rows, N), dtype=np.complex128)
+        self.values = np.empty((self._rows, N), dtype=np.complex128)
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         return self.blocks(0, self.tau_axis.size)
@@ -365,7 +363,7 @@ class _SurfaceBlocks:
         head, *rest = self._gathers
         for start in range(first, stop, self._rows):
             end = min(start + self._rows, stop)
-            block = self.values[start:end] if self._whole else self.values[: end - start]
+            block = self.values[: end - start]
             # the block's live rows are lo .. hi-1 of it; the rest are +0
             lo, hi = (min(max(r - start, 0), end - start) for r in self._live)
             block[:lo] = 0
@@ -414,8 +412,8 @@ def _live_rows(
 def _ambiguity_blocks(
     pairs: list[tuple[SampledSignal, SampledSignal]],
     n_doppler: int | None,
-    cyclic: bool,
-    whole: bool,
+    *,
+    cyclic: bool = False,
     rows: slice = slice(None),
 ) -> _SurfaceBlocks:
     """The blocks of sum_i chi(u_i, v_i) over a list of signal pairs: one
@@ -440,7 +438,7 @@ def _ambiguity_blocks(
     lags = lag_rows[0][0]
     blocks = _SurfaceBlocks(
         [gather for _, gather in lag_rows], u.n, lags * u.dt, _doppler_axis(n_doppler, u.dt),
-        window, u.dt, whole, (0, lags.size) if cyclic else _live_rows(pairs, lags),
+        window, u.dt, (0, lags.size) if cyclic else _live_rows(pairs, lags),
     )
     _require_finite_energy(w for pair in pairs for w in pair)
     return blocks
@@ -484,43 +482,50 @@ def _live_hull(loops: Iterable[_SurfaceBlocks]) -> tuple[int, int]:
 
 
 def _row_runs(*loops: _SurfaceBlocks) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """(first row, the same rows of each loop's surface) for distinct loops
-    of one row count, in runs that end where the first current block ends:
-    a loop moves to its next block, which overwrites the last, only once a
-    run has used all of it.  Only the rows of the loops' live hull run,
-    numbered as on the whole surface; inside it a row dead in one loop is
-    +0 there.  Every row outside is +0 in every loop and adds exactly 0 to
-    each reducer the checks use: a row sum, math.fsum, a maximum of |.|."""
-    first, end = _live_hull(loops)
-    its = [loop.blocks(first, end) for loop in loops]
+    """(first row, the same rows of each loop's surface) for loops of one
+    row count, in runs that end where the first current block ends: a loop
+    moves to its next block, which overwrites the last, only once a run has
+    used all of it.  A loop given twice is run once and its rows handed out
+    twice, so a caller that writes into one must not read the other.  Only
+    the rows of the loops' live hull run, numbered as on the whole surface;
+    inside it a row dead in one loop is +0 there.  Every row outside is +0
+    in every loop and adds exactly 0 to each reducer the checks use: a row
+    sum, math.fsum, a maximum of |.|."""
+    distinct = list(dict.fromkeys(loops))
+    pick = [distinct.index(loop) for loop in loops]
+    first, end = _live_hull(distinct)
+    its = [loop.blocks(first, end) for loop in distinct]
     heads = [next(it, None) for it in its]
     row = first
     while heads[0] is not None:
         stop = min(start + len(block) for start, block in heads)
-        yield row, [block[row - start : stop - start] for start, block in heads]
+        runs = [block[row - start : stop - start] for start, block in heads]
+        yield row, [runs[i] for i in pick]
         row = stop
         heads = [next(it, None) if start + len(block) == stop else (start, block)
                  for it, (start, block) in zip(its, heads)]
 
 
 def _energy(blocks: _SurfaceBlocks) -> float:
-    """Quadrature of |values|^2 over the surface of a whole=False loop, one
-    block of its live run (:func:`_row_runs`) at a time, squared in place."""
+    """Quadrature of |values|^2 over the surface a loop streams, one block of
+    its live run (:func:`_row_runs`) at a time, squared in place."""
     return _integral(blocks, (_squared_rows(block) for _, (block,) in _row_runs(blocks))).real
 
 
 def _whole(blocks: _SurfaceBlocks) -> AmbiguitySurface:
-    """Run a whole=True block loop to its end: the surface it filled."""
-    for _ in blocks:
-        pass
-    return AmbiguitySurface(blocks.values, blocks.tau_axis, blocks.nu_axis)
+    """The surface a block loop streams, each block copied into one fresh
+    array: a row's bits do not depend on where it is transformed."""
+    values = np.empty((blocks.tau_axis.size, blocks.n_doppler), dtype=np.complex128)
+    for start, block in blocks:
+        values[start : start + len(block)] = block
+    return AmbiguitySurface(values, blocks.tau_axis, blocks.nu_axis)
 
 
 def _surface(
     pairs: list[tuple[SampledSignal, SampledSignal]], n_doppler: int | None, cyclic: bool = False
 ) -> AmbiguitySurface:
-    """sum_i chi(u_i, v_i) over the pairs, built whole in memory."""
-    return _whole(_ambiguity_blocks(pairs, n_doppler, cyclic, whole=True))
+    """sum_i chi(u_i, v_i) over the pairs, held whole in memory."""
+    return _whole(_ambiguity_blocks(pairs, n_doppler, cyclic=cyclic))
 
 
 def cross_ambiguity(
@@ -536,12 +541,12 @@ def cross_ambiguity(
     result matches the absolute-time definition with no pass after the FFT
     unless t0/dt has a fractional part.
 
-    The surface is allocated once and filled in blocks of lag rows, each
-    block's lag products transformed straight into its rows (see
-    :class:`_SurfaceBlocks`).  Besides the surface, only the lag products
-    of one block are alive, never all (2n-1) x n of them.  On the linear
-    grid only the lags where the nonzero samples of u and v overlap are
-    transformed; every other row is +0 (see :func:`_live_rows`).
+    The surface is allocated once and the block loop's blocks of lag rows
+    copied into it (see :class:`_SurfaceBlocks`).  Besides the surface,
+    only one block and the lag products of one block are alive, never all
+    (2n-1) x n of them.  On the linear grid only the lags where the
+    nonzero samples of u and v overlap are transformed; every other row is
+    +0 (see :func:`_live_rows`).
 
     Args:
         u, v: signals on a common grid.
@@ -551,9 +556,7 @@ def cross_ambiguity(
     return _surface([(u, u if v is None else v)], n_doppler, cyclic)
 
 
-def _wigner_blocks(
-    u: SampledSignal, v: SampledSignal | None, n_freq: int | None, whole: bool
-) -> _SurfaceBlocks:
+def _wigner_blocks(u: SampledSignal, v: SampledSignal | None, n_freq: int | None) -> _SurfaceBlocks:
     """The blocks of the Wigner distribution of u against v (v = u if None).
 
     Row t holds the products r(m) = u[t+m] conj(v[t-m]), |m| <= min(t, n-1-t),
@@ -590,8 +593,7 @@ def _wigner_blocks(
     su, sv = _support(u), _support(v)
     live = ((su[0] + sv[0] + 1) // 2, (su[1] + sv[1]) // 2 + 1) if su and sv else (0, 0)
     blocks = _SurfaceBlocks(
-        [gather], n, u.times, _doppler_axis(n_freq, 2.0 * u.dt), (-h, 0.0), 2.0 * u.dt, whole,
-        live,
+        [gather], n, u.times, _doppler_axis(n_freq, 2.0 * u.dt), (-h, 0.0), 2.0 * u.dt, live
     )
     _require_finite_energy([u, v])
     return blocks
@@ -611,7 +613,7 @@ def wigner(
     columns are the frequencies (nu_axis).  For a single signal it is real
     up to rounding, and its frequency sum recovers |u|^2 exactly.
     """
-    return _whole(_wigner_blocks(u, v, n_freq, whole=True))
+    return _whole(_wigner_blocks(u, v, n_freq))
 
 
 def _require_array(waveforms: list[SampledSignal], gamma: float) -> None:
@@ -738,8 +740,8 @@ def spatial_integral(
     integrate to zero; the trace is built from the M self pairs alone.
     chi is linear in its lag products, so the trace is one Doppler
     transform of the summed products sum_m u_m[n] conj(u_m[n + k]): one FFT
-    surface, not M (see :class:`_SurfaceBlocks`).  Besides the trace, two
-    blocks of lag products are alive.
+    surface, not M (see :class:`_SurfaceBlocks`).  Besides the trace, one
+    block and two blocks of lag products are alive.
     """
     return _surface(_trace_pairs(waveforms, gamma), n_doppler)
 
@@ -763,7 +765,7 @@ def mimo_energy_quadrature(
     """
     _trace_pairs(waveforms, gamma)
     return sum(
-        _energy(_ambiguity_blocks([(u, v)], n_doppler, cyclic=False, whole=False))
+        _energy(_ambiguity_blocks([(u, v)], n_doppler))
         for u in waveforms
         for v in waveforms
     )

@@ -23,11 +23,12 @@ allocate.  In ``verify`` a refusing suite outranks a failed check: 2,
 with the lines of the suites that ran kept on stdout and ``--report``
 deleted.
 
-A plain-text config file (``key=value`` lines, ``#`` comments) can seed
-any subcommand's flags via ``--config``, given before or after the
-subcommand and repeatable; a later file overrides an earlier one, and
-explicit flags win.  Keys use flag names without the leading
-dashes; switch flags take ``true``/``false``; ``--conf`` or a ``config=`` line exits 2.
+A plain-text UTF-8 config file (``key=value`` lines, ``#`` comments) can
+seed any subcommand's flags via ``--config``, given before or after the
+subcommand and repeatable; a later file's value for a key overrides an
+earlier one's, and explicit flags win.  Keys use flag names without the
+leading dashes; switch flags take ``true``/``false``; ``--conf`` or a
+``config=`` line exits 2.
 Outputs carry no timestamps, so a fixed command line (and seed) produces
 byte-identical files.
 """
@@ -324,7 +325,7 @@ def _cross_surface(args, label: str, pairs: list[tuple[SampledSignal, SampledSig
     """Write the surface sum_i chi(u_i, v_i) of the signal pairs to every
     requested output and print its line.  The surface is built one block of
     lag rows at a time and never held whole."""
-    blocks = _ambiguity_blocks(pairs, args.n_doppler, cyclic=False, whole=False)
+    blocks = _ambiguity_blocks(pairs, args.n_doppler)
     origin = _write_outputs(args, blocks, blocks.tau_axis, blocks.nu_axis)
     print(f"{label} n_lag={blocks.tau_axis.size} n_doppler={blocks.n_doppler} "
           f"origin={origin.real:.12g}{origin.imag:+.12g}j")
@@ -335,7 +336,7 @@ def cmd_af(args) -> int:
     u = io_formats.read_signal(args.u)
     v = io_formats.read_signal(args.v) if args.v else u
     if args.wigner:
-        blocks = _wigner_blocks(u, v, args.n_freq, whole=False)
+        blocks = _wigner_blocks(u, v, args.n_freq)
         _write_outputs(args, blocks, blocks.tau_axis, blocks.nu_axis)
         print(f"wigner n_time={blocks.tau_axis.size} n_freq={blocks.n_doppler}")
         return 0
@@ -483,23 +484,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_tokens(path: str) -> list[str]:
+def _config_tokens(paths: list[str]) -> list[str]:
+    """The flags the config files set.  Their key=value entries are merged
+    in file order, so a later file's value for a key replaces an earlier
+    one's, and each key is then given once: ``true`` as the bare switch
+    flag, ``false`` as nothing, any other value after its flag."""
+    entries: dict[str, str] = {}
+    for path in paths:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise MimoafError(
+                f"--config {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise MimoafError(f"config line without '=': {raw!r}")
+            entries["--" + key.strip().replace("_", "-")] = value.strip()
     tokens: list[str] = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise MimoafError(f"config line without '=': {raw!r}")
-        key = key.strip()
-        value = value.strip()
-        flag = "--" + key.replace("_", "-")
+    for flag, value in entries.items():
         if value.lower() == "true":
             tokens.append(flag)
-        elif value.lower() == "false":
-            continue
-        else:
+        elif value.lower() != "false":
             tokens.extend([flag, value])
     return tokens
 
@@ -514,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
             # the subcommand is the first token left, as the top-level parser
             # has no flag but --help; a later file overrides an earlier one,
             # and explicit flags, parsed last, win
-            argv[1:1] = [t for path in known.config for t in _load_config_tokens(path)]
+            argv[1:1] = _config_tokens(known.config)
         args = parser.parse_args(argv)
         if args.config is not None:
             # an abbreviation or a config-file line: the file would go unread

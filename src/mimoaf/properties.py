@@ -21,11 +21,11 @@ recover_scalar does, and builds no pairwise surface.
 Memory: no check here holds a whole surface.  The checks that reduce
 surfaces to numbers (norm, the MIMO energy, both Moyal pairings,
 uniqueness, collinearity and trace reduction) stream their surfaces
-through the block loop, several loops in lockstep when they pair them,
-and reduce each set of same-row blocks in place before the next: a sum
+through the block loop, pairing several loops' same rows through
+_row_runs, and reduce each run of rows in place before the next: a sum
 along each row, the rows' total rounded once by math.fsum, or a maximum.
-They read only the hull of their loops' live lag rows (_row_runs), since
-a row where no pair's nonzero samples overlap is +0 and adds exactly 0.
+They read only the hull of their loops' live lag rows, since a row where
+no pair's nonzero samples overlap is +0 and adds exactly 0.
 The psd checks stream the lag rows their probes' differences span, live
 or not, and fill each Gram entry from the block that holds its row.  No
 check depends on the block size, and each holds one block and one set of
@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,6 @@ from .ambiguity import (
     _row_runs,
     _squared_rows,
     _steering_phases,
-    _SurfaceBlocks,
     _trace_pairs,
     _unit_roots,
     mimo_beams,
@@ -184,8 +184,8 @@ def random_probe_set(
     shifts stay inside the zero-padded part of the window.
     """
     _require_count("n_points", n_points, 1)
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidParameterError(f"seed must be an integer >= 0, got {seed!r}")
     n = signal.n
     n_doppler = _check_doppler_count(n_doppler, n, cyclic=False)
     d_nu = 1.0 / (n_doppler * signal.dt)
@@ -204,33 +204,9 @@ def random_probe_set(
 def surface_quadrature_inner(s1: AmbiguitySurface, s2: AmbiguitySurface) -> complex:
     """Riemann quadrature of s1 * conj(s2) over the shared (tau, nu) grid, by
     the streamed checks' rule: moyal_inner_product's pairing, to the bit."""
-    _require_same_grid(s1, s2)
-    return _integral(s1, [_conj_product_rows(s1.values, s2.values, np.empty_like(s1.values))])
-
-
-def _stream(
-    pairs: list[tuple[SampledSignal, SampledSignal]], n_doppler: int | None
-) -> _SurfaceBlocks:
-    """The block loop of sum_i chi(u_i, v_i) on the linear grid, one reused
-    block buffer at a time."""
-    return _ambiguity_blocks(pairs, n_doppler, cyclic=False, whole=False)
-
-
-def _require_same_grid(*grids: _SurfaceBlocks | AmbiguitySurface) -> None:
-    tau, nu = grids[0].tau_axis, grids[0].nu_axis
-    if not all(np.array_equal(tau, g.tau_axis) and np.array_equal(nu, g.nu_axis) for g in grids):
+    if not (np.array_equal(s1.tau_axis, s2.tau_axis) and np.array_equal(s1.nu_axis, s2.nu_axis)):
         raise GridMismatchError("surfaces live on different (tau, nu) grids")
-
-
-def _lockstep(*loops: _SurfaceBlocks) -> Iterator[tuple[np.ndarray, ...]]:
-    """The same rows of every loop's surface, one grid for all, block by
-    block.  A loop given twice is run once and its block handed out twice,
-    so a caller that writes into one block must not read the other."""
-    distinct = list(dict.fromkeys(loops))
-    _require_same_grid(*distinct)
-    for _, blocks in _row_runs(*distinct):
-        block_of = dict(zip(distinct, blocks))
-        yield tuple(block_of[loop] for loop in loops)
+    return _integral(s1, [_conj_product_rows(s1.values, s2.values, np.empty_like(s1.values))])
 
 
 def _conj_product_rows(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -259,7 +235,7 @@ def check_norm_identity(
 ) -> CheckReport:
     """Whole-plane energy of the cross-ambiguity surface against the product
     of signal energies."""
-    lhs = _energy(_stream([(u, v)], n_doppler))
+    lhs = _energy(_ambiguity_blocks([(u, v)], n_doppler))
     rhs = u.energy() * v.energy()
     return make_report("norm", lhs, rhs, tol, scale=abs(rhs))
 
@@ -280,12 +256,14 @@ def check_mimo_energy(
 
 def _moyal_pairing(u1: SampledSignal, u2: SampledSignal, u3: SampledSignal,
                    u4: SampledSignal, n_doppler: int | None) -> complex:
-    """The L2 pairing of chi(u1,u3) with chi(u2,u4), streamed in lockstep.
-    Both are one route's surfaces, so a pair given twice is built once."""
-    s13 = _stream([(u1, u3)], n_doppler)
-    s24 = s13 if u2 is u1 and u4 is u3 else _stream([(u2, u4)], n_doppler)
+    """The L2 pairing of chi(u1,u3) with chi(u2,u4), streamed side by side.
+    Both are one route's surfaces, so a pair given twice is built once; u1
+    and u2 share a grid, so the two surfaces do, before either is built."""
+    u1.require_compatible(u2)
+    s13 = _ambiguity_blocks([(u1, u3)], n_doppler)
+    s24 = s13 if u2 is u1 and u4 is u3 else _ambiguity_blocks([(u2, u4)], n_doppler)
     scratch = np.empty_like(s13.values)
-    return _integral(s13, (_conj_product_rows(x, y, scratch) for x, y in _lockstep(s13, s24)))
+    return _integral(s13, (_conj_product_rows(x, y, scratch) for _, (x, y) in _row_runs(s13, s24)))
 
 
 def moyal_inner_product(
@@ -326,7 +304,6 @@ def mimo_inner_product(
     if len(us) != len(vs):
         raise GridMismatchError(f"waveform counts differ: {len(us)} vs {len(vs)}")
     U, V = mimo_beams(us, gamma, fs, fs_prime)
-    us[0].require_compatible(vs[0])
     U2, V2 = (U, V) if vs is us else mimo_beams(vs, gamma, fs, fs_prime)
     lhs = _moyal_pairing(U, U2, V, V2, n_doppler)
 
@@ -363,8 +340,7 @@ def _dual_gram(
         raise GridAlignmentError(f"probe differences leave the {L} x {N} surface")
     # sliced row r is lag r - spread
     blocks = _ambiguity_blocks(
-        [(w, w) for w in waveforms], N, cyclic=False, whole=False,
-        rows=slice(L // 2 - spread, L // 2 + spread + 1),
+        [(w, w) for w in waveforms], N, rows=slice(L // 2 - spread, L // 2 + spread + 1)
     )
     P = len(pts)
     G_a = np.zeros((P, P), dtype=np.complex128)
@@ -481,8 +457,8 @@ def recover_scalar(
     built.
     """
     lam, residual, unimodular_defect = _unimodular_fit(u, v)
-    su, sv = _stream([(u, u)], n_doppler), _stream([(v, v)], n_doppler)
-    diff_rows = (_squared_rows(np.subtract(x, y, out=x)) for x, y in _lockstep(su, sv))
+    su, sv = _ambiguity_blocks([(u, u)], n_doppler), _ambiguity_blocks([(v, v)], n_doppler)
+    diff_rows = (_squared_rows(np.subtract(x, y, out=x)) for _, (x, y) in _row_runs(su, sv))
     af_dist = math.sqrt(_integral(su, diff_rows).real)
     info: dict = {"af_distance": af_dist, "lambda": lam}
     if af_dist <= _AF_TOL:
@@ -521,12 +497,12 @@ def collinearity_check(
         info["alpha"] = alpha
         unit = u2.replace_samples(u2.samples / u2.norm())
         # one waveform given twice is built once
-        s2 = _stream([(u2, u2)], n_doppler)
-        s3 = s2 if u3 is u2 else _stream([(u3, u3)], n_doppler)
-        target = _stream([(unit, unit)], n_doppler)
+        s2 = _ambiguity_blocks([(u2, u2)], n_doppler)
+        s3 = s2 if u3 is u2 else _ambiguity_blocks([(u3, u3)], n_doppler)
+        target = _ambiguity_blocks([(unit, unit)], n_doppler)
         sum_gap = _max_gap(
             (np.add(x, y, out=x), np.multiply(e2 + e3, t, out=t))
-            for x, y, t in _lockstep(s2, s3, target)
+            for _, (x, y, t) in _row_runs(s2, s3, target)
         )
         info["sum_gap"] = sum_gap
         rel_err = max(defect, sum_gap * (tol / _SUM_TOL))
@@ -571,9 +547,9 @@ def trace_reduction_check(
         pair_status[(i, j)] = max(residual, unimodular_defect) <= _FIT_TOL
     failing = [pair for pair, ok in pair_status.items() if not ok]
     if not failing:
-        trace = _stream(pairs, n_doppler)  # the spatial integral's trace
-        target = _stream([(waveforms[0], waveforms[0])], n_doppler)
-        gap = _max_gap((x, np.multiply(m, t, out=t)) for x, t in _lockstep(trace, target))
+        trace = _ambiguity_blocks(pairs, n_doppler)  # the spatial integral's trace
+        target = _ambiguity_blocks([(waveforms[0], waveforms[0])], n_doppler)
+        gap = _max_gap((x, np.multiply(m, t, out=t)) for _, (x, t) in _row_runs(trace, target))
         info = {"reduced": True, "gap": gap}
         return CheckReport("trace-reduction", gap, 0.0, gap, gap, tol, info)
     # the hypothesis is void: a vacuous pass whose witnesses are the pairs

@@ -168,8 +168,8 @@ def verify_fourier_rotation(
     index and Doppler bin share the step dt, so the pullback along J^{-1},
     s(-nu, tau), is the relabel out[a, l] = s[(n - l) mod n, a] on every
     cell.  Route (b) is built, and the Fourier pair's surface dropped,
-    before chi(u, v) is.  The surfaces are held whole: the relabel is a
-    transpose.
+    before chi(u, v) is.  The surfaces are held, each copied from its
+    streamed blocks, because the relabel is a transpose.
     """
     v = _partner(u, v)
     n = u.n
@@ -210,8 +210,8 @@ def verify_mirror(
     chi(v,u), so each run of rows meets the reflected lags.
     """
     v = _partner(u, v)
-    svu = _ambiguity_blocks([(v, u)], n_doppler, cyclic=False, whole=False)
-    suv = _ambiguity_blocks([(u, v)], n_doppler, False, False, rows=slice(None, None, -1))
+    svu = _ambiguity_blocks([(v, u)], n_doppler)
+    suv = _ambiguity_blocks([(u, v)], n_doppler, rows=slice(None, None, -1))
     centre = svu.tau_axis.size // 2
     # the whole part of t0/dt gives whole turns
     period = np.exp(1j * 2.0 * math.pi * _window_shift(u)[1])
@@ -307,9 +307,9 @@ def verify_lfm_shear(
     band AliasingError, before any surface is built."""
     v = _partner(u, v)
     chirped = chirp_multiply(u, rate), chirp_multiply(v, rate)
-    base = _ambiguity_blocks([(u, v)], n_doppler, cyclic=False, whole=False)
+    base = _ambiguity_blocks([(u, v)], n_doppler)
     resample, aligned = _shear_resample(base.tau_axis, base.nu_axis, u, rate)
-    path_a = _ambiguity_blocks([chirped], n_doppler, cyclic=False, whole=False)
+    path_a = _ambiguity_blocks([chirped], n_doppler)
     pairs = ((a, resample(start, b)) for start, (a, b) in _row_runs(path_a, base))
     return _dual_path_report("sym-lfm", pairs, tol, {"rate": rate, "aligned": aligned})
 
@@ -372,8 +372,8 @@ def verify_dilation(
     else:
         fine, coarse, scale, route = (u, v), (du, dv), b, "exact-parent"
     n, half, col0 = u.n, (u.n - 1) // k, (k - 1) * n_doppler // 2
-    parent = _ambiguity_blocks([fine], k * n_doppler, False, False, slice((n - 1) % k, None, k))
-    path_a = _ambiguity_blocks([coarse], n_doppler, False, False, slice(n - 1 - half, n + half))
+    parent = _ambiguity_blocks([fine], k * n_doppler, rows=slice((n - 1) % k, None, k))
+    path_a = _ambiguity_blocks([coarse], n_doppler, rows=slice(n - 1 - half, n + half))
     central = slice(col0, col0 + n_doppler)
     pairs = (
         (a, np.divide(p[:, central], scale, out=p[:, central]))

@@ -126,10 +126,10 @@ def test_window_start_past_float_range_is_refused():
 
 
 def test_cross_ambiguity_peak_memory(gauss256):
-    # The surface X and one block of lag products are the only arrays of
-    # size alive at once; the whole lag-product array would add (2n-1) x n.
-    # The last MiB covers the axes, the padded windows and numpy's ufunc
-    # buffers (about 0.45 MB here).
+    # The surface X, the one block buffer the loop streams through and one
+    # block of lag products are the only arrays of size alive at once; the
+    # whole lag-product array would add (2n-1) x n.  The last MiB covers the
+    # axes, the padded windows and numpy's ufunc buffers.
     n, n_doppler = gauss256.n, 1024
     x_bytes = (2 * n - 1) * n_doppler * 16
     rows = min(2 * n - 1, _BLOCK_BYTES // (16 * n_doppler))
@@ -137,7 +137,7 @@ def test_cross_ambiguity_peak_memory(gauss256):
     assert block_bytes < (2 * n - 1) * n * 16
     s, peak = traced_peak(cross_ambiguity, gauss256, n_doppler=n_doppler)
     assert s.values.nbytes == x_bytes
-    assert peak <= x_bytes + block_bytes + 2**20
+    assert peak <= x_bytes + _BLOCK_BYTES + block_bytes + 2**20
 
 
 def _lag_products_loop(us, vs, cyclic):
@@ -249,7 +249,7 @@ def test_strided_surface_is_every_kth_row(n, cyclic, n_pairs, shift, rows, monke
     c = n // 2 if cyclic else n - 1
     for k in (1, 2, 3, n - 1):
         want = slice(c % k, None, k)
-        blocks = ambiguity._ambiguity_blocks(pairs, N, cyclic, whole=True, rows=want)
+        blocks = ambiguity._ambiguity_blocks(pairs, N, cyclic=cyclic, rows=want)
         if full.tau_axis[want].size > 1:
             s = ambiguity._whole(blocks)
             values, tau = s.values, s.tau_axis
@@ -283,7 +283,7 @@ def test_sliced_rows_are_the_whole_surface_rows(cyclic, n_pairs, rows, block_row
     ]
     pairs = list(zip(sigs[::2], sigs[1::2]))
     full = _surface(pairs, N, cyclic)
-    loop = ambiguity._ambiguity_blocks(pairs, N, cyclic, whole=False, rows=rows)
+    loop = ambiguity._ambiguity_blocks(pairs, N, cyclic=cyclic, rows=rows)
     got = np.concatenate([block.copy() for _, block in loop])
     assert got.tobytes() == full.values[rows].tobytes()
     assert loop.tau_axis.tobytes() == full.tau_axis[rows].tobytes()
@@ -345,7 +345,7 @@ def test_dead_lag_rows_are_plus_zero(n, N, shift, supports, rows, block_rows, mo
         for u, v in pairs[1:]:
             P = P + lag_products(u, v, False)[0]
         expect = _one_ifft(P, N, pairs[0][0])[rows]
-        loop = ambiguity._ambiguity_blocks(pairs, N, False, whole=False, rows=rows)
+        loop = ambiguity._ambiguity_blocks(pairs, N, rows=rows)
         got = np.concatenate([block.copy() for _, block in loop])
         assert np.array_equal(got, expect)
         hull = _overlap_lags(pairs, n)
@@ -400,7 +400,7 @@ def test_dead_wigner_rows_are_plus_zero(n, N, supports, block_rows, monkeypatch)
             out.append(SampledSignal(x, dt, -32 * dt))
         u, v = u[0], v[0]
         P = np.empty((n, n), dtype=np.complex128)
-        ambiguity._wigner_blocks(u, v, N, whole=False)._gathers[0](0, P)
+        ambiguity._wigner_blocks(u, v, N)._gathers[0](0, P)
         # the block loop's kernel: window (-h, 0), weight 2 dt
         expect = _one_ifft(P, N, SimpleNamespace(dt=2 * dt, t0=-((n - 1) // 2) * 2 * dt))
         got = ambiguity.wigner(u, v, n_freq=N).values
@@ -434,6 +434,31 @@ def test_rect_pulse_transforms_only_its_live_rows(rect256, monkeypatch):
     assert sum(transformed) == 128
     dead = (np.arange(256) < 64) | (np.arange(256) > 191)
     assert not w.values[dead].view(np.uint64).any() and w.values[~dead].any(axis=1).all()
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_row_runs_runs_a_loop_given_twice_once(rect256, block_rows, monkeypatch):
+    # a loop given twice is run once, over its live rows 128 .. 382, and
+    # each run hands out the same rows twice, those of the held surface
+    if block_rows is not None:
+        monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", block_rows * 16 * 1024)
+    full = cross_ambiguity(rect256, n_doppler=1024).values
+    calls = []
+    blocks = ambiguity._SurfaceBlocks.blocks
+
+    def counted(self, first, stop):
+        calls.append((first, stop))
+        return blocks(self, first, stop)
+
+    monkeypatch.setattr(ambiguity._SurfaceBlocks, "blocks", counted)
+    loop = ambiguity._ambiguity_blocks([(rect256, rect256)], 1024)
+    got = []
+    for row, (x, y) in ambiguity._row_runs(loop, loop):
+        assert x is y
+        got.append((row, x.copy()))
+    assert calls == [(128, 383)]
+    assert got[0][0] == 128
+    assert np.concatenate([x for _, x in got]).tobytes() == full[128:383].tobytes()
 
 
 # ------------------------------------------------------------ surface shape
@@ -631,14 +656,14 @@ def test_wigner_matches_fftshift_expression(n, n_freq, monkeypatch):
 
 
 def test_wigner_peak_memory():
-    # the distribution and one block of its lag products are the only
-    # arrays of size alive at once
+    # the distribution, the one block buffer the loop streams through and
+    # one block of its lag products are the only arrays of size alive at once
     n = 1024
     rng = np.random.default_rng(4)
     u = SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1 / 64, -8.0)
     w, peak = traced_peak(wigner, u)
     assert w.values.shape == (n, 2 * n)
-    assert peak <= w.values.nbytes + _BLOCK_BYTES + 2**20
+    assert peak <= w.values.nbytes + 2 * _BLOCK_BYTES + 2**20
 
 
 # ------------------------------------------------- correlation matrix entries
@@ -882,15 +907,16 @@ def test_spatial_integral_bytes_match_across_block_sizes(monkeypatch):
 
 
 def test_spatial_integral_peak_memory():
-    # the trace, one block of lag products and the scratch block that the
-    # further self pairs are gathered into
+    # the trace, the one block buffer the loop streams through, one block of
+    # lag products and the scratch block that the further self pairs are
+    # gathered into
     ws = gen_subcarrier_set(4, 1.0, DT)
     n, n_doppler = ws[0].n, 1024
     x_bytes = (2 * n - 1) * n_doppler * 16
     block_bytes = min(2 * n - 1, _BLOCK_BYTES // (16 * n_doppler)) * n * 16
     out, peak = traced_peak(spatial_integral, ws, 1.0, n_doppler=n_doppler)
     assert out.values.nbytes == x_bytes
-    assert peak <= x_bytes + 2 * block_bytes + 2**20
+    assert peak <= x_bytes + _BLOCK_BYTES + 2 * block_bytes + 2**20
 
 
 @pytest.fixture(scope="module")

@@ -1619,6 +1619,30 @@ def test_config_bare_flag(tmp_path):
     assert out.read_bytes().startswith(b"SIGB")
 
 
+def test_config_later_false_switch_overrides_an_earlier_true(tmp_path):
+    # the files' entries are merged in order before any flag is given, so a
+    # later binary=false turns the switch off, and an explicit flag still wins
+    a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    a.write_text("family=rect\nbinary=true\n")
+    b.write_text("binary=false\n")
+    out = tmp_path / "x.sig"
+    cases = [([a, b], [], b"n="), ([b, a], [], b"SIGB"), ([a, b], ["--binary"], b"SIGB")]
+    for files, flags, head in cases:
+        argv = ["gen", *(t for f in files for t in ("--config", f)), *flags, "-o", out]
+        assert _exit_code(argv) == 0, (files, flags)
+        assert out.read_bytes().startswith(head), (files, flags)
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe\x00bad\n")
+    res = run_cli("verify", "--suite", "norm", "--config", bad)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert str(bad) in res.stderr
+
+
 def test_config_unknown_key_exits_2(tmp_path):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("family=rect\nwavelength=3\n")

@@ -148,12 +148,15 @@ def test_moyal_random_quadruple():
     assert rep.rel_err <= 1e-9
 
 
-def test_moyal_refuses_surfaces_on_different_grids(gauss256):
+def test_moyal_refuses_surfaces_on_different_grids(gauss256, surface_builds):
     # chi(u1, u3) and chi(u2, u4) are paired block by block: on different
-    # grids the pairing is refused before any block is built
+    # grids the pairing is refused before any loop is set up
     fine = gen_gaussian(CANONICAL_SIGMA, DT_G / 2, 2.0)
     with pytest.raises(GridMismatchError):
         moyal_inner_product(gauss256, fine, gauss256, fine, n_doppler=1024)
+    with pytest.raises(GridMismatchError):
+        mimo_inner_product([gauss256], [fine], 1.0, 0.3, 0.7, n_doppler=1024)
+    assert surface_builds == []
     with pytest.raises(GridMismatchError, match="waveform counts differ"):
         mimo_inner_product([gauss256, gauss256], [gauss256], 1.0, 0.3, 0.7)
 
@@ -229,10 +232,21 @@ def test_probe_set_determinism(gauss256):
 
 @pytest.mark.parametrize("kwargs", [
     {"n_points": 0}, {"n_points": -1}, {"seed": -1}, {"n_doppler": 0}, {"n_doppler": 1023},
-], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    # seeds that are not non-negative integers: floats, bools, None, a string
+    {"seed": 1.5}, {"seed": 2.0}, {"seed": np.float64(3.0)}, {"seed": True}, {"seed": False},
+    {"seed": None}, {"seed": "4"},
+], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
 def test_random_probe_set_rejects_bad_input(gauss256, kwargs):
     with pytest.raises(InvalidParameterError):
         random_probe_set(gauss256, **kwargs)
+
+
+def test_random_probe_set_takes_any_natural_seed(gauss256):
+    # no upper cap, as `verify --seed` takes large ints; a numpy integer is
+    # the same seed as the Python one
+    assert random_probe_set(gauss256, seed=2**70).points
+    same = random_probe_set(gauss256, seed=5).points
+    assert random_probe_set(gauss256, seed=np.int64(5)).points == same
 
 
 def test_probe_set_rejects_central_phase():
@@ -736,8 +750,7 @@ def test_empty_hull_reads_as_all_zero_blocks():
     assert {name: rep.format_line() for name, rep in reports.items()} == EMPTY_HULL_LINES
     # a loop of an all-zero pair has no live row, and does not pull the
     # hull of a pairing down to row 0
-    uz, uu = (ambiguity._ambiguity_blocks([pair], None, False, whole=False)
-              for pair in ((u, z), (u, u)))
+    uz, uu = (ambiguity._ambiguity_blocks([pair], None) for pair in ((u, z), (u, u)))
     assert ambiguity._live_hull([uz]) == (0, 0)
     assert ambiguity._live_hull([uz, uu]) == ambiguity._live_hull([uu]) == (128, 383)
     # collinearity and trace-reduction refuse zero energy, so no caller
