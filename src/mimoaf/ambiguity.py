@@ -250,9 +250,8 @@ def _check_doppler_count(n_doppler: int | None, n: int, cyclic: bool) -> int:
 def _require_finite_energy(signals: Iterable[SampledSignal]) -> None:
     """Raise InvalidParameterError for a signal whose energy is past the
     float range: every surface built from it would be inf or nan."""
-    with np.errstate(over="ignore"):
-        if not all(math.isfinite(w.energy()) for w in signals):
-            raise InvalidParameterError("a signal's energy is past the float range")
+    if not all(math.isfinite(w.energy()) for w in signals):
+        raise InvalidParameterError("a signal's energy is past the float range")
 
 
 def _window_shift(u: SampledSignal) -> tuple[int, float]:
@@ -297,13 +296,14 @@ class _SurfaceBlocks:
 
     Construction checks the axes as :class:`AmbiguitySurface` does, then
     allocates the buffers, so bad axes or an allocation too large fail
-    before anything is computed or written.  ``blocks(first, stop)`` yields
-    (first row, block) over rows first .. stop-1 in row order; iterating
-    covers every row, for a surface written or held, and a check runs only
-    its live hull (:func:`_row_runs`).  ``tau_axis`` labels the rows
-    (delays, or the times of a Wigner distribution), one per row, and
-    ``nu_axis`` the columns.  A reversed row slice (:func:`_lag_rows`) runs
-    the delays descending.
+    before anything is computed or written.  ``fill(start, stop)`` writes
+    rows start .. stop-1, at most one block, into the block buffer and
+    returns them, until the next fill overwrites them; iterating yields
+    (first row, block) over every row, for a surface written or held, and a
+    check fills only its live hull (:func:`_row_runs`).  ``tau_axis``
+    labels the rows (delays, or the times of a Wigner distribution), one
+    per row, and ``nu_axis`` the columns.  A reversed row slice
+    (:func:`_lag_rows`) runs the delays descending.
 
     With the window (s, f), column j of N and product m, the kernel
     weight exp(i 2 pi (j - N/2) (m + s + f) / N) is
@@ -357,34 +357,34 @@ class _SurfaceBlocks:
         self.values = np.empty((self._rows, N), dtype=np.complex128)
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        return self.blocks(0, self.tau_axis.size)
+        n_lag = self.tau_axis.size
+        for start in range(0, n_lag, self._rows):
+            yield start, self.fill(start, min(start + self._rows, n_lag))
 
-    def blocks(self, first: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+    def fill(self, start: int, stop: int) -> np.ndarray:
         head, *rest = self._gathers
-        for start in range(first, stop, self._rows):
-            end = min(start + self._rows, stop)
-            block = self.values[: end - start]
-            # the block's live rows are lo .. hi-1 of it; the rest are +0
-            lo, hi = (min(max(r - start, 0), end - start) for r in self._live)
-            block[:lo] = 0
-            block[hi:] = 0
-            if lo < hi:
-                live = block[lo:hi]
-                P = self._products[: hi - lo]
-                head(start + lo, P)
-                for gather in rest:
-                    more = self._scratch[: hi - lo]
-                    gather(start + lo, more)
-                    P += more
-                src, dst = P.view(np.float64), live.view(np.float64)
-                for p, c in self._runs:
-                    np.multiply(src[:, p], self._weights[p], out=dst[:, c])
-                for gap in self._gaps:
-                    live[:, gap] = 0
-                np.fft.ifft(live, axis=1, out=live, norm="forward")
-                if self._residual is not None:
-                    live *= self._residual
-            yield start, block
+        block = self.values[: stop - start]
+        # the block's live rows are lo .. hi-1 of it; the rest are +0
+        lo, hi = (min(max(r - start, 0), stop - start) for r in self._live)
+        block[:lo] = 0
+        block[hi:] = 0
+        if lo < hi:
+            live = block[lo:hi]
+            P = self._products[: hi - lo]
+            head(start + lo, P)
+            for gather in rest:
+                more = self._scratch[: hi - lo]
+                gather(start + lo, more)
+                P += more
+            src, dst = P.view(np.float64), live.view(np.float64)
+            for p, c in self._runs:
+                np.multiply(src[:, p], self._weights[p], out=dst[:, c])
+            for gap in self._gaps:
+                live[:, gap] = 0
+            np.fft.ifft(live, axis=1, out=live, norm="forward")
+            if self._residual is not None:
+                live *= self._residual
+        return block
 
 
 def _live_rows(
@@ -483,27 +483,19 @@ def _live_hull(loops: Iterable[_SurfaceBlocks]) -> tuple[int, int]:
 
 def _row_runs(*loops: _SurfaceBlocks) -> Iterator[tuple[int, list[np.ndarray]]]:
     """(first row, the same rows of each loop's surface) for loops of one
-    row count, in runs that end where the first current block ends: a loop
-    moves to its next block, which overwrites the last, only once a run has
-    used all of it.  A loop given twice is run once and its rows handed out
-    twice, so a caller that writes into one must not read the other.  Only
-    the rows of the loops' live hull run, numbered as on the whole surface;
-    inside it a row dead in one loop is +0 there.  Every row outside is +0
-    in every loop and adds exactly 0 to each reducer the checks use: a row
-    sum, math.fsum, a maximum of |.|."""
+    row count, in runs of at most the smallest block.  Each run fills each
+    distinct loop once: a loop given twice hands its rows out twice, so a
+    caller that writes into one must not read the other.  Only the rows of
+    the loops' live hull run, numbered as on the whole surface; inside it a
+    row dead in one loop is +0 there.  Every row outside is +0 in every loop
+    and adds exactly 0 to each reducer the checks use: a row sum,
+    math.fsum, a maximum of |.|."""
     distinct = list(dict.fromkeys(loops))
-    pick = [distinct.index(loop) for loop in loops]
     first, end = _live_hull(distinct)
-    its = [loop.blocks(first, end) for loop in distinct]
-    heads = [next(it, None) for it in its]
-    row = first
-    while heads[0] is not None:
-        stop = min(start + len(block) for start, block in heads)
-        runs = [block[row - start : stop - start] for start, block in heads]
-        yield row, [runs[i] for i in pick]
-        row = stop
-        heads = [next(it, None) if start + len(block) == stop else (start, block)
-                 for it, (start, block) in zip(its, heads)]
+    rows = min(loop._rows for loop in distinct)
+    for start in range(first, end, rows):
+        filled = {loop: loop.fill(start, min(start + rows, end)) for loop in distinct}
+        yield start, [filled[loop] for loop in loops]
 
 
 def _energy(blocks: _SurfaceBlocks) -> float:

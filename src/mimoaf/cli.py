@@ -484,6 +484,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flags that take several values (nargs="+"): a config value for one
+# of them is split at whitespace, any other value is one token
+_MANY_VALUED = ("--suite", "--inputs")
+
+
 def _config_tokens(paths: list[str]) -> list[str]:
     """The flags the config files set.  Their key=value entries are merged
     in file order, so a later file's value for a key replaces an earlier
@@ -497,20 +502,26 @@ def _config_tokens(paths: list[str]) -> list[str]:
             raise MimoafError(
                 f"--config {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
             ) from None
-        for raw in text.splitlines():
+        for number, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")
-            if not sep:
-                raise MimoafError(f"config line without '=': {raw!r}")
-            entries["--" + key.strip().replace("_", "-")] = value.strip()
+            key = key.strip()
+            if not sep or not key or key.startswith("-") or len(key.split()) > 1:
+                # an empty key would give the token "--", argparse's end of
+                # options, and a spaced or dashed one tokens it misreads
+                raise MimoafError(
+                    f"--config {path}: line {number}: expected key=value with a key "
+                    f"of one flag name without dashes, got {raw!r}"
+                )
+            entries["--" + key.replace("_", "-")] = value.strip()
     tokens: list[str] = []
     for flag, value in entries.items():
         if value.lower() == "true":
             tokens.append(flag)
         elif value.lower() != "false":
-            tokens.extend([flag, value])
+            tokens.extend([flag, *(value.split() if flag in _MANY_VALUED else [value])])
     return tokens
 
 

@@ -26,13 +26,13 @@ _row_runs, and reduce each run of rows in place before the next: a sum
 along each row, the rows' total rounded once by math.fsum, or a maximum.
 They read only the hull of their loops' live lag rows, since a row where
 no pair's nonzero samples overlap is +0 and adds exactly 0.
-The psd checks stream the lag rows their probes' differences span, live
-or not, and fill each Gram entry from the block that holds its row.  No
-check depends on the block size, and each holds one block and one set of
-lag products per surface it streams, plus at most one scratch block: under
-2.5 MiB of arrays on the default grid, and the same at any surface size.
-The symmetry checks (symmetry.py) stream the same way, all but the
-rotation check.
+The psd checks read the same way, over the lag rows their probes'
+differences span, each Gram entry from the run holding its row (+0
+outside the hull).  No check depends on the block size, and each holds one
+block and one set of lag products per surface it streams, plus at most one
+scratch block: under 2.5 MiB of arrays on the default grid, and the same
+at any surface size.  The symmetry checks (symmetry.py) stream the same
+way; the rotation check holds one route, whose relabel is a transpose.
 """
 
 from __future__ import annotations
@@ -326,8 +326,8 @@ def _dual_gram(
     which is <u, T(z) u> under the shift operator convention used throughout.
     Probe p sits k_p lags and l_p Doppler bins from the surface's centre, and
     x3 = 0 gives z3 = k_j (l_j - l_i) / N on a grid cross_ambiguity built.
-    Entry (i, j) reads lag k_i - k_j, so only the lags within the probes'
-    spread are streamed, each entry filled from the block holding its row.
+    Entry (i, j) reads lag k_i - k_j, so only the live lags within the
+    probes' spread run, each entry filled from the run holding its row.
     The loop is set up, and its energies checked, before route (a).
     """
     n, dt, pts = waveforms[0].n, waveforms[0].dt, probes.points
@@ -344,7 +344,8 @@ def _dual_gram(
     )
     P = len(pts)
     G_a = np.zeros((P, P), dtype=np.complex128)
-    G_b = np.empty((P, P), dtype=np.complex128)
+    # a row outside the live run is +0
+    G_b = np.zeros((P, P), dtype=np.complex128)
     # row p of C is conj(T(x_p) w): conj(C[j]) * C is inner_product's product
     copies = [np.conj(np.stack([heisenberg_shift(w, p).samples for p in pts])) for w in waveforms]
     for j in range(P):
@@ -352,7 +353,7 @@ def _dual_gram(
             G_a[:, j] += w.dt * np.sum(np.conj(C[j]) * C, axis=1)
     del copies
     roots = _unit_roots(N)
-    for start, block in blocks:
+    for start, (block,) in _row_runs(blocks):
         for j in range(P):
             row = k - k[j] + spread - start
             hit = (row >= 0) & (row < len(block))

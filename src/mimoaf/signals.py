@@ -93,8 +93,9 @@ class SampledSignal:
         return self.t0 + np.arange(self.n) * self.dt
 
     def energy(self) -> float:
-        """Quadrature energy dt * sum |samples|^2."""
-        return float(self.dt * np.sum(np.abs(self.samples) ** 2))
+        """Quadrature energy dt * sum |samples|^2, inf past the float range."""
+        with np.errstate(over="ignore"):
+            return float(self.dt * np.sum(np.abs(self.samples) ** 2))
 
     def norm(self) -> float:
         return math.sqrt(self.energy())

@@ -55,8 +55,8 @@ the default grid and the same at any size, over the hull of the two
 routes' live lag rows only (_row_runs): every row outside is +0 on both.
 The dilation parent, with k times the Doppler bins, and route (a) are
 built only on the lags route (b) reads, every k-th.  The rotation check
-holds its 1 MiB cyclic surfaces whole, at most three, because its relabel
-is a transpose, and reads every row.
+streams route (b) too, against one held 1 MiB cyclic surface, chi(u, v),
+because its relabel is a transpose, and reads every row.
 """
 
 from __future__ import annotations
@@ -93,9 +93,6 @@ __all__ = [
 ]
 
 _SNAP = 1e-9
-# cells per row block of the index and phase arrays, which peak at 24 bytes
-# a cell (an int64 index and a complex phase), so 384 KiB a block
-_BLOCK_CELLS = 2**14
 
 
 def _tau_nu_phase(values: np.ndarray, lags: np.ndarray, sign: int, conj: bool = False) -> None:
@@ -103,26 +100,19 @@ def _tau_nu_phase(values: np.ndarray, lags: np.ndarray, sign: int, conj: bool = 
     exp(sign i 2 pi tau nu), on a grid :func:`cross_ambiguity` built.
 
     Row i of values is lag lags[i], so the phase at Doppler bin j of N is
-    roots[sign lags[i] (j - N/2) mod N], read a few rows at a time.  For a
-    power-of-two N the mod is a mask of the low bits, which is the same
-    index for negative products too (two's complement) and cheaper.
+    roots[sign lags[i] (j - N/2) mod N].  For a power-of-two N the mod is a
+    mask of the low bits, which is the same index for negative products too
+    (two's complement) and cheaper.
     """
     N = values.shape[1]
-    roots = _unit_roots(N)
-    k = sign * lags
-    j = np.arange(N) - N // 2
-    rows = max(1, _BLOCK_CELLS // N)
-    for start in range(0, len(values), rows):
-        blk = slice(start, start + rows)
-        idx = np.multiply.outer(k[blk], j)
-        if N & (N - 1):
-            np.remainder(idx, N, out=idx)
-        else:
-            np.bitwise_and(idx, N - 1, out=idx)
-        phase = roots[idx]
-        if conj:
-            np.conjugate(values[blk], out=values[blk])
-        values[blk] *= phase
+    idx = np.multiply.outer(sign * lags, np.arange(N) - N // 2)
+    if N & (N - 1):
+        np.remainder(idx, N, out=idx)
+    else:
+        np.bitwise_and(idx, N - 1, out=idx)
+    if conj:
+        np.conjugate(values, out=values)
+    values *= _unit_roots(N)[idx]
 
 
 def _dual_path_report(
@@ -148,9 +138,8 @@ def _partner(u: SampledSignal, v: SampledSignal | None) -> SampledSignal:
     energy, where both routes would be zero and their distance 0/0."""
     v = u if v is None else v
     u.require_compatible(v)
-    with np.errstate(over="ignore"):
-        if u.energy() == 0.0 or v.energy() == 0.0:
-            raise InvalidParameterError("a symmetry check needs u and v of nonzero energy")
+    if u.energy() == 0.0 or v.energy() == 0.0:
+        raise InvalidParameterError("a symmetry check needs u and v of nonzero energy")
     return v
 
 
@@ -167,9 +156,9 @@ def verify_fourier_rotation(
     lag products, under which both routes agree to rounding.  There lag
     index and Doppler bin share the step dt, so the pullback along J^{-1},
     s(-nu, tau), is the relabel out[a, l] = s[(n - l) mod n, a] on every
-    cell.  Route (b) is built, and the Fourier pair's surface dropped,
-    before chi(u, v) is.  The surfaces are held, each copied from its
-    streamed blocks, because the relabel is a transpose.
+    cell.  Route (b), the Fourier pair's surface, streams a run of rows at
+    a time against chi(u, v), which is held, because the relabel is a
+    transpose.
     """
     v = _partner(u, v)
     n = u.n
@@ -178,13 +167,21 @@ def verify_fourier_rotation(
             f"rotation check needs n*dt^2 = 1 so the Fourier grid matches; "
             f"got n={n}, dt={u.dt}"
         )
-    s_hat = cross_ambiguity(fourier(u), fourier(v), n_doppler=n, cyclic=True)
-    path_b = s_hat.values.copy()
-    del s_hat
-    _tau_nu_phase(path_b, np.arange(n) - n // 2, 1)
+    pair = fourier(u), fourier(v)
     s = cross_ambiguity(u, v, n_doppler=n, cyclic=True)
-    pairs = zip(_rotation_relabel(s), (path_b[:, :1], path_b[:, 1:]))
-    return _dual_path_report("sym-J", pairs, tol, {})
+    # set up once s, whose own loop is gone by then, is built
+    path_b = _ambiguity_blocks([pair], n, cyclic=True)
+    col0, cols = _rotation_relabel(s)
+    lags = np.arange(n) - n // 2
+
+    def pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for start, (b,) in _row_runs(path_b):
+            rows = slice(start, start + len(b))
+            _tau_nu_phase(b, lags[rows], 1)
+            yield col0[rows], b[:, :1]
+            yield cols[rows], b[:, 1:]
+
+    return _dual_path_report("sym-J", pairs(), tol, {})
 
 
 def _rotation_relabel(s: AmbiguitySurface) -> tuple[np.ndarray, np.ndarray]:

@@ -438,25 +438,25 @@ def test_rect_pulse_transforms_only_its_live_rows(rect256, monkeypatch):
 
 @pytest.mark.parametrize("block_rows", [None, 3])
 def test_row_runs_runs_a_loop_given_twice_once(rect256, block_rows, monkeypatch):
-    # a loop given twice is run once, over its live rows 128 .. 382, and
-    # each run hands out the same rows twice, those of the held surface
+    # a loop given twice is filled once a run, over its live rows 128 .. 382,
+    # and each run hands out the same rows twice, those of the held surface
     if block_rows is not None:
         monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", block_rows * 16 * 1024)
     full = cross_ambiguity(rect256, n_doppler=1024).values
     calls = []
-    blocks = ambiguity._SurfaceBlocks.blocks
+    fill = ambiguity._SurfaceBlocks.fill
 
-    def counted(self, first, stop):
-        calls.append((first, stop))
-        return blocks(self, first, stop)
+    def counted(self, start, stop):
+        calls.append(start)
+        return fill(self, start, stop)
 
-    monkeypatch.setattr(ambiguity._SurfaceBlocks, "blocks", counted)
+    monkeypatch.setattr(ambiguity._SurfaceBlocks, "fill", counted)
     loop = ambiguity._ambiguity_blocks([(rect256, rect256)], 1024)
     got = []
     for row, (x, y) in ambiguity._row_runs(loop, loop):
         assert x is y
         got.append((row, x.copy()))
-    assert calls == [(128, 383)]
+    assert calls == [row for row, _ in got]
     assert got[0][0] == 128
     assert np.concatenate([x for _, x in got]).tobytes() == full[128:383].tobytes()
 

@@ -1547,11 +1547,12 @@ def test_verify_suite_surface_builds(suite, surface_builds, capsys):
 
 @pytest.mark.parametrize("suite", [*(s for s in cli.SUITES if s != "all"), "reciprocal-dilation"])
 def test_verify_suite_surface_budget(suite, capsys):
-    # Every check but sym-J streams its surfaces through the block loop and
-    # holds a few blocks, never a surface, so every suite on the default
-    # grid (256 samples, 1024 Doppler bins, 8 MiB a surface) peaks within
-    # 4 MiB of arrays; sym-J's cyclic surfaces are 1 MiB.  b = 0.5 takes the
-    # dilation check through the dilated pair's parent.
+    # Every check streams its surfaces through the block loop and holds a
+    # few blocks, never a surface of this grid (sym-J holds one of its own
+    # 1 MiB cyclic surfaces), so every suite on the default grid (256
+    # samples, 1024 Doppler bins, 8 MiB a surface) peaks within 4 MiB of
+    # arrays.  b = 0.5 takes the dilation check through the dilated pair's
+    # parent.
     if suite == "reciprocal-dilation":
         u = gen_gaussian(CANONICAL_SIGMA, 1 / 64, 2.0)
         rep, peak = traced_peak(verify_dilation, u, b=0.5, n_doppler=1024)
@@ -1564,7 +1565,8 @@ def test_verify_suite_surface_budget(suite, capsys):
 
 def test_verify_sym_J_surface_budget(capsys):
     # sym-J's own cyclic grid is 256 x 256, 1 MiB a surface: the rotation
-    # check holds at most three of them plus 1 MiB, the same rule as the
+    # check holds one of them, chi(u, v), and streams the Fourier pair's
+    # against it, within three of them plus 1 MiB, the same rule as the
     # other checks at the default grid
     surface_bytes = 256 * 256 * 16
     rc, peak = traced_peak(cli.main, ["verify", "--suite", "sym-J"])
@@ -1641,6 +1643,52 @@ def test_config_that_is_not_utf8_exits_2(tmp_path):
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert str(bad) in res.stderr
+
+
+@pytest.mark.parametrize("case", ["suite", "inputs", "u"])
+def test_config_value_gives_its_flag_one_token_or_several(case, tmp_path, capsys):
+    # a flag that takes several values reads a config value's words, any
+    # other flag the whole value, spaces included: each run prints what its
+    # spelled-out command line prints
+    a, b = tmp_path / "a sig.sig", tmp_path / "b.sig"
+    write_signal(a, gen_rect(1.0, 1 / 32))
+    write_signal(b, gen_rect(1.0, 1 / 32).replace_samples(1j * gen_rect(1.0, 1 / 32).samples))
+    # (command, config line, the flag it stands for, the rest of the line)
+    command, line, flag, rest = {
+        "suite": ("verify", "suite=norm psd", ["--suite", "norm", "psd"], []),
+        "inputs": ("mimo", f"inputs={b} {b}", ["--inputs", b, b], ["--n-doppler", "128"]),
+        "u": ("af", f"u={a}", ["--u", a], ["--n-doppler", "128"]),
+    }[case]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    assert _exit_code([command, *flag, *rest]) == 0
+    want = capsys.readouterr().out
+    assert _exit_code([command, "--config", cfg, *rest]) == 0
+    got = capsys.readouterr().out
+    assert got == want and got.count("\n") == (3 if case == "suite" else 1)
+
+
+@pytest.mark.parametrize("line", ["=5", "fam ily=rect", "--family=rect", "-family=rect"])
+def test_config_key_that_is_no_flag_name_exits_2_naming_the_file(line, tmp_path, capsys):
+    # an empty key gave argparse its end-of-options token "--", a spaced
+    # key was swallowed as a --suite value, and a dashed one became
+    # "----family": each ended in an argparse error that named no file
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text(f"# keys\nfamily=rect\n{line}\n")
+    assert _exit_code(["verify", "--suite", "norm", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: --config {cfg}: line 3: ") and err.count("\n") == 1
+
+
+def test_many_valued_config_flags_are_the_parsers():
+    # a config value is split into words only for the flags that take
+    # several values, so that list must be the parser's nargs="+" flags
+    parser = cli._build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    many = {opt for sub in subs.choices.values() for a in sub._actions
+            if a.nargs == "+" for opt in a.option_strings}
+    assert many == set(cli._MANY_VALUED)
 
 
 def test_config_unknown_key_exits_2(tmp_path):

@@ -350,18 +350,40 @@ def test_psd_route_b_needs_the_group_phase(monkeypatch):
 def test_psd_route_b_needs_the_doppler_sign(monkeypatch):
     # reading the surface at nu_i - nu_j instead of nu_j - nu_i is the same
     # as reading the Doppler-mirrored surface, bin j -> N - j, here of each
-    # streamed block
-    blocks = ambiguity._SurfaceBlocks.__iter__
+    # filled run of rows
+    fill = ambiguity._SurfaceBlocks.fill
 
-    def mirrored(self):
-        for start, block in blocks(self):
-            block[:] = np.roll(block[:, ::-1], 1, axis=1)
-            yield start, block
+    def mirrored(self, start, stop):
+        block = fill(self, start, stop)
+        block[:] = np.roll(block[:, ::-1], 1, axis=1)
+        return block
 
-    monkeypatch.setattr(ambiguity._SurfaceBlocks, "__iter__", mirrored)
+    monkeypatch.setattr(ambiguity._SurfaceBlocks, "fill", mirrored)
     for rep in _psd_pair():
         assert not rep.passed
         assert rep.rel_err > 1e-3
+
+
+def test_psd_reads_rows_outside_a_narrow_pulses_live_run_as_zero(monkeypatch):
+    # a 16-sample pulse in a 256-sample window overlaps itself only at lags
+    # -15 .. 15, and its probes' lag differences reach past that, so route
+    # (b) reads rows outside the live run: +0, as a loop that fills every
+    # row writes them
+    samples = np.zeros(256, dtype=np.complex128)
+    samples[120:136] = np.exp(1j * np.linspace(0.0, 1.0, 16))
+    u = gen_rect(1.0, 1 / 128).replace_samples(samples)
+    probes = random_probe_set(u, 8, 0, 1024)
+    lags = [round(p.tau / u.dt) for p in probes.points]
+    assert max(lags) - min(lags) > 15
+
+    def lines():
+        return [gram_psd_check(u, probes, n_doppler=1024).format_line(),
+                trace_psd_check([u, u], probes, 1.0, n_doppler=1024).format_line()]
+
+    hull = lines()
+    assert all(" pass " in line for line in hull)
+    monkeypatch.setattr(ambiguity, "_live_hull", lambda loops: (0, loops[0].tau_axis.size))
+    assert lines() == hull
 
 
 @pytest.mark.parametrize("axis", ["lag", "doppler"])
@@ -536,10 +558,9 @@ def test_overflowing_energy_is_refused_before_any_surface(check, scale, gauss256
     # an energy past the float range makes lambda and the fits nan, and a
     # nan passed uniqueness and trace-reduction as a void hypothesis
     w = gauss256.replace_samples(scale * gauss256.samples)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert w.energy() == math.inf
-        with pytest.raises(InvalidParameterError, match="finite nonzero energy"):
-            check(w, w.replace_samples(1j * w.samples))
+    assert w.energy() == math.inf
+    with pytest.raises(InvalidParameterError, match="finite nonzero energy"):
+        check(w, w.replace_samples(1j * w.samples))
     assert surface_builds == []
 
 
