@@ -23,12 +23,13 @@ allocate.  In ``verify`` a refusing suite outranks a failed check: 2,
 with the lines of the suites that ran kept on stdout and ``--report``
 deleted.
 
-A plain-text UTF-8 config file (``key=value`` lines, ``#`` comments) can
-seed any subcommand's flags via ``--config``, given before or after the
-subcommand and repeatable; a later file's value for a key overrides an
-earlier one's, and explicit flags win.  Keys use flag names without the
-leading dashes; switch flags take ``true``/``false``; ``--conf`` or a
-``config=`` line exits 2.
+A plain-text UTF-8 config file (``key=value`` lines; a ``#`` at the start
+of a line or after whitespace starts a comment) can seed any subcommand's
+flags via ``--config``, given before or after the subcommand and
+repeatable; a later file's value for a key overrides an earlier one's, and
+explicit flags win.  Keys are long flag names without the leading dashes;
+switch flags take ``true``/``false`` only, every other flag its value
+verbatim; ``--conf`` or a ``config=`` line exits 2.
 Outputs carry no timestamps, so a fixed command line (and seed) produces
 byte-identical files.
 """
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from functools import cache
 from pathlib import Path
@@ -484,17 +486,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the flags that take several values (nargs="+"): a config value for one
-# of them is split at whitespace, any other value is one token
-_MANY_VALUED = ("--suite", "--inputs")
+@cache
+def _flag_actions() -> dict[str, argparse.Action]:
+    """Each subcommand flag's argparse action, by option string.  A flag
+    that several subcommands share takes values alike in each."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt: a for p in sub.choices.values() for a in p._actions for opt in a.option_strings}
+
+
+# a "#" at the start of a line or after whitespace, and the rest of the line
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def _config_tokens(paths: list[str]) -> list[str]:
-    """The flags the config files set.  Their key=value entries are merged
-    in file order, so a later file's value for a key replaces an earlier
-    one's, and each key is then given once: ``true`` as the bare switch
-    flag, ``false`` as nothing, any other value after its flag."""
-    entries: dict[str, str] = {}
+    """The flags the config files set, each typed by its argparse action: a
+    switch takes ``true`` (the bare flag) or ``false`` (nothing), a flag
+    with nargs="+" the value's words, any other flag the whole value.  The
+    entries are merged in file order, so a later file's value for a key
+    replaces an earlier one's, and each key is then given once."""
+    actions = _flag_actions()
+    entries: dict[str, list[str]] = {}
     for path in paths:
         try:
             text = Path(path).read_text(encoding="utf-8")
@@ -503,26 +514,31 @@ def _config_tokens(paths: list[str]) -> list[str]:
                 f"--config {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
             ) from None
         for number, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.sub("", raw, count=1).strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or not key or key.startswith("-") or len(key.split()) > 1:
-                # an empty key would give the token "--", argparse's end of
-                # options, and a spaced or dashed one tokens it misreads
+            key, value = key.strip(), value.strip()
+            flag = "--" + key.replace("_", "-")
+            action = actions.get(flag)
+            # an empty key would give the token "--", argparse's end of
+            # options, and a spaced, dashed or abbreviated one tokens it
+            # misreads
+            if not sep or action is None:
                 raise MimoafError(
                     f"--config {path}: line {number}: expected key=value with a key "
-                    f"of one flag name without dashes, got {raw!r}"
+                    f"of one long flag name without dashes, got {raw!r}"
                 )
-            entries["--" + key.replace("_", "-")] = value.strip()
-    tokens: list[str] = []
-    for flag, value in entries.items():
-        if value.lower() == "true":
-            tokens.append(flag)
-        elif value.lower() != "false":
-            tokens.extend([flag, *(value.split() if flag in _MANY_VALUED else [value])])
-    return tokens
+            if action.nargs == 0:
+                if value.lower() not in ("true", "false"):
+                    raise MimoafError(
+                        f"--config {path}: line {number}: {key} is a switch and takes "
+                        f"true or false, got {value!r}"
+                    )
+                entries[flag] = [flag] if value.lower() == "true" else []
+            else:
+                entries[flag] = [flag, *(value.split() if action.nargs == "+" else [value])]
+    return [token for tokens in entries.values() for token in tokens]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,11 +6,14 @@ text uses 17 significant digits (``%.17g``), which round-trips IEEE doubles
 exactly, and the binary layouts are fixed little-endian, so identical
 inputs produce byte-identical files.
 
-The text bodies are formatted by one ``%`` map over columns of Python
-floats, and a CSV surface is written one lag row at a time, so its text is
-never whole in memory.  The readers check the header and the line count,
-then parse the body with numpy's C reader (``np.loadtxt``), which rounds
-each number exactly as ``float()`` does.
+Each text body is formatted by one ``%`` per run of lines over Python
+floats (``.tolist()``), so ``%.17g`` formats each exactly as
+``format(x, ".17g")`` does, -0.0 and inf included: a SIG1 body is one
+run, and a CSV surface is written one lag row at a time, from a row format
+built once per surface with each Doppler value's text folded in, so its
+text is never whole in memory.  The readers check the header and the line
+count, then parse the body with numpy's C reader (``np.loadtxt``), which
+rounds each number exactly as ``float()`` does.
 
 SUR1 layout: magic "SUR1", then little-endian u32 n_tau, u32 n_nu,
 f64 tau0, f64 dtau, f64 nu0, f64 dnu, then n_tau*n_nu complex values as
@@ -43,7 +46,6 @@ import os
 import stat
 import struct
 from collections.abc import Callable, Iterable, Iterator
-from itertools import repeat
 from pathlib import Path
 from typing import IO
 
@@ -66,17 +68,11 @@ __all__ = [
 
 _SIGB_MAGIC = b"SIGB"
 _SUR1_MAGIC = b"SUR1"
+_NON_FINITE_HEATMAP = "a heatmap needs finite values; the surface holds nan or inf"
 
 
 def _f(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _text_lines(fmt: str, *columns) -> str:
-    """fmt % (c0[i], c1[i], ...) for each i, joined.  Give float columns as
-    Python floats (``.tolist()``): ``%.17g`` then formats them exactly as
-    ``format(x, ".17g")`` does, -0.0 and inf included."""
-    return "".join(map(fmt.__mod__, zip(*columns)))
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -144,10 +140,10 @@ def _write_signals(outputs: list[tuple[str | Path, SampledSignal]], binary: bool
                 fh.write(np.ascontiguousarray(z, dtype="<c16"))
             else:
                 fh, lead = new(path, "w", b"n")
-                fh.write(
-                    f"{lead}={signal.n}\ndt={_f(signal.dt)}\nt0={_f(signal.t0)}\n"
-                    + _text_lines("%.17g,%.17g\n", z.real.tolist(), z.imag.tolist())
-                )
+                # the header, then one line per sample of its (re, im) pair;
+                # no header field's text holds a "%"
+                head = f"{lead}={signal.n}\ndt={_f(signal.dt)}\nt0={_f(signal.t0)}\n"
+                fh.write((head + "%.17g,%.17g\n" * signal.n) % tuple(z.view(np.float64).tolist()))
 
 
 def write_signal(path: str | Path, signal: SampledSignal, binary: bool = False) -> None:
@@ -206,8 +202,11 @@ def _write_heatmap(
     fh: IO[bytes], lead: bytes, mag: np.ndarray, db_floor: float, scaling: str
 ) -> None:
     """Scale the |values| image in place onto 0 .. 255 and write it as P5,
-    with lead in place of the "P5" marker."""
-    peak = float(mag.max())
+    with lead in place of the "P5" marker.  An image holding nan or inf has
+    no peak to scale by and is refused."""
+    peak = float(mag.max())  # nan if any value is nan
+    if not math.isfinite(peak):
+        raise InvalidParameterError(_NON_FINITE_HEATMAP)
     if peak <= 0.0:
         mag.fill(0.0)
     elif scaling == "linear":
@@ -280,9 +279,12 @@ def write_surface_blocks(
             csv_fh, lead = new(csv, "w", b"#")
             csv_fh.write("{} n_tau={} n_nu={}\n# tau0={} dtau={} nu0={} dnu={}\ntau,nu,re,im\n"
                          .format(lead, tau.size, nu.size, *map(_f, steps)))
-            # tau and nu are formatted once each, with their commas
+            # a lag row's lines, "tau,nu_j,re,im" for each j, with each nu's
+            # text folded in: one % of the row's tau text, re and im per row
+            row_format = "".join("%s" + _f(x).replace("%", "%%") + ",%.17g,%.17g\n"
+                                 for x in nu.tolist())
             taus = [_f(x) + "," for x in tau.tolist()]
-            nus = [_f(x) + "," for x in nu.tolist()]
+            row_args: list = [None] * (3 * nu.size)
         if ppm:
             ppm_fh, ppm_lead = new(ppm, "wb", b"P5")
         done = 0
@@ -295,8 +297,10 @@ def write_surface_blocks(
                 sur1_fh.write(np.ascontiguousarray(block, dtype="<c16"))
             if csv:  # one lag row of text at a time
                 for tau_text, row in zip(taus[start:stop], block):
-                    csv_fh.write(_text_lines("%s%s%.17g,%.17g\n", repeat(tau_text), nus,
-                                             row.real.tolist(), row.imag.tolist()))
+                    row_args[0::3] = [tau_text] * nu.size
+                    row_args[1::3] = row.real.tolist()
+                    row_args[2::3] = row.imag.tolist()
+                    csv_fh.write(row_format % tuple(row_args))
             if ppm:
                 np.abs(block, out=image[start:stop])
             if start <= row0 < stop:
@@ -417,12 +421,14 @@ def write_ppm(
 
     "db" maps [db_floor, 0] dB relative to the peak onto [0, 255];
     "linear" maps [0, peak].  A zero surface renders black.  A bad scaling
-    or floor, and values that are not a 2-D array of at least one cell, are
-    refused before the file opens.
+    or floor, and values that are not a 2-D array of at least one cell or
+    hold nan or inf, are refused before the file opens.
     """
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise InvalidParameterError(f"a heatmap needs a 2-D array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError(_NON_FINITE_HEATMAP)
     h, w = arr.shape
     write_surface_blocks([(0, arr)], np.arange(h), np.arange(w), ppm=path,
                          db_floor=db_floor, scaling=scaling)

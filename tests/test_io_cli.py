@@ -334,6 +334,27 @@ def test_af_wigner_and_ppm(tmp_path):
     assert ppm.read_bytes().startswith(b"P5\n")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)],
+                         ids=["nan", "inf", "-inf", "nan-imag"])
+def test_heatmap_of_a_non_finite_cell_is_refused(bad, tmp_path):
+    # a heatmap scaled by a nan or inf peak came out all black, with numpy
+    # warnings; write_ppm refuses before its file opens, so an older file
+    # keeps its bytes, and the streamed heatmap refuses once its last block
+    # is in, and the write group deletes every output
+    values = np.ones((3, 4), dtype=complex)
+    values[1, 2] = bad
+    old = tmp_path / "old.ppm"
+    old.write_bytes(b"older bytes")
+    with pytest.raises(InvalidParameterError, match="finite"):
+        write_ppm(old, values)
+    assert old.read_bytes() == b"older bytes"
+    outs = {"sur1": tmp_path / "s.sur", "csv": tmp_path / "s.csv", "ppm": tmp_path / "s.ppm"}
+    with pytest.raises(InvalidParameterError, match="finite"):
+        write_surface_blocks([(0, values[:2]), (2, values[2:])], np.arange(3.0), np.arange(4.0),
+                             **outs)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.ppm"]
+
+
 def test_af_ppm_nan_db_floor_exits_2(tmp_path, capsys):
     sig, ppm = tmp_path / "r.sig", tmp_path / "r.ppm"
     write_signal(sig, gen_rect(1.0, 1 / 64))
@@ -1578,7 +1599,8 @@ def test_verify_sym_J_surface_budget(capsys):
 
 def test_config_supplies_defaults(tmp_path):
     cfg = tmp_path / "gen.cfg"
-    cfg.write_text("family=lfm\nT=0.5\nrate=6\n# comment line\n")
+    # a "#" after whitespace starts a comment, as one at a line's start does
+    cfg.write_text("family=lfm\nT=0.5  # seconds\nrate=6\t# Hz/s\n# comment line\n")
     out = tmp_path / "c.sig"
     res = run_cli("gen", "--config", cfg, "-o", out)
     assert res.returncode == 0
@@ -1681,14 +1703,69 @@ def test_config_key_that_is_no_flag_name_exits_2_naming_the_file(line, tmp_path,
     assert err.startswith(f"error: --config {cfg}: line 3: ") and err.count("\n") == 1
 
 
-def test_many_valued_config_flags_are_the_parsers():
-    # a config value is split into words only for the flags that take
-    # several values, so that list must be the parser's nargs="+" flags
-    parser = cli._build_parser()
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    many = {opt for sub in subs.choices.values() for a in sub._actions
-            if a.nargs == "+" for opt in a.option_strings}
-    assert many == set(cli._MANY_VALUED)
+def test_many_valued_config_flags_are_the_parsers(tmp_path):
+    # a config value is split into words only for the flags the parser
+    # declares with nargs="+", and is one token for every other flag that
+    # takes a value; the config reader types each flag once for all
+    # subcommands, so a flag they share must take values alike in each
+    subs = next(a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    nargs: dict[str, set] = {}
+    for sub in subs.choices.values():
+        for a in sub._actions:
+            for opt in a.option_strings:
+                nargs.setdefault(opt, set()).add(a.nargs)
+    assert all(len(kinds) == 1 for kinds in nargs.values()), nargs
+    assert {opt for opt, kinds in nargs.items() if "+" in kinds} == {"--suite", "--inputs"}
+    cfg = tmp_path / "c.cfg"
+    for opt, (kind,) in nargs.items():
+        if opt.startswith("--") and kind != 0:
+            cfg.write_text(f"{opt[2:]}=a b\n")
+            want = [opt, "a", "b"] if kind == "+" else [opt, "a b"]
+            assert cli._config_tokens([str(cfg)]) == want, opt
+
+
+@pytest.mark.parametrize("line", ["u={}", "u={}  # the pulse", "  # a note\nu={}"],
+                         ids=["hash-in-value", "trailing-comment", "indented-comment"])
+def test_config_hash_starts_a_comment_only_after_whitespace(line, tmp_path, capsys):
+    # a "#" inside a value is part of it; one at the start of a line or
+    # after whitespace starts a comment
+    sig = tmp_path / "a#b.sig"
+    write_signal(sig, gen_rect(1.0, 1 / 32))
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text(line.format(sig) + "\n")
+    assert _exit_code(["af", "--u", sig, "--n-doppler", "128"]) == 0
+    want = capsys.readouterr().out
+    assert _exit_code(["af", "--config", cfg, "--n-doppler", "128"]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("value", ["true", "false", "TRUE"])
+def test_config_value_of_a_flag_that_takes_one_is_verbatim(value, tmp_path, capsys,
+                                                           monkeypatch):
+    # only a switch reads true or false: u=true names a file called "true"
+    monkeypatch.chdir(tmp_path)
+    write_signal(value, gen_rect(1.0, 1 / 32))
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"u={value}\n")
+    assert _exit_code(["af", "--u", value, "--n-doppler", "128"]) == 0
+    want = capsys.readouterr().out
+    assert _exit_code(["af", "--config", cfg, "--n-doppler", "128"]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("line", ["binary=yes", "binary=1", "binary=", "binary=true false",
+                                  "bin=true", "wavelength=3"])
+def test_config_bad_switch_value_or_unknown_key_exits_2_naming_the_line(line, tmp_path, capsys):
+    # a switch takes true or false, and a key must be a flag's full name;
+    # argparse's own error named neither the file nor the line
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"family=rect\n{line}\n")
+    out = tmp_path / "x.sig"
+    assert _exit_code(["gen", "--config", cfg, "-o", out]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith(f"error: --config {cfg}: line 2: ") and err.count("\n") == 1
 
 
 def test_config_unknown_key_exits_2(tmp_path):

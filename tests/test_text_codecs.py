@@ -20,7 +20,13 @@ from mimoaf import (
     gen_subcarrier_set,
 )
 from mimoaf.ambiguity import AmbiguitySurface
-from mimoaf.io_formats import read_signal, read_surface_csv, write_signal, write_surface_csv
+from mimoaf.io_formats import (
+    read_signal,
+    read_surface_csv,
+    write_signal,
+    write_surface_blocks,
+    write_surface_csv,
+)
 
 from conftest import traced_peak
 
@@ -270,6 +276,64 @@ def test_sig1_round_trip_is_bit_exact(pairs, tmp_path_factory):
     back = read_signal(path)
     assert back.samples.view(np.uint64).tolist() == u.samples.view(np.uint64).tolist()
     assert (back.dt, back.t0) == (u.dt, u.t0)
+
+
+# ------------------------------------------- text against a per-cell reference
+
+def _reference_csv(tau: list, nu: list, values: np.ndarray) -> str:
+    """The CSV text of a surface, one f-string per cell."""
+    head = (f"# n_tau={len(tau)} n_nu={len(nu)}\n"
+            f"# tau0={tau[0]:.17g} dtau={tau[1] - tau[0]:.17g} "
+            f"nu0={nu[0]:.17g} dnu={nu[1] - nu[0]:.17g}\ntau,nu,re,im\n")
+    return head + "".join(f"{t:.17g},{f:.17g},{z.real:.17g},{z.imag:.17g}\n"
+                          for t, row in zip(tau, values.tolist()) for f, z in zip(nu, row))
+
+
+# axis values whose %.17g text is up to 24 characters long, kept small
+# enough that an axis step does not overflow
+_axis = st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=5, unique=True).map(sorted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tau=_axis, nu=_axis, data=st.data())
+def test_csv_text_matches_per_cell_reference(tau, nu, data, tmp_path_factory):
+    # every double, nan and both infinities included, against the row
+    # format; the surface arrives in blocks of drawn sizes, so the reused
+    # row arguments cross block boundaries
+    parts = data.draw(st.lists(st.floats(), min_size=2 * len(tau) * len(nu),
+                               max_size=2 * len(tau) * len(nu)))
+    values = np.array(parts).view(np.complex128).reshape(len(tau), len(nu))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(tau) - 1))))
+    starts = [0, *cuts]
+    blocks = [(a, values[a:b]) for a, b in zip(starts, [*cuts, len(tau)])]
+    path = tmp_path_factory.mktemp("csv") / "s.csv"
+    write_surface_blocks(blocks, np.array(tau), np.array(nu), csv=path)
+    assert path.read_text() == _reference_csv(tau, nu, values)
+
+
+def test_csv_text_of_long_axis_text_matches_reference(tmp_path):
+    # axes whose every value prints 19 to 23 characters
+    tau = (np.arange(6) - 2.9) / 7
+    nu = (np.arange(7) - 3.1) * np.pi * 1e-17
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((6, 7)) * 1e-300 + 1j * rng.standard_normal((6, 7)) * 1e300
+    s = AmbiguitySurface(values, tau, nu)
+    write_surface_csv(tmp_path / "s.csv", s)
+    text = (tmp_path / "s.csv").read_text()
+    assert text == _reference_csv(tau.tolist(), nu.tolist(), values)
+    assert min(len(f"{x:.17g}") for x in [*tau, *nu]) >= 19
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2),
+                      min_size=1, max_size=12),
+       dt=st.floats(5e-324, 1e300), t0=st.floats(-1e300, 1e300))
+def test_sig1_text_matches_per_sample_reference(pairs, dt, t0, tmp_path_factory):
+    path = tmp_path_factory.mktemp("sig") / "u.sig"
+    write_signal(path, SampledSignal(np.array([complex(*p) for p in pairs]), dt, t0))
+    want = f"n={len(pairs)}\ndt={dt:.17g}\nt0={t0:.17g}\n" + "".join(
+        f"{re:.17g},{im:.17g}\n" for re, im in pairs)
+    assert path.read_text() == want
 
 
 # ------------------------------------------------------------------ memory
