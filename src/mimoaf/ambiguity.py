@@ -43,7 +43,7 @@ import numpy.typing as npt
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridAlignmentError, InvalidParameterError
-from .signals import SampledSignal, _require_count, _require_positive, _snap, _support
+from .signals import SampledSignal, _require_count, _require_energy, _require_positive, _snap, _support
 
 __all__ = [
     "AmbiguitySurface",
@@ -247,13 +247,6 @@ def _check_doppler_count(n_doppler: int | None, n: int, cyclic: bool) -> int:
     return _check_bins("n_doppler", n_doppler, n, n if cyclic else 4 * n)
 
 
-def _require_finite_energy(signals: Iterable[SampledSignal]) -> None:
-    """Raise InvalidParameterError for a signal whose energy is past the
-    float range: every surface built from it would be inf or nan."""
-    if not all(math.isfinite(w.energy()) for w in signals):
-        raise InvalidParameterError("a signal's energy is past the float range")
-
-
 def _window_shift(u: SampledSignal) -> tuple[int, float]:
     """t0/dt split into its nearest whole number s and the fraction t0/dt - s.
 
@@ -440,7 +433,7 @@ def _ambiguity_blocks(
         [gather for _, gather in lag_rows], u.n, lags * u.dt, _doppler_axis(n_doppler, u.dt),
         window, u.dt, (0, lags.size) if cyclic else _live_rows(pairs, lags),
     )
-    _require_finite_energy(w for pair in pairs for w in pair)
+    _require_energy(w for pair in pairs for w in pair)
     return blocks
 
 
@@ -587,7 +580,7 @@ def _wigner_blocks(u: SampledSignal, v: SampledSignal | None, n_freq: int | None
     blocks = _SurfaceBlocks(
         [gather], n, u.times, _doppler_axis(n_freq, 2.0 * u.dt), (-h, 0.0), 2.0 * u.dt, live
     )
-    _require_finite_energy([u, v])
+    _require_energy([u, v])
     return blocks
 
 
@@ -696,7 +689,7 @@ def mimo_slice_spatial(
     nu_axis = _doppler_axis(n_doppler, first.dt)
     k = int(lags[_axis_index(lags * first.dt, tau, "delay", "lag")])
     nu = float(nu_axis[_axis_index(nu_axis, nu, "Doppler", "Doppler")])
-    _require_finite_energy(waveforms)
+    _require_energy(waveforms)
     U = np.stack([w.samples for w in waveforms])
     phase = np.exp(1j * 2.0 * math.pi * nu * first.times)
     # the samples n in [lo, hi) whose partner n + k is in the window

@@ -13,9 +13,15 @@ Four subcommands:
 ``verify --tol X`` replaces the tolerance of every check in the suite;
 without it each check keeps its own.  X must be finite and >= 0.  The
 internal gates do not move with it: PSD route agreement 1e-8, the surface
-distance 1e-8 that gates uniqueness only, the unimodular fit 1e-6 by which
-trace-reduction decides its hypothesis on the waveforms and collinearity
-sum 1e-8.  A failed PSD or collinearity gate fails its check at any X.
+distance 1e-8 of the larger self surface's norm that gates uniqueness
+only, the unimodular fit 1e-6 by which trace-reduction decides its
+hypothesis on the waveforms and collinearity sum 1e-8, each relative, so
+no verdict depends on the signals' amplitude.  A failed PSD or
+collinearity gate fails its check at any X.
+
+``af`` and ``mimo`` default to 1024 Doppler bins, or to n rounded up to
+even for a signal longer than that; ``verify``'s grids are fixed, and its
+default is 1024.
 
 Exit codes: 0 all checks passed / command succeeded, 1 at least one check
 failed, 2 usage or validation error, including a size too large to
@@ -323,11 +329,17 @@ def _write_outputs(args, blocks, tau_axis: np.ndarray, nu_axis: np.ndarray) -> c
     )
 
 
+def _doppler_bins(args, n: int) -> int:
+    """--n-doppler, else 1024 bins, or n rounded up to even for a signal
+    longer than that: the default of af and mimo, which take any length."""
+    return max(1024, n + n % 2) if args.n_doppler is None else args.n_doppler
+
+
 def _cross_surface(args, label: str, pairs: list[tuple[SampledSignal, SampledSignal]]) -> int:
     """Write the surface sum_i chi(u_i, v_i) of the signal pairs to every
     requested output and print its line.  The surface is built one block of
     lag rows at a time and never held whole."""
-    blocks = _ambiguity_blocks(pairs, args.n_doppler)
+    blocks = _ambiguity_blocks(pairs, _doppler_bins(args, pairs[0][0].n))
     origin = _write_outputs(args, blocks, blocks.tau_axis, blocks.nu_axis)
     print(f"{label} n_lag={blocks.tau_axis.size} n_doppler={blocks.n_doppler} "
           f"origin={origin.real:.12g}{origin.imag:+.12g}j")
@@ -348,7 +360,8 @@ def cmd_af(args) -> int:
 def cmd_mimo(args) -> int:
     waves = [io_formats.read_signal(p) for p in args.inputs]
     if args.slice_spatial:
-        grid = mimo_slice_spatial(waves, args.gamma, args.tau, args.nu, args.K, args.n_doppler)
+        grid = mimo_slice_spatial(waves, args.gamma, args.tau, args.nu, args.K,
+                                  _doppler_bins(args, waves[0].n))
         fs_axis = np.arange(args.K) * (1.0 / args.K)
         _write_outputs(args, [(0, grid)], fs_axis, fs_axis)
         print(f"spatial-slice K={args.K} tau={args.tau:.12g} nu={args.nu:.12g}")
@@ -417,10 +430,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # flags that several subcommands share with one default
+    # flags that several subcommands share with one default (verify, whose
+    # grids are fixed, keeps its own --n-doppler of 1024)
     config = _config_parser()
     doppler = argparse.ArgumentParser(add_help=False)
-    doppler.add_argument("--n-doppler", type=int, default=1024)
+    doppler.add_argument("--n-doppler", type=int, default=None,
+                         help="Doppler bins (default 1024, or n rounded up to even past it)")
     steering = argparse.ArgumentParser(add_help=False)
     steering.add_argument("--gamma", type=float, default=1.0)
     outputs = argparse.ArgumentParser(add_help=False)
@@ -469,8 +484,8 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--nu", type=float, default=0.0)
     m.set_defaults(func=cmd_mimo)
 
-    v = sub.add_parser("verify", parents=[config, doppler, steering],
-                       help="run identity-check suites")
+    v = sub.add_parser("verify", parents=[config, steering], help="run identity-check suites")
+    v.add_argument("--n-doppler", type=int, default=1024)
     v.add_argument("--suite", required=True, nargs="+", choices=SUITES,
                    help="one or more suites, run in the order given")
     v.add_argument("--family", default="gaussian", choices=FAMILIES)

@@ -63,7 +63,14 @@ from .ambiguity import (
     mimo_energy_quadrature,
 )
 from .errors import GridAlignmentError, GridMismatchError, InvalidParameterError
-from .signals import HeisenbergPoint, SampledSignal, _require_count, heisenberg_shift, inner_product
+from .signals import (
+    HeisenbergPoint,
+    SampledSignal,
+    _require_count,
+    _require_energy,
+    heisenberg_shift,
+    inner_product,
+)
 
 __all__ = [
     "CheckReport",
@@ -82,12 +89,14 @@ __all__ = [
     "trace_reduction_check",
 ]
 
-_TINY = 1e-30
+# the least positive float: a scale is zero, an error absolute and a
+# divisor floored, only below it
+_TINY = math.ulp(0.0)
 # probe delays and Dopplers stay within this fraction of their half-axes
 _PROBE_SPAN = 1.0 / 6.0
 # internal gates, held fixed whatever tolerance a check reports against:
 _PATH_TOL = 1e-8  # psd routes (a) and (b), relative to the energy
-_AF_TOL = 1e-8  # uniqueness: L2 distance at which two self surfaces coincide
+_AF_TOL = 1e-8  # uniqueness: self surfaces' L2 distance, by the larger one's norm
 _SUM_TOL = 1e-8  # collinearity: summed surfaces against the prediction, by peak
 _FIT_TOL = 1e-6  # uniqueness and trace reduction: the unimodular fit of a pair
 
@@ -143,7 +152,7 @@ def make_report(
     lhs = complex(lhs)
     rhs = complex(rhs)
     abs_err = abs(lhs - rhs)
-    rel_err = abs_err / scale if scale > _TINY else abs_err
+    rel_err = abs_err / scale if scale >= _TINY else abs_err
     return CheckReport(name, lhs, rhs, abs_err, rel_err, tol)
 
 
@@ -426,15 +435,14 @@ def trace_psd_check(
     return _psd_report("trace-psd", G_a, G_b, probes, energy_scale, tol)
 
 
-def _unimodular_fit(u: SampledSignal, v: SampledSignal) -> tuple[complex, float, float]:
-    """The least-squares scalar lambda = <u,v>/energy(v) with u ~ lambda v,
-    the residual |u - lambda v| / |u|, and the unimodular defect ||lambda| - 1|.
-    A zero u or v has no such scalar, and an energy past the float range
-    makes it nan: either raises InvalidParameterError."""
-    eu, ev = u.energy(), v.energy()
-    for name, e in (("u", eu), ("v", ev)):
-        if not 0.0 < e < math.inf:
-            raise InvalidParameterError(f"{name} needs a finite nonzero energy, got {e}")
+def _unimodular_fit(
+    u: SampledSignal, v: SampledSignal, eu: float, ev: float
+) -> tuple[complex, float, float]:
+    """The least-squares scalar lambda = <u,v>/ev with u ~ lambda v, the
+    residual |u - lambda v| / |u|, and the unimodular defect ||lambda| - 1|,
+    for the energies eu, ev of u and v, which _require_energy(nonzero=True)
+    gave: a zero u or v has no such scalar, and one past the float range
+    makes it nan."""
     lam = inner_product(u, v) / ev
     diff = u.samples - lam * v.samples
     residual = math.sqrt(float(u.dt * np.sum(np.abs(diff) ** 2))) / math.sqrt(eu)
@@ -449,25 +457,29 @@ def recover_scalar(
 ) -> CheckReport:
     """Uniqueness up to a unimodular scalar.
 
-    When the two self-ambiguity surfaces coincide (L2 distance <= _AF_TOL),
-    the estimate lambda = <u,v>/energy(v) must be unimodular and reproduce
-    u as lambda * v.  When the surfaces differ, the hypothesis is void: the
-    report passes vacuously and records the non-equal status in info.
-    Either way info["lambda"] holds the estimate.  A u or v of zero or
-    non-finite energy raises InvalidParameterError before any surface is
-    built.
+    When the two self-ambiguity surfaces coincide (L2 distance within
+    _AF_TOL of the larger one's norm, max(energy(u), energy(v))), the
+    estimate lambda = <u,v>/energy(v) must be unimodular and reproduce u as
+    lambda * v.  When the surfaces differ, the hypothesis is void: the
+    report passes vacuously and records the non-equal status in info.  A
+    distance that is not finite decides nothing, and fails.  Either way
+    info["lambda"] holds the estimate and info["af_distance"] the distance.
+    A u or v of zero or non-finite energy raises InvalidParameterError
+    before any surface is built.
     """
-    lam, residual, unimodular_defect = _unimodular_fit(u, v)
+    eu, ev = _require_energy([u, v], nonzero=True)
+    lam, residual, unimodular_defect = _unimodular_fit(u, v, eu, ev)
     su, sv = _ambiguity_blocks([(u, u)], n_doppler), _ambiguity_blocks([(v, v)], n_doppler)
     diff_rows = (_squared_rows(np.subtract(x, y, out=x)) for _, (x, y) in _row_runs(su, sv))
     af_dist = math.sqrt(_integral(su, diff_rows).real)
     info: dict = {"af_distance": af_dist, "lambda": lam}
-    if af_dist <= _AF_TOL:
+    if af_dist <= _AF_TOL * max(eu, ev):
         rel_err = max(residual, unimodular_defect)
         info.update({"af_equal": True, "residual": residual})
         return CheckReport("uniqueness", abs(lam), 1.0, rel_err, rel_err, tol, info)
     info.update({"af_equal": False, "status": "surfaces differ; hypothesis void"})
-    return CheckReport("uniqueness", abs(lam), 1.0, 0.0, 0.0, tol, info)
+    void = 0.0 if math.isfinite(af_dist) else math.nan
+    return CheckReport("uniqueness", abs(lam), 1.0, void, void, tol, info)
 
 
 def collinearity_check(
@@ -485,10 +497,7 @@ def collinearity_check(
     direction, to _SUM_TOL of its peak; when it fails, the report carries
     the inner-product ratio as the counterexample witness.
     """
-    e2 = u2.energy()
-    e3 = u3.energy()
-    if not (0.0 < e2 < math.inf and 0.0 < e3 < math.inf):
-        raise InvalidParameterError("collinearity needs inputs of finite nonzero energy")
+    e2, e3 = _require_energy([u2, u3], nonzero=True)
     ip = inner_product(u2, u3)
     cs_ratio = abs(ip) / (u2.norm() * u3.norm())
     defect = max(0.0, 1.0 - cs_ratio)
@@ -531,20 +540,22 @@ def trace_reduction_check(
     info["failing_pairs"].
 
     No pairwise surface is built.  recover_scalar also asks that the self
-    surfaces lie within _AF_TOL of each other; a pair within the residual
-    test but not that gate would pass recover_scalar vacuously, and here its
-    set is tested for the reduction instead.  A waveform of zero or
-    non-finite energy raises InvalidParameterError before any fit or surface.
+    surfaces lie within _AF_TOL of each other, relative to the larger one's
+    norm; a pair within the residual test but not that gate would pass
+    recover_scalar vacuously, and here its set is tested for the reduction
+    instead.  A waveform of zero or non-finite energy raises
+    InvalidParameterError before any fit or surface: a zero set would pass
+    as reduced, its gap taken against a zero peak, and an overflowing one as
+    void, its fits nan.
     """
     pairs = _trace_pairs(waveforms, gamma)  # the array and its spacing, before any fit
-    if not all(0.0 < w.energy() < math.inf for w in waveforms):
-        # a zero set would pass as reduced, its gap taken against a zero
-        # peak, and an overflowing one as void, its fits nan
-        raise InvalidParameterError("trace-reduction needs waveforms of finite nonzero energy")
+    energies = _require_energy(waveforms, nonzero=True)
     m = len(waveforms)
     pair_status: dict[tuple[int, int], bool] = {}
     for i, j in itertools.combinations(range(m), 2):
-        _, residual, unimodular_defect = _unimodular_fit(waveforms[i], waveforms[j])
+        _, residual, unimodular_defect = _unimodular_fit(
+            waveforms[i], waveforms[j], energies[i], energies[j]
+        )
         pair_status[(i, j)] = max(residual, unimodular_defect) <= _FIT_TOL
     failing = [pair for pair, ok in pair_status.items() if not ok]
     if not failing:

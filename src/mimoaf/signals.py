@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,6 +145,20 @@ def inner_product(u: SampledSignal, v: SampledSignal) -> complex:
     """dt-weighted inner product, conjugate-linear in the second argument."""
     u.require_compatible(v)
     return complex(u.dt * np.sum(u.samples * np.conj(v.samples)))
+
+
+def _require_energy(signals: Iterable[SampledSignal], nonzero: bool = False) -> list[float]:
+    """The signals' energies, once each is finite and, if nonzero, not zero;
+    else InvalidParameterError.  Past the float range every surface of a
+    signal is inf or nan, and an identity whose two routes vanish at zero
+    energy would compare 0 with 0."""
+    energies = [w.energy() for w in signals]
+    need = "; this identity needs finite nonzero energy" if nonzero else ""
+    if not all(map(math.isfinite, energies)):
+        raise InvalidParameterError(f"a signal's energy is past the float range{need}")
+    if nonzero and 0.0 in energies:
+        raise InvalidParameterError(f"a signal has zero energy{need}")
+    return energies
 
 
 def _require_real(**params: float) -> None:
@@ -384,10 +399,13 @@ def dilate(v: SampledSignal, b: float) -> SampledSignal:
     signal must occupy at most 1/b of the Nyquist band beforehand.
 
     Raises:
+        InvalidParameterError: if b is not a positive finite real, or the
+            energy of v is past the float range.
         AliasingError: if b > 1 and spectral energy above Nyquist/b
             exceeds a 1e-9 fraction.
     """
     _require_positive(b=b)
+    _require_energy([v])
     if b > 1.0 and not _band_occupancy_ok(v, 1.0 / b):
         raise AliasingError(
             f"dilation by {b} would alias: spectral mass above Nyquist/{b}"

@@ -11,11 +11,11 @@ coordinate remap, and on the underlying signals by Fourier transform,
 chirp multiplication, time dilation and swapping the pair.  Each verify
 routine computes one identity along both routes (surface remap vs
 transformed signals) and reports the relative Frobenius distance.  A u or
-v of zero energy, whose two routes would both be zero, raises
-InvalidParameterError before any surface is built.  The
-MIMO lift, :func:`verify_mimo_symmetry`, is handed one of the four scalar
-verifiers and runs it on the beamformed signal pair, whose
-cross-ambiguity is the spatial slice.
+v of zero energy, whose two routes would both be zero, or of energy past
+the float range raises InvalidParameterError before any signal is
+transformed or surface built.  The MIMO lift, :func:`verify_mimo_symmetry`,
+is handed one of the four scalar verifiers and runs it on the beamformed
+signal pair, whose cross-ambiguity is the spatial slice.
 
 Grid notes baked into the checks:
 
@@ -81,8 +81,16 @@ from .ambiguity import (
     mimo_beams,
 )
 from .errors import GridAlignmentError, GridMismatchError, InvalidParameterError
-from .properties import CheckReport
-from .signals import SampledSignal, _require_positive, _snap, chirp_multiply, dilate, fourier
+from .properties import _TINY, CheckReport
+from .signals import (
+    SampledSignal,
+    _require_energy,
+    _require_positive,
+    _snap,
+    chirp_multiply,
+    dilate,
+    fourier,
+)
 
 __all__ = [
     "verify_fourier_rotation",
@@ -121,7 +129,8 @@ def _dual_path_report(
     """The relative distance of route (a) from route (b), from (a, b) blocks
     of the same cells.  b, whose last axis must be contiguous, is
     overwritten with a - b once its squares are read.  No pair at all (an
-    empty hull) reads as all-zero blocks do."""
+    empty hull) reads as all-zero blocks do, and a norm past the float
+    range gives nan, which fails."""
     den, gap = [], []
     for a, b in pairs:
         den.append(_squared_rows(b.copy()))
@@ -129,17 +138,18 @@ def _dual_path_report(
     den_norm, gap_norm = (
         math.sqrt(_fsum(np.concatenate([np.zeros(0), *rows]))) for rows in (den, gap)
     )
-    rel = gap_norm / max(den_norm, 1e-300)
+    finite = math.isfinite(gap_norm) and math.isfinite(den_norm)
+    rel = gap_norm / max(den_norm, _TINY) if finite else math.nan
     return CheckReport(name, rel, 0.0, rel, rel, tol, info)
 
 
 def _partner(u: SampledSignal, v: SampledSignal | None) -> SampledSignal:
-    """v, or u if None, once the pair is on one grid and neither has zero
-    energy, where both routes would be zero and their distance 0/0."""
+    """v, or u if None, once the pair is on one grid and each energy is
+    finite and nonzero: at zero both routes are zero and their distance
+    0/0.  Each check calls it before it transforms a signal."""
     v = u if v is None else v
     u.require_compatible(v)
-    if u.energy() == 0.0 or v.energy() == 0.0:
-        raise InvalidParameterError("a symmetry check needs u and v of nonzero energy")
+    _require_energy([u, v], nonzero=True)
     return v
 
 

@@ -887,6 +887,20 @@ def test_interrupted_rewrite_is_refused(command, index, limit, reader, tmp_path,
         reader(out)
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["af", "--u", "{0}"], "af n_lag=4095 n_doppler=2048 "),
+    (["mimo", "--inputs", "{0}", "{0}", "--slice-spatial", "--K", "4"], "spatial-slice K=4 "),
+], ids=["af", "mimo-slice-spatial"])
+def test_default_doppler_bins_fit_a_long_signal(argv, line, tmp_path, capsys):
+    # 1024 bins are fewer than the 2048 samples: the default grows to n,
+    # where it used to refuse a flag the user never set
+    sig = tmp_path / "long.sig"
+    assert cli.main(["gen", "--family", "rect", "--T", "8", "-o", str(sig)]) == 0
+    capsys.readouterr()
+    assert cli.main([a.format(sig) for a in argv]) == 0
+    assert capsys.readouterr().out.startswith(line)
+
+
 def test_device_output_is_neither_cut_nor_marked(tmp_path, monkeypatch, capsys):
     # /dev/null cannot be truncated, and its header carries the marker itself
     sig = tmp_path / "r.sig"

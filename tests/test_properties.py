@@ -20,6 +20,7 @@ from mimoaf import (
     chirp_multiply,
     collinearity_check,
     cross_ambiguity,
+    dilate,
     gen_gaussian,
     gen_rect,
     gen_subcarrier_set,
@@ -571,16 +572,63 @@ def test_overflowing_energy_is_refused_before_any_surface(check, scale, gauss256
     lambda w: mimo_inner_product([w, w], [w, w], 1.0, 0.3, 0.7),
     lambda w: verify_mirror(w, w),
     lambda w: verify_lfm_shear(w, w, rate=1.0),
+    lambda w: verify_dilation(w),
+    lambda w: dilate(w, 2.0),
     lambda w: gram_psd_check(w, random_probe_set(w)),
     lambda w: trace_psd_check([w, w], random_probe_set(w), 1.0),
-], ids=["norm", "mimo-energy", "moyal", "mimo-moyal", "sym-mirror", "sym-lfm", "psd",
-        "trace-psd"])
+], ids=["norm", "mimo-energy", "moyal", "mimo-moyal", "sym-mirror", "sym-lfm", "sym-dilate",
+        "dilate", "psd", "trace-psd"])
 def test_surface_of_an_overflowing_energy_is_refused(check, gauss256):
     # |w|^2 is past the float range, so every surface of w is inf or nan:
-    # a bad input, not a failed identity, and not numpy's LinAlgError
+    # a bad input, not a failed identity, and not numpy's LinAlgError or
+    # overflow warning (dilate's band test squares the spectrum)
     w = gauss256.replace_samples(1e160 * gauss256.samples)
     with pytest.raises(InvalidParameterError, match="past the float range"):
         check(w)
+
+
+@pytest.mark.parametrize("check", [
+    lambda w: check_norm_identity(w, w),
+    lambda w: moyal_inner_product(w, w, w, w),
+    lambda w: check_mimo_energy([w, w], 1.0),
+    lambda w: mimo_inner_product([w, w], [w, w], 1.0, 0.3, 0.7),
+], ids=["norm", "moyal", "mimo-energy", "mimo-moyal"])
+def test_a_doubled_quadrature_fails_at_small_amplitude(check, gauss256, monkeypatch):
+    # at amplitude 1e-8 each side is about 1e-32: a doubled surface
+    # quadrature misses by the whole value, relative to it, where a floor
+    # on the scale would read the miss as absolute and pass it
+    w = gauss256.replace_samples(1e-8 * gauss256.samples)
+    integral = ambiguity._integral
+
+    def doubled(blocks, row_sums):
+        return 2 * integral(blocks, row_sums)
+
+    monkeypatch.setattr(ambiguity, "_integral", doubled)
+    monkeypatch.setattr(properties, "_integral", doubled)
+    rep = check(w)
+    assert not rep.passed
+    assert rep.rel_err == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("check,scale", [
+    (lambda g, r: verify_mirror(
+        g, chirp_multiply(heisenberg_shift(g, HeisenbergPoint(4 * g.dt, 0.5)), 1.0)), 1e77),
+    (lambda g, r: verify_lfm_shear(g, rate=4.0), 1e77),
+    (lambda g, r: verify_dilation(g, b=2.0), 1e77),
+    (lambda g, r: verify_fourier_rotation(r), 1e77),
+    (lambda g, r: verify_mimo_symmetry(phase_family(g, 2), 1.0, 0.3, 0.7, verify_mirror), 1e77),
+    (lambda g, r: recover_scalar(g, phase_family(g, 2)[1]), 1e100),
+], ids=["sym-mirror", "sym-lfm", "sym-dilate", "sym-J", "sym-mimo", "uniqueness"])
+def test_an_overflowed_quadrature_never_passes(check, scale, gauss256):
+    # the energies are finite, so the inputs are accepted, but |chi|^2 is
+    # past the float range: a norm or distance that is not finite decides
+    # nothing, where a finite gap over an infinite norm read as 0
+    g, r = (w.replace_samples(scale * w.samples)
+            for w in (gauss256, gen_gaussian(CANONICAL_SIGMA, 1 / 16, 8.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = check(g, r)
+    assert not rep.passed
+    assert math.isnan(rep.rel_err)
 
 
 def test_trace_reduction_decides_on_the_waveforms(gauss256, surface_builds):
@@ -744,6 +792,21 @@ def test_streamed_checks_do_not_depend_on_block_size(rows, gauss256, subcarriers
     monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", default if rows is None else rows * 16 * 512)
     got = {name: _report_bits(check()) for name, check in checks.items()}
     assert got == want
+
+
+@pytest.mark.parametrize("scale", [2.0**-60, 2.0**60], ids=["2^-60", "2^60"])
+def test_streamed_checks_do_not_depend_on_amplitude(scale, gauss256, subcarriers2):
+    # every identity is homogeneous in its signals, and a power of two
+    # scales float64 exactly: each check gives the same verdict, rel_err
+    # and uniqueness decision at any amplitude, with no floor or absolute
+    # tolerance in the way
+    def verdicts(g, sub):
+        reports = {name: check() for name, check in _streamed_checks(g, sub).items()}
+        return {name: (rep.passed, rep.rel_err, rep.info.get("af_equal"))
+                for name, rep in reports.items()}
+
+    g, *sub = (w.replace_samples(scale * w.samples) for w in (gauss256, *subcarriers2))
+    assert verdicts(g, sub) == verdicts(gauss256, subcarriers2)
 
 
 # Report lines of the streamed entry points on pairs that hold an all-zero

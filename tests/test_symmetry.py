@@ -204,6 +204,27 @@ def test_zero_energy_is_refused_before_any_surface(check, rect256, surface_build
     assert surface_builds == []
 
 
+@pytest.mark.parametrize("check", [
+    verify_fourier_rotation,
+    lambda w: verify_lfm_shear(w, rate=1.0),
+    lambda w: verify_dilation(w, b=2.0),
+    lambda w: verify_dilation(w, b=0.5),
+], ids=["sym-J", "sym-lfm", "sym-dilate", "sym-dilate-reciprocal"])
+def test_overflowing_energy_is_refused_before_any_transform(check, rot_gauss, monkeypatch,
+                                                            surface_builds):
+    # the transforms of a signal past the float range overflow too (dilate's
+    # band test squares its spectrum): the pair is refused before them
+    calls = []
+    for name in ("fourier", "chirp_multiply", "dilate"):
+        def recorded(*args, _name=name, _fn=getattr(symmetry, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(symmetry, name, recorded)
+    with pytest.raises(InvalidParameterError, match="past the float range"):
+        check(rot_gauss.replace_samples(1e160 * rot_gauss.samples))
+    assert calls == [] and surface_builds == []
+
+
 # ---------------------------------------------------------------------- shear
 
 def test_shear_zero_rate_is_identity(gauss256):
