@@ -13,12 +13,17 @@ Both the ambiguity surfaces and the Wigner distribution are a Fourier
 transform of lag products taken row by row, and one row-block loop
 (:class:`_SurfaceBlocks`) streams all of them through one reused block
 buffer; a held :class:`AmbiguitySurface` is those blocks copied into one
-fresh array (:func:`_whole`).  The tests check them against a brute-force
-twin computed as a dense matrix product against the explicit Doppler
-kernel exp(i 2 pi nu t_n), which shares nothing past the product array.
+fresh array (:func:`_whole`).  The Doppler kernel's real weight rides on
+the samples, folded in once per surface, so each product is multiplied
+straight into its column of the block: for a dt of a power of two that
+keeps the bits of weighting the product, and for any other dt it moves
+a cell by a last-bit rounding (:class:`_SurfaceBlocks`).  The tests
+check them against a brute-force twin computed as a dense matrix product
+against the explicit Doppler kernel exp(i 2 pi nu t_n), which shares
+nothing past the product array.
 
 On the linear grid a lag row where no nonzero samples of the two signals
-overlap is exactly zero, and the loop writes it as +0 without gathering
+overlap is exactly zero, and the loop writes it as +0 without multiplying
 or transforming it (:func:`_live_rows`): a radar pulse padded with zeros
 to its window has about half its rows so, and of its Wigner time rows.  A
 cell with no overlapping samples is +0 on every surface, whatever the FFT
@@ -160,18 +165,19 @@ def _inside_windows(n: int) -> np.ndarray:
 
 
 def _lag_rows(
-    u: SampledSignal, v: SampledSignal, cyclic: bool, rows: slice = slice(None)
-) -> tuple[np.ndarray, Callable[[int, np.ndarray], None]]:
-    """The lags the slice rows picks from the full list, and a gather of the
-    rows P[i, n] = u[n] * conj(v[n + lag_i]): gather(start, out) fills out
-    with rows start .. start + len(out) - 1 of the pick.  The rows are one
-    slice of the windows below, so a pick copies nothing.
+    v: SampledSignal, cyclic: bool, rows: slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The lags the slice rows picks from the full list, with the same rows
+    of the windows of conj(v) and of their mask: the lag products of u
+    against v are P[i, n] = u[n] * windows[i, n] where mask[i, n] holds,
+    and +0 elsewhere (no mask: everywhere).  The rows are one slice of the
+    windows below, so a pick copies nothing.
 
     A cell with no overlapping samples, past a signal's end on the linear
-    grid, is +0.  The block loop extends that to whole rows: it gathers
-    only the live rows (:func:`_live_rows`) and writes the others as +0."""
-    n = u.n
-    us = u.samples
+    grid, is outside the mask.  The block loop extends that to whole rows:
+    it multiplies only the live rows (:func:`_live_rows`) and writes the
+    others as +0."""
+    n = v.n
     if cyclic:
         if n % 2:
             raise InvalidParameterError("cyclic lags require an even sample count")
@@ -179,26 +185,15 @@ def _lag_rows(
         cv = np.conj(v.samples)
         # window i of conj(v), wrapped by n/2 before it and n/2 - 1 after, is
         # row i of n: conj(v) rolled by the lag i - n/2
-        windows = sliding_window_view(np.concatenate([cv[h:], cv, cv[: h - 1]]), n)[rows]
-
-        def gather(start: int, out: np.ndarray) -> None:
-            np.multiply(us, windows[start : start + len(out)], out=out)
-
-        return np.arange(-h, h)[rows], gather
+        windows = sliding_window_view(np.concatenate([cv[h:], cv, cv[: h - 1]]), n)
+        return np.arange(-h, h)[rows], windows[rows], None
     # window i of conj(v), zero-padded by n-1 on each side, is row i at lag
     # i - (n-1); the mask leaves cells past the signal's ends at +0, where a
     # plain product would write u * 0 and so sometimes -0
     padded = np.zeros(3 * n - 2, dtype=np.complex128)
     np.conjugate(v.samples, out=padded[n - 1 : 2 * n - 1])
-    windows = sliding_window_view(padded, n)[rows]
-    inside = _inside_windows(n)[rows]
-
-    def gather(start: int, out: np.ndarray) -> None:
-        picked = slice(start, start + len(out))
-        out.fill(0)
-        np.multiply(us, windows[picked], out=out, where=inside[picked])
-
-    return np.arange(-(n - 1), n)[rows], gather
+    windows = sliding_window_view(padded, n)
+    return np.arange(-(n - 1), n)[rows], windows[rows], _inside_windows(n)[rows]
 
 
 def _doppler_axis(n_doppler: int, dt: float) -> np.ndarray:
@@ -265,27 +260,56 @@ def _window_shift(u: SampledSignal) -> tuple[int, float]:
     return s, x - s
 
 
+# One signal pair's lag products in a loop: rows i of left[i, m] *
+# right[i, m] where inside(rows)[i, m] holds, +0 elsewhere (inside None:
+# everywhere); left carries the loop's real weights.
+_Term = tuple[np.ndarray, np.ndarray, Callable[[slice], np.ndarray] | None]
+
+
+def _scaled(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A copy of x with sample m times the real weights[m], on both float
+    parts: exact for weights of a power of two, and no zero part changes
+    sign, as a multiply by weights[m] + 0j could make it."""
+    out = np.array(x, dtype=np.complex128)
+    parts = out.view(np.float64).reshape(-1, 2)
+    parts *= weights[:, None]
+    return out
+
+
+def _multiply(term: _Term, rows: slice, out: np.ndarray, runs: list[tuple[slice, slice]]) -> None:
+    """Write the term's products at rows, columns p, into out's columns c
+    for each run (p, c); a cell outside its mask is left as it was."""
+    left, right, inside = term
+    mask = None if inside is None else inside(rows)
+    for p, c in runs:
+        where = True if mask is None else mask[:, p]
+        if where is not True and where.size == 1:
+            # numpy rounds a one-cell complex multiply under an array mask
+            # unlike a longer one, and unlike one under a plain bool
+            where = bool(where)
+        np.multiply(left[rows, p], right[rows, p], out=out[:, c], where=where)
+
+
 class _SurfaceBlocks:
     """The one row-block loop behind every FFT surface.
 
-    Each row of the surface is the Doppler transform of n products.  A
-    gather fills rows start .. start + len(out) - 1 of the products into
-    out; with several gathers the rows are their sum, and a block still
-    needs one FFT.  Each block gathers the first's rows, adds each further
-    gather's rows from one scratch block in list order, writes them, times
-    real weights, straight into the rows of one reused block buffer,
-    ``values``, and runs one unscaled inverse FFT there in place, so a
-    block holds only until the next.  One gather takes no scratch block and
-    no add.  :func:`_ambiguity_blocks` and :func:`_wigner_blocks` work out
-    the gathers and the geometry.
+    Each row of the surface is the Doppler transform of n lag products,
+    summed over the loop's terms (one per signal pair, :data:`_Term`); a
+    block still needs one FFT.  A block is zero-filled, the first term's
+    products are multiplied straight into their columns of the live rows
+    of one reused block buffer, ``values``, each further term's are formed
+    in one scratch block and added there in list order, and one unscaled
+    inverse FFT runs in place, so a block holds only until the next.  One
+    term takes no scratch block and no add.  :func:`_ambiguity_blocks` and
+    :func:`_wigner_blocks` work out the terms and the geometry.
 
-    Only the live rows live[0] .. live[1]-1 are gathered, placed and
-    transformed; every other row of a block is written as +0, the value of
-    a row whose products are all zero.  A row's bits do not depend on its
-    neighbours, so the live rows are those of a loop that transforms every
-    row, and the dead ones are +0 where the FFT of signed zeros could leave
-    -0 (how often depends on how pocketfft factors N).  Cyclic surfaces pass
-    every row as live.
+    Only the live rows live[0] .. live[1]-1 are multiplied and transformed;
+    every other row of a block is written as +0, the value of a row whose
+    products are all zero.  A row's bits do not depend on its neighbours,
+    so the live rows are those of a loop that transforms every row, and the
+    dead ones are +0 where the FFT of signed zeros could leave -0 (how often
+    depends on how pocketfft factors N).  Cyclic surfaces pass every row as
+    live.
 
     Construction checks the axes as :class:`AmbiguitySurface` does, then
     allocates the buffers, so bad axes or an allocation too large fail
@@ -301,52 +325,48 @@ class _SurfaceBlocks:
     With the window (s, f), column j of N and product m, the kernel
     weight exp(i 2 pi (j - N/2) (m + s + f) / N) is
     weight (-1)^(m+s) exp(i 2 pi j (m+s) / N) exp(i 2 pi (j - N/2) f / N).
-    So product m, times the real weight (-1)^(m+s), goes into column
-    (m+s) mod N, at most two contiguous runs (N >= n), the other columns
-    are zeroed, and the unscaled inverse FFT is the whole transform: the
-    centred axis, the weight and the shift s are all exact before it.
-    Only f != 0 leaves the residual row exp(i 2 pi (j - N/2) f / N) to
-    multiply.  pocketfft transforms each row on its own and the sums are
-    per cell, so the block size does not change a bit of the result.
+    So product m, whose left factor already carries the real weight
+    (-1)^(m+s) times the scale, goes into column (m+s) mod N, at most two
+    contiguous runs (N >= n), the other columns stay zero, and the unscaled
+    inverse FFT is the whole transform: the centred axis, the weight and
+    the shift s are all exact before it.  Only f != 0 leaves the residual
+    row exp(i 2 pi (j - N/2) f / N) to multiply.  pocketfft transforms each
+    row on its own and the sums are per cell, so the block size does not
+    change a bit of the result.  For a scale of a power of two, the weight
+    on a sample times the other factor rounds to the bits of the product
+    times the weight; for any other scale the product is rounded as
+    (scale u) conj(v), a last-bit difference from (u conj(v)) scale.
     """
 
     def __init__(
         self,
-        gathers: list[Callable[[int, np.ndarray], None]],
+        terms: list[_Term],
         n: int,
         tau_axis: np.ndarray,
         nu_axis: np.ndarray,
         window: tuple[int, float],
-        weight: float,
         live: tuple[int, int],
     ) -> None:
         _require_ascending(tau_axis if tau_axis[0] <= tau_axis[-1] else tau_axis[::-1], nu_axis)
         shift, frac = window
-        self._gathers = gathers
+        self._terms = terms
         self._live = live
         self.tau_axis = tau_axis
         self.nu_axis = nu_axis
         self.n_doppler = N = nu_axis.size
-        # weight (-1)^(m+s) on both float parts of product m
-        self._weights = np.repeat(np.where((np.arange(n) + shift % 2) % 2, -weight, weight), 2)
         # product m goes to column (m + s) mod N: products 0 .. head-1 to
-        # columns c .. c+head-1, the rest (if any) to 0 .. n-head-1.  The
-        # runs are (product, column) slices of the float views; the gaps
-        # left between them are column slices
+        # columns c .. c+head-1, the rest (if any) to 0 .. n-head-1
         c = shift % N
         head = min(n, N - c)
-        self._runs = [
-            (slice(0, 2 * head), slice(2 * c, 2 * (c + head))),
-            (slice(2 * head, 2 * n), slice(0, 2 * (n - head))),
-        ]
-        self._gaps = [slice(n - head, c), slice(c + head, N)]
+        self._runs = [(slice(0, head), slice(c, c + head))]
+        if head < n:
+            self._runs.append((slice(head, n), slice(0, n - head)))
         self._residual = None if frac == 0.0 else np.exp(
             (1j * 2.0 * math.pi * frac / N) * (np.arange(N) - N // 2)
         )
         n_lag = tau_axis.size
         self._rows = min(n_lag, max(1, _BLOCK_BYTES // (16 * N)))
-        self._products = np.empty((self._rows, n), dtype=np.complex128)
-        self._scratch = np.empty_like(self._products) if len(gathers) > 1 else None
+        self._scratch = np.empty((self._rows, n), dtype=np.complex128) if len(terms) > 1 else None
         self.values = np.empty((self._rows, N), dtype=np.complex128)
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
@@ -355,25 +375,20 @@ class _SurfaceBlocks:
             yield start, self.fill(start, min(start + self._rows, n_lag))
 
     def fill(self, start: int, stop: int) -> np.ndarray:
-        head, *rest = self._gathers
+        head, *rest = self._terms
         block = self.values[: stop - start]
-        # the block's live rows are lo .. hi-1 of it; the rest are +0
+        block.fill(0)
+        # the block's live rows are lo .. hi-1 of it; the rest stay +0
         lo, hi = (min(max(r - start, 0), stop - start) for r in self._live)
-        block[:lo] = 0
-        block[hi:] = 0
         if lo < hi:
-            live = block[lo:hi]
-            P = self._products[: hi - lo]
-            head(start + lo, P)
-            for gather in rest:
+            live, rows = block[lo:hi], slice(start + lo, start + hi)
+            _multiply(head, rows, live, self._runs)
+            for term in rest:
                 more = self._scratch[: hi - lo]
-                gather(start + lo, more)
-                P += more
-            src, dst = P.view(np.float64), live.view(np.float64)
-            for p, c in self._runs:
-                np.multiply(src[:, p], self._weights[p], out=dst[:, c])
-            for gap in self._gaps:
-                live[:, gap] = 0
+                more.fill(0)
+                _multiply(term, rows, more, [(slice(None), slice(None))])
+                for p, c in self._runs:
+                    live[:, c] += more[:, p]
             np.fft.ifft(live, axis=1, out=live, norm="forward")
             if self._residual is not None:
                 live *= self._residual
@@ -427,11 +442,16 @@ def _ambiguity_blocks(
         a.require_compatible(b)
     n_doppler = _check_doppler_count(n_doppler, u.n, cyclic)
     window = _window_shift(u)
-    lag_rows = [_lag_rows(a, b, cyclic, rows) for a, b in pairs]
-    lags = lag_rows[0][0]
+    # the real weight dt (-1)^(m+s) of product m rides on u[m]
+    weights = np.where((np.arange(u.n) + window[0] % 2) % 2, -u.dt, u.dt)
+    terms = []
+    for a, b in pairs:
+        lags, windows, inside = _lag_rows(b, cyclic, rows)
+        left = np.broadcast_to(_scaled(a.samples, weights), windows.shape)
+        terms.append((left, windows, None if inside is None else inside.__getitem__))
     blocks = _SurfaceBlocks(
-        [gather for _, gather in lag_rows], u.n, lags * u.dt, _doppler_axis(n_doppler, u.dt),
-        window, u.dt, (0, lags.size) if cyclic else _live_rows(pairs, lags),
+        terms, u.n, lags * u.dt, _doppler_axis(n_doppler, u.dt),
+        window, (0, lags.size) if cyclic else _live_rows(pairs, lags),
     )
     _require_energy(w for pair in pairs for w in pair)
     return blocks
@@ -528,10 +548,10 @@ def cross_ambiguity(
 
     The surface is allocated once and the block loop's blocks of lag rows
     copied into it (see :class:`_SurfaceBlocks`).  Besides the surface,
-    only one block and the lag products of one block are alive, never all
-    (2n-1) x n of them.  On the linear grid only the lags where the
-    nonzero samples of u and v overlap are transformed; every other row is
-    +0 (see :func:`_live_rows`).
+    only one block is alive: the lag products are multiplied straight into
+    it, never all (2n-1) x n of them held.  On the linear grid only the
+    lags where the nonzero samples of u and v overlap are transformed;
+    every other row is +0 (see :func:`_live_rows`).
 
     Args:
         u, v: signals on a common grid.
@@ -560,25 +580,26 @@ def _wigner_blocks(u: SampledSignal, v: SampledSignal | None, n_freq: int | None
     h = (n - 1) // 2
 
     def windows(x: np.ndarray) -> np.ndarray:
-        # n windows of n: window i reads x[i + q - h], zero past its ends.
-        # Width n, not 2h + 1, so that a block is never one cell: numpy
-        # rounds a one-cell complex multiply with where= differently
+        # n windows of n: window i reads x[i + q - h], zero past its ends
         return sliding_window_view(np.pad(x, (h, n - 1 - h)), n)
 
-    # row t holds u[t + h - q] from u reversed and conj(v[t - h + q]); a cell
-    # is inside the diamond where neither reads padding
-    us, cv = windows(u.samples[::-1])[::-1], windows(np.conj(v.samples))
+    # row t holds u[i] conj(v[j]) at q, i = t + h - q from u reversed and
+    # j = t - h + q; a cell is inside the diamond where neither reads
+    # padding.  The loop's weight 2 dt (-1)^(q - h) rides on the samples:
+    # i - j = 2 (h - q), so (-1)^(q - h) = (-1)^(i//2 + j//2), and u[i]
+    # carries 2 dt (-1)^(i//2) and conj(v[j]) carries (-1)^(j//2)
+    signs = np.where(np.arange(n) // 2 % 2, -1.0, 1.0)
+    us = windows(_scaled(u.samples, 2.0 * u.dt * signs)[::-1])[::-1]
+    cv = windows(_scaled(np.conj(v.samples), signs))
     inside = windows(np.ones(n, dtype=bool))
 
-    def gather(start: int, out: np.ndarray) -> None:
-        rows = slice(start, start + len(out))
-        out.fill(0)
-        np.multiply(us[rows], cv[rows], out=out, where=inside[::-1][rows] & inside[rows])
+    def diamond(rows: slice) -> np.ndarray:
+        return inside[::-1][rows] & inside[rows]
 
     su, sv = _support(u), _support(v)
     live = ((su[0] + sv[0] + 1) // 2, (su[1] + sv[1]) // 2 + 1) if su and sv else (0, 0)
     blocks = _SurfaceBlocks(
-        [gather], n, u.times, _doppler_axis(n_freq, 2.0 * u.dt), (-h, 0.0), 2.0 * u.dt, live
+        [(us, cv, diamond)], n, u.times, _doppler_axis(n_freq, 2.0 * u.dt), (-h, 0.0), live
     )
     _require_energy([u, v])
     return blocks
@@ -726,7 +747,7 @@ def spatial_integral(
     chi is linear in its lag products, so the trace is one Doppler
     transform of the summed products sum_m u_m[n] conj(u_m[n + k]): one FFT
     surface, not M (see :class:`_SurfaceBlocks`).  Besides the trace, one
-    block and two blocks of lag products are alive.
+    block and one scratch block of lag products are alive.
     """
     return _surface(_trace_pairs(waveforms, gamma), n_doppler)
 

@@ -62,14 +62,14 @@ from .ambiguity import (
 from .errors import InvalidParameterError, MimoafError
 from .properties import (
     CheckReport,
+    _collinearity_checks,
+    _recover_scalars,
     check_mimo_energy,
     check_norm_identity,
-    collinearity_check,
     gram_psd_check,
     mimo_inner_product,
     moyal_inner_product,
     random_probe_set,
-    recover_scalar,
     trace_psd_check,
     trace_reduction_check,
 )
@@ -210,23 +210,18 @@ def _suite_trace_psd(args, tol: dict) -> list[CheckReport]:
 def _suite_uniqueness(args, tol: dict) -> list[CheckReport]:
     u = _waveforms(args.family)[0]
     rng = np.random.default_rng(args.seed)
-    out = []
+    vs = []
     for _ in range(3):
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        v = u.replace_samples(u.samples * np.exp(1j * theta))
-        out.append(recover_scalar(u, v, args.n_doppler, **tol))
-    scaled = u.replace_samples(2.0 * u.samples)
-    out.append(recover_scalar(u, scaled, args.n_doppler, **tol))
-    return out
+        vs.append(u.replace_samples(u.samples * np.exp(1j * theta)))
+    vs.append(u.replace_samples(2.0 * u.samples))
+    return _recover_scalars(u, vs, args.n_doppler, **tol)
 
 
 def _suite_collinearity(args, tol: dict) -> list[CheckReport]:
     u = _waveforms(args.family)[0]
     v = u.replace_samples(3j * u.samples)
-    return [
-        collinearity_check(u, v, args.n_doppler, **tol),
-        collinearity_check(u, u, args.n_doppler, **tol),
-    ]
+    return _collinearity_checks([(u, v), (u, u)], args.n_doppler, **tol)
 
 
 def _suite_trace_reduction(args, tol: dict) -> list[CheckReport]:

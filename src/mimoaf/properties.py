@@ -13,10 +13,15 @@ only within one side of an identity, never between the two routes: a check
 handed one waveform or pair twice for one side (moyal's chi(u1,u3) and
 chi(u2,u4), collinearity's two self surfaces, mimo-moyal's two slices)
 builds it once, found by object identity, while a symmetry check builds
-both of its routes even when they coincide.  Hypotheses that concern the
-waveforms alone are decided on the waveforms: trace reduction tests each
-pair for a unimodular multiple by its least-squares scalar, as
-recover_scalar does, and builds no pairwise surface.
+both of its routes even when they coincide.  The uniqueness and
+collinearity suites share more: their lines read the same self surfaces
+(chi(u, u) in all four uniqueness lines; chi(u, u) and that of u's unit
+direction in both collinearity lines), so each suite streams every
+distinct self surface once, through one _row_runs, and recover_scalar
+and collinearity_check are the one-line case of that code.  Hypotheses
+that concern the waveforms alone are decided on the waveforms: trace
+reduction tests each pair for a unimodular multiple by its least-squares
+scalar, as recover_scalar does, and builds no pairwise surface.
 
 Memory: no check here holds a whole surface.  The checks that reduce
 surfaces to numbers (norm, the MIMO energy, both Moyal pairings,
@@ -29,10 +34,13 @@ no pair's nonzero samples overlap is +0 and adds exactly 0.
 The psd checks read the same way, over the lag rows their probes'
 differences span, each Gram entry from the run holding its row (+0
 outside the hull).  No check depends on the block size, and each holds one
-block and one set of lag products per surface it streams, plus at most one
-scratch block: under 2.5 MiB of arrays on the default grid, and the same
-at any surface size.  The symmetry checks (symmetry.py) stream the same
-way; the rotation check holds one route, whose relabel is a transpose.
+block per surface it streams, plus at most two scratch blocks: at most
+3.4 MiB of arrays on the default grid (the uniqueness suite's five
+surfaces beside one scratch block; collinearity's three beside two, 2.9
+MiB: more than a line streaming its own two or three, 1.6 and 2.2 MiB,
+in exchange for filling each shared surface once), and the same at any
+surface size.  The symmetry checks (symmetry.py) stream the same way;
+the rotation check holds one route, whose relabel is a transpose.
 """
 
 from __future__ import annotations
@@ -40,7 +48,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +106,7 @@ _PATH_TOL = 1e-8  # psd routes (a) and (b), relative to the energy
 _AF_TOL = 1e-8  # uniqueness: self surfaces' L2 distance, by the larger one's norm
 _SUM_TOL = 1e-8  # collinearity: summed surfaces against the prediction, by peak
 _FIT_TOL = 1e-6  # uniqueness and trace reduction: the unimodular fit of a pair
+_CS_TOL = 1e-9  # collinearity's default tolerance, on the Cauchy-Schwarz defect
 
 
 def _fmt(x: complex) -> str:
@@ -224,16 +232,31 @@ def _conj_product_rows(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> np.
     return np.multiply(x, s, out=s).sum(axis=1)
 
 
-def _max_gap(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
-    """max |values - target| over the peak of |target|, from (values, target)
-    blocks of one surface pair; each target block is overwritten.  The
-    blocks' maxima are taken by np.max, so a nan in any block is the gap;
-    no block at all (an empty hull) is a gap of 0, as all-zero blocks are."""
-    peaks, gaps = [], []
-    for values, target in blocks:
-        peaks.append(np.max(np.abs(target)))
-        gaps.append(np.max(np.abs(np.subtract(values, target, out=target))))
+def _peak_and_gap(values: np.ndarray, target: np.ndarray) -> tuple[float, float]:
+    """(max |target|, max |values - target|) of one block pair of a surface
+    pair; target is overwritten."""
+    peak = np.max(np.abs(target))
+    return peak, np.max(np.abs(np.subtract(values, target, out=target)))
+
+
+def _max_gap(parts: list[tuple[float, float]]) -> float:
+    """max |values - target| over the peak of |target|, from the (peak, gap)
+    of each block pair of a surface pair (:func:`_peak_and_gap`).  The
+    maxima are taken by np.max, so a nan in any block is the gap; no block
+    at all (an empty hull) is a gap of 0, as all-zero blocks are."""
+    peaks, gaps = [p for p, _ in parts], [g for _, g in parts]
     return float(np.max(gaps, initial=0.0)) / max(float(np.max(peaks, initial=0.0)), _TINY)
+
+
+def _self_loops(signals: list[SampledSignal], n_doppler: int | None) -> list:
+    """The loops of chi(w, w) for the signals, in order, one per distinct
+    signal object: a signal given twice shares its loop, which _row_runs
+    then fills once a run."""
+    built: dict[int, object] = {}
+    for w in signals:
+        if id(w) not in built:
+            built[id(w)] = _ambiguity_blocks([(w, w)], n_doppler)
+    return [built[id(w)] for w in signals]
 
 
 def check_norm_identity(
@@ -467,26 +490,47 @@ def recover_scalar(
     A u or v of zero or non-finite energy raises InvalidParameterError
     before any surface is built.
     """
-    eu, ev = _require_energy([u, v], nonzero=True)
-    lam, residual, unimodular_defect = _unimodular_fit(u, v, eu, ev)
-    su, sv = _ambiguity_blocks([(u, u)], n_doppler), _ambiguity_blocks([(v, v)], n_doppler)
-    diff_rows = (_squared_rows(np.subtract(x, y, out=x)) for _, (x, y) in _row_runs(su, sv))
-    af_dist = math.sqrt(_integral(su, diff_rows).real)
-    info: dict = {"af_distance": af_dist, "lambda": lam}
-    if af_dist <= _AF_TOL * max(eu, ev):
-        rel_err = max(residual, unimodular_defect)
-        info.update({"af_equal": True, "residual": residual})
-        return CheckReport("uniqueness", abs(lam), 1.0, rel_err, rel_err, tol, info)
-    info.update({"af_equal": False, "status": "surfaces differ; hypothesis void"})
-    void = 0.0 if math.isfinite(af_dist) else math.nan
-    return CheckReport("uniqueness", abs(lam), 1.0, void, void, tol, info)
+    return _recover_scalars(u, [v], n_doppler, tol)[0]
+
+
+def _recover_scalars(
+    u: SampledSignal,
+    vs: list[SampledSignal],
+    n_doppler: int | None = None,
+    tol: float = _FIT_TOL,
+) -> list[CheckReport]:
+    """recover_scalar(u, v) for each v in vs, to the bit: chi(u, u) streams
+    once beside every chi(v, v), all through one _row_runs, and each
+    difference is formed in one scratch block."""
+    fits = []
+    for v in vs:
+        eu, ev = _require_energy([u, v], nonzero=True)
+        fits.append((_unimodular_fit(u, v, eu, ev), max(eu, ev)))
+    su, *svs = _self_loops([u, *vs], n_doppler)
+    scratch = np.empty_like(su.values)
+    diff_rows: list[list[np.ndarray]] = [[] for _ in vs]
+    for _, (x, *ys) in _row_runs(su, *svs):
+        for y, rows in zip(ys, diff_rows):
+            rows.append(_squared_rows(np.subtract(x, y, out=scratch[: len(x)])))
+    reports = []
+    for ((lam, residual, unimodular_defect), scale), rows in zip(fits, diff_rows):
+        af_dist = math.sqrt(_integral(su, rows).real)
+        info: dict = {"af_distance": af_dist, "lambda": lam}
+        if af_dist <= _AF_TOL * scale:
+            rel_err = max(residual, unimodular_defect)
+            info.update({"af_equal": True, "residual": residual})
+        else:
+            info.update({"af_equal": False, "status": "surfaces differ; hypothesis void"})
+            rel_err = 0.0 if math.isfinite(af_dist) else math.nan
+        reports.append(CheckReport("uniqueness", abs(lam), 1.0, rel_err, rel_err, tol, info))
+    return reports
 
 
 def collinearity_check(
     u2: SampledSignal,
     u3: SampledSignal,
     n_doppler: int | None = None,
-    tol: float = 1e-9,
+    tol: float = _CS_TOL,
 ) -> CheckReport:
     """A sum of two self surfaces is itself (a scaled) self surface exactly
     when the waveforms are collinear.
@@ -497,30 +541,58 @@ def collinearity_check(
     direction, to _SUM_TOL of its peak; when it fails, the report carries
     the inner-product ratio as the counterexample witness.
     """
-    e2, e3 = _require_energy([u2, u3], nonzero=True)
-    ip = inner_product(u2, u3)
-    cs_ratio = abs(ip) / (u2.norm() * u3.norm())
-    defect = max(0.0, 1.0 - cs_ratio)
-    info: dict = {"cs_ratio": cs_ratio, "inner": ip}
-    if defect <= tol:
-        alpha = ip / e3  # u2 = alpha * u3
-        info["alpha"] = alpha
-        unit = u2.replace_samples(u2.samples / u2.norm())
-        # one waveform given twice is built once
-        s2 = _ambiguity_blocks([(u2, u2)], n_doppler)
-        s3 = s2 if u3 is u2 else _ambiguity_blocks([(u3, u3)], n_doppler)
-        target = _ambiguity_blocks([(unit, unit)], n_doppler)
-        sum_gap = _max_gap(
-            (np.add(x, y, out=x), np.multiply(e2 + e3, t, out=t))
-            for _, (x, y, t) in _row_runs(s2, s3, target)
-        )
-        info["sum_gap"] = sum_gap
+    return _collinearity_checks([(u2, u3)], n_doppler, tol)[0]
+
+
+def _collinearity_checks(
+    pairs: list[tuple[SampledSignal, SampledSignal]],
+    n_doppler: int | None = None,
+    tol: float = _CS_TOL,
+) -> list[CheckReport]:
+    """collinearity_check(u2, u3) for each pair, to the bit.  The self
+    surfaces the collinear pairs read, chi(u2, u2), chi(u3, u3) and that of
+    u2's unit direction, stream through one _row_runs, one loop per
+    distinct waveform object, and each pair forms its sum and prediction in
+    two scratch blocks."""
+    # per pair: cs_ratio, defect, info, e2 + e3, and the three waveforms
+    # whose self surfaces a collinear pair reads (None if it is not)
+    lines, units = [], {}
+    for u2, u3 in pairs:
+        e2, e3 = _require_energy([u2, u3], nonzero=True)
+        ip = inner_product(u2, u3)
+        cs_ratio = abs(ip) / (u2.norm() * u3.norm())
+        defect = max(0.0, 1.0 - cs_ratio)
+        info: dict = {"cs_ratio": cs_ratio, "inner": ip}
+        reads = None
+        if defect <= tol:
+            info["alpha"] = ip / e3  # u2 = alpha * u3
+            if id(u2) not in units:
+                units[id(u2)] = u2.replace_samples(u2.samples / u2.norm())
+            reads = (u2, u3, units[id(u2)])
+        lines.append((cs_ratio, defect, info, e2 + e3, reads))
+    parts = {k: [] for k, line in enumerate(lines) if line[4] is not None}
+    if parts:
+        loops = _self_loops([w for k in parts for w in lines[k][4]], n_doppler)
+        total, target = np.empty_like(loops[0].values), np.empty_like(loops[0].values)
+        for _, blocks in _row_runs(*loops):
+            for j, k in enumerate(parts):
+                x, y, t = blocks[3 * j : 3 * j + 3]
+                parts[k].append(_peak_and_gap(
+                    np.add(x, y, out=total[: len(x)]),
+                    np.multiply(lines[k][3], t, out=target[: len(t)]),
+                ))
+    reports = []
+    for k, (cs_ratio, defect, info, _, _) in enumerate(lines):
+        if k not in parts:
+            # not collinear: rel_err = defect > tol fails the report
+            reports.append(CheckReport("collinearity", cs_ratio, 1.0, defect, defect, tol, info))
+            continue
+        sum_gap = info["sum_gap"] = _max_gap(parts[k])
         rel_err = max(defect, sum_gap * (tol / _SUM_TOL))
-        return CheckReport(
+        reports.append(CheckReport(
             "collinearity", cs_ratio, 1.0, defect, rel_err, tol, info, gate=sum_gap <= _SUM_TOL
-        )
-    # not collinear: rel_err = defect > tol fails the report
-    return CheckReport("collinearity", cs_ratio, 1.0, defect, defect, tol, info)
+        ))
+    return reports
 
 
 def trace_reduction_check(
@@ -561,7 +633,9 @@ def trace_reduction_check(
     if not failing:
         trace = _ambiguity_blocks(pairs, n_doppler)  # the spatial integral's trace
         target = _ambiguity_blocks([(waveforms[0], waveforms[0])], n_doppler)
-        gap = _max_gap((x, np.multiply(m, t, out=t)) for _, (x, t) in _row_runs(trace, target))
+        gap = _max_gap(
+            [_peak_and_gap(x, np.multiply(m, t, out=t)) for _, (x, t) in _row_runs(trace, target)]
+        )
         info = {"reduced": True, "gap": gap}
         return CheckReport("trace-reduction", gap, 0.0, gap, gap, tol, info)
     # the hypothesis is void: a vacuous pass whose witnesses are the pairs

@@ -375,12 +375,17 @@ def chirp_multiply(v: SampledSignal, rate: float) -> SampledSignal:
 
 
 def _band_occupancy_ok(v: SampledSignal, keep_fraction_below: float) -> bool:
-    """True if all but 1e-9 of spectral energy sits below the given band fraction."""
-    spec = np.abs(np.fft.fft(v.samples)) ** 2
+    """True if all but 1e-9 of spectral energy sits below the given band fraction.
+
+    The spectrum is scaled by its peak before it is squared, so the test is
+    the same at any amplitude whose energy float64 holds."""
+    spec = np.abs(np.fft.fft(v.samples))
+    peak = float(np.max(spec))
+    if peak == 0.0:
+        return True
+    spec = (spec / peak) ** 2
     freqs = np.abs(np.fft.fftfreq(v.n, d=v.dt))
     total = float(np.sum(spec))
-    if total == 0.0:
-        return True
     inside = float(np.sum(spec[freqs <= keep_fraction_below / (2.0 * v.dt)]))
     return (total - inside) <= 1e-9 * total
 

@@ -48,10 +48,10 @@ with the BLAS thread count, and totals the rows once by math.fsum, so no
 report depends on the block size.
 
 Memory: the mirror, shear and dilation checks hold no surface.  Each
-streams its two routes, each by its own gathers, side by side through the
-block loop and compares them a run of rows at a time, taking the
-difference in place over route (b)'s cells: a few blocks, under 3 MiB on
-the default grid and the same at any size, over the hull of the two
+streams its two routes, each from its own lag products, side by side
+through the block loop and compares them a run of rows at a time, taking
+the difference in place over route (b)'s cells: a few blocks, under 3
+MiB on the default grid and the same at any size, over the hull of the two
 routes' live lag rows only (_row_runs): every row outside is +0 on both.
 The dilation parent, with k times the Doppler bins, and route (a) are
 built only on the lags route (b) reads, every k-th.  The rotation check

@@ -59,10 +59,11 @@ def traced_peak(fn, *args, **kwargs):
 
 def lag_products(u, v, cyclic):
     """(P, lags): every row of the lag products P[i, n] = u[n] conj(v[n + lag_i])
-    at once, from the gather the surface loop reads in blocks."""
-    lags, gather = _lag_rows(u, v, cyclic)
-    P = np.empty((lags.size, u.n), dtype=np.complex128)
-    gather(0, P)
+    at once, from the windows and mask the surface loop reads in blocks,
+    unweighted and +0 outside the mask."""
+    lags, windows, inside = _lag_rows(v, cyclic)
+    P = np.zeros((lags.size, u.n), dtype=np.complex128)
+    np.multiply(u.samples, windows, out=P, where=True if inside is None else inside)
     return P, lags
 
 
@@ -127,9 +128,9 @@ def surface_builds(monkeypatch):
     built = []
     init = ambiguity._SurfaceBlocks.__init__
 
-    def recorded(self, gathers, n, tau_axis, nu_axis, *args):
+    def recorded(self, terms, n, tau_axis, nu_axis, *args):
         built.append((tau_axis.size, nu_axis.size))
-        init(self, gathers, n, tau_axis, nu_axis, *args)
+        init(self, terms, n, tau_axis, nu_axis, *args)
 
     monkeypatch.setattr(ambiguity._SurfaceBlocks, "__init__", recorded)
     return built

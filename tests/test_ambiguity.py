@@ -172,15 +172,23 @@ def test_lag_products_match_loop(n, cyclic):
     # the linear mask is one shared read-only table per n
     inside = ambiguity._inside_windows(n)
     assert inside is ambiguity._inside_windows(n) and not inside.flags.writeable
-    # the surface loop gathers blocks of rows into one reused buffer, which
-    # holds the previous block's products (here NaN at first)
+    # the surface loop multiplies blocks of rows straight from the windows
+    # into one reused buffer, writing the cells inside the mask and leaving
+    # every other one as it was (NaN here; the loop zero-fills each block)
     for size in (1, 7, lags.size + 3):
-        lags_b, gather = _lag_rows(u, v, cyclic)
-        buf = np.full((min(size, lags.size), n), np.nan, dtype=np.complex128)
+        lags_b, windows, inside = _lag_rows(v, cyclic)
+        mask = np.ones(windows.shape, dtype=bool) if inside is None else inside
+        term = (np.broadcast_to(us, windows.shape), windows,
+                None if inside is None else inside.__getitem__)
+        buf = np.empty((min(size, lags.size), n), dtype=np.complex128)
         blocks = []
         for start in range(0, lags.size, size):
             block = buf[: min(size, lags.size - start)]
-            gather(start, block)
+            rows = slice(start, start + len(block))
+            block.fill(np.nan)
+            ambiguity._multiply(term, rows, block, [(slice(None), slice(None))])
+            assert np.isnan(block[~mask[rows]]).all()
+            block[~mask[rows]] = 0
             blocks.append(block.tobytes())
         assert np.array_equal(lags_b, lags_ref)
         assert b"".join(blocks) == P_ref.tobytes(), size
@@ -287,6 +295,71 @@ def test_sliced_rows_are_the_whole_surface_rows(cyclic, n_pairs, rows, block_row
     got = np.concatenate([block.copy() for _, block in loop])
     assert got.tobytes() == full.values[rows].tobytes()
     assert loop.tau_axis.tobytes() == full.tau_axis[rows].tobytes()
+
+
+def _weighted_products_surface(kind, n, N, dt, t0):
+    """(loop surface, reference) for one kind of surface: the reference
+    weights the products, taking the unweighted lag products
+    (conftest.lag_products, summed left to right for a trace) times dt
+    (-1)^(m+s), in column (m+s) mod N, and one unscaled inverse FFT
+    (_one_ifft, _wigner_reference); the loop carries the weight on the
+    samples instead."""
+    rng = np.random.default_rng(n + N)
+    sigs = [
+        SampledSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), dt, t0 * dt)
+        for _ in range(6)
+    ]
+    if kind == "wigner":
+        u, v = sigs[:2]
+        return wigner(u, v, n_freq=N).values, _wigner_reference(u, v, N)
+    cyclic = kind == "cyclic"
+    pairs = list(zip(sigs[::2], sigs[1::2]))[: 3 if kind == "trace" else 1]
+    P = lag_products(*pairs[0], cyclic)[0]
+    for u, v in pairs[1:]:
+        P = P + lag_products(u, v, cyclic)[0]
+    return _surface(pairs, N, cyclic).values, _one_ifft(P, N, pairs[0][0])
+
+
+_FOLD_CASES = [
+    ("linear", 63), ("linear", 64), ("cyclic", 64), ("trace", 63), ("trace", 64),
+    ("wigner", 63), ("wigner", 64),
+]
+
+
+@pytest.mark.parametrize("kind,n", _FOLD_CASES)
+@pytest.mark.parametrize("t0", [-32.0, -23.68], ids=["whole", "fractional"])
+@pytest.mark.parametrize("N_of_n", [lambda n: 2 * n + 6, lambda n: 4 * n], ids=["2n+6", "4n"])
+def test_weight_on_the_samples_keeps_every_bit_at_a_power_of_two_dt(kind, n, t0, N_of_n):
+    # scaling by a power of two commutes with rounding and a sign flip is
+    # exact, so (dt (-1)^(m+s) u) conj(v) has the bits of (u conj(v)) times
+    # the weight, and so does a sum of such products
+    got, expect = _weighted_products_surface(kind, n, N_of_n(n), 1 / 64, t0)
+    assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("kind,n", _FOLD_CASES)
+@pytest.mark.parametrize("dt", [0.01, 1 / 3])
+def test_weight_on_the_samples_drifts_by_rounding_at_other_dt(kind, n, dt):
+    # any other dt rounds the product as (dt u) conj(v), not (u conj(v)) dt:
+    # a last-bit difference per product, far below every check tolerance
+    got, expect = _weighted_products_surface(kind, n, 2 * n + 6, dt, -23.68)
+    assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("kind,n,t0", [
+    ("linear", 8, -7.0), ("linear", 8, -1.0), ("wigner", 4, 0.0), ("wigner", 3, 0.0),
+])
+def test_one_cell_runs_keep_the_bits_of_any_block_size(kind, n, t0, monkeypatch):
+    # a window that starts at -dt, or ends at 0, puts one product in a
+    # column run of its own (the Wigner window of n = 3 or 4 does too), and
+    # a one-row block makes that one cell, which numpy rounds differently
+    # under an array mask: the loop must give it the bits of a longer block
+    N = 2 * n + 6
+    want, expect = _weighted_products_surface(kind, n, N, 1 / 64, t0)
+    assert want.tobytes() == expect.tobytes()
+    monkeypatch.setattr(ambiguity, "_BLOCK_BYTES", 16 * N)
+    got, _ = _weighted_products_surface(kind, n, N, 1 / 64, t0)
+    assert got.tobytes() == want.tobytes()
 
 
 def _overlap_lags(pairs, n):
@@ -399,8 +472,7 @@ def test_dead_wigner_rows_are_plus_zero(n, N, supports, block_rows, monkeypatch)
             x[support] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             out.append(SampledSignal(x, dt, -32 * dt))
         u, v = u[0], v[0]
-        P = np.empty((n, n), dtype=np.complex128)
-        ambiguity._wigner_blocks(u, v, N)._gathers[0](0, P)
+        P, _ = _wigner_products(u, v)
         # the block loop's kernel: window (-h, 0), weight 2 dt
         expect = _one_ifft(P, N, SimpleNamespace(dt=2 * dt, t0=-((n - 1) // 2) * 2 * dt))
         got = ambiguity.wigner(u, v, n_freq=N).values
@@ -907,9 +979,9 @@ def test_spatial_integral_bytes_match_across_block_sizes(monkeypatch):
 
 
 def test_spatial_integral_peak_memory():
-    # the trace, the one block buffer the loop streams through, one block of
-    # lag products and the scratch block that the further self pairs are
-    # gathered into
+    # the trace, the one block buffer the loop streams through and the
+    # scratch block of lag products that each further self pair is formed
+    # in; the bound leaves room for one more block of products
     ws = gen_subcarrier_set(4, 1.0, DT)
     n, n_doppler = ws[0].n, 1024
     x_bytes = (2 * n - 1) * n_doppler * 16

@@ -1560,18 +1560,21 @@ def test_live_hull_moves_no_report_byte(monkeypatch, capsys):
 # routes read: trace-reduction decides its hypothesis on the waveforms (the
 # trace and chi(u0, u0) of the collinear set, none for the refused set), and
 # a pair given twice to one side of an identity is built once (moyal's
-# (u, u, u, u), collinearity's (u, u), mimo-moyal's (ortho, ortho)).  The
-# symmetry suites build both routes even where they coincide.
+# (u, u, u, u), collinearity's (u, u), mimo-moyal's (ortho, ortho)).
+# uniqueness streams chi(u, u) once beside its four partners' surfaces, and
+# collinearity chi(u, u), chi(3j u, 3j u) and that of u's unit direction
+# once for both of its lines.  The symmetry suites build both routes even
+# where they coincide.
 SUITE_BUILDS = {
     "norm": 2, "mimo-energy": 4, "moyal": 7, "mimo-moyal": 3, "psd": 1, "trace-psd": 1,
-    "uniqueness": 8, "collinearity": 5, "trace-reduction": 2, "sym-J": 2, "sym-mirror": 2,
+    "uniqueness": 5, "collinearity": 3, "trace-reduction": 2, "sym-J": 2, "sym-mirror": 2,
     "sym-lfm": 2, "sym-dilate": 2, "sym-mimo": 8,
 }
 
 
 def test_suite_builds_cover_every_suite():
     assert sorted(SUITE_BUILDS) == sorted(s for s in cli.SUITES if s != "all")
-    assert sum(SUITE_BUILDS.values()) == 49
+    assert sum(SUITE_BUILDS.values()) == 44
 
 
 @pytest.mark.parametrize("suite", SUITE_BUILDS)

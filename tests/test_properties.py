@@ -42,7 +42,7 @@ from mimoaf import (
     verify_mimo_symmetry,
     verify_mirror,
 )
-from mimoaf import ambiguity, properties
+from mimoaf import ambiguity, cli, properties
 from mimoaf.ambiguity import mimo_beams
 from mimoaf.signals import HeisenbergPoint
 
@@ -840,3 +840,36 @@ def test_empty_hull_reads_as_all_zero_blocks():
     # collinearity and trace-reduction refuse zero energy, so no caller
     # hands _max_gap no block; if one did, it reads as all-zero blocks
     assert properties._max_gap([]) == 0.0
+
+
+@pytest.mark.parametrize("family", ["rect", "gaussian", "lfm", "subcarriers"])
+@pytest.mark.parametrize("suite,builds,batch,one_line", [
+    ("uniqueness", 5, "_recover_scalars",
+     lambda u, vs: [recover_scalar(u, v, 1024) for v in vs]),
+    ("collinearity", 3, "_collinearity_checks",
+     lambda pairs: [collinearity_check(u2, u3, 1024) for u2, u3 in pairs]),
+])
+def test_suites_stream_each_shared_self_surface_once(
+    family, suite, builds, batch, one_line, surface_builds, monkeypatch, capsys
+):
+    # uniqueness streams chi(u, u) once beside its four partners, and
+    # collinearity chi(u, u) and chi(u/|u|, u/|u|) once for both of its
+    # lines; each report, info included, is the one-line check's
+    calls = []
+    shared = getattr(cli, batch)
+
+    def recorded(*args, **kwargs):
+        calls.append(args[:-1])  # the suite's waveforms, without n_doppler
+        return shared(*args, **kwargs)
+
+    monkeypatch.setattr(cli, batch, recorded)
+    assert cli.main(["verify", "--suite", suite, "--family", family]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(surface_builds) == builds
+    (waveforms,) = calls
+    batched = shared(*waveforms, 1024)
+    alone = one_line(*waveforms)
+    assert len(batched) == len(alone) == len(printed) == (4 if suite == "uniqueness" else 2)
+    for got, want, line in zip(batched, alone, printed):
+        assert got == want and got.gate == want.gate and got.info == want.info
+        assert got.format_line() == line

@@ -285,6 +285,22 @@ def test_dilate_bytes_pinned(name, b):
     assert digest == DILATE_PINNED[(name, b)]
 
 
+@pytest.mark.parametrize("scale", [2.0**-500, 1e153])
+def test_dilate_band_test_does_not_depend_on_amplitude(scale):
+    # the band test squares the spectrum only once it is scaled by its peak,
+    # so the sym-dilate Gaussian times 1e153 (energy about 1e306, which
+    # float64 holds, and a raw squared spectrum that it does not) dilates as
+    # at amplitude 1, and a rect pulse aliases at any amplitude
+    u = gen_gaussian(CANONICAL_SIGMA, DT_G, 2.0)
+    out = dilate(u.replace_samples(scale * u.samples), 2.0)
+    ref = dilate(u, 2.0).samples
+    assert np.max(np.abs(out.samples / scale - ref)) <= 1e-15 * np.max(np.abs(ref))
+    rect = gen_rect(1.0, DT_G)
+    for amplitude in (1.0, scale):
+        with pytest.raises(AliasingError):
+            dilate(rect.replace_samples(amplitude * rect.samples), 2.0)
+
+
 def test_dilate_rejects_bad_factor():
     u = canonical_gaussian()
     for b in (0.0, -1.0, math.nan, math.inf):
