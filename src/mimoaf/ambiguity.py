@@ -295,13 +295,16 @@ class _SurfaceBlocks:
 
     Each row of the surface is the Doppler transform of n lag products,
     summed over the loop's terms (one per signal pair, :data:`_Term`); a
-    block still needs one FFT.  A block is zero-filled, the first term's
-    products are multiplied straight into their columns of the live rows
-    of one reused block buffer, ``values``, each further term's are formed
-    in one scratch block and added there in list order, and one unscaled
-    inverse FFT runs in place, so a block holds only until the next.  One
-    term takes no scratch block and no add.  :func:`_ambiguity_blocks` and
-    :func:`_wigner_blocks` work out the terms and the geometry.
+    block still needs one FFT.  A block of one reused block buffer,
+    ``values``, is zero-filled, one term's products are multiplied under
+    its mask straight into their columns of the live rows, and one
+    unscaled inverse FFT runs in place, so a block holds only until the
+    next.  Further terms share the first's mask (their pairs share n and
+    the rows): the first term's products are formed unmasked in a total
+    block and each further term's in one scratch block, added to the total
+    in list order, and the total is copied into the live rows under the
+    mask once, so a cell outside it stays +0.  :func:`_ambiguity_blocks`
+    and :func:`_wigner_blocks` work out the terms and the geometry.
 
     Only the live rows live[0] .. live[1]-1 are multiplied and transformed;
     every other row of a block is written as +0, the value of a row whose
@@ -366,7 +369,8 @@ class _SurfaceBlocks:
         )
         n_lag = tau_axis.size
         self._rows = min(n_lag, max(1, _BLOCK_BYTES // (16 * N)))
-        self._scratch = np.empty((self._rows, n), dtype=np.complex128) if len(terms) > 1 else None
+        # a trace's total and scratch blocks of lag products
+        self._sums = np.empty((2, self._rows, n), dtype=np.complex128) if len(terms) > 1 else None
         self.values = np.empty((self._rows, N), dtype=np.complex128)
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
@@ -375,24 +379,35 @@ class _SurfaceBlocks:
             yield start, self.fill(start, min(start + self._rows, n_lag))
 
     def fill(self, start: int, stop: int) -> np.ndarray:
-        head, *rest = self._terms
         block = self.values[: stop - start]
         block.fill(0)
         # the block's live rows are lo .. hi-1 of it; the rest stay +0
         lo, hi = (min(max(r - start, 0), stop - start) for r in self._live)
         if lo < hi:
             live, rows = block[lo:hi], slice(start + lo, start + hi)
-            _multiply(head, rows, live, self._runs)
-            for term in rest:
-                more = self._scratch[: hi - lo]
-                more.fill(0)
-                _multiply(term, rows, more, [(slice(None), slice(None))])
-                for p, c in self._runs:
-                    live[:, c] += more[:, p]
+            if self._sums is None:
+                _multiply(self._terms[0], rows, live, self._runs)
+            else:
+                self._place_sum(rows, live)
             np.fft.ifft(live, axis=1, out=live, norm="forward")
             if self._residual is not None:
                 live *= self._residual
         return block
+
+    def _place_sum(self, rows: slice, live: np.ndarray) -> None:
+        """Write the terms' lag products at rows, summed in list order, into
+        their columns of live, as the class docstring says.  The placement
+        is an exact copy, so no cell is multiplied alone under a mask (see
+        :func:`_multiply`)."""
+        (left, right, inside), *rest = self._terms
+        total, more = self._sums[:, : len(live)]
+        np.multiply(left[rows], right[rows], out=total)
+        for left, right, _ in rest:
+            np.multiply(left[rows], right[rows], out=more)
+            total += more
+        mask = None if inside is None else inside(rows)
+        for p, c in self._runs:
+            np.copyto(live[:, c], total[:, p], where=True if mask is None else mask[:, p])
 
 
 def _live_rows(
@@ -408,9 +423,10 @@ def _live_rows(
     pairs' ranges.  The lags of any pick are monotone, so the rows in that
     range are one contiguous run.
     """
+    support = {id(w): _support(w) for pair in pairs for w in pair}
     low, high = math.inf, -math.inf
     for u, v in pairs:
-        su, sv = _support(u), _support(v)
+        su, sv = support[id(u)], support[id(v)]
         if su and sv:
             low, high = min(low, sv[0] - su[1]), max(high, sv[1] - su[0])
     live = np.flatnonzero((lags >= low) & (lags <= high))
@@ -453,7 +469,8 @@ def _ambiguity_blocks(
         terms, u.n, lags * u.dt, _doppler_axis(n_doppler, u.dt),
         window, (0, lags.size) if cyclic else _live_rows(pairs, lags),
     )
-    _require_energy(w for pair in pairs for w in pair)
+    # each distinct signal once: a self pair's two sides are one object
+    _require_energy({id(w): w for pair in pairs for w in pair}.values())
     return blocks
 
 
@@ -747,7 +764,8 @@ def spatial_integral(
     chi is linear in its lag products, so the trace is one Doppler
     transform of the summed products sum_m u_m[n] conj(u_m[n + k]): one FFT
     surface, not M (see :class:`_SurfaceBlocks`).  Besides the trace, one
-    block and one scratch block of lag products are alive.
+    block and a total and a scratch block of lag products are alive,
+    whatever M is.
     """
     return _surface(_trace_pairs(waveforms, gamma), n_doppler)
 

@@ -312,8 +312,8 @@ def _weighted_products_surface(kind, n, N, dt, t0):
     if kind == "wigner":
         u, v = sigs[:2]
         return wigner(u, v, n_freq=N).values, _wigner_reference(u, v, N)
-    cyclic = kind == "cyclic"
-    pairs = list(zip(sigs[::2], sigs[1::2]))[: 3 if kind == "trace" else 1]
+    cyclic = kind.startswith("cyclic")
+    pairs = list(zip(sigs[::2], sigs[1::2]))[: 3 if kind.endswith("trace") else 1]
     P = lag_products(*pairs[0], cyclic)[0]
     for u, v in pairs[1:]:
         P = P + lag_products(u, v, cyclic)[0]
@@ -322,7 +322,7 @@ def _weighted_products_surface(kind, n, N, dt, t0):
 
 _FOLD_CASES = [
     ("linear", 63), ("linear", 64), ("cyclic", 64), ("trace", 63), ("trace", 64),
-    ("wigner", 63), ("wigner", 64),
+    ("cyclic-trace", 62), ("cyclic-trace", 64), ("wigner", 63), ("wigner", 64),
 ]
 
 
@@ -347,13 +347,15 @@ def test_weight_on_the_samples_drifts_by_rounding_at_other_dt(kind, n, dt):
 
 
 @pytest.mark.parametrize("kind,n,t0", [
-    ("linear", 8, -7.0), ("linear", 8, -1.0), ("wigner", 4, 0.0), ("wigner", 3, 0.0),
+    ("linear", 8, -7.0), ("linear", 8, -1.0), ("trace", 8, -7.0), ("trace", 8, -1.0),
+    ("wigner", 4, 0.0), ("wigner", 3, 0.0),
 ])
 def test_one_cell_runs_keep_the_bits_of_any_block_size(kind, n, t0, monkeypatch):
     # a window that starts at -dt, or ends at 0, puts one product in a
     # column run of its own (the Wigner window of n = 3 or 4 does too), and
     # a one-row block makes that one cell, which numpy rounds differently
-    # under an array mask: the loop must give it the bits of a longer block
+    # under an array mask: the loop must give it the bits of a longer block,
+    # and a trace, which sums its products before it places them, too
     N = 2 * n + 6
     want, expect = _weighted_products_surface(kind, n, N, 1 / 64, t0)
     assert want.tobytes() == expect.tobytes()
@@ -978,11 +980,13 @@ def test_spatial_integral_bytes_match_across_block_sizes(monkeypatch):
     assert spatial_integral(ws, gamma, n_doppler=512).values.tobytes() == default.tobytes()
 
 
-def test_spatial_integral_peak_memory():
-    # the trace, the one block buffer the loop streams through and the
-    # scratch block of lag products that each further self pair is formed
-    # in; the bound leaves room for one more block of products
-    ws = gen_subcarrier_set(4, 1.0, DT)
+@pytest.mark.parametrize("M", [4, 16])
+def test_spatial_integral_peak_memory(M):
+    # the trace, the one block buffer the loop streams through, and a total
+    # and a scratch block of lag products, in which the self pairs' products
+    # are summed whatever M is; the bound holds those two blocks of products
+    # and 1 MiB, so a scratch that grew with M would fail it at M = 16
+    ws = gen_subcarrier_set(M, 1.0, DT)
     n, n_doppler = ws[0].n, 1024
     x_bytes = (2 * n - 1) * n_doppler * 16
     block_bytes = min(2 * n - 1, _BLOCK_BYTES // (16 * n_doppler)) * n * 16
